@@ -318,6 +318,56 @@ func BenchmarkAblationBalance(b *testing.B) {
 	})
 }
 
+// --- Micro: the core.balance rung of the benchmark's step ladder ---
+
+// BenchmarkCoreBalance times Tree.Balance alone on the level-6 droplet,
+// the in-repo counterpart of the lifecycle benchmark's core.balance_ms:
+// each iteration moves the interface one step, refines and coarsens to it
+// untimed, and times the Balance that repairs the 2:1 constraint. The rest
+// of the step (solve sweeps, Persist) runs untimed, so every iteration
+// balances a committed, C0-evicted mesh as a real step does. Iterations
+// march through steps 21-80 of 80 and start over on a fresh tree, so the
+// per-op numbers are the mean over that window whenever b.N is a multiple
+// of 60 (-benchtime 60x).
+func BenchmarkCoreBalance(b *testing.B) {
+	const maxLevel, steps, first = 6, 80, 21
+	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
+	var (
+		nv      *nvbm.Device
+		tree    *core.Tree
+		reads   uint64
+		refines int
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		step := first + i%(steps-first+1)
+		if step == first {
+			nv = nvbm.New(nvbm.NVBM, 0)
+			tree = core.Create(core.Config{NVBMDevice: nv, DRAMBudgetOctants: 2048})
+			for s := 1; s < first; s++ {
+				sim.StepField(tree, d, s, maxLevel)
+				tree.Persist()
+			}
+		}
+		tree.RefineWhere(d.RefinePred(step), maxLevel)
+		tree.CoarsenWhere(d.CoarsenPred(step))
+		before := nv.Stats().Reads
+		b.StartTimer()
+		refines += tree.Balance()
+		b.StopTimer()
+		reads += nv.Stats().Reads - before
+		for it := 0; it < sim.SolverSweeps; it++ {
+			tree.UpdateLeaves(d.Solve(step))
+		}
+		tree.Persist()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "nvbm-reads/op")
+	b.ReportMetric(float64(refines)/float64(b.N), "refines/op")
+}
+
 // --- Micro: the commit path ---
 
 func BenchmarkPersist(b *testing.B) {

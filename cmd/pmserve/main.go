@@ -254,7 +254,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "pmserve: serving %d version(s) of %s on http://%s (try /v1/versions)\n",
 		len(cat.Steps()), *image, ln.Addr())
-	srv := &http.Server{Handler: mux}
+	srv := serve.NewHTTPServer(mux)
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
@@ -375,7 +375,7 @@ func runScript(h http.Handler, path string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: h}
+	srv := serve.NewHTTPServer(h)
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -1,7 +1,8 @@
 package bulk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -9,102 +10,195 @@ import (
 
 // Balance validates leaves as a partition of the domain and returns the
 // minimal 2:1 face-balanced refinement of it: the same fixed point
-// core.Tree.Balance reaches by incremental splitting, computed here over
-// the flat sorted array. The input slice is not modified; the result is
-// sorted by Key.
+// core.Tree.Balance reaches (both run Closure), computed over the flat
+// sorted array. The input slice is not modified; the result is sorted by
+// Key.
 func Balance(leaves []morton.Code, pool *parallel.Pool) ([]morton.Code, error) {
-	sorted, src, err := validateAndSort(leaves, pool)
+	sorted, _, err := validateAndSort(leaves, pool)
 	if err != nil {
 		return nil, err
 	}
-	sorted, _ = balanceClosure(sorted, src, pool)
+	var c Closure
+	sorted, _, _ = c.Run(sorted, nil, pool)
 	return sorted, nil
 }
 
-// balanceClosure iterates split rounds until no leaf violates the 2:1
-// face constraint. Each round replicates core.findViolators exactly: every
-// leaf at level >= 2 probes its up-to-6 same-level face neighbors
-// (siblings inside its own parent are skipped — same level by
-// construction), locates the leaf covering each neighbor's anchor cell,
-// and marks it for splitting when it is more than one level coarser.
-// Split children inherit the split leaf's src index, mirroring how
-// incremental refinement copies payload down to new children.
+// Closure computes the 2:1 face-balance ripple closure of a Z-ordered
+// leaf partition in key space — no tree, no device access — and keeps its
+// scratch between runs, so a caller that balances every step (core.Tree)
+// allocates nothing once the buffers have grown to the mesh. The zero
+// value is ready to use.
+type Closure struct {
+	in     []morton.Code // the round's input leaves, read by the chunked passes
+	cells  []uint64      // start cell of each input leaf
+	viol   []int32       // viol[6*i+f]: the leaf that leaf i forces to split across face f, or -1
+	mark   []bool        // leaves splitting this round
+	leaves [2][]morton.Code
+	src    [2][]int32
+	splits []morton.Code
+}
+
+// Run iterates split rounds until no leaf violates the 2:1 face
+// constraint and returns the balanced leaves, their payload sources, and
+// every leaf that was split in any round (a split leaf's children may
+// split again in a later round, so the set holds interior octants of the
+// result too), all sorted by Key — ancestors before descendants. leaves
+// must be a Key-sorted partition of the domain and is not modified; src,
+// when non-nil, maps each leaf to its payload source, and split children
+// inherit their split leaf's entry, mirroring how incremental refinement
+// copies payload down to new children. The returned slices alias the
+// Closure's scratch (or, when nothing split, the inputs) and are valid
+// until the next Run.
 //
-// The marking pass writes one slot per (probing leaf, face), so which
-// leaves split in a round — and therefore the fixed point's leaf order —
-// never depends on chunk boundaries. The fixed point itself is the unique
-// minimal balanced refinement, the same set core.Tree.Balance produces.
-func balanceClosure(leaves []morton.Code, src []int32, pool *parallel.Pool) ([]morton.Code, []int32) {
-	for {
+// Each round every leaf at level >= 2 probes across its outward faces
+// (siblings inside its own parent are the same level by construction),
+// locates the leaf covering the neighboring cell by binary search, and
+// marks it for splitting when it is more than one level coarser. The
+// marking pass writes one slot per (probing leaf, face), so which leaves
+// split in a round never depends on chunk boundaries; the fixed point
+// itself is the unique minimal balanced refinement.
+func (c *Closure) Run(leaves []morton.Code, src []int32, pool *parallel.Pool) ([]morton.Code, []int32, []morton.Code) {
+	c.splits = c.splits[:0]
+	for round := 0; ; round++ {
 		n := len(leaves)
-		cells := make([]uint64, n)
-		pool.Run(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cells[i] = leaves[i].Key() >> 6
-			}
-		})
-		viol := make([]int32, 6*n)
-		pool.Run(n, func(lo, hi int) {
-			var scratch [6]morton.Code
-			for i := lo; i < hi; i++ {
-				for f := 0; f < 6; f++ {
-					viol[6*i+f] = -1
-				}
-				o := leaves[i]
-				if o.Level() < 2 {
-					continue
-				}
-				par := o.Parent()
-				for f, nb := range o.FaceNeighbors(scratch[:0]) {
-					if nb.Parent() == par {
-						continue
-					}
-					// int arithmetic: when the neighbor region is MORE
-					// refined the covering leaf is deeper than o and the
-					// difference goes negative (core's FindLeaf returns an
-					// internal node there and skips it the same way).
-					j := coveringLeaf(cells, nb)
-					if int(o.Level())-int(leaves[j].Level()) > 1 {
-						viol[6*i+f] = int32(j)
-					}
-				}
-			}
-		})
-		split := make([]bool, n)
+		c.in = leaves
+		c.cells = grow(c.cells, n)
+		c.viol = grow(c.viol, 6*n)
+		if pool.Workers() == 1 {
+			// Called directly: a method value handed to the pool escapes,
+			// and the per-step caller must not allocate.
+			c.fillCells(0, n)
+			c.probe(0, n)
+		} else {
+			pool.Run(n, c.fillCells)
+			pool.Run(n, c.probe)
+		}
+		c.mark = grow(c.mark, n)
+		clear(c.mark)
 		nsplit := 0
-		for _, v := range viol {
-			if v >= 0 && !split[v] {
-				split[v] = true
+		for _, v := range c.viol {
+			if v >= 0 && !c.mark[v] {
+				c.mark[v] = true
 				nsplit++
 			}
 		}
 		if nsplit == 0 {
-			return leaves, src
+			if round > 1 {
+				// Each round emits its splits in Z-order; later rounds
+				// interleave with earlier ones.
+				slices.SortFunc(c.splits, func(a, b morton.Code) int { return cmp.Compare(a.Key(), b.Key()) })
+			}
+			return leaves, src, c.splits
 		}
 		// Children of a split leaf are contiguous and ascending in Key, so
 		// the rebuilt array stays sorted.
-		out := make([]morton.Code, 0, n+7*nsplit)
-		osrc := make([]int32, 0, n+7*nsplit)
-		for i, c := range leaves {
-			if split[i] {
-				for k := 0; k < 8; k++ {
-					out = append(out, c.Child(k))
-					osrc = append(osrc, src[i])
+		out := grow(c.leaves[round&1], n+7*nsplit)
+		var osrc []int32
+		if src != nil {
+			osrc = grow(c.src[round&1], n+7*nsplit)
+		}
+		j := 0
+		for i, leaf := range leaves {
+			if !c.mark[i] {
+				out[j] = leaf
+				if src != nil {
+					osrc[j] = src[i]
 				}
-			} else {
-				out = append(out, c)
-				osrc = append(osrc, src[i])
+				j++
+				continue
+			}
+			c.splits = append(c.splits, leaf)
+			for k := 0; k < 8; k++ {
+				out[j] = leaf.Child(k)
+				if src != nil {
+					osrc[j] = src[i]
+				}
+				j++
 			}
 		}
+		c.leaves[round&1], c.src[round&1] = out, osrc
 		leaves, src = out, osrc
+	}
+}
+
+func (c *Closure) fillCells(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		c.cells[i] = c.in[i].Key() >> 6
+	}
+}
+
+// faceDirs are the six face directions, in the order of viol's slots.
+var faceDirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
+
+// outwardFaces returns the faceDirs slots of the three faces child k of an
+// octant shares with its parent's boundary (child index bits are
+// zbit<<2 | ybit<<1 | xbit).
+func outwardFaces(k int) uint8 {
+	return 1<<(1-k&1) | 1<<(3-k>>1&1) | 1<<(5-k>>2&1)
+}
+
+// probe marks, for the leaves in [lo, hi), the leaves their outward faces
+// force to split. A level-L leaf's outward same-level neighbor lies in
+// the face neighbor of its parent, and a covering leaf more than one level
+// coarser than L covers that whole parent-level cell, so sibling leaves
+// share their probes: each run of consecutive siblings searches once per
+// face of the parent that any of them touches.
+func (c *Closure) probe(lo, hi int) {
+	viol := c.viol[6*lo : 6*hi]
+	for k := range viol {
+		viol[k] = -1
+	}
+	for i := lo; i < hi; {
+		o := c.in[i]
+		level := o.Level()
+		if level < 2 {
+			i++
+			continue
+		}
+		par := o.Parent()
+		var faces uint8
+		j := i
+		for ; j < hi && c.in[j].Level() == level && c.in[j].Parent() == par; j++ {
+			faces |= outwardFaces(c.in[j].ChildIndex())
+		}
+		for f, d := range faceDirs {
+			if faces&(1<<f) == 0 {
+				continue
+			}
+			nb, ok := par.Neighbor(d[0], d[1], d[2])
+			if !ok {
+				continue
+			}
+			if k := coveringLeaf(c.cells, nb); c.in[k].Level() < level-1 {
+				c.viol[6*i+f] = int32(k)
+			}
+		}
+		i = j
 	}
 }
 
 // coveringLeaf returns the index of the leaf whose region contains the
 // anchor cell of nb: because the sorted leaves partition the domain, it is
-// the last leaf whose start cell is <= nb's start cell. This is the flat
-// equivalent of core's FindLeaf walk.
+// the last leaf whose start cell is <= nb's start cell.
 func coveringLeaf(cells []uint64, nb morton.Code) int {
 	cell := nb.Key() >> 6
-	return sort.Search(len(cells), func(k int) bool { return cells[k] > cell }) - 1
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cells[m] <= cell {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo - 1
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is too small; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -85,7 +85,8 @@ func Construct(codes []morton.Code, opts Options) (*Tree, error) {
 		return nil, err
 	}
 	if opts.Balance {
-		leaves, src = balanceClosure(leaves, src, opts.Pool)
+		var c Closure
+		leaves, src, _ = c.Run(leaves, src, opts.Pool)
 	}
 	return derive(leaves, src, opts.Pool), nil
 }

@@ -2,42 +2,84 @@ package core
 
 import "pmoctree/internal/morton"
 
-// Balance enforces the 2:1 constraint across faces on the working version,
-// exactly as the in-core baseline does, but through the PM-octree write
-// path: every refinement triggered by balancing is copy-on-write and
-// placed by the C0/C1 layout policy. Returns the number of refines.
-//
-// Violators are collected in batches: one scan finds every leaf with a
-// too-coarse face neighbor, all are refined, and the scan repeats until a
-// pass finds none (ripple refinement can create new violations one level
-// up).
+// Balance enforces the 2:1 constraint across faces on the working version
+// and returns the number of refines. The complete ripple closure is
+// computed in key space (bulk.Closure, shared with bulk construction) over
+// the Z-ordered leaf index — one charged walk when Refine/Coarsen
+// invalidated it, no device access otherwise — and every split is then
+// applied in one Z-ordered walk through the PM-octree write path: each
+// refinement is copy-on-write and placed by the C0/C1 layout policy, and
+// splits under a common ancestor share its path copies.
 func (t *Tree) Balance() int {
 	defer t.span("Balance").End()
-	refined := 0
-	for {
-		violators := t.findViolators()
-		if len(violators) == 0 {
-			return refined
-		}
-		for _, code := range violators {
-			if t.refineLeafIfPresent(code) {
-				refined++
-			}
-		}
+	_, _, splits := t.balance.Run(t.LeafCodesSnapshot(), nil, nil)
+	if len(splits) == 0 {
+		return 0
 	}
-}
-
-// refineLeafIfPresent splits the leaf with exactly the given code,
-// returning false if it no longer exists as a leaf (an earlier refine in
-// the same batch may have split it).
-func (t *Tree) refineLeafIfPresent(code morton.Code) bool {
-	nr, ok := t.refineAtWalk(t.cur, code)
-	if !ok {
-		return false
-	}
+	nr, _ := t.splitWalk(t.cur, splits)
 	t.cur = nr
 	t.maybeEvict()
-	return true
+	return len(splits)
+}
+
+// splitWalk splits every octant of splits — Key-sorted, non-empty, all
+// within the span of the octant at r, each a leaf by the time the walk
+// reaches it — descending only into subtrees that hold one. Returns the
+// (possibly copied) ref and whether it changed.
+func (t *Tree) splitWalk(r Ref, splits []morton.Code) (Ref, bool) {
+	o := t.readOct(r)
+	nr := r
+	fresh := o.IsLeaf()
+	if fresh {
+		// Ancestors sort first: the leaf is itself the first pending split,
+		// the rest lie in the children it is about to get.
+		nr = t.splitLeaf(r, &o)
+		splits = splits[1:]
+	}
+	changed := false
+	var chIdx [8]bool
+	for i, c := range o.Children {
+		if len(splits) == 0 {
+			break
+		}
+		_, hi := o.Code.Child(i).KeySpan()
+		n := 0
+		for n < len(splits) && splits[n].Key() <= hi {
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		nc, chg := t.splitWalk(c, splits[:n])
+		splits = splits[n:]
+		if chg {
+			o.Children[i] = nc
+			chIdx[i] = true
+			changed = true
+		}
+	}
+	if fresh {
+		// Fresh children are working-version octants: their refs cannot
+		// change, so the leaf written by splitLeaf is already final.
+		return nr, nr != r
+	}
+	if !changed {
+		return r, false
+	}
+	if t.inPlace(r, &o) {
+		t.writeChildren(r, &o)
+		t.reparentChanged(r, &o, &chIdx)
+		return r, false
+	}
+	return t.commitOctant(r, &o), true
+}
+
+// IsBalanced reports whether the working version satisfies the 2:1 face
+// constraint. It is the independent check Balance is held to: a whole-tree
+// scan probing every leaf's neighbors by tree walk, sharing nothing with
+// the key-space closure.
+func (t *Tree) IsBalanced() bool {
+	return len(t.findViolators()) == 0
 }
 
 // findViolators scans leaves once and returns the distinct codes of
@@ -66,10 +108,4 @@ func (t *Tree) findViolators() []morton.Code {
 		return true
 	})
 	return out
-}
-
-// IsBalanced reports whether the working version satisfies the 2:1 face
-// constraint.
-func (t *Tree) IsBalanced() bool {
-	return len(t.findViolators()) == 0
 }

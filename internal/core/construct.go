@@ -123,6 +123,7 @@ func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64
 	t.leafSnapSeq = t.mutSeq
 	t.leafSnapOK = true
 	t.leafCodesOK = true
+	t.leafCount = nl
 	if t.tiles == nil {
 		t.tiles = new(tile.Store)
 	}

@@ -115,12 +115,7 @@ func TestConstructBalanceMatchesCore(t *testing.T) {
 	// Refine the chain of octants containing (0.49, 0.49, 0.49): deep
 	// leaves hug the domain-center planes, face-adjacent to untouched
 	// level-1 leaves, so the raw leaf set violates 2:1.
-	chain := func(c morton.Code) bool {
-		x, y, z := c.Center()
-		h := c.Extent() / 2
-		const p = 0.49
-		return x-h <= p && p < x+h && y-h <= p && p < y+h && z-h <= p && p < z+h
-	}
+	chain := containing(0.49, 0.49, 0.49)
 	raw := Create(Config{})
 	raw.RefineWhere(chain, 6)
 	if raw.IsBalanced() {

@@ -558,6 +558,45 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestLeafCountTracksMutations: LeafCount is answered from a counter, so
+// every operation that changes the leaf set must keep it equal to a walk —
+// including on a restored tree, whose count starts unknown.
+func TestLeafCountTracksMutations(t *testing.T) {
+	nv := nvbm.New(nvbm.NVBM, 0)
+	tr := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64})
+	check := func(tr *Tree, after string) {
+		t.Helper()
+		if got, want := tr.LeafCount(), len(tr.LeafCodes()); got != want {
+			t.Fatalf("after %s: LeafCount %d, walk counts %d", after, got, want)
+		}
+	}
+	check(tr, "Create")
+	tr.RefineWhere(sphere(0.4, 0.4, 0.4, 0.2, 0.1), 4)
+	check(tr, "RefineWhere")
+	tr.RefineAt(tr.LeafCodes()[0])
+	check(tr, "RefineAt")
+	tr.Balance()
+	check(tr, "Balance")
+	tr.Persist()
+	tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 2 })
+	check(tr, "CoarsenWhere")
+	tr.Persist()
+
+	re, err := Restore(Config{NVBMDevice: nv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re.RefineWhere(sphere(0.6, 0.6, 0.6, 0.2, 0.1), 4) // before the first count
+	check(re, "Restore + RefineWhere")
+	re.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 3 })
+	check(re, "Restore + CoarsenWhere")
+	re.Persist()
+	if _, err := re.ConstructFromCodes(tr.LeafCodes(), nil, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	check(re, "ConstructFromCodes")
+}
+
 func TestRefString(t *testing.T) {
 	if NilRef.String() != "nil" {
 		t.Error("nil ref string")

@@ -50,6 +50,7 @@ func (t *Tree) LeafSnapshot() []LeafEntry {
 	t.leafSnapSeq = seq
 	t.leafSnapOK = true
 	t.leafCodesOK = false
+	t.leafCount = len(t.leafSnap)
 	t.fp.LeafIndexRebuilds++
 	return t.leafSnap
 }

@@ -136,11 +136,14 @@ func (t *Tree) rangeWalk(r Ref, lo, hi uint64, fn func(morton.Code, [DataWords]f
 	return true
 }
 
-// LeafCount returns the number of working-version leaves (mesh elements).
+// LeafCount returns the number of working-version leaves (mesh elements),
+// from the maintained counter; only a restored tree's first call counts
+// with a (charged) walk.
 func (t *Tree) LeafCount() int {
-	n := 0
-	t.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { n++; return true })
-	return n
+	if t.leafCount == 0 {
+		t.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { t.leafCount++; return true })
+	}
+	return t.leafCount
 }
 
 // NodeCount returns the number of working-version octants.
@@ -250,14 +253,17 @@ func (t *Tree) splitLeaf(r Ref, o *Octant) Ref {
 	}
 	t.writeOct(nr, o)
 	t.stats.Refines++
+	if t.leafCount > 0 {
+		t.leafCount += 7
+	}
 	if d := o.Code.Level() + 1; d > t.depth {
 		t.depth = d
 	}
 	return nr
 }
 
-// RefineAt splits the leaf octant with exactly the given code. It is the
-// building block of Balance. It panics if code does not name a leaf.
+// RefineAt splits the leaf octant with exactly the given code. It panics
+// if code does not name a leaf.
 func (t *Tree) RefineAt(code morton.Code) {
 	nr, ok := t.refineAtWalk(t.cur, code)
 	if !ok {
@@ -349,6 +355,9 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 			o.Data[w] = sum[w] / 8
 		}
 		t.stats.Coarsens++
+		if t.leafCount > 0 {
+			t.leafCount -= 7
+		}
 		nr := t.commitOctant(r, &o)
 		return nr, nr != r, true
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"pmoctree/internal/bulk"
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/pmem"
@@ -195,6 +196,15 @@ type Tree struct {
 	leafCodesOK   bool
 	fp            FastPathStats
 
+	// leafCount is the working version's leaf count, 0 while unknown (a
+	// restored tree before its first count or leaf-index build). Leaf
+	// splits, sibling collapses and bulk construction keep it current, so
+	// LeafCount costs no walk.
+	leafCount int
+
+	// balance is Balance's key-space closure with its scratch (balance.go).
+	balance bulk.Closure
+
 	// Tiled SoA leaf storage (tiles.go): the gathered flat field image
 	// the hot kernels sweep, stamped with mutSeq like the leaf index.
 	tiles *tile.Store
@@ -263,6 +273,8 @@ func Create(cfg Config) *Tree {
 		access: map[morton.Code]uint64{},
 		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
 		lsub:   1,
+
+		leafCount: 1,
 	}
 	t.dram.SetBudget(cfg.DRAMBudgetOctants)
 	if cfg.NVBMBudgetOctants > 0 {
@@ -309,6 +321,7 @@ func (t *Tree) Delete() {
 	t.access = map[morton.Code]uint64{}
 	t.depth = 0
 	t.lsub = 1
+	t.leafCount = 0
 	t.cacheInvalidateAll()
 	t.invalidateLeafIndex()
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 
 	"pmoctree/internal/morton"
@@ -70,34 +71,31 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 		return sc
 	}
 
-	solve := SolveOf(f, step)
+	// The level set is a pure function of (cell, step) and every sweep
+	// visits the leaves in the same Z-order: it is evaluated once per leaf
+	// — up front on the pool, or during the first sweep on the serial path
+	// — and replayed by visit position on the remaining sweeps.
+	replay := phiReplay{f: f, step: step, speed: f.Speed()}
 	if !serial {
-		// The level set is a pure function of (cell, step): evaluate it
-		// once per leaf in parallel and share it across all sweeps. The
-		// serial path re-evaluates it every sweep, so this also removes
-		// (SolverSweeps-1)/SolverSweeps of the level-set work.
-		solve = memoSolve(leafCodes(m), pool, f, step)
+		replay.prefill(leafCodes(m), pool)
 	}
 	im, indexed := m.(indexedMesh)
 	for it := 0; it < SolverSweeps; it++ {
+		replay.pos = 0
 		var n int
 		if !serial && indexed {
 			// Z-order leaf index: the first sweep walks the tree once to
 			// materialize the leaves; in-place sweeps after it iterate the
 			// flat snapshot with no interior-node reads at all.
-			n = im.UpdateLeavesIndexed(solve)
+			n = im.UpdateLeavesIndexed(replay.solve)
 		} else {
-			n = m.UpdateLeaves(solve)
+			n = m.UpdateLeaves(replay.solve)
 		}
 		if it == 0 {
 			sc.Solved = n
 		}
 	}
-	if !serial && indexed {
-		sc.Leaves = len(im.LeafCodesSnapshot())
-	} else {
-		sc.Leaves = m.LeafCount()
-	}
+	sc.Leaves = m.LeafCount()
 	return sc
 }
 
@@ -282,27 +280,48 @@ func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) b
 	}
 }
 
-// memoSolve pre-evaluates the level set at every leaf center on the pool
-// and returns the relaxation sweep reading from the memo (falling back to
-// direct evaluation for unknown codes).
-func memoSolve(codes []morton.Code, pool *parallel.Pool, f Field, step int) func(morton.Code, *[DataWords]float64) bool {
-	phis := make([]float64, len(codes))
+// phiReplay is the solve sweeps' level-set memo: codes and phis hold the
+// leaves in visit order with their level-set values, pos the next visit.
+// A visit past the recorded end evaluates and records (the serial first
+// sweep fills the memo this way); a visit whose code differs from the
+// recorded one evaluates directly, so the memo is an optimization, never a
+// semantic change.
+type phiReplay struct {
+	f     Field
+	step  int
+	speed float64
+	codes []morton.Code
+	phis  []float64
+	pos   int
+}
+
+// prefill evaluates the level set at every leaf center on the pool. codes
+// is copied: the mesh reuses its snapshot's backing array across the
+// sweeps' mutations.
+func (r *phiReplay) prefill(codes []morton.Code, pool *parallel.Pool) {
+	r.codes = slices.Clone(codes)
+	r.phis = make([]float64, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x, y, z := codes[i].Center()
-			phis[i] = f.PhiAtStep(x, y, z, step)
+			r.phis[i] = r.f.PhiAtStep(x, y, z, r.step)
 		}
 	})
-	ix := buildMemoIndex(codes)
-	speed := f.Speed()
-	return func(c morton.Code, data *[DataWords]float64) bool {
-		var phi float64
-		if i, ok := ix.find(c); ok {
-			phi = phis[i]
-		} else {
-			x, y, z := c.Center()
-			phi = f.PhiAtStep(x, y, z, step)
-		}
-		return solveCell(speed, phi, c, data)
+}
+
+// solve is the relaxation sweep (SolveOf) reading the level set from the
+// memo.
+func (r *phiReplay) solve(c morton.Code, data *[DataWords]float64) bool {
+	i := r.pos
+	r.pos++
+	if i < len(r.codes) && r.codes[i] == c {
+		return solveCell(r.speed, r.phis[i], c, data)
 	}
+	x, y, z := c.Center()
+	phi := r.f.PhiAtStep(x, y, z, r.step)
+	if i == len(r.codes) {
+		r.codes = append(r.codes, c)
+		r.phis = append(r.phis, phi)
+	}
+	return solveCell(r.speed, phi, c, data)
 }
