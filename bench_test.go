@@ -320,6 +320,18 @@ func BenchmarkAblationBalance(b *testing.B) {
 
 // --- Micro: the core.balance rung of the benchmark's step ladder ---
 
+// benchCommittedDroplet returns a fresh tree stepped and committed through
+// the first `through` steps of d, with its NVBM device.
+func benchCommittedDroplet(d *sim.Droplet, maxLevel uint8, through int) (*core.Tree, *nvbm.Device) {
+	nv := nvbm.New(nvbm.NVBM, 0)
+	tree := core.Create(core.Config{NVBMDevice: nv, DRAMBudgetOctants: 2048})
+	for s := 1; s <= through; s++ {
+		sim.StepField(tree, d, s, maxLevel)
+		tree.Persist()
+	}
+	return tree, nv
+}
+
 // BenchmarkCoreBalance times Tree.Balance alone on the level-6 droplet,
 // the in-repo counterpart of the lifecycle benchmark's core.balance_ms:
 // each iteration moves the interface one step, refines and coarsens to it
@@ -344,12 +356,7 @@ func BenchmarkCoreBalance(b *testing.B) {
 		b.StopTimer()
 		step := first + i%(steps-first+1)
 		if step == first {
-			nv = nvbm.New(nvbm.NVBM, 0)
-			tree = core.Create(core.Config{NVBMDevice: nv, DRAMBudgetOctants: 2048})
-			for s := 1; s < first; s++ {
-				sim.StepField(tree, d, s, maxLevel)
-				tree.Persist()
-			}
+			tree, nv = benchCommittedDroplet(d, maxLevel, first-1)
 		}
 		tree.RefineWhere(d.RefinePred(step), maxLevel)
 		tree.CoarsenWhere(d.CoarsenPred(step))
@@ -366,6 +373,67 @@ func BenchmarkCoreBalance(b *testing.B) {
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "nvbm-reads/op")
 	b.ReportMetric(float64(refines)/float64(b.N), "refines/op")
+}
+
+// BenchmarkCoreScatter times the leaf-payload batch writer alone
+// (Tree.ScatterLeafTiles) on the level-6 droplet, the in-repo counterpart
+// of the lifecycle benchmark's core.scatter_ms: each iteration moves the
+// interface one step (refine, coarsen, balance, untimed), rewrites ~70 % of
+// the leaves — or all of them — in the gathered tile store, and times the
+// scatter that stores them copy-on-write; the Persist that follows is
+// untimed, so every iteration scatters over a committed, C0-evicted mesh as
+// a real step does. Same step window as BenchmarkCoreBalance (-benchtime
+// 60x).
+func BenchmarkCoreScatter(b *testing.B) {
+	const maxLevel, steps, first = 6, 80, 21
+	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
+	for _, bc := range []struct {
+		name  string
+		dirty func(i int) bool
+	}{
+		{"dirty70", func(i int) bool { return i%10 < 7 }},
+		{"all", func(int) bool { return true }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var (
+				nv            *nvbm.Device
+				tree          *core.Tree
+				reads, writes uint64
+				cells         int
+			)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				step := first + i%(steps-first+1)
+				if step == first {
+					tree, nv = benchCommittedDroplet(d, maxLevel, first-1)
+				}
+				tree.RefineWhere(d.RefinePred(step), maxLevel)
+				tree.CoarsenWhere(d.CoarsenPred(step))
+				tree.Balance()
+				st := tree.LeafTiles()
+				for c := 0; c < st.N(); c++ {
+					if bc.dirty(c) {
+						st.F[1][c] += 0.5
+						st.MarkDirty(c)
+					}
+				}
+				before := nv.Stats()
+				b.StartTimer()
+				cells += tree.ScatterLeafTiles(st)
+				b.StopTimer()
+				after := nv.Stats()
+				reads += after.Reads - before.Reads
+				writes += after.Writes - before.Writes
+				tree.Persist()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(reads)/float64(b.N), "nvbm-reads/op")
+			b.ReportMetric(float64(writes)/float64(b.N), "nvbm-writes/op")
+			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+		})
+	}
 }
 
 // --- Micro: the commit path ---

@@ -57,8 +57,6 @@ type Tree struct {
 	// position, mirroring how incremental refinement copies octant data
 	// down to new children.
 	SrcIdx []int32
-	// LeafNode maps each final leaf ordinal to its node index.
-	LeafNode []int32
 
 	// Nodes holds every octant (internal + leaf) in pre-order.
 	Nodes []morton.Code
@@ -369,7 +367,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 
 	nodes := make([]morton.Code, nn)
 	nodeLeaf := make([]int32, nn)
-	leafNode := make([]int32, n)
 	pool.Run(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			start := uint8(0)
@@ -383,7 +380,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 				j++
 			}
 			nodeLeaf[j-1] = int32(i)
-			leafNode[i] = j - 1
 		}
 	})
 
@@ -439,7 +435,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 	return &Tree{
 		Leaves:   leaves,
 		SrcIdx:   src,
-		LeafNode: leafNode,
 		Nodes:    nodes,
 		Parent:   parent,
 		Children: children,

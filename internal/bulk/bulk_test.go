@@ -62,9 +62,6 @@ func checkTree(t *testing.T, tr *Tree, wantLeaves int) {
 			if tr.Leaves[li] != tr.Nodes[j] {
 				t.Fatalf("leaf %d code mismatch: %v vs node %v", li, tr.Leaves[li], tr.Nodes[j])
 			}
-			if tr.LeafNode[li] != int32(j) {
-				t.Fatalf("LeafNode[%d] = %d, want %d", li, tr.LeafNode[li], j)
-			}
 			for k := 0; k < 8; k++ {
 				if tr.Children[8*j+k] != -1 {
 					t.Fatalf("leaf node %d has child %d", j, k)

@@ -5,19 +5,21 @@ import "pmoctree/internal/morton"
 // Balance enforces the 2:1 constraint across faces on the working version
 // and returns the number of refines. The complete ripple closure is
 // computed in key space (bulk.Closure, shared with bulk construction) over
-// the Z-ordered leaf index — one charged walk when Refine/Coarsen
-// invalidated it, no device access otherwise — and every split is then
+// the Z-ordered leaf index — no device access while the index is valid,
+// as the Refine and Coarsen walks leave it — and every split is then
 // applied in one Z-ordered walk through the PM-octree write path: each
 // refinement is copy-on-write and placed by the C0/C1 layout policy, and
-// splits under a common ancestor share its path copies.
+// splits under a common ancestor share its path copies. The closure's
+// balanced leaves become the new index, so Balance leaves it valid.
 func (t *Tree) Balance() int {
 	defer t.span("Balance").End()
-	_, _, splits := t.balance.Run(t.LeafCodesSnapshot(), nil, nil)
+	leaves, _, splits := t.balance.Run(t.LeafCodesSnapshot(), nil, nil)
 	if len(splits) == 0 {
 		return 0
 	}
 	nr, _ := t.splitWalk(t.cur, splits)
 	t.cur = nr
+	t.refineIndex(leaves)
 	t.maybeEvict()
 	return len(splits)
 }

@@ -198,7 +198,7 @@ func TestBalanceSteadyStateAllocs(t *testing.T) {
 	tr := Create(Config{})
 	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.05), 5)
 	tr.Balance()
-	tr.Balance() // warm-up: rebuilds the leaf index the splits invalidated
+	tr.Balance() // warm-up: grows the closure scratch to the balanced mesh
 	if avg := testing.AllocsPerRun(20, func() {
 		if tr.Balance() != 0 {
 			t.Fatal("balanced mesh refined")

@@ -39,20 +39,18 @@ type cacheLine struct {
 // FastPathStats counts decoded-cache and leaf-index activity. They are
 // host-side observability counters, independent of the modeled devices.
 type FastPathStats struct {
-	CacheHits           uint64 // readOct served from a decoded line
-	CacheMisses         uint64 // readOct decoded from the device
-	CacheInvalidations  uint64 // whole-cache epoch bumps
-	CacheSkippedReads   uint64 // device reads elided (CacheCommittedReads)
-	LeafIndexRebuilds   uint64 // LeafSnapshot walks
-	LeafIndexReuses     uint64 // LeafSnapshot served without a walk
-	IndexedLeafUpdates  uint64 // UpdateLeavesIndexed sweeps
-	IndexedInPlaceSkips uint64 // sweeps that kept the snapshot valid
-	TileRebuilds        uint64 // LeafTiles gathers (snapshot -> SoA transpose)
-	TileReuses          uint64 // LeafTiles served without a gather
-	TileRebuildNs       uint64 // wall time spent gathering
-	TileGatherBytes     uint64 // field bytes transposed into the store
-	TileScatters        uint64 // ScatterLeafTiles calls
-	TileScatterBytes    uint64 // field bytes written back to the tree
+	CacheHits          uint64 // readOct served from a decoded line
+	CacheMisses        uint64 // readOct decoded from the device
+	CacheInvalidations uint64 // whole-cache epoch bumps
+	CacheSkippedReads  uint64 // device reads elided (CacheCommittedReads)
+	LeafIndexRebuilds  uint64 // LeafSnapshot walks
+	LeafIndexReuses    uint64 // LeafSnapshot served without a walk
+	TileRebuilds       uint64 // LeafTiles gathers (snapshot -> SoA transpose)
+	TileReuses         uint64 // LeafTiles served without a gather
+	TileRebuildNs      uint64 // wall time spent gathering
+	TileGatherBytes    uint64 // field bytes transposed into the store
+	TileScatters       uint64 // ScatterLeafTiles calls
+	TileScatterBytes   uint64 // field bytes written back to the tree
 }
 
 // FastPath returns the fast-path counters.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pmoctree/internal/morton"
@@ -184,85 +185,89 @@ func TestCacheChargePreservation(t *testing.T) {
 	}
 }
 
-// TestLeafSnapshotInvalidation pins the leaf-index contract: reuse while
-// the mesh is untouched, rebuild after any mutation, and entries always
-// matching a fresh walk.
+// walkLeaves is the index oracle: the working version's leaves by a fresh
+// tree walk.
+func walkLeaves(tr *Tree) []LeafEntry {
+	var out []LeafEntry
+	tr.ForEachLeaf(func(c morton.Code, d [DataWords]float64) bool {
+		out = append(out, LeafEntry{Code: c, Data: d})
+		return true
+	})
+	return out
+}
+
+// TestLeafSnapshotInvalidation pins the leaf-index contract: the entries
+// always equal a fresh walk; operations that visit every leaf (Refine,
+// Coarsen), Balance, the batch writer and every relocation (Persist, C0
+// eviction) leave the index valid, so the next LeafSnapshot walks nothing;
+// only the reference and single-leaf paths make it rebuild.
 func TestLeafSnapshotInvalidation(t *testing.T) {
 	tr := Create(Config{
-		NVBMDevice: nvbm.New(nvbm.NVBM, 0),
-		DRAMDevice: nvbm.New(nvbm.DRAM, 0),
+		NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
+		DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
+		DRAMBudgetOctants: 64, // small enough that every operation evicts
 	})
-	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.2), 3)
-
-	check := func(label string) {
+	// check compares the index with a walk and reports whether serving it
+	// took a rebuild.
+	check := func(label string, wantRebuild bool) {
 		t.Helper()
+		before := tr.FastPath()
 		snap := tr.LeafSnapshot()
-		var want []LeafEntry
-		tr.ForEachNode(func(r Ref, o *Octant) bool {
-			if o.IsLeaf() {
-				want = append(want, LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
-			}
-			return true
-		})
-		if len(snap) != len(want) {
-			t.Fatalf("%s: snapshot has %d leaves, walk found %d", label, len(snap), len(want))
+		after := tr.FastPath()
+		if rebuilt := after.LeafIndexRebuilds != before.LeafIndexRebuilds; rebuilt != wantRebuild {
+			t.Fatalf("%s: index rebuilt = %v, want %v", label, rebuilt, wantRebuild)
 		}
-		for i := range want {
-			if snap[i] != want[i] {
-				t.Fatalf("%s: entry %d = %+v, walk found %+v", label, i, snap[i], want[i])
-			}
+		if !wantRebuild && after.LeafIndexReuses != before.LeafIndexReuses+1 {
+			t.Fatalf("%s: no index reuse recorded", label)
+		}
+		if want := walkLeaves(tr); !slices.Equal(snap, want) {
+			t.Fatalf("%s: index (%d leaves) differs from a fresh walk (%d leaves)", label, len(snap), len(want))
+		}
+		if got := tr.LeafCount(); got != len(snap) {
+			t.Fatalf("%s: LeafCount %d, index holds %d", label, got, len(snap))
 		}
 	}
 
-	check("initial")
-	rebuilds := tr.FastPath().LeafIndexRebuilds
-	tr.LeafSnapshot()
-	if got := tr.FastPath().LeafIndexRebuilds; got != rebuilds {
-		t.Fatalf("untouched mesh rebuilt the index (%d -> %d rebuilds)", rebuilds, got)
+	check("created", false)
+	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.2), 3)
+	check("after refine", false)
+	check("untouched", false)
+	tr.Persist() // picks the hot set: from here on new octants land in C0
+	check("after first persist", false)
+	tr.RefineWhere(sphere(0.3, 0.3, 0.3, 0.2, 0.1), 5)
+	check("after second refine", false)
+	if tr.Stats().Merges == 0 {
+		t.Fatal("the C0 budget did not force an eviction; the relocation half of the test is idle")
 	}
-	if tr.FastPath().LeafIndexReuses == 0 {
-		t.Fatal("no snapshot reuse recorded")
-	}
-
-	tr.RefineWhere(sphere(0.3, 0.3, 0.3, 0.2, 0.1), 4)
-	check("after refine")
-	tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 1; return true })
-	check("after update")
+	tr.Balance()
+	check("after balance", false)
+	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = float64(c.Level()); return c%3 != 0 })
+	check("after indexed sweep", false)
 	tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 4 })
-	check("after coarsen")
+	check("after coarsen", false)
 	tr.Persist()
-	check("after persist")
-
-	// In-place indexed sweeps keep the snapshot valid. The first sweep
-	// after a Persist copy-on-writes every leaf back into the working
-	// version (structural change, so it rebuilds); from the second sweep
-	// on the writes land in place and sweep k+1 must not walk the tree.
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 2; return true })
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3; return true })
-	rebuilds = tr.FastPath().LeafIndexRebuilds
-	tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3.5; return true })
-	if got := tr.FastPath().LeafIndexRebuilds; got != rebuilds {
-		t.Fatalf("in-place indexed sweep invalidated the snapshot (%d -> %d rebuilds)", rebuilds, got)
+	check("after persist", false)
+	st := tr.LeafTiles()
+	for i := 0; i < st.N(); i += 2 {
+		st.F[1][i] = float64(i)
+		st.MarkDirty(i)
 	}
-	if tr.FastPath().IndexedInPlaceSkips == 0 {
-		t.Fatal("no in-place revalidation recorded")
-	}
-	check("after indexed sweeps")
+	tr.ScatterLeafTiles(st) // copy-on-write: every leaf is shared with the commit
+	check("after scatter", false)
+	tr.GC()
+	check("after gc", false)
 
-	// UpdateLeavesIndexed must produce the same fields UpdateLeaves does.
-	tr2 := Create(Config{
-		NVBMDevice: nvbm.New(nvbm.NVBM, 0),
-		DRAMDevice: nvbm.New(nvbm.DRAM, 0),
-	})
-	tr2.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.2), 3)
-	tr2.RefineWhere(sphere(0.3, 0.3, 0.3, 0.2, 0.1), 4)
-	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 1; return true })
-	tr2.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 4 })
-	tr2.Persist()
-	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 2; return true })
-	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3; return true })
-	tr2.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 3.5; return true })
-	sameLeaves(t, leafSet(tr, tr.Root()), leafSet(tr2, tr2.Root()), "indexed vs walk sweeps")
+	// The reference and single-leaf paths do not maintain the index.
+	tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 1; return true })
+	check("after UpdateLeaves", true)
+	leaf := tr.LeafSnapshot()[0].Code
+	tr.UpdateAt(leaf, func(d *[DataWords]float64) { d[2] = 7 })
+	check("after UpdateAt", true)
+	tr.RefineAt(leaf)
+	check("after RefineAt", true)
+	// A sweep that changes nothing changes no content.
+	tr.UpdateLeaves(func(morton.Code, *[DataWords]float64) bool { return false })
+	check("after no-op UpdateLeaves", false)
 }
 
 // TestConcurrentCommittedWalk runs ForEachCommittedNode from two

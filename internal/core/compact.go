@@ -77,8 +77,8 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 		t.pipe.rebindDurable(newRoot, t.step-1)
 		newArena.SetDeferredBits(true)
 	}
-	// Every NVBM ref changed identity; drop all derived host-side state.
+	// Every NVBM ref changed identity: drop the decoded cache. The leaf
+	// index and tile store hold no refs and the content is the same.
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
 	return retired, nil
 }

@@ -106,24 +106,21 @@ func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64
 
 	// The span write bypassed writeOct, so invalidate explicitly; then
 	// pre-fill the leaf index and tile store from the flat derivation and
-	// stamp them valid, so the first parallel sweep re-gathers nothing.
+	// stamp them valid, so the first gather re-reads nothing.
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
-	nl := len(bt.Leaves)
-	t.leafSnap = t.leafSnap[:0]
+	t.beginIndexEmit()
+	t.contentSeq++
 	t.leafCodesSnap = t.leafCodesSnap[:0]
-	for i := 0; i < nl; i++ {
-		e := LeafEntry{Code: bt.Leaves[i], Ref: ref(bt.LeafNode[i])}
+	for i, code := range bt.Leaves {
+		e := LeafEntry{Code: code}
 		if len(data) > 0 {
 			e.Data = data[bt.SrcIdx[i]]
 		}
 		t.leafSnap = append(t.leafSnap, e)
-		t.leafCodesSnap = append(t.leafCodesSnap, e.Code)
+		t.leafCodesSnap = append(t.leafCodesSnap, code)
 	}
-	t.leafSnapSeq = t.mutSeq
-	t.leafSnapOK = true
+	t.endIndexEmit()
 	t.leafCodesOK = true
-	t.leafCount = nl
 	if t.tiles == nil {
 		t.tiles = new(tile.Store)
 	}
@@ -131,7 +128,7 @@ func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64
 	for i := range t.leafSnap {
 		t.tiles.Set(i, t.leafSnap[i].Data)
 	}
-	t.tiles.Stamp(t.mutSeq)
+	t.tiles.Stamp(t.contentSeq)
 
 	// Mark the step boundary clean for Persist: as long as no further
 	// mutation lands, the merge walk is provably a no-op and is skipped.

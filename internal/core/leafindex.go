@@ -1,65 +1,85 @@
 package core
 
-import "pmoctree/internal/morton"
+import (
+	"slices"
+
+	"pmoctree/internal/morton"
+)
 
 // Z-order leaf index. Octree AMR codes that run at hardware speed
-// (Cornerstone, the p4est Morton representation) iterate flat,
-// Morton-sorted leaf arrays instead of pointer-chasing tree walks.
-// LeafSnapshot materializes the working version's leaves into exactly
-// that layout: a contiguous slice sorted by Morton code (the pre-order
-// walk emits leaves in Z-order), which is also the chunkable input the
-// worker pool wants.
+// (Cornerstone, the p4est Morton representation) treat the flat,
+// Morton-sorted leaf array with its payload as the primary structure and
+// the tree as something derived. The index is the working version's leaves
+// in exactly that layout: a contiguous slice of (code, payload) sorted by
+// Morton code, holding nothing that depends on where an octant is stored.
 //
-// Invalidation rule: the snapshot is stamped with the tree's mutation
-// sequence number, which every octant write, partial-field write and
-// free bumps. Any structural or data mutation therefore invalidates it;
-// the next LeafSnapshot call rebuilds with one (charged) tree walk.
-// Rebuild walks go through readOct like every other traversal, so the
-// modeled device accounting of an explicit snapshot is identical to the
-// leaf walk it replaces.
+// Validity (DESIGN.md decision 19): the index is stamped with contentSeq,
+// which advances only when topology or leaf payload changes — relocating
+// an octant (C0 eviction, the Persist merge, Compact) leaves it valid.
+// Every operation that already visits all leaves in Z-order leaves the
+// index behind as a by-product instead of invalidating it: the Refine and
+// Coarsen walks re-emit it, Balance expands it from its key-space closure,
+// and the batch writer (scatter.go) patches payload in place. Only the
+// single-leaf and reference paths (UpdateLeaves, UpdateAt, RefineAt)
+// invalidate, and the next LeafSnapshot then rebuilds with one charged
+// tree walk.
 
 // LeafEntry is one working-version leaf in the Z-order leaf index.
 type LeafEntry struct {
 	Code morton.Code
-	Ref  Ref
 	Data [DataWords]float64
 }
 
-// noteMutation advances the mutation sequence number that stamps the
-// leaf index. Every octant write, partial-field write, and free calls it.
-func (t *Tree) noteMutation() { t.mutSeq++ }
-
-// LeafSnapshot returns the working version's leaves as a flat,
-// Morton-sorted slice. The slice is cached and returned again (without
-// any tree walk or device traffic) until the next mutation; callers must
-// treat it as read-only and must not retain it across mutations — the
-// backing array is reused by the next rebuild.
-func (t *Tree) LeafSnapshot() []LeafEntry {
-	if t.leafSnapOK && t.leafSnapSeq == t.mutSeq {
-		t.fp.LeafIndexReuses++
-		return t.leafSnap
-	}
-	seq := t.mutSeq
+// beginIndexEmit starts re-deriving the index from a walk that visits
+// every leaf in Z-order; the walk calls emitLeaf per leaf and endIndexEmit
+// when done. The index reads invalid in between, so a walk cut short by a
+// panic never leaves a partial index behind.
+func (t *Tree) beginIndexEmit() {
 	t.leafSnap = t.leafSnap[:0]
-	t.ForEachNode(func(r Ref, o *Octant) bool {
-		if o.IsLeaf() {
-			t.leafSnap = append(t.leafSnap, LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
-		}
-		return true
-	})
-	t.leafSnapSeq = seq
+	t.leafSnapOK = false
+}
+
+func (t *Tree) emitLeaf(o *Octant) {
+	t.leafSnap = append(t.leafSnap, LeafEntry{Code: o.Code, Data: o.Data})
+}
+
+// endIndexEmit stamps the index valid for the current content.
+func (t *Tree) endIndexEmit() {
+	t.leafSnapSeq = t.contentSeq
 	t.leafSnapOK = true
 	t.leafCodesOK = false
 	t.leafCount = len(t.leafSnap)
+}
+
+// indexValid reports whether the index mirrors the working version.
+func (t *Tree) indexValid() bool { return t.leafSnapOK && t.leafSnapSeq == t.contentSeq }
+
+// LeafSnapshot returns the working version's leaves as a flat,
+// Morton-sorted slice. The slice is cached and returned again (without
+// any tree walk or device traffic) while it is valid; callers must treat
+// it as read-only and must not retain it across mutations — the backing
+// array is reused.
+func (t *Tree) LeafSnapshot() []LeafEntry {
+	if t.indexValid() {
+		t.fp.LeafIndexReuses++
+		return t.leafSnap
+	}
+	t.beginIndexEmit()
+	t.ForEachNode(func(_ Ref, o *Octant) bool {
+		if o.IsLeaf() {
+			t.emitLeaf(o)
+		}
+		return true
+	})
+	t.endIndexEmit()
 	t.fp.LeafIndexRebuilds++
 	return t.leafSnap
 }
 
 // LeafCodesSnapshot returns the working version's leaf codes in Z-order,
-// backed by the leaf index: when the snapshot is valid this costs no tree
+// backed by the leaf index: when the index is valid this costs no tree
 // walk and no device traffic. The same read-only/reuse caveats as
-// LeafSnapshot apply. Serial golden paths use LeafCodes (the charged
-// walk) instead; this is the parallel driver's input.
+// LeafSnapshot apply.
 func (t *Tree) LeafCodesSnapshot() []morton.Code {
 	ls := t.LeafSnapshot()
 	if !t.leafCodesOK {
@@ -72,53 +92,49 @@ func (t *Tree) LeafCodesSnapshot() []morton.Code {
 	return t.leafCodesSnap
 }
 
-// invalidateLeafIndex force-drops the snapshot (whole-tree events:
-// Delete, Compact, restore) independent of the sequence stamp.
-func (t *Tree) invalidateLeafIndex() {
-	t.leafSnapOK = false
-	t.leafCodesOK = false
-	t.noteMutation()
+// refineIndex replaces the index by leaves, a Key-sorted refinement of it
+// (every code equal to or a descendant of an index leaf): each new entry
+// inherits the payload of the entry that covers it, the way a split copies
+// payload down to the children. The caller took LeafCodesSnapshot before it
+// split anything, so leafCodesSnap still names the old entries. The
+// expansion runs back to front in place — entry j is only ever filled from
+// an entry at or before j — so Balance keeps no second index alive.
+func (t *Tree) refineIndex(leaves []morton.Code) {
+	old := t.leafCodesSnap
+	t.leafSnap = slices.Grow(t.leafSnap[:len(old)], len(leaves)-len(old))[:len(leaves)]
+	i := len(old) - 1
+	for j := len(leaves) - 1; j >= 0; j-- {
+		for old[i].Key() > leaves[j].Key() {
+			i--
+		}
+		t.leafSnap[j] = LeafEntry{Code: leaves[j], Data: t.leafSnap[i].Data}
+	}
+	t.leafCodesSnap = append(old[:0], leaves...)
+	t.leafSnapSeq = t.contentSeq
 }
 
-// UpdateLeavesIndexed is UpdateLeaves driven by the Z-order leaf index:
-// it iterates the contiguous snapshot instead of re-walking the tree,
-// writes in-place leaves with a single data-field store, and routes the
-// (rare) copy-on-write leaves through the UpdateAt path walk. When every
-// write was in place the snapshot stays valid — repeated solver sweeps
-// over an unchanged mesh pay for one walk, not one per sweep.
-//
-// Field results are bit-identical to UpdateLeaves (same leaves, same
-// Z-order, same fn); the modeled device traffic differs — interior nodes
-// are not re-read — so serial golden paths keep calling UpdateLeaves.
+// UpdateLeavesIndexed is UpdateLeaves driven by the leaf index: fn runs
+// over the flat index instead of a tree walk, and the changed leaves are
+// stored by one batched copy-on-write walk (writeLeafBatch), which leaves
+// index and tree coherent. Field results, the returned count and the COW
+// copies are identical to UpdateLeaves (same leaves, same Z-order, same
+// fn); the modeled device traffic is lower — only octants on a path to a
+// changed leaf are read, each once.
 func (t *Tree) UpdateLeavesIndexed(fn func(code morton.Code, data *[DataWords]float64) bool) int {
 	defer t.span("Solve").End()
 	ls := t.LeafSnapshot()
-	t.fp.IndexedLeafUpdates++
-	changed := 0
-	structChanged := false
+	t.leafSnapOK = false // entries run ahead of the tree until the batch lands
+	dirty := t.dirtyPos[:0]
+	var data [DataWords]float64
 	for i := range ls {
-		e := &ls[i]
-		data := e.Data
-		if !fn(e.Code, &data) {
-			continue
-		}
-		changed++
-		if t.isCurrent(e.Ref) {
-			o := Octant{Data: data}
-			t.writeDataField(e.Ref, &o)
-			e.Data = data // keep the snapshot entry coherent
-		} else {
-			t.UpdateAt(e.Code, func(d *[DataWords]float64) { *d = data })
-			structChanged = true
+		data = ls[i].Data
+		if fn(ls[i].Code, &data) {
+			ls[i].Data = data
+			dirty = append(dirty, int32(i))
 		}
 	}
-	if !structChanged {
-		// Only in-place data stores happened and the snapshot entries were
-		// patched along the way: revalidate it so the next sweep skips the
-		// walk entirely.
-		t.leafSnapSeq = t.mutSeq
-		t.fp.IndexedInPlaceSkips++
-	}
+	t.dirtyPos = dirty
+	t.writeLeafBatch(dirty)
 	t.maybeEvict()
-	return changed
+	return len(dirty)
 }

@@ -169,7 +169,7 @@ func (t *Tree) moveToNVBMUnder(r, parent Ref, setParent bool) Ref {
 func (t *Tree) stageOct(r Ref, o *Octant) {
 	t.pipe.stageRecord(r.Handle(), o)
 	t.cachePut(r, o)
-	t.noteMutation()
+	t.mutSeq++
 	t.touch(o.Code)
 }
 

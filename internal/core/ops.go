@@ -80,16 +80,32 @@ func (t *Tree) walkRO(r Ref, fn func(Ref, *Octant) bool) bool {
 	return true
 }
 
+// walk visits the subtree at r in Z-order pre-order. Octants are decoded
+// into one per-walk buffer indexed by depth — fn's *Octant escapes, so a
+// local per node would cost a heap allocation per visited octant — and fn
+// must not retain the pointer past its call.
 func (t *Tree) walk(r Ref, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
-	o := t.readOct(r)
-	if !fn(r, &o) {
+	w := walker{t: t, fn: fn}
+	return w.visit(r, 0)
+}
+
+type walker struct {
+	t   *Tree
+	fn  func(Ref, *Octant) bool
+	buf [morton.MaxLevel + 1]Octant
+}
+
+func (w *walker) visit(r Ref, depth int) bool {
+	o := &w.buf[depth]
+	*o = w.t.readOct(r)
+	if !w.fn(r, o) {
 		return false
 	}
 	for _, c := range o.Children {
-		if !c.IsNil() && !t.walk(c, fn) {
+		if !c.IsNil() && !w.visit(c, depth+1) {
 			return false
 		}
 	}
@@ -181,19 +197,23 @@ func (t *Tree) Depth() uint8 {
 func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 	defer t.span("Refine").End()
 	before := t.stats.Refines
+	t.beginIndexEmit()
 	nr, _ := t.refineWalk(t.cur, pred, maxLevel)
 	t.cur = nr
+	t.endIndexEmit()
 	t.maybeEvict()
 	t.maybeGC()
 	return t.stats.Refines - before
 }
 
 // refineWalk recursively refines; returns the (possibly copied) ref and
-// whether it changed.
+// whether it changed. It visits every leaf of the result in Z-order and
+// emits it into the leaf index.
 func (t *Tree) refineWalk(r Ref, pred func(morton.Code) bool, maxLevel uint8) (Ref, bool) {
 	o := t.readOct(r)
 	if o.IsLeaf() {
 		if o.Code.Level() >= maxLevel || !pred(o.Code) {
+			t.emitLeaf(&o)
 			return r, false
 		}
 		nr := t.splitLeaf(r, &o)
@@ -253,6 +273,7 @@ func (t *Tree) splitLeaf(r Ref, o *Octant) Ref {
 	}
 	t.writeOct(nr, o)
 	t.stats.Refines++
+	t.contentSeq++
 	if t.leafCount > 0 {
 		t.leafCount += 7
 	}
@@ -311,17 +332,23 @@ func (t *Tree) refineAtWalk(r Ref, code morton.Code) (Ref, bool) {
 func (t *Tree) CoarsenWhere(pred func(morton.Code) bool) int {
 	defer t.span("Coarsen").End()
 	before := t.stats.Coarsens
+	t.beginIndexEmit()
 	nr, _, _ := t.coarsenWalk(t.cur, pred)
 	t.cur = nr
+	t.endIndexEmit()
 	t.maybeEvict()
 	t.maybeGC()
 	return t.stats.Coarsens - before
 }
 
-// coarsenWalk returns (ref, refChanged, isLeafNow).
+// coarsenWalk returns (ref, refChanged, isLeafNow). It visits every leaf in
+// Z-order and emits the result's leaves into the leaf index: a collapse
+// finds its eight children as the last eight entries and replaces them by
+// the parent.
 func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool) {
 	o := t.readOct(r)
 	if o.IsLeaf() {
+		t.emitLeaf(&o)
 		return r, false, true
 	}
 	childrenChanged := false
@@ -355,9 +382,12 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 			o.Data[w] = sum[w] / 8
 		}
 		t.stats.Coarsens++
+		t.contentSeq++
 		if t.leafCount > 0 {
 			t.leafCount -= 7
 		}
+		t.leafSnap = t.leafSnap[:len(t.leafSnap)-8]
+		t.emitLeaf(&o)
 		nr := t.commitOctant(r, &o)
 		return nr, nr != r, true
 	}
@@ -392,6 +422,7 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 			return r, false
 		}
 		*n++
+		t.contentSeq++
 		if t.inPlace(r, &o) {
 			t.writeDataField(r, &o)
 			return r, false
@@ -439,6 +470,7 @@ func (t *Tree) updateAtWalk(r Ref, code morton.Code, fn func(*[DataWords]float64
 	o := t.readOct(r)
 	if o.IsLeaf() {
 		fn(&o.Data)
+		t.contentSeq++
 		if t.inPlace(r, &o) {
 			t.writeDataField(r, &o)
 			return r, true

@@ -6,23 +6,20 @@ import (
 	"pmoctree/internal/tile"
 )
 
-// Tiled SoA leaf storage (DESIGN.md decision 16). The Z-order leaf index
-// (leafindex.go) already materializes the working version's leaves as one
-// flat Morton-sorted slice; LeafTiles transposes that AoS snapshot into
-// the tile.Store SoA layout the hot kernels sweep, and ScatterLeafTiles
-// writes the modified cells back through the same in-place/COW paths
-// UpdateLeavesIndexed uses.
+// Tiled SoA leaf storage (DESIGN.md decisions 16 and 19). The Z-order leaf
+// index (leafindex.go) holds the working version's leaves as one flat
+// Morton-sorted slice; LeafTiles transposes that AoS index into the
+// tile.Store SoA layout the hot kernels sweep, and ScatterLeafTiles writes
+// the modified cells back through the batch writer (scatter.go).
 //
-// Invalidation protocol: the store is stamped with the same mutation
-// sequence number as the leaf snapshot. Any octant write, partial-field
-// write or free invalidates it; a scatter that only performed in-place
-// data stores re-stamps both the snapshot and the store, so steady-state
-// solve steps (no refine/coarsen) pay ZERO re-gathers — the store stays
-// bit-coherent with the tree across arbitrarily many sweep+scatter
-// rounds. Gather reads only the cached snapshot (no tree walk, no device
-// traffic beyond what LeafSnapshot itself charges when it has to
-// rebuild); the modeled device cost of the solve lives in the scatter's
-// field writes, exactly like the indexed sweep it replaces.
+// Validity: the store is stamped with the same content sequence number as
+// the leaf index, which only topology and payload changes advance. A
+// scatter patches index and tree from the store and re-stamps both, and
+// relocation (C0 eviction, the Persist merge) touches neither, so solve
+// steps on an unchanged mesh pay ZERO re-gathers, across commits too. A
+// gather reads only the index (no tree walk, no device traffic beyond what
+// LeafSnapshot itself charges when it has to rebuild); the modeled device
+// cost of the solve lives in the scatter's copy-on-write walk.
 
 // The tile layout carries the octree payload verbatim.
 var _ = [1]struct{}{}[tile.Words-DataWords]
@@ -33,7 +30,7 @@ var _ = [1]struct{}{}[tile.Words-DataWords]
 // modified cell, and hand the store back to ScatterLeafTiles; they must
 // not retain it across tree mutations.
 func (t *Tree) LeafTiles() *tile.Store {
-	if t.tiles != nil && t.tiles.ValidFor(t.mutSeq) {
+	if t.tiles != nil && t.tiles.ValidFor(t.contentSeq) {
 		t.fp.TileReuses++
 		return t.tiles
 	}
@@ -48,7 +45,7 @@ func (t *Tree) LeafTiles() *tile.Store {
 	for i := range ls {
 		t.tiles.Set(i, ls[i].Data)
 	}
-	t.tiles.Stamp(t.mutSeq)
+	t.tiles.Stamp(t.contentSeq)
 	t.fp.TileRebuilds++
 	t.fp.TileRebuildNs += uint64(time.Since(start).Nanoseconds())
 	t.fp.TileGatherBytes += uint64(len(ls)) * 8 * DataWords
@@ -56,48 +53,34 @@ func (t *Tree) LeafTiles() *tile.Store {
 }
 
 // ScatterLeafTiles writes the store's dirty cells back into the tree and
-// returns the number of cells written. In-place leaves take a single
-// data-field store (patching the leaf snapshot along the way); leaves
-// shared with the committed version route through the UpdateAt COW walk.
-// When every write was in place, the snapshot and the store are
-// re-stamped as valid — the next LeafTiles is free.
+// returns the number of cells written: the leaf index is patched from the
+// store and one batched copy-on-write walk stores the patched leaves
+// (writeLeafBatch). Index and store stay valid — the next LeafTiles is
+// free.
 //
 // The store must be the one LeafTiles returned, still valid for the
-// current mutation sequence (i.e. the tree was not mutated behind it);
-// a stale store panics rather than silently scattering into the wrong
-// mesh.
+// current content sequence (i.e. neither topology nor payload changed
+// behind it); a stale store panics rather than silently scattering into the
+// wrong mesh.
 func (t *Tree) ScatterLeafTiles(st *tile.Store) int {
-	if st == nil || st != t.tiles || !st.ValidFor(t.mutSeq) {
+	if st == nil || st != t.tiles || !st.ValidFor(t.contentSeq) {
 		panic("core: ScatterLeafTiles on a stale or foreign tile store")
 	}
 	defer t.span("Scatter").End()
-	written := 0
-	structChanged := false
+	ls := t.LeafSnapshot()
+	dirty := t.dirtyPos[:0]
 	st.ForEachDirty(func(i int) {
-		e := &t.leafSnap[i]
-		data := st.Load(i)
-		written++
-		if t.isCurrent(e.Ref) {
-			o := Octant{Data: data}
-			t.writeDataField(e.Ref, &o)
-			e.Data = data // keep the snapshot entry coherent
-		} else {
-			t.UpdateAt(e.Code, func(d *[DataWords]float64) { *d = data })
-			structChanged = true
-		}
+		ls[i].Data = st.Load(i)
+		dirty = append(dirty, int32(i))
 	})
 	st.ClearDirty()
-	if !structChanged {
-		// Only in-place data stores happened and both the snapshot entries
-		// and the store were patched along the way: revalidate them so the
-		// next gather is a reuse.
-		t.leafSnapSeq = t.mutSeq
-		st.Stamp(t.mutSeq)
-	}
+	t.dirtyPos = dirty
+	t.writeLeafBatch(dirty)
+	st.Stamp(t.contentSeq)
 	t.fp.TileScatters++
-	t.fp.TileScatterBytes += uint64(written) * 8 * DataWords
+	t.fp.TileScatterBytes += uint64(len(dirty)) * 8 * DataWords
 	t.maybeEvict()
-	return written
+	return len(dirty)
 }
 
 // TileOccupancy returns the mean tile fill of the current leaf tiling

@@ -23,23 +23,17 @@ func tileTestTree() *Tree {
 func verifyTilesCoherent(t *testing.T, tr *Tree, label string) {
 	t.Helper()
 	st := tr.LeafTiles()
-	var walkCodes []morton.Code
-	var walkData [][DataWords]float64
-	tr.ForEachLeaf(func(c morton.Code, d [DataWords]float64) bool {
-		walkCodes = append(walkCodes, c)
-		walkData = append(walkData, d)
-		return true
-	})
-	if st.N() != len(walkCodes) {
-		t.Fatalf("%s: store holds %d cells, walk found %d", label, st.N(), len(walkCodes))
+	walk := walkLeaves(tr)
+	if st.N() != len(walk) {
+		t.Fatalf("%s: store holds %d cells, walk found %d", label, st.N(), len(walk))
 	}
 	codes := st.Codes()
-	for i := range walkCodes {
-		if codes[i] != walkCodes[i] {
-			t.Fatalf("%s: cell %d code %v, walk %v", label, i, codes[i], walkCodes[i])
+	for i, e := range walk {
+		if codes[i] != e.Code {
+			t.Fatalf("%s: cell %d code %v, walk %v", label, i, codes[i], e.Code)
 		}
-		if got := st.Load(i); got != walkData[i] {
-			t.Fatalf("%s: cell %d (%v) = %v, walk %v", label, i, codes[i], got, walkData[i])
+		if got := st.Load(i); got != e.Data {
+			t.Fatalf("%s: cell %d (%v) = %v, walk %v", label, i, codes[i], got, e.Data)
 		}
 	}
 }
@@ -151,9 +145,10 @@ func TestScatterBitIdenticalToUpdateLeaves(t *testing.T) {
 	}
 }
 
-// TestTileSteadyStateReuse pins the invalidation protocol: a sweep whose
-// scatter made only in-place writes revalidates the store, so repeated
-// solve rounds on an unchanging mesh pay exactly one gather.
+// TestTileSteadyStateReuse pins the validity protocol: a scatter re-stamps
+// the store and relocation does not touch it, so repeated solve rounds on
+// an unchanging mesh pay exactly one gather — across commits (every
+// scatter after one copies on write) and C0 evictions too.
 func TestTileSteadyStateReuse(t *testing.T) {
 	tr := tileTestTree()
 	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.15), 4)
@@ -163,6 +158,12 @@ func TestTileSteadyStateReuse(t *testing.T) {
 			d[0] = float64(round)
 			return true
 		})
+		if round%2 == 0 {
+			tr.Persist()
+		}
+	}
+	if tr.Stats().Merges == 0 {
+		t.Fatal("no round evicted from C0")
 	}
 	fp := tr.FastPath()
 	if fp.TileRebuilds != 1 {
@@ -174,6 +175,7 @@ func TestTileSteadyStateReuse(t *testing.T) {
 	if fp.TileScatters != 5 || fp.TileScatterBytes == 0 {
 		t.Fatalf("scatter counters off: %+v", fp)
 	}
+	verifyTilesCoherent(t, tr, "after the rounds")
 
 	// A structural mutation invalidates; the next gather is a rebuild.
 	tr.RefineWhere(sphere(0.2, 0.2, 0.2, 0.15, 0.1), 5)

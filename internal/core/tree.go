@@ -185,15 +185,20 @@ type Tree struct {
 
 	// Octant fast path (cache.go, leafindex.go): the direct-mapped
 	// decoded-octant cache with its epoch stamp, the Z-order leaf index
-	// with its mutation-sequence stamp, and the fast-path counters.
+	// with its content-sequence stamp, and the fast-path counters.
+	// mutSeq counts every device store (constructClean's guard);
+	// contentSeq only the ones that change topology or payload, so moving
+	// an octant between arenas invalidates neither index nor tile store.
 	cache         []cacheLine
 	cacheEpoch    uint64
 	mutSeq        uint64
+	contentSeq    uint64
 	leafSnap      []LeafEntry
 	leafSnapSeq   uint64
 	leafSnapOK    bool
 	leafCodesSnap []morton.Code
 	leafCodesOK   bool
+	dirtyPos      []int32 // the batch writer's dirty index positions (scatter.go)
 	fp            FastPathStats
 
 	// leafCount is the working version's leaf count, 0 while unknown (a
@@ -206,7 +211,7 @@ type Tree struct {
 	balance bulk.Closure
 
 	// Tiled SoA leaf storage (tiles.go): the gathered flat field image
-	// the hot kernels sweep, stamped with mutSeq like the leaf index.
+	// the hot kernels sweep, stamped with contentSeq like the leaf index.
 	tiles *tile.Store
 
 	// GC scratch (gc.go): the reusable mark bitset and explicit stack.
@@ -274,7 +279,10 @@ func Create(cfg Config) *Tree {
 		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
 		lsub:   1,
 
-		leafCount: 1,
+		// The index of a one-leaf tree is known without a walk.
+		leafSnap:   []LeafEntry{{Code: morton.Root}},
+		leafSnapOK: true,
+		leafCount:  1,
 	}
 	t.dram.SetBudget(cfg.DRAMBudgetOctants)
 	if cfg.NVBMBudgetOctants > 0 {
@@ -323,7 +331,8 @@ func (t *Tree) Delete() {
 	t.lsub = 1
 	t.leafCount = 0
 	t.cacheInvalidateAll()
-	t.invalidateLeafIndex()
+	t.leafSnapOK = false
+	t.contentSeq++ // the tile store goes with the index
 }
 
 // SetFeatures installs the application feature functions used by
@@ -401,7 +410,7 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc("core.tile.scatters", func() float64 { return float64(t.fp.TileScatters) })
 	r.RegisterFunc("core.tile.scatter_bytes", func() float64 { return float64(t.fp.TileScatterBytes) })
 	r.RegisterFunc("core.tile.occupancy", func() float64 {
-		if t.tiles == nil || !t.tiles.ValidFor(t.mutSeq) {
+		if t.tiles == nil || !t.tiles.ValidFor(t.contentSeq) {
 			return 0 // gauge reads must not force a gather
 		}
 		return t.tiles.Occupancy()
@@ -490,7 +499,7 @@ func (t *Tree) writeOct(r Ref, o *Octant) {
 	o.encode(t.scratch[:])
 	t.arenaFor(r).Write(r.Handle(), t.scratch[:])
 	t.cachePut(r, o)
-	t.noteMutation()
+	t.mutSeq++
 	t.touch(o.Code)
 }
 
@@ -505,7 +514,7 @@ func (t *Tree) writeChildren(r Ref, o *Octant) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Children = o.Children
 	}
-	t.noteMutation()
+	t.mutSeq++
 }
 
 // writeParentField stores only the parent field at r. While a pipelined
@@ -518,7 +527,7 @@ func (t *Tree) writeParentField(r Ref, parent Ref) {
 		if line := t.cacheLineOf(r); line != nil {
 			line.oct.Parent = parent
 		}
-		t.noteMutation()
+		t.mutSeq++
 		return
 	}
 	var buf [4]byte
@@ -527,7 +536,7 @@ func (t *Tree) writeParentField(r Ref, parent Ref) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Parent = parent
 	}
-	t.noteMutation()
+	t.mutSeq++
 }
 
 // writeDataField stores only the data array at r.
@@ -540,7 +549,7 @@ func (t *Tree) writeDataField(r Ref, o *Octant) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Data = o.Data
 	}
-	t.noteMutation()
+	t.mutSeq++
 }
 
 // writeFlagsField stores only the flags word at r.
@@ -551,7 +560,7 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Flags = flags
 	}
-	t.noteMutation()
+	t.mutSeq++
 }
 
 // readVersion loads only the version word at r, consulting the persist
@@ -677,7 +686,7 @@ func (t *Tree) discard(r Ref, o *Octant) {
 	case r.InDRAM():
 		t.dram.Free(r.Handle())
 		t.cacheDrop(r)
-		t.noteMutation()
+		t.mutSeq++
 	case o.Version == t.step:
 		t.writeFlagsField(r, o.Flags|FlagDeleted)
 		t.stats.Deferred++

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -150,12 +151,18 @@ func versionParamHTTP(r *http.Request) (uint64, error) {
 	return strconv.ParseUint(vs, 10, 64)
 }
 
+// floatParamHTTP parses a finite coordinate: strconv.ParseFloat also
+// accepts "NaN" and "Inf", which are never a position in the domain.
 func floatParamHTTP(r *http.Request, name string) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return 0, errors.New("missing parameter " + name)
 	}
-	return strconv.ParseFloat(raw, 64)
+	v, err := strconv.ParseFloat(raw, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = errors.New("parameter " + name + " must be finite")
+	}
+	return v, err
 }
 
 func boxParamsHTTP(r *http.Request) (serve.Box, error) {

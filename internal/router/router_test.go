@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,10 +332,10 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 	flaky := &flakyBackend{Backend: fx.be, left: 2}
 	reg := telemetry.NewRegistry()
 	r, err := New(Config{
-		Shards:   []ShardConfig{{Primary: flaky}},
+		Shards:     []ShardConfig{{Primary: flaky}},
 		MaxRetries: 3,
-		Registry: reg,
-		Sleep:    instantSleep,
+		Registry:   reg,
+		Sleep:      instantSleep,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -788,4 +789,65 @@ func TestRouterHTTPHandler(t *testing.T) {
 
 func jsonDecode(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// TestRouterRejectsNonFiniteParams: NaN and the infinities parse as floats
+// but are not coordinates; the routed surface refuses them with 400 at the
+// parameter. Every shard is down, so a request that got as far as routing
+// would answer 503 instead.
+func TestRouterRejectsNonFiniteParams(t *testing.T) {
+	s0 := buildBackend(t, "s0", 1, 1)
+	g0, g1 := &gatedBackend{Backend: s0.be}, &gatedBackend{Backend: s0.be}
+	r, err := New(Config{
+		Shards: []ShardConfig{{Primary: g0}, {Primary: g1}},
+		Sleep:  instantSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	h := NewHandler(r)
+	get := func(path string) (int, routedErr) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		var body routedErr
+		if rec.Code != http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("GET %s: bad body %q: %v", path, rec.Body, err)
+			}
+		}
+		return rec.Code, body
+	}
+
+	paths := []string{
+		"/v1/point?y=0.5&z=0.5&x=",
+		"/v1/point?x=0.5&y=0.5&z=",
+		"/v1/region?y0=0&z0=0&x1=1&y1=1&z1=1&x0=",
+		"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=",
+		"/v1/agg?field=0&x0=0&z0=0&x1=1&y1=1&z1=1&y0=",
+		"/v1/agg?field=0&x0=0&y0=0&z0=0&y1=1&z1=1&x1=",
+	}
+	for _, path := range paths {
+		if code, _ := get(path + "0.5"); code != http.StatusOK {
+			t.Fatalf("GET %s0.5: status %d with every shard up", path, code)
+		}
+	}
+	g0.down.Store(true)
+	g1.down.Store(true)
+	for _, path := range paths {
+		if code, _ := get(path + "0.5"); code != http.StatusServiceUnavailable {
+			t.Fatalf("GET %s0.5: status %d with every shard down, want 503", path, code)
+		}
+		for _, raw := range []string{"NaN", "Inf", "-Inf", "%2BInf", "infinity"} {
+			code, body := get(path + raw)
+			if code != http.StatusBadRequest || body.Error == "" {
+				t.Errorf("GET %s%s: status %d, error %q; want 400 with a message", path, raw, code, body.Error)
+			}
+			// Box parameters are refused by name, not as a bad region.
+			if !strings.HasPrefix(path, "/v1/point") && !strings.Contains(body.Error, "must be finite") {
+				t.Errorf("GET %s%s: error %q does not name the non-finite parameter", path, raw, body.Error)
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -211,12 +212,18 @@ func (h *Handler) snapshotFor(r *http.Request) (*Snapshot, error) {
 	return h.cat.Acquire(step)
 }
 
+// floatParam parses a finite coordinate: strconv.ParseFloat also accepts
+// "NaN" and "Inf", which are never a position in the domain.
 func floatParam(r *http.Request, name string) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
-	return strconv.ParseFloat(raw, 64)
+	v, err := strconv.ParseFloat(raw, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("parameter %q must be finite", name)
+	}
+	return v, err
 }
 
 // keyRangeParams parses the optional klo/khi parameters (inclusive

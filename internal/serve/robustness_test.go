@@ -6,7 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -334,4 +336,91 @@ func TestCatalogEvictionRace(t *testing.T) {
 		}
 		s.Close()
 	}
+}
+
+// paramQueries are the three query endpoints with one coordinate
+// parameter left for the test to fill in, every other one valid.
+var paramQueries = []struct{ name, path string }{
+	{"point", "/v1/point?y=0.5&z=0.5&x="},
+	{"point/z", "/v1/point?x=0.5&y=0.5&z="},
+	{"region/min", "/v1/region?y0=0&z0=0&x1=1&y1=1&z1=1&x0="},
+	{"region/max", "/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1="},
+	{"agg/min", "/v1/agg?field=0&x0=0&z0=0&x1=1&y1=1&z1=1&y0="},
+	{"agg/max", "/v1/agg?field=0&x0=0&y0=0&z0=0&y1=1&z1=1&x1="},
+}
+
+// TestNonFiniteParamsRejected: NaN and the infinities parse as floats but
+// are not coordinates; every query endpoint refuses them with 400 at the
+// parameter, before the request is traced, admitted or handed a snapshot.
+func TestNonFiniteParamsRejected(t *testing.T) {
+	tree, _ := buildTree(t, 2)
+	cat, s := publish(t, tree, Config{})
+	s.Close()
+	defer cat.Close()
+	sched := NewScheduler(SchedulerConfig{})
+	defer sched.Close()
+	h := NewHandler(cat, sched)
+	sink := telemetry.NewTraceSink(8)
+	h.SetTraceSink(sink)
+
+	for _, q := range paramQueries {
+		for _, raw := range []string{"NaN", "nan", "Inf", "-Inf", "%2BInf", "infinity", "-Infinity"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", q.path+raw, nil))
+			var body errResp
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("%s=%s: bad body %q: %v", q.name, raw, rec.Body, err)
+			}
+			if rec.Code != http.StatusBadRequest || body.Error == "" {
+				t.Errorf("%s=%s: status %d, error %q; want 400 with a message", q.name, raw, rec.Code, body.Error)
+			}
+			// Box parameters are refused by name, not as a bad region.
+			if !strings.HasPrefix(q.name, "point") && !strings.Contains(body.Error, "must be finite") {
+				t.Errorf("%s=%s: error %q does not name the non-finite parameter", q.name, raw, body.Error)
+			}
+		}
+		// The same query with a finite value in the hole is served.
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", q.path+"0.5", nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s=0.5: status %d: %s", q.name, rec.Code, rec.Body)
+		}
+	}
+	if got, want := sink.Total(), uint64(len(paramQueries)); got != want {
+		t.Errorf("%d requests were traced, want only the %d finite ones", got, want)
+	}
+}
+
+// FuzzQueryParams feeds arbitrary strings to a coordinate parameter of
+// each query endpoint: the handler answers 200 or 400 with a JSON body,
+// never panics, and never serves a value that is not a finite float.
+func FuzzQueryParams(f *testing.F) {
+	for _, seed := range []string{"NaN", "Inf", "-Inf", "0.5", "1e999", "0x1p-2", "", "0.25&x=NaN", "-0", "1"} {
+		f.Add(seed)
+	}
+	tree, _ := buildTree(f, 2)
+	cat, s := publish(f, tree, Config{})
+	s.Close()
+	f.Cleanup(cat.Close)
+	sched := NewScheduler(SchedulerConfig{})
+	f.Cleanup(sched.Close)
+	h := NewHandler(cat, sched)
+
+	f.Fuzz(func(t *testing.T, raw string) {
+		v, perr := strconv.ParseFloat(raw, 64)
+		finite := perr == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+		for _, q := range paramQueries {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", q.path+url.QueryEscape(raw), nil))
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s=%q: status %d: %s", q.name, raw, rec.Code, rec.Body)
+			}
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s=%q: body is not JSON: %s", q.name, raw, rec.Body)
+			}
+			if rec.Code == http.StatusOK && !finite {
+				t.Fatalf("%s=%q: served a non-finite or unparsable coordinate", q.name, raw)
+			}
+		}
+	})
 }

@@ -87,9 +87,9 @@ func (v *version) ensure() bool {
 	}
 	var leaves []core.LeafEntry
 	depth := uint8(0)
-	v.pin.ForEachNode(func(r core.Ref, o *core.Octant) bool {
+	v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
-			leaves = append(leaves, core.LeafEntry{Code: o.Code, Ref: r, Data: o.Data})
+			leaves = append(leaves, core.LeafEntry{Code: o.Code, Data: o.Data})
 			if l := o.Code.Level(); l > depth {
 				depth = l
 			}

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -70,6 +71,9 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Read to EOF: the handler finishes its trace after it wrote the
+		// answer, and the body only ends once the handler has returned.
+		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s -> %d", q.path, resp.StatusCode)

@@ -3,6 +3,7 @@ package sim
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -33,13 +34,12 @@ func StepWorkers(m Mesh, f Field, step int, maxLevel uint8, workers int) StepCou
 }
 
 // StepFieldPool advances mesh through one AMR time step, scheduling
-// predicate evaluation on pool (nil pool: serial, identical to the
-// original StepField).
+// predicate evaluation on pool (nil pool: everything inline).
 //
-// In parallel mode the driver performs extra read-only leaf walks to
-// snapshot the codes it pre-evaluates; those walks are charged to the
-// modeled devices like any other traversal, so modeled time differs
-// from the serial path even though the simulation state does not.
+// In parallel mode the driver snapshots the leaf codes it pre-evaluates.
+// A mesh with a leaf index (core.Tree) serves them without a walk, so its
+// modeled device traffic is the same at every worker count; other meshes
+// pay a charged read-only traversal per snapshot.
 func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Pool) StepCounts {
 	// The mesh spans its own routines; the driver only tags them with the
 	// step index (core.Tree tags with its own version counter instead).
@@ -63,10 +63,11 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 
 	sc.Balanced = m.Balance()
 
-	if tm, tiled := m.(tiledMesh); !serial && tiled {
-		// Tiled SoA fast path: gather the leaves into the flat tile store
-		// once, run all sweeps over the contiguous field slices, scatter
-		// the changed cells back. Bit-identical to the sweeps below.
+	if tm, tiled := m.(tiledMesh); tiled {
+		// Tiled SoA path: gather the leaves into the flat tile store once,
+		// run all sweeps over the contiguous field slices, scatter the
+		// changed cells back in one batch. Bit-identical to the sweeps
+		// below, which remain for meshes without tiles.
 		sc.Solved, sc.Leaves = tiledSolve(tm, f, step, pool)
 		return sc
 	}
@@ -79,18 +80,9 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 	if !serial {
 		replay.prefill(leafCodes(m), pool)
 	}
-	im, indexed := m.(indexedMesh)
 	for it := 0; it < SolverSweeps; it++ {
 		replay.pos = 0
-		var n int
-		if !serial && indexed {
-			// Z-order leaf index: the first sweep walks the tree once to
-			// materialize the leaves; in-place sweeps after it iterate the
-			// flat snapshot with no interior-node reads at all.
-			n = im.UpdateLeavesIndexed(replay.solve)
-		} else {
-			n = m.UpdateLeaves(replay.solve)
-		}
+		n := m.UpdateLeaves(replay.solve)
 		if it == 0 {
 			sc.Solved = n
 		}
@@ -99,32 +91,47 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 	return sc
 }
 
-// tiledMesh is the optional SoA fast-path contract (core.Tree provides
-// it): a gathered Morton-ordered tile image of the leaves plus the
-// scatter writing modified cells back. Field results are bit-identical to
-// the Mesh sweeps; only the modeled device traffic differs, which the
-// parallel driver already does not preserve (see StepFieldPool's doc).
+// tiledMesh is the optional SoA contract (core.Tree provides it): a
+// gathered Morton-ordered tile image of the leaves plus the scatter writing
+// modified cells back. Field results are bit-identical to the Mesh sweeps;
+// the modeled device traffic is lower — one batched copy-on-write walk over
+// the changed leaves instead of SolverSweeps whole-tree walks.
 type tiledMesh interface {
 	Mesh
 	LeafTiles() *tile.Store
 	ScatterLeafTiles(*tile.Store) int
 }
 
+// solveScratch is tiledSolve's per-step working set, recycled across steps
+// and meshes.
+type solveScratch struct {
+	phis, eps []float64
+	counts    []int32
+}
+
+var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
+
 // tiledSolve runs the relaxation sweeps over the mesh's tiled SoA leaf
 // image: one gather, SolverSweeps flat sweeps scheduled in tile-aligned
-// chunks, one scatter of every cell any sweep changed. The per-cell
+// chunks, one scatter of every cell any sweep changed — all under one Solve
+// span of the mesh's tracer, the routine the three stand for. The per-cell
 // update is solveCellFlat — solveCell's arithmetic term for term — and
 // the changed counts are integer sums folded in tile order, so the mesh
 // evolution is bit-identical to the per-leaf path at every worker count.
 func tiledSolve(tm tiledMesh, f Field, step int, pool *parallel.Pool) (solved, leaves int) {
+	defer telemetry.TracerOf(tm).Begin("Solve").End()
 	st := tm.LeafTiles()
 	codes := st.Codes()
 	n := len(codes)
+	sc := solveScratchPool.Get().(*solveScratch)
+	defer solveScratchPool.Put(sc)
+	sc.phis = slices.Grow(sc.phis[:0], n)[:n]
+	sc.eps = slices.Grow(sc.eps[:0], n)[:n]
+	sc.counts = slices.Grow(sc.counts[:0], st.Tiles())[:st.Tiles()]
+	phis, eps, counts := sc.phis, sc.eps, sc.counts
 	// The level set is a pure function of (cell, step): evaluate it once
 	// per leaf in parallel and share it across all sweeps, alongside the
 	// cell extents the smoothing band scales with.
-	phis := make([]float64, n)
-	eps := make([]float64, n)
 	pool.Run(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x, y, z := codes[i].Center()
@@ -133,7 +140,6 @@ func tiledSolve(tm tiledMesh, f Field, step int, pool *parallel.Pool) (solved, l
 		}
 	})
 	speed := f.Speed()
-	counts := make([]int32, st.Tiles())
 	for it := 0; it < SolverSweeps; it++ {
 		st.RunTileRanges(pool, minTileSolve, func(tileLo, tileHi int) {
 			for ti := tileLo; ti < tileHi; ti++ {
@@ -158,14 +164,10 @@ func tiledSolve(tm tiledMesh, f Field, step int, pool *parallel.Pool) (solved, l
 	return solved, n
 }
 
-// indexedMesh is the optional fast-path contract a mesh may provide
-// (core.Tree does): a cached Z-order leaf snapshot and a leaf sweep
-// driven by it. Field results are bit-identical to the Mesh methods;
-// only the modeled device traffic differs, which the parallel driver
-// already does not preserve (see StepFieldPool's doc).
+// indexedMesh is the optional contract of a mesh that keeps a Z-order leaf
+// index (core.Tree does): its leaf codes without a tree walk.
 type indexedMesh interface {
 	LeafCodesSnapshot() []morton.Code
-	UpdateLeavesIndexed(func(morton.Code, *[DataWords]float64) bool) int
 }
 
 // leafCodes snapshots the mesh's current leaf codes. Meshes with a leaf

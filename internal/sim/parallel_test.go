@@ -5,6 +5,7 @@ import (
 
 	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
+	"pmoctree/internal/nvbm"
 	"pmoctree/internal/parallel"
 )
 
@@ -132,6 +133,46 @@ func TestStepWorkersMatchesStepField(t *testing.T) {
 	for i := range la {
 		if la[i] != lb[i] {
 			t.Fatalf("leaf %d diverges between entry points", i)
+		}
+	}
+}
+
+// TestStepDeviceCountsWorkerInvariant: on a core.Tree the step's modeled
+// device traffic does not depend on the worker count — the pool only
+// pre-evaluates predicates over the leaf index, which costs no walk, and
+// the Solve is one path. Per-step read and write counts of both devices,
+// Persist included, are identical at workers 1, 2 and 4.
+func TestStepDeviceCountsWorkerInvariant(t *testing.T) {
+	const steps, maxLevel = 12, 5
+	type devCounts struct{ nvR, nvW, nvRB, nvWB, drR, drW uint64 }
+	run := func(pool *parallel.Pool) []devCounts {
+		nv, dram := nvbm.New(nvbm.NVBM, 0), nvbm.New(nvbm.DRAM, 0)
+		m := core.Create(core.Config{NVBMDevice: nv, DRAMDevice: dram, DRAMBudgetOctants: 512})
+		f := NewDroplet(DropletConfig{Steps: steps})
+		out := make([]devCounts, steps)
+		for s := 1; s <= steps; s++ {
+			n0, d0 := nv.Stats(), dram.Stats()
+			StepFieldPool(m, f, s, maxLevel, pool)
+			m.SetFeatures(FeatureOf(f, s+1))
+			m.Persist()
+			n1, d1 := nv.Stats(), dram.Stats()
+			out[s-1] = devCounts{
+				n1.Reads - n0.Reads, n1.Writes - n0.Writes, n1.ReadBytes - n0.ReadBytes, n1.WriteBytes - n0.WriteBytes,
+				d1.Reads - d0.Reads, d1.Writes - d0.Writes,
+			}
+		}
+		if m.Stats().Merges == 0 {
+			t.Fatal("the run never evicted from C0")
+		}
+		return out
+	}
+	ref := run(nil)
+	for _, workers := range []int{2, 4} {
+		got := run(parallel.NewForced(workers))
+		for s := range ref {
+			if got[s] != ref[s] {
+				t.Errorf("workers=%d step %d: device counts %+v, serial %+v", workers, s+1, got[s], ref[s])
+			}
 		}
 	}
 }

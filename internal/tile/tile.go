@@ -12,8 +12,8 @@
 //
 // The Store itself is pure layout: it does not know about the octree. The
 // owner (core.Tree) gathers leaf data in, stamps the store with its
-// mutation sequence number, and scatters dirty cells back; see
-// core.LeafTiles / core.ScatterLeafTiles for the invalidation protocol.
+// content sequence number, and scatters dirty cells back; see
+// core.LeafTiles / core.ScatterLeafTiles for the validity protocol.
 // Kernels sweep F[w][lo:hi] ranges handed out by RunTileRanges in
 // cache-line-contiguous, tile-aligned chunks.
 package tile
@@ -183,7 +183,7 @@ func (s *Store) ClearDirty() {
 	}
 }
 
-// Stamp records the owner's mutation sequence number the store was
+// Stamp records the owner's content sequence number the store was
 // gathered (or scattered back) at.
 func (s *Store) Stamp(seq uint64) { s.seq, s.stamped = seq, true }
 
