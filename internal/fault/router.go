@@ -243,25 +243,11 @@ func (s *chaosShard) backend() router.Backend {
 
 func (s *chaosShard) Name() string { return fmt.Sprintf("shard%d", s.id) }
 
-func (s *chaosShard) Point(ctx context.Context, v uint64, x, y, z float64) (serve.PointResult, error) {
+func (s *chaosShard) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
 	if err := s.gate(); err != nil {
-		return serve.PointResult{}, err
+		return serve.Result{}, err
 	}
-	return s.backend().Point(ctx, v, x, y, z)
-}
-
-func (s *chaosShard) Region(ctx context.Context, v uint64, box serve.Box, kr serve.KeyRange) (router.RegionResult, error) {
-	if err := s.gate(); err != nil {
-		return router.RegionResult{}, err
-	}
-	return s.backend().Region(ctx, v, box, kr)
-}
-
-func (s *chaosShard) Aggregate(ctx context.Context, v uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error) {
-	if err := s.gate(); err != nil {
-		return serve.AggResult{}, err
-	}
-	return s.backend().Aggregate(ctx, v, field, box, kr)
+	return s.backend().Query(ctx, v, q)
 }
 
 func (s *chaosShard) Versions(ctx context.Context) ([]uint64, error) {
@@ -347,28 +333,12 @@ func (r *replicaShard) close() {
 	}
 }
 
-func (r *replicaShard) Point(ctx context.Context, v uint64, x, y, z float64) (serve.PointResult, error) {
+func (r *replicaShard) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
 	be, err := r.backend()
 	if err != nil {
-		return serve.PointResult{}, err
+		return serve.Result{}, err
 	}
-	return be.Point(ctx, v, x, y, z)
-}
-
-func (r *replicaShard) Region(ctx context.Context, v uint64, box serve.Box, kr serve.KeyRange) (router.RegionResult, error) {
-	be, err := r.backend()
-	if err != nil {
-		return router.RegionResult{}, err
-	}
-	return be.Region(ctx, v, box, kr)
-}
-
-func (r *replicaShard) Aggregate(ctx context.Context, v uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error) {
-	be, err := r.backend()
-	if err != nil {
-		return serve.AggResult{}, err
-	}
-	return be.Aggregate(ctx, v, field, box, kr)
+	return be.Query(ctx, v, q)
 }
 
 func (r *replicaShard) Versions(ctx context.Context) ([]uint64, error) {
@@ -689,7 +659,7 @@ func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *chaosShard,
 			if werr != nil {
 				return fmt.Sprintf("replay point failed: %v", werr)
 			}
-			if ans.Result.Code != want.Code || ans.Result.Data != want.Data || ans.Result.Step != want.Step {
+			if ans.Leaf != want {
 				return fmt.Sprintf("point mismatch at v%d", ans.ServedStep)
 			}
 			return ""
@@ -700,7 +670,7 @@ func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *chaosShard,
 			return "", 0, false, qerr
 		}
 		return check(ans.Envelope, func(snap *serve.Snapshot) string {
-			want, werr := snap.RegionIn(box, serve.KeyRange{})
+			want, werr := snap.Region(box)
 			if werr != nil {
 				return fmt.Sprintf("replay region failed: %v", werr)
 			}
@@ -720,31 +690,30 @@ func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *chaosShard,
 			return "", 0, false, qerr
 		}
 		return check(ans.Envelope, func(snap *serve.Snapshot) string {
-			// Replay the router's own distributed merge: per-span partials
-			// folded in span order, bit-identical or bust.
-			want := serve.AggResult{Step: ans.ServedStep}
-			first := true
+			// Replay the router's distributed merge with an independent
+			// fold: per-span partials in span order, bit-identical or bust.
+			var want serve.AggResult
 			for i := 0; i < r.Map().Len(); i++ {
-				part, werr := snap.AggregateIn(field, box, r.Map().Span(i))
+				res, werr := snap.Query(nil, serve.Query{Class: serve.ClassAgg, Box: box, Field: field, Span: r.Map().Span(i)})
 				if werr != nil {
 					return fmt.Sprintf("replay agg failed: %v", werr)
 				}
+				part := res.Agg
 				if part.Count == 0 {
 					continue
+				}
+				if want.Count == 0 || part.Min < want.Min {
+					want.Min = part.Min
+				}
+				if want.Count == 0 || part.Max > want.Max {
+					want.Max = part.Max
 				}
 				want.Count += part.Count
 				want.Sum += part.Sum
 				want.VolSum += part.VolSum
-				if first || part.Min < want.Min {
-					want.Min = part.Min
-				}
-				if first || part.Max > want.Max {
-					want.Max = part.Max
-				}
-				first = false
 			}
-			if ans.Result != want {
-				return fmt.Sprintf("agg mismatch at v%d: %+v vs %+v", ans.ServedStep, ans.Result, want)
+			if ans.Agg != want {
+				return fmt.Sprintf("agg mismatch at v%d: %+v vs %+v", ans.ServedStep, ans.Agg, want)
 			}
 			return ""
 		})

@@ -6,40 +6,26 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
-	"pmoctree/internal/core"
-	"pmoctree/internal/morton"
 	"pmoctree/internal/serve"
 )
 
 // Latest is the version sentinel for "newest published step".
-const Latest = math.MaxUint64
+const Latest = serve.Latest
 
 // ErrBackendDown marks hard transport-level failures: connection refused,
 // reset, unexpected 5xx, a closed catalog or scheduler. Down errors are
 // retryable and feed the breaker and health tracker as hard failures.
 var ErrBackendDown = fmt.Errorf("router: backend down")
 
-// RegionResult is a region query's hits plus the step that served them —
-// the router needs the served version to keep scatter merges consistent.
-type RegionResult struct {
-	Step uint64
-	Hits []serve.LeafHit
-}
-
 // Backend is one queryable shard endpoint: a local Catalog+Scheduler in
 // tests and in-process deployments, an HTTP shard server otherwise.
 // version is an exact committed step or Latest. All methods honor ctx.
 type Backend interface {
 	Name() string
-	Point(ctx context.Context, version uint64, x, y, z float64) (serve.PointResult, error)
-	Region(ctx context.Context, version uint64, box serve.Box, kr serve.KeyRange) (RegionResult, error)
-	Aggregate(ctx context.Context, version uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error)
+	Query(ctx context.Context, version uint64, q serve.Query) (serve.Result, error)
 	Versions(ctx context.Context) ([]uint64, error)
 	Probe(ctx context.Context) error
 }
@@ -99,13 +85,6 @@ func (b *LocalBackend) Name() string { return b.name }
 // Catalog exposes the backing catalog (chaos harnesses publish through it).
 func (b *LocalBackend) Catalog() *serve.Catalog { return b.cat }
 
-func (b *LocalBackend) acquire(version uint64) (*serve.Snapshot, error) {
-	if version == Latest {
-		return b.cat.AcquireLatest()
-	}
-	return b.cat.Acquire(version)
-}
-
 // wrapLocal maps in-process lifecycle errors onto the transport taxonomy:
 // a closed catalog or scheduler is what a dead shard process looks like.
 func wrapLocal(err error) error {
@@ -115,53 +94,9 @@ func wrapLocal(err error) error {
 	return err
 }
 
-func (b *LocalBackend) Point(ctx context.Context, version uint64, x, y, z float64) (serve.PointResult, error) {
-	s, err := b.acquire(version)
-	if err != nil {
-		return serve.PointResult{}, wrapLocal(err)
-	}
-	defer s.Close()
-	val, err := b.sched.DoCtx(ctx, nil, "point", func() (any, error) {
-		return s.Point(x, y, z)
-	})
-	if err != nil {
-		return serve.PointResult{}, wrapLocal(err)
-	}
-	return val.(serve.PointResult), nil
-}
-
-func (b *LocalBackend) Region(ctx context.Context, version uint64, box serve.Box, kr serve.KeyRange) (RegionResult, error) {
-	s, err := b.acquire(version)
-	if err != nil {
-		return RegionResult{}, wrapLocal(err)
-	}
-	defer s.Close()
-	val, err := b.sched.DoCtx(ctx, nil, "region", func() (any, error) {
-		hits, err := s.RegionIn(box, kr)
-		if err != nil {
-			return nil, err
-		}
-		return RegionResult{Step: s.Step(), Hits: hits}, nil
-	})
-	if err != nil {
-		return RegionResult{}, wrapLocal(err)
-	}
-	return val.(RegionResult), nil
-}
-
-func (b *LocalBackend) Aggregate(ctx context.Context, version uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error) {
-	s, err := b.acquire(version)
-	if err != nil {
-		return serve.AggResult{}, wrapLocal(err)
-	}
-	defer s.Close()
-	val, err := b.sched.DoCtx(ctx, nil, "agg", func() (any, error) {
-		return s.AggregateIn(field, box, kr)
-	})
-	if err != nil {
-		return serve.AggResult{}, wrapLocal(err)
-	}
-	return val.(serve.AggResult), nil
+func (b *LocalBackend) Query(ctx context.Context, version uint64, q serve.Query) (serve.Result, error) {
+	res, err := serve.Answer(ctx, b.cat, b.sched, nil, version, q)
+	return res, wrapLocal(err)
 }
 
 func (b *LocalBackend) Versions(ctx context.Context) ([]uint64, error) {
@@ -197,11 +132,25 @@ func (b *LocalBackend) Probe(ctx context.Context) error {
 // HTTP statuses back into the typed error taxonomy: 503 + retry_after_ms
 // -> serve.SaturatedError, 404 + available -> serve.NoSuchVersionError,
 // 504 -> context.DeadlineExceeded, transport errors and other 5xx ->
-// ErrBackendDown.
+// ErrBackendDown, an answer longer than the body cap ->
+// *BodyTooLargeError.
 type HTTPBackend struct {
 	name   string
 	base   string // "http://host:port"
 	client *http.Client
+}
+
+// maxBody caps the bytes read of one shard answer.
+const maxBody = 16 << 20
+
+// BodyTooLargeError reports a shard answer longer than the backend reads.
+type BodyTooLargeError struct {
+	Backend string
+	Limit   int64
+}
+
+func (e *BodyTooLargeError) Error() string {
+	return fmt.Sprintf("router: backend %s: answer exceeds the %d-byte body cap", e.Backend, e.Limit)
 }
 
 // NewHTTPBackend builds a backend over base. client may be nil (a default
@@ -216,176 +165,76 @@ func NewHTTPBackend(name, base string, client *http.Client) *HTTPBackend {
 
 func (b *HTTPBackend) Name() string { return b.name }
 
-// wire mirrors of the serve HTTP JSON bodies (kept local so the router
-// does not reach into serve's unexported types).
-type wirePoint struct {
-	Version uint64                  `json:"version"`
-	Code    string                  `json:"code"`
-	Data    [core.DataWords]float64 `json:"data"`
-}
-
-type wireRegion struct {
-	Version uint64 `json:"version"`
-	Leaves  []struct {
-		Code string                  `json:"code"`
-		Data [core.DataWords]float64 `json:"data"`
-	} `json:"leaves"`
-}
-
-type wireAgg struct {
-	Version uint64  `json:"version"`
-	Count   int     `json:"count"`
-	Sum     float64 `json:"sum"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	VolSum  float64 `json:"vol_sum"`
-}
-
-type wireVersions struct {
-	Versions []uint64 `json:"versions"`
-}
-
-type wireErr struct {
-	Error      string   `json:"error"`
-	RetryAfter int64    `json:"retry_after_ms"`
-	Available  []uint64 `json:"available"`
-}
-
-// get issues one request and decodes the body into out, mapping error
-// statuses onto the typed taxonomy.
-func (b *HTTPBackend) get(ctx context.Context, path string, q url.Values, out any) error {
-	u := b.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// get issues one request and returns the body of a 200 answer, mapping
+// error statuses onto the typed taxonomy.
+func (b *HTTPBackend) get(ctx context.Context, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := b.client.Do(req)
 	if err != nil {
 		// The caller's own context expiring is not the backend's fault;
 		// everything else transport-level is.
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
-		return fmt.Errorf("%w: %v", ErrBackendDown, err)
+		return nil, fmt.Errorf("%w: %v", ErrBackendDown, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	// One byte past the cap tells a cut answer from one that fits exactly.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil {
-		return fmt.Errorf("%w: reading response: %v", ErrBackendDown, err)
+		return nil, fmt.Errorf("%w: reading response: %v", ErrBackendDown, err)
 	}
+	if len(body) > maxBody {
+		return nil, &BodyTooLargeError{Backend: b.name, Limit: maxBody}
+	}
+	var eb serve.ErrorBody
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return json.Unmarshal(body, out)
+		return body, nil
 	case http.StatusServiceUnavailable:
-		var we wireErr
-		_ = json.Unmarshal(body, &we)
-		return &serve.SaturatedError{RetryAfter: time.Duration(we.RetryAfter) * time.Millisecond}
+		_ = json.Unmarshal(body, &eb)
+		return nil, &serve.SaturatedError{RetryAfter: time.Duration(eb.RetryAfter) * time.Millisecond}
 	case http.StatusNotFound:
-		var we wireErr
-		if json.Unmarshal(body, &we) == nil && (len(we.Available) > 0 || we.Error != "") {
-			return &serve.NoSuchVersionError{Available: we.Available}
+		if json.Unmarshal(body, &eb) == nil && (len(eb.Available) > 0 || eb.Error != "") {
+			return nil, &serve.NoSuchVersionError{Available: eb.Available}
 		}
-		return fmt.Errorf("%w: %s returned 404", ErrBackendDown, path)
+		return nil, fmt.Errorf("%w: %s returned 404", ErrBackendDown, path)
 	case http.StatusGatewayTimeout:
-		return context.DeadlineExceeded
+		return nil, context.DeadlineExceeded
 	default:
-		var we wireErr
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
+		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
 			if resp.StatusCode < 500 {
-				return fmt.Errorf("router: backend %s: %s", b.name, we.Error)
+				return nil, fmt.Errorf("router: backend %s: %s", b.name, eb.Error)
 			}
-			return fmt.Errorf("%w: %s", ErrBackendDown, we.Error)
+			return nil, fmt.Errorf("%w: %s", ErrBackendDown, eb.Error)
 		}
-		return fmt.Errorf("%w: status %d", ErrBackendDown, resp.StatusCode)
+		return nil, fmt.Errorf("%w: status %d", ErrBackendDown, resp.StatusCode)
 	}
 }
 
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func versionParam(q url.Values, version uint64) {
-	if version != Latest {
-		q.Set("version", strconv.FormatUint(version, 10))
-	}
-}
-
-func keyRangeParam(q url.Values, kr serve.KeyRange) {
-	if kr.IsFull() {
-		return
-	}
-	q.Set("klo", strconv.FormatUint(kr.Lo, 10))
-	q.Set("khi", strconv.FormatUint(kr.Hi, 10))
-}
-
-func boxParam(q url.Values, box serve.Box) {
-	names := [6]string{"x0", "y0", "z0", "x1", "y1", "z1"}
-	for d := 0; d < 3; d++ {
-		q.Set(names[d], fmtFloat(box.Min[d]))
-		q.Set(names[d+3], fmtFloat(box.Max[d]))
-	}
-}
-
-func (b *HTTPBackend) Point(ctx context.Context, version uint64, x, y, z float64) (serve.PointResult, error) {
-	q := url.Values{}
-	q.Set("x", fmtFloat(x))
-	q.Set("y", fmtFloat(y))
-	q.Set("z", fmtFloat(z))
-	versionParam(q, version)
-	var wp wirePoint
-	if err := b.get(ctx, "/v1/point", q, &wp); err != nil {
-		return serve.PointResult{}, err
-	}
-	code, err := morton.ParseCode(wp.Code)
+func (b *HTTPBackend) Query(ctx context.Context, version uint64, q serve.Query) (serve.Result, error) {
+	body, err := b.get(ctx, serve.Request{Query: q, Version: version}.Path())
 	if err != nil {
-		return serve.PointResult{}, fmt.Errorf("router: backend %s: %v", b.name, err)
+		return serve.Result{}, err
 	}
-	return serve.PointResult{Step: wp.Version, Code: code, Data: wp.Data, Depth: code.Level()}, nil
-}
-
-func (b *HTTPBackend) Region(ctx context.Context, version uint64, box serve.Box, kr serve.KeyRange) (RegionResult, error) {
-	q := url.Values{}
-	boxParam(q, box)
-	versionParam(q, version)
-	keyRangeParam(q, kr)
-	var wr wireRegion
-	if err := b.get(ctx, "/v1/region", q, &wr); err != nil {
-		return RegionResult{}, err
+	res, err := serve.DecodeResult(q.Class, body)
+	if err != nil {
+		return serve.Result{}, fmt.Errorf("router: backend %s: %v", b.name, err)
 	}
-	out := RegionResult{Step: wr.Version, Hits: make([]serve.LeafHit, 0, len(wr.Leaves))}
-	for _, l := range wr.Leaves {
-		code, err := morton.ParseCode(l.Code)
-		if err != nil {
-			return RegionResult{}, fmt.Errorf("router: backend %s: %v", b.name, err)
-		}
-		out.Hits = append(out.Hits, serve.LeafHit{Code: code, Data: l.Data})
-	}
-	return out, nil
-}
-
-func (b *HTTPBackend) Aggregate(ctx context.Context, version uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error) {
-	q := url.Values{}
-	q.Set("field", strconv.Itoa(field))
-	boxParam(q, box)
-	versionParam(q, version)
-	keyRangeParam(q, kr)
-	var wa wireAgg
-	if err := b.get(ctx, "/v1/agg", q, &wa); err != nil {
-		return serve.AggResult{}, err
-	}
-	return serve.AggResult{
-		Step: wa.Version, Count: wa.Count, Sum: wa.Sum,
-		Min: wa.Min, Max: wa.Max, VolSum: wa.VolSum,
-	}, nil
+	return res, nil
 }
 
 func (b *HTTPBackend) Versions(ctx context.Context) ([]uint64, error) {
-	var wv wireVersions
-	if err := b.get(ctx, "/v1/versions", nil, &wv); err != nil {
+	body, err := b.get(ctx, "/v1/versions")
+	if err != nil {
 		return nil, err
 	}
-	return wv.Versions, nil
+	var vb serve.VersionsBody
+	err = json.Unmarshal(body, &vb)
+	return vb.Versions, err
 }
 
 func (b *HTTPBackend) Probe(ctx context.Context) error {

@@ -124,8 +124,8 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %v: %v", p, err)
 		}
-		if got.Result != want.Result {
-			t.Fatalf("point %v: %+v, want %+v", p, got.Result, want.Result)
+		if got.Leaf != want.Leaf {
+			t.Fatalf("point %v: %+v, want %+v", p, got.Leaf, want.Leaf)
 		}
 	}
 
@@ -150,8 +150,8 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("agg %v: %v", box, err)
 		}
-		if gotA.Result != wantA.Result {
-			t.Fatalf("agg %v: %+v, want %+v", box, gotA.Result, wantA.Result)
+		if gotA.Agg != wantA.Agg {
+			t.Fatalf("agg %v: %+v, want %+v", box, gotA.Agg, wantA.Agg)
 		}
 	}
 

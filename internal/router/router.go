@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"pmoctree/internal/morton"
 	"pmoctree/internal/serve"
 	"pmoctree/internal/telemetry"
 )
@@ -327,23 +326,13 @@ func (r *Router) Shards() []ShardInfo {
 	return out
 }
 
-// Envelope is the provenance every routed answer carries: what was asked,
-// what was served, and whether the two differ. Degraded is true exactly
-// when the served version is not the requested (or resolved-latest)
-// version — a served-by-replica answer at the right version is a
-// failover, not a degradation.
-type Envelope struct {
-	RequestedStep uint64   `json:"requested_version"`
-	ServedStep    uint64   `json:"served_version"`
-	Degraded      bool     `json:"degraded"`
-	Reasons       []string `json:"degraded_reason,omitempty"`
-	ServedBy      []string `json:"served_by"`
-}
+// Envelope is the provenance every routed answer carries (serve.Envelope).
+type Envelope = serve.Envelope
 
 // PointAnswer, RegionAnswer, and AggAnswer are routed query results.
 type PointAnswer struct {
 	Envelope
-	Result serve.PointResult
+	Leaf serve.LeafHit
 }
 
 type RegionAnswer struct {
@@ -353,11 +342,18 @@ type RegionAnswer struct {
 
 type AggAnswer struct {
 	Envelope
-	Result serve.AggResult
+	Agg serve.AggResult
 }
 
-// attempt is one backend call at one explicit version.
-type attempt func(ctx context.Context, be Backend, version uint64) (any, error)
+// ask is one backend call at one explicit version. An answer from another
+// step is the backend failing, not a stale answer to merge.
+func ask(ctx context.Context, be Backend, version uint64, q serve.Query) (serve.Result, error) {
+	res, err := be.Query(ctx, version, q)
+	if err == nil && res.Step != version {
+		return serve.Result{}, fmt.Errorf("%w: backend %s served step %d for explicit step %d", ErrBackendDown, be.Name(), res.Step, version)
+	}
+	return res, err
+}
 
 func (r *Router) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if r.cfg.AttemptTimeout > 0 {
@@ -382,24 +378,24 @@ func (r *Router) backoff(attempt int) time.Duration {
 	return d/2 + j
 }
 
-// tryBackend runs call against be with bounded retries and backoff. When
-// gate is non-nil the call is admission-checked against gate's breaker
-// and its outcome feeds gate's breaker and health tracker (the primary
-// path); replicas run ungated.
-func (r *Router) tryBackend(ctx context.Context, gate *shardState, be Backend, version uint64, call attempt) (any, error) {
+// tryBackend asks be for q with bounded retries and backoff. When gate is
+// non-nil the call is admission-checked against gate's breaker and its
+// outcome feeds gate's breaker and health tracker (the primary path);
+// replicas run ungated.
+func (r *Router) tryBackend(ctx context.Context, gate *shardState, be Backend, version uint64, q serve.Query) (serve.Result, error) {
 	var lastErr error
 	for att := 0; ; att++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return serve.Result{}, err
 		}
 		if gate != nil && !gate.breaker.Allow() {
 			if lastErr != nil {
-				return nil, lastErr
+				return serve.Result{}, lastErr
 			}
-			return nil, fmt.Errorf("%w: shard %d breaker open", ErrBackendDown, gate.id)
+			return serve.Result{}, fmt.Errorf("%w: shard %d breaker open", ErrBackendDown, gate.id)
 		}
 		actx, cancel := r.attemptCtx(ctx)
-		val, err := call(actx, be, version)
+		res, err := ask(actx, be, version, q)
 		cancel()
 		// A call cut short because the parent context died (client gone,
 		// hedge winner canceled the race) says nothing about the backend;
@@ -414,20 +410,20 @@ func (r *Router) tryBackend(ctx context.Context, gate *shardState, be Backend, v
 			}
 		}
 		if err == nil {
-			return val, nil
+			return res, nil
 		}
 		lastErr = err
 		// The parent context dying mid-attempt surfaces as the attempt's
 		// deadline error; don't burn retries on a dead request.
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return serve.Result{}, ctx.Err()
 		}
 		if !retryable(err) || att >= r.cfg.MaxRetries {
-			return nil, err
+			return serve.Result{}, err
 		}
 		inc(r.mRetries)
 		if serr := r.cfg.Sleep(ctx, r.backoff(att)); serr != nil {
-			return nil, serr
+			return serve.Result{}, serr
 		}
 	}
 }
@@ -471,26 +467,26 @@ func sortedKeys(set map[uint64]bool) []uint64 {
 // primaryWithHedge runs the primary call, optionally racing a hedged read
 // against the shard's replica when the primary is slow (or immediately
 // when the shard is Degraded). The loser is canceled.
-func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version uint64, call attempt) (any, string, error) {
+func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version uint64, q serve.Query) (serve.Result, string, error) {
 	if r.cfg.HedgeDelay <= 0 || s.replica == nil {
-		val, err := r.tryBackend(ctx, s, s.primary, version, call)
-		return val, "primary", err
+		res, err := r.tryBackend(ctx, s, s.primary, version, q)
+		return res, "primary", err
 	}
 	delay := r.cfg.HedgeDelay
 	if s.health.State() == Degraded {
 		delay = 0
 	}
-	type res struct {
-		val any
+	type out struct {
+		res serve.Result
 		err error
 		src string
 	}
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan res, 2)
+	ch := make(chan out, 2)
 	go func() {
-		v, e := r.tryBackend(pctx, s, s.primary, version, call)
-		ch <- res{v, e, "primary"}
+		v, e := r.tryBackend(pctx, s, s.primary, version, q)
+		ch <- out{v, e, "primary"}
 	}()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -507,14 +503,14 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 				if rr.src != "primary" {
 					inc(r.mHedgeWins)
 				}
-				return rr.val, rr.src, nil
+				return rr.res, rr.src, nil
 			}
 			if rr.src == "primary" {
 				primErr = rr.err
 				if !hedged {
 					// Primary failed outright before the hedge fired; the
 					// fallback chain (replica, peers) takes over from here.
-					return nil, "", primErr
+					return serve.Result{}, "", primErr
 				}
 			} else {
 				hedgeErr = rr.err
@@ -525,23 +521,25 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 			remaining++
 			inc(r.mHedges)
 			go func() {
-				v, e := r.tryBackend(pctx, nil, s.replica, version, call)
-				ch <- res{v, e, "replica"}
+				v, e := r.tryBackend(pctx, nil, s.replica, version, q)
+				ch <- out{v, e, "replica"}
 			}()
 		}
 	}
-	return nil, "", mergeMiss(primErr, hedgeErr)
+	return serve.Result{}, "", mergeMiss(primErr, hedgeErr)
 }
 
-// servePart serves one shard's portion of a query at an exact version,
-// walking the fallback chain: primary (retries + hedging) -> recovery
-// replica -> healthy peer takeover (every arena holds the full image, so
-// a peer filtered by this shard's span answers identically). When every
-// source is up but none holds the version, the returned error is a
-// NoSuchVersionError whose availability is the union across sources, so
-// the caller can retarget to a stale version. src reports where the
-// answer came from: "primary", "replica", or "peer:<n>".
-func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, call attempt) (val any, src string, err error) {
+// servePart serves one shard's portion of a query — q filtered by the
+// shard's span — at an exact version, walking the fallback chain: primary
+// (retries + hedging) -> recovery replica -> healthy peer takeover (every
+// arena holds the full image, so a peer filtered by this shard's span
+// answers identically). When every source is up but none holds the
+// version, the returned error is a NoSuchVersionError whose availability
+// is the union across sources, so the caller can retarget to a stale
+// version. src reports where the answer came from: "primary", "replica",
+// or "peer:<n>".
+func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, q serve.Query) (res serve.Result, src string, err error) {
+	q.Span = s.span
 	miss := map[uint64]bool{}
 	anyMiss := false
 	var lastErr error
@@ -557,17 +555,17 @@ func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, c
 	}
 
 	if s.health.State() != Down {
-		val, src, err = r.primaryWithHedge(ctx, s, version, call)
+		res, src, err = r.primaryWithHedge(ctx, s, version, q)
 		if err == nil {
-			return val, src, nil
+			return res, src, nil
 		}
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return serve.Result{}, "", ctx.Err()
 		}
 		note(err)
 	}
 	if s.replica != nil {
-		val, rerr := r.tryBackend(ctx, nil, s.replica, version, call)
+		res, rerr := r.tryBackend(ctx, nil, s.replica, version, q)
 		if rerr == nil {
 			inc(r.mFallbackReplica)
 			r.cfg.Recorder.Record(telemetry.FlightEvent{
@@ -575,10 +573,10 @@ func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, c
 				Value:  uint64(s.id),
 				Detail: fmt.Sprintf("shard %d served by replica", s.id),
 			})
-			return val, "replica", nil
+			return res, "replica", nil
 		}
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return serve.Result{}, "", ctx.Err()
 		}
 		note(rerr)
 	}
@@ -586,7 +584,7 @@ func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, c
 		if o == s || o.health.State() == Down {
 			continue
 		}
-		val, oerr := r.tryBackend(ctx, o, o.primary, version, call)
+		res, oerr := r.tryBackend(ctx, o, o.primary, version, q)
 		if oerr == nil {
 			inc(r.mFallbackTakeover)
 			r.cfg.Recorder.Record(telemetry.FlightEvent{
@@ -594,20 +592,20 @@ func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, c
 				Value:  uint64(s.id),
 				Detail: fmt.Sprintf("shard %d span served by peer %d", s.id, o.id),
 			})
-			return val, fmt.Sprintf("peer:%d", o.id), nil
+			return res, fmt.Sprintf("peer:%d", o.id), nil
 		}
 		if ctx.Err() != nil {
-			return nil, "", ctx.Err()
+			return serve.Result{}, "", ctx.Err()
 		}
 		note(oerr)
 	}
 	if anyMiss {
-		return nil, "", &serve.NoSuchVersionError{Available: sortedKeys(miss)}
+		return serve.Result{}, "", &serve.NoSuchVersionError{Available: sortedKeys(miss)}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no source configured")
 	}
-	return nil, "", fmt.Errorf("%w: shard %d: %v", ErrUnavailable, s.id, lastErr)
+	return serve.Result{}, "", fmt.Errorf("%w: shard %d: %v", ErrUnavailable, s.id, lastErr)
 }
 
 // resolveLatest picks the newest committed step any reachable source
@@ -651,11 +649,11 @@ func (r *Router) resolveLatest(ctx context.Context) (uint64, error) {
 // strictly older than the last, so convergence is also value-bounded.
 const maxScatterRounds = 4
 
-// scatter serves ids' parts at one consistent version: requested (or
+// scatter serves ids' parts of q at one consistent version: requested (or
 // resolved latest), degrading to the newest version every missing part
 // can serve. All parts of the returned answer were served at exactly
 // env.ServedStep — a merged answer never mixes versions.
-func (r *Router) scatter(ctx context.Context, requested uint64, ids []int, mk func(s *shardState) attempt) ([]any, Envelope, error) {
+func (r *Router) scatter(ctx context.Context, requested uint64, ids []int, q serve.Query) ([]serve.Result, Envelope, error) {
 	env := Envelope{RequestedStep: requested}
 	target := requested
 	if requested == Latest {
@@ -668,7 +666,7 @@ func (r *Router) scatter(ctx context.Context, requested uint64, ids []int, mk fu
 	}
 	for round := 0; round < maxScatterRounds; round++ {
 		type partOut struct {
-			val any
+			res serve.Result
 			src string
 			err error
 		}
@@ -678,7 +676,7 @@ func (r *Router) scatter(ctx context.Context, requested uint64, ids []int, mk fu
 			wg.Add(1)
 			go func(i, id int) {
 				defer wg.Done()
-				v, src, err := r.servePart(ctx, r.shards[id], target, mk(r.shards[id]))
+				v, src, err := r.servePart(ctx, r.shards[id], target, q)
 				outs[i] = partOut{v, src, err}
 			}(i, id)
 		}
@@ -715,16 +713,16 @@ func (r *Router) scatter(ctx context.Context, requested uint64, ids []int, mk fu
 				env.Degraded = true
 				env.Reasons = append(env.Reasons, "stale_version")
 			}
-			vals := make([]any, len(outs))
+			parts := make([]serve.Result, len(outs))
 			for i, id := range ids {
-				vals[i] = outs[i].val
+				parts[i] = outs[i].res
 				label := fmt.Sprintf("shard%d", id)
 				if outs[i].src != "primary" {
 					label += "/" + outs[i].src
 				}
 				env.ServedBy = append(env.ServedBy, label)
 			}
-			return vals, env, nil
+			return parts, env, nil
 		}
 		// Retarget to the newest strictly-older version every missing part
 		// advertised; parts that served this round re-serve at the new
@@ -766,116 +764,68 @@ func (r *Router) finish(t0 time.Time, env *Envelope, err error) {
 	}
 }
 
-// Point answers a point lookup, routed to the owner of the point's
-// MaxLevel cell key.
+// query serves q at version: the shards that can hold an answering leaf
+// each serve their span's part at one consistent version, and the parts
+// merge — a point keeps its owner's leaf, region hits concatenate in
+// shard order (spans are ascending and disjoint, so that is the Z-order
+// merge), aggregates fold (disjoint partials merge exactly).
+func (r *Router) query(ctx context.Context, version uint64, q serve.Query) (Envelope, serve.Result, error) {
+	inc(r.mRequests)
+	t0 := time.Now()
+	ids, err := r.route(q)
+	if err != nil {
+		inc(r.mErrors)
+		return Envelope{}, serve.Result{}, err
+	}
+	parts, env, err := r.scatter(ctx, version, ids, q)
+	r.finish(t0, &env, err)
+	if err != nil {
+		return Envelope{}, serve.Result{}, err
+	}
+	res := serve.Result{Step: env.ServedStep}
+	for _, p := range parts {
+		switch q.Class {
+		case serve.ClassPoint:
+			res.Leaf = p.Leaf
+		case serve.ClassRegion:
+			res.Hits = append(res.Hits, p.Hits...)
+		default:
+			res.Agg.Merge(p.Agg)
+		}
+	}
+	return env, res, nil
+}
+
+// route returns the ascending shard ids q scatters to: the owner of a
+// point's MaxLevel cell key, or every shard that can own a leaf
+// intersecting the box.
+func (r *Router) route(q serve.Query) ([]int, error) {
+	if q.Class != serve.ClassPoint {
+		return r.smap.CandidatesForBox(q.Box)
+	}
+	cell, err := serve.CellAt(q.Point)
+	if err != nil {
+		return nil, err
+	}
+	return []int{r.smap.OwnerOf(cell.Key())}, nil
+}
+
+// Point answers a point lookup.
 func (r *Router) Point(ctx context.Context, version uint64, x, y, z float64) (PointAnswer, error) {
-	inc(r.mRequests)
-	t0 := time.Now()
-	if !(x >= 0 && x < 1 && y >= 0 && y < 1 && z >= 0 && z < 1) {
-		inc(r.mErrors)
-		return PointAnswer{}, serve.ErrOutOfDomain
-	}
-	const n = 1 << morton.MaxLevel
-	cell := morton.Encode(uint32(x*n), uint32(y*n), uint32(z*n), morton.MaxLevel)
-	owner := r.smap.OwnerOf(cell.Key())
-	mk := func(*shardState) attempt {
-		return func(actx context.Context, be Backend, v uint64) (any, error) {
-			return be.Point(actx, v, x, y, z)
-		}
-	}
-	vals, env, err := r.scatter(ctx, version, []int{owner}, mk)
-	r.finish(t0, &env, err)
-	if err != nil {
-		return PointAnswer{}, err
-	}
-	return PointAnswer{Envelope: env, Result: vals[0].(serve.PointResult)}, nil
+	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassPoint, Point: [3]float64{x, y, z}})
+	return PointAnswer{env, res.Leaf}, err
 }
 
-// Region answers a region query, scattered across every shard that can
-// own an intersecting leaf and merged in Z-order (spans are ascending
-// and disjoint, so concatenation in shard order is the sorted merge).
+// Region answers a region query.
 func (r *Router) Region(ctx context.Context, version uint64, box serve.Box) (RegionAnswer, error) {
-	inc(r.mRequests)
-	t0 := time.Now()
-	ids, err := r.smap.CandidatesForBox(box)
-	if err != nil {
-		inc(r.mErrors)
-		return RegionAnswer{}, err
-	}
-	mk := func(s *shardState) attempt {
-		span := s.span
-		return func(actx context.Context, be Backend, v uint64) (any, error) {
-			res, err := be.Region(actx, v, box, span)
-			if err != nil {
-				return nil, err
-			}
-			if res.Step != v {
-				return nil, fmt.Errorf("%w: backend %s served step %d for explicit step %d", ErrBackendDown, be.Name(), res.Step, v)
-			}
-			return res, nil
-		}
-	}
-	vals, env, err := r.scatter(ctx, version, ids, mk)
-	r.finish(t0, &env, err)
-	if err != nil {
-		return RegionAnswer{}, err
-	}
-	ans := RegionAnswer{Envelope: env}
-	for _, v := range vals {
-		ans.Hits = append(ans.Hits, v.(RegionResult).Hits...)
-	}
-	return ans, nil
+	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassRegion, Box: box})
+	return RegionAnswer{env, res.Hits}, err
 }
 
-// Aggregate answers a field aggregation: disjoint per-span partial
-// aggregates merge exactly (counts and sums add, extrema combine).
+// Aggregate answers a field aggregation.
 func (r *Router) Aggregate(ctx context.Context, version uint64, field int, box serve.Box) (AggAnswer, error) {
-	inc(r.mRequests)
-	t0 := time.Now()
-	ids, err := r.smap.CandidatesForBox(box)
-	if err != nil {
-		inc(r.mErrors)
-		return AggAnswer{}, err
-	}
-	mk := func(s *shardState) attempt {
-		span := s.span
-		return func(actx context.Context, be Backend, v uint64) (any, error) {
-			res, err := be.Aggregate(actx, v, field, box, span)
-			if err != nil {
-				return nil, err
-			}
-			if res.Step != v {
-				return nil, fmt.Errorf("%w: backend %s served step %d for explicit step %d", ErrBackendDown, be.Name(), res.Step, v)
-			}
-			return res, nil
-		}
-	}
-	vals, env, err := r.scatter(ctx, version, ids, mk)
-	r.finish(t0, &env, err)
-	if err != nil {
-		return AggAnswer{}, err
-	}
-	ans := AggAnswer{Envelope: env}
-	merged := serve.AggResult{Step: env.ServedStep}
-	first := true
-	for _, v := range vals {
-		part := v.(serve.AggResult)
-		if part.Count == 0 {
-			continue
-		}
-		merged.Count += part.Count
-		merged.Sum += part.Sum
-		merged.VolSum += part.VolSum
-		if first || part.Min < merged.Min {
-			merged.Min = part.Min
-		}
-		if first || part.Max > merged.Max {
-			merged.Max = part.Max
-		}
-		first = false
-	}
-	ans.Result = merged
-	return ans, nil
+	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassAgg, Box: box, Field: field})
+	return AggAnswer{env, res.Agg}, err
 }
 
 // Versions reports the union of committed steps across every reachable

@@ -1,9 +1,11 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -89,25 +91,11 @@ func (g *gatedBackend) gate() error {
 	return nil
 }
 
-func (g *gatedBackend) Point(ctx context.Context, v uint64, x, y, z float64) (serve.PointResult, error) {
+func (g *gatedBackend) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
 	if err := g.gate(); err != nil {
-		return serve.PointResult{}, errors.Join(ErrBackendDown, err)
+		return serve.Result{}, errors.Join(ErrBackendDown, err)
 	}
-	return g.Backend.Point(ctx, v, x, y, z)
-}
-
-func (g *gatedBackend) Region(ctx context.Context, v uint64, box serve.Box, kr serve.KeyRange) (RegionResult, error) {
-	if err := g.gate(); err != nil {
-		return RegionResult{}, errors.Join(ErrBackendDown, err)
-	}
-	return g.Backend.Region(ctx, v, box, kr)
-}
-
-func (g *gatedBackend) Aggregate(ctx context.Context, v uint64, field int, box serve.Box, kr serve.KeyRange) (serve.AggResult, error) {
-	if err := g.gate(); err != nil {
-		return serve.AggResult{}, errors.Join(ErrBackendDown, err)
-	}
-	return g.Backend.Aggregate(ctx, v, field, box, kr)
+	return g.Backend.Query(ctx, v, q)
 }
 
 func (g *gatedBackend) Versions(ctx context.Context) ([]uint64, error) {
@@ -141,18 +129,11 @@ func (f *flakyBackend) trip() bool {
 	return false
 }
 
-func (f *flakyBackend) Point(ctx context.Context, v uint64, x, y, z float64) (serve.PointResult, error) {
+func (f *flakyBackend) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
 	if f.trip() {
-		return serve.PointResult{}, ErrBackendDown
+		return serve.Result{}, ErrBackendDown
 	}
-	return f.Backend.Point(ctx, v, x, y, z)
-}
-
-func (f *flakyBackend) Region(ctx context.Context, v uint64, box serve.Box, kr serve.KeyRange) (RegionResult, error) {
-	if f.trip() {
-		return RegionResult{}, ErrBackendDown
-	}
-	return f.Backend.Region(ctx, v, box, kr)
+	return f.Backend.Query(ctx, v, q)
 }
 
 // slowBackend delays every query until the delay passes or ctx dies.
@@ -172,11 +153,21 @@ func (s *slowBackend) wait(ctx context.Context) error {
 	}
 }
 
-func (s *slowBackend) Point(ctx context.Context, v uint64, x, y, z float64) (serve.PointResult, error) {
+func (s *slowBackend) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
 	if err := s.wait(ctx); err != nil {
-		return serve.PointResult{}, err
+		return serve.Result{}, err
 	}
-	return s.Backend.Point(ctx, v, x, y, z)
+	return s.Backend.Query(ctx, v, q)
+}
+
+// skewedBackend answers every query as if from the step after the one
+// asked for.
+type skewedBackend struct{ Backend }
+
+func (s *skewedBackend) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
+	res, err := s.Backend.Query(ctx, v, q)
+	res.Step++
+	return res, err
 }
 
 // replay answers a query against the reference catalog the way the
@@ -191,7 +182,7 @@ func replayRegion(t *testing.T, ref *shardFixture, step uint64, box serve.Box) [
 		t.Fatal(err)
 	}
 	defer s.Close()
-	hits, err := s.RegionIn(box, serve.KeyRange{})
+	hits, err := s.Region(box)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,19 +249,20 @@ func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Aggregate(v=%d): %v", v, err)
 			}
-			// Replay the distributed merge exactly: per-span partials in
-			// span order.
+			// Replay the distributed merge exactly, with a fold of its own
+			// rather than AggResult.Merge: per-span partials in span order.
 			s, err := ref.cat.Acquire(wantStep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantAgg := serve.AggResult{Step: wantStep}
+			var wantAgg serve.AggResult
 			first := true
 			for i := 0; i < r.Map().Len(); i++ {
-				part, err := s.AggregateIn(0, box, r.Map().Span(i))
+				res, err := s.Query(nil, serve.Query{Class: serve.ClassAgg, Box: box, Span: r.Map().Span(i)})
 				if err != nil {
 					t.Fatal(err)
 				}
+				part := res.Agg
 				if part.Count == 0 {
 					continue
 				}
@@ -290,12 +282,15 @@ func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Close()
-			if agg.Result != wantAgg {
-				t.Fatalf("Aggregate(v=%d, %+v) = %+v, want %+v", v, box, agg.Result, wantAgg)
+			if agg.Agg != wantAgg || agg.ServedStep != wantStep {
+				t.Fatalf("Aggregate(v=%d, %+v) = %+v at step %d, want %+v", v, box, agg.Agg, agg.ServedStep, wantAgg)
 			}
-			if agg.Result.Count != whole.Count ||
-				math.Abs(agg.Result.Sum-whole.Sum) > 1e-9*(1+math.Abs(whole.Sum)) {
-				t.Fatalf("Aggregate(v=%d) diverges from single-tree: %+v vs %+v", v, agg.Result, whole)
+			// The single tree covers the same leaves: extrema match exactly,
+			// sums to rounding.
+			if agg.Agg.Count != whole.Count || agg.Agg.Min != whole.Min || agg.Agg.Max != whole.Max ||
+				math.Abs(agg.Agg.Sum-whole.Sum) > 1e-9*(1+math.Abs(whole.Sum)) ||
+				math.Abs(agg.Agg.VolSum-whole.VolSum) > 1e-9*(1+math.Abs(whole.VolSum)) {
+				t.Fatalf("Aggregate(v=%d) diverges from single-tree: %+v vs %+v", v, agg.Agg, whole)
 			}
 		}
 		for _, x := range []float64{0.01, 0.33, 0.5, 0.74, 0.99} {
@@ -312,8 +307,8 @@ func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ans.Result.Code != want.Code || ans.Result.Data != want.Data || ans.Result.Step != want.Step {
-				t.Fatalf("Point(v=%d): %+v != replay %+v", v, ans.Result, want)
+			if ans.Leaf != want || ans.ServedStep != wantStep {
+				t.Fatalf("Point(v=%d): %+v at step %d != replay %+v", v, ans.Leaf, ans.ServedStep, want)
 			}
 		}
 	}
@@ -627,47 +622,29 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 		t.Fatalf("Versions = %v, want %v", vs, steps0)
 	}
 
+	queries := []serve.Query{
+		{Class: serve.ClassPoint, Point: [3]float64{0.3, 0.6, 0.9}},
+		{Class: serve.ClassRegion, Box: testBoxes[1], Span: UniformSpans(2)[1]},
+		{Class: serve.ClassAgg, Box: testBoxes[2], Field: 1, Span: serve.FullKeyRange()},
+	}
 	for _, v := range []uint64{Latest, latest, steps0[0]} {
-		want, err := fx.be.Point(ctx, v, 0.3, 0.6, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := hb.Point(ctx, v, 0.3, 0.6, 0.9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("Point over HTTP = %+v, want %+v", got, want)
-		}
-
-		kr := UniformSpans(2)[1]
-		wantR, err := fx.be.Region(ctx, v, testBoxes[1], kr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotR, err := hb.Region(ctx, v, testBoxes[1], kr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotR.Step != wantR.Step || !sameHits(gotR.Hits, wantR.Hits) {
-			t.Fatalf("Region over HTTP = %+v, want %+v", gotR, wantR)
-		}
-
-		wantA, err := fx.be.Aggregate(ctx, v, 1, testBoxes[2], serve.KeyRange{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotA, err := hb.Aggregate(ctx, v, 1, testBoxes[2], serve.KeyRange{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotA != wantA {
-			t.Fatalf("Aggregate over HTTP = %+v, want %+v", gotA, wantA)
+		for _, q := range queries {
+			want, err := fx.be.Query(ctx, v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := hb.Query(ctx, v, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Step != want.Step || got.Leaf != want.Leaf || got.Agg != want.Agg || !sameHits(got.Hits, want.Hits) {
+				t.Fatalf("%s over HTTP = %+v, want %+v", q.Class, got, want)
+			}
 		}
 	}
 
 	// Version miss maps to NoSuchVersionError with availability.
-	_, err = hb.Point(ctx, latest+100, 0.5, 0.5, 0.5)
+	_, err = hb.Query(ctx, latest+100, queries[0])
 	avail, ok := availableVersions(err)
 	if !ok || len(avail) != len(steps0) {
 		t.Fatalf("version miss over HTTP = %v (avail %v), want NoSuchVersionError with %v", err, avail, steps0)
@@ -678,7 +655,7 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 
 	// A dead server maps to ErrBackendDown (retryable).
 	srv.Close()
-	_, err = hb.Point(ctx, Latest, 0.5, 0.5, 0.5)
+	_, err = hb.Query(ctx, Latest, queries[0])
 	if !errors.Is(err, ErrBackendDown) {
 		t.Fatalf("dead server error = %v, want ErrBackendDown", err)
 	}
@@ -807,11 +784,11 @@ func TestRouterRejectsNonFiniteParams(t *testing.T) {
 	}
 	defer r.Close()
 	h := NewHandler(r)
-	get := func(path string) (int, routedErr) {
+	get := func(path string) (int, serve.ErrorBody) {
 		t.Helper()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		var body routedErr
+		var body serve.ErrorBody
 		if rec.Code != http.StatusOK {
 			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 				t.Fatalf("GET %s: bad body %q: %v", path, rec.Body, err)
@@ -848,6 +825,175 @@ func TestRouterRejectsNonFiniteParams(t *testing.T) {
 			if !strings.HasPrefix(path, "/v1/point") && !strings.Contains(body.Error, "must be finite") {
 				t.Errorf("GET %s%s: error %q does not name the non-finite parameter", path, raw, body.Error)
 			}
+		}
+	}
+}
+
+// TestRouterRejectsWrongStepAnswers: an answer from another step than the
+// explicit one asked for is a failing backend, for every query class
+// alike: with no other source the query is unavailable, and with a
+// healthy peer the peer serves the span.
+func TestRouterRejectsWrongStepAnswers(t *testing.T) {
+	const steps = 2
+	skewed := &skewedBackend{Backend: buildBackend(t, "s0", steps, steps).be}
+	alone, err := New(Config{Shards: []ShardConfig{{Primary: skewed}}, MaxRetries: 0, Sleep: instantSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alone.Close()
+	ctx := context.Background()
+	if _, err := alone.Point(ctx, Latest, 0.5, 0.5, 0.5); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("point from a wrong-step backend: err = %v, want ErrUnavailable", err)
+	}
+	if _, err := alone.Region(ctx, Latest, testBoxes[1]); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("region from a wrong-step backend: err = %v, want ErrUnavailable", err)
+	}
+	if _, err := alone.Aggregate(ctx, Latest, 0, testBoxes[1]); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("agg from a wrong-step backend: err = %v, want ErrUnavailable", err)
+	}
+
+	peer := buildBackend(t, "s1", steps, steps)
+	r, err := New(Config{
+		Shards:     []ShardConfig{{Primary: skewed}, {Primary: peer.be}},
+		MaxRetries: 0,
+		Sleep:      instantSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ans, err := r.Point(ctx, Latest, 0.01, 0.01, 0.01) // owned by shard 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0/peer:1" {
+		t.Fatalf("served_by = %v, want [shard0/peer:1]", ans.ServedBy)
+	}
+	s, err := peer.cat.Acquire(ans.ServedStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if want, err := s.Point(0.01, 0.01, 0.01); err != nil || ans.Leaf != want {
+		t.Fatalf("point = %+v, want %+v (%v)", ans.Leaf, want, err)
+	}
+}
+
+// TestHTTPBackendSendsFilteringSpans: every span but the full one filters,
+// over HTTP as in process — {0, 0} is the single key 0, which no leaf of
+// a refined mesh has, not "no filter".
+func TestHTTPBackendSendsFilteringSpans(t *testing.T) {
+	fx := buildBackend(t, "local", 2, 2)
+	srv := httptest.NewServer(serve.NewHandler(fx.cat, fx.sched))
+	defer srv.Close()
+	hb := NewHTTPBackend("http", srv.URL, nil)
+	ctx := context.Background()
+	for _, span := range []serve.KeyRange{{}, {Lo: 0, Hi: 1 << 60}, serve.FullKeyRange()} {
+		q := serve.Query{Class: serve.ClassRegion, Box: testBoxes[0], Span: span}
+		local, err := fx.be.Query(ctx, Latest, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := hb.Query(ctx, Latest, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range append(local.Hits, remote.Hits...) {
+			if k := h.Code.Key(); k < span.Lo || k > span.Hi {
+				t.Fatalf("span %+v: hit %v outside it", span, h.Code)
+			}
+		}
+		if !sameHits(local.Hits, remote.Hits) {
+			t.Fatalf("span %+v: %d hits over HTTP, %d in process", span, len(remote.Hits), len(local.Hits))
+		}
+		if span.IsFull() && len(local.Hits) == 0 {
+			t.Fatal("fixture degenerate: no leaves")
+		}
+	}
+}
+
+// TestParamErrorsMatchAcrossSurfaces: pmserve and the router parse
+// requests with one parser, so a bad parameter gets the same 400 and the
+// same message from both.
+func TestParamErrorsMatchAcrossSurfaces(t *testing.T) {
+	fx := buildBackend(t, "s0", 1, 1)
+	r, err := New(Config{Shards: []ShardConfig{{Primary: fx.be}}, Sleep: instantSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	surfaces := []http.Handler{serve.NewHandler(fx.cat, fx.sched), NewHandler(r)}
+	for _, tc := range []struct{ path, msg string }{
+		{"/v1/point?x=0.5&y=0.5&z=0.5&version=abc", "version must be a step number"},
+		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&version=-1", "version must be a step number"},
+		{"/v1/agg?field=0&version=1.5", "version must be a step number"},
+		{"/v1/point?x=0.5&y=0.5", "point needs float parameters x, y, z"},
+		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1", `missing parameter "z1"`},
+		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&limit=-2", "limit must be a non-negative integer"},
+		{"/v1/agg?field=zero", "agg needs an integer field parameter"},
+		{"/v1/agg?field=0&klo=x", "klo must be an unsigned integer"},
+	} {
+		for i, h := range surfaces {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", tc.path, nil))
+			var body serve.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+				t.Fatalf("surface %d, GET %s: bad body %q", i, tc.path, rec.Body)
+			}
+			if rec.Code != http.StatusBadRequest || body.Error != tc.msg {
+				t.Errorf("surface %d, GET %s: %d %q, want 400 %q", i, tc.path, rec.Code, body.Error, tc.msg)
+			}
+		}
+	}
+}
+
+// TestHTTPBackendStatusesAndBodyCap: every answer status maps onto the
+// typed taxonomy, and an answer longer than the body cap is refused as
+// such — not misreported as malformed JSON.
+func TestHTTPBackendStatusesAndBodyCap(t *testing.T) {
+	versions := `{"versions":[3],"latest":3}`
+	tooLarge := func(err error) bool {
+		var e *BodyTooLargeError
+		return errors.As(err, &e) && e.Limit == maxBody && strings.Contains(e.Error(), fmt.Sprintf("%d-byte", maxBody))
+	}
+	for _, tc := range []struct {
+		name   string
+		status int
+		body   string
+		size   int // pad the body with spaces to this many bytes
+		ok     func(error) bool
+	}{
+		{"fits exactly", 200, versions, maxBody, func(err error) bool { return err == nil }},
+		{"one byte over", 200, versions, maxBody + 1, tooLarge},
+		{"far over", 200, versions, maxBody + 1<<20, tooLarge},
+		{"malformed", 200, `{"versions":`, 0, func(err error) bool {
+			var e *json.SyntaxError
+			return errors.As(err, &e)
+		}},
+		{"saturated", 503, `{"error":"full","retry_after_ms":70}`, 0, func(err error) bool {
+			var e *serve.SaturatedError
+			return errors.As(err, &e) && e.RetryAfter == 70*time.Millisecond
+		}},
+		{"version miss", 404, `{"error":"miss","available":[1,2]}`, 0, func(err error) bool {
+			av, ok := availableVersions(err)
+			return ok && len(av) == 2
+		}},
+		{"no such endpoint", 404, ``, 0, func(err error) bool { return errors.Is(err, ErrBackendDown) }},
+		{"timed out", 504, `{"error":"late"}`, 0, func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
+		{"bad request", 400, `{"error":"bad"}`, 0, func(err error) bool { return err != nil && !retryable(err) }},
+		{"server error", 500, `{"error":"boom"}`, 0, func(err error) bool { return errors.Is(err, ErrBackendDown) }},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(tc.status)
+			_, _ = w.Write([]byte(tc.body))
+			if pad := tc.size - len(tc.body); pad > 0 {
+				_, _ = w.Write(bytes.Repeat([]byte{' '}, pad))
+			}
+		}))
+		_, err := NewHTTPBackend("t", srv.URL, nil).Versions(context.Background())
+		srv.Close()
+		if !tc.ok(err) {
+			t.Errorf("%s: err = %v", tc.name, err)
 		}
 	}
 }

@@ -144,25 +144,9 @@ func (m *ShardMap) overlapping(lo, hi uint64) []int {
 // a.KeySpan() plus the owners of each ancestor key — exact, no
 // geometry-dependent misses.
 func (m *ShardMap) CandidatesForBox(box serve.Box) ([]int, error) {
-	for d := 0; d < 3; d++ {
-		if !(box.Min[d] < box.Max[d]) || box.Min[d] < 0 || box.Max[d] > 1 {
-			return nil, serve.ErrBadRegion
-		}
-	}
-	const n = 1 << morton.MaxLevel
-	var loIdx, hiIdx [3]uint32
-	for d := 0; d < 3; d++ {
-		loIdx[d] = uint32(box.Min[d] * n)
-		h := uint32(math.Ceil(box.Max[d]*n)) - 1
-		if h > n-1 {
-			h = n - 1
-		}
-		hiIdx[d] = h
-	}
-	a := morton.Encode(loIdx[0], loIdx[1], loIdx[2], morton.MaxLevel)
-	b := morton.Encode(hiIdx[0], hiIdx[1], hiIdx[2], morton.MaxLevel)
-	for a != b {
-		a, b = a.Parent(), b.Parent()
+	_, a, err := box.Cover()
+	if err != nil {
+		return nil, err
 	}
 	lo, hi := a.KeySpan()
 	ids := m.overlapping(lo, hi)

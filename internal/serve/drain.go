@@ -1,13 +1,15 @@
 package serve
 
 import (
+	"errors"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"pmoctree/internal/telemetry"
 )
+
+var errShuttingDown = errors.New("serve: shutting down")
 
 // Drainer wraps a serving handler for graceful shutdown. The SIGTERM
 // sequence a load-balanced process owes its balancer:
@@ -54,15 +56,7 @@ func (d *Drainer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if d.refused != nil {
 			d.refused.Inc()
 		}
-		secs := int64(d.retryAfter.Seconds())
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		writeJSON(w, http.StatusServiceUnavailable, errResp{
-			Error:      "serve: shutting down",
-			RetryAfter: d.retryAfter.Milliseconds(),
-		})
+		WriteRetry(w, errShuttingDown, d.retryAfter)
 		return
 	}
 	// Add under the same lock that guards the draining flag, so Shutdown

@@ -111,14 +111,14 @@ func TestRetryAfterHeaderClamp(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
-		fail(rec, &SaturatedError{RetryAfter: tc.hint})
+		WriteError(rec, &SaturatedError{RetryAfter: tc.hint})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("hint %v: status %d, want 503", tc.hint, rec.Code)
 		}
 		if got := rec.Header().Get("Retry-After"); got != tc.header {
 			t.Errorf("hint %v: Retry-After = %q, want %q", tc.hint, got, tc.header)
 		}
-		var body errResp
+		var body ErrorBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 			t.Fatalf("hint %v: bad body: %v", tc.hint, err)
 		}
@@ -228,13 +228,13 @@ func TestRestrictSpanExplicitOverride(t *testing.T) {
 	h := NewHandler(cat, sched)
 	h.RestrictSpan(low)
 
-	get := func(path string) aggResp {
+	get := func(path string) aggBody {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {
 			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
 		}
-		var out aggResp
+		var out aggBody
 		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -242,20 +242,22 @@ func TestRestrictSpanExplicitOverride(t *testing.T) {
 	}
 
 	// No klo/khi: the default span applies.
-	want, err := s.AggregateIn(0, Box{Min: [3]float64{0, 0, 0}, Max: [3]float64{1, 1, 1}}, low)
+	whole := Box{Min: [3]float64{0, 0, 0}, Max: [3]float64{1, 1, 1}}
+	res, err := s.Query(nil, Query{Class: ClassAgg, Box: whole, Span: low})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := res.Agg
 	if got := get("/v1/agg?field=0"); got.Count != want.Count || got.Sum != want.Sum {
 		t.Fatalf("default span: count=%d sum=%v, want count=%d sum=%v", got.Count, got.Sum, want.Count, want.Sum)
 	}
 
 	// Explicit klo/khi for the OTHER span: the full copy must answer
 	// exactly, not intersect down to nothing.
-	want, err = s.AggregateIn(0, Box{Min: [3]float64{0, 0, 0}, Max: [3]float64{1, 1, 1}}, high)
-	if err != nil {
+	if res, err = s.Query(nil, Query{Class: ClassAgg, Box: whole, Span: high}); err != nil {
 		t.Fatal(err)
 	}
+	want = res.Agg
 	if want.Count == 0 {
 		t.Fatal("fixture degenerate: no leaves in the high span")
 	}
@@ -367,7 +369,7 @@ func TestNonFiniteParamsRejected(t *testing.T) {
 		for _, raw := range []string{"NaN", "nan", "Inf", "-Inf", "%2BInf", "infinity", "-Infinity"} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", q.path+raw, nil))
-			var body errResp
+			var body ErrorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 				t.Fatalf("%s=%s: bad body %q: %v", q.name, raw, rec.Body, err)
 			}

@@ -150,7 +150,7 @@ func (s *Scheduler) run(batch []*request) {
 		begin := time.Now()
 		req.tc.AddSpan("queue_wait", req.enq, 0)
 		if s.reg != nil {
-			s.reg.Histogram("serve.queue_wait_ns."+req.kind).Observe(uint64(begin.Sub(req.enq)))
+			s.reg.Histogram("serve.queue_wait_ns." + req.kind).Observe(uint64(begin.Sub(req.enq)))
 		}
 		// A request whose context died while it queued (client gone,
 		// deadline passed) is dropped before any service work: servicing
@@ -169,7 +169,7 @@ func (s *Scheduler) run(batch []*request) {
 			s.errors.Inc()
 		}
 		if s.reg != nil {
-			s.reg.Histogram("serve.service_ns."+req.kind).Observe(uint64(time.Since(begin)))
+			s.reg.Histogram("serve.service_ns." + req.kind).Observe(uint64(time.Since(begin)))
 		}
 		if s.latency != nil {
 			s.latency.Observe(uint64(time.Since(req.enq)))
@@ -185,20 +185,15 @@ func (s *Scheduler) Do(kind string, fn func() (any, error)) (any, error) {
 	return s.DoCtx(context.Background(), nil, kind, fn)
 }
 
-// DoTraced is Do with a trace context carried through admission: the
-// request's queue wait is recorded as a "queue_wait" span on tc, and the
-// same tc flows into fn's closure for the query-phase spans. A nil tc
-// means untraced.
-func (s *Scheduler) DoTraced(tc *telemetry.TraceContext, kind string, fn func() (any, error)) (any, error) {
-	return s.DoCtx(context.Background(), tc, kind, fn)
-}
-
-// DoCtx is DoTraced with per-request deadline propagation: a context
-// already dead at admission is rejected without queuing, and a request
-// whose context dies while queued is dropped by the worker before any
-// service work runs, returning the context's error. Once fn has started
-// it runs to completion — callers own resources (the snapshot handle)
-// that fn borrows, so DoCtx never abandons a running fn.
+// DoCtx is Do with per-request deadline propagation and a trace context:
+// a context already dead at admission is rejected without queuing, and a
+// request whose context dies while queued is dropped by the worker before
+// any service work runs, returning the context's error. Once fn has
+// started it runs to completion — callers own resources (the snapshot
+// handle) that fn borrows, so DoCtx never abandons a running fn. The
+// request's queue wait is recorded as a "queue_wait" span on tc, which
+// flows on into fn's closure for the query-phase spans; a nil tc means
+// untraced.
 func (s *Scheduler) DoCtx(ctx context.Context, tc *telemetry.TraceContext, kind string, fn func() (any, error)) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -238,6 +233,27 @@ func (s *Scheduler) DoCtx(ctx context.Context, tc *telemetry.TraceContext, kind 
 	}
 	resp := <-req.done
 	return resp.val, resp.err
+}
+
+// Answer answers q on cat's version at step (Latest = newest) through
+// sched's admission, tracing its phases on tc (nil means untraced).
+func Answer(ctx context.Context, cat *Catalog, sched *Scheduler, tc *telemetry.TraceContext, step uint64, q Query) (Result, error) {
+	var s *Snapshot
+	var err error
+	if step == Latest {
+		s, err = cat.AcquireLatest()
+	} else {
+		s, err = cat.Acquire(step)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.Close()
+	val, err := sched.DoCtx(ctx, tc, q.Class.String(), func() (any, error) { return s.Query(tc, q) })
+	if err != nil {
+		return Result{}, err
+	}
+	return val.(Result), nil
 }
 
 // RetryAfter returns the configured rejection hint.

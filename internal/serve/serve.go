@@ -12,14 +12,17 @@
 //     catalog pins it (core.VersionPin) and retires the oldest beyond its
 //     keep depth. Readers acquire refcounted Snapshot handles; GC may reap
 //     a version only after its last snapshot closes.
-//   - Snapshot: an immutable read handle. Queries run over a flat
-//     Morton-sorted leaf index (the Cornerstone/Etree layout, built once
-//     per version with one charged walk) with binary-searched key windows
-//     — no tree pointer chasing on the hot path.
+//   - Snapshot: an immutable read handle. Every Query — point, region or
+//     aggregate — runs over a flat Morton-sorted leaf index (the
+//     Cornerstone/Etree layout, built once per version with one charged
+//     walk) with binary-searched key windows — no tree pointer chasing on
+//     the hot path.
 //   - Scheduler: bounded admission. Requests queue up to a fixed depth and
 //     are drained in small batches by worker goroutines; a full queue
 //     rejects immediately with a retry-after hint instead of collapsing
 //     under load.
+//   - Wire format (wire.go): request parsing and encoding, answer bodies
+//     and error statuses, shared with the router and its HTTP backend.
 //   - HTTP front end (http.go): the JSON surface cmd/pmserve mounts.
 //
 // All request paths emit serve.* metrics through telemetry.Registry.

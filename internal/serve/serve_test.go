@@ -61,7 +61,7 @@ func TestPointMatchesTreeDescent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Point(%v,%v,%v): %v", x, y, z, err)
 				}
-				cell, _ := cellAt(x, y, z)
+				cell, _ := CellAt([3]float64{x, y, z})
 				_, want := tree.FindLeaf(cell)
 				if res.Code != want.Code || res.Data != want.Data {
 					t.Fatalf("Point(%v,%v,%v) = %v %v, tree descent found %v %v",
@@ -146,7 +146,7 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits, _ := s.Region(box)
-	want := AggResult{Step: s.Step(), Min: math.Inf(1), Max: math.Inf(-1)}
+	want := AggResult{Min: math.Inf(1), Max: math.Inf(-1)}
 	for _, h := range hits {
 		v := h.Data[0]
 		want.Count++
@@ -164,6 +164,49 @@ func TestAggregateMatchesBruteForce(t *testing.T) {
 	}
 	if _, err := s.Aggregate(core.DataWords, box); !errors.Is(err, ErrBadField) {
 		t.Fatalf("field out of range = %v, want ErrBadField", err)
+	}
+}
+
+// TestAggMergeMatchesBruteForce: folding per-range partials with Merge,
+// empty ranges included, equals one brute-force fold over every value.
+// Values are small integers so every sum is exact in any order.
+func TestAggMergeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	fold := func(vs []float64) AggResult {
+		var a AggResult
+		for i, v := range vs {
+			if i == 0 || v < a.Min {
+				a.Min = v
+			}
+			if i == 0 || v > a.Max {
+				a.Max = v
+			}
+			a.Count++
+			a.Sum += v
+			a.VolSum += v / 8
+		}
+		return a
+	}
+	for trial := 0; trial < 200; trial++ {
+		vs := make([]float64, rng.Intn(40))
+		for i := range vs {
+			vs[i] = float64(rng.Intn(1000) - 500)
+		}
+		var got AggResult
+		for rest := vs; ; {
+			n := rng.Intn(len(rest) + 1)
+			if rng.Intn(3) == 0 {
+				n = 0 // an empty partial
+			}
+			got.Merge(fold(rest[:n]))
+			rest = rest[n:]
+			if len(rest) == 0 && rng.Intn(2) == 0 {
+				break
+			}
+		}
+		if want := fold(vs); got != want {
+			t.Fatalf("trial %d: Merge fold = %+v, brute force = %+v", trial, got, want)
+		}
 	}
 }
 
@@ -316,14 +359,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	status, body := get("/v1/versions")
-	var vr versionsResp
+	var vr VersionsBody
 	if status != 200 || json.Unmarshal(body, &vr) != nil || len(vr.Versions) != 1 {
 		t.Fatalf("/v1/versions -> %d %s", status, body)
 	}
 	step := vr.Latest
 
 	status, body = get("/v1/point?x=0.5&y=0.5&z=0.82")
-	var pr pointResp
+	var pr pointBody
 	if status != 200 || json.Unmarshal(body, &pr) != nil {
 		t.Fatalf("/v1/point -> %d %s", status, body)
 	}
@@ -332,7 +375,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	status, body = get("/v1/region?x0=0.3&y0=0.3&z0=0.3&x1=0.7&y1=0.7&z1=0.9&limit=5")
-	var rr regionResp
+	var rr regionBody
 	if status != 200 || json.Unmarshal(body, &rr) != nil {
 		t.Fatalf("/v1/region -> %d %s", status, body)
 	}
@@ -341,7 +384,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	status, body = get("/v1/agg?field=0&x0=0&y0=0&z0=0&x1=1&y1=1&z1=1")
-	var ar aggResp
+	var ar aggBody
 	if status != 200 || json.Unmarshal(body, &ar) != nil {
 		t.Fatalf("/v1/agg -> %d %s", status, body)
 	}
@@ -354,6 +397,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if status, body := get("/v1/point?x=0.5&y=0.5&z=0.5&version=99999"); status != 404 {
 		t.Fatalf("unknown version -> %d %s, want 404", status, body)
+	}
+	// The Latest sentinel spelled out means newest, as on the router.
+	status, body = get("/v1/point?x=0.5&y=0.5&z=0.82&version=18446744073709551615")
+	if status != 200 || json.Unmarshal(body, &pr) != nil || pr.Version != step {
+		t.Fatalf("version=Latest -> %d %s, want 200 at step %d", status, body, step)
+	}
+	if _, err := cat.Acquire(Latest); !errors.As(err, new(*NoSuchVersionError)) {
+		t.Fatalf("Acquire(Latest) = %v, want the exact-step miss", err)
 	}
 	if status, _ := get("/v1/region?x0=0.5&y0=0&z0=0&x1=0.4&y1=1&z1=1"); status != 400 {
 		t.Fatalf("inverted region -> %d, want 400", status)

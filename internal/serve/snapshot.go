@@ -28,8 +28,7 @@ var ErrBadField = fmt.Errorf("serve: field index outside octant data")
 type version struct {
 	pin *core.VersionPin
 
-	// The Morton leaf index: leaves in Z-order with their pre-order keys,
-	// plus the maximum leaf depth (bounds ancestor descent charges).
+	// The Morton leaf index: leaves in Z-order with their pre-order keys.
 	// Built once, on first query, with one charged walk of the pinned
 	// version; leaf data is embedded, so the query hot path never touches
 	// the arena again. Guarded by mu rather than sync.Once: a build
@@ -39,7 +38,6 @@ type version struct {
 	built  bool
 	leaves []core.LeafEntry
 	keys   []uint64
-	depth  uint8
 }
 
 // Snapshot is one acquired, refcounted read handle on a pinned committed
@@ -86,13 +84,9 @@ func (v *version) ensure() bool {
 		return false
 	}
 	var leaves []core.LeafEntry
-	depth := uint8(0)
 	v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
 			leaves = append(leaves, core.LeafEntry{Code: o.Code, Data: o.Data})
-			if l := o.Code.Level(); l > depth {
-				depth = l
-			}
 		}
 		return true
 	})
@@ -100,7 +94,7 @@ func (v *version) ensure() bool {
 	for i := range leaves {
 		keys[i] = leaves[i].Code.Key()
 	}
-	v.leaves, v.keys, v.depth = leaves, keys, depth
+	v.leaves, v.keys = leaves, keys
 	v.built = true
 	return true
 }
@@ -118,14 +112,16 @@ func (v *version) ensureTraced(tc *telemetry.TraceContext) {
 	}
 }
 
-// cellAt maps a point to its MaxLevel cell code. The domain is the unit
+// CellAt maps a point to its MaxLevel cell code. The domain is the unit
 // cube; coordinates must lie in [0, 1).
-func cellAt(x, y, z float64) (morton.Code, error) {
+func CellAt(p [3]float64) (morton.Code, error) {
 	const n = 1 << morton.MaxLevel
-	if !(x >= 0 && x < 1 && y >= 0 && y < 1 && z >= 0 && z < 1) {
-		return 0, ErrOutOfDomain
+	for _, c := range p {
+		if !(c >= 0 && c < 1) {
+			return 0, ErrOutOfDomain
+		}
 	}
-	return morton.Encode(uint32(x*n), uint32(y*n), uint32(z*n), morton.MaxLevel), nil
+	return morton.Encode(uint32(p[0]*n), uint32(p[1]*n), uint32(p[2]*n), morton.MaxLevel), nil
 }
 
 // leafAt returns the index of the leaf whose span contains key k, by
@@ -143,51 +139,6 @@ func (v *version) leafAt(k uint64) (int, error) {
 	return i, nil
 }
 
-// PointResult is the leaf answering a point lookup.
-type PointResult struct {
-	Step  uint64
-	Code  morton.Code
-	Data  [core.DataWords]float64
-	Depth uint8 // the leaf's refinement level
-}
-
-// Point returns the deepest leaf containing (x, y, z). The modeled cost —
-// charged against the pinned device — is the root-to-leaf descent the
-// index replaces.
-func (s *Snapshot) Point(x, y, z float64) (PointResult, error) {
-	return s.PointTraced(nil, x, y, z)
-}
-
-// PointTraced is Point with per-phase trace spans: index_build (when this
-// request pays for the lazy index), leaf_scan (the binary search), and
-// device_read (zero wall time, carrying the modeled descent cost). A nil
-// tc means untraced.
-func (s *Snapshot) PointTraced(tc *telemetry.TraceContext, x, y, z float64) (PointResult, error) {
-	cell, err := cellAt(x, y, z)
-	if err != nil {
-		return PointResult{}, err
-	}
-	tc.SetStep(s.Step())
-	s.v.ensureTraced(tc)
-	scan := tc.StartSpan("leaf_scan")
-	i, err := s.v.leafAt(cell.Key())
-	scan.End()
-	if err != nil {
-		return PointResult{}, err
-	}
-	leaf := s.v.leaves[i]
-	dr := tc.StartSpan("device_read")
-	modeled := s.v.pin.ChargeReadsModeled(int(leaf.Code.Level())+1, core.RecordSize)
-	dr.AddModeled(modeled)
-	dr.End()
-	return PointResult{
-		Step:  s.Step(),
-		Code:  leaf.Code,
-		Data:  leaf.Data,
-		Depth: leaf.Code.Level(),
-	}, nil
-}
-
 // Box is an axis-aligned region, half-open: [Min, Max) in each dimension,
 // within the unit cube.
 type Box struct {
@@ -195,12 +146,40 @@ type Box struct {
 	Max [3]float64
 }
 
+// Cover validates the box and returns the MaxLevel cell holding its min
+// corner and the smallest octant containing the whole box (the common
+// ancestor of its corner cells, whose key span bounds every cell in it).
+func (b Box) Cover() (corner, cover morton.Code, err error) {
+	for d := 0; d < 3; d++ {
+		if !(b.Min[d] < b.Max[d]) || b.Min[d] < 0 || b.Max[d] > 1 {
+			return 0, 0, ErrBadRegion
+		}
+	}
+	const n = 1 << morton.MaxLevel
+	var loIdx, hiIdx [3]uint32
+	for d := 0; d < 3; d++ {
+		loIdx[d] = uint32(b.Min[d] * n)
+		// Last cell strictly inside the half-open box.
+		h := uint32(math.Ceil(b.Max[d]*n)) - 1
+		if h > n-1 {
+			h = n - 1
+		}
+		hiIdx[d] = h
+	}
+	corner = morton.Encode(loIdx[0], loIdx[1], loIdx[2], morton.MaxLevel)
+	a, c := corner, morton.Encode(hiIdx[0], hiIdx[1], hiIdx[2], morton.MaxLevel)
+	for a != c {
+		a, c = a.Parent(), c.Parent()
+	}
+	return corner, a, nil
+}
+
 // KeyRange is an inclusive span of Z-order keys (morton.Code.Key values).
-// The zero value means the full key space. A sharded deployment assigns
-// each shard a disjoint range; region and aggregate queries filtered by
-// range return only leaves the shard is responsible for, so a router can
-// scatter one query across the ranges and merge exact, non-overlapping
-// results.
+// A sharded deployment assigns each shard a disjoint range; region and
+// aggregate queries filtered by range return only leaves the shard is
+// responsible for, so a router can scatter one query across the ranges
+// and merge exact, non-overlapping results. FullKeyRange() is the only
+// unfiltered value: the zero value is the single key 0.
 type KeyRange struct {
 	Lo uint64 `json:"lo"`
 	Hi uint64 `json:"hi"`
@@ -209,91 +188,172 @@ type KeyRange struct {
 // FullKeyRange spans every key.
 func FullKeyRange() KeyRange { return KeyRange{Lo: 0, Hi: math.MaxUint64} }
 
-// IsFull reports whether the range is unrestricted (the zero value and
-// the explicit full range both qualify).
-func (kr KeyRange) IsFull() bool {
-	return kr.Lo == 0 && (kr.Hi == 0 || kr.Hi == math.MaxUint64)
-}
+// IsFull reports whether the range spans every key.
+func (kr KeyRange) IsFull() bool { return kr == FullKeyRange() }
 
 // Contains reports whether key k lies in the range.
-func (kr KeyRange) Contains(k uint64) bool {
-	return kr.IsFull() || (k >= kr.Lo && k <= kr.Hi)
-}
+func (kr KeyRange) Contains(k uint64) bool { return k >= kr.Lo && k <= kr.Hi }
 
-// Intersect returns the overlap of two ranges. An empty intersection is
-// returned as {1, 0} (Lo > Hi), which Contains rejects for every key.
-func (kr KeyRange) Intersect(o KeyRange) KeyRange {
-	a, b := kr.normalized(), o.normalized()
-	if a.Lo < b.Lo {
-		a.Lo = b.Lo
-	}
-	if a.Hi > b.Hi {
-		a.Hi = b.Hi
-	}
-	if a.Lo > a.Hi {
-		return KeyRange{Lo: 1, Hi: 0}
-	}
-	return a
-}
-
-func (kr KeyRange) normalized() KeyRange {
-	if kr.IsFull() {
-		return FullKeyRange()
-	}
-	return kr
-}
-
-// LeafHit is one leaf intersecting a region query.
+// LeafHit is one leaf answering a query.
 type LeafHit struct {
 	Code morton.Code
 	Data [core.DataWords]float64
 }
 
-// regionWindow computes the contiguous Z-order leaf window that can
-// intersect box, returning [first, last] leaf indexes (inclusive) plus
-// the descent charge, or ok=false when the box is invalid.
-func (v *version) regionWindow(box Box) (first, last int, charge int, err error) {
-	for d := 0; d < 3; d++ {
-		if !(box.Min[d] < box.Max[d]) || box.Min[d] < 0 || box.Max[d] > 1 {
-			return 0, 0, 0, ErrBadRegion
+// AggResult summarizes one data field over the leaves intersecting a
+// region.
+type AggResult struct {
+	Count  int     // leaves intersecting the region
+	Sum    float64 // plain sum of the field over those leaves
+	Min    float64
+	Max    float64
+	VolSum float64 // field weighted by each leaf's cell volume
+}
+
+// Merge folds b, an aggregate over a key range disjoint from a's, into a:
+// counts and sums add, extrema combine, and an empty b changes nothing.
+func (a *AggResult) Merge(b AggResult) {
+	if b.Count == 0 {
+		return
+	}
+	if a.Count == 0 || b.Min < a.Min {
+		a.Min = b.Min
+	}
+	if a.Count == 0 || b.Max > a.Max {
+		a.Max = b.Max
+	}
+	a.Count += b.Count
+	a.Sum += b.Sum
+	a.VolSum += b.VolSum
+}
+
+// Class is a query class. Its name is the endpoint (/v1/<name>), the
+// scheduler class and the trace kind of the query.
+type Class uint8
+
+const (
+	ClassPoint  Class = iota // the leaf containing a point
+	ClassRegion              // every leaf intersecting a box
+	ClassAgg                 // one data field folded over a box
+)
+
+var classNames = [...]string{"point", "region", "agg"}
+
+func (c Class) String() string { return classNames[c] }
+
+// Query is one question to a committed version. The same value travels
+// unchanged from an HTTP request through the router and any Backend to
+// Snapshot.Query.
+type Query struct {
+	Class Class
+	Point [3]float64 // ClassPoint
+	Box   Box        // ClassRegion, ClassAgg
+	Field int        // ClassAgg: the data word folded
+	Span  KeyRange   // ClassRegion, ClassAgg: only leaves whose key lies here
+}
+
+// Result answers a Query at the snapshot's step.
+type Result struct {
+	Step uint64
+	Leaf LeafHit   // ClassPoint: the deepest leaf containing the point
+	Hits []LeafHit // ClassRegion: the leaves intersecting the box, Z-ordered
+	Agg  AggResult // ClassAgg
+}
+
+// Query answers q with per-phase trace spans on tc (nil means untraced):
+// index_build when this call pays for the lazy index, leaf_scan for the
+// binary search or window scan, and device_read, which takes no wall time
+// and carries the modeled cost of the tree descent the index replaces,
+// charged against the pinned device.
+func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
+	var cell morton.Code
+	switch q.Class {
+	case ClassPoint:
+		var err error
+		if cell, err = CellAt(q.Point); err != nil {
+			return Result{}, err
+		}
+	case ClassAgg:
+		if q.Field < 0 || q.Field >= core.DataWords {
+			return Result{}, ErrBadField
 		}
 	}
-	const n = 1 << morton.MaxLevel
-	var loIdx, hiIdx [3]uint32
-	for d := 0; d < 3; d++ {
-		loIdx[d] = uint32(box.Min[d] * n)
-		// Last cell strictly inside the half-open box.
-		h := uint32(math.Ceil(box.Max[d]*n)) - 1
-		if h > n-1 {
-			h = n - 1
-		}
-		hiIdx[d] = h
-	}
-	loCell := morton.Encode(loIdx[0], loIdx[1], loIdx[2], morton.MaxLevel)
-	hiCell := morton.Encode(hiIdx[0], hiIdx[1], hiIdx[2], morton.MaxLevel)
-	// Smallest common ancestor of the box's corner cells: its key span
-	// bounds every cell in the box.
-	a, b := loCell, hiCell
-	for a != b {
-		a, b = a.Parent(), b.Parent()
-	}
-	// The leaf containing the box's min corner may be a strict ancestor
-	// of the common ancestor: then the whole box lies inside that one
-	// leaf.
-	i, err := v.leafAt(loCell.Key())
+	res := Result{Step: s.Step()}
+	tc.SetStep(res.Step)
+	s.v.ensureTraced(tc)
+	scan := tc.StartSpan("leaf_scan")
+	charge, err := s.v.scan(q, cell, &res)
+	scan.End()
 	if err != nil {
-		return 0, 0, 0, err
+		return Result{}, err
 	}
-	if v.leaves[i].Code.Level() < a.Level() {
-		return i, i, int(v.leaves[i].Code.Level()) + 1, nil
+	dr := tc.StartSpan("device_read")
+	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
+	dr.End()
+	return res, nil
+}
+
+// scan answers q from the leaf index into res and returns the number of
+// octant reads a tree descent would have made: root to leaf for a point;
+// root to the box's cover, then the cover's leaf window, for a region or
+// aggregate, which share the window.
+func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
+	if q.Class == ClassPoint {
+		i, err := v.leafAt(cell.Key())
+		if err != nil {
+			return 0, err
+		}
+		res.Leaf = LeafHit{Code: v.leaves[i].Code, Data: v.leaves[i].Data}
+		return int(res.Leaf.Code.Level()) + 1, nil
 	}
-	lo, hi := a.KeySpan()
-	first = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
-	last = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > hi }) - 1
-	// Modeled cost: descend to the common ancestor, then walk the pruned
-	// subtree window.
-	charge = int(a.Level()) + 1 + (last - first + 1)
-	return first, last, charge, nil
+	corner, cover, err := q.Box.Cover()
+	if err != nil {
+		return 0, err
+	}
+	i, err := v.leafAt(corner.Key())
+	if err != nil {
+		return 0, err
+	}
+	first, last := i, i
+	charge := int(v.leaves[i].Code.Level()) + 1
+	// Unless the leaf holding the min corner is a strict ancestor of the
+	// cover (then the whole box lies inside that one leaf), the window is
+	// every leaf under the cover.
+	if v.leaves[i].Code.Level() >= cover.Level() {
+		lo, hi := cover.KeySpan()
+		first = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
+		last = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > hi }) - 1
+		charge = int(cover.Level()) + 1 + (last - first + 1)
+	}
+	agg := &res.Agg
+	if q.Class == ClassAgg {
+		agg.Min, agg.Max = math.Inf(1), math.Inf(-1)
+	}
+	for i := first; i <= last; i++ {
+		leaf := &v.leaves[i]
+		if !q.Span.Contains(leaf.Code.Key()) || !overlaps(leaf.Code, q.Box) {
+			continue
+		}
+		if q.Class == ClassRegion {
+			res.Hits = append(res.Hits, LeafHit{Code: leaf.Code, Data: leaf.Data})
+			continue
+		}
+		val := leaf.Data[q.Field]
+		agg.Count++
+		agg.Sum += val
+		if val < agg.Min {
+			agg.Min = val
+		}
+		if val > agg.Max {
+			agg.Max = val
+		}
+		ext := leaf.Code.Extent()
+		agg.VolSum += val * ext * ext * ext
+	}
+	if q.Class == ClassAgg && agg.Count == 0 {
+		agg.Min, agg.Max = 0, 0
+	}
+	return charge, nil
 }
 
 // overlaps reports whether the leaf's half-open cube intersects box.
@@ -309,116 +369,20 @@ func overlaps(code morton.Code, box Box) bool {
 	return true
 }
 
+// Point returns the deepest leaf containing (x, y, z).
+func (s *Snapshot) Point(x, y, z float64) (LeafHit, error) {
+	r, err := s.Query(nil, Query{Class: ClassPoint, Point: [3]float64{x, y, z}})
+	return r.Leaf, err
+}
+
 // Region returns every leaf intersecting box, in Z-order.
 func (s *Snapshot) Region(box Box) ([]LeafHit, error) {
-	return s.RegionInTraced(nil, box, KeyRange{})
-}
-
-// RegionIn is Region restricted to leaves whose Z-order key falls in kr —
-// the shard-responsibility filter.
-func (s *Snapshot) RegionIn(box Box, kr KeyRange) ([]LeafHit, error) {
-	return s.RegionInTraced(nil, box, kr)
-}
-
-// RegionTraced is Region with per-phase trace spans.
-func (s *Snapshot) RegionTraced(tc *telemetry.TraceContext, box Box) ([]LeafHit, error) {
-	return s.RegionInTraced(tc, box, KeyRange{})
-}
-
-// RegionInTraced is RegionIn with per-phase trace spans.
-func (s *Snapshot) RegionInTraced(tc *telemetry.TraceContext, box Box, kr KeyRange) ([]LeafHit, error) {
-	tc.SetStep(s.Step())
-	s.v.ensureTraced(tc)
-	scan := tc.StartSpan("leaf_scan")
-	first, last, charge, err := s.v.regionWindow(box)
-	if err != nil {
-		scan.End()
-		return nil, err
-	}
-	var hits []LeafHit
-	for i := first; i <= last; i++ {
-		if !kr.Contains(s.v.leaves[i].Code.Key()) {
-			continue
-		}
-		if overlaps(s.v.leaves[i].Code, box) {
-			hits = append(hits, LeafHit{Code: s.v.leaves[i].Code, Data: s.v.leaves[i].Data})
-		}
-	}
-	scan.End()
-	dr := tc.StartSpan("device_read")
-	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
-	dr.End()
-	return hits, nil
-}
-
-// AggResult summarizes one data field over the leaves intersecting a
-// region.
-type AggResult struct {
-	Step   uint64
-	Count  int     // leaves intersecting the region
-	Sum    float64 // plain sum of the field over those leaves
-	Min    float64
-	Max    float64
-	VolSum float64 // field weighted by each leaf's cell volume
+	r, err := s.Query(nil, Query{Class: ClassRegion, Box: box, Span: FullKeyRange()})
+	return r.Hits, err
 }
 
 // Aggregate folds data field `field` over every leaf intersecting box.
 func (s *Snapshot) Aggregate(field int, box Box) (AggResult, error) {
-	return s.AggregateInTraced(nil, field, box, KeyRange{})
-}
-
-// AggregateIn is Aggregate restricted to leaves whose Z-order key falls
-// in kr. Partial aggregates over disjoint ranges merge exactly: counts
-// and sums add, mins and maxes combine.
-func (s *Snapshot) AggregateIn(field int, box Box, kr KeyRange) (AggResult, error) {
-	return s.AggregateInTraced(nil, field, box, kr)
-}
-
-// AggregateTraced is Aggregate with per-phase trace spans.
-func (s *Snapshot) AggregateTraced(tc *telemetry.TraceContext, field int, box Box) (AggResult, error) {
-	return s.AggregateInTraced(tc, field, box, KeyRange{})
-}
-
-// AggregateInTraced is AggregateIn with per-phase trace spans.
-func (s *Snapshot) AggregateInTraced(tc *telemetry.TraceContext, field int, box Box, kr KeyRange) (AggResult, error) {
-	if field < 0 || field >= core.DataWords {
-		return AggResult{}, ErrBadField
-	}
-	tc.SetStep(s.Step())
-	s.v.ensureTraced(tc)
-	scan := tc.StartSpan("leaf_scan")
-	first, last, charge, err := s.v.regionWindow(box)
-	if err != nil {
-		scan.End()
-		return AggResult{}, err
-	}
-	res := AggResult{Step: s.Step(), Min: math.Inf(1), Max: math.Inf(-1)}
-	for i := first; i <= last; i++ {
-		leaf := s.v.leaves[i]
-		if !kr.Contains(leaf.Code.Key()) {
-			continue
-		}
-		if !overlaps(leaf.Code, box) {
-			continue
-		}
-		val := leaf.Data[field]
-		res.Count++
-		res.Sum += val
-		if val < res.Min {
-			res.Min = val
-		}
-		if val > res.Max {
-			res.Max = val
-		}
-		ext := leaf.Code.Extent()
-		res.VolSum += val * ext * ext * ext
-	}
-	if res.Count == 0 {
-		res.Min, res.Max = 0, 0
-	}
-	scan.End()
-	dr := tc.StartSpan("device_read")
-	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
-	dr.End()
-	return res, nil
+	r, err := s.Query(nil, Query{Class: ClassAgg, Box: box, Field: field, Span: FullKeyRange()})
+	return r.Agg, err
 }
