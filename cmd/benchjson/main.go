@@ -1,23 +1,11 @@
 // Command benchjson converts `go test -bench` text output on stdin into a
 // stable JSON document on stdout, so CI can archive benchmark runs
-// (BENCH_pr2.json, BENCH_pr4.json) without a third-party parser. It
-// understands the standard benchmark line format:
+// without a third-party parser. It understands the standard benchmark
+// line format:
 //
 //	BenchmarkSolveParallel-8   3   401203100 ns/op   262144 cells   4 workers
 //
 // plus the goos/goarch/cpu/pkg header lines, which become metadata.
-//
-// With -compare old.json new.json it instead acts as CI's regression
-// gate: benchmarks present in both documents are matched by name (the
-// -8 GOMAXPROCS suffix stripped, so runs from different machines
-// compare) and the command exits 1 if any ns/op regressed by more than
-// the -tolerance fraction (default 0.10).
-//
-// With -require-speedup "specs" doc.json it gates speedup RATIOS within a
-// single document: each comma-separated spec "A/B>=1.3" demands
-// ns/op(A) / ns/op(B) >= 1.3 — e.g. that the parallel tiled solve
-// actually beats the serial reference layout by 30%, not merely that
-// nothing regressed against history. Exit 1 when any spec fails.
 //
 // With -compare-quantiles baseline.json new.json it gates serving-latency
 // SLOs instead: both files are `pmserve -loadgen` SLO documents (per-class
@@ -57,44 +45,10 @@ type Doc struct {
 }
 
 func main() {
-	comparePaths := flag.Bool("compare", false, "compare two benchjson documents (old.json new.json) instead of converting; exit 1 on ns/op regressions beyond -tolerance")
 	compareQ := flag.Bool("compare-quantiles", false, "compare two pmserve -loadgen SLO documents (baseline.json new.json); exit 1 on p99 regressions beyond -tolerance and -floor-ns")
-	requireSpeedup := flag.String("require-speedup", "", `comma-separated ratio gates "A/B>=1.3" evaluated against one document's ns/op values; exit 1 when any fails`)
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional increase before a comparison fails")
+	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional p99 increase before -compare-quantiles fails")
 	floorNs := flag.Float64("floor-ns", 500_000, "absolute ns a quantile must additionally worsen by before -compare-quantiles fails (noise floor)")
 	flag.Parse()
-
-	if *comparePaths {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
-			os.Exit(2)
-		}
-		regressed, err := compare(os.Stdout, flag.Arg(0), flag.Arg(1), *tolerance)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *requireSpeedup != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "benchjson: -require-speedup needs exactly one file: doc.json")
-			os.Exit(2)
-		}
-		failed, err := checkSpeedups(os.Stdout, flag.Arg(0), *requireSpeedup)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(2)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *compareQ {
 		if flag.NArg() != 2 {
@@ -165,165 +119,6 @@ func parseLine(line string) (Result, bool) {
 		r.Metrics[f[i+1]] = v
 	}
 	return r, true
-}
-
-// baseName strips the -N GOMAXPROCS suffix go test appends to benchmark
-// names ("BenchmarkSolve-8" -> "BenchmarkSolve"), so documents recorded
-// on machines with different processor counts still match up.
-func baseName(name string) string {
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-func loadDoc(path string) (Doc, error) {
-	var doc Doc
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc, nil
-}
-
-// compare reports ns/op movement between two documents, returning true
-// when any shared benchmark got slower by more than tolerance. New or
-// vanished benchmarks are informational, never failures — a PR adding
-// benchmarks must not fail its own gate.
-func compare(w *os.File, oldPath, newPath string, tolerance float64) (regressed bool, err error) {
-	oldDoc, err := loadDoc(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newDoc, err := loadDoc(newPath)
-	if err != nil {
-		return false, err
-	}
-	oldNs := map[string]float64{}
-	for _, r := range oldDoc.Results {
-		if v, ok := r.Metrics["ns/op"]; ok && v > 0 {
-			oldNs[baseName(r.Name)] = v
-		}
-	}
-	matched := 0
-	for _, r := range newDoc.Results {
-		name := baseName(r.Name)
-		newV, ok := r.Metrics["ns/op"]
-		if !ok || newV <= 0 {
-			continue
-		}
-		oldV, ok := oldNs[name]
-		if !ok {
-			fmt.Fprintf(w, "  new   %-40s %14.0f ns/op\n", name, newV)
-			continue
-		}
-		matched++
-		delete(oldNs, name)
-		ratio := newV / oldV
-		verdict := "ok    "
-		if ratio > 1+tolerance {
-			verdict = "SLOWER"
-			regressed = true
-		} else if ratio < 1-tolerance {
-			verdict = "faster"
-		}
-		fmt.Fprintf(w, "  %s %-40s %14.0f -> %14.0f ns/op  (%+.1f%%)\n",
-			verdict, name, oldV, newV, (ratio-1)*100)
-	}
-	for name, v := range oldNs {
-		fmt.Fprintf(w, "  gone  %-40s %14.0f ns/op\n", name, v)
-	}
-	if matched == 0 {
-		return false, fmt.Errorf("no benchmark appears in both %s and %s", oldPath, newPath)
-	}
-	if regressed {
-		fmt.Fprintf(w, "benchjson: ns/op regression beyond %.0f%% tolerance\n", tolerance*100)
-	}
-	return regressed, nil
-}
-
-// speedupSpec is one parsed "A/B>=1.3" gate: ns/op(num)/ns/op(den) must
-// reach min.
-type speedupSpec struct {
-	num, den string
-	min      float64
-}
-
-// parseSpeedups splits a comma-separated spec list. Whitespace around
-// names and operators is tolerated.
-func parseSpeedups(specs string) ([]speedupSpec, error) {
-	var out []speedupSpec
-	for _, raw := range strings.Split(specs, ",") {
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			continue
-		}
-		parts := strings.SplitN(raw, ">=", 2)
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("spec %q: want A/B>=ratio", raw)
-		}
-		names := strings.SplitN(parts[0], "/", 2)
-		if len(names) != 2 {
-			return nil, fmt.Errorf("spec %q: want A/B>=ratio", raw)
-		}
-		min, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil || min <= 0 {
-			return nil, fmt.Errorf("spec %q: bad ratio %q", raw, parts[1])
-		}
-		out = append(out, speedupSpec{
-			num: strings.TrimSpace(names[0]),
-			den: strings.TrimSpace(names[1]),
-			min: min,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no speedup specs given")
-	}
-	return out, nil
-}
-
-// checkSpeedups evaluates ratio gates against one document, returning
-// true when any gate fails (or names a missing benchmark).
-func checkSpeedups(w *os.File, path, specs string) (failed bool, err error) {
-	gates, err := parseSpeedups(specs)
-	if err != nil {
-		return false, err
-	}
-	doc, err := loadDoc(path)
-	if err != nil {
-		return false, err
-	}
-	ns := map[string]float64{}
-	for _, r := range doc.Results {
-		if v, ok := r.Metrics["ns/op"]; ok && v > 0 {
-			ns[baseName(r.Name)] = v
-		}
-	}
-	for _, g := range gates {
-		numV, okN := ns[g.num]
-		denV, okD := ns[g.den]
-		if !okN || !okD {
-			fmt.Fprintf(w, "  MISSING %s/%s (have num=%v den=%v)\n", g.num, g.den, okN, okD)
-			failed = true
-			continue
-		}
-		ratio := numV / denV
-		verdict := "ok  "
-		if ratio < g.min {
-			verdict = "FAIL"
-			failed = true
-		}
-		fmt.Fprintf(w, "  %s %s/%s = %.2fx (want >= %.2fx)\n", verdict, g.num, g.den, ratio, g.min)
-	}
-	if failed {
-		fmt.Fprintln(w, "benchjson: speedup gate failed")
-	}
-	return failed, nil
 }
 
 // SLOClass mirrors cmd/pmserve's loadgen output: one query class's

@@ -31,138 +31,6 @@ func TestParseLineRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBaseName(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkSolve-8":         "BenchmarkSolve",
-		"BenchmarkSolve-16":        "BenchmarkSolve",
-		"BenchmarkSolve":           "BenchmarkSolve",
-		"BenchmarkPool/workers4-2": "BenchmarkPool/workers4",
-		"BenchmarkFig3Overlap":     "BenchmarkFig3Overlap",
-	}
-	for in, want := range cases {
-		if got := baseName(in); got != want {
-			t.Errorf("baseName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func writeDoc(t *testing.T, path string, results []Result) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(Doc{Results: results}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func res(name string, ns float64) Result {
-	return Result{Name: name, Iters: 1, Metrics: map[string]float64{"ns/op": ns}}
-}
-
-func TestCompare(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-
-	// Within tolerance (+5%), plus a new and a vanished benchmark: pass.
-	writeDoc(t, oldPath, []Result{res("BenchmarkA-8", 100), res("BenchmarkGone-8", 50)})
-	writeDoc(t, newPath, []Result{res("BenchmarkA-4", 105), res("BenchmarkNew-4", 10)})
-	regressed, err := compare(os.Stdout, oldPath, newPath, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Error("+5% flagged as a regression at 10% tolerance")
-	}
-
-	// Beyond tolerance (+25%): fail.
-	writeDoc(t, newPath, []Result{res("BenchmarkA-4", 125)})
-	regressed, err = compare(os.Stdout, oldPath, newPath, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !regressed {
-		t.Error("+25% not flagged as a regression at 10% tolerance")
-	}
-
-	// Disjoint benchmark sets: an error, not a silent pass.
-	writeDoc(t, newPath, []Result{res("BenchmarkUnrelated-4", 1)})
-	if _, err := compare(os.Stdout, oldPath, newPath, 0.10); err == nil {
-		t.Error("disjoint documents compared without error")
-	}
-}
-
-func TestParseSpeedups(t *testing.T) {
-	specs, err := parseSpeedups("BenchmarkSolveSerial/BenchmarkSolveParallel>=1.3, BenchmarkAdvectSerial / BenchmarkAdvectParallel >= 1.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 {
-		t.Fatalf("parsed %d specs, want 2", len(specs))
-	}
-	if specs[0].num != "BenchmarkSolveSerial" || specs[0].den != "BenchmarkSolveParallel" || specs[0].min != 1.3 {
-		t.Errorf("spec 0 = %+v", specs[0])
-	}
-	if specs[1].num != "BenchmarkAdvectSerial" || specs[1].den != "BenchmarkAdvectParallel" || specs[1].min != 1.0 {
-		t.Errorf("spec 1 = %+v", specs[1])
-	}
-	for _, bad := range []string{"", "A>=1.3", "A/B", "A/B>=zero", "A/B>=-2"} {
-		if _, err := parseSpeedups(bad); err == nil {
-			t.Errorf("parsed bad spec %q", bad)
-		}
-	}
-}
-
-func TestCheckSpeedups(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "doc.json")
-	writeDoc(t, path, []Result{
-		res("BenchmarkSolveSerial-8", 200),
-		res("BenchmarkSolveParallel-8", 100),
-		res("BenchmarkAdvectSerial-8", 99),
-		res("BenchmarkAdvectParallel-8", 100),
-	})
-
-	// 2.0x solve speedup passes a 1.3x gate.
-	failed, err := checkSpeedups(os.Stdout, path, "BenchmarkSolveSerial/BenchmarkSolveParallel>=1.3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Error("2.0x speedup failed a 1.3x gate")
-	}
-
-	// 0.99x advect "speedup" fails a 1.0x gate.
-	failed, err = checkSpeedups(os.Stdout, path, "BenchmarkAdvectSerial/BenchmarkAdvectParallel>=1.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Error("0.99x ratio passed a 1.0x gate")
-	}
-
-	// One passing and one failing gate: the document fails.
-	failed, err = checkSpeedups(os.Stdout, path, "BenchmarkSolveSerial/BenchmarkSolveParallel>=1.3,BenchmarkAdvectSerial/BenchmarkAdvectParallel>=1.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Error("mixed gates passed")
-	}
-
-	// A gate naming a missing benchmark fails rather than silently passing.
-	failed, err = checkSpeedups(os.Stdout, path, "BenchmarkMissing/BenchmarkSolveParallel>=1.0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Error("missing benchmark passed the gate")
-	}
-}
-
 func writeSLODoc(t *testing.T, path string, classes map[string]SLOClass) {
 	t.Helper()
 	f, err := os.Create(path)

@@ -67,7 +67,7 @@ func main() {
 		replicaList = flag.String("replicas", "", "comma-separated replica base URLs aligned with -shards (blank entry = no replica)")
 		image       = flag.String("image", "", "NVBM device image for -inproc mode")
 		inproc      = flag.Int("inproc", 0, "run this many in-process shards over -image instead of -shards")
-		images      = flag.String("images", "", "comma-separated per-shard NVBM images (pmserve -materialize output, ascending span order): each in-process shard restores only its own arena; note healthy-peer takeover cannot cover a dead shard's span in this mode, since no peer holds it")
+		images      = flag.String("images", "", "comma-separated per-shard NVBM images (pmserve -materialize output, ascending span order): each in-process shard restores only its own arena and refuses to answer outside its span, so a peer takeover of a dead shard's span fails and queries touching that span are unavailable")
 		addr        = flag.String("addr", "localhost:8078", "listen address for serve mode")
 		keep        = flag.Int("keep", 4, "committed versions to keep pinned per in-process shard")
 

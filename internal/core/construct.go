@@ -62,6 +62,19 @@ func (t *Tree) AdvanceStepTo(step uint64) error {
 // bulk errors (*bulk.DuplicateCodeError, *bulk.OverlapError, ...)
 // unwrapped, with the tree untouched.
 func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64, pool *parallel.Pool, balance bool) (int, error) {
+	return t.construct(codes, data, len(codes), pool, balance)
+}
+
+// ConstructWithFillers is ConstructFromCodes, without a balance pass, for
+// a tree that holds only part of a mesh: codes[:held] are the leaves it
+// holds and codes[held:] are fillers that merely complete the octree.
+// Filler leaves are stored with FlagFiller in the same write, so a reader
+// of any version tells held data from filler.
+func (t *Tree) ConstructWithFillers(codes []morton.Code, data [][DataWords]float64, held int, pool *parallel.Pool) (int, error) {
+	return t.construct(codes, data, held, pool, false)
+}
+
+func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held int, pool *parallel.Pool, balance bool) (int, error) {
 	if t.cur != t.committed {
 		return 0, &ConstructStateError{Step: t.step}
 	}
@@ -94,8 +107,14 @@ func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64
 			for k := 0; k < 8; k++ {
 				o.Children[k] = ref(bt.Children[8*j+k])
 			}
-			if li := bt.NodeLeaf[j]; li >= 0 && len(data) > 0 {
-				o.Data = data[bt.SrcIdx[li]]
+			if li := bt.NodeLeaf[j]; li >= 0 {
+				src := int(bt.SrcIdx[li])
+				if len(data) > 0 {
+					o.Data = data[src]
+				}
+				if src >= held {
+					o.Flags = FlagFiller
+				}
 			}
 			o.encode(buf[j*stride:])
 		}

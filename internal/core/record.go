@@ -26,6 +26,10 @@ const (
 	// FlagDeleted marks an octant unlinked from the working version and
 	// awaiting garbage collection (deferred deletion, §3.2).
 	FlagDeleted uint32 = 1 << 0
+	// FlagFiller marks a leaf that only completes the octree of a tree
+	// holding part of a mesh (ConstructWithFillers): its payload is not
+	// data, and readers must not answer from it.
+	FlagFiller uint32 = 1 << 1
 )
 
 // Record layout (little-endian, RecordSize bytes):
@@ -88,3 +92,6 @@ func (o *Octant) IsLeaf() bool {
 
 // Deleted reports whether the octant carries the deferred-deletion mark.
 func (o *Octant) Deleted() bool { return o.Flags&FlagDeleted != 0 }
+
+// Filler reports whether the octant is a filler leaf.
+func (o *Octant) Filler() bool { return o.Flags&FlagFiller != 0 }

@@ -25,11 +25,9 @@ import (
 
 // Serial cutoffs for pool.RunMin. Advection is the expensive sweep, so it
 // parallelizes profitably on small meshes; the body-force and
-// gradient-correction loops are a handful of flops per cell. The advect
-// cutoff is retuned for the fused sampler (pr9): one characteristic now
-// costs one container lookup plus eight corner lookups TOTAL — roughly a
-// quarter of the legacy per-field cost — so the range where spawn-and-join
-// overhead beats the sweep is correspondingly four times longer.
+// gradient-correction loops are a handful of flops per cell. One
+// characteristic costs one container lookup plus eight corner lookups for
+// all four fields together, which sets the advect cutoff.
 const (
 	minAdvect = 2048
 	minAxpy   = 1 << 15
@@ -49,9 +47,6 @@ type State struct {
 	div, gx, gy, gz  []float64
 	u2, v2, w2, vof2 []float64
 	lastDt           float64
-
-	// ref selects the legacy per-field advection sampling (see advectRef).
-	ref bool
 
 	// pool schedules the advection sweep and the per-cell update loops;
 	// nil runs them inline. The projection solve follows Sys's pool.
@@ -78,16 +73,6 @@ func (st *State) SetWorkers(n int) {
 func (st *State) SetPool(p *parallel.Pool) {
 	st.pool = p
 	st.Sys.SetPool(p)
-}
-
-// SetReferenceMode selects the legacy advection path: four independent
-// sample() calls per cell, each re-locating the stencil corners. Results
-// are bit-identical to the fused default; the reference path exists for
-// the A/B benchmarks and the test pinning that identity. The projection
-// system's layout mode is switched along with it.
-func (st *State) SetReferenceMode(on bool) {
-	st.ref = on
-	st.Sys.SetReferenceMode(on)
 }
 
 // NewState builds a zero flow state over the mesh cells.
@@ -120,43 +105,6 @@ func (st *State) CFL() float64 {
 		return 1e-2
 	}
 	return dt
-}
-
-// cellValue reads the piecewise-constant field at a point.
-func (st *State) cellValue(field []float64, x, y, z float64) float64 {
-	if i, ok := st.Sys.CellAt(x, y, z); ok {
-		return field[i]
-	}
-	return 0
-}
-
-// sample interpolates the field at a point: trilinear over a virtual
-// uniform grid at the local cell size (exact on uniform regions; a
-// consistent approximation across 2:1 coarse-fine boundaries). Piecewise-
-// constant sampling would freeze any advection smaller than half a cell
-// per step, so interpolation is essential for semi-Lagrangian transport.
-func (st *State) sample(field []float64, x, y, z float64) float64 {
-	i, ok := st.Sys.CellAt(x, y, z)
-	if !ok {
-		return 0
-	}
-	h := st.Sys.Extent(i)
-	gx, gy, gz := x/h-0.5, y/h-0.5, z/h-0.5
-	ix, iy, iz := math.Floor(gx), math.Floor(gy), math.Floor(gz)
-	fx, fy, fz := gx-ix, gy-iy, gz-iz
-	acc := 0.0
-	for k := 0; k < 8; k++ {
-		ax, ay, az := float64(k&1), float64((k>>1)&1), float64((k>>2)&1)
-		w := lerpw(fx, ax) * lerpw(fy, ay) * lerpw(fz, az)
-		if w == 0 {
-			continue
-		}
-		px := (ix + ax + 0.5) * h
-		py := (iy + ay + 0.5) * h
-		pz := (iz + az + 0.5) * h
-		acc += w * st.cellValue(field, clamp01(px), clamp01(py), clamp01(pz))
-	}
-	return acc
 }
 
 func lerpw(f, a float64) float64 {
@@ -225,14 +173,13 @@ func (st *State) Step(dt float64) (solver.Result, error) {
 	return res, nil
 }
 
-// sample4 interpolates all four advected fields at one point, locating
-// the container cell and the eight stencil corners ONCE and applying the
-// same weights to U, V, W and VOF. The legacy path ran the full lookup
-// cascade four times — once per field — so this is the advection
-// equivalent of the solver's SoA flattening: identical arithmetic per
-// field (same corner cells, same weights, same accumulation order, so the
-// results are bit-identical to four sample() calls), a quarter of the
-// point-location work.
+// sample4 interpolates all four advected fields at one point: trilinear
+// over a virtual uniform grid at the local cell size (exact on uniform
+// regions; a consistent approximation across 2:1 coarse-fine boundaries).
+// Piecewise-constant sampling would freeze any advection smaller than half
+// a cell per step, so interpolation is essential for semi-Lagrangian
+// transport. The container cell and the eight stencil corners are located
+// once and the same weights applied to U, V, W and VOF.
 func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
 	i, ok := st.Sys.CellAt(x, y, z)
 	if !ok {
@@ -257,8 +204,9 @@ func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
 			w += wt * st.W[j]
 			vof += wt * st.VOF[j]
 		} else {
-			// The legacy path accumulated wt*0 here; adding the same +0
-			// keeps the sums bit-identical even around signed zeros.
+			// A corner CellAt does not locate reads as 0. Adding wt*0 rather
+			// than skipping the term keeps the sums bit-identical to one
+			// sample per field, signed zeros included.
 			u += wt * 0
 			v += wt * 0
 			w += wt * 0
@@ -272,10 +220,6 @@ func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
 // fraction. Every cell samples only the PREVIOUS field (u2..vof2 are the
 // targets), so the sweep parallelizes with bit-identical results.
 func (st *State) advect(dt float64) {
-	if st.ref {
-		st.advectRef(dt)
-		return
-	}
 	n := st.Sys.N()
 	st.pool.RunMin(n, minAdvect, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -284,27 +228,6 @@ func (st *State) advect(dt float64) {
 			by := cy - dt*st.V[i]
 			bz := cz - dt*st.W[i]
 			st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(bx, by, bz)
-		}
-	})
-	copy(st.U, st.u2)
-	copy(st.V, st.v2)
-	copy(st.W, st.w2)
-	copy(st.VOF, st.vof2)
-}
-
-// advectRef is the legacy advection sweep: one full sample per field.
-func (st *State) advectRef(dt float64) {
-	n := st.Sys.N()
-	st.pool.RunMin(n, minAdvect, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cx, cy, cz := st.Sys.Center(i)
-			bx := cx - dt*st.U[i]
-			by := cy - dt*st.V[i]
-			bz := cz - dt*st.W[i]
-			st.u2[i] = st.sample(st.U, bx, by, bz)
-			st.v2[i] = st.sample(st.V, bx, by, bz)
-			st.w2[i] = st.sample(st.W, bx, by, bz)
-			st.vof2[i] = st.sample(st.VOF, bx, by, bz)
 		}
 	})
 	copy(st.U, st.u2)

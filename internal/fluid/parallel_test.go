@@ -70,9 +70,9 @@ func TestStepWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestAdvectFusedMatchesReference pins the fused sampler to the legacy
-// per-field path: the same corner cells, weights and accumulation order
-// must give bit-identical fields.
+// TestAdvectFusedMatchesReference pins the fused sampler to the per-field
+// oracle: the same corner cells, weights and accumulation order must give
+// bit-identical fields.
 func TestAdvectFusedMatchesReference(t *testing.T) {
 	tr := octree.New()
 	tr.RefineWhere(func(c morton.Code) bool {
@@ -87,9 +87,12 @@ func TestAdvectFusedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := pouredState(t, sys)
-		st.SetReferenceMode(reference)
 		for step := 0; step < 4; step++ {
-			st.advect(2e-3)
+			if reference {
+				st.advectRef(2e-3)
+			} else {
+				st.advect(2e-3)
+			}
 		}
 		return st
 	}
@@ -113,11 +116,10 @@ func TestAdvectFusedMatchesReference(t *testing.T) {
 }
 
 // benchAdvect times one semi-Lagrangian advection sweep over a uniform
-// 32^3 mesh — the per-cell octree point lookups are the hot path.
-// reference selects the legacy per-field sampler (the pre-pr9 layout);
-// the default is the fused sample4 sweep, so Serial-vs-TiledSerial
-// isolates the sampling win and TiledSerial-vs-Parallel the scheduling.
-func benchAdvect(b *testing.B, workers int, reference bool) {
+// 32^3 mesh — the per-cell octree point lookups are the hot path. Serial
+// is the same fused sweep at one worker, so Serial-vs-Parallel isolates
+// the scheduling win.
+func benchAdvect(b *testing.B, workers int) {
 	tr := octree.New()
 	tr.RefineWhere(func(morton.Code) bool { return true }, 5)
 	sys, err := solver.Build(tr.LeafCodes())
@@ -126,7 +128,6 @@ func benchAdvect(b *testing.B, workers int, reference bool) {
 	}
 	st := pouredState(b, sys)
 	st.SetWorkers(workers)
-	st.SetReferenceMode(reference)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.advect(1e-3)
@@ -134,6 +135,5 @@ func benchAdvect(b *testing.B, workers int, reference bool) {
 	b.ReportMetric(float64(sys.N()), "cells")
 }
 
-func BenchmarkAdvectSerial(b *testing.B)      { benchAdvect(b, 1, true) }
-func BenchmarkAdvectTiledSerial(b *testing.B) { benchAdvect(b, 1, false) }
-func BenchmarkAdvectParallel(b *testing.B)    { benchAdvect(b, 4, false) }
+func BenchmarkAdvectSerial(b *testing.B)   { benchAdvect(b, 1) }
+func BenchmarkAdvectParallel(b *testing.B) { benchAdvect(b, 4) }

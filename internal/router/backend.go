@@ -51,9 +51,9 @@ func availableVersions(err error) ([]uint64, bool) {
 }
 
 // observe classifies one call outcome into the health tracker's three
-// signals. A version miss or a bad request is a *successful* answer for
-// health purposes: the shard is alive and responsive, it just does not
-// hold what was asked.
+// signals. A version miss, a bad request or a not-held refusal is a
+// *successful* answer for health purposes: the shard is alive and
+// responsive, it just does not hold what was asked.
 func observe(t *HealthTracker, err error) {
 	var sat *serve.SaturatedError
 	switch {
@@ -131,9 +131,9 @@ func (b *LocalBackend) Probe(ctx context.Context) error {
 // HTTPBackend serves a shard over the pmserve JSON surface, translating
 // HTTP statuses back into the typed error taxonomy: 503 + retry_after_ms
 // -> serve.SaturatedError, 404 + available -> serve.NoSuchVersionError,
-// 504 -> context.DeadlineExceeded, transport errors and other 5xx ->
-// ErrBackendDown, an answer longer than the body cap ->
-// *BodyTooLargeError.
+// 421 -> serve.ErrNotHeld, 504 -> context.DeadlineExceeded, transport
+// errors and other 5xx -> ErrBackendDown, an answer longer than the body
+// cap -> *BodyTooLargeError.
 type HTTPBackend struct {
 	name   string
 	base   string // "http://host:port"
@@ -202,6 +202,8 @@ func (b *HTTPBackend) get(ctx context.Context, path string) ([]byte, error) {
 			return nil, &serve.NoSuchVersionError{Available: eb.Available}
 		}
 		return nil, fmt.Errorf("%w: %s returned 404", ErrBackendDown, path)
+	case http.StatusMisdirectedRequest:
+		return nil, fmt.Errorf("%w: backend %s", serve.ErrNotHeld, b.name)
 	case http.StatusGatewayTimeout:
 		return nil, context.DeadlineExceeded
 	default:

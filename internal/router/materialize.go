@@ -21,12 +21,13 @@ type MaterializeStats struct {
 // span of src's data: every source leaf whose cell range intersects the
 // span's cells (this includes a leaf straddling each span boundary, which
 // keeps the zero-payload fillers' keys strictly outside the span — a
-// router's span-filtered scatter can never surface a filler), with the
-// rest of the domain tiled by the minimal zero-payload complement cover
-// (internal/bulk). The result is a valid complete octree constructed in
-// one bulk allocation and committed at src's committed step, so per-shard
-// catalogs stay version-consistent with the full arena; its device
-// footprint scales with the span's share of the data, not the whole mesh.
+// router's span-filtered scatter to the shard never meets a filler), with
+// the rest of the domain tiled by the minimal zero-payload complement
+// cover (internal/bulk), marked as fillers. The result is a valid complete
+// octree constructed in one bulk allocation and committed at src's
+// committed step, so per-shard catalogs stay version-consistent with the
+// full arena; its device footprint scales with the span's share of the
+// data, not the whole mesh.
 //
 // src must be at a step boundary with at least one committed version (a
 // freshly restored serving tree is). cfg supplies the destination devices;
@@ -70,7 +71,9 @@ func MaterializeShard(src *core.Tree, span serve.KeyRange, cfg core.Config, pool
 	}
 	// No balance pass: the span's fine leaves legitimately abut coarse
 	// fillers, and queries only need a complete octree, not a graded one.
-	nn, err := dst.ConstructFromCodes(all, allData, pool, false)
+	// The fillers carry core.FlagFiller, so serving refuses to answer from
+	// them (serve.ErrNotHeld).
+	nn, err := dst.ConstructWithFillers(all, allData, len(codes), pool)
 	if err != nil {
 		return nil, st, err
 	}

@@ -2,7 +2,10 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -161,6 +164,71 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		if dev.Size() >= srcDev.Size() {
 			t.Fatalf("shard %d device is %d bytes, full arena %d — no footprint win", i, dev.Size(), srcDev.Size())
 		}
+	}
+}
+
+// TestTakeoverRefusesMaterializedFillers: a materialized shard holds only
+// its own span and tiles the rest of the domain with zero-payload fillers.
+// With the other shard down and no replica, peer takeover must not answer
+// the dead span from those fillers: every query touching it is
+// unavailable, while the peer's own span still answers, and the peer's
+// health and breaker stay untouched.
+func TestTakeoverRefusesMaterializedFillers(t *testing.T) {
+	src, _ := buildSourceTree(t, 3, 6)
+	fx0, _, _ := materializedFixture(t, src, 0, 2)
+	dead := &gatedBackend{Backend: fx0.be}
+	dead.down.Store(true)
+	r, err := New(Config{Shards: []ShardConfig{{Primary: fx0.be}, {Primary: dead}}, Seed: 1, Sleep: instantSleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+
+	owner := func(p [3]float64) int {
+		cell, err := serve.CellAt(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Map().OwnerOf(cell.Key())
+	}
+	for _, p := range [][3]float64{{0.5, 0.5, 0.9}, {0.1, 0.9, 0.6}, {0.9, 0.1, 0.55}, {0.51, 0.49, 0.75}} {
+		if owner(p) != 1 {
+			t.Fatalf("point %v is not in shard 1's span", p)
+		}
+		if ans, err := r.Point(ctx, Latest, p[0], p[1], p[2]); !errors.Is(err, ErrUnavailable) {
+			t.Errorf("point %v in the dead span: %v %+v, want ErrUnavailable", p, err, ans)
+		}
+		if _, err := fx0.be.Query(ctx, src.CommittedStep(), serve.Query{Class: serve.ClassPoint, Point: p}); !errors.Is(err, serve.ErrNotHeld) {
+			t.Errorf("materialized shard 0 asked for %v: %v, want serve.ErrNotHeld", p, err)
+		}
+	}
+	whole := testBoxes[0]
+	if ans, err := r.Aggregate(ctx, Latest, 0, whole); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("whole-domain aggregate: %v %+v, want ErrUnavailable", err, ans)
+	}
+	if ans, err := r.Region(ctx, Latest, whole); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("whole-domain region: %v, %d hits, want ErrUnavailable", err, len(ans.Hits))
+	}
+
+	// Shard 0's own span still answers, from its primary.
+	p := [3]float64{0.5, 0.5, 0.1}
+	if owner(p) != 0 {
+		t.Fatalf("point %v is not in shard 0's span", p)
+	}
+	ans, err := r.Point(ctx, Latest, p[0], p[1], p[2])
+	if err != nil || ans.Degraded || len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0" {
+		t.Fatalf("point in shard 0's span: %v %+v", err, ans.Envelope)
+	}
+	if info := r.Shards()[0]; info.Health != "healthy" || info.Breaker != "closed" {
+		t.Errorf("peer after refusing takeovers: health %s, breaker %s", info.Health, info.Breaker)
+	}
+
+	// pmserve's surface answers a filler point with 421.
+	rec := httptest.NewRecorder()
+	serve.NewHandler(fx0.cat, fx0.sched).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/point?x=0.5&y=0.5&z=0.9", nil))
+	if rec.Code != http.StatusMisdirectedRequest {
+		t.Errorf("filler point over HTTP: %d %s, want 421", rec.Code, rec.Body)
 	}
 }
 

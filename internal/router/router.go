@@ -531,13 +531,15 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 
 // servePart serves one shard's portion of a query — q filtered by the
 // shard's span — at an exact version, walking the fallback chain: primary
-// (retries + hedging) -> recovery replica -> healthy peer takeover (every
-// arena holds the full image, so a peer filtered by this shard's span
-// answers identically). When every source is up but none holds the
-// version, the returned error is a NoSuchVersionError whose availability
-// is the union across sources, so the caller can retarget to a stale
-// version. src reports where the answer came from: "primary", "replica",
-// or "peer:<n>".
+// (retries + hedging) -> recovery replica -> healthy peer takeover. A
+// full-copy peer filtered by this shard's span answers identically; a
+// materialized peer holds only its own span and refuses with
+// serve.ErrNotHeld, which fails that source alone (it is neither retried
+// nor counted against the peer's health or breaker). When every source is
+// up but none holds the version, the returned error is a
+// NoSuchVersionError whose availability is the union across sources, so
+// the caller can retarget to a stale version. src reports where the
+// answer came from: "primary", "replica", or "peer:<n>".
 func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, q serve.Query) (res serve.Result, src string, err error) {
 	q.Span = s.span
 	miss := map[uint64]bool{}
@@ -800,6 +802,9 @@ func (r *Router) query(ctx context.Context, version uint64, q serve.Query) (Enve
 // point's MaxLevel cell key, or every shard that can own a leaf
 // intersecting the box.
 func (r *Router) route(q serve.Query) ([]int, error) {
+	if err := q.CheckField(); err != nil {
+		return nil, err
+	}
 	if q.Class != serve.ClassPoint {
 		return r.smap.CandidatesForBox(q.Box)
 	}

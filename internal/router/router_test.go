@@ -932,6 +932,8 @@ func TestParamErrorsMatchAcrossSurfaces(t *testing.T) {
 		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&limit=-2", "limit must be a non-negative integer"},
 		{"/v1/agg?field=zero", "agg needs an integer field parameter"},
 		{"/v1/agg?field=0&klo=x", "klo must be an unsigned integer"},
+		{"/v1/agg?field=9", serve.ErrBadField.Error()},
+		{"/v1/agg?field=-1&x0=0&y0=0&z0=0&x1=1&y1=1&z1=1", serve.ErrBadField.Error()},
 	} {
 		for i, h := range surfaces {
 			rec := httptest.NewRecorder()
@@ -979,6 +981,7 @@ func TestHTTPBackendStatusesAndBodyCap(t *testing.T) {
 			return ok && len(av) == 2
 		}},
 		{"no such endpoint", 404, ``, 0, func(err error) bool { return errors.Is(err, ErrBackendDown) }},
+		{"not held", 421, `{"error":"filler"}`, 0, func(err error) bool { return errors.Is(err, serve.ErrNotHeld) && !retryable(err) }},
 		{"timed out", 504, `{"error":"late"}`, 0, func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
 		{"bad request", 400, `{"error":"bad"}`, 0, func(err error) bool { return err != nil && !retryable(err) }},
 		{"server error", 500, `{"error":"boom"}`, 0, func(err error) bool { return errors.Is(err, ErrBackendDown) }},

@@ -23,6 +23,12 @@ var ErrBadRegion = fmt.Errorf("serve: region box is empty or inverted")
 // data words.
 var ErrBadField = fmt.Errorf("serve: field index outside octant data")
 
+// ErrNotHeld is returned when an answer would come from a filler leaf
+// (core.FlagFiller): a materialized shard arena holds only its own key
+// span and completes its octree with zero-payload fillers, which are not
+// data of the mesh and must never be served as if they were.
+var ErrNotHeld = fmt.Errorf("serve: answer lies outside the data this arena holds")
+
 // version is the shared, lazily indexed state of one pinned committed
 // version. All Snapshot handles on the same version share it.
 type version struct {
@@ -34,10 +40,11 @@ type version struct {
 	// the arena again. Guarded by mu rather than sync.Once: a build
 	// aborted by a fault-injection panic (chaos soak cuts power under
 	// readers) must stay unbuilt and be retried, not be poisoned empty.
-	mu     sync.Mutex
-	built  bool
-	leaves []core.LeafEntry
-	keys   []uint64
+	mu      sync.Mutex
+	built   bool
+	leaves  []core.LeafEntry
+	keys    []uint64
+	fillers []int // ascending positions in leaves of filler leaves
 }
 
 // Snapshot is one acquired, refcounted read handle on a pinned committed
@@ -84,8 +91,12 @@ func (v *version) ensure() bool {
 		return false
 	}
 	var leaves []core.LeafEntry
+	var fillers []int
 	v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
+			if o.Filler() {
+				fillers = append(fillers, len(leaves))
+			}
 			leaves = append(leaves, core.LeafEntry{Code: o.Code, Data: o.Data})
 		}
 		return true
@@ -94,7 +105,7 @@ func (v *version) ensure() bool {
 	for i := range leaves {
 		keys[i] = leaves[i].Code.Key()
 	}
-	v.leaves, v.keys = leaves, keys
+	v.leaves, v.keys, v.fillers = leaves, keys, fillers
 	v.built = true
 	return true
 }
@@ -252,6 +263,16 @@ type Query struct {
 	Span  KeyRange   // ClassRegion, ClassAgg: only leaves whose key lies here
 }
 
+// CheckField rejects an aggregation over a field outside the octant data
+// words. It is the one check of a Query that needs no committed version:
+// the request parser, the router and Snapshot.Query all run it.
+func (q Query) CheckField() error {
+	if q.Class == ClassAgg && (q.Field < 0 || q.Field >= core.DataWords) {
+		return ErrBadField
+	}
+	return nil
+}
+
 // Result answers a Query at the snapshot's step.
 type Result struct {
 	Step uint64
@@ -266,16 +287,14 @@ type Result struct {
 // and carries the modeled cost of the tree descent the index replaces,
 // charged against the pinned device.
 func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
+	if err := q.CheckField(); err != nil {
+		return Result{}, err
+	}
 	var cell morton.Code
-	switch q.Class {
-	case ClassPoint:
+	if q.Class == ClassPoint {
 		var err error
 		if cell, err = CellAt(q.Point); err != nil {
 			return Result{}, err
-		}
-	case ClassAgg:
-		if q.Field < 0 || q.Field >= core.DataWords {
-			return Result{}, ErrBadField
 		}
 	}
 	res := Result{Step: s.Step()}
@@ -296,12 +315,16 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 // scan answers q from the leaf index into res and returns the number of
 // octant reads a tree descent would have made: root to leaf for a point;
 // root to the box's cover, then the cover's leaf window, for a region or
-// aggregate, which share the window.
+// aggregate, which share the window. An answer that would include a
+// filler leaf is refused with ErrNotHeld.
 func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 	if q.Class == ClassPoint {
 		i, err := v.leafAt(cell.Key())
 		if err != nil {
 			return 0, err
+		}
+		if k := sort.SearchInts(v.fillers, i); k < len(v.fillers) && v.fillers[k] == i {
+			return 0, ErrNotHeld
 		}
 		res.Leaf = LeafHit{Code: v.leaves[i].Code, Data: v.leaves[i].Data}
 		return int(res.Leaf.Code.Level()) + 1, nil
@@ -324,6 +347,11 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		first = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
 		last = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > hi }) - 1
 		charge = int(cover.Level()) + 1 + (last - first + 1)
+	}
+	for k := sort.SearchInts(v.fillers, first); k < len(v.fillers) && v.fillers[k] <= last; k++ {
+		if leaf := &v.leaves[v.fillers[k]]; q.Span.Contains(leaf.Code.Key()) && overlaps(leaf.Code, q.Box) {
+			return 0, ErrNotHeld
+		}
 	}
 	agg := &res.Agg
 	if q.Class == ClassAgg {

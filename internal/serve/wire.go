@@ -92,6 +92,9 @@ func ParseRequest(u *url.URL, span KeyRange) (Request, error) {
 		if req.Field, err = strconv.Atoi(p.Get("field")); err != nil {
 			return Request{}, ParamError("agg needs an integer field parameter")
 		}
+		if err = req.CheckField(); err != nil {
+			return Request{}, err
+		}
 	default:
 		return Request{}, ParamError(fmt.Sprintf("no query endpoint at %q", u.Path))
 	}
@@ -341,8 +344,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 
 // WriteError answers err with the status its type maps to: 503 with a
 // retry hint for saturation, 404 with the available steps for a version
-// miss, 400 for a bad parameter, point, box or field, 503 for a closed
-// catalog or scheduler, 504 for an expired request, 500 otherwise.
+// miss, 400 for a bad parameter, point, box or field, 421 for an answer
+// outside the data the arena holds, 503 for a closed catalog or
+// scheduler, 504 for an expired request, 500 otherwise.
 func WriteError(w http.ResponseWriter, err error) {
 	var sat *SaturatedError
 	var nosuch *NoSuchVersionError
@@ -354,6 +358,8 @@ func WriteError(w http.ResponseWriter, err error) {
 		WriteJSON(w, http.StatusNotFound, ErrorBody{Error: err.Error(), Available: nosuch.Available})
 	case errors.As(err, &perr), errors.Is(err, ErrOutOfDomain), errors.Is(err, ErrBadRegion), errors.Is(err, ErrBadField):
 		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
+	case errors.Is(err, ErrNotHeld):
+		WriteJSON(w, http.StatusMisdirectedRequest, ErrorBody{Error: err.Error()})
 	case errors.Is(err, ErrCatalogClosed), errors.Is(err, ErrSchedulerClosed):
 		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{Error: err.Error()})
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):

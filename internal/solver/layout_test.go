@@ -1,25 +1,76 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"pmoctree/internal/morton"
 )
 
-// TestCSRMatchesReferenceBitIdentical pins the layout contract: every
-// kernel must produce bit-identical output sweeping the flat CSR arrays
-// and sweeping the legacy AoS face lists, on an adaptive mesh where
-// matched, coarse, fine and wall faces all occur.
+// TestBuildMatchesReferenceAssembly pins Build's one-pass assembly over
+// the sorted key index to the map-and-face-list oracle: every array the
+// kernels read is bit-identical, on adaptive meshes (matched, coarser,
+// finer and wall faces), uniform meshes and a single cell.
+func TestBuildMatchesReferenceAssembly(t *testing.T) {
+	meshes := map[string][]morton.Code{"single": {morton.Root}}
+	for l := uint8(3); l <= 5; l++ {
+		meshes[fmt.Sprintf("adaptive%d", l)] = adaptiveLeaves(l)
+	}
+	for l := uint8(1); l <= 4; l++ {
+		meshes[fmt.Sprintf("uniform%d", l)] = uniformLeaves(l)
+	}
+	for name, leaves := range meshes {
+		t.Run(name, func(t *testing.T) {
+			got, err := Build(leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := referenceBuild(leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ref.flatten()
+			for _, a := range []struct {
+				name      string
+				got, want any
+			}{
+				{"codes", got.codes, want.codes},
+				{"diag", got.diag, want.diag},
+				{"rowStart", got.rowStart, want.rowStart},
+				{"nb", got.nb, want.nb},
+				{"tr", got.tr, want.tr},
+				{"fdir", got.fdir, want.fdir},
+				{"farea", got.farea, want.farea},
+				{"extent", got.extent, want.extent},
+				{"vol", got.vol, want.vol},
+				{"keys", got.keys, want.keys},
+				{"perm", got.perm, want.perm},
+			} {
+				// DeepEqual compares float64 elements with ==; no array
+				// holds a NaN or a signed zero, so this is bit equality.
+				if !reflect.DeepEqual(a.got, a.want) {
+					t.Errorf("%s differs from the reference assembly", a.name)
+				}
+			}
+		})
+	}
+}
+
+// TestCSRMatchesReferenceBitIdentical pins every kernel of the CSR System
+// to the AoS face-list oracle, on an adaptive mesh where matched, coarse,
+// fine and wall faces all occur.
 func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 	leaves := adaptiveLeaves(4)
 	csr, err := Build(leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(leaves)
+	ref, err := referenceBuild(leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetReferenceMode(true)
 	n := csr.N()
 
 	rng := rand.New(rand.NewSource(17))
@@ -43,27 +94,27 @@ func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 	ya, yb := make([]float64, n), make([]float64, n)
 
 	csr.Apply(x, ya)
-	ref.Apply(x, yb)
+	ref.apply(x, yb)
 	check("Apply", ya, yb)
 
 	csr.ApplyNeumann(x, ya)
-	ref.ApplyNeumann(x, yb)
+	ref.applyNeumann(x, yb)
 	check("ApplyNeumann", ya, yb)
 
 	csr.Divergence(u, v, w, ya)
-	ref.Divergence(u, v, w, yb)
+	ref.divergence(u, v, w, yb)
 	check("Divergence", ya, yb)
 
 	gxa, gya, gza := make([]float64, n), make([]float64, n), make([]float64, n)
 	gxb, gyb, gzb := make([]float64, n), make([]float64, n), make([]float64, n)
 	csr.Gradient(p, gxa, gya, gza)
-	ref.Gradient(p, gxb, gyb, gzb)
+	ref.gradient(p, gxb, gyb, gzb)
 	check("Gradient.x", gxa, gxb)
 	check("Gradient.y", gya, gyb)
 	check("Gradient.z", gza, gzb)
 
 	csr.ProjectedDivergence(u, v, w, p, 0.01, ya)
-	ref.ProjectedDivergence(u, v, w, p, 0.01, yb)
+	ref.projectedDivergence(u, v, w, p, 0.01, yb)
 	check("ProjectedDivergence", ya, yb)
 
 	// End-to-end: whole solves agree bitwise, iterations and all.
@@ -73,10 +124,7 @@ func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ref.Solve(b, xb, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := ref.solve(b, xb, Options{Tol: 1e-10})
 	if ra != rb {
 		t.Fatalf("Solve results diverged: csr %+v, reference %+v", ra, rb)
 	}
@@ -90,10 +138,7 @@ func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err = ref.SolveNeumann(b, xb, Options{Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb = ref.solveNeumann(b, xb, Options{Tol: 1e-8})
 	if ra != rb {
 		t.Fatalf("SolveNeumann results diverged: csr %+v, reference %+v", ra, rb)
 	}
@@ -101,11 +146,15 @@ func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 }
 
 // TestCellAtMatchesReference: the sorted-key binary search must locate
-// exactly the cell the legacy map-probe ancestor walk did, for random
-// interior points, points on cell boundaries, and points outside the
-// domain.
+// exactly the cell the map-probe ancestor walk does, for random interior
+// points, points on cell boundaries, and points outside the domain.
 func TestCellAtMatchesReference(t *testing.T) {
-	s, err := Build(adaptiveLeaves(5))
+	leaves := adaptiveLeaves(5)
+	s, err := Build(leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := referenceBuild(leaves)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +162,7 @@ func TestCellAtMatchesReference(t *testing.T) {
 	probe := func(x, y, z float64) {
 		t.Helper()
 		i, ok := s.CellAt(x, y, z)
-		j, ok2 := s.referenceCellAt(x, y, z)
+		j, ok2 := ref.cellAt(x, y, z)
 		if ok != ok2 || (ok && i != j) {
 			t.Fatalf("CellAt(%v, %v, %v) = (%d, %v), reference (%d, %v)", x, y, z, i, ok, j, ok2)
 		}

@@ -90,7 +90,7 @@ func NewUniformMultigrid(level uint8) (*Multigrid, error) {
 		m := make([]int, fine.N())
 		kids := make([][]int, coarse.N())
 		for i, c := range fine.codes {
-			p, ok := coarse.index[c.Parent()]
+			p, ok := coarse.lookup(c.Parent())
 			if !ok {
 				return nil, fmt.Errorf("solver: missing parent of %v in level %d", c, k)
 			}

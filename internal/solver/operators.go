@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 
 	"pmoctree/internal/morton"
 )
@@ -26,10 +25,6 @@ func axisOf(di int) (axis int, sign float64) {
 // with face velocity taken as the average of the two adjacent cells and
 // zero at walls (no-penetration boundaries).
 func (s *System) Divergence(u, v, w []float64, out []float64) {
-	if s.ref {
-		s.divergenceRef(u, v, w, out)
-		return
-	}
 	comp := [3][]float64{u, v, w}
 	rs, nb := s.rowStart, s.nb
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
@@ -54,10 +49,6 @@ func (s *System) Divergence(u, v, w []float64, out []float64) {
 // transmissibility-weighted face differences (walls contribute nothing:
 // homogeneous Neumann for the projection gradient).
 func (s *System) Gradient(p []float64, gx, gy, gz []float64) {
-	if s.ref {
-		s.gradientRef(p, gx, gy, gz)
-		return
-	}
 	out := [3][]float64{gx, gy, gz}
 	rs, nb := s.rowStart, s.nb
 	// The accumulators live inside the chunk body: hoisting them to
@@ -97,10 +88,6 @@ func (s *System) Gradient(p []float64, gx, gy, gz []float64) {
 // null space. This is the projection operator of incompressible flow with
 // no-penetration walls.
 func (s *System) ApplyNeumann(x, y []float64) {
-	if s.ref {
-		s.applyNeumannRef(x, y)
-		return
-	}
 	rs, nb, tr := s.rowStart, s.nb, s.tr
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -232,16 +219,30 @@ func (s *System) SolveNeumann(b []float64, x []float64, opt Options) (Result, er
 	return res, nil
 }
 
+// neumannDiag fills the wall-free (Neumann) diagonal used by
+// SolveNeumann's Jacobi preconditioner.
+func (s *System) neumannDiag(diag []float64) {
+	rs, nb, tr := s.rowStart, s.nb, s.tr
+	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for k := rs[i]; k < rs[i+1]; k++ {
+				if nb[k] >= 0 {
+					diag[i] += tr[k]
+				}
+			}
+			if diag[i] == 0 {
+				diag[i] = 1 // isolated cell (single-cell mesh)
+			}
+		}
+	})
+}
+
 // ProjectedDivergence computes the divergence of the face-corrected
 // velocity field: face-normal velocities avg(u_i, u_j) minus the pressure
 // flux dt (p_j - p_i)/d on interior faces (walls stay impermeable). With
 // p from SolveNeumann(-div/dt) this is zero to solver tolerance — the
 // exact discrete projection.
 func (s *System) ProjectedDivergence(u, v, w, p []float64, dt float64, out []float64) {
-	if s.ref {
-		s.projectedDivergenceRef(u, v, w, p, dt, out)
-		return
-	}
 	comp := [3][]float64{u, v, w}
 	rs, nb := s.rowStart, s.nb
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
@@ -266,8 +267,7 @@ func (s *System) ProjectedDivergence(u, v, w, p []float64, dt float64, out []flo
 // CellAt returns the index of the cell containing the point (x, y, z) in
 // the unit cube, or false when the point is outside. The lookup is one
 // binary search over the sorted left-aligned key index (the internal/serve
-// leaf-lookup idiom) instead of up to MaxLevel map probes — the dominant
-// cost of semi-Lagrangian advection before the flattening.
+// leaf-lookup idiom).
 func (s *System) CellAt(x, y, z float64) (int, bool) {
 	if x < 0 || x >= 1 || y < 0 || y >= 1 || z < 0 || z >= 1 {
 		return 0, false
@@ -275,7 +275,7 @@ func (s *System) CellAt(x, y, z float64) (int, bool) {
 	grid := float64(uint64(1) << morton.MaxLevel)
 	code := morton.Encode(uint32(x*grid), uint32(y*grid), uint32(z*grid), morton.MaxLevel)
 	k := code.Key()
-	i := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] > k }) - 1
+	i := s.search(k)
 	if i < 0 {
 		return 0, false
 	}

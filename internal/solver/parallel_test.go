@@ -229,14 +229,12 @@ func benchSystem(b *testing.B, level uint8) *System {
 }
 
 // benchSolve runs a fixed 30 CG iterations (tolerance unreachable) so
-// all variants do identical work and ns/op compares cleanly. reference
-// selects the legacy AoS face-list layout; the default is the tiled CSR
-// SoA sweep, so Serial-vs-TiledSerial isolates the layout win and
-// TiledSerial-vs-Parallel isolates the scheduling win.
-func benchSolve(b *testing.B, workers int, reference bool) {
+// all variants do identical work and ns/op compares cleanly. Serial is
+// the same CSR sweep at one worker, so Serial-vs-Parallel isolates the
+// scheduling win.
+func benchSolve(b *testing.B, workers int) {
 	s := benchSystem(b, 6)
 	s.SetWorkers(workers)
-	s.SetReferenceMode(reference)
 	n := s.N()
 	rhs := randomRHS(n, 11)
 	x := make([]float64, n)
@@ -253,6 +251,5 @@ func benchSolve(b *testing.B, workers int, reference bool) {
 	b.ReportMetric(float64(parallel.Clamp(workers)), "workers")
 }
 
-func BenchmarkSolveSerial(b *testing.B)      { benchSolve(b, 1, true) }
-func BenchmarkSolveTiledSerial(b *testing.B) { benchSolve(b, 1, false) }
-func BenchmarkSolveParallel(b *testing.B)    { benchSolve(b, 4, false) }
+func BenchmarkSolveSerial(b *testing.B)   { benchSolve(b, 1) }
+func BenchmarkSolveParallel(b *testing.B) { benchSolve(b, 4) }

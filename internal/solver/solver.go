@@ -22,8 +22,9 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"pmoctree/internal/morton"
@@ -41,22 +42,13 @@ const (
 	minAxpy    = 1 << 15
 )
 
-// face is one flux connection of a cell.
-type face struct {
-	neighbor int     // index of the adjacent cell, -1 for a wall
-	t        float64 // transmissibility A/d
-	dir      int     // direction index into dirs (axis + orientation)
-	area     float64 // face area
-}
-
 // System is the assembled Poisson operator on one mesh snapshot.
 //
-// The hot kernels sweep the flat CSR face arrays (rowStart/nb/tr/...): one
-// contiguous run of neighbor indices and coefficients per cell, in
-// ascending Z-order, instead of chasing a []face slice header per cell.
-// The legacy AoS layout (faces) is retained behind SetReferenceMode for
-// the A/B benchmarks and the bit-identity tests that pin the two layouts
-// to the same results (DESIGN.md decision 16).
+// The kernels sweep flat CSR face arrays (rowStart/nb/tr/...): one
+// contiguous run of neighbor indices and coefficients per cell, so a sweep
+// streams memory instead of chasing per-cell face lists (DESIGN.md
+// decision 16). Cell i is input leaf i; a sorted key index beside the
+// codes serves point location and Build's neighbor search.
 //
 // A System is safe for concurrent read-only use (Apply, Divergence, ...
 // into caller-owned output vectors); the iterative solvers own their
@@ -64,42 +56,32 @@ type face struct {
 // concurrently.
 type System struct {
 	codes []morton.Code
-	index map[morton.Code]int
-	faces [][]face
 	diag  []float64 // sum of transmissibilities per cell
 
 	// CSR face arrays: cell i's faces are entries
-	// [rowStart[i], rowStart[i+1]) of nb/tr/fdir/farea, in the same order
-	// the AoS assembly produced them (so accumulations are bit-identical).
+	// [rowStart[i], rowStart[i+1]) of nb/tr/fdir/farea, in dirs order, the
+	// four halves of a split face in ascending child order. Every
+	// accumulation over a row runs in that order.
 	rowStart []int32
-	nb       []int32 // adjacent cell index, -1 for a wall
-	tr       []float64
-	fdir     []uint8
-	farea    []float64
+	nb       []int32   // adjacent cell index, -1 for a wall
+	tr       []float64 // transmissibility A/d
+	fdir     []uint8   // direction index into dirs
+	farea    []float64 // face area
 
 	// Per-cell geometry, precomputed once at build.
 	extent []float64
-	vol    []float64 // extent^3, evaluated exactly like the sweeps did
+	vol    []float64 // extent^3
 
 	// Sorted point-location index: keys[k] = codes[perm[k]].Key(),
-	// ascending — CellAt binary-searches this instead of probing the map
-	// level by level.
+	// ascending. CellAt and Build binary-search it.
 	keys []uint64
 	perm []int32
-
-	ref bool // sweep the legacy AoS layout instead of CSR
 
 	// pool schedules the matrix-free kernels; nil runs them inline.
 	// Reductions go through the pool's blocked summation either way, so
 	// results are bit-identical at every worker count.
 	pool *parallel.Pool
 }
-
-// SetReferenceMode selects the legacy AoS face-list sweeps instead of the
-// flat CSR arrays. Results are bit-identical either way; the reference
-// path exists so benchmarks can decompose layout from scheduling and so
-// tests can pin the identity.
-func (s *System) SetReferenceMode(on bool) { s.ref = on }
 
 // SetWorkers sets the worker count for the system's kernels (SpMV,
 // axpy-style sweeps, reductions). n <= 0 selects GOMAXPROCS; 1 restores
@@ -124,159 +106,136 @@ func (s *System) Workers() int { return s.pool.Workers() }
 var dirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
 // Build assembles the operator from the leaf codes of a 2:1-balanced
-// octree tiling. It returns an error when the input violates the
-// constraint or does not tile the domain.
+// octree tiling; cell i of the System is leaves[i]. It returns an error
+// when the input does not tile the domain exactly or violates the
+// constraint.
 func Build(leaves []morton.Code) (*System, error) {
-	if len(leaves) == 0 {
+	n := len(leaves)
+	if n == 0 {
 		return nil, fmt.Errorf("solver: no cells")
 	}
 	s := &System{
-		codes: append([]morton.Code(nil), leaves...),
-		index: make(map[morton.Code]int, len(leaves)),
-		faces: make([][]face, len(leaves)),
-		diag:  make([]float64, len(leaves)),
+		codes:    append([]morton.Code(nil), leaves...),
+		diag:     make([]float64, n),
+		rowStart: make([]int32, n+1),
+		// Six faces per cell is exact on uniform regions; split faces
+		// grow the arrays.
+		nb:     make([]int32, 0, 6*n),
+		tr:     make([]float64, 0, 6*n),
+		fdir:   make([]uint8, 0, 6*n),
+		farea:  make([]float64, 0, 6*n),
+		extent: make([]float64, n),
+		vol:    make([]float64, n),
 	}
-	vol := 0.0
+	if err := s.buildIndex(); err != nil {
+		return nil, err
+	}
+	face := func(i int, j int32, t float64, di int, area float64) {
+		s.nb = append(s.nb, j)
+		s.tr = append(s.tr, t)
+		s.fdir = append(s.fdir, uint8(di))
+		s.farea = append(s.farea, area)
+		s.diag[i] += t
+	}
 	for i, c := range s.codes {
-		if _, dup := s.index[c]; dup {
-			return nil, fmt.Errorf("solver: duplicate cell %v", c)
-		}
-		s.index[c] = i
-		e := c.Extent()
-		vol += e * e * e
-	}
-	if math.Abs(vol-1) > 1e-9 {
-		return nil, fmt.Errorf("solver: cells cover volume %v, want 1 (not a tiling)", vol)
-	}
-
-	for i, c := range s.codes {
+		s.rowStart[i] = int32(len(s.nb))
 		h := c.Extent()
-		l := c.Level()
+		s.extent[i], s.vol[i] = h, h*h*h
 		for di, d := range dirs {
-			n, ok := c.Neighbor(d[0], d[1], d[2])
+			nc, ok := c.Neighbor(d[0], d[1], d[2])
 			if !ok {
 				// Domain wall: Dirichlet ghost at distance h/2.
-				t := h * h / (h / 2)
-				s.faces[i] = append(s.faces[i], face{neighbor: -1, t: t, dir: di, area: h * h})
-				s.diag[i] += t
+				face(i, -1, h*h/(h/2), di, h*h)
 				continue
 			}
-			if j, ok := s.index[n]; ok {
-				// Matched neighbor.
-				t := h * h / h
-				s.faces[i] = append(s.faces[i], face{neighbor: j, t: t, dir: di, area: h * h})
-				s.diag[i] += t
-				continue
-			}
-			// Coarser neighbor: an ancestor of n holds the cell.
-			if j, lj, ok := s.findCoarser(n, l); ok {
+			// The cell at nc's first key is nc itself, an ancestor of
+			// nc (a coarser neighbor), or a descendant (nc is split).
+			j := s.perm[s.search(nc.Key())]
+			switch lj := s.codes[j].Level(); {
+			case lj == c.Level():
+				face(i, j, h*h/h, di, h*h)
+			case lj < c.Level():
 				hj := 1.0 / float64(uint64(1)<<lj)
-				t := h * h / ((h + hj) / 2)
-				s.faces[i] = append(s.faces[i], face{neighbor: j, t: t, dir: di, area: h * h})
-				s.diag[i] += t
-				continue
-			}
-			// Finer neighbors: the 4 children of n touching this face.
-			kids, err := s.fineFaceNeighbors(c, n, d)
-			if err != nil {
-				return nil, err
-			}
-			for _, j := range kids {
-				hj := s.codes[j].Extent()
-				t := hj * hj / ((h + hj) / 2)
-				s.faces[i] = append(s.faces[i], face{neighbor: j, t: t, dir: di, area: hj * hj})
-				s.diag[i] += t
+				face(i, j, h*h/((h+hj)/2), di, h*h)
+			default:
+				// Finer neighbors: the four children of nc whose bit
+				// along the face axis points back toward c. Under 2:1
+				// balance each must be a cell.
+				axis, sign := axisOf(di)
+				back := 0
+				if sign < 0 {
+					back = 1
+				}
+				for k := 0; k < 8; k++ {
+					if k>>axis&1 != back {
+						continue
+					}
+					child := nc.Child(k)
+					j, ok := s.lookup(child)
+					if !ok {
+						return nil, fmt.Errorf("solver: mesh not 2:1 balanced at %v (missing %v)", c, child)
+					}
+					hj := s.codes[j].Extent()
+					face(i, int32(j), hj*hj/((h+hj)/2), di, hj*hj)
+				}
 			}
 		}
 	}
-	s.flatten()
+	s.rowStart[n] = int32(len(s.nb))
 	return s, nil
 }
 
-// flatten transposes the AoS face lists into the CSR arrays, precomputes
-// per-cell geometry, and builds the sorted point-location index. Face
-// order within each row is preserved exactly, so every CSR accumulation
-// rounds identically to its AoS counterpart.
-func (s *System) flatten() {
+// buildIndex sorts the cells into keys/perm and checks that they tile the
+// unit cube exactly: in key order each cell starts where the previous one
+// ended, from the origin to the far corner. Build's neighbor search relies
+// on it.
+func (s *System) buildIndex() error {
 	n := len(s.codes)
-	total := 0
-	for i := range s.faces {
-		total += len(s.faces[i])
-	}
-	s.rowStart = make([]int32, n+1)
-	s.nb = make([]int32, 0, total)
-	s.tr = make([]float64, 0, total)
-	s.fdir = make([]uint8, 0, total)
-	s.farea = make([]float64, 0, total)
-	s.extent = make([]float64, n)
-	s.vol = make([]float64, n)
-	for i, fl := range s.faces {
-		s.rowStart[i] = int32(len(s.nb))
-		for _, f := range fl {
-			s.nb = append(s.nb, int32(f.neighbor))
-			s.tr = append(s.tr, f.t)
-			s.fdir = append(s.fdir, uint8(f.dir))
-			s.farea = append(s.farea, f.area)
-		}
-		e := s.codes[i].Extent()
-		s.extent[i] = e
-		s.vol[i] = e * e * e
-	}
-	s.rowStart[n] = int32(len(s.nb))
-
 	s.perm = make([]int32, n)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
 	}
-	sort.Slice(s.perm, func(a, b int) bool {
-		return s.codes[s.perm[a]].Key() < s.codes[s.perm[b]].Key()
+	slices.SortFunc(s.perm, func(a, b int32) int {
+		return cmp.Compare(s.codes[a].Key(), s.codes[b].Key())
 	})
 	s.keys = make([]uint64, n)
+	next := uint64(0) // left-aligned Morton position of the next cell
 	for k, p := range s.perm {
-		s.keys[k] = s.codes[p].Key()
+		c := s.codes[p]
+		s.keys[k] = c.Key()
+		switch at := s.keys[k] >> 6; {
+		case at > next:
+			return fmt.Errorf("solver: cells do not tile the domain (gap before %v)", c)
+		case at < next:
+			prev := s.codes[s.perm[k-1]]
+			if prev == c {
+				return fmt.Errorf("solver: duplicate cell %v", c)
+			}
+			return fmt.Errorf("solver: cells %v and %v overlap", prev, c)
+		}
+		next += 1 << (3 * (morton.MaxLevel - c.Level()))
 	}
+	if next != 1<<(3*morton.MaxLevel) {
+		return fmt.Errorf("solver: cells do not tile the domain (gap after %v)", s.codes[s.perm[n-1]])
+	}
+	return nil
 }
 
-// findCoarser walks up the ancestors of n looking for an existing cell.
-func (s *System) findCoarser(n morton.Code, below uint8) (int, uint8, bool) {
-	for l := int(below) - 1; l >= 0; l-- {
-		anc := n.AncestorAt(uint8(l))
-		if j, ok := s.index[anc]; ok {
-			return j, uint8(l), true
-		}
-	}
-	return 0, 0, false
+// search returns the sorted position of the cell holding key k's
+// left-aligned Morton position: the last cell whose first key is at or
+// before it, or -1. k's level bits are ignored, so the search for a split
+// octant lands on its first descendant.
+func (s *System) search(k uint64) int {
+	k |= 0x3f
+	return sort.Search(len(s.keys), func(j int) bool { return s.keys[j] > k }) - 1
 }
 
-// fineFaceNeighbors returns the children of n on the face adjacent to c.
-// Under 2:1 balance they must exist as cells.
-func (s *System) fineFaceNeighbors(c, n morton.Code, d [3]int) ([]int, error) {
-	if n.Level() >= morton.MaxLevel {
-		return nil, fmt.Errorf("solver: missing neighbor of %v at max level", c)
+// lookup returns the index of the cell with code c, if there is one.
+func (s *System) lookup(c morton.Code) (int, bool) {
+	if k := s.search(c.Key()); k >= 0 && s.codes[s.perm[k]] == c {
+		return int(s.perm[k]), true
 	}
-	var out []int
-	for k := 0; k < 8; k++ {
-		// The child faces c when its bit along the direction axis is on
-		// the side facing BACK toward c. Moving +x from c means the
-		// neighbor's near children have x-bit 0; moving -x, x-bit 1.
-		xb, yb, zb := k&1, (k>>1)&1, (k>>2)&1
-		if d[0] == 1 && xb != 0 || d[0] == -1 && xb != 1 {
-			continue
-		}
-		if d[1] == 1 && yb != 0 || d[1] == -1 && yb != 1 {
-			continue
-		}
-		if d[2] == 1 && zb != 0 || d[2] == -1 && zb != 1 {
-			continue
-		}
-		child := n.Child(k)
-		j, ok := s.index[child]
-		if !ok {
-			return nil, fmt.Errorf("solver: mesh not 2:1 balanced at %v (missing %v)", c, child)
-		}
-		out = append(out, j)
-	}
-	return out, nil
+	return 0, false
 }
 
 // N returns the number of cells.
@@ -289,10 +248,6 @@ func (s *System) Codes() []morton.Code { return s.codes }
 // Dirichlet walls: (Ax)_i = sum_f T_f (x_i - x_j), wall x_j = 0. Rows are
 // independent, so the sweep parallelizes without changing any result bit.
 func (s *System) Apply(x, y []float64) {
-	if s.ref {
-		s.applyRef(x, y)
-		return
-	}
 	rs, nb, tr := s.rowStart, s.nb, s.tr
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -40,35 +40,90 @@ func TestBuildUniform(t *testing.T) {
 		t.Fatalf("N = %d", s.N())
 	}
 	// Every cell has exactly 6 faces on a uniform grid.
-	for i := range s.faces {
-		if len(s.faces[i]) != 6 {
-			t.Fatalf("cell %d has %d faces", i, len(s.faces[i]))
+	for i := 0; i < s.N(); i++ {
+		if nf := s.rowStart[i+1] - s.rowStart[i]; nf != 6 {
+			t.Fatalf("cell %d has %d faces", i, nf)
 		}
 	}
 }
 
+// TestBuildRejectsBadInput: every input that is not a 2:1-balanced tiling
+// is rejected with an error, and a valid input in any order is accepted
+// with cell i equal to input leaf i.
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Build([]morton.Code{morton.Root, morton.Root}); err == nil {
-		t.Error("duplicate cells accepted")
-	}
-	// A non-tiling (missing octant).
-	leaves := uniformLeaves(1)
-	if _, err := Build(leaves[:7]); err == nil {
-		t.Error("incomplete tiling accepted")
-	}
 	// An unbalanced mesh: level-1 cell adjacent to level-3 cells.
 	tr := octree.New()
 	n := tr.Refine(tr.Root)[0]
 	n2 := tr.Refine(n)[7]
 	tr.Refine(n2)
 	if tr.IsBalanced() {
-		t.Skip("configuration unexpectedly balanced")
+		t.Fatal("configuration unexpectedly balanced")
 	}
-	if _, err := Build(tr.LeafCodes()); err == nil {
-		t.Error("unbalanced mesh accepted")
+	l1, l2 := uniformLeaves(1), uniformLeaves(2)
+	adaptive := adaptiveLeaves(4)
+	shuffled := append([]morton.Code(nil), adaptive...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(a, b int) {
+		shuffled[a], shuffled[b] = shuffled[b], shuffled[a]
+	})
+	for _, tc := range []struct {
+		name   string
+		leaves []morton.Code
+		valid  bool
+	}{
+		{"empty", nil, false},
+		{"duplicate", []morton.Code{morton.Root, morton.Root}, false},
+		{"missing octant", l1[:7], false},
+		{"unbalanced", tr.LeafCodes(), false},
+		{"ancestor and descendant", []morton.Code{morton.Root, morton.Root.Child(0)}, false},
+		// Octant 0 together with its first child, and octant 7 replaced
+		// by seven of its eight children: the volume still sums to 1,
+		// but the cells overlap in one place and leave a gap in another.
+		{"overlap and gap", append(append(append([]morton.Code{}, l1[:7]...), l2[0]), l2[56:63]...), false},
+		{"shuffled valid input", shuffled, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Build(tc.leaves)
+			if !tc.valid {
+				if err == nil {
+					t.Errorf("accepted %d cells", s.N())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range s.Codes() {
+				if c != tc.leaves[i] {
+					t.Fatalf("cell %d is %v, input leaf %d is %v", i, c, i, tc.leaves[i])
+				}
+			}
+			// The operator is the sorted input's, permuted: face order
+			// does not depend on the input order, so Apply agrees bit
+			// for bit.
+			sorted, err := Build(adaptive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := make(map[morton.Code]int, len(adaptive))
+			for i, c := range adaptive {
+				at[c] = i
+			}
+			x, xs := make([]float64, len(adaptive)), make([]float64, len(adaptive))
+			for i := range x {
+				x[i] = float64(i%7) - 3
+			}
+			for i, c := range tc.leaves {
+				xs[i] = x[at[c]]
+			}
+			y, ys := make([]float64, len(x)), make([]float64, len(x))
+			sorted.Apply(x, y)
+			s.Apply(xs, ys)
+			for i, c := range tc.leaves {
+				if ys[i] != y[at[c]] {
+					t.Fatalf("Apply at %v: shuffled %v, sorted %v", c, ys[i], y[at[c]])
+				}
+			}
+		})
 	}
 }
 
