@@ -476,13 +476,12 @@ func BenchmarkStepPipelined(b *testing.B) {
 				dev := nvbm.New(nvbm.NVBM, 0)
 				dev.SetDelayInjection(true)
 				tree := core.Create(core.Config{
-					NVBMDevice:          dev,
-					DRAMDevice:          nvbm.New(nvbm.DRAM, 0),
-					DRAMBudgetOctants:   2048,
-					CacheCommittedReads: true,
-					PipelineDepth:       m.depth,
-					GroupCommit:         m.group,
-					Seed:                9,
+					NVBMDevice:        dev,
+					DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
+					DRAMBudgetOctants: 2048,
+					PipelineDepth:     m.depth,
+					GroupCommit:       m.group,
+					Seed:              9,
 				})
 				d := sim.NewDroplet(sim.DropletConfig{Steps: steps + 10})
 				tree.SetFeatures(d.Feature(1))
@@ -604,15 +603,15 @@ func benchFastPathRegion(c morton.Code) bool {
 // bit-for-bit; only the traversal machinery differs.
 func BenchmarkLeafWalkRefine(b *testing.B) {
 	const sweeps = 6
-	build := func(cached bool) *core.Tree {
-		tree := core.Create(core.Config{DRAMBudgetOctants: 64, CacheCommittedReads: cached})
+	build := func() *core.Tree {
+		tree := core.Create(core.Config{DRAMBudgetOctants: 64})
 		tree.RefineWhere(benchFastPathRegion, 5)
 		tree.Balance()
 		tree.Persist()
 		return tree
 	}
 	b.Run("walk", func(b *testing.B) {
-		tree := build(false)
+		tree := build()
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -628,7 +627,7 @@ func BenchmarkLeafWalkRefine(b *testing.B) {
 		b.ReportMetric(float64(tree.LeafCount()), "leaves")
 	})
 	b.Run("indexed", func(b *testing.B) {
-		tree := build(true)
+		tree := build()
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

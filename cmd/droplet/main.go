@@ -54,7 +54,6 @@ func main() {
 		retain      = flag.Int("retain", 0, "extra committed versions to retain in the fallback ring (0..2); gives cmd/pmserve -history older versions to serve")
 		chaosQuery  = flag.Int("chaosreaders", 0, "with -chaos: run this many concurrent MVCC snapshot readers against pinned versions during the soak")
 		chaosFlight = flag.String("chaosflight", "", "with -chaos: write the soak's flight-recorder ring (commits, crashes, restores, scrubs) as JSONL to `file`")
-		cacheReads  = flag.Bool("cachecommitted", false, "let the decoded-octant cache skip device reads of committed octants (simulation state is identical; modeled NVBM read counts drop, so leave off when reproducing the paper's figures)")
 		pipeline    = flag.Int("pipeline", 0, "persist versions asynchronously, allowing up to `n` commits in flight (0 = synchronous; at most 3 minus -retain)")
 		groupCommit = flag.Int("groupcommit", 1, "with -pipeline: coalesce up to `k` step deltas into one durable commit")
 		chaosPipe   = flag.Int64("chaospipeline", 0, "run the pipelined chaos soak with this `seed` (nonzero): power cuts at every persist-pipeline stage, recovery checked against the enqueued-version history")
@@ -100,14 +99,13 @@ func main() {
 			fr = telemetry.NewFlightRecorder(4096)
 		}
 		rep, err := fault.Run(fault.ChaosConfig{
-			Seed:                *chaosSeed,
-			Steps:               *steps,
-			MaxLevel:            uint8(*maxLevel),
-			DRAMBudget:          *budget,
-			CacheCommittedReads: *cacheReads,
-			QueryReaders:        *chaosQuery,
-			QueryStats:          &qs,
-			Recorder:            fr,
+			Seed:         *chaosSeed,
+			Steps:        *steps,
+			MaxLevel:     uint8(*maxLevel),
+			DRAMBudget:   *budget,
+			QueryReaders: *chaosQuery,
+			QueryStats:   &qs,
+			Recorder:     fr,
 		})
 		if *chaosFlight != "" {
 			if derr := fr.DumpFile(*chaosFlight); derr != nil {
@@ -131,12 +129,11 @@ func main() {
 
 	nv := pmoctree.NewNVBM()
 	cfg := pmoctree.Config{
-		NVBMDevice:          nv,
-		DRAMBudgetOctants:   *budget,
-		CacheCommittedReads: *cacheReads,
-		RetainVersions:      *retain,
-		PipelineDepth:       *pipeline,
-		GroupCommit:         *groupCommit,
+		NVBMDevice:        nv,
+		DRAMBudgetOctants: *budget,
+		RetainVersions:    *retain,
+		PipelineDepth:     *pipeline,
+		GroupCommit:       *groupCommit,
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "droplet: %v\n", err)

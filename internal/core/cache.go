@@ -7,13 +7,9 @@ package core
 // host (the 88-byte field-by-field decode). The decode is pure overhead
 // of the reproduction, not of the modeled hardware, so Tree keeps a small
 // direct-mapped cache of decoded octants keyed by Ref. A hit skips the
-// decode; in the default configuration it still performs the charged
-// device read, so the modeled access statistics — and therefore the
-// Fig 3/5/10 reproductions and the droplet golden step files — are
-// bit-identical with the cache on. Only Config.CacheCommittedReads
-// additionally skips device traffic, and only for committed-version NVBM
-// octants, which are immutable by construction (§3.2's multi-version
-// copy-on-write makes V(i-1) read-only).
+// decode but still performs the charged device read, so the modeled
+// access statistics — and therefore the Fig 3/5/10 reproductions and the
+// droplet golden step files — are bit-identical with the cache on.
 //
 // Coherence: writeOct/writeChildren/writeDataField write through (they
 // hold the full record), writeParentField/writeFlagsField patch the
@@ -42,7 +38,6 @@ type FastPathStats struct {
 	CacheHits          uint64 // readOct served from a decoded line
 	CacheMisses        uint64 // readOct decoded from the device
 	CacheInvalidations uint64 // whole-cache epoch bumps
-	CacheSkippedReads  uint64 // device reads elided (CacheCommittedReads)
 	LeafIndexRebuilds  uint64 // LeafSnapshot walks
 	LeafIndexReuses    uint64 // LeafSnapshot served without a walk
 	TileRebuilds       uint64 // LeafTiles gathers (snapshot -> SoA transpose)

@@ -69,14 +69,9 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	t.nv = newArena
 	t.committed = newRoot
 	t.cur = newRoot
-	if t.pipe != nil {
-		// The durable watermark lives in the new region now; the queue is
-		// empty (flushed above), so this is a plain repoint. The fresh
-		// arena was built with eager bits (the copy above is its durable
-		// baseline); re-enter deferred mode for the pipeline.
-		t.pipe.rebindDurable(newRoot, t.step-1)
-		newArena.SetDeferredBits(true)
-	}
+	// The durable watermark lives in the new region now; the queue is
+	// empty (flushed above), so this is a plain repoint.
+	t.pipe.rebind(newArena, newRoot, t.step-1)
 	// Every NVBM ref changed identity: drop the decoded cache. The leaf
 	// index and tile store hold no refs and the content is the same.
 	t.cacheInvalidateAll()

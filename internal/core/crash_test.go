@@ -13,15 +13,22 @@ import (
 // previously committed version, intact and validated. This is the
 // system's central claim (§3: "our algorithms can guarantee at least one
 // version of the octree is consistent while updating its newer version")
-// exercised exhaustively at the granularity of individual device writes.
+// exercised exhaustively at the granularity of individual device writes,
+// for the inline commit (depth 0, top-level subtests) and for a persist
+// worker two versions deep (the depth=2 group), whose writeback, ring
+// push and commit flip land after Persist returns.
 func TestPowerCutTorture(t *testing.T) {
+	powerCutTorture(t, 0)
+	t.Run("depth=2", func(t *testing.T) { powerCutTorture(t, 2) })
+}
+
+func powerCutTorture(t *testing.T, depth int) {
 	// Dry run to learn how many NVBM writes the doomed phase performs.
 	totalWrites := func() int {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, history := buildBase(t, nv)
+		tree, _ := buildBase(t, nv, depth)
 		before := nv.Stats().Writes
 		doomedPhase(tree)
-		_ = history
 		return int(nv.Stats().Writes - before)
 	}()
 	if totalWrites < 50 {
@@ -32,7 +39,7 @@ func TestPowerCutTorture(t *testing.T) {
 	// commit store (deterministic, so computed once).
 	fullVersion := func() map[morton.Code][DataWords]float64 {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv)
+		tree, _ := buildBase(t, nv, depth)
 		doomedPhase(tree)
 		return leafSet(tree, tree.CommittedRoot())
 	}()
@@ -53,7 +60,7 @@ func TestPowerCutTorture(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("cut-after-%d-writes", n), func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, history := buildBase(t, nv)
+			tree, history := buildBase(t, nv, depth)
 			nv.CutPowerAfter(n)
 			// The doomed process may die with a panic once its writes
 			// stop landing; that is exactly a crash.
@@ -61,6 +68,7 @@ func TestPowerCutTorture(t *testing.T) {
 				defer func() { recover() }()
 				doomedPhase(tree)
 			}()
+			tree.AbortPipeline() // a worker dies with the process
 			nv.RestorePower()
 
 			restored, err := Restore(Config{NVBMDevice: nv})
@@ -85,11 +93,12 @@ func TestPowerCutTorture(t *testing.T) {
 	}
 }
 
-// buildBase creates a tree with two committed versions and returns the
-// history of committed leaf sets.
-func buildBase(t *testing.T, nv *nvbm.Device) (*Tree, []map[morton.Code][DataWords]float64) {
+// buildBase creates a tree persisting at the given pipeline depth with two
+// durably committed versions and returns the history of committed leaf
+// sets.
+func buildBase(t *testing.T, nv *nvbm.Device, depth int) (*Tree, []map[morton.Code][DataWords]float64) {
 	t.Helper()
-	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5})
+	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, PipelineDepth: depth})
 	var history []map[morton.Code][DataWords]float64
 	history = append(history, leafSet(tree, tree.CommittedRoot()))
 
@@ -102,13 +111,14 @@ func buildBase(t *testing.T, nv *nvbm.Device) (*Tree, []map[morton.Code][DataWor
 		return true
 	})
 	tree.Persist()
+	tree.Flush()
 	history = append(history, leafSet(tree, tree.CommittedRoot()))
 	return tree, history
 }
 
 // doomedPhase is the mutation whose writes the torture interrupts: a
 // refinement, a solve-style update, and a persist (including its merge,
-// commit, GC and retarget).
+// commit, GC and retarget), ending in the durability barrier.
 func doomedPhase(tree *Tree) {
 	tree.RefineWhere(sphere(0.6, 0.6, 0.6, 0.2, 0.15), 4)
 	tree.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
@@ -116,6 +126,7 @@ func doomedPhase(tree *Tree) {
 		return true
 	})
 	tree.Persist()
+	tree.Flush()
 }
 
 // matchesAny reports whether got equals one of the candidate committed
@@ -130,58 +141,64 @@ func matchesAny(got map[morton.Code][DataWords]float64, candidates []map[morton.
 }
 
 // TestPowerCutDuringEveryEarlyWrite runs the dense version of the torture
-// on a smaller tree: every single cut point from 0 to the full phase.
+// on a smaller tree: every single cut point from 0 to the full phase, for
+// the inline commit and for a persist worker two versions deep.
 func TestPowerCutDuringEveryEarlyWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive torture skipped in -short")
 	}
-	// Learn the phase length.
-	phase := func(tree *Tree) {
-		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
-		tree.Persist()
-	}
-	build := func(nv *nvbm.Device) (*Tree, map[morton.Code][DataWords]float64) {
-		tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 16, Seed: 9})
-		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
-		tree.Persist()
-		return tree, leafSet(tree, tree.CommittedRoot())
-	}
-	total := func() int {
-		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := build(nv)
-		before := nv.Stats().Writes
-		phase(tree)
-		return int(nv.Stats().Writes - before)
-	}()
-
-	fullWant := func() map[morton.Code][DataWords]float64 {
-		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := build(nv)
-		phase(tree)
-		return leafSet(tree, tree.CommittedRoot())
-	}()
-
-	// Exhaustive: power fails after every possible write count.
-	for n := 0; n <= total; n++ {
-		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, committed := build(nv)
-		nv.CutPowerAfter(n)
-		func() {
-			defer func() { recover() }()
+	for _, depth := range []int{0, 2} {
+		// Learn the phase length.
+		phase := func(tree *Tree) {
+			tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
+			tree.Persist()
+			tree.Flush()
+		}
+		build := func(nv *nvbm.Device) (*Tree, map[morton.Code][DataWords]float64) {
+			tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 16, Seed: 9, PipelineDepth: depth})
+			tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
+			tree.Persist()
+			tree.Flush()
+			return tree, leafSet(tree, tree.CommittedRoot())
+		}
+		total := func() int {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tree, _ := build(nv)
+			before := nv.Stats().Writes
 			phase(tree)
+			return int(nv.Stats().Writes - before)
 		}()
-		nv.RestorePower()
-		restored, err := Restore(Config{NVBMDevice: nv})
-		if err != nil {
-			t.Fatalf("cut %d/%d: restore: %v", n, total, err)
-		}
-		if err := restored.Validate(); err != nil {
-			t.Fatalf("cut %d/%d: invalid: %v", n, total, err)
-		}
-		got := leafSet(restored, restored.Root())
-		if !equalLeafSets(got, committed) && !equalLeafSets(got, fullWant) {
-			t.Fatalf("cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
-				n, total, len(got))
+
+		fullWant := func() map[morton.Code][DataWords]float64 {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tree, _ := build(nv)
+			phase(tree)
+			return leafSet(tree, tree.CommittedRoot())
+		}()
+
+		// Exhaustive: power fails after every possible write count.
+		for n := 0; n <= total; n++ {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tree, committed := build(nv)
+			nv.CutPowerAfter(n)
+			func() {
+				defer func() { recover() }()
+				phase(tree)
+			}()
+			tree.AbortPipeline()
+			nv.RestorePower()
+			restored, err := Restore(Config{NVBMDevice: nv})
+			if err != nil {
+				t.Fatalf("depth %d cut %d/%d: restore: %v", depth, n, total, err)
+			}
+			if err := restored.Validate(); err != nil {
+				t.Fatalf("depth %d cut %d/%d: invalid: %v", depth, n, total, err)
+			}
+			got := leafSet(restored, restored.Root())
+			if !equalLeafSets(got, committed) && !equalLeafSets(got, fullWant) {
+				t.Fatalf("depth %d cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
+					depth, n, total, len(got))
+			}
 		}
 	}
 }

@@ -58,17 +58,18 @@ const (
 func histAddrSlot(i int) int { return histBase + 2*i }
 func histStepSlot(i int) int { return histBase + 2*i + 1 }
 
-// pushHistory records the about-to-be-superseded committed version in the
-// fallback ring. Called by Persist before the commit stores; a crash
-// between the push and the commit leaves the ring entry duplicating the
-// still-committed root, which restore deduplicates.
-func (t *Tree) pushHistory() {
-	if t.committed.IsNil() || t.committed.InDRAM() {
-		return
+// ringVersions snapshots the fallback ring's entries in slot order, under
+// rootMu so a concurrent ring push and commit flip by the persist worker
+// stay atomic under the read. Callers walk the versions outside the lock
+// — whole-version walks must not stall commits.
+func (t *Tree) ringVersions() [histSlots]VersionInfo {
+	var ring [histSlots]VersionInfo
+	t.pipe.rootMu.Lock()
+	for i := range ring {
+		ring[i] = VersionInfo{Root: Ref(t.nv.Root(histAddrSlot(i))), Step: t.nv.Root(histStepSlot(i))}
 	}
-	i := int(t.committedStep % histSlots)
-	t.nv.SetRoot(histAddrSlot(i), uint64(t.committed))
-	t.nv.SetRoot(histStepSlot(i), t.committedStep)
+	t.pipe.rootMu.Unlock()
+	return ring
 }
 
 // markRetained marks the octants of ring versions young enough to be
@@ -79,39 +80,15 @@ func (t *Tree) markRetained(marked []uint64) {
 	if k <= 0 {
 		return
 	}
-	// Snapshot the ring entries first (under rootMu when the persist
-	// worker may be pushing entries concurrently), then mark outside the
-	// lock — marking walks whole versions and must not stall commits.
-	type entry struct {
-		root Ref
-		step uint64
-	}
-	var ring [histSlots]entry
-	unlock := t.lockRootTable()
-	for i := 0; i < histSlots; i++ {
-		ring[i] = entry{Ref(t.nv.Root(histAddrSlot(i))), t.nv.Root(histStepSlot(i))}
-	}
-	unlock()
-	for _, e := range ring {
-		if e.root.IsNil() || e.root.InDRAM() {
+	for _, e := range t.ringVersions() {
+		if e.Root.IsNil() || e.Root.InDRAM() {
 			continue
 		}
-		if e.step+uint64(k) < t.committedStep {
+		if e.Step+uint64(k) < t.committedStep {
 			continue // aged out of the retention window
 		}
-		t.markGuarded(e.root, marked)
+		t.markGuarded(e.Root, marked)
 	}
-}
-
-// lockRootTable serializes a mutator-side root-table read sequence
-// against the persist worker's ring pushes and commit flips. With the
-// pipeline off there is no second writer and the lock is free.
-func (t *Tree) lockRootTable() func() {
-	if t.pipe == nil {
-		return func() {}
-	}
-	t.pipe.rootMu.Lock()
-	return t.pipe.rootMu.Unlock
 }
 
 // markGuarded marks reachable NVBM slots like markStack, but tolerates

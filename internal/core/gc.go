@@ -118,12 +118,10 @@ func (t *Tree) markStack(r Ref, marked []uint64) {
 // newest DURABLE version (the on-device commit record names it — freeing
 // it would leave the record dangling until the next flip) and every
 // enqueued-but-unflushed version. The host's committed/cur marking alone
-// is not enough, because the pipelined host view runs ahead of
-// durability. No-op when the tree persists synchronously.
+// is not enough while a worker runs, because the host view runs ahead of
+// durability; with none, the durable root is the committed one and is
+// already marked.
 func (t *Tree) markInflight(marked []uint64) {
-	if t.pipe == nil {
-		return
-	}
 	for _, r := range t.pipe.inflightRoots() {
 		t.markGuarded(r, marked)
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pmoctree/internal/morton"
-	"pmoctree/internal/telemetry"
-)
+import "pmoctree/internal/morton"
 
 // maybeEvict merges least-frequently-accessed C0 subtrees out to C1 while
 // DRAM utilization exceeds the configured watermark (§3.2: "a
@@ -151,7 +148,7 @@ func (t *Tree) moveToNVBMUnder(r, parent Ref, setParent bool) Ref {
 	if setParent {
 		o.Parent = parent
 	}
-	if pp := t.pipe; pp != nil && pp.staging {
+	if t.pipe.staging {
 		t.stageOct(nr, &o)
 	} else {
 		t.writeOct(nr, &o)
@@ -178,26 +175,30 @@ func (t *Tree) stageOct(r Ref, o *Octant) {
 //
 //  1. Merge: every DRAM octant of V(i) moves to NVBM, so the version is
 //     closed under NVBM.
-//  2. Commit: a single 8-byte store of the root ref into the arena's root
-//     table makes the new version durable. Crash before this store
-//     recovers V(i-1); after it, V(i).
+//  2. Commit: commitBatch pushes V(i-1) onto the fallback ring, then a
+//     single 8-byte store of the root ref into the arena's root table
+//     makes the new version durable. Crash before this store recovers
+//     V(i-1); after it, V(i).
 //  3. GC: octants reachable only from the old version are swept.
 //  4. Transform: the hot set for the next step is re-derived by
 //     feature-directed sampling (or obliviously when disabled).
 //
 // It returns the number of octants garbage-collected.
 //
-// With Config.PipelineDepth > 0, steps 1-2 are split: the merge stages
-// its delta in host memory and the commit happens on the background
-// persist worker (see pipeline.go); the mutator's committed/step counters
-// advance immediately so step i+1 proceeds exactly as in synchronous
-// mode, and durability trails until the worker's commit-record flip (or
-// an explicit Flush).
+// At Config.PipelineDepth 0 the commit runs inline. With PipelineDepth > 0
+// the merge stages its delta in host memory and the persist worker writes
+// it back and commits (see pipeline.go); durability trails until the
+// worker's commit-record flip (or an explicit Flush). Either way the
+// mutator's committed/step counters advance here, so step i+1 and the
+// whole digest history are the same at every depth: content never
+// depends on WHEN records reach the device.
 func (t *Tree) Persist() int {
-	if t.pipe != nil {
-		return t.persistAsync()
-	}
 	defer t.span("Persist").End()
+	p := t.pipe
+	// A worker that died (power cut mid-writeback) surfaces here, where an
+	// inline commit would have hit the same device failure.
+	p.checkFailure()
+	p.beginStage()
 	if t.constructCleanNow() {
 		// ConstructFromCodes just rebuilt the working version entirely in
 		// NVBM with exact parent links, and nothing mutated since: the
@@ -207,66 +208,14 @@ func (t *Tree) Persist() int {
 		t.constructClean = false
 		t.cur = t.moveToNVBM(t.cur)
 	}
-	// The outgoing committed version enters the fallback ring before it is
-	// superseded; a crash inside pushHistory damages at most the ring's
-	// oldest entry, never the commit record.
-	t.pushHistory()
-	// Ordering matters for crash consistency: the step counter must be
-	// durable BEFORE the root pointer. If power fails between the two
-	// stores, recovery sees the old root with the new step number and
-	// resumes at step+1 — safely above every version tag in the old
-	// tree. The reverse order would let a recovered process treat the
-	// just-committed octants as its own working version and mutate them
-	// in place.
-	t.nv.SetRoot(rootSlotStep, t.step)
-	t.nv.SetRoot(rootSlotAddr, uint64(t.cur))
+	req := &commitReq{root: t.cur, step: t.step, delta: p.endStage(), nv: t.nv}
+	req.bits, req.hw = t.nv.TakeDirtyBits(nil)
+	p.commit(req)
 	t.committed = t.cur
 	t.committedStep = t.step
 	t.step++
-	t.flight.Record(telemetry.FlightEvent{Kind: "commit", Step: t.committedStep, Value: uint64(t.committed)})
 	// Commit is an epoch boundary for the decoded-octant cache: the merge
 	// recycled every DRAM handle and the version tags just changed meaning.
-	t.cacheInvalidateAll()
-	t.stats.Persists++
-	freed := 0
-	if t.stats.Persists%t.cfg.GCEvery == 0 {
-		freed = t.GC()
-	}
-	t.retarget()
-	t.access = map[morton.Code]uint64{}
-	t.lastPeakDRAMUtil = t.peakDRAMUtil
-	t.peakDRAMUtil = 0
-	return freed
-}
-
-// persistAsync is Persist over the asynchronous pipeline: stage the merge
-// delta, enqueue it (blocking only when the in-flight window is full),
-// advance the host view of committed, and leave writeback + ring push +
-// commit flip to the persist worker. The logical tree evolution — octant
-// codes, data, the whole digest history — is identical to the synchronous
-// path, because content never depends on WHEN records reach the device;
-// only write timing and GC's view of reclaimable superseded versions
-// differ.
-func (t *Tree) persistAsync() int {
-	defer t.span("Persist").End()
-	p := t.pipe
-	// A worker that died (power cut mid-writeback) surfaces here, where
-	// the synchronous Persist would have hit the same device failure.
-	p.checkFailure()
-	p.beginStage()
-	if t.constructCleanNow() {
-		t.constructClean = false // all-NVBM already: empty merge delta
-	} else {
-		t.constructClean = false
-		t.cur = t.moveToNVBM(t.cur)
-	}
-	delta := p.endStage()
-	bits, hw := t.nv.TakeDirtyBits(nil)
-	p.enqueue(&commitReq{root: t.cur, step: t.step, delta: delta, nv: t.nv, bits: bits, hw: hw})
-	t.committed = t.cur
-	t.committedStep = t.step
-	t.step++
-	t.flight.Record(telemetry.FlightEvent{Kind: "persist_enqueue", Step: t.committedStep, Value: uint64(t.committed)})
 	t.cacheInvalidateAll()
 	t.stats.Persists++
 	freed := 0

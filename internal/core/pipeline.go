@@ -10,19 +10,21 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-// Asynchronous persistence pipeline. The synchronous Persist blocks the
-// mutator on the full NVBM writeback of every step; with
-// Config.PipelineDepth > 0 the merge instead STAGES the step's delta (the
-// records of every octant relocated from C0) in host memory and hands it
-// to a background persist worker, which performs the device writeback,
-// the fallback-ring push, and the commit-record flip off the mutator's
-// critical path. The mutator's view of "committed" advances immediately —
-// step i+1 treats version i as immutable exactly as in synchronous mode —
-// while DURABILITY trails by at most PipelineDepth versions: a crash loses
+// Persistence pipeline. Every tree has one, and every Persist ends in the
+// same commitBatch: fallback-ring push, step store, root store. At
+// Config.PipelineDepth 0 no worker exists and commitBatch runs inline on
+// the mutator, after a merge that stored every record and bitmap bit
+// eagerly. With PipelineDepth > 0 the merge instead STAGES the step's
+// delta (the records of every octant relocated from C0) in host memory
+// and hands it to a background persist worker, which performs the device
+// writeback and then commitBatch off the mutator's critical path. The
+// mutator's view of "committed" advances immediately at every depth —
+// step i+1 treats version i as immutable either way — while DURABILITY
+// trails by at most PipelineDepth versions: a crash loses
 // enqueued-but-unflushed versions and recovers to the newest version whose
 // commit record actually flipped. Flush is the durability barrier.
 //
-// Invariants the pipeline preserves:
+// Invariants the pipeline preserves while a worker runs:
 //
 //   - A staged octant's slot is allocated (its persistent bitmap bit set)
 //     by the mutator before staging, so no later allocation can collide
@@ -38,9 +40,9 @@ import (
 //     staged moments earlier in the SAME merge. patchParent therefore
 //     only touches records of the merge currently being staged, never a
 //     record the worker may be writing.
-//   - Only the worker stores to the root table while the pipeline runs;
-//     mutator-side root-table reads (markRetained, RetainedVersions) take
-//     rootMu so ring pushes and commit flips stay atomic under them.
+//   - Only commitBatch stores to the root table; mutator-side root-table
+//     reads (ringVersions) take rootMu so ring pushes and commit flips
+//     stay atomic under them.
 //
 // Under group commit (GroupCommit = k > 1) the worker drains up to k
 // queued versions into ONE durable commit: one writeback batch, one ring
@@ -69,7 +71,7 @@ func (e *PipelineDepthError) Error() string {
 // PipelineStats are the persist pipeline's cumulative counters.
 type PipelineStats struct {
 	Enqueued  uint64 // versions handed to the persist worker
-	Committed uint64 // durable commits (commit-record flips)
+	Committed uint64 // durable commits (commit-record flips), inline ones included
 	Coalesced uint64 // versions folded into a group commit without their own flip
 	Stalls    uint64 // Persist calls that blocked on a full in-flight window
 	Pending   int    // versions enqueued but not yet durable right now
@@ -102,6 +104,12 @@ type pipeline struct {
 	depth int
 	group int
 
+	// async is set while a persist worker goroutine runs: Persist then
+	// stages and enqueues instead of committing inline, and NVBM reads
+	// consult the pending set. Mutator-owned; Close and AbortPipeline
+	// clear it once the worker has exited.
+	async bool
+
 	// mu guards the queue, the durable watermark, shutdown state, and the
 	// stashed worker failure. cond signals both directions: the mutator
 	// waits for window space, the worker waits for work.
@@ -115,7 +123,7 @@ type pipeline struct {
 	failure     any // stashed worker panic, re-raised on the mutator
 	hook        func(stage string)
 
-	// rootMu serializes the worker's root-table stores (ring push, commit
+	// rootMu serializes commitBatch's root-table stores (ring push, commit
 	// flip) against mutator-side root-table reads: the table shares device
 	// bytes, and the two-store flip must be atomic under readers.
 	rootMu sync.Mutex
@@ -142,24 +150,14 @@ type pipeline struct {
 	done chan struct{}
 }
 
-// startPipeline launches the persist worker when the configuration asks
-// for asynchronous persistence. Called from Create and RestoreWithReport
-// once the tree has a committed version.
+// startPipeline builds the tree's pipeline, and launches the persist
+// worker when Config.PipelineDepth > 0. Called from Create and
+// RestoreWithReport once the tree has a committed version.
 func (t *Tree) startPipeline() {
-	if t.cfg.PipelineDepth <= 0 {
-		return
-	}
-	g := t.cfg.GroupCommit
-	if g < 1 {
-		g = 1
-	}
-	if g > t.cfg.PipelineDepth {
-		g = t.cfg.PipelineDepth
-	}
 	p := &pipeline{
 		t:           t,
 		depth:       t.cfg.PipelineDepth,
-		group:       g,
+		group:       min(max(t.cfg.GroupCommit, 1), max(t.cfg.PipelineDepth, 1)),
 		durableRoot: t.committed,
 		durableStep: t.committedStep,
 		pending:     make(map[pmem.Handle]*stagedRec),
@@ -167,23 +165,19 @@ func (t *Tree) startPipeline() {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	t.pipe = p
-	// While the pipeline runs, allocation-bitmap and high-water
-	// persistence ride the worker's commit batches instead of charging
-	// the mutator a device read-modify-write per alloc and free.
-	t.nv.SetDeferredBits(true)
-	go p.worker()
+	if p.depth > 0 {
+		p.async = true
+		// While the worker runs, allocation-bitmap and high-water
+		// persistence ride its commit batches instead of charging the
+		// mutator a device read-modify-write per alloc and free.
+		t.nv.SetDeferredBits(true)
+		go p.worker()
+	}
 }
 
-// Pipelined reports whether the asynchronous persist pipeline is running.
-func (t *Tree) Pipelined() bool { return t.pipe != nil }
-
-// PipelineStats returns the pipeline's counters (zero value when the tree
-// persists synchronously).
+// PipelineStats returns the pipeline's counters.
 func (t *Tree) PipelineStats() PipelineStats {
 	p := t.pipe
-	if p == nil {
-		return PipelineStats{}
-	}
 	p.mu.Lock()
 	pending := len(p.queue)
 	p.mu.Unlock()
@@ -197,42 +191,38 @@ func (t *Tree) PipelineStats() PipelineStats {
 }
 
 // DurableStep returns the step number of the newest version whose commit
-// record has actually flipped. Synchronously persisting trees are durable
-// through CommittedStep; pipelined trees may trail it by up to
+// record has actually flipped. With no worker running it equals
+// CommittedStep after every Persist; a worker may trail it by up to
 // PipelineDepth versions until Flush.
 func (t *Tree) DurableStep() uint64 {
-	if t.pipe == nil {
-		return t.committedStep
-	}
 	_, step := t.pipe.durable()
 	return step
 }
 
-// SetPersistHook installs a callback the persist worker invokes at stage
-// boundaries: "writeback" before a batch's record writes, "ring" after
-// the fallback-ring push (commit record not yet flipped), "commit" after
-// the record flip. Chaos harnesses use it to cut power at exact pipeline
-// stages. Install it before stepping begins; the callback runs on the
-// worker goroutine. No-op when the tree persists synchronously.
+// SetPersistHook installs a callback invoked at commit stage boundaries:
+// "writeback" before a batch's record writes, "ring" after the
+// fallback-ring push (commit record not yet flipped), "commit" after the
+// record flip. Chaos harnesses use it to cut power at exact stages.
+// Install it before stepping begins. While a worker runs, the callback
+// runs on the worker goroutine and sees all three stages; at
+// PipelineDepth 0 it runs on the mutator inside Persist and sees only
+// "ring" and "commit", because the merge already stored every record.
 func (t *Tree) SetPersistHook(fn func(stage string)) {
-	if p := t.pipe; p != nil {
-		p.mu.Lock()
-		p.hook = fn
-		p.mu.Unlock()
-	}
+	p := t.pipe
+	p.mu.Lock()
+	p.hook = fn
+	p.mu.Unlock()
 }
 
 // Flush blocks until every enqueued version is durably committed — the
 // durability barrier: after Flush returns, the commit record names the
 // newest version Persist produced. A persist-worker crash (e.g. power
-// lost during writeback) is re-raised here on the caller, exactly as a
-// synchronous Persist would have panicked at the failing device access.
-// No-op for synchronously persisting trees.
+// lost during writeback) is re-raised here on the caller, exactly as an
+// inline commit would have panicked at the failing device access. With
+// no worker running every version is already durable and Flush returns
+// at once.
 func (t *Tree) Flush() {
 	p := t.pipe
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	for len(p.queue) > 0 && p.failure == nil {
 		p.cond.Wait()
@@ -244,52 +234,56 @@ func (t *Tree) Flush() {
 	}
 }
 
-// Close flushes the pipeline and stops the persist worker; the tree then
-// persists synchronously again. No-op when no pipeline is running.
+// Close flushes the pipeline and stops the persist worker; later commits
+// run inline on the mutator. Only the flush happens when no worker runs.
 func (t *Tree) Close() {
-	p := t.pipe
-	if p == nil {
-		return
-	}
 	t.Flush()
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	<-p.done
-	t.pipe = nil
-	// Back to synchronous persistence: land bitmap words dirtied since the
-	// last enqueue (GC frees, retargeting) and resume eager per-bit writes.
-	t.nv.SetDeferredBits(false)
+	if t.pipe.stop(false) {
+		// Back to inline commits: land bitmap words dirtied since the last
+		// enqueue (GC frees, retargeting) and resume eager per-bit writes.
+		t.nv.SetDeferredBits(false)
+	}
 }
 
 // AbortPipeline stops the persist worker WITHOUT flushing: versions still
 // in flight are dropped (they were never durable — after a crash this is
 // the truth on the device anyway). Crash-recovery paths use it to stop
 // the worker when the device no longer accepts writes; a stashed worker
-// failure is discarded rather than re-raised.
-func (t *Tree) AbortPipeline() {
-	p := t.pipe
-	if p == nil {
-		return
+// failure is discarded rather than re-raised. The arena keeps deferring
+// bitmap words, so an aborted tree is fit only for Delete or to be
+// dropped. Does nothing when no worker runs.
+func (t *Tree) AbortPipeline() { t.pipe.stop(true) }
+
+// stop ends the persist worker, draining its queue or (abort) dropping
+// it, and reports whether a worker was running. Mutator-only.
+func (p *pipeline) stop(abort bool) bool {
+	if !p.async {
+		return false
 	}
 	p.mu.Lock()
-	p.aborted = true
 	p.closed = true
-	p.queue = nil
+	if abort {
+		p.aborted = true
+		p.queue = nil
+	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	<-p.done
-	t.pipe = nil
+	p.async = false
+	return true
 }
 
-// rebindDurable repoints the durable watermark after Compact rewrote the
-// committed version into a fresh arena. Mutator-only, queue drained
-// (Compact flushes first).
-func (p *pipeline) rebindDurable(root Ref, step uint64) {
+// rebind repoints the durable watermark after Compact rewrote the
+// committed version into the fresh arena nv, which a running worker needs
+// in deferred-bit mode (it was built with eager bits: the copy is its
+// durable baseline). Mutator-only, queue drained (Compact flushes first).
+func (p *pipeline) rebind(nv *pmem.Arena, root Ref, step uint64) {
 	p.mu.Lock()
 	p.durableRoot, p.durableStep = root, step
 	p.mu.Unlock()
+	if p.async {
+		nv.SetDeferredBits(true)
+	}
 }
 
 // durable returns the newest durably committed (root, step).
@@ -301,7 +295,7 @@ func (p *pipeline) durable() (Ref, uint64) {
 
 // checkFailure re-raises a stashed worker panic on the mutator, so a
 // device failure during background writeback surfaces on the next
-// Persist/Flush just as it would have surfaced inline when synchronous.
+// Persist/Flush just as it would have surfaced during an inline commit.
 func (p *pipeline) checkFailure() {
 	p.mu.Lock()
 	f := p.failure
@@ -311,9 +305,11 @@ func (p *pipeline) checkFailure() {
 	}
 }
 
-// beginStage arms delta staging around the mutator's moveToNVBM.
+// beginStage arms delta staging around the mutator's moveToNVBM — only
+// when a worker will write the staged records back; inline commits find
+// the merge's records already stored.
 func (p *pipeline) beginStage() {
-	p.staging = true
+	p.staging = p.async
 	p.stage = p.stage[:0]
 }
 
@@ -340,14 +336,11 @@ func (p *pipeline) stageRecord(h pmem.Handle, o *Octant) {
 
 // patchParent updates the parent field of a record staged by the merge
 // currently running, returning false when the slot is not pending (the
-// caller then writes the device directly). Safe only while staging: a
+// caller then writes the device directly). Call only while staging: a
 // pending record from an already-enqueued version is never patched — by
 // construction reparentChanged only targets slots the ongoing merge just
 // created — so the worker never writes bytes the mutator is mutating.
 func (p *pipeline) patchParent(h pmem.Handle, parent Ref) bool {
-	if !p.staging {
-		return false
-	}
 	p.pendMu.Lock()
 	r, ok := p.pending[h]
 	if ok {
@@ -386,6 +379,19 @@ func (p *pipeline) inflightRoots() []Ref {
 	return roots
 }
 
+// commit makes a merged version durable: handed to the worker when one
+// runs, otherwise through commitBatch inline on the mutator. Mutator-only.
+func (p *pipeline) commit(req *commitReq) {
+	if p.async {
+		p.enqueue(req)
+		return
+	}
+	p.mu.Lock()
+	hook := p.hook
+	p.mu.Unlock()
+	p.commitBatch([]*commitReq{req}, hook)
+}
+
 // enqueue hands a snapshotted version to the worker, blocking while the
 // in-flight window is full (backpressure: the window may never outrun the
 // fallback ring's headroom). Mutator-only.
@@ -406,6 +412,7 @@ func (p *pipeline) enqueue(req *commitReq) {
 	p.enqueued.Add(1)
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	p.t.flight.Record(telemetry.FlightEvent{Kind: "persist_enqueue", Step: req.step, Value: uint64(req.root)})
 }
 
 // worker is the background persist loop: it drains up to GroupCommit
@@ -443,7 +450,12 @@ func (p *pipeline) worker() {
 
 		// Entries stay in the queue during the writeback so GC's
 		// inflightRoots snapshot keeps marking them.
+		if hook != nil {
+			hook("writeback")
+		}
+		p.writeback(batch)
 		p.commitBatch(batch, hook)
+		p.retire(batch)
 
 		p.mu.Lock()
 		if p.aborted {
@@ -451,9 +463,6 @@ func (p *pipeline) worker() {
 			return
 		}
 		p.queue = p.queue[n:]
-		final := batch[n-1]
-		p.durableRoot, p.durableStep = final.root, final.step
-		p.committed.Add(1)
 		p.coalesced.Add(uint64(n - 1))
 		p.cond.Broadcast()
 		p.mu.Unlock()
@@ -523,23 +532,21 @@ func (p *pipeline) writeback(batch []*commitReq) {
 	nv.WriteBitsExclusive(bits, batch[len(batch)-1].hw)
 }
 
-// commitBatch makes a batch of enqueued versions durable: writeback of
-// every delta record, one fallback-ring push of the version the batch
+// commitBatch makes a batch of versions durable, every record of which is
+// already on the device: one fallback-ring push of the version the batch
 // supersedes, and one commit-record flip naming the batch's newest
-// version. Worker goroutine only.
+// version, which then becomes the durable watermark. The worker calls it
+// after writeback; at PipelineDepth 0 Persist calls it inline with a
+// batch of one.
 func (p *pipeline) commitBatch(batch []*commitReq, hook func(string)) {
-	t := p.t
-	if hook != nil {
-		hook("writeback")
-	}
-	p.writeback(batch)
 	final := batch[len(batch)-1]
 	durableRoot, durableStep := p.durable()
 	p.rootMu.Lock()
 	// The superseded durable version enters the fallback ring before the
-	// commit record flips away from it, mirroring the synchronous
-	// pushHistory-then-commit order: a crash inside the push damages at
-	// most the ring's oldest entry, never the commit record.
+	// commit record flips away from it: a crash inside the push damages at
+	// most the ring's oldest entry, never the commit record. A crash
+	// between the push and the flip leaves the ring entry duplicating the
+	// still-committed root, which restore deduplicates.
 	if !durableRoot.IsNil() && !durableRoot.InDRAM() {
 		i := int(durableStep % histSlots)
 		final.nv.SetRoot(histAddrSlot(i), uint64(durableRoot))
@@ -548,15 +555,28 @@ func (p *pipeline) commitBatch(batch []*commitReq, hook func(string)) {
 	if hook != nil {
 		hook("ring")
 	}
-	// Step before addr, the same crash ordering Persist documents.
+	// The step must be durable BEFORE the root pointer. If power fails
+	// between the two stores, recovery sees the old root with the new step
+	// number and resumes at step+1 — safely above every version tag in the
+	// old tree. The reverse order would let a recovered process treat the
+	// just-committed octants as its own working version and mutate them in
+	// place.
 	final.nv.SetRoot(rootSlotStep, final.step)
 	final.nv.SetRoot(rootSlotAddr, uint64(final.root))
 	p.rootMu.Unlock()
 	if hook != nil {
 		hook("commit")
 	}
-	// The batch is durable: retire its pending records so mutator reads
-	// go back to the device.
+	p.mu.Lock()
+	p.durableRoot, p.durableStep = final.root, final.step
+	p.mu.Unlock()
+	p.committed.Add(1)
+	p.t.flight.Record(telemetry.FlightEvent{Kind: "commit", Step: final.step, Value: uint64(final.root)})
+}
+
+// retire drops a durable batch's records from the pending set, so mutator
+// reads go back to the device. Worker goroutine only.
+func (p *pipeline) retire(batch []*commitReq) {
 	p.pendMu.Lock()
 	for _, req := range batch {
 		for _, r := range req.delta {
@@ -565,7 +585,6 @@ func (p *pipeline) commitBatch(batch []*commitReq, hook func(string)) {
 	}
 	p.pendMu.Unlock()
 	for _, req := range batch {
-		t.flight.Record(telemetry.FlightEvent{Kind: "persist_complete", Step: req.step, Value: uint64(req.root)})
+		p.t.flight.Record(telemetry.FlightEvent{Kind: "persist_complete", Step: req.step, Value: uint64(req.root)})
 	}
-	t.flight.Record(telemetry.FlightEvent{Kind: "commit", Step: final.step, Value: uint64(final.root)})
 }

@@ -114,30 +114,57 @@ func TestPipelineConfigValidate(t *testing.T) {
 	}
 }
 
-// TestPipelineSyncBitIdentical pins the synchronous mode: with
-// PipelineDepth 0 no pipeline exists (Pipelined is false, Flush/Close are
-// no-ops) and two identical runs produce bit-identical digest histories
-// AND bit-identical device statistics — the depth-0 tree IS today's
-// Persist, not a pipelined tree with an empty queue.
+// TestPipelineSyncBitIdentical pins depth 0: no worker runs, so every
+// Persist commits inline — DurableStep equals CommittedStep after each
+// one, PipelineStats counts every commit and no enqueue, and the persist
+// hook fires "ring" then "commit" on the mutator, never "writeback".
+// Two identical runs produce bit-identical digest histories AND
+// bit-identical device statistics.
 func TestPipelineSyncBitIdentical(t *testing.T) {
+	const steps = 10
 	run := func() ([]uint64, nvbm.Stats) {
 		nv := nvbm.New(nvbm.NVBM, 0)
 		tr := Create(pipelineConfig(nv, 0, 0))
-		if tr.Pipelined() {
-			t.Fatal("PipelineDepth 0 started a pipeline")
+		var stages []string
+		tr.SetPersistHook(func(stage string) { stages = append(stages, stage) })
+		tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool {
+			x, _, _ := c.Center()
+			return x > 0.5
+		})
+		h := []uint64{commitDigest(tr)}
+		for s := 1; s <= steps; s++ {
+			pipelineScript(tr, s)
+			tr.Persist()
+			if ds, cs := tr.DurableStep(), tr.CommittedStep(); ds != cs {
+				t.Fatalf("step %d: durable step %d != committed step %d at depth 0", s, ds, cs)
+			}
+			if rec := tr.nv.Root(rootSlotStep); rec != tr.CommittedStep() {
+				t.Fatalf("step %d: commit record names step %d, committed %d", s, rec, tr.CommittedStep())
+			}
+			h = append(h, commitDigest(tr))
 		}
-		h := runPipelineHistory(tr, 10)
-		tr.Flush() // must be a no-op
+		if st := tr.PipelineStats(); st.Committed != steps || st.Enqueued != 0 || st.Pending != 0 {
+			t.Fatalf("depth-0 pipeline stats %+v, want %d inline commits and nothing enqueued", st, steps)
+		}
+		if len(stages) != 2*steps {
+			t.Fatalf("hook fired %d times over %d inline commits: %v", len(stages), steps, stages)
+		}
+		for i, st := range stages {
+			if want := [2]string{"ring", "commit"}[i%2]; st != want {
+				t.Fatalf("hook stage %d is %q, want %q", i, st, want)
+			}
+		}
+		tr.Flush() // nothing in flight
 		tr.Close()
 		return h, nv.Stats()
 	}
 	h1, s1 := run()
 	h2, s2 := run()
 	if fmt.Sprint(h1) != fmt.Sprint(h2) {
-		t.Fatalf("synchronous digest history not reproducible:\n%v\n%v", h1, h2)
+		t.Fatalf("depth-0 digest history not reproducible:\n%v\n%v", h1, h2)
 	}
 	if s1 != s2 {
-		t.Fatalf("synchronous device stats not reproducible:\n%+v\n%+v", s1, s2)
+		t.Fatalf("depth-0 device stats not reproducible:\n%+v\n%+v", s1, s2)
 	}
 }
 
@@ -158,9 +185,6 @@ func TestPipelineAsyncDigestHistoryEqualsSync(t *testing.T) {
 		t.Run(fmt.Sprintf("depth=%d group=%d", cfg.depth, cfg.group), func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
 			tr := Create(pipelineConfig(nv, cfg.depth, cfg.group))
-			if !tr.Pipelined() {
-				t.Fatal("pipeline did not start")
-			}
 			hist := runPipelineHistory(tr, steps)
 			if fmt.Sprint(hist) != fmt.Sprint(syncHist) {
 				t.Fatalf("pipelined digest history diverged from synchronous:\nsync:  %v\nasync: %v", syncHist, hist)
@@ -338,31 +362,36 @@ func TestPipelineGroupCommit(t *testing.T) {
 	}
 }
 
-// TestPipelineCrashAtStages cuts power at every pipeline stage — before
+// TestPipelineCrashAtStages cuts power at every commit stage — before
 // any writeback write, mid-writeback (including mid-group batches), after
 // the ring push with the commit record not yet flipped, and after the
 // flip — and verifies recovery always lands on some enqueued version's
 // digest. The cut budget is consumed by whichever thread writes next, so
 // the crash may hit the worker mid-batch or the mutator mid-step: both
-// are legitimate power-failure shapes and both must recover.
+// are legitimate power-failure shapes and both must recover. The inline
+// rows cut the same two stages of a depth-0 commit, on the mutator.
 func TestPipelineCrashAtStages(t *testing.T) {
 	stages := []struct {
 		name   string
 		stage  string
 		budget int
+		depth  int
 		group  int
 	}{
-		{"before-writeback", "writeback", 0, 1},
-		{"mid-writeback", "writeback", 3, 1},
-		{"mid-group-writeback", "writeback", 7, 3},
-		{"ring-pushed-record-not-flipped", "ring", 0, 1},
-		{"ring-pushed-record-not-flipped-grouped", "ring", 0, 3},
-		{"after-commit-flip", "commit", 0, 1},
+		{"before-writeback", "writeback", 0, 3, 1},
+		{"mid-writeback", "writeback", 3, 3, 1},
+		{"mid-group-writeback", "writeback", 7, 3, 3},
+		{"ring-pushed-record-not-flipped", "ring", 0, 3, 1},
+		{"ring-pushed-record-not-flipped-grouped", "ring", 0, 3, 3},
+		{"after-commit-flip", "commit", 0, 3, 1},
+		{"inline-ring-pushed-record-not-flipped", "ring", 0, 0, 0},
+		{"inline-mid-commit-record", "ring", 1, 0, 0},
+		{"inline-after-commit-flip", "commit", 0, 0, 0},
 	}
 	for _, sc := range stages {
 		t.Run(sc.name, func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
-			tr := Create(pipelineConfig(nv, 3, sc.group))
+			tr := Create(pipelineConfig(nv, sc.depth, sc.group))
 			armed := false
 			tr.SetPersistHook(func(stage string) {
 				if stage == sc.stage && !armed {
@@ -419,11 +448,11 @@ func TestPipelineCrashAtStages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !restored2.Pipelined() {
-				t.Fatal("restore did not start the configured pipeline")
-			}
 			pipelineScript(restored2, 1)
 			restored2.Persist()
+			if st := restored2.PipelineStats(); st.Enqueued != 1 {
+				t.Fatalf("restore did not start the configured worker: %+v", st)
+			}
 			restored2.Flush()
 			if err := restored2.Validate(); err != nil {
 				t.Fatalf("post-recovery pipelined persist invalid: %v", err)
@@ -462,9 +491,15 @@ func TestPipelineWorkerFailureSurfacesOnMutator(t *testing.T) {
 		t.Fatalf("mutator saw %v, want ErrPowerLost re-raised from the worker", caught)
 	}
 	<-failed
+	// Abort drops what was in flight instead of flushing it: nothing past
+	// the durable version reaches the device.
 	tr.AbortPipeline()
-	if tr.Pipelined() {
-		t.Fatal("AbortPipeline left the pipeline attached")
+	nv.RestorePower()
+	if ds, cs := tr.DurableStep(), tr.CommittedStep(); ds >= cs {
+		t.Fatalf("durable step %d caught up with committed step %d although the worker died", ds, cs)
+	}
+	if rec := tr.nv.Root(rootSlotStep); rec != tr.DurableStep() {
+		t.Fatalf("commit record names step %d, durable step is %d", rec, tr.DurableStep())
 	}
 }
 

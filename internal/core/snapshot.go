@@ -54,17 +54,14 @@ func (t *Tree) ensurePins() {
 // PinCommitted pins the currently committed version V(i-1) and returns the
 // pin holding one reference. Writer thread only.
 //
-// Under the persist pipeline the newest DURABLE version is pinned, not
-// the host's committed view: an enqueued version's octants are not all on
-// the device yet, and pin readers bypass the pipeline's pending set by
-// design (they read from any goroutine, with no claim on pipeline
-// synchronization). Serving therefore always exposes crash-consistent
-// state; Flush first to pin the newest version.
+// The newest DURABLE version is pinned, not the host's committed view —
+// the two differ only while a persist worker runs: an enqueued version's
+// octants are not all on the device yet, and pin readers bypass the
+// pipeline's pending set by design (they read from any goroutine, with no
+// claim on pipeline synchronization). Serving therefore always exposes
+// crash-consistent state; Flush first to pin the newest version.
 func (t *Tree) PinCommitted() *VersionPin {
-	root, step := t.committed, t.committedStep
-	if t.pipe != nil {
-		root, step = t.pipe.durable()
-	}
+	root, step := t.pipe.durable()
 	if root.IsNil() || root.InDRAM() {
 		panic("core: no committed NVBM version to pin")
 	}
@@ -133,29 +130,15 @@ type VersionInfo struct {
 // slots and the result is empty. Writer thread only (deep verification
 // uses the shared scratch buffer).
 func (t *Tree) RetainedVersions() []VersionInfo {
-	// Ring entries are snapshotted under rootMu (the persist worker pushes
-	// entries concurrently when pipelining); the deep verification below
-	// runs outside the lock — it only reads durable, immutable versions.
-	type entry struct {
-		root Ref
-		step uint64
-	}
-	var ring [histSlots]entry
-	unlock := t.lockRootTable()
-	for i := 0; i < histSlots; i++ {
-		ring[i] = entry{Ref(t.nv.Root(histAddrSlot(i))), t.nv.Root(histStepSlot(i))}
-	}
-	unlock()
 	var out []VersionInfo
-	for _, e := range ring {
-		root, step := e.root, e.step
-		if root.IsNil() || root.InDRAM() || root == t.committed {
+	for _, e := range t.ringVersions() {
+		if e.Root.IsNil() || e.Root.InDRAM() || e.Root == t.committed {
 			continue
 		}
-		if t.candidateError(root, step, true) != nil {
+		if t.candidateError(e.Root, e.Step, true) != nil {
 			continue
 		}
-		out = append(out, VersionInfo{Root: root, Step: step})
+		out = append(out, e)
 	}
 	// Ring order is (step mod histSlots); restore newest-first step order.
 	for i := 1; i < len(out); i++ {

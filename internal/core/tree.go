@@ -67,17 +67,16 @@ type Config struct {
 	// Restore returns it. Default 0: superseded versions are reclaimed as
 	// the paper prescribes.
 	RetainVersions int
-	// PipelineDepth, when k > 0, turns on the asynchronous persistence
-	// pipeline: Persist stages the step's merge delta and returns while a
-	// background worker performs the NVBM writeback, fallback-ring push,
-	// and commit-record flip. k bounds the in-flight window (versions
-	// enqueued but not yet durable); Persist blocks when the window is
-	// full. It may not exceed MaxRetainVersions - RetainVersions — every
-	// commit claims a fallback-ring entry, and the retained versions must
-	// survive a full in-flight window (PipelineDepthError otherwise).
-	// Default 0: the synchronous Persist, bit-identical to the unpipelined
-	// tree. See pipeline.go for semantics and Flush for the durability
-	// barrier.
+	// PipelineDepth, when k > 0, starts a background persist worker:
+	// Persist stages the step's merge delta and returns while the worker
+	// performs the NVBM writeback, fallback-ring push, and commit-record
+	// flip. k bounds the in-flight window (versions enqueued but not yet
+	// durable); Persist blocks when the window is full. It may not exceed
+	// MaxRetainVersions - RetainVersions — every commit claims a
+	// fallback-ring entry, and the retained versions must survive a full
+	// in-flight window (PipelineDepthError otherwise). Default 0: Persist
+	// commits inline, every version durable when it returns. See
+	// pipeline.go for semantics and Flush for the durability barrier.
 	PipelineDepth int
 	// GroupCommit, with PipelineDepth > 0, lets the persist worker
 	// coalesce up to this many queued step deltas into one durable commit:
@@ -85,13 +84,6 @@ type Config struct {
 	// the newest version of the group. Versions folded into a group never
 	// get their own commit record. Clamped to [1, PipelineDepth].
 	GroupCommit int
-	// CacheCommittedReads lets the decoded-octant cache elide the modeled
-	// device read on hits against committed-version NVBM octants, which
-	// are immutable under multi-version copy-on-write. Off by default —
-	// the default cache only skips the host-side decode, keeping every
-	// modeled access statistic (and the paper-figure reproductions)
-	// bit-identical — so pmbench fig* runs measure the paper's costs.
-	CacheCommittedReads bool
 
 	// NVBMDevice, when set, is the persistent region to use (e.g. one
 	// reopened after a crash). Otherwise a fresh device is created.
@@ -226,9 +218,8 @@ type Tree struct {
 	constructClean bool
 	constructSeq   uint64
 
-	// pipe is the asynchronous persist pipeline (pipeline.go), nil when
-	// Config.PipelineDepth is 0 — every pipelined branch in the hot paths
-	// is a nil check, keeping the synchronous tree bit-identical.
+	// pipe is the persist pipeline (pipeline.go). Every tree has one; the
+	// hot read paths consult its pending set only while a worker runs.
 	pipe *pipeline
 
 	// Snapshot pin registry (snapshot.go): committed versions held alive
@@ -324,6 +315,7 @@ func (t *Tree) Delete() {
 	t.dram = pmem.NewArena(t.cfg.DRAMDevice, RecordSize)
 	t.nv = pmem.NewArena(t.cfg.NVBMDevice, RecordSize)
 	t.committed, t.cur = NilRef, NilRef
+	t.pipe.rebind(t.nv, NilRef, 0)
 	t.hot = map[morton.Code]bool{}
 	t.trunk = nil
 	t.access = map[morton.Code]uint64{}
@@ -400,7 +392,6 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc("core.cache.hits", func() float64 { return float64(t.fp.CacheHits) })
 	r.RegisterFunc("core.cache.misses", func() float64 { return float64(t.fp.CacheMisses) })
 	r.RegisterFunc("core.cache.invalidations", func() float64 { return float64(t.fp.CacheInvalidations) })
-	r.RegisterFunc("core.cache.skipped_reads", func() float64 { return float64(t.fp.CacheSkippedReads) })
 	r.RegisterFunc("core.leafindex.rebuilds", func() float64 { return float64(t.fp.LeafIndexRebuilds) })
 	r.RegisterFunc("core.leafindex.reuses", func() float64 { return float64(t.fp.LeafIndexReuses) })
 	r.RegisterFunc("core.tile.rebuilds", func() float64 { return float64(t.fp.TileRebuilds) })
@@ -455,10 +446,10 @@ func (t *Tree) arenaFor(r Ref) *pmem.Arena {
 // staged in the persist pipeline but not yet written back from the
 // pipeline's pending set (read-your-writes). A pending hit still charges
 // the modeled device read, so modeled traffic — and therefore the golden
-// statistics — does not depend on writeback timing. With the pipeline off
-// this is exactly the arena read.
+// statistics — does not depend on writeback timing. With no worker
+// running this is exactly the arena read, and takes no lock.
 func (t *Tree) chargedRead(r Ref, buf []byte) {
-	if pp := t.pipe; pp != nil && !r.InDRAM() && pp.readPendingField(r.Handle(), 0, buf) {
+	if pp := t.pipe; pp.async && !r.InDRAM() && pp.readPendingField(r.Handle(), 0, buf) {
 		t.cfg.NVBMDevice.ChargeRead(len(buf))
 		return
 	}
@@ -466,20 +457,14 @@ func (t *Tree) chargedRead(r Ref, buf []byte) {
 }
 
 // readOct loads the octant at r and records a subtree access. A decoded-
-// cache hit skips the host-side decode; in the default configuration the
-// charged device read still happens (same bytes, same modeled latency),
-// so cached and uncached runs produce identical device statistics. With
-// Config.CacheCommittedReads, hits on immutable committed-version NVBM
-// octants skip the device read as well.
+// cache hit skips the host-side decode, but the charged device read still
+// happens (same bytes, same modeled latency), so cached and uncached runs
+// produce identical device statistics.
 func (t *Tree) readOct(r Ref) Octant {
 	if line := t.cacheLineOf(r); line != nil {
 		t.fp.CacheHits++
-		if t.cfg.CacheCommittedReads && !r.InDRAM() && line.oct.Version < t.step {
-			t.fp.CacheSkippedReads++
-		} else {
-			var buf [RecordSize]byte
-			t.chargedRead(r, buf[:])
-		}
+		var buf [RecordSize]byte
+		t.chargedRead(r, buf[:])
 		o := line.oct
 		t.touch(o.Code)
 		return o
@@ -517,13 +502,13 @@ func (t *Tree) writeChildren(r Ref, o *Octant) {
 	t.mutSeq++
 }
 
-// writeParentField stores only the parent field at r. While a pipelined
-// merge is staging, a target relocated moments earlier has no device
-// record yet — the parent is patched into its staged record instead (the
-// field reaches the device once, with the batch writeback, so the fix-up
-// write is never charged).
+// writeParentField stores only the parent field at r. While a merge is
+// staging for the persist worker, a target relocated moments earlier has
+// no device record yet — the parent is patched into its staged record
+// instead (the field reaches the device once, with the batch writeback,
+// so the fix-up write is never charged).
 func (t *Tree) writeParentField(r Ref, parent Ref) {
-	if pp := t.pipe; pp != nil && !r.InDRAM() && pp.patchParent(r.Handle(), parent) {
+	if pp := t.pipe; pp.staging && !r.InDRAM() && pp.patchParent(r.Handle(), parent) {
 		if line := t.cacheLineOf(r); line != nil {
 			line.oct.Parent = parent
 		}
@@ -564,12 +549,12 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 }
 
 // readVersion loads only the version word at r, consulting the persist
-// pipeline's pending set first (the staged record is the truth for a slot
-// whose writeback has not landed; the modeled field read is still
-// charged).
+// worker's pending set first while one runs (the staged record is the
+// truth for a slot whose writeback has not landed; the modeled field read
+// is still charged).
 func (t *Tree) readVersion(r Ref) uint64 {
 	var buf [8]byte
-	if pp := t.pipe; pp != nil && !r.InDRAM() && pp.readPendingField(r.Handle(), offVersion, buf[:]) {
+	if pp := t.pipe; pp.async && !r.InDRAM() && pp.readPendingField(r.Handle(), offVersion, buf[:]) {
 		t.cfg.NVBMDevice.ChargeRead(len(buf))
 		return getU64(buf[:])
 	}

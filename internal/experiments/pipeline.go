@@ -57,13 +57,8 @@ func Pipeline(sc Scale, obs *telemetry.Observer) []PipelineRow {
 			NVBMDevice:        dev,
 			DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
 			DRAMBudgetOctants: 2048,
-			// Committed reads served from the decoded-node cache: the
-			// device traffic left is the write-dominated persist path, the
-			// cost the pipeline exists to hide (real PM reads are near-DRAM;
-			// writes are the slow direction).
-			CacheCommittedReads: true,
-			PipelineDepth:       m.depth,
-			GroupCommit:         m.group,
+			PipelineDepth:     m.depth,
+			GroupCommit:       m.group,
 		})
 		tree.SetTracer(obs.TracerFor(mi, telemetry.DeviceProbe(dev)))
 		d := sim.NewDroplet(sim.DropletConfig{Steps: steps + 10})
@@ -80,14 +75,10 @@ func Pipeline(sc Scale, obs *telemetry.Observer) []PipelineRow {
 		tree.Flush()
 		total := time.Since(start).Seconds() * 1e3
 		st := tree.PipelineStats()
-		commits := st.Committed
-		if m.depth == 0 {
-			commits = uint64(steps)
-		}
 		rows = append(rows, PipelineRow{
 			Mode: m.name, Depth: m.depth, Group: m.group, Steps: steps,
 			MutatorMS: total, PersistMS: persistMS,
-			Stalls: st.Stalls, Coalesced: st.Coalesced, Commits: commits,
+			Stalls: st.Stalls, Coalesced: st.Coalesced, Commits: st.Committed,
 			Leaves: tree.LeafCount(),
 		})
 		tree.Close()

@@ -22,11 +22,6 @@ type ChaosConfig struct {
 	MaxLevel   uint8 // refinement bound (default 4)
 	DRAMBudget int   // C0 budget in octants (default 4096)
 	Profile    Profile
-	// CacheCommittedReads forwards core.Config.CacheCommittedReads: the
-	// soak then runs with the decoded-octant cache eliding committed-read
-	// device traffic, proving cache coherence under crash/restore churn
-	// (the report digests are seed-deterministic either way).
-	CacheCommittedReads bool
 	// QueryReaders, when positive, runs that many concurrent MVCC snapshot
 	// readers (internal/serve) against a catalog of pinned committed
 	// versions for the whole soak — querying while the writer steps,
@@ -136,13 +131,12 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 
 	mkConfig := func(dev *nvbm.Device) core.Config {
 		return core.Config{
-			NVBMDevice:          dev,
-			DRAMDevice:          nvbm.New(nvbm.DRAM, 0),
-			DRAMBudgetOctants:   cfg.DRAMBudget,
-			Seed:                cfg.Seed,
-			RetainVersions:      2,
-			VerifyRestore:       true,
-			CacheCommittedReads: cfg.CacheCommittedReads,
+			NVBMDevice:        dev,
+			DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
+			DRAMBudgetOctants: cfg.DRAMBudget,
+			Seed:              cfg.Seed,
+			RetainVersions:    2,
+			VerifyRestore:     true,
 		}
 	}
 	tree := core.Create(mkConfig(nv))

@@ -128,32 +128,3 @@ func TestChaosReproducible(t *testing.T) {
 		t.Error("history digest is zero; commit history was never hashed")
 	}
 }
-
-// TestChaosSoakCachedReads re-runs the soak with the decoded-octant
-// cache allowed to elide committed-read device traffic
-// (CacheCommittedReads). Crash recovery, scrubbing, and validation all
-// re-read the arena underneath the cache, so surviving the same seeds
-// proves the cache never serves a stale decode across power cuts,
-// restores, GC sweeps, and compaction-free recycling. The workload
-// evolution must match the uncached soak exactly (same committed steps,
-// same digests): the cache is invisible to simulation state.
-func TestChaosSoakCachedReads(t *testing.T) {
-	seeds := []int64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cached, err := Run(ChaosConfig{Seed: seed, Steps: 40, CacheCommittedReads: true})
-		if err != nil {
-			t.Fatalf("seed %d (cached): recovery guarantee violated: %v\n%s", seed, err, cached)
-		}
-		plain, err := Run(ChaosConfig{Seed: seed, Steps: 40})
-		if err != nil {
-			t.Fatalf("seed %d (uncached): %v", seed, err)
-		}
-		if cached != plain {
-			t.Errorf("seed %d: cached soak diverged from uncached:\ncached:  %s\nplain:   %s",
-				seed, cached, plain)
-		}
-	}
-}

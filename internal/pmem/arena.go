@@ -195,12 +195,21 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 		maxSlots: int(dev.ReadU32(maxSlotsOff)),
 	}
 	a.highWater.Store(dev.ReadU32(highWaterOff))
-	if a.slotSize <= 0 || a.stride < a.slotSize || a.maxSlots <= 0 {
+	// The stride is derived from the slot size, never chosen: any other
+	// value moves every slot offset, and an all-zero record read from the
+	// wrong place decodes as a valid empty root.
+	if a.slotSize <= 0 || a.stride != align8(a.slotSize) || a.maxSlots <= 0 {
 		return nil, fmt.Errorf("pmem: corrupt arena geometry: slot %d stride %d cap %d", a.slotSize, a.stride, a.maxSlots)
 	}
 	a.zeroBuf = make([]byte, a.slotSize)
 	if int(a.highWater.Load()) > a.maxSlots {
 		return nil, fmt.Errorf("pmem: high water %d exceeds capacity %d", a.highWater.Load(), a.maxSlots)
+	}
+	// Every handed-out slot was backed by the device when it was
+	// allocated (allocation grows the device first), so a high-water mark
+	// past the device's end is corrupt, not merely large.
+	if hw := a.highWater.Load(); hw > 0 && a.slotOff(hw-1)+a.stride > dev.Size() {
+		return nil, fmt.Errorf("pmem: corrupt arena geometry: high water %d ends past the device (%d bytes)", hw, dev.Size())
 	}
 	// Rebuild the free list from the bitmap prefix covering handed-out
 	// slots: one sequential read.
