@@ -379,7 +379,7 @@ func BenchmarkCoreBalance(b *testing.B) {
 // (Tree.ScatterLeafTiles) on the level-6 droplet, the in-repo counterpart
 // of the lifecycle benchmark's core.scatter_ms: each iteration moves the
 // interface one step (refine, coarsen, balance, untimed), rewrites ~70 % of
-// the leaves — or all of them — in the gathered tile store, and times the
+// the leaves — or all of them — in the leaf index LeafTiles lends, and times the
 // scatter that stores them copy-on-write; the Persist that follows is
 // untimed, so every iteration scatters over a committed, C0-evicted mesh as
 // a real step does. Same step window as BenchmarkCoreBalance (-benchtime
@@ -598,8 +598,8 @@ func benchFastPathRegion(c morton.Code) bool {
 // by six full leaf sweeps (predicate evaluation, solve, advect and
 // output passes all iterate the leaves), with the tree resident in NVBM
 // behind a small C0 budget. "walk" pays a charged decode walk per sweep —
-// the pre-fast-path behavior; "indexed" iterates the Z-order leaf
-// snapshot, rebuilt at most once per mutation. The leaf sums agree
+// the pre-fast-path behavior; "indexed" sweeps a field slice of the
+// Z-order leaf index, rebuilt at most once per mutation. The leaf sums agree
 // bit-for-bit; only the traversal machinery differs.
 func BenchmarkLeafWalkRefine(b *testing.B) {
 	const sweeps = 6
@@ -633,8 +633,8 @@ func BenchmarkLeafWalkRefine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tree.RefineWhere(benchFastPathRegion, 5)
 			for s := 0; s < sweeps; s++ {
-				for _, e := range tree.LeafSnapshot() {
-					sum += e.Data[0]
+				for _, v := range tree.LeafTiles().F[0] {
+					sum += v
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
@@ -32,45 +33,55 @@ type report struct {
 	LiveBytes       int            `json:"live_bytes"`
 	BytesPerKOctant float64        `json:"bytes_per_1000_octants"`
 
-	// -tiles only: the Morton-ordered SoA tile image of the leaf fields.
-	Tiles           int            `json:"tiles,omitempty"`
-	TileSize        int            `json:"tile_size,omitempty"`
-	TileOccupancy   float64        `json:"tile_occupancy,omitempty"`
-	TileHistogram   map[string]int `json:"tile_histogram,omitempty"`
-	TileGatherBytes uint64         `json:"tile_gather_bytes,omitempty"`
+	// -tiles only: the tiling of the Morton-ordered SoA leaf index.
+	Tiles         int            `json:"tiles,omitempty"`
+	TileSize      int            `json:"tile_size,omitempty"`
+	TileOccupancy float64        `json:"tile_occupancy,omitempty"`
+	TileHistogram map[string]int `json:"tile_histogram,omitempty"`
 }
 
-func main() {
-	asJSON := flag.Bool("json", false, "emit one machine-readable JSON object instead of text")
-	tiles := flag.Bool("tiles", false, "gather the tiled SoA leaf image and report tile count, occupancy histogram, and gather traffic")
-	flag.Usage = func() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is meshstat on args, writing the report to stdout and diagnostics to
+// stderr; it returns the process exit code: 0, 1 on a failed restore or
+// validation, 2 on bad usage.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("meshstat", flag.ContinueOnError)
+	asJSON := fs.Bool("json", false, "emit one machine-readable JSON object instead of text")
+	tiles := fs.Bool("tiles", false, "report the leaf index's tile count and occupancy histogram")
+	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: meshstat [-json] [-tiles] <region-image>")
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 
-	dev, err := pmoctree.OpenDeviceFile(flag.Arg(0))
+	dev, err := pmoctree.OpenDeviceFile(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "meshstat: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	tree, err := pmoctree.Restore(pmoctree.Config{NVBMDevice: dev})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "meshstat: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	rep := report{Step: tree.Step() - 1, Valid: true}
 	if err := tree.Validate(); err != nil {
 		if *asJSON {
 			rep.Valid = false
-			json.NewEncoder(os.Stdout).Encode(rep)
+			json.NewEncoder(stdout).Encode(rep)
 		}
 		fmt.Fprintf(os.Stderr, "meshstat: structural validation FAILED: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	hm := pmoctree.Extract(tree.ForEachLeaf)
@@ -91,7 +102,6 @@ func main() {
 
 	if *tiles {
 		st := tree.LeafTiles()
-		fp := tree.FastPath()
 		rep.Tiles = st.Tiles()
 		rep.TileSize = tile.Size
 		rep.TileOccupancy = st.Occupancy()
@@ -101,22 +111,21 @@ func main() {
 				rep.TileHistogram[fmt.Sprint(k)] = n
 			}
 		}
-		rep.TileGatherBytes = fp.TileGatherBytes
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			fmt.Fprintf(os.Stderr, "meshstat: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("restored committed version of step %d\n", rep.Step)
-	fmt.Println("structural validation: ok")
-	fmt.Printf("mesh: %d elements, %d vertices (%d anchored, %d dangling), volume %.6f\n",
+	fmt.Fprintf(stdout, "restored committed version of step %d\n", rep.Step)
+	fmt.Fprintln(stdout, "structural validation: ok")
+	fmt.Fprintf(stdout, "mesh: %d elements, %d vertices (%d anchored, %d dangling), volume %.6f\n",
 		rep.Elements, rep.Vertices, rep.Anchored, rep.Dangling, rep.Volume)
 
 	var levels []int
@@ -124,19 +133,19 @@ func main() {
 		levels = append(levels, int(l))
 	}
 	sort.Ints(levels)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "level\telements\tcell size")
 	for _, l := range levels {
 		fmt.Fprintf(w, "%d\t%d\t%.6f\n", l, hist[uint8(l)], 1/float64(uint64(1)<<l))
 	}
 	w.Flush()
 
-	fmt.Printf("octants: %d; live bytes %d (%.0f per 1000 octants)\n",
+	fmt.Fprintf(stdout, "octants: %d; live bytes %d (%.0f per 1000 octants)\n",
 		rep.Octants, rep.LiveBytes, rep.BytesPerKOctant)
 
 	if *tiles {
-		fmt.Printf("tiles: %d of %d cells (%.1f%% occupancy), gathered %d bytes\n",
-			rep.Tiles, rep.TileSize, 100*rep.TileOccupancy, rep.TileGatherBytes)
+		fmt.Fprintf(stdout, "tiles: %d of %d cells (%.1f%% occupancy)\n",
+			rep.Tiles, rep.TileSize, 100*rep.TileOccupancy)
 		var occs []int
 		for k := range rep.TileHistogram {
 			var v int
@@ -144,11 +153,12 @@ func main() {
 			occs = append(occs, v)
 		}
 		sort.Ints(occs)
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "cells/tile\ttiles")
 		for _, k := range occs {
 			fmt.Fprintf(tw, "%d\t%d\n", k, rep.TileHistogram[fmt.Sprint(k)])
 		}
 		tw.Flush()
 	}
+	return 0
 }

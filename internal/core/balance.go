@@ -19,7 +19,8 @@ func (t *Tree) Balance() int {
 	}
 	nr, _ := t.splitWalk(t.cur, splits)
 	t.cur = nr
-	t.refineIndex(leaves)
+	t.idx.Refine(leaves)
+	t.idx.Stamp(t.contentSeq)
 	t.maybeEvict()
 	return len(splits)
 }

@@ -38,12 +38,11 @@ type FastPathStats struct {
 	CacheHits          uint64 // readOct served from a decoded line
 	CacheMisses        uint64 // readOct decoded from the device
 	CacheInvalidations uint64 // whole-cache epoch bumps
-	LeafIndexRebuilds  uint64 // LeafSnapshot walks
-	LeafIndexReuses    uint64 // LeafSnapshot served without a walk
-	TileRebuilds       uint64 // LeafTiles gathers (snapshot -> SoA transpose)
-	TileReuses         uint64 // LeafTiles served without a gather
-	TileRebuildNs      uint64 // wall time spent gathering
-	TileGatherBytes    uint64 // field bytes transposed into the store
+	LeafIndexRebuilds  uint64 // leaf-index rebuild walks
+	LeafIndexReuses    uint64 // leaf index served without a walk
+	TileRebuilds       uint64 // LeafTiles tile-bound cuts (the leaf set changed)
+	TileReuses         uint64 // LeafTiles served without a cut
+	TileRebuildNs      uint64 // wall time spent cutting tile bounds
 	TileScatters       uint64 // ScatterLeafTiles calls
 	TileScatterBytes   uint64 // field bytes written back to the tree
 }

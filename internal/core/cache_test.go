@@ -6,6 +6,7 @@ import (
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
+	"pmoctree/internal/tile"
 )
 
 // bypassRead decodes the octant at r straight from the arena, ignoring
@@ -172,22 +173,43 @@ func TestCacheChargePreservation(t *testing.T) {
 	}
 }
 
+// leafEntry is one leaf as the index tests compare them.
+type leafEntry struct {
+	Code morton.Code
+	Data [DataWords]float64
+}
+
 // walkLeaves is the index oracle: the working version's leaves by a fresh
 // tree walk.
-func walkLeaves(tr *Tree) []LeafEntry {
-	var out []LeafEntry
+func walkLeaves(tr *Tree) []leafEntry {
+	var out []leafEntry
 	tr.ForEachLeaf(func(c morton.Code, d [DataWords]float64) bool {
-		out = append(out, LeafEntry{Code: c, Data: d})
+		out = append(out, leafEntry{Code: c, Data: d})
 		return true
 	})
 	return out
 }
 
-// TestLeafSnapshotInvalidation pins the leaf-index contract: the entries
-// always equal a fresh walk; operations that visit every leaf (Refine,
-// Coarsen), Balance, the batch writer and every relocation (Persist, C0
-// eviction) leave the index valid, so the next LeafSnapshot walks nothing;
-// only the reference and single-leaf paths make it rebuild.
+// indexValid reports whether the index reads valid: stamped for the
+// current content, with no kernel edit pending (DESIGN.md decision 19).
+func (t *Tree) indexValid() bool {
+	return t.idx.ValidFor(t.contentSeq) && !(t.lent && t.idx.HasDirty())
+}
+
+// storeLeaves lists a leaf-index store's entries in the oracle's form.
+func storeLeaves(st *tile.Store) []leafEntry {
+	out := make([]leafEntry, st.N())
+	for i, c := range st.Codes() {
+		out[i] = leafEntry{Code: c, Data: st.Load(i)}
+	}
+	return out
+}
+
+// TestLeafSnapshotInvalidation pins the leaf-index contract: the store
+// LeafTiles serves always equals a fresh walk; operations that visit every
+// leaf (Refine, Coarsen), Balance, the batch writer and every relocation
+// (Persist, C0 eviction) leave the index valid, so serving it walks
+// nothing; only the reference and single-leaf paths make it rebuild.
 func TestLeafSnapshotInvalidation(t *testing.T) {
 	tr := Create(Config{
 		NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
@@ -199,7 +221,7 @@ func TestLeafSnapshotInvalidation(t *testing.T) {
 	check := func(label string, wantRebuild bool) {
 		t.Helper()
 		before := tr.FastPath()
-		snap := tr.LeafSnapshot()
+		snap := storeLeaves(tr.LeafTiles())
 		after := tr.FastPath()
 		if rebuilt := after.LeafIndexRebuilds != before.LeafIndexRebuilds; rebuilt != wantRebuild {
 			t.Fatalf("%s: index rebuilt = %v, want %v", label, rebuilt, wantRebuild)
@@ -244,10 +266,21 @@ func TestLeafSnapshotInvalidation(t *testing.T) {
 	tr.GC()
 	check("after gc", false)
 
+	// An edit a kernel never scatters is discarded, not served.
+	st = tr.LeafTiles()
+	st.F[2][0] = -1
+	st.MarkDirty(0)
+	rebuilds := tr.FastPath().LeafIndexRebuilds
+	tr.Balance() // any other use of the index ends the loan
+	if got := tr.FastPath().LeafIndexRebuilds; got != rebuilds+1 {
+		t.Fatalf("Balance after an unscattered edit rebuilt the index %d times, want 1", got-rebuilds)
+	}
+	check("after an unscattered edit", false)
+
 	// The reference and single-leaf paths do not maintain the index.
 	tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool { d[0] = 1; return true })
 	check("after UpdateLeaves", true)
-	leaf := tr.LeafSnapshot()[0].Code
+	leaf := tr.LeafCodesSnapshot()[0]
 	tr.UpdateAt(leaf, func(d *[DataWords]float64) { d[2] = 7 })
 	check("after UpdateAt", true)
 	tr.RefineAt(leaf)

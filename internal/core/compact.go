@@ -73,7 +73,7 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	// empty (flushed above), so this is a plain repoint.
 	t.pipe.rebind(newArena, newRoot, t.step-1)
 	// Every NVBM ref changed identity: drop the decoded cache. The leaf
-	// index and tile store hold no refs and the content is the same.
+	// index holds no refs and the content is the same.
 	t.cacheInvalidateAll()
 	return retired, nil
 }

@@ -8,7 +8,6 @@ import (
 	"pmoctree/internal/parallel"
 	"pmoctree/internal/pmem"
 	"pmoctree/internal/telemetry"
-	"pmoctree/internal/tile"
 )
 
 // ConstructStateError reports a bulk construction attempted while the
@@ -52,8 +51,8 @@ func (t *Tree) AdvanceStepTo(step uint64) error {
 //
 // The resulting working version is bit-identical (digest equality) to the
 // same leaf set built by incremental refine + UpdateLeaves, at any worker
-// count. The leaf index, leaf-code snapshot and tile store are pre-filled
-// and stamped valid, so the first gather after construction is free.
+// count. The leaf index is filled, tiled and stamped valid, so the first
+// LeafTiles after construction is free.
 //
 // The caller commits with Persist as usual; every constructed octant is
 // already NVBM-resident, so the persist merge has nothing to move (the
@@ -124,30 +123,21 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	t.depth = bt.Depth
 
 	// The span write bypassed writeOct, so invalidate explicitly; then
-	// pre-fill the leaf index and tile store from the flat derivation and
-	// stamp them valid, so the first gather re-reads nothing.
+	// fill the leaf index from the flat derivation, cut its tiles and stamp
+	// it valid, so the first LeafTiles re-reads nothing.
 	t.cacheInvalidateAll()
 	t.beginIndexEmit()
 	t.contentSeq++
-	t.leafCodesSnap = t.leafCodesSnap[:0]
+	t.idx.Grow(len(bt.Leaves))
+	var payload [DataWords]float64
 	for i, code := range bt.Leaves {
-		e := LeafEntry{Code: code}
 		if len(data) > 0 {
-			e.Data = data[bt.SrcIdx[i]]
+			payload = data[bt.SrcIdx[i]]
 		}
-		t.leafSnap = append(t.leafSnap, e)
-		t.leafCodesSnap = append(t.leafCodesSnap, code)
+		t.idx.Append(code, payload)
 	}
 	t.endIndexEmit()
-	t.leafCodesOK = true
-	if t.tiles == nil {
-		t.tiles = new(tile.Store)
-	}
-	t.tiles.Reset(t.leafCodesSnap)
-	for i := range t.leafSnap {
-		t.tiles.Set(i, t.leafSnap[i].Data)
-	}
-	t.tiles.Stamp(t.contentSeq)
+	t.idx.Retile()
 
 	// Mark the step boundary clean for Persist: as long as no further
 	// mutation lands, the merge walk is provably a no-op and is skipped.

@@ -305,9 +305,8 @@ func TestConstructPersistSkipsMerge(t *testing.T) {
 	}
 }
 
-// TestConstructPrefillsFastPath: the first gather after construction must
-// be free — leaf snapshot, code snapshot and tile store all pre-filled and
-// stamped valid.
+// TestConstructPrefillsFastPath: the first LeafTiles after construction
+// must be free — the leaf index filled, tiled and stamped valid.
 func TestConstructPrefillsFastPath(t *testing.T) {
 	ref := refTreeShell(4)
 	codes := ref.LeafCodes()
@@ -323,7 +322,7 @@ func TestConstructPrefillsFastPath(t *testing.T) {
 	reuses := tr.fp.TileReuses
 	st := tr.LeafTiles()
 	if tr.fp.TileRebuilds != rebuilds || tr.fp.TileReuses != reuses+1 {
-		t.Fatalf("first gather not free: rebuilds %d->%d reuses %d->%d",
+		t.Fatalf("first LeafTiles not free: rebuilds %d->%d reuses %d->%d",
 			rebuilds, tr.fp.TileRebuilds, reuses, tr.fp.TileReuses)
 	}
 	if st.N() != len(codes) {
@@ -337,10 +336,8 @@ func TestConstructPrefillsFastPath(t *testing.T) {
 			t.Fatalf("tile cell %d = %v, want %v", i, got, want)
 		}
 	}
-	// The prefilled snapshot serves point queries without a walk rebuild.
-	snap := tr.LeafSnapshot()
-	if len(snap) != len(codes) {
-		t.Fatalf("leaf snapshot %d entries, want %d", len(snap), len(codes))
+	if tr.fp.LeafIndexRebuilds != 0 {
+		t.Fatalf("the filled index was rebuilt %d times", tr.fp.LeafIndexRebuilds)
 	}
 }
 

@@ -44,9 +44,9 @@ func xorByte(dev *nvbm.Device, off int, x byte) {
 }
 
 // TestRestoreRejectsCorruptGeometry flips single arena-header bytes that
-// used to restore "successfully": a stride that moves every slot offset
-// (an all-zero record then decodes as a valid one-leaf tree), and
-// high-water marks past the device's end (the first allocating refine
+// used to restore "successfully": a stride or a capacity that moves every
+// slot offset (an all-zero record then decodes as a valid one-leaf tree),
+// and high-water marks past the device's end (the first allocating refine
 // then writes out of range). Restore must reject each with the geometry
 // error instead.
 func TestRestoreRejectsCorruptGeometry(t *testing.T) {
@@ -59,6 +59,7 @@ func TestRestoreRejectsCorruptGeometry(t *testing.T) {
 		{"stride-88-to-344", 13, 0x01},
 		{"high-water-plus-65536", 18, 0x01},
 		{"high-water-plus-4096", 17, 0x10},
+		{"capacity-plus-25600", 21, 0x64},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -86,6 +87,7 @@ func FuzzRestoreImage(f *testing.F) {
 	f.Add(uint32(13), byte(0x01), uint32(0), byte(0))
 	f.Add(uint32(18), byte(0x01), uint32(0), byte(0))
 	f.Add(uint32(17), byte(0x10), uint32(0), byte(0))
+	f.Add(uint32(21), byte(0x64), uint32(0), byte(0))
 	f.Fuzz(func(t *testing.T, off1 uint32, x1 byte, off2 uint32, x2 byte) {
 		dev := base.Clone()
 		xorByte(dev, int(off1%uint32(dev.Size())), x1)

@@ -1,68 +1,75 @@
 package core
 
 import (
-	"slices"
+	"time"
 
 	"pmoctree/internal/morton"
+	"pmoctree/internal/tile"
 )
 
-// Z-order leaf index. Octree AMR codes that run at hardware speed
-// (Cornerstone, the p4est Morton representation) treat the flat,
-// Morton-sorted leaf array with its payload as the primary structure and
-// the tree as something derived. The index is the working version's leaves
-// in exactly that layout: a contiguous slice of (code, payload) sorted by
-// Morton code, holding nothing that depends on where an octant is stored.
+// Z-order leaf index (DESIGN.md decision 19). Octree AMR codes that run at
+// hardware speed (Cornerstone, the p4est Morton representation) treat the
+// flat, Morton-sorted leaf array with its payload as the primary structure
+// and the tree as something derived. The index is the working version's
+// leaves in exactly that layout, one tile.Store: codes in Z-order, payload
+// as SoA field slices, holding nothing that depends on where an octant is
+// stored. The hot kernels sweep it directly (LeafTiles); there is no second
+// copy to gather into.
 //
-// Validity (DESIGN.md decision 19): the index is stamped with contentSeq,
-// which advances only when topology or leaf payload changes — relocating
-// an octant (C0 eviction, the Persist merge, Compact) leaves it valid.
-// Every operation that already visits all leaves in Z-order leaves the
-// index behind as a by-product instead of invalidating it: the Refine and
-// Coarsen walks re-emit it, Balance expands it from its key-space closure,
-// and the batch writer (scatter.go) patches payload in place. Only the
-// single-leaf and reference paths (UpdateLeaves, UpdateAt, RefineAt)
-// invalidate, and the next LeafSnapshot then rebuilds with one charged
-// tree walk.
+// Validity: the index is stamped with contentSeq, which advances only when
+// topology or leaf payload changes — relocating an octant (C0 eviction, the
+// Persist merge, Compact) leaves it valid. Every operation that already
+// visits all leaves in Z-order leaves the index behind as a by-product
+// instead of invalidating it: the Refine and Coarsen walks re-emit it,
+// Balance refines it in place from its key-space closure, and the batch
+// writer (scatter.go) stores payload from it. Only the single-leaf and
+// reference paths (UpdateLeaves, UpdateAt, RefineAt) invalidate, and the
+// next reader then rebuilds it with one charged tree walk.
 
-// LeafEntry is one working-version leaf in the Z-order leaf index.
-type LeafEntry struct {
-	Code morton.Code
-	Data [DataWords]float64
-}
+// The index carries the octree payload verbatim.
+var _ = [1]struct{}{}[tile.Words-DataWords]
 
 // beginIndexEmit starts re-deriving the index from a walk that visits
 // every leaf in Z-order; the walk calls emitLeaf per leaf and endIndexEmit
 // when done. The index reads invalid in between, so a walk cut short by a
-// panic never leaves a partial index behind.
+// panic never leaves a partial index behind. A loan ends here: the walk
+// rewrites every payload from the tree.
 func (t *Tree) beginIndexEmit() {
-	t.leafSnap = t.leafSnap[:0]
-	t.leafSnapOK = false
+	t.settle()
+	t.idx.Invalidate()
+	t.idx.Truncate(0)
 }
 
-func (t *Tree) emitLeaf(o *Octant) {
-	t.leafSnap = append(t.leafSnap, LeafEntry{Code: o.Code, Data: o.Data})
-}
+func (t *Tree) emitLeaf(o *Octant) { t.idx.Append(o.Code, o.Data) }
 
 // endIndexEmit stamps the index valid for the current content.
 func (t *Tree) endIndexEmit() {
-	t.leafSnapSeq = t.contentSeq
-	t.leafSnapOK = true
-	t.leafCodesOK = false
-	t.leafCount = len(t.leafSnap)
+	t.idx.Stamp(t.contentSeq)
+	t.leafCount = t.idx.N()
 }
 
-// indexValid reports whether the index mirrors the working version.
-func (t *Tree) indexValid() bool { return t.leafSnapOK && t.leafSnapSeq == t.contentSeq }
+// settle ends a loan that no ScatterLeafTiles closed. Marked cells hold
+// edits the tree never received: they are discarded by dropping the index,
+// which the next reader rebuilds from the tree. A loan without marks (a
+// read-only borrower) ends at no cost.
+func (t *Tree) settle() {
+	if !t.lent {
+		return
+	}
+	t.lent = false
+	if t.idx.HasDirty() {
+		t.idx.ClearDirty()
+		t.idx.Invalidate()
+	}
+}
 
-// LeafSnapshot returns the working version's leaves as a flat,
-// Morton-sorted slice. The slice is cached and returned again (without
-// any tree walk or device traffic) while it is valid; callers must treat
-// it as read-only and must not retain it across mutations — the backing
-// array is reused.
-func (t *Tree) LeafSnapshot() []LeafEntry {
-	if t.indexValid() {
+// index returns the leaf index, valid for the working version: as is while
+// valid, else rebuilt with one charged tree walk.
+func (t *Tree) index() *tile.Store {
+	t.settle()
+	if t.idx.ValidFor(t.contentSeq) {
 		t.fp.LeafIndexReuses++
-		return t.leafSnap
+		return &t.idx
 	}
 	t.beginIndexEmit()
 	t.ForEachNode(func(_ Ref, o *Octant) bool {
@@ -73,45 +80,74 @@ func (t *Tree) LeafSnapshot() []LeafEntry {
 	})
 	t.endIndexEmit()
 	t.fp.LeafIndexRebuilds++
-	return t.leafSnap
+	return &t.idx
 }
 
 // LeafCodesSnapshot returns the working version's leaf codes in Z-order,
-// backed by the leaf index: when the index is valid this costs no tree
-// walk and no device traffic. The same read-only/reuse caveats as
-// LeafSnapshot apply.
-func (t *Tree) LeafCodesSnapshot() []morton.Code {
-	ls := t.LeafSnapshot()
-	if !t.leafCodesOK {
-		t.leafCodesSnap = t.leafCodesSnap[:0]
-		for i := range ls {
-			t.leafCodesSnap = append(t.leafCodesSnap, ls[i].Code)
-		}
-		t.leafCodesOK = true
+// the index's own spine: when the index is valid this costs no tree walk
+// and no device traffic. Callers must treat it as read-only and must not
+// retain it across mutations — the backing array is reused.
+func (t *Tree) LeafCodesSnapshot() []morton.Code { return t.index().Codes() }
+
+// LeafTiles lends the leaf index to a kernel: callers sweep the store's
+// flat slices, MarkDirty every modified cell, and hand the store back to
+// ScatterLeafTiles. The tile bounds are recut only when the leaf set
+// changed since the last cut (the Gather span and TileRebuilds); a rebuild
+// walk runs first only when the index is invalid.
+//
+// Kernels edit the index in place, so an edit that never reaches
+// ScatterLeafTiles must not survive as index content. Until the scatter the
+// store stays on loan: LeafTiles hands the same store out again with its
+// edits while the tree is unchanged, and ScatterLeafTiles stores every
+// marked cell. Any other use of the index ends the loan first and discards
+// marked edits by dropping the index, so it never reads valid while it
+// disagrees with the tree. A cell written without MarkDirty is a caller
+// error. The store must not be retained across tree mutations.
+func (t *Tree) LeafTiles() *tile.Store {
+	if t.lent && t.idx.ValidFor(t.contentSeq) {
+		t.fp.LeafIndexReuses++
+		t.fp.TileReuses++
+		return &t.idx
 	}
-	return t.leafCodesSnap
+	idx := t.index()
+	if idx.Tiled() {
+		t.fp.TileReuses++
+	} else {
+		sp := t.span("Gather")
+		start := time.Now()
+		idx.Retile()
+		t.fp.TileRebuilds++
+		t.fp.TileRebuildNs += uint64(time.Since(start).Nanoseconds())
+		sp.End()
+	}
+	idx.ClearDirty()
+	t.lent = true
+	return idx
 }
 
-// refineIndex replaces the index by leaves, a Key-sorted refinement of it
-// (every code equal to or a descendant of an index leaf): each new entry
-// inherits the payload of the entry that covers it, the way a split copies
-// payload down to the children. The caller took LeafCodesSnapshot before it
-// split anything, so leafCodesSnap still names the old entries. The
-// expansion runs back to front in place — entry j is only ever filled from
-// an entry at or before j — so Balance keeps no second index alive.
-func (t *Tree) refineIndex(leaves []morton.Code) {
-	old := t.leafCodesSnap
-	t.leafSnap = slices.Grow(t.leafSnap[:len(old)], len(leaves)-len(old))[:len(leaves)]
-	i := len(old) - 1
-	for j := len(leaves) - 1; j >= 0; j-- {
-		for old[i].Key() > leaves[j].Key() {
-			i--
-		}
-		t.leafSnap[j] = LeafEntry{Code: leaves[j], Data: t.leafSnap[i].Data}
+// ScatterLeafTiles ends the loan LeafTiles made: the store's marked cells
+// are written into the tree by one batched copy-on-write walk
+// (writeLeafBatch), and the number written is returned. The index stays
+// valid — the next LeafTiles is free.
+//
+// The store must be the one LeafTiles lent, still valid for the current
+// content sequence (i.e. neither topology nor payload changed behind it);
+// a stale or foreign store panics rather than silently scattering into the
+// wrong mesh.
+func (t *Tree) ScatterLeafTiles(st *tile.Store) int {
+	if st != &t.idx || !t.lent || !st.ValidFor(t.contentSeq) {
+		panic("core: ScatterLeafTiles on a stale or foreign tile store")
 	}
-	t.leafCodesSnap = append(old[:0], leaves...)
-	t.leafSnapSeq = t.contentSeq
+	defer t.span("Scatter").End()
+	n := t.storeMarked()
+	t.fp.TileScatters++
+	t.fp.TileScatterBytes += uint64(n) * 8 * DataWords
+	return n
 }
+
+// TileOccupancy returns the mean tile fill of the current leaf tiling
+// (cutting it if needed); a metrics convenience.
+func (t *Tree) TileOccupancy() float64 { return t.LeafTiles().Occupancy() }
 
 // UpdateLeavesIndexed is UpdateLeaves driven by the leaf index: fn runs
 // over the flat index instead of a tree walk, and the changed leaves are
@@ -122,18 +158,27 @@ func (t *Tree) refineIndex(leaves []morton.Code) {
 // changed leaf are read, each once.
 func (t *Tree) UpdateLeavesIndexed(fn func(code morton.Code, data *[DataWords]float64) bool) int {
 	defer t.span("Solve").End()
-	ls := t.LeafSnapshot()
-	t.leafSnapOK = false // entries run ahead of the tree until the batch lands
-	dirty := t.dirtyPos[:0]
-	var data [DataWords]float64
-	for i := range ls {
-		data = ls[i].Data
-		if fn(ls[i].Code, &data) {
-			ls[i].Data = data
-			dirty = append(dirty, int32(i))
+	idx := t.index()
+	idx.ClearDirty()
+	t.lent = true // entries run ahead of the tree until the batch lands
+	for i, c := range idx.Codes() {
+		data := idx.Load(i)
+		if fn(c, &data) {
+			idx.Set(i, data)
+			idx.MarkDirty(i)
 		}
 	}
+	return t.storeMarked()
+}
+
+// storeMarked stores the index payload of every marked cell into the
+// working version — the body ScatterLeafTiles and UpdateLeavesIndexed
+// share — and returns how many it stored.
+func (t *Tree) storeMarked() int {
+	dirty := t.dirtyPos[:0]
+	t.idx.ForEachDirty(func(i int) { dirty = append(dirty, int32(i)) })
 	t.dirtyPos = dirty
+	t.lent = false
 	t.writeLeafBatch(dirty)
 	t.maybeEvict()
 	return len(dirty)

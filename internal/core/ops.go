@@ -386,7 +386,7 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 		if t.leafCount > 0 {
 			t.leafCount -= 7
 		}
-		t.leafSnap = t.leafSnap[:len(t.leafSnap)-8]
+		t.idx.Truncate(t.idx.N() - 8)
 		t.emitLeaf(&o)
 		nr := t.commitOctant(r, &o)
 		return nr, nr != r, true

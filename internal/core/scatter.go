@@ -1,7 +1,7 @@
 package core
 
 // The leaf-payload batch writer: the one write path behind ScatterLeafTiles
-// and UpdateLeavesIndexed. The caller patches the new payload into the leaf
+// and UpdateLeavesIndexed. The caller edits the new payload into the leaf
 // index and hands over the ascending positions it touched; one Z-ordered
 // copy-on-write walk then stores them, descending only into key spans that
 // hold a dirty leaf (the shape of Balance's splitWalk). Leaves under a
@@ -14,13 +14,12 @@ package core
 func (t *Tree) writeLeafBatch(dirty []int32) {
 	if len(dirty) > 0 {
 		// Advance the stamp before the first store: a walk cut short by a
-		// device failure must not leave index or tile store claiming to
-		// mirror the half-written tree.
+		// device failure must not leave the index claiming to mirror the
+		// half-written tree.
 		t.contentSeq++
 		t.cur = t.scatterWalk(t.cur, NilRef, dirty)
 	}
-	t.leafSnapSeq = t.contentSeq
-	t.leafSnapOK = true
+	t.idx.Stamp(t.contentSeq)
 }
 
 // scatterWalk stores the payload of the dirty leaves — non-empty, all
@@ -48,12 +47,13 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 		o.Parent = parent
 		t.stats.Copies++
 	}
+	codes := t.idx.Codes()
 	if o.IsLeaf() {
-		e := &t.leafSnap[dirty[0]]
-		if len(dirty) != 1 || e.Code != o.Code {
+		i := int(dirty[0])
+		if len(dirty) != 1 || codes[i] != o.Code {
 			panic("core: leaf index out of step with the tree")
 		}
-		o.Data = e.Data
+		o.Data = t.idx.Load(i)
 		if shared {
 			t.writeOct(nr, &o)
 		} else {
@@ -68,7 +68,7 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 		}
 		_, hi := o.Code.Child(i).KeySpan()
 		n := 0
-		for n < len(dirty) && t.leafSnap[dirty[n]].Code.Key() <= hi {
+		for n < len(dirty) && codes[dirty[n]].Key() <= hi {
 			n++
 		}
 		if n == 0 {

@@ -10,6 +10,7 @@ import (
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/parallel"
 	"pmoctree/internal/sim"
+	"pmoctree/internal/tile"
 )
 
 // dirtyCase picks the leaves one scatter round rewrites, given the mesh's
@@ -42,7 +43,7 @@ var dirtyCases = []dirtyCase{
 	}},
 }
 
-// scatterRound rewrites the picked leaves of got through the tile store and
+// scatterRound rewrites the picked leaves of got through the lent index and
 // the batch writer (or, on odd rounds, through UpdateLeavesIndexed — the
 // batch writer's other caller) and of want through the reference tree walk,
 // then holds the two trees against each other.
@@ -84,7 +85,7 @@ func scatterRound(t *testing.T, got, want *Tree, round int, pick func(morton.Cod
 	if !got.indexValid() {
 		t.Fatalf("round %d: the batch writer left the index invalid", round)
 	}
-	if !slices.Equal(got.leafSnap, walkLeaves(got)) {
+	if !slices.Equal(storeLeaves(&got.idx), walkLeaves(got)) {
 		t.Fatalf("round %d: index differs from a fresh walk", round)
 	}
 }
@@ -142,10 +143,30 @@ func TestScatterMatchesReference(t *testing.T) {
 	}
 }
 
+// freshBounds is the tiling oracle: the bounds of a store cut from scratch
+// over codes.
+func freshBounds(codes []morton.Code) [][2]int {
+	var fresh tile.Store
+	for _, c := range codes {
+		fresh.Append(c, [DataWords]float64{})
+	}
+	fresh.Retile()
+	return tileBounds(&fresh)
+}
+
+func tileBounds(st *tile.Store) [][2]int {
+	out := make([][2]int, st.Tiles())
+	for i := range out {
+		out[i][0], out[i][1] = st.TileBounds(i)
+	}
+	return out
+}
+
 // TestLeafIndexCoherence drives a random sequence of every operation that
-// touches the working version or where it is stored, and after each one
-// requires that an index or tile store claiming to be valid equals a fresh
-// tree walk, codes and payload.
+// touches the working version, where it is stored, or the index lent to a
+// kernel, and after each one requires that an index claiming to be valid
+// equals a fresh tree walk, codes and payload, and that its tile bounds,
+// when cut, equal a fresh cut.
 func TestLeafIndexCoherence(t *testing.T) {
 	for _, depth := range []int{0, 2} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
@@ -159,6 +180,18 @@ func TestLeafIndexCoherence(t *testing.T) {
 			randomLeaf := func() morton.Code {
 				codes := tr.LeafCodes()
 				return codes[rng.Intn(len(codes))]
+			}
+			// edit writes a random field of about a third of the lent
+			// index's cells in place, the way tiledSolve does.
+			edit := func() {
+				st := tr.LeafTiles()
+				w, k := rng.Intn(DataWords), rng.Float64()
+				for i := range st.Codes() {
+					if rng.Intn(3) == 0 {
+						st.F[w][i] = k + float64(i)
+						st.MarkDirty(i)
+					}
+				}
 			}
 			ops := []struct {
 				name string
@@ -178,6 +211,11 @@ func TestLeafIndexCoherence(t *testing.T) {
 						return rng.Intn(3) > 0
 					})
 				}},
+				{"EditScatter", func() {
+					edit()
+					tr.ScatterLeafTiles(tr.LeafTiles())
+				}},
+				{"EditNoScatter", edit},
 				{"UpdateLeavesIndexed", func() {
 					k := rng.Float64()
 					tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
@@ -231,19 +269,12 @@ func TestLeafIndexCoherence(t *testing.T) {
 				label := fmt.Sprintf("step %d (%s)", step, op.name)
 				if tr.indexValid() {
 					valid++
-					if !slices.Equal(tr.leafSnap, walkLeaves(tr)) {
+					if !slices.Equal(storeLeaves(&tr.idx), walkLeaves(tr)) {
 						t.Fatalf("%s: the index claims to be valid and differs from a fresh walk", label)
 					}
-					if tr.leafCodesOK {
-						for i, c := range tr.leafCodesSnap {
-							if c != tr.leafSnap[i].Code {
-								t.Fatalf("%s: leaf-code snapshot entry %d is %v, index %v", label, i, c, tr.leafSnap[i].Code)
-							}
-						}
+					if tr.idx.Tiled() && !slices.Equal(tileBounds(&tr.idx), freshBounds(tr.idx.Codes())) {
+						t.Fatalf("%s: the index's tile bounds differ from a fresh cut", label)
 					}
-				}
-				if tr.tiles != nil && tr.tiles.ValidFor(tr.contentSeq) {
-					verifyTilesCoherent(t, tr, label)
 				}
 				if got, want := tr.LeafCount(), len(tr.LeafCodes()); got != want {
 					t.Fatalf("%s: LeafCount %d, walk counts %d", label, got, want)
@@ -252,7 +283,7 @@ func TestLeafIndexCoherence(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}
-			// Ten of the thirteen operations leave the index valid, and an
+			// Twelve of the fifteen operations leave the index valid, and an
 			// invalid one stays so until the next Refine or Coarsen walk.
 			if valid < steps/2 {
 				t.Fatalf("the index was valid after only %d of %d operations", valid, steps)
@@ -265,7 +296,7 @@ func TestLeafIndexCoherence(t *testing.T) {
 // to SolverSweeps UpdateLeaves tree walks — the reference Solve.
 type sweepsOnly struct{ sim.Mesh }
 
-// TestSolveDropletHistoryMatchesSweeps pins the tiled Solve (gather, flat
+// TestSolveDropletHistoryMatchesSweeps pins the tiled Solve (loan, flat
 // sweeps, one batch scatter) to the reference Solve over a 20-step level-5
 // droplet run at workers 1, 2 and 4, synchronous and pipelined: step
 // counts, committed digests and the COW/refine/coarsen counters agree
@@ -351,6 +382,6 @@ func TestIndexPathsSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	if fp := tr.FastPath(); fp.LeafIndexRebuilds != 0 || fp.TileRebuilds != 1 {
-		t.Errorf("%d index rebuild walks and %d gathers, want 0 and 1", fp.LeafIndexRebuilds, fp.TileRebuilds)
+		t.Errorf("%d index rebuild walks and %d tile cuts, want 0 and 1", fp.LeafIndexRebuilds, fp.TileRebuilds)
 	}
 }

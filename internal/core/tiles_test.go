@@ -18,8 +18,8 @@ func tileTestTree() *Tree {
 	})
 }
 
-// verifyTilesCoherent gathers (or reuses) the tile store and checks that
-// every cell is bit-identical to a fresh tree walk.
+// verifyTilesCoherent borrows the leaf index and checks that every cell
+// is bit-identical to a fresh tree walk.
 func verifyTilesCoherent(t *testing.T, tr *Tree, label string) {
 	t.Helper()
 	st := tr.LeafTiles()
@@ -39,8 +39,8 @@ func verifyTilesCoherent(t *testing.T, tr *Tree, label string) {
 }
 
 // TestLeafTilesCoherence drives a randomized refine/coarsen/update/persist
-// sequence and asserts after every mutation that the gathered tile store
-// is bit-identical to a tree walk.
+// sequence and asserts after every mutation that the lent leaf index is
+// bit-identical to a tree walk.
 func TestLeafTilesCoherence(t *testing.T) {
 	tr := tileTestTree()
 	tr.RefineWhere(func(morton.Code) bool { return true }, 2)
@@ -72,7 +72,7 @@ func TestLeafTilesCoherence(t *testing.T) {
 	}
 }
 
-// sweepTiled runs one flat sweep over the tile store — the kernel shape
+// sweepTiled runs one flat sweep over the lent leaf index — the kernel shape
 // the SoA layout exists for — marking modified cells dirty and scattering.
 func sweepTiled(tr *Tree, fn func(c morton.Code, d *[DataWords]float64) bool) int {
 	st := tr.LeafTiles()
@@ -88,7 +88,7 @@ func sweepTiled(tr *Tree, fn func(c morton.Code, d *[DataWords]float64) bool) in
 }
 
 // TestScatterBitIdenticalToUpdateLeaves runs the same sweep program
-// through the tiled gather/scatter path and through UpdateLeaves on an
+// through the tiled lend/scatter path and through UpdateLeaves on an
 // identically built tree, across mutations and a Persist, and asserts the
 // meshes stay bit-identical.
 func TestScatterBitIdenticalToUpdateLeaves(t *testing.T) {
@@ -146,8 +146,8 @@ func TestScatterBitIdenticalToUpdateLeaves(t *testing.T) {
 }
 
 // TestTileSteadyStateReuse pins the validity protocol: a scatter re-stamps
-// the store and relocation does not touch it, so repeated solve rounds on
-// an unchanging mesh pay exactly one gather — across commits (every
+// the index and relocation does not touch it, so repeated solve rounds on
+// an unchanging mesh pay exactly one tile cut — across commits (every
 // scatter after one copies on write) and C0 evictions too.
 func TestTileSteadyStateReuse(t *testing.T) {
 	tr := tileTestTree()
@@ -167,7 +167,7 @@ func TestTileSteadyStateReuse(t *testing.T) {
 	}
 	fp := tr.FastPath()
 	if fp.TileRebuilds != 1 {
-		t.Fatalf("steady state paid %d gathers, want exactly 1 (%d reuses)", fp.TileRebuilds, fp.TileReuses)
+		t.Fatalf("steady state paid %d tile cuts, want exactly 1 (%d reuses)", fp.TileRebuilds, fp.TileReuses)
 	}
 	if fp.TileReuses < 4 {
 		t.Fatalf("only %d reuses across 5 rounds", fp.TileReuses)
@@ -177,7 +177,7 @@ func TestTileSteadyStateReuse(t *testing.T) {
 	}
 	verifyTilesCoherent(t, tr, "after the rounds")
 
-	// A structural mutation invalidates; the next gather is a rebuild.
+	// A structural mutation changes the leaf set; the next loan recuts.
 	tr.RefineWhere(sphere(0.2, 0.2, 0.2, 0.15, 0.1), 5)
 	tr.LeafTiles()
 	if got := tr.FastPath().TileRebuilds; got != 2 {

@@ -177,21 +177,19 @@ type Tree struct {
 
 	// Octant fast path (cache.go, leafindex.go): the direct-mapped
 	// decoded-octant cache with its epoch stamp, the Z-order leaf index
-	// with its content-sequence stamp, and the fast-path counters.
-	// mutSeq counts every device store (constructClean's guard);
-	// contentSeq only the ones that change topology or payload, so moving
-	// an octant between arenas invalidates neither index nor tile store.
-	cache         []cacheLine
-	cacheEpoch    uint64
-	mutSeq        uint64
-	contentSeq    uint64
-	leafSnap      []LeafEntry
-	leafSnapSeq   uint64
-	leafSnapOK    bool
-	leafCodesSnap []morton.Code
-	leafCodesOK   bool
-	dirtyPos      []int32 // the batch writer's dirty index positions (scatter.go)
-	fp            FastPathStats
+	// stamped with contentSeq, and the fast-path counters. mutSeq counts
+	// every device store (constructClean's guard); contentSeq only the ones
+	// that change topology or payload, so moving an octant between arenas
+	// leaves the index valid. lent is set while LeafTiles has the index on
+	// loan to a kernel.
+	cache      []cacheLine
+	cacheEpoch uint64
+	mutSeq     uint64
+	contentSeq uint64
+	idx        tile.Store
+	lent       bool
+	dirtyPos   []int32 // the batch writer's dirty index positions (scatter.go)
+	fp         FastPathStats
 
 	// leafCount is the working version's leaf count, 0 while unknown (a
 	// restored tree before its first count or leaf-index build). Leaf
@@ -201,10 +199,6 @@ type Tree struct {
 
 	// balance is Balance's key-space closure with its scratch (balance.go).
 	balance bulk.Closure
-
-	// Tiled SoA leaf storage (tiles.go): the gathered flat field image
-	// the hot kernels sweep, stamped with contentSeq like the leaf index.
-	tiles *tile.Store
 
 	// GC scratch (gc.go): the reusable mark bitset and explicit stack.
 	markBits    []uint64
@@ -269,12 +263,10 @@ func Create(cfg Config) *Tree {
 		access: map[morton.Code]uint64{},
 		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
 		lsub:   1,
-
-		// The index of a one-leaf tree is known without a walk.
-		leafSnap:   []LeafEntry{{Code: morton.Root}},
-		leafSnapOK: true,
-		leafCount:  1,
 	}
+	// The index of a one-leaf tree is known without a walk.
+	t.idx.Append(morton.Root, [DataWords]float64{})
+	t.endIndexEmit()
 	t.dram.SetBudget(cfg.DRAMBudgetOctants)
 	if cfg.NVBMBudgetOctants > 0 {
 		t.nv.SetBudget(cfg.NVBMBudgetOctants)
@@ -323,8 +315,8 @@ func (t *Tree) Delete() {
 	t.lsub = 1
 	t.leafCount = 0
 	t.cacheInvalidateAll()
-	t.leafSnapOK = false
-	t.contentSeq++ // the tile store goes with the index
+	t.lent = false
+	t.idx.Invalidate()
 }
 
 // SetFeatures installs the application feature functions used by
@@ -397,14 +389,13 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc("core.tile.rebuilds", func() float64 { return float64(t.fp.TileRebuilds) })
 	r.RegisterFunc("core.tile.reuses", func() float64 { return float64(t.fp.TileReuses) })
 	r.RegisterFunc("core.tile.rebuild_ns", func() float64 { return float64(t.fp.TileRebuildNs) })
-	r.RegisterFunc("core.tile.gather_bytes", func() float64 { return float64(t.fp.TileGatherBytes) })
 	r.RegisterFunc("core.tile.scatters", func() float64 { return float64(t.fp.TileScatters) })
 	r.RegisterFunc("core.tile.scatter_bytes", func() float64 { return float64(t.fp.TileScatterBytes) })
 	r.RegisterFunc("core.tile.occupancy", func() float64 {
-		if t.tiles == nil || !t.tiles.ValidFor(t.contentSeq) {
-			return 0 // gauge reads must not force a gather
+		if !t.idx.ValidFor(t.contentSeq) || !t.idx.Tiled() {
+			return 0 // gauge reads must not force a rebuild or a cut
 		}
-		return t.tiles.Occupancy()
+		return t.idx.Occupancy()
 	})
 	r.RegisterFunc("core.pipeline.enqueued", func() float64 { return float64(t.PipelineStats().Enqueued) })
 	r.RegisterFunc("core.pipeline.committed", func() float64 { return float64(t.PipelineStats().Committed) })

@@ -22,6 +22,7 @@ package pmem
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"sync/atomic"
 
@@ -53,13 +54,29 @@ const (
 	strideOff    = 12
 	highWaterOff = 16
 	maxSlotsOff  = 20
+	geomSumOff   = 24
 
 	// DefaultMaxSlots bounds an arena created by NewArena: 2^21 slots
 	// (an allocation bitmap of 256 KiB).
 	DefaultMaxSlots = 1 << 21
 )
 
-var arenaMagic = [8]byte{'P', 'M', 'A', 'R', 'E', 'N', 'A', '2'}
+var arenaMagic = [8]byte{'P', 'M', 'A', 'R', 'E', 'N', 'A', '3'}
+
+// geometrySum checksums the format-time geometry words. Nothing else in the
+// header is redundant with them, so without it a flipped capacity byte
+// moves every slot offset silently. The high-water mark is left out: it is
+// rewritten on every allocation, and covering it would add a device write
+// per allocation.
+func geometrySum(slotSize, stride, maxSlots int) uint64 {
+	h := fnv.New64a()
+	var b [12]byte
+	binary.LittleEndian.PutUint32(b[0:], uint32(slotSize))
+	binary.LittleEndian.PutUint32(b[4:], uint32(stride))
+	binary.LittleEndian.PutUint32(b[8:], uint32(maxSlots))
+	h.Write(b[:])
+	return h.Sum64()
+}
 
 // Arena is a fixed-slot allocator over a Device. It is not safe for
 // general concurrent use; each simulation rank owns its arenas. Two
@@ -165,6 +182,7 @@ func NewArenaCap(dev *nvbm.Device, slotSize, maxSlots int) *Arena {
 	dev.WriteU32(strideOff, uint32(a.stride))
 	dev.WriteU32(highWaterOff, 0)
 	dev.WriteU32(maxSlotsOff, uint32(maxSlots))
+	dev.WriteU64(geomSumOff, geometrySum(slotSize, a.stride, maxSlots))
 	for i := 0; i < NumRoots; i++ {
 		dev.WriteU64(rootTableOff+8*i, 0)
 	}
@@ -197,8 +215,11 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	a.highWater.Store(dev.ReadU32(highWaterOff))
 	// The stride is derived from the slot size, never chosen: any other
 	// value moves every slot offset, and an all-zero record read from the
-	// wrong place decodes as a valid empty root.
-	if a.slotSize <= 0 || a.stride != align8(a.slotSize) || a.maxSlots <= 0 {
+	// wrong place decodes as a valid empty root. The capacity moves them
+	// too (the bitmap before the slots grows with it), and only the
+	// checksum tells a flipped one from a real one.
+	if a.slotSize <= 0 || a.stride != align8(a.slotSize) || a.maxSlots <= 0 ||
+		dev.ReadU64(geomSumOff) != geometrySum(a.slotSize, a.stride, a.maxSlots) {
 		return nil, fmt.Errorf("pmem: corrupt arena geometry: slot %d stride %d cap %d", a.slotSize, a.stride, a.maxSlots)
 	}
 	a.zeroBuf = make([]byte, a.slotSize)

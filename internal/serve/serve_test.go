@@ -75,6 +75,32 @@ func TestPointMatchesTreeDescent(t *testing.T) {
 	}
 }
 
+// TestSnapshotIndexMatchesWriter: right after Persist the working version
+// is the committed one, so the leaf index a published snapshot builds and
+// serves from must equal the writer's own, leaf for leaf, in codes and
+// payload — the two sides of one tile.Store type.
+func TestSnapshotIndexMatchesWriter(t *testing.T) {
+	tree, _ := buildTree(t, 4)
+	cat, s := publish(t, tree, Config{})
+	defer cat.Close()
+	defer s.Close()
+
+	w := tree.LeafTiles()
+	if n := s.LeafCount(); n != w.N() {
+		t.Fatalf("snapshot serves %d leaves, the writer's index holds %d", n, w.N())
+	}
+	served := &s.v.leaves
+	for i, c := range w.Codes() {
+		if served.Codes()[i] != c || served.Load(i) != w.Load(i) {
+			t.Fatalf("leaf %d: snapshot %v %v, writer %v %v", i, served.Codes()[i], served.Load(i), c, w.Load(i))
+		}
+		res, err := s.Point(c.Center())
+		if err != nil || res.Code != c || res.Data != w.Load(i) {
+			t.Fatalf("Point at leaf %d (%v) = %v %v, %v", i, c, res.Code, res.Data, err)
+		}
+	}
+}
+
 // TestRegionMatchesBruteForce: the Morton-windowed region query returns
 // exactly the leaves a full scan with the same overlap test returns.
 func TestRegionMatchesBruteForce(t *testing.T) {

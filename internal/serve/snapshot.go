@@ -10,6 +10,7 @@ import (
 	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
 	"pmoctree/internal/telemetry"
+	"pmoctree/internal/tile"
 )
 
 // ErrOutOfDomain is returned for query coordinates outside the unit cube
@@ -34,16 +35,16 @@ var ErrNotHeld = fmt.Errorf("serve: answer lies outside the data this arena hold
 type version struct {
 	pin *core.VersionPin
 
-	// The Morton leaf index: leaves in Z-order with their pre-order keys.
-	// Built once, on first query, with one charged walk of the pinned
-	// version; leaf data is embedded, so the query hot path never touches
-	// the arena again. Guarded by mu rather than sync.Once: a build
-	// aborted by a fault-injection panic (chaos soak cuts power under
-	// readers) must stay unbuilt and be retried, not be poisoned empty.
+	// The Morton leaf index: the version's leaves in Z-order with their
+	// payload, the same tile.Store the writer keeps as its own index. Built
+	// once, on first query, with one charged walk of the pinned version;
+	// leaf data is embedded, so the query hot path never touches the arena
+	// again. Guarded by mu rather than sync.Once: a build aborted by a
+	// fault-injection panic (chaos soak cuts power under readers) must stay
+	// unbuilt and be retried, not be poisoned empty.
 	mu      sync.Mutex
 	built   bool
-	leaves  []core.LeafEntry
-	keys    []uint64
+	leaves  tile.Store
 	fillers []int // ascending positions in leaves of filler leaves
 }
 
@@ -78,7 +79,7 @@ func (s *Snapshot) Step() uint64 { return s.v.pin.Step() }
 // index if needed).
 func (s *Snapshot) LeafCount() int {
 	s.v.ensure()
-	return len(s.v.leaves)
+	return s.v.leaves.N()
 }
 
 // ensure builds the Morton leaf index on first use, reporting whether
@@ -90,22 +91,18 @@ func (v *version) ensure() bool {
 	if v.built {
 		return false
 	}
-	var leaves []core.LeafEntry
+	var leaves tile.Store
 	var fillers []int
 	v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
 			if o.Filler() {
-				fillers = append(fillers, len(leaves))
+				fillers = append(fillers, leaves.N())
 			}
-			leaves = append(leaves, core.LeafEntry{Code: o.Code, Data: o.Data})
+			leaves.Append(o.Code, o.Data)
 		}
 		return true
 	})
-	keys := make([]uint64, len(leaves))
-	for i := range leaves {
-		keys[i] = leaves[i].Code.Key()
-	}
-	v.leaves, v.keys, v.fillers = leaves, keys, fillers
+	v.leaves, v.fillers = leaves, fillers
 	v.built = true
 	return true
 }
@@ -135,16 +132,13 @@ func CellAt(p [3]float64) (morton.Code, error) {
 	return morton.Encode(uint32(p[0]*n), uint32(p[1]*n), uint32(p[2]*n), morton.MaxLevel), nil
 }
 
-// leafAt returns the index of the leaf whose span contains key k, by
-// binary search over the Z-ordered keys. Disjoint leaves have disjoint,
-// ordered key spans, so the last leaf with key <= k is the container.
+// leafAt returns the index of the leaf whose span contains key k.
 func (v *version) leafAt(k uint64) (int, error) {
-	i := sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > k }) - 1
+	i, ok := v.leaves.Find(k)
 	if i < 0 {
 		return 0, fmt.Errorf("serve: key %d precedes the first leaf", k)
 	}
-	lo, hi := v.leaves[i].Code.KeySpan()
-	if k < lo || k > hi {
+	if !ok {
 		return 0, fmt.Errorf("serve: key %d falls between leaves; version index is inconsistent", k)
 	}
 	return i, nil
@@ -318,6 +312,7 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 // aggregate, which share the window. An answer that would include a
 // filler leaf is refused with ErrNotHeld.
 func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
+	codes := v.leaves.Codes()
 	if q.Class == ClassPoint {
 		i, err := v.leafAt(cell.Key())
 		if err != nil {
@@ -326,7 +321,7 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		if k := sort.SearchInts(v.fillers, i); k < len(v.fillers) && v.fillers[k] == i {
 			return 0, ErrNotHeld
 		}
-		res.Leaf = LeafHit{Code: v.leaves[i].Code, Data: v.leaves[i].Data}
+		res.Leaf = LeafHit{Code: codes[i], Data: v.leaves.Load(i)}
 		return int(res.Leaf.Code.Level()) + 1, nil
 	}
 	corner, cover, err := q.Box.Cover()
@@ -338,35 +333,35 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		return 0, err
 	}
 	first, last := i, i
-	charge := int(v.leaves[i].Code.Level()) + 1
+	charge := int(codes[i].Level()) + 1
 	// Unless the leaf holding the min corner is a strict ancestor of the
 	// cover (then the whole box lies inside that one leaf), the window is
 	// every leaf under the cover.
-	if v.leaves[i].Code.Level() >= cover.Level() {
-		lo, hi := cover.KeySpan()
-		first = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] >= lo })
-		last = sort.Search(len(v.keys), func(i int) bool { return v.keys[i] > hi }) - 1
+	if codes[i].Level() >= cover.Level() {
+		first, last = v.leaves.Window(cover.KeySpan())
 		charge = int(cover.Level()) + 1 + (last - first + 1)
 	}
 	for k := sort.SearchInts(v.fillers, first); k < len(v.fillers) && v.fillers[k] <= last; k++ {
-		if leaf := &v.leaves[v.fillers[k]]; q.Span.Contains(leaf.Code.Key()) && overlaps(leaf.Code, q.Box) {
+		if c := codes[v.fillers[k]]; q.Span.Contains(c.Key()) && overlaps(c, q.Box) {
 			return 0, ErrNotHeld
 		}
 	}
 	agg := &res.Agg
+	var field []float64
 	if q.Class == ClassAgg {
 		agg.Min, agg.Max = math.Inf(1), math.Inf(-1)
+		field = v.leaves.F[q.Field]
 	}
 	for i := first; i <= last; i++ {
-		leaf := &v.leaves[i]
-		if !q.Span.Contains(leaf.Code.Key()) || !overlaps(leaf.Code, q.Box) {
+		c := codes[i]
+		if !q.Span.Contains(c.Key()) || !overlaps(c, q.Box) {
 			continue
 		}
 		if q.Class == ClassRegion {
-			res.Hits = append(res.Hits, LeafHit{Code: leaf.Code, Data: leaf.Data})
+			res.Hits = append(res.Hits, LeafHit{Code: c, Data: v.leaves.Load(i)})
 			continue
 		}
-		val := leaf.Data[q.Field]
+		val := field[i]
 		agg.Count++
 		agg.Sum += val
 		if val < agg.Min {
@@ -375,7 +370,7 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		if val > agg.Max {
 			agg.Max = val
 		}
-		ext := leaf.Code.Extent()
+		ext := c.Extent()
 		agg.VolSum += val * ext * ext * ext
 	}
 	if q.Class == ClassAgg && agg.Count == 0 {

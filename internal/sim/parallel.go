@@ -64,10 +64,10 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 	sc.Balanced = m.Balance()
 
 	if tm, tiled := m.(tiledMesh); tiled {
-		// Tiled SoA path: gather the leaves into the flat tile store once,
-		// run all sweeps over the contiguous field slices, scatter the
-		// changed cells back in one batch. Bit-identical to the sweeps
-		// below, which remain for meshes without tiles.
+		// Tiled SoA path: borrow the mesh's leaf index, run all sweeps over
+		// its contiguous field slices, scatter the changed cells back in
+		// one batch. Bit-identical to the sweeps below, which remain for
+		// meshes without tiles.
 		sc.Solved, sc.Leaves = tiledSolve(tm, f, step, pool)
 		return sc
 	}
@@ -91,11 +91,11 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 	return sc
 }
 
-// tiledMesh is the optional SoA contract (core.Tree provides it): a
-// gathered Morton-ordered tile image of the leaves plus the scatter writing
-// modified cells back. Field results are bit-identical to the Mesh sweeps;
-// the modeled device traffic is lower — one batched copy-on-write walk over
-// the changed leaves instead of SolverSweeps whole-tree walks.
+// tiledMesh is the optional SoA contract (core.Tree provides it): the
+// Morton-ordered tiled leaf index, lent to the kernel, plus the scatter
+// writing modified cells back. Field results are bit-identical to the Mesh
+// sweeps; the modeled device traffic is lower — one batched copy-on-write
+// walk over the changed leaves instead of SolverSweeps whole-tree walks.
 type tiledMesh interface {
 	Mesh
 	LeafTiles() *tile.Store
@@ -112,7 +112,7 @@ type solveScratch struct {
 var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
 
 // tiledSolve runs the relaxation sweeps over the mesh's tiled SoA leaf
-// image: one gather, SolverSweeps flat sweeps scheduled in tile-aligned
+// index: one loan, SolverSweeps flat sweeps scheduled in tile-aligned
 // chunks, one scatter of every cell any sweep changed — all under one Solve
 // span of the mesh's tracer, the routine the three stand for. The per-cell
 // update is solveCellFlat — solveCell's arithmetic term for term — and

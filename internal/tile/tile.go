@@ -1,24 +1,31 @@
-// Package tile implements the flat Morton-ordered SoA leaf storage behind
-// the hot solve/advect kernels. The per-leaf octree payload is a 4-word
-// AoS record reached through a tree walk; sweeping it leaf by leaf chases
-// pointers and starves the arithmetic. Octree codes that run at hardware
-// speed flatten quadrants into Morton-indexed SoA arrays (the p4est AVX2
-// representation) or store fixed-size tiles per octree node (the CUDA AMR
-// exemplar in SNIPPETS.md). A Store is exactly that layout for PM-octree:
-// the Z-order leaf index (core.LeafSnapshot) is the spine, each field word
-// becomes one contiguous float64 slice, and the cells are partitioned into
-// fixed-capacity tiles that never span a coarse-ancestor boundary — the
-// scheduling and reporting granule.
+// Package tile implements the Z-order leaf index: a flat, Morton-sorted
+// array of leaf codes with their payload stored as SoA field slices. Octree
+// codes that run at hardware speed treat exactly this array as the primary
+// structure (Cornerstone) and flatten quadrants into Morton-indexed SoA
+// arrays (the p4est representation); the CUDA AMR exemplar in SNIPPETS.md
+// stores fixed-size tiles per octree node. A Store is that layout for
+// PM-octree: each field word is one contiguous float64 slice, and the cells
+// are partitioned into fixed-capacity tiles that never span a
+// coarse-ancestor boundary — the scheduling and reporting granule.
 //
-// The Store itself is pure layout: it does not know about the octree. The
-// owner (core.Tree) gathers leaf data in, stamps the store with its
-// content sequence number, and scatters dirty cells back; see
-// core.LeafTiles / core.ScatterLeafTiles for the validity protocol.
+// The store is the index itself, not a gathered image of one: core.Tree
+// keeps one as its working-version index, edits it in step with the tree
+// (append, truncate, in-place refinement), lends it to kernels through
+// core.LeafTiles and stores their marked cells with core.ScatterLeafTiles;
+// serve builds one per pinned version and answers queries with Find and
+// Window. The Store does not know about the octree: the owner stamps it
+// with its content sequence number (Stamp/ValidFor).
+//
+// Tile bounds and dirty flags are derived state, allocated on first use:
+// a store that is only searched (serve's) holds codes and payload alone.
 // Kernels sweep F[w][lo:hi] ranges handed out by RunTileRanges in
 // cache-line-contiguous, tile-aligned chunks.
 package tile
 
 import (
+	"slices"
+	"sort"
+
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
 )
@@ -48,12 +55,12 @@ func anchorOf(c morton.Code) morton.Code {
 	return morton.Root
 }
 
-// Store is one gathered SoA image of a Z-ordered leaf set.
+// Store is a Z-ordered leaf set with its payload.
 //
-// The zero value is an empty store; Reset builds the layout. A Store is
-// safe for concurrent READ access and for concurrent writes to DISTINCT
-// cells (the dirty flags are one byte per cell, so neighboring cells in
-// different pool chunks never share a write target).
+// The zero value is an empty store. A Store is safe for concurrent READ
+// access and for concurrent writes to DISTINCT cells (the dirty flags are
+// one byte per cell, so neighboring cells in different pool chunks never
+// share a write target); every edit of the leaf set is single-threaded.
 type Store struct {
 	codes []morton.Code
 	// F holds the field values: F[w][i] is word w of cell i, in the same
@@ -61,79 +68,25 @@ type Store struct {
 	F [Words][]float64
 
 	// starts are the tile boundaries: tile t covers cells
-	// [starts[t], starts[t+1]). len(starts) = Tiles()+1.
+	// [starts[t], starts[t+1]). len(starts) = Tiles()+1. They are cut over
+	// the first cut codes; cut is -1 once an edit replaced one of those.
 	starts []int32
+	cut    int
 
-	// dirty[i] marks cell i as modified since the last gather/scatter.
-	// One byte per cell so parallel sweeps on disjoint ranges never write
-	// the same word (a packed bitset would race across tile boundaries).
+	// dirty[i] marks cell i as modified in place. One byte per cell so
+	// parallel sweeps on disjoint ranges never write the same word (a
+	// packed bitset would race across tile boundaries). Sized by ClearDirty.
 	dirty []bool
 
 	seq     uint64
 	stamped bool
 }
 
-// Reset rebuilds the store's layout over the given Z-ordered leaf codes,
-// reusing the backing arrays. Field values are NOT cleared — the caller
-// gathers them right after — but every dirty flag is. The codes slice is
-// copied; the caller keeps ownership.
-func (s *Store) Reset(codes []morton.Code) {
-	n := len(codes)
-	s.codes = append(s.codes[:0], codes...)
-	for w := 0; w < Words; w++ {
-		if cap(s.F[w]) < n {
-			s.F[w] = make([]float64, n)
-		} else {
-			s.F[w] = s.F[w][:n]
-		}
-	}
-	if cap(s.dirty) < n {
-		s.dirty = make([]bool, n)
-	} else {
-		s.dirty = s.dirty[:n]
-		for i := range s.dirty {
-			s.dirty[i] = false
-		}
-	}
-	// Tile boundaries: cut at capacity and whenever the anchor octant
-	// changes, so a tile never spans two coarse parents.
-	s.starts = s.starts[:0]
-	s.starts = append(s.starts, 0)
-	if n > 0 {
-		anchor := anchorOf(codes[0])
-		fill := 1
-		for i := 1; i < n; i++ {
-			a := anchorOf(codes[i])
-			if fill >= Size || a != anchor {
-				s.starts = append(s.starts, int32(i))
-				anchor, fill = a, 1
-				continue
-			}
-			fill++
-		}
-		s.starts = append(s.starts, int32(n))
-	}
-	s.stamped = false
-}
-
 // N returns the cell count.
 func (s *Store) N() int { return len(s.codes) }
 
-// Tiles returns the tile count.
-func (s *Store) Tiles() int {
-	if len(s.starts) == 0 {
-		return 0
-	}
-	return len(s.starts) - 1
-}
-
 // Codes returns the Z-order spine. Read-only; aligned with F.
 func (s *Store) Codes() []morton.Code { return s.codes }
-
-// TileBounds returns the half-open cell range of tile t.
-func (s *Store) TileBounds(t int) (lo, hi int) {
-	return int(s.starts[t]), int(s.starts[t+1])
-}
 
 // Load returns all field words of cell i.
 func (s *Store) Load(i int) (vals [Words]float64) {
@@ -143,29 +96,139 @@ func (s *Store) Load(i int) (vals [Words]float64) {
 	return
 }
 
-// Set stores all field words of cell i without marking it dirty (gather).
+// Set stores all field words of cell i without marking it dirty.
 func (s *Store) Set(i int, vals [Words]float64) {
 	for w := 0; w < Words; w++ {
 		s.F[w][i] = vals[w]
 	}
 }
 
-// MarkDirty records that cell i's fields were modified in place.
-func (s *Store) MarkDirty(i int) { s.dirty[i] = true }
+// Append adds one leaf after the last. Re-appending the code a position
+// already held (a walk re-deriving an unchanged leaf set after Truncate)
+// keeps the tile bounds.
+func (s *Store) Append(code morton.Code, vals [Words]float64) {
+	if n := len(s.codes); n < s.cut && s.codes[:s.cut][n] != code {
+		s.cut = -1
+	}
+	s.codes = append(s.codes, code)
+	for w := 0; w < Words; w++ {
+		s.F[w] = append(s.F[w], vals[w])
+	}
+}
 
-// Dirty reports whether cell i is marked.
-func (s *Store) Dirty(i int) bool { return s.dirty[i] }
+// Truncate keeps the first n leaves.
+func (s *Store) Truncate(n int) {
+	s.codes = s.codes[:n]
+	for w := 0; w < Words; w++ {
+		s.F[w] = s.F[w][:n]
+	}
+}
 
-// DirtyCount returns the number of marked cells.
-func (s *Store) DirtyCount() int {
-	n := 0
-	for _, d := range s.dirty {
-		if d {
-			n++
+// Grow makes room for n more leaves without reallocating.
+func (s *Store) Grow(n int) {
+	s.codes = slices.Grow(s.codes, n)
+	for w := 0; w < Words; w++ {
+		s.F[w] = slices.Grow(s.F[w], n)
+	}
+}
+
+// Refine replaces the leaves by leaves, a Key-sorted refinement of them
+// (every code equal to or a descendant of a current leaf): each new leaf
+// takes the payload of the leaf covering it, the way a split copies payload
+// down to its children. The expansion runs back to front in place: new
+// position j is covered by an old position at or before j, which nothing
+// has overwritten yet, so no second copy of the index is ever alive.
+func (s *Store) Refine(leaves []morton.Code) {
+	n := len(leaves)
+	i := len(s.codes) - 1
+	s.Grow(n - len(s.codes))
+	s.codes = s.codes[:n]
+	for w := 0; w < Words; w++ {
+		s.F[w] = s.F[w][:n]
+	}
+	for j := n - 1; j >= 0; j-- {
+		i = min(i, j)
+		for s.codes[i].Key() > leaves[j].Key() {
+			i--
+		}
+		s.codes[j] = leaves[j]
+		for w := 0; w < Words; w++ {
+			s.F[w][j] = s.F[w][i]
 		}
 	}
-	return n
+	s.cut = -1
 }
+
+// Find returns the position of the last leaf whose key is at most k, and
+// whether that leaf's key span contains k. Disjoint leaves have disjoint,
+// ordered key spans, so that leaf is the container of k if any leaf is.
+// The position is -1 when k precedes the first leaf.
+func (s *Store) Find(k uint64) (int, bool) {
+	i := sort.Search(len(s.codes), func(i int) bool { return s.codes[i].Key() > k }) - 1
+	if i < 0 {
+		return -1, false
+	}
+	_, hi := s.codes[i].KeySpan()
+	return i, k <= hi
+}
+
+// Window returns the positions [first, last] of the leaves whose keys lie
+// in [lo, hi]; last < first when there are none.
+func (s *Store) Window(lo, hi uint64) (first, last int) {
+	n := len(s.codes)
+	first = sort.Search(n, func(i int) bool { return s.codes[i].Key() >= lo })
+	last = sort.Search(n, func(i int) bool { return s.codes[i].Key() > hi }) - 1
+	return first, last
+}
+
+// Tiled reports whether the tile bounds are cut over the current leaves.
+func (s *Store) Tiled() bool { return s.cut == len(s.codes) }
+
+// Retile cuts the tile bounds over the current leaves unless they already
+// are: at capacity and whenever the anchor octant changes, so a tile never
+// spans two coarse parents.
+func (s *Store) Retile() {
+	if s.Tiled() {
+		return
+	}
+	n := len(s.codes)
+	s.starts = append(s.starts[:0], 0)
+	if n > 0 {
+		anchor := anchorOf(s.codes[0])
+		fill := 1
+		for i := 1; i < n; i++ {
+			a := anchorOf(s.codes[i])
+			if fill >= Size || a != anchor {
+				s.starts = append(s.starts, int32(i))
+				anchor, fill = a, 1
+				continue
+			}
+			fill++
+		}
+		s.starts = append(s.starts, int32(n))
+	}
+	s.cut = n
+}
+
+// Tiles returns the tile count. The bounds are those of the last Retile.
+func (s *Store) Tiles() int {
+	if len(s.starts) == 0 {
+		return 0
+	}
+	return len(s.starts) - 1
+}
+
+// TileBounds returns the half-open cell range of tile t.
+func (s *Store) TileBounds(t int) (lo, hi int) {
+	return int(s.starts[t]), int(s.starts[t+1])
+}
+
+// MarkDirty records that cell i's fields were modified in place. The flags
+// cover the cells present at the last ClearDirty.
+func (s *Store) MarkDirty(i int) { s.dirty[i] = true }
+
+// HasDirty reports whether any cell is marked.
+func (s *Store) HasDirty() bool { return slices.Contains(s.dirty, true) }
 
 // ForEachDirty invokes fn for every marked cell in ascending Z-order.
 func (s *Store) ForEachDirty(fn func(i int)) {
@@ -176,16 +239,17 @@ func (s *Store) ForEachDirty(fn func(i int)) {
 	}
 }
 
-// ClearDirty unmarks every cell.
+// ClearDirty unmarks every cell, sizing the flags to the cell count.
 func (s *Store) ClearDirty() {
-	for i := range s.dirty {
-		s.dirty[i] = false
-	}
+	s.dirty = slices.Grow(s.dirty[:0], len(s.codes))[:len(s.codes)]
+	clear(s.dirty)
 }
 
-// Stamp records the owner's content sequence number the store was
-// gathered (or scattered back) at.
+// Stamp records the owner's content sequence number the store mirrors.
 func (s *Store) Stamp(seq uint64) { s.seq, s.stamped = seq, true }
+
+// Invalidate drops the stamp: the store mirrors nothing until the next.
+func (s *Store) Invalidate() { s.stamped = false }
 
 // ValidFor reports whether the store still mirrors the owner at seq.
 func (s *Store) ValidFor(seq uint64) bool { return s.stamped && s.seq == seq }

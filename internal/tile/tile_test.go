@@ -1,7 +1,10 @@
 package tile
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,10 +30,49 @@ func adaptiveCodes(t testing.TB, level uint8) []morton.Code {
 	return tr.LeafCodes()
 }
 
+// payloadOf is a distinct payload per code, so a test can tell which leaf
+// a value came from.
+func payloadOf(c morton.Code) [Words]float64 {
+	return [Words]float64{float64(c), float64(c.Level()), -float64(c), 0.5}
+}
+
+// filled returns a store holding codes with payloadOf each, tiled.
+func filled(codes []morton.Code) *Store {
+	var s Store
+	for _, c := range codes {
+		s.Append(c, payloadOf(c))
+	}
+	s.Retile()
+	return &s
+}
+
+// freshCut is the tiling oracle: tile boundaries computed from scratch, a
+// new tile at capacity and at every change of the two-levels-up anchor.
+func freshCut(codes []morton.Code) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < len(codes); {
+		hi := lo + 1
+		for hi < len(codes) && hi-lo < Size && anchorOf(codes[hi]) == anchorOf(codes[lo]) {
+			hi++
+		}
+		out = append(out, [2]int{lo, hi})
+		lo = hi
+	}
+	return out
+}
+
+func bounds(s *Store) [][2]int {
+	var out [][2]int
+	for t := 0; t < s.Tiles(); t++ {
+		lo, hi := s.TileBounds(t)
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
+}
+
 func TestResetLayout(t *testing.T) {
 	codes := adaptiveCodes(t, 5)
-	var s Store
-	s.Reset(codes)
+	s := filled(codes)
 
 	if s.N() != len(codes) {
 		t.Fatalf("N = %d, want %d", s.N(), len(codes))
@@ -82,8 +124,7 @@ func TestResetLayout(t *testing.T) {
 func TestUniformMeshPacksFullTiles(t *testing.T) {
 	tr := octree.New()
 	tr.RefineWhere(func(morton.Code) bool { return true }, 4)
-	var s Store
-	s.Reset(tr.LeafCodes())
+	s := filled(tr.LeafCodes())
 	// 16^3 uniform cells = 4096, all same level: every tile must be full.
 	hist := s.OccupancyHistogram()
 	if hist[Size] != s.Tiles() {
@@ -96,37 +137,37 @@ func TestUniformMeshPacksFullTiles(t *testing.T) {
 
 func TestDirtyFlags(t *testing.T) {
 	codes := adaptiveCodes(t, 4)
-	var s Store
-	s.Reset(codes)
+	s := filled(codes)
+	s.ClearDirty()
 	marks := []int{0, 3, len(codes) - 1}
 	for _, i := range marks {
 		s.MarkDirty(i)
 	}
-	if s.DirtyCount() != len(marks) {
-		t.Fatalf("DirtyCount = %d, want %d", s.DirtyCount(), len(marks))
-	}
 	var got []int
 	s.ForEachDirty(func(i int) { got = append(got, i) })
-	for k, i := range marks {
-		if got[k] != i {
-			t.Fatalf("dirty order %v, want %v", got, marks)
-		}
+	if !slices.Equal(got, marks) {
+		t.Fatalf("dirty cells %v, want %v", got, marks)
+	}
+	if !s.HasDirty() {
+		t.Fatal("HasDirty false with marks set")
 	}
 	s.ClearDirty()
-	if s.DirtyCount() != 0 {
-		t.Fatalf("DirtyCount after clear = %d", s.DirtyCount())
+	if s.HasDirty() {
+		t.Fatal("HasDirty after clear")
 	}
-	// Reset clears marks too.
-	s.MarkDirty(1)
-	s.Reset(codes)
-	if s.DirtyCount() != 0 {
-		t.Fatal("Reset kept dirty flags")
+	// ClearDirty sizes the flags to a grown leaf set.
+	s.Append(codes[0], payloadOf(codes[0]))
+	s.ClearDirty()
+	s.MarkDirty(s.N() - 1)
+	got = got[:0]
+	s.ForEachDirty(func(i int) { got = append(got, i) })
+	if !slices.Equal(got, []int{s.N() - 1}) {
+		t.Fatalf("dirty cells after growth %v, want [%d]", got, s.N()-1)
 	}
 }
 
 func TestStamping(t *testing.T) {
-	var s Store
-	s.Reset(adaptiveCodes(t, 3))
+	s := filled(adaptiveCodes(t, 3))
 	if s.ValidFor(0) {
 		t.Fatal("fresh store valid before Stamp")
 	}
@@ -134,9 +175,9 @@ func TestStamping(t *testing.T) {
 	if !s.ValidFor(7) || s.ValidFor(8) {
 		t.Fatal("stamp mismatch")
 	}
-	s.Reset(adaptiveCodes(t, 3))
+	s.Invalidate()
 	if s.ValidFor(7) {
-		t.Fatal("Reset kept the stamp")
+		t.Fatal("Invalidate kept the stamp")
 	}
 }
 
@@ -144,8 +185,7 @@ func TestStamping(t *testing.T) {
 // boundaries are tile boundaries, and parallel scheduling covers the same
 // set as serial.
 func TestRunTileRangesCoverage(t *testing.T) {
-	var s Store
-	s.Reset(adaptiveCodes(t, 5))
+	s := filled(adaptiveCodes(t, 5))
 	for _, workers := range []int{1, 4} {
 		var pool *parallel.Pool
 		if workers > 1 {
@@ -173,8 +213,7 @@ func TestRunTileRangesCoverage(t *testing.T) {
 // TestSetLoadRoundTrip: SoA storage round-trips per-cell records.
 func TestSetLoadRoundTrip(t *testing.T) {
 	codes := adaptiveCodes(t, 4)
-	var s Store
-	s.Reset(codes)
+	s := filled(codes)
 	rng := rand.New(rand.NewSource(42))
 	want := make([][Words]float64, len(codes))
 	for i := range want {
@@ -194,6 +233,350 @@ func TestSetLoadRoundTrip(t *testing.T) {
 			if s.F[w][i] != want[i][w] {
 				t.Fatalf("F[%d][%d] = %v, want %v", w, i, s.F[w][i], want[i][w])
 			}
+		}
+	}
+}
+
+// checkContents holds the store to codes with payloadOf each.
+func checkContents(t *testing.T, label string, s *Store, codes []morton.Code) {
+	t.Helper()
+	if !slices.Equal(s.Codes(), codes) {
+		t.Fatalf("%s: codes %v, want %v", label, s.Codes(), codes)
+	}
+	for w := 0; w < Words; w++ {
+		if len(s.F[w]) != len(codes) {
+			t.Fatalf("%s: field %d holds %d cells, want %d", label, w, len(s.F[w]), len(codes))
+		}
+	}
+	for i, c := range codes {
+		if got := s.Load(i); got != payloadOf(c) {
+			t.Fatalf("%s: cell %d (%v) = %v, want %v", label, i, c, got, payloadOf(c))
+		}
+	}
+}
+
+// TestAppendTruncateGrow: the leaf-set edits a tree walk makes — emit in
+// Z-order, pop a collapsed sibling group, reserve room for a known count.
+func TestAppendTruncateGrow(t *testing.T) {
+	codes := adaptiveCodes(t, 3)
+	var s Store
+	for i, c := range codes {
+		s.Append(c, payloadOf(c))
+		if s.N() != i+1 {
+			t.Fatalf("after %d appends N = %d", i+1, s.N())
+		}
+	}
+	checkContents(t, "append", &s, codes)
+
+	s.Truncate(len(codes) - 8)
+	checkContents(t, "truncate", &s, codes[:len(codes)-8])
+	s.Append(codes[len(codes)-8], payloadOf(codes[len(codes)-8]))
+	checkContents(t, "append after truncate", &s, codes[:len(codes)-7])
+	s.Truncate(0)
+	checkContents(t, "truncate to empty", &s, nil)
+
+	s.Grow(3 * len(codes))
+	if c := cap(s.Codes()); c < 3*len(codes) {
+		t.Fatalf("Grow(%d) left capacity %d", 3*len(codes), c)
+	}
+	before := &s.Codes()[:1][0]
+	for _, c := range codes {
+		s.Append(c, payloadOf(c))
+	}
+	if &s.Codes()[0] != before {
+		t.Fatal("appends within the grown capacity reallocated")
+	}
+	checkContents(t, "append after grow", &s, codes)
+}
+
+// refinePayload is the refinement oracle: each new leaf carries the
+// payload of the old leaf equal to or containing it.
+func refinePayload(t *testing.T, old []morton.Code, c morton.Code) [Words]float64 {
+	t.Helper()
+	for _, o := range old {
+		if o == c || o.IsAncestorOf(c) {
+			return payloadOf(o)
+		}
+	}
+	t.Fatalf("%v is covered by no old leaf", c)
+	return [Words]float64{}
+}
+
+// splitAt returns codes with the leaves at the given positions replaced by
+// their children (and, for deep, the first child split once more).
+func splitAt(codes []morton.Code, deep bool, pos ...int) []morton.Code {
+	var out []morton.Code
+	for i, c := range codes {
+		if !slices.Contains(pos, i) {
+			out = append(out, c)
+			continue
+		}
+		for k := 0; k < 8; k++ {
+			ch := c.Child(k)
+			if deep && k == 0 {
+				for g := 0; g < 8; g++ {
+					out = append(out, ch.Child(g))
+				}
+				continue
+			}
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
+// TestRefineInPlace: the back-to-front in-place expansion Balance applies.
+// Splitting the last leaf makes old position i equal new position j: the
+// cell is read as the old leaf and overwritten by its first child in the
+// same step, and the next step must not mistake the child for a leaf.
+func TestRefineInPlace(t *testing.T) {
+	codes := adaptiveCodes(t, 2)
+	last := len(codes) - 1
+	cases := []struct {
+		name   string
+		leaves []morton.Code
+	}{
+		{"unchanged", codes},
+		{"first", splitAt(codes, false, 0)},
+		{"last (i == j)", splitAt(codes, false, last)},
+		{"middle", splitAt(codes, false, last/2)},
+		{"several", splitAt(codes, false, 1, 5, last/2, last-1)},
+		{"two levels", splitAt(codes, true, 0, last/3, last)},
+		{"all", splitAt(codes, false, func() []int {
+			var all []int
+			for i := range codes {
+				all = append(all, i)
+			}
+			return all
+		}()...)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := filled(codes)
+			s.Refine(slices.Clone(c.leaves))
+			if !slices.Equal(s.Codes(), c.leaves) {
+				t.Fatalf("refined codes differ from the target leaves")
+			}
+			for i, code := range c.leaves {
+				if got, want := s.Load(i), refinePayload(t, codes, code); got != want {
+					t.Fatalf("cell %d (%v) = %v, want %v", i, code, got, want)
+				}
+			}
+		})
+	}
+}
+
+// bruteFind is the search oracle: the container of k by linear scan.
+func bruteFind(codes []morton.Code, k uint64) int {
+	for i, c := range codes {
+		if lo, hi := c.KeySpan(); k >= lo && k <= hi {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFindWindowMatchesBruteForce holds point and window search to a
+// linear scan on a full leaf set and on a gapped one (every third leaf
+// dropped, as a shard holds a subset): keys before the first leaf, keys in
+// a gap, keys inside leaves, a window over everything and empty windows.
+func TestFindWindowMatchesBruteForce(t *testing.T) {
+	full := adaptiveCodes(t, 4)
+	var gapped []morton.Code
+	for i, c := range full {
+		if i%3 != 0 {
+			gapped = append(gapped, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, set := range []struct {
+		name  string
+		codes []morton.Code
+	}{{"full", full}, {"gapped", gapped}} {
+		s := filled(set.codes)
+		keys := []uint64{0, math.MaxUint64}
+		for _, c := range full {
+			lo, hi := c.KeySpan()
+			keys = append(keys, lo, hi, lo+(hi-lo)/2)
+		}
+		for i := 0; i < 200; i++ {
+			keys = append(keys, rng.Uint64())
+		}
+		for _, k := range keys {
+			want := bruteFind(set.codes, k)
+			i, ok := s.Find(k)
+			if want >= 0 {
+				if !ok || i != want {
+					t.Fatalf("%s: Find(%d) = %d, %v; want %d", set.name, k, i, ok, want)
+				}
+				continue
+			}
+			if ok {
+				t.Fatalf("%s: Find(%d) = %d inside a leaf, the scan finds none", set.name, k, i)
+			}
+			// Not contained: i is the last leaf before k, -1 when k
+			// precedes the first leaf.
+			wantI := -1
+			for j, c := range set.codes {
+				if c.Key() <= k {
+					wantI = j
+				}
+			}
+			if i != wantI {
+				t.Fatalf("%s: Find(%d) = %d, want predecessor %d", set.name, k, i, wantI)
+			}
+		}
+		if i, _ := s.Find(set.codes[0].Key() - 1); set.codes[0].Key() > 0 && i != -1 {
+			t.Fatalf("%s: a key before the first leaf found %d", set.name, i)
+		}
+
+		spans := [][2]uint64{{0, math.MaxUint64}, {5, 4}}
+		for i := 0; i < 300; i++ {
+			a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
+			spans = append(spans, [2]uint64{min(a, b), max(a, b)})
+		}
+		for _, sp := range spans {
+			first, last := s.Window(sp[0], sp[1])
+			var want []int
+			for j, c := range set.codes {
+				if k := c.Key(); k >= sp[0] && k <= sp[1] {
+					want = append(want, j)
+				}
+			}
+			if len(want) == 0 {
+				if last >= first {
+					t.Fatalf("%s: Window(%d, %d) = [%d, %d], want empty", set.name, sp[0], sp[1], first, last)
+				}
+				continue
+			}
+			if first != want[0] || last != want[len(want)-1] {
+				t.Fatalf("%s: Window(%d, %d) = [%d, %d], want [%d, %d]", set.name, sp[0], sp[1], first, last, want[0], want[len(want)-1])
+			}
+		}
+		if first, last := s.Window(0, math.MaxUint64); first != 0 || last != s.N()-1 {
+			t.Fatalf("%s: a window over every key is [%d, %d] of %d leaves", set.name, first, last, s.N())
+		}
+	}
+	var empty Store
+	if i, ok := empty.Find(12345); i != -1 || ok {
+		t.Fatalf("empty store: Find = %d, %v", i, ok)
+	}
+}
+
+// collapsible returns the position of a random complete sibling group of
+// leaves in codes, or -1.
+func collapsible(codes []morton.Code, rng *rand.Rand) int {
+	var groups []int
+	for i := 0; i+8 <= len(codes); i++ {
+		if c := codes[i]; c.Level() > 0 && c.ChildIndex() == 0 && codes[i+7] == c.Parent().Child(7) {
+			groups = append(groups, i)
+		}
+	}
+	if len(groups) == 0 {
+		return -1
+	}
+	return groups[rng.Intn(len(groups))]
+}
+
+// TestTileBoundsMatchFreshCut applies a random sequence of leaf-set edits
+// and requires, after each one and a Retile, bounds equal to a cut from
+// scratch — whether Retile recut them or kept them because the edit left
+// the codes as they were.
+func TestTileBoundsMatchFreshCut(t *testing.T) {
+	base := adaptiveCodes(t, 4)
+	rng := rand.New(rand.NewSource(11))
+	s := filled(base)
+	cur := slices.Clone(base)
+	kept := 0
+	ran := map[string]int{}
+	for step := 0; step < 400; step++ {
+		var op string
+		switch rng.Intn(7) {
+		case 0: // a walk re-emitting the same leaves
+			op = "re-emit"
+			s.Truncate(0)
+			for _, c := range cur {
+				s.Append(c, payloadOf(c))
+			}
+		case 1: // re-emit a tail after a truncate
+			op = "re-emit tail"
+			n := rng.Intn(len(cur) + 1)
+			s.Truncate(n)
+			for _, c := range cur[n:] {
+				s.Append(c, payloadOf(c))
+			}
+		case 2: // a coarsening pop: eight siblings become their parent
+			op = "collapse"
+			i := collapsible(cur, rng)
+			if i < 0 {
+				continue
+			}
+			parent := cur[i].Parent()
+			tail := slices.Clone(cur[i+8:])
+			s.Truncate(i)
+			s.Append(parent, payloadOf(parent))
+			for _, c := range tail {
+				s.Append(c, payloadOf(c))
+			}
+			cur = append(append(cur[:i], parent), tail...)
+		case 3: // in-place refinement
+			op = "refine"
+			if len(cur) > 3000 {
+				continue
+			}
+			j := rng.Intn(len(cur))
+			if cur[j].Level() >= morton.MaxLevel-1 {
+				continue
+			}
+			cur = splitAt(cur, false, j)
+			s.Refine(slices.Clone(cur))
+		case 4: // a payload edit, the leaf set untouched
+			op = "payload"
+			s.F[rng.Intn(Words)][rng.Intn(len(cur))] = rng.Float64()
+		case 5: // truncate and stop
+			op = "shrink"
+			n := len(cur) - rng.Intn(4)
+			s.Truncate(n)
+			cur = cur[:n]
+		case 6: // a refine walk and a coarsen walk between two cuts: one
+			// split and one collapse leave the count, not the codes
+			op = "split+collapse"
+			i := collapsible(cur, rng)
+			if i < 0 {
+				continue
+			}
+			next := append(slices.Clone(cur[:i]), cur[i].Parent())
+			next = append(next, cur[i+8:]...)
+			j := (i + 1 + rng.Intn(len(next)-1)) % len(next)
+			if next[j].Level() >= morton.MaxLevel-1 {
+				continue
+			}
+			next = splitAt(next, false, j)
+			s.Truncate(0)
+			for _, c := range next {
+				s.Append(c, payloadOf(c))
+			}
+			cur = next
+		}
+		ran[op]++
+		if s.Tiled() {
+			kept++
+		}
+		s.Retile()
+		label := fmt.Sprintf("step %d (%s)", step, op)
+		if !slices.Equal(s.Codes(), cur) {
+			t.Fatalf("%s: store codes drifted from the model", label)
+		}
+		if got, want := bounds(s), freshCut(cur); !slices.Equal(got, want) {
+			t.Fatalf("%s: tile bounds %v, fresh cut %v", label, got, want)
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no edit kept the bounds: the reuse path went unexercised")
+	}
+	for _, op := range []string{"re-emit", "re-emit tail", "collapse", "refine", "payload", "shrink", "split+collapse"} {
+		if ran[op] == 0 {
+			t.Errorf("edit %q never ran", op)
 		}
 	}
 }
