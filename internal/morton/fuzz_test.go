@@ -1,6 +1,9 @@
 package morton
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzCodeRoundTrip exercises decode/re-encode and the derived operations
 // on arbitrary 64-bit patterns masked into valid codes.
@@ -58,6 +61,28 @@ func FuzzCodeRoundTrip(f *testing.F) {
 					t.Fatalf("child %d parent mismatch", i)
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseCode: ParseCode accepts exactly the strings String emits — any
+// string that parses formats back to itself — and every rejection carries
+// the "cannot parse code" prefix.
+func FuzzParseCode(f *testing.F) {
+	for _, s := range []string{"L0:(0,0,0)", "L3:(1,4,2)", "L19:(524287,524287,524287)",
+		"L20:(0,0,0)", "L2:(4,0,0)", "L03:(1,1,1)", "L3:(+1,1,1)", "L3:( 1,1,1)", "L3:(1,1,1)x", "L4294967297:(0,0,0)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseCode(s)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "morton: cannot parse code ") {
+				t.Fatalf("ParseCode(%q) error %q lacks the parse prefix", s, err)
+			}
+			return
+		}
+		if got := c.String(); got != s {
+			t.Fatalf("ParseCode(%q) = %v, which formats as %q", s, c, got)
 		}
 	})
 }

@@ -7,7 +7,13 @@
 // partitioner splits the space-filling curve into per-rank ranges.
 package morton
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"strconv"
+	"strings"
+)
 
 // MaxLevel is the deepest supported octree level. 3*19 Morton bits plus 6
 // level bits fit in 63 bits.
@@ -202,30 +208,63 @@ func (c Code) AllNeighbors(dst []Code) []Code {
 	return dst
 }
 
-// String renders the code as level:(x,y,z).
+// String renders the code as L<level>:(<x>,<y>,<z>), the form wire formats
+// carry and ParseCode reads back.
 func (c Code) String() string {
 	x, y, z, l := c.Decode()
-	return fmt.Sprintf("L%d:(%d,%d,%d)", l, x, y, z)
+	var buf [48]byte
+	b := append(buf[:0], 'L')
+	b = strconv.AppendUint(b, uint64(l), 10)
+	b = append(b, ':', '(')
+	b = strconv.AppendUint(b, uint64(x), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(y), 10)
+	b = append(b, ',')
+	b = strconv.AppendUint(b, uint64(z), 10)
+	return string(append(b, ')'))
 }
 
 // ParseCode inverts String: "L3:(1,4,2)" parses to the code of the
 // level-3 octant anchored at (1,4,2). Wire formats (the serve HTTP
 // responses) carry codes in String form; distributed clients parse them
-// back with this.
+// back with this. It accepts exactly the strings String emits for valid
+// codes: no signs, spaces, leading zeros or trailing bytes.
 func ParseCode(s string) (Code, error) {
-	var x, y, z uint32
-	var l uint8
-	if _, err := fmt.Sscanf(s, "L%d:(%d,%d,%d)", &l, &x, &y, &z); err != nil {
-		return 0, fmt.Errorf("morton: cannot parse code %q: %v", s, err)
+	var v [4]uint32 // level, x, y, z
+	rest, ok := strings.CutPrefix(s, "L")
+	for i, sep := range [...]string{":(", ",", ",", ")"} {
+		// A decimal number of at most 7 digits without a leading zero.
+		n := 0
+		for ; ok && n < min(len(rest), 7) && '0' <= rest[n] && rest[n] <= '9'; n++ {
+			v[i] = 10*v[i] + uint32(rest[n]-'0')
+		}
+		if ok = ok && n > 0 && (n == 1 || rest[0] != '0'); ok {
+			rest, ok = strings.CutPrefix(rest[n:], sep)
+		}
 	}
+	if !ok || rest != "" {
+		return 0, parseError(s, "want L<level>:(<x>,<y>,<z>)")
+	}
+	l, x, y, z := v[0], v[1], v[2], v[3]
 	if l > MaxLevel {
-		return 0, fmt.Errorf("morton: code %q level %d exceeds max %d", s, l, MaxLevel)
+		return 0, parseError(s, "level exceeds "+strconv.Itoa(MaxLevel))
 	}
-	limit := uint32(1) << l
-	if x >= limit || y >= limit || z >= limit {
-		return 0, fmt.Errorf("morton: code %q anchor outside its level-%d grid", s, l)
+	if limit := uint32(1) << l; x >= limit || y >= limit || z >= limit {
+		return 0, parseError(s, "anchor outside its level's grid")
 	}
-	return Encode(x, y, z, l), nil
+	return Encode(x, y, z, uint8(l)), nil
+}
+
+func parseError(s, why string) error {
+	return errors.New("morton: cannot parse code " + strconv.Quote(s) + ": " + why)
+}
+
+// Cover returns the smallest octant containing the MaxLevel cells lo and
+// hi (anchor coordinates on the finest grid): the common ancestor of the
+// two cells, which contains every cell of the box they span.
+func Cover(lo, hi [3]uint32) Code {
+	shift := bits.Len32((lo[0] ^ hi[0]) | (lo[1] ^ hi[1]) | (lo[2] ^ hi[2]))
+	return Encode(lo[0]>>shift, lo[1]>>shift, lo[2]>>shift, uint8(MaxLevel-shift))
 }
 
 // Center returns the octant's center in the unit cube [0,1)^3.

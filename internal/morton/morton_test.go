@@ -367,9 +367,56 @@ func TestParseCodeRoundTrip(t *testing.T) {
 			t.Fatalf("ParseCode(String(%v)) = %v", c, got)
 		}
 	}
-	for _, bad := range []string{"", "L4", "4:(1,2,3)", "L99:(0,0,0)", "L2:(4,0,0)", "L2:(0,0"} {
+	for _, bad := range []string{"", "L4", "4:(1,2,3)", "L99:(0,0,0)", "L2:(4,0,0)", "L2:(0,0",
+		"L2:(01,0,0)", "L2:(+1,0,0)", "L2:(1,0,0) ", "L2:(1,0,0)x", "L-1:(0,0,0)", "L2:(1,,0)"} {
 		if _, err := ParseCode(bad); err == nil {
 			t.Fatalf("ParseCode(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// Cover is the common ancestor the parent walk of both corner cells finds.
+func TestCoverMatchesParentWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	const n = 1 << MaxLevel
+	for i := 0; i < 2000; i++ {
+		var lo, hi [3]uint32
+		for d := 0; d < 3; d++ {
+			a, b := uint32(r.Intn(n)), uint32(r.Intn(n))
+			if i%3 == 0 { // small boxes, often inside one deep octant
+				b = a + uint32(r.Intn(4))
+				if b >= n {
+					b = n - 1
+				}
+			}
+			lo[d], hi[d] = min(a, b), max(a, b)
+		}
+		a, c := Encode(lo[0], lo[1], lo[2], MaxLevel), Encode(hi[0], hi[1], hi[2], MaxLevel)
+		for a != c {
+			a, c = a.Parent(), c.Parent()
+		}
+		if got := Cover(lo, hi); got != a {
+			t.Fatalf("Cover(%v, %v) = %v, parent walk %v", lo, hi, got, a)
+		}
+	}
+}
+
+// BenchmarkParseCode parses the wire form of a deep code, as a region
+// client does once per hit leaf.
+func BenchmarkParseCode(b *testing.B) {
+	s := Encode(123456, 7890, 345678, MaxLevel).String()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseCode(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCodeString(b *testing.B) {
+	c := Encode(123456, 7890, 345678, MaxLevel)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = c.String()
 	}
 }

@@ -14,13 +14,14 @@ import (
 // exactly like a single server. Every routed answer additionally carries
 // its provenance envelope after the answer's own fields:
 // requested_version, served_version, degraded, degraded_reason, and
-// served_by. klo/khi are accepted but ignored: the router filters each
-// shard's part by that shard's span.
+// served_by. klo/khi filter region and agg answers as on pmserve: each
+// shard's part is filtered by the shard's span ∩ the requested span, and a
+// shard whose intersection is empty is not asked.
 //
 //	GET /v1/versions                 -> union of committed steps
 //	GET /v1/point?x=&y=&z=[&version=]
-//	GET /v1/region?x0=&y0=&z0=&x1=&y1=&z1=[&version=][&limit=]
-//	GET /v1/agg?field=[&x0=&y0=&z0=&x1=&y1=&z1=][&version=]
+//	GET /v1/region?x0=&y0=&z0=&x1=&y1=&z1=[&version=][&limit=][&klo=&khi=]
+//	GET /v1/agg?field=[&x0=&y0=&z0=&x1=&y1=&z1=][&version=][&klo=&khi=]
 //	GET /v1/shards                   -> per-shard span/health/breaker state
 
 // Handler is the HTTP surface over one Router.

@@ -530,18 +530,20 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 }
 
 // servePart serves one shard's portion of a query — q filtered by the
-// shard's span — at an exact version, walking the fallback chain: primary
-// (retries + hedging) -> recovery replica -> healthy peer takeover. A
-// full-copy peer filtered by this shard's span answers identically; a
-// materialized peer holds only its own span and refuses with
-// serve.ErrNotHeld, which fails that source alone (it is neither retried
-// nor counted against the peer's health or breaker). When every source is
-// up but none holds the version, the returned error is a
+// shard's span ∩ the requested span — at an exact version, walking the
+// fallback chain: primary (retries + hedging) -> recovery replica ->
+// healthy peer takeover. A full-copy peer filtered by this shard's span
+// answers identically; a materialized peer holds only its own span and
+// refuses with serve.ErrNotHeld, which fails that source alone (it is
+// neither retried nor counted against the peer's health or breaker). When
+// every source is up but none holds the version, the returned error is a
 // NoSuchVersionError whose availability is the union across sources, so
 // the caller can retarget to a stale version. src reports where the
 // answer came from: "primary", "replica", or "peer:<n>".
 func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, q serve.Query) (res serve.Result, src string, err error) {
-	q.Span = s.span
+	if q.Class != serve.ClassPoint {
+		q.Span, _ = s.span.Intersect(q.Span)
+	}
 	miss := map[uint64]bool{}
 	anyMiss := false
 	var lastErr error
@@ -800,13 +802,28 @@ func (r *Router) query(ctx context.Context, version uint64, q serve.Query) (Enve
 
 // route returns the ascending shard ids q scatters to: the owner of a
 // point's MaxLevel cell key, or every shard that can own a leaf
-// intersecting the box.
+// intersecting the box and whose span meets the requested span. When no
+// such shard remains the answer is empty, and the owner of the span's
+// first key serves it, so it still comes from a committed version.
 func (r *Router) route(q serve.Query) ([]int, error) {
-	if err := q.CheckField(); err != nil {
+	if err := q.Check(); err != nil {
 		return nil, err
 	}
 	if q.Class != serve.ClassPoint {
-		return r.smap.CandidatesForBox(q.Box)
+		ids, err := r.smap.CandidatesForBox(q.Box)
+		if err != nil {
+			return nil, err
+		}
+		kept := ids[:0]
+		for _, id := range ids {
+			if _, ok := r.smap.Span(id).Intersect(q.Span); ok {
+				kept = append(kept, id)
+			}
+		}
+		if len(kept) == 0 {
+			kept = append(kept, r.smap.OwnerOf(q.Span.Lo))
+		}
+		return kept, nil
 	}
 	cell, err := serve.CellAt(q.Point)
 	if err != nil {
@@ -823,13 +840,13 @@ func (r *Router) Point(ctx context.Context, version uint64, x, y, z float64) (Po
 
 // Region answers a region query.
 func (r *Router) Region(ctx context.Context, version uint64, box serve.Box) (RegionAnswer, error) {
-	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassRegion, Box: box})
+	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassRegion, Box: box, Span: serve.FullKeyRange()})
 	return RegionAnswer{env, res.Hits}, err
 }
 
 // Aggregate answers a field aggregation.
 func (r *Router) Aggregate(ctx context.Context, version uint64, field int, box serve.Box) (AggAnswer, error) {
-	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassAgg, Box: box, Field: field})
+	env, res, err := r.query(ctx, version, serve.Query{Class: serve.ClassAgg, Box: box, Field: field, Span: serve.FullKeyRange()})
 	return AggAnswer{env, res.Agg}, err
 }
 

@@ -912,6 +912,97 @@ func TestHTTPBackendSendsFilteringSpans(t *testing.T) {
 	}
 }
 
+// TestRoutedKeySpansMatchPmserve: a routed region or aggregate with
+// klo/khi equals pmserve's answer to the same request over the same
+// committed data, whether the span lies inside one shard, crosses shard
+// boundaries, or meets no leaf in the box; only shards whose span meets
+// the requested one are asked.
+func TestRoutedKeySpansMatchPmserve(t *testing.T) {
+	const steps = 3
+	var cfg Config
+	var single *shardFixture
+	for i := 0; i < 3; i++ {
+		fx := buildBackend(t, fmt.Sprintf("s%d", i), steps, steps)
+		cfg.Shards = append(cfg.Shards, ShardConfig{Primary: fx.be})
+		single = fx
+	}
+	cfg.Sleep = instantSleep
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	pmserve, routed := serve.NewHandler(single.cat, single.sched), NewHandler(r)
+	get := func(h http.Handler, path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	spans := r.Map()
+	b0, b1 := spans.Span(1).Lo, spans.Span(2).Lo
+	for _, kr := range []serve.KeyRange{
+		{Lo: 0, Hi: 0},
+		{Lo: b0 + 1<<40, Hi: b0 + 1<<50},
+		{Lo: b0 - 1<<50, Hi: b1 + 1<<50},
+		{Lo: b1 - 1, Hi: b1},
+		{Lo: 1 << 20, Hi: math.MaxUint64},
+	} {
+		asked := 0
+		for i := 0; i < spans.Len(); i++ {
+			if _, ok := spans.Span(i).Intersect(kr); ok {
+				asked++
+			}
+		}
+		for bi, box := range testBoxes {
+			for _, class := range []serve.Class{serve.ClassRegion, serve.ClassAgg} {
+				req := serve.Request{Query: serve.Query{Class: class, Box: box, Field: bi % core.DataWords, Span: kr}, Version: serve.Latest}
+				path := req.Path()
+				want, err := serve.DecodeResult(class, get(pmserve, path))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := get(routed, path)
+				got, err := serve.DecodeResult(class, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Shards fold their own partials, so a routed aggregate sums in
+				// a different order: it equals pmserve's per-shard answers
+				// merged, and pmserve's one answer up to rounding.
+				var merged serve.AggResult
+				for i := 0; i < spans.Len(); i++ {
+					if part, ok := spans.Span(i).Intersect(kr); ok && class == serve.ClassAgg {
+						preq := req
+						preq.Span = part
+						p, err := serve.DecodeResult(class, get(pmserve, preq.Path()))
+						if err != nil {
+							t.Fatal(err)
+						}
+						merged.Merge(p.Agg)
+					}
+				}
+				near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
+				if got.Step != want.Step || got.Agg != merged || !sameHits(got.Hits, want.Hits) ||
+					got.Agg.Count != want.Agg.Count || got.Agg.Min != want.Agg.Min || got.Agg.Max != want.Agg.Max ||
+					!near(got.Agg.Sum, want.Agg.Sum) || !near(got.Agg.VolSum, want.Agg.VolSum) {
+					t.Fatalf("%s: routed %+v, pmserve %+v (per shard %+v)", path, got, want, merged)
+				}
+				var env serve.Envelope
+				if err := json.Unmarshal(body, &env); err != nil {
+					t.Fatal(err)
+				}
+				if len(env.ServedBy) > asked {
+					t.Fatalf("%s: served by %v, but only %d shard spans meet [%d, %d]", path, env.ServedBy, asked, kr.Lo, kr.Hi)
+				}
+			}
+		}
+	}
+}
+
 // TestParamErrorsMatchAcrossSurfaces: pmserve and the router parse
 // requests with one parser, so a bad parameter gets the same 400 and the
 // same message from both.
@@ -932,6 +1023,8 @@ func TestParamErrorsMatchAcrossSurfaces(t *testing.T) {
 		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&limit=-2", "limit must be a non-negative integer"},
 		{"/v1/agg?field=zero", "agg needs an integer field parameter"},
 		{"/v1/agg?field=0&klo=x", "klo must be an unsigned integer"},
+		{"/v1/agg?field=0&klo=5&khi=4", "klo must not exceed khi"},
+		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&klo=1&khi=0", "klo must not exceed khi"},
 		{"/v1/agg?field=9", serve.ErrBadField.Error()},
 		{"/v1/agg?field=-1&x0=0&y0=0&z0=0&x1=1&y1=1&z1=1", serve.ErrBadField.Error()},
 	} {

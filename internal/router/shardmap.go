@@ -144,10 +144,11 @@ func (m *ShardMap) overlapping(lo, hi uint64) []int {
 // a.KeySpan() plus the owners of each ancestor key — exact, no
 // geometry-dependent misses.
 func (m *ShardMap) CandidatesForBox(box serve.Box) ([]int, error) {
-	_, a, err := box.Cover()
+	clo, chi, err := box.Cover()
 	if err != nil {
 		return nil, err
 	}
+	a := morton.Cover(clo, chi)
 	lo, hi := a.KeySpan()
 	ids := m.overlapping(lo, hi)
 	seen := make(map[int]bool, len(ids))

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strconv"
 	"testing"
 )
 
@@ -29,21 +30,69 @@ func BenchmarkServePointLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkServeRegionQuery(b *testing.B) {
-	cat, s := benchSnapshot(b)
+// sweepLevel is the finest level of the box sweep's droplet mesh, the
+// level of the amr_ejection workload's mesh.
+const sweepLevel = 7
+
+// sweepBoxes are the box sweep's boxes: cubes with edges of 1, 4, 16 and
+// 64 finest cells anchored at the first finest-level leaf (the droplet
+// interface, where an analysis client looks), and a 4-cell box straddling
+// the x = 0.5 mid-plane, whose cover octant is the root.
+func sweepBoxes(s *Snapshot) (names []string, boxes []Box) {
+	const cell = 1.0 / (1 << sweepLevel)
+	var at [3]float64
+	for _, c := range s.v.leaves.Codes() {
+		if c.Level() == sweepLevel {
+			at = cube(c).Min
+			break
+		}
+	}
+	for _, edge := range []int{1, 4, 16, 64} {
+		var box Box
+		for d := 0; d < 3; d++ {
+			box.Min[d] = min(at[d], 1-float64(edge)*cell)
+			box.Max[d] = box.Min[d] + float64(edge)*cell
+		}
+		names, boxes = append(names, "cells="+strconv.Itoa(edge)), append(boxes, box)
+	}
+	straddle := boxes[1]
+	straddle.Min[0], straddle.Max[0] = 0.5-2*cell, 0.5+2*cell
+	return append(names, "straddle-x"), append(boxes, straddle)
+}
+
+// benchBoxSweep times one query class over sweepBoxes and reports the
+// octant reads the scan charges per hit leaf ("visited/hit"): the interior
+// octants the box walk descends through plus the leaves it returns.
+func benchBoxSweep(b *testing.B, class Class) {
+	tree, _ := buildTreeAt(b, 3, sweepLevel)
+	cat, s := publish(b, tree, Config{})
 	defer cat.Close()
 	defer s.Close()
-	box := Box{Min: [3]float64{0.3, 0.3, 0.3}, Max: [3]float64{0.55, 0.55, 0.55}}
-	b.ResetTimer()
-	leaves := 0
-	for i := 0; i < b.N; i++ {
-		hits, err := s.Region(box)
-		if err != nil {
-			b.Fatal(err)
-		}
-		leaves += len(hits)
-	}
-	if leaves == 0 {
-		b.Fatal("region query hit no leaves")
+	s.LeafCount()
+	names, boxes := sweepBoxes(s)
+	for i, box := range boxes {
+		b.Run(names[i], func(b *testing.B) {
+			q := Query{Class: class, Box: box, Span: FullKeyRange()}
+			var res Result
+			reads, err := s.v.scan(q, 0, &res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			hits := len(res.Hits) + res.Agg.Count
+			if hits == 0 {
+				b.Fatalf("box %+v hit no leaves", box)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Query(nil, q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(reads)/float64(hits), "visited/hit")
+		})
 	}
 }
+
+func BenchmarkServeRegionQuery(b *testing.B) { benchBoxSweep(b, ClassRegion) }
+
+func BenchmarkServeAggQuery(b *testing.B) { benchBoxSweep(b, ClassAgg) }

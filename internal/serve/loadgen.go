@@ -34,8 +34,7 @@ import (
 //
 // Client-observed latencies are recorded per query class (the /v1/<class>
 // path prefix) and summarized as an SLO document: per-class counts and
-// latency quantiles, the JSON that `benchjson -compare-quantiles` gates
-// CI against. Both cmd/pmserve and cmd/pmrouter drive their handlers
+// latency quantiles. Both cmd/pmserve and cmd/pmrouter drive their handlers
 // through it, so single-process and routed serving are measured with the
 // same meter.
 

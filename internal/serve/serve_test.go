@@ -22,6 +22,12 @@ const testMaxLevel = 4
 // steps and returns the tree (cur == committed after the last Persist).
 func buildTree(t testing.TB, steps int) (*core.Tree, *sim.Droplet) {
 	t.Helper()
+	return buildTreeAt(t, steps, testMaxLevel)
+}
+
+// buildTreeAt is buildTree refining the droplet interface to maxLevel.
+func buildTreeAt(t testing.TB, steps int, maxLevel uint8) (*core.Tree, *sim.Droplet) {
+	t.Helper()
 	d := sim.NewDroplet(sim.DropletConfig{Steps: steps + 10})
 	tree := core.Create(core.Config{
 		NVBMDevice: nvbm.New(nvbm.NVBM, 0),
@@ -29,7 +35,7 @@ func buildTree(t testing.TB, steps int) (*core.Tree, *sim.Droplet) {
 	})
 	tree.SetFeatures(d.Feature(1))
 	for s := 1; s <= steps; s++ {
-		sim.Step(tree, d, s, testMaxLevel)
+		sim.Step(tree, d, s, maxLevel)
 		tree.SetFeatures(d.Feature(s + 1))
 		tree.Persist()
 	}

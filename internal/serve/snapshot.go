@@ -151,32 +151,22 @@ type Box struct {
 	Max [3]float64
 }
 
-// Cover validates the box and returns the MaxLevel cell holding its min
-// corner and the smallest octant containing the whole box (the common
-// ancestor of its corner cells, whose key span bounds every cell in it).
-func (b Box) Cover() (corner, cover morton.Code, err error) {
+// Cover validates the box and returns the MaxLevel cells it covers, as
+// inclusive bounds per axis: lo holds the min corner, hi the last cell
+// strictly inside the half-open box. morton.Cover(lo, hi) is the smallest
+// octant containing the whole box.
+func (b Box) Cover() (lo, hi [3]uint32, err error) {
 	for d := 0; d < 3; d++ {
 		if !(b.Min[d] < b.Max[d]) || b.Min[d] < 0 || b.Max[d] > 1 {
-			return 0, 0, ErrBadRegion
+			return lo, hi, ErrBadRegion
 		}
 	}
 	const n = 1 << morton.MaxLevel
-	var loIdx, hiIdx [3]uint32
 	for d := 0; d < 3; d++ {
-		loIdx[d] = uint32(b.Min[d] * n)
-		// Last cell strictly inside the half-open box.
-		h := uint32(math.Ceil(b.Max[d]*n)) - 1
-		if h > n-1 {
-			h = n - 1
-		}
-		hiIdx[d] = h
+		lo[d] = uint32(b.Min[d] * n)
+		hi[d] = min(uint32(math.Ceil(b.Max[d]*n))-1, n-1)
 	}
-	corner = morton.Encode(loIdx[0], loIdx[1], loIdx[2], morton.MaxLevel)
-	a, c := corner, morton.Encode(hiIdx[0], hiIdx[1], hiIdx[2], morton.MaxLevel)
-	for a != c {
-		a, c = a.Parent(), c.Parent()
-	}
-	return corner, a, nil
+	return lo, hi, nil
 }
 
 // KeyRange is an inclusive span of Z-order keys (morton.Code.Key values).
@@ -198,6 +188,12 @@ func (kr KeyRange) IsFull() bool { return kr == FullKeyRange() }
 
 // Contains reports whether key k lies in the range.
 func (kr KeyRange) Contains(k uint64) bool { return k >= kr.Lo && k <= kr.Hi }
+
+// Intersect returns the keys in both ranges, and false when there are none.
+func (kr KeyRange) Intersect(o KeyRange) (KeyRange, bool) {
+	out := KeyRange{Lo: max(kr.Lo, o.Lo), Hi: min(kr.Hi, o.Hi)}
+	return out, out.Lo <= out.Hi
+}
 
 // LeafHit is one leaf answering a query.
 type LeafHit struct {
@@ -257,12 +253,18 @@ type Query struct {
 	Span  KeyRange   // ClassRegion, ClassAgg: only leaves whose key lies here
 }
 
-// CheckField rejects an aggregation over a field outside the octant data
-// words. It is the one check of a Query that needs no committed version:
-// the request parser, the router and Snapshot.Query all run it.
-func (q Query) CheckField() error {
+// errInvertedSpan rejects a key filter whose low bound exceeds its high.
+const errInvertedSpan ParamError = "klo must not exceed khi"
+
+// Check rejects an aggregation over a field outside the octant data words
+// and an inverted key filter: the checks of a Query that need no committed
+// version. The request parser, the router and Snapshot.Query all run it.
+func (q Query) Check() error {
 	if q.Class == ClassAgg && (q.Field < 0 || q.Field >= core.DataWords) {
 		return ErrBadField
+	}
+	if q.Class != ClassPoint && q.Span.Lo > q.Span.Hi {
+		return errInvertedSpan
 	}
 	return nil
 }
@@ -281,7 +283,7 @@ type Result struct {
 // and carries the modeled cost of the tree descent the index replaces,
 // charged against the pinned device.
 func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
-	if err := q.CheckField(); err != nil {
+	if err := q.Check(); err != nil {
 		return Result{}, err
 	}
 	var cell morton.Code
@@ -308,9 +310,9 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 
 // scan answers q from the leaf index into res and returns the number of
 // octant reads a tree descent would have made: root to leaf for a point;
-// root to the box's cover, then the cover's leaf window, for a region or
-// aggregate, which share the window. An answer that would include a
-// filler leaf is refused with ErrNotHeld.
+// for a region or aggregate, the interior octants the box walk descends
+// through (tile.Store.BoxRuns) plus each leaf it returns. An answer that
+// would include a filler leaf is refused with ErrNotHeld.
 func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 	codes := v.leaves.Codes()
 	if q.Class == ClassPoint {
@@ -324,27 +326,9 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		res.Leaf = LeafHit{Code: codes[i], Data: v.leaves.Load(i)}
 		return int(res.Leaf.Code.Level()) + 1, nil
 	}
-	corner, cover, err := q.Box.Cover()
+	lo, hi, err := q.Box.Cover()
 	if err != nil {
 		return 0, err
-	}
-	i, err := v.leafAt(corner.Key())
-	if err != nil {
-		return 0, err
-	}
-	first, last := i, i
-	charge := int(codes[i].Level()) + 1
-	// Unless the leaf holding the min corner is a strict ancestor of the
-	// cover (then the whole box lies inside that one leaf), the window is
-	// every leaf under the cover.
-	if codes[i].Level() >= cover.Level() {
-		first, last = v.leaves.Window(cover.KeySpan())
-		charge = int(cover.Level()) + 1 + (last - first + 1)
-	}
-	for k := sort.SearchInts(v.fillers, first); k < len(v.fillers) && v.fillers[k] <= last; k++ {
-		if c := codes[v.fillers[k]]; q.Span.Contains(c.Key()) && overlaps(c, q.Box) {
-			return 0, ErrNotHeld
-		}
 	}
 	agg := &res.Agg
 	var field []float64
@@ -352,44 +336,42 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		agg.Min, agg.Max = math.Inf(1), math.Inf(-1)
 		field = v.leaves.F[q.Field]
 	}
-	for i := first; i <= last; i++ {
-		c := codes[i]
-		if !q.Span.Contains(c.Key()) || !overlaps(c, q.Box) {
-			continue
+	leaves, held := 0, true
+	// Runs arrive in ascending position order, so hits and every partial
+	// sum fold in Z-order.
+	reads := v.leaves.BoxRuns(lo, hi, q.Span.Lo, q.Span.Hi, func(first, last int) {
+		if k := sort.SearchInts(v.fillers, first); k < len(v.fillers) && v.fillers[k] <= last {
+			held = false
 		}
-		if q.Class == ClassRegion {
-			res.Hits = append(res.Hits, LeafHit{Code: c, Data: v.leaves.Load(i)})
-			continue
+		if !held {
+			return
 		}
-		val := field[i]
-		agg.Count++
-		agg.Sum += val
-		if val < agg.Min {
-			agg.Min = val
+		leaves += last - first + 1
+		for i := first; i <= last; i++ {
+			if q.Class == ClassRegion {
+				res.Hits = append(res.Hits, LeafHit{Code: codes[i], Data: v.leaves.Load(i)})
+				continue
+			}
+			val := field[i]
+			agg.Count++
+			agg.Sum += val
+			if val < agg.Min {
+				agg.Min = val
+			}
+			if val > agg.Max {
+				agg.Max = val
+			}
+			ext := codes[i].Extent()
+			agg.VolSum += val * ext * ext * ext
 		}
-		if val > agg.Max {
-			agg.Max = val
-		}
-		ext := c.Extent()
-		agg.VolSum += val * ext * ext * ext
+	})
+	if !held {
+		return 0, ErrNotHeld
 	}
 	if q.Class == ClassAgg && agg.Count == 0 {
 		agg.Min, agg.Max = 0, 0
 	}
-	return charge, nil
-}
-
-// overlaps reports whether the leaf's half-open cube intersects box.
-func overlaps(code morton.Code, box Box) bool {
-	x, y, z := code.Center()
-	ext := code.Extent()
-	min := [3]float64{x - ext/2, y - ext/2, z - ext/2}
-	for d := 0; d < 3; d++ {
-		if min[d] >= box.Max[d] || box.Min[d] >= min[d]+ext {
-			return false
-		}
-	}
-	return true
+	return reads + leaves, nil
 }
 
 // Point returns the deepest leaf containing (x, y, z).

@@ -26,7 +26,8 @@ import (
 //
 // version selects a pinned committed step; omitted means newest. klo/khi
 // restrict region and agg answers to leaves whose Z-order key lies in the
-// inclusive range — the filter a sharded router scatters with.
+// inclusive range — the filter a sharded router scatters with; klo > khi
+// is a bad parameter.
 
 // Latest is the version sentinel for "newest published step".
 const Latest = math.MaxUint64
@@ -92,9 +93,6 @@ func ParseRequest(u *url.URL, span KeyRange) (Request, error) {
 		if req.Field, err = strconv.Atoi(p.Get("field")); err != nil {
 			return Request{}, ParamError("agg needs an integer field parameter")
 		}
-		if err = req.CheckField(); err != nil {
-			return Request{}, err
-		}
 	default:
 		return Request{}, ParamError(fmt.Sprintf("no query endpoint at %q", u.Path))
 	}
@@ -102,6 +100,9 @@ func ParseRequest(u *url.URL, span KeyRange) (Request, error) {
 		if req.Span, err = spanParams(p, span); err != nil {
 			return Request{}, err
 		}
+	}
+	if err = req.Check(); err != nil {
+		return Request{}, err
 	}
 	if vs := p.Get("version"); vs != "" {
 		if req.Version, err = strconv.ParseUint(vs, 10, 64); err != nil {

@@ -13,7 +13,7 @@
 // (append, truncate, in-place refinement), lends it to kernels through
 // core.LeafTiles and stores their marked cells with core.ScatterLeafTiles;
 // serve builds one per pinned version and answers queries with Find and
-// Window. The Store does not know about the octree: the owner stamps it
+// BoxRuns. The Store does not know about the octree: the owner stamps it
 // with its content sequence number (Stamp/ValidFor).
 //
 // Tile bounds and dirty flags are derived state, allocated on first use:
@@ -179,6 +179,93 @@ func (s *Store) Window(lo, hi uint64) (first, last int) {
 	first = sort.Search(n, func(i int) bool { return s.codes[i].Key() >= lo })
 	last = sort.Search(n, func(i int) bool { return s.codes[i].Key() > hi }) - 1
 	return first, last
+}
+
+// BoxRuns calls fn, in ascending position order, with the runs [first,
+// last] of the leaves that overlap the box of MaxLevel cells lo..hi
+// (inclusive on each axis) and whose keys lie in [klo, khi]. It descends
+// from the box's cover octant in Z-order and skips every octant disjoint
+// from the box or whose key span misses the filter; an octant inside both
+// yields its whole leaf window as one run, found by binary search inside
+// its parent's window. A leaf anchored at cell a with side s overlaps the
+// box iff a <= hi and a+s-1 >= lo on every axis: leaf faces are dyadic, so
+// this integer rule is the exact half-open float test.
+//
+// It returns the interior octants a top-down tree descent reads to reach
+// the runs: the path from the root to the cover (to the parent of the one
+// leaf holding the whole box, if there is such a leaf), plus every
+// partially overlapping octant below the cover it descends into. The
+// leaves of the runs are not counted.
+func (s *Store) BoxRuns(lo, hi [3]uint32, klo, khi uint64, fn func(first, last int)) (reads int) {
+	cover := morton.Cover(lo, hi)
+	if i, ok := s.Find(cover.Key()); ok && s.codes[i].Level() <= cover.Level() {
+		if k := s.codes[i].Key(); k >= klo && k <= khi {
+			fn(i, i)
+		}
+		return int(s.codes[i].Level())
+	}
+	w := boxWalk{codes: s.codes, lo: lo, hi: hi, klo: klo, khi: khi, fn: fn}
+	shift := morton.MaxLevel - cover.Level()
+	anchor := [3]uint32{lo[0] >> shift << shift, lo[1] >> shift << shift, lo[2] >> shift << shift}
+	return int(cover.Level()) + max(1, w.visit(cover, anchor, 0, len(s.codes)-1))
+}
+
+// boxWalk is one BoxRuns descent.
+type boxWalk struct {
+	codes    []morton.Code
+	lo, hi   [3]uint32
+	klo, khi uint64
+	fn       func(first, last int)
+}
+
+// visit yields the runs under octant c, anchored at MaxLevel cell a, whose
+// leaves lie among positions [first, last], and returns the octants it
+// descended into, c included.
+func (w *boxWalk) visit(c morton.Code, a [3]uint32, first, last int) int {
+	end := uint32(1)<<(morton.MaxLevel-c.Level()) - 1 // side - 1
+	inside := true
+	for d := 0; d < 3; d++ {
+		if a[d] > w.hi[d] || a[d]+end < w.lo[d] {
+			return 0
+		}
+		inside = inside && a[d] >= w.lo[d] && a[d]+end <= w.hi[d]
+	}
+	clo, chi := c.KeySpan()
+	if chi < w.klo || clo > w.khi {
+		return 0
+	}
+	if inside {
+		if i, j := w.window(first, last, max(clo, w.klo), min(chi, w.khi)); i <= j {
+			w.fn(i, j)
+		}
+		return 0
+	}
+	i, j := w.window(first, last, clo, chi)
+	if i > j {
+		return 0
+	}
+	if i == j && w.codes[i] == c {
+		if clo >= w.klo && clo <= w.khi {
+			w.fn(i, i)
+		}
+		return 0
+	}
+	n := 1
+	half := (end + 1) / 2
+	for k := 0; k < 8; k++ {
+		ca := [3]uint32{a[0] + uint32(k&1)*half, a[1] + uint32(k>>1&1)*half, a[2] + uint32(k>>2)*half}
+		n += w.visit(c.Child(k), ca, i, j)
+	}
+	return n
+}
+
+// window returns the positions [i, j] within [first, last] of the leaves
+// whose keys lie in [lo, hi].
+func (w *boxWalk) window(first, last int, lo, hi uint64) (i, j int) {
+	codes := w.codes[first : last+1]
+	i = sort.Search(len(codes), func(k int) bool { return codes[k].Key() >= lo })
+	j = i + sort.Search(len(codes)-i, func(k int) bool { return codes[i+k].Key() > hi }) - 1
+	return first + i, first + j
 }
 
 // Tiled reports whether the tile bounds are cut over the current leaves.

@@ -580,3 +580,115 @@ func TestTileBoundsMatchFreshCut(t *testing.T) {
 		}
 	}
 }
+
+// bruteBox is the box-walk oracle: the positions of the leaves overlapping
+// the MaxLevel cell box lo..hi with keys in [klo, khi], by linear scan.
+func bruteBox(codes []morton.Code, lo, hi [3]uint32, klo, khi uint64) []int {
+	var out []int
+	for i, c := range codes {
+		x, y, z, l := c.Decode()
+		shift := morton.MaxLevel - l
+		end := uint32(1)<<shift - 1
+		in := c.Key() >= klo && c.Key() <= khi
+		for d, a := range [3]uint32{x << shift, y << shift, z << shift} {
+			in = in && a <= hi[d] && a+end >= lo[d]
+		}
+		if in {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestBoxRunsMatchBruteForce holds the key-space box walk to a linear scan
+// on a full leaf set, a gapped one and one refined down to MaxLevel cells
+// along a path, for random boxes of every size, boxes equal to a leaf or
+// inside one, boxes from one leaf's near faces to another's far faces,
+// boxes of a few cells around a leaf's anchor, and key filters cut at leaf spans: the runs come in ascending order and
+// cover exactly the scan's positions.
+func TestBoxRunsMatchBruteForce(t *testing.T) {
+	full := adaptiveCodes(t, 5)
+	var gapped []morton.Code
+	for i, c := range full {
+		if i%3 != 0 {
+			gapped = append(gapped, c)
+		}
+	}
+	deep := slices.Clone(full)
+	for j := len(deep) / 2; deep[j].Level() < morton.MaxLevel; j += 7 {
+		deep = splitAt(deep, false, j)
+	}
+	const n = 1 << morton.MaxLevel
+	rng := rand.New(rand.NewSource(5))
+	cells := func(c morton.Code) (lo, hi [3]uint32) {
+		x, y, z, l := c.Decode()
+		shift := morton.MaxLevel - l
+		lo = [3]uint32{x << shift, y << shift, z << shift}
+		for d := range hi {
+			hi[d] = lo[d] + 1<<shift - 1
+		}
+		return lo, hi
+	}
+	for _, set := range []struct {
+		name  string
+		codes []morton.Code
+	}{{"full", full}, {"gapped", gapped}, {"deep", deep}} {
+		s := filled(set.codes)
+		for trial := 0; trial < 800; trial++ {
+			var lo, hi [3]uint32
+			switch trial % 4 {
+			case 0: // a random box of any size
+				for d := 0; d < 3; d++ {
+					a, b := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+					lo[d], hi[d] = min(a, b), max(a, b)
+				}
+			case 1: // exactly one leaf's cells, or one of its descendants'
+				c := set.codes[rng.Intn(len(set.codes))]
+				for c.Level() < morton.MaxLevel && rng.Intn(3) > 0 {
+					c = c.Child(rng.Intn(8))
+				}
+				lo, hi = cells(c)
+			case 2: // one leaf's near faces to another's far faces
+				alo, ahi := cells(set.codes[rng.Intn(len(set.codes))])
+				blo, bhi := cells(set.codes[rng.Intn(len(set.codes))])
+				for d := range lo {
+					lo[d], hi[d] = min(alo[d], blo[d]), max(ahi[d], bhi[d])
+				}
+			default: // a few cells around a leaf's anchor, half the time the deepest leaf's
+				c := set.codes[rng.Intn(len(set.codes))]
+				if rng.Intn(2) == 0 {
+					c = slices.MaxFunc(set.codes, func(a, b morton.Code) int { return int(a.Level()) - int(b.Level()) })
+				}
+				a, _ := cells(c)
+				for d := range lo {
+					l := max(0, min(int(a[d])+rng.Intn(5)-2, n-1))
+					lo[d], hi[d] = uint32(l), uint32(min(l+rng.Intn(3), n-1))
+				}
+			}
+			klo, khi := uint64(0), uint64(math.MaxUint64)
+			if rng.Intn(4) != 0 {
+				a, _ := full[rng.Intn(len(full))].KeySpan()
+				_, b := full[rng.Intn(len(full))].KeySpan()
+				klo, khi = min(a, b), max(a, b)
+			}
+			var got []int
+			prev := -2
+			s.BoxRuns(lo, hi, klo, khi, func(first, last int) {
+				if first > last || first <= prev {
+					t.Fatalf("%s: run [%d, %d] after position %d", set.name, first, last, prev)
+				}
+				for i := first; i <= last; i++ {
+					got = append(got, i)
+				}
+				prev = last
+			})
+			if want := bruteBox(set.codes, lo, hi, klo, khi); !slices.Equal(got, want) {
+				t.Fatalf("%s: box %v..%v keys [%d, %d]: walk %v, scan %v", set.name, lo, hi, klo, khi, got, want)
+			}
+		}
+	}
+	var empty Store
+	empty.BoxRuns([3]uint32{}, [3]uint32{n - 1, n - 1, n - 1}, 0, math.MaxUint64, func(first, last int) {
+		t.Fatalf("empty store yielded [%d, %d]", first, last)
+	})
+}
