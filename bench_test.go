@@ -272,7 +272,7 @@ func BenchmarkAblationGC(b *testing.B) {
 
 func BenchmarkAblationSampling(b *testing.B) {
 	tree := core.Create(core.Config{DRAMBudgetOctants: 256})
-	tree.SetFeatures(func(c morton.Code, _ [core.DataWords]float64) bool {
+	tree.SetFeatures(func(c morton.Code) bool {
 		x, _, _ := c.Center()
 		return x > 0.5
 	})
@@ -433,6 +433,34 @@ func BenchmarkCoreScatter(b *testing.B) {
 			b.ReportMetric(float64(writes)/float64(b.N), "nvbm-writes/op")
 			b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 		})
+	}
+}
+
+// BenchmarkCoreTransform times the layout transformation pass alone
+// (Tree.Retarget: candidate collection, feature evaluation, hot-set
+// selection) on the level-7 droplet, the pass every Persist ends with: each
+// iteration steps and persists the mesh untimed, installs the next step's
+// feature, and times one Retarget over the committed, C0-evicted tree.
+// Iterations march through steps 21-80 of 80 and start over on a fresh
+// tree, so the per-op numbers are the mean over that window whenever b.N
+// is a multiple of 60 (-benchtime 60x).
+func BenchmarkCoreTransform(b *testing.B) {
+	const maxLevel, steps, first = 7, 80, 21
+	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
+	var tree *core.Tree
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		step := first + i%(steps-first+1)
+		if step == first {
+			tree, _ = benchCommittedDroplet(d, maxLevel, first-1)
+		}
+		sim.StepField(tree, d, step, maxLevel)
+		tree.SetFeatures(d.Feature(step + 1))
+		tree.Persist()
+		b.StartTimer()
+		tree.Retarget()
 	}
 }
 

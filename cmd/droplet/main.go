@@ -34,31 +34,47 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is droplet on args, writing the report to stdout and diagnostics to
+// stderr; it returns the process exit code: 0, 1 on a failed run or write,
+// 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("droplet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		steps       = flag.Int("steps", 30, "time steps to simulate")
-		maxLevel    = flag.Int("maxlevel", 5, "maximum refinement level")
-		jets        = flag.Int("jets", 1, "number of nozzles (printhead width; ejection only)")
-		workload    = flag.String("workload", "ejection", "scenario: ejection | impact | boiling")
-		budget      = flag.Int("c0", 2048, "DRAM budget for the C0 tree, in octants")
-		image       = flag.String("image", "", "write the final NVBM region image to this file")
-		vtk         = flag.String("vtk", "", "write the final mesh as a legacy VTK unstructured grid")
-		autotune    = flag.Bool("autotune", false, "let the C0 budget adapt to merge pressure")
-		quiet       = flag.Bool("q", false, "suppress the per-step table")
-		tracePath   = flag.String("trace", "", "write a Chrome trace_event timeline to `file`")
-		metricsPath = flag.String("metrics", "", "write per-step JSONL records to `file`")
-		debugAddr   = flag.String("debug", "", "serve expvar/metrics/pprof on `addr` (e.g. localhost:6060)")
-		workers     = flag.Int("workers", 0, "worker-pool width for predicate/solve evaluation (0 = GOMAXPROCS); results are identical for any value")
-		bulkInit    = flag.Bool("bulkinit", false, "build the first step's mesh by bulk construction from Morton codes instead of incremental refinement (bit-identical result)")
-		chaosSeed   = flag.Int64("chaos", 0, "run the chaos soak with this fault-injection `seed` (nonzero) instead of a clean run")
-		retain      = flag.Int("retain", 0, "extra committed versions to retain in the fallback ring (0..2); gives cmd/pmserve -history older versions to serve")
-		chaosQuery  = flag.Int("chaosreaders", 0, "with -chaos: run this many concurrent MVCC snapshot readers against pinned versions during the soak")
-		chaosFlight = flag.String("chaosflight", "", "with -chaos: write the soak's flight-recorder ring (commits, crashes, restores, scrubs) as JSONL to `file`")
-		pipeline    = flag.Int("pipeline", 0, "persist versions asynchronously, allowing up to `n` commits in flight (0 = synchronous; at most 3 minus -retain)")
-		groupCommit = flag.Int("groupcommit", 1, "with -pipeline: coalesce up to `k` step deltas into one durable commit")
-		chaosPipe   = flag.Int64("chaospipeline", 0, "run the pipelined chaos soak with this `seed` (nonzero): power cuts at every persist-pipeline stage, recovery checked against the enqueued-version history")
+		steps       = fs.Int("steps", 30, "time steps to simulate")
+		maxLevel    = fs.Int("maxlevel", 5, "maximum refinement level")
+		jets        = fs.Int("jets", 1, "number of nozzles (printhead width; ejection only)")
+		workload    = fs.String("workload", "ejection", "scenario: ejection | impact | boiling")
+		budget      = fs.Int("c0", 2048, "DRAM budget for the C0 tree, in octants")
+		image       = fs.String("image", "", "write the final NVBM region image to this file")
+		vtk         = fs.String("vtk", "", "write the final mesh as a legacy VTK unstructured grid")
+		autotune    = fs.Bool("autotune", false, "let the C0 budget adapt to merge pressure")
+		quiet       = fs.Bool("q", false, "suppress the per-step table")
+		tracePath   = fs.String("trace", "", "write a Chrome trace_event timeline to `file`")
+		metricsPath = fs.String("metrics", "", "write per-step JSONL records to `file`")
+		debugAddr   = fs.String("debug", "", "serve expvar/metrics/pprof on `addr` (e.g. localhost:6060)")
+		workers     = fs.Int("workers", 0, "worker-pool width for predicate/solve evaluation (0 = GOMAXPROCS); results are identical for any value")
+		bulkInit    = fs.Bool("bulkinit", false, "build the first step's mesh by bulk construction from Morton codes instead of incremental refinement (bit-identical result)")
+		chaosSeed   = fs.Int64("chaos", 0, "run the chaos soak with this fault-injection `seed` (nonzero) instead of a clean run")
+		retain      = fs.Int("retain", 0, "extra committed versions to retain in the fallback ring (0..2); gives cmd/pmserve -history older versions to serve")
+		chaosQuery  = fs.Int("chaosreaders", 0, "with -chaos: run this many concurrent MVCC snapshot readers against pinned versions during the soak")
+		chaosFlight = fs.String("chaosflight", "", "with -chaos: write the soak's flight-recorder ring (commits, crashes, restores, scrubs) as JSONL to `file`")
+		pipeline    = fs.Int("pipeline", 0, "persist versions asynchronously, allowing up to `n` commits in flight (0 = synchronous; at most 3 minus -retain)")
+		groupCommit = fs.Int("groupcommit", 1, "with -pipeline: coalesce up to `k` step deltas into one durable commit")
+		chaosPipe   = fs.Int64("chaospipeline", 0, "run the pipelined chaos soak with this `seed` (nonzero): power cuts at every persist-pipeline stage, recovery checked against the enqueued-version history")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *retain < 0 || *retain > 2 {
+		fmt.Fprintf(stderr, "droplet: -retain %d outside 0..2\n", *retain)
+		return 2
+	}
 
 	if *chaosPipe != 0 {
 		var fr *telemetry.FlightRecorder
@@ -80,16 +96,16 @@ func main() {
 		})
 		if *chaosFlight != "" {
 			if derr := fr.DumpFile(*chaosFlight); derr != nil {
-				fmt.Fprintf(os.Stderr, "droplet: flight dump: %v\n", derr)
+				fmt.Fprintf(stderr, "droplet: flight dump: %v\n", derr)
 			}
 		}
-		fmt.Print(rep)
+		fmt.Fprint(stdout, rep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: pipelined chaos run FAILED: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: pipelined chaos run FAILED: %v\n", err)
+			return 1
 		}
-		fmt.Println("pipelined chaos run passed: every crash recovered to an enqueued version")
-		return
+		fmt.Fprintln(stdout, "pipelined chaos run passed: every crash recovered to an enqueued version")
+		return 0
 	}
 
 	if *chaosSeed != 0 {
@@ -109,20 +125,20 @@ func main() {
 		})
 		if *chaosFlight != "" {
 			if derr := fr.DumpFile(*chaosFlight); derr != nil {
-				fmt.Fprintf(os.Stderr, "droplet: flight dump: %v\n", derr)
+				fmt.Fprintf(stderr, "droplet: flight dump: %v\n", derr)
 			}
 		}
-		fmt.Print(rep)
+		fmt.Fprint(stdout, rep)
 		if *chaosQuery > 0 {
-			fmt.Printf("  queries: readers=%d batches=%d served=%d aborted=%d mismatches=%d catalog_rebinds=%d\n",
+			fmt.Fprintf(stdout, "  queries: readers=%d batches=%d served=%d aborted=%d mismatches=%d catalog_rebinds=%d\n",
 				qs.Readers, qs.Batches, qs.Served, qs.Aborted, qs.Mismatches, qs.Generations)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: chaos run FAILED: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: chaos run FAILED: %v\n", err)
+			return 1
 		}
-		fmt.Println("chaos run passed: every crash recovered to a committed version")
-		return
+		fmt.Fprintln(stdout, "chaos run passed: every crash recovered to a committed version")
+		return 0
 	}
 
 	pool := pmoctree.NewWorkerPool(*workers)
@@ -136,8 +152,8 @@ func main() {
 		GroupCommit:       *groupCommit,
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "droplet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "droplet: %v\n", err)
+		return 2
 	}
 	tree := pmoctree.Create(cfg)
 
@@ -150,11 +166,11 @@ func main() {
 		if *debugAddr != "" {
 			dbg, err := telemetry.StartDebugServer(*debugAddr, obs.Metrics)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "droplet: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "droplet: %v\n", err)
+				return 1
 			}
 			defer dbg.Close()
-			fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/metrics (also /metrics, /debug/vars, /debug/pprof/)\n", dbg.Addr())
+			fmt.Fprintf(stderr, "debug server on http://%s/debug/metrics (also /metrics, /debug/vars, /debug/pprof/)\n", dbg.Addr())
 		}
 	}
 	var d pmoctree.Workload
@@ -166,11 +182,11 @@ func main() {
 	case "boiling":
 		d = pmoctree.NewBoiling(pmoctree.BoilingConfig{Steps: *steps + 10, Seed: 42})
 	default:
-		fmt.Fprintf(os.Stderr, "droplet: unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "droplet: unknown workload %q\n", *workload)
+		return 2
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	if !*quiet {
 		fmt.Fprintln(w, "step\telements\trefined\tcoarsened\tbalanced\tsolved\toverlap\tNVBM writes")
 	}
@@ -230,54 +246,55 @@ func main() {
 
 	if *tracePath != "" {
 		if err := writeFileWith(*tracePath, obs.WriteTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: %v\n", err)
+			return 1
 		}
 	}
 	if *metricsPath != "" {
 		if err := writeFileWith(*metricsPath, obs.WriteSteps); err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: %v\n", err)
+			return 1
 		}
 	}
 
 	hm := pmoctree.Extract(tree.ForEachLeaf)
 	st := tree.Stats()
-	fmt.Printf("\nfinal mesh: %d elements, %d vertices (%d anchored, %d dangling)\n",
+	fmt.Fprintf(stdout, "\nfinal mesh: %d elements, %d vertices (%d anchored, %d dangling)\n",
 		len(hm.Elements), len(hm.Vertices), hm.AnchoredCount(), hm.DanglingCount())
-	fmt.Printf("octree ops: %d refines, %d coarsens, %d COW copies, %d merges, %d GC passes (%d freed), %d transforms\n",
+	fmt.Fprintf(stdout, "octree ops: %d refines, %d coarsens, %d COW copies, %d merges, %d GC passes (%d freed), %d transforms\n",
 		st.Refines, st.Coarsens, st.Copies, st.Merges, st.GCs, st.GCFreed, st.Transforms)
-	fmt.Printf("NVBM: %v; wear imbalance %.2f\n", nv.Stats(), nv.Wear().WearImbalance())
+	fmt.Fprintf(stdout, "NVBM: %v; wear imbalance %.2f\n", nv.Stats(), nv.Wear().WearImbalance())
 	if *pipeline > 0 {
 		ps := tree.PipelineStats()
-		fmt.Printf("pipeline: %d enqueued, %d commits (%d coalesced), %d stalls\n",
+		fmt.Fprintf(stdout, "pipeline: %d enqueued, %d commits (%d coalesced), %d stalls\n",
 			ps.Enqueued, ps.Committed, ps.Coalesced, ps.Stalls)
 	}
 	if tuner != nil {
-		fmt.Printf("autotune: %d adjustments, final C0 budget %d octants (peak util %.0f%%)\n",
+		fmt.Fprintf(stdout, "autotune: %d adjustments, final C0 budget %d octants (peak util %.0f%%)\n",
 			tuner.Adjustments, tree.DRAMBudget(), tree.LastPeakDRAMUtilization()*100)
 	}
 
 	if *vtk != "" {
 		f, err := os.Create(*vtk)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: %v\n", err)
+			return 1
 		}
 		if err := hm.WriteVTK(f, "droplet ejection final mesh"); err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: writing VTK: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: writing VTK: %v\n", err)
+			return 1
 		}
 		f.Close()
-		fmt.Printf("mesh written to %s\n", *vtk)
+		fmt.Fprintf(stdout, "mesh written to %s\n", *vtk)
 	}
 	if *image != "" {
 		if err := nv.PersistFile(*image); err != nil {
-			fmt.Fprintf(os.Stderr, "droplet: writing image: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "droplet: writing image: %v\n", err)
+			return 1
 		}
-		fmt.Printf("persistent region written to %s\n", *image)
+		fmt.Fprintf(stdout, "persistent region written to %s\n", *image)
 	}
+	return 0
 }
 
 // writeFileWith creates path and fills it with one writer callback.

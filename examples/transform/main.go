@@ -28,9 +28,7 @@ func main() {
 		// The feature function is application knowledge: "these are the
 		// octants my next step will touch". PM-octree pre-executes it on
 		// sampled octants to rank subtrees.
-		tree.SetFeatures(func(c pmoctree.Code, _ [pmoctree.DataWords]float64) bool {
-			return hot(c)
-		})
+		tree.SetFeatures(hot)
 
 		// A uniform base mesh, committed.
 		tree.RefineWhere(func(pmoctree.Code) bool { return true }, 3)

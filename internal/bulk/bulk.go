@@ -16,7 +16,6 @@
 package bulk
 
 import (
-	"math/bits"
 	"sort"
 
 	"pmoctree/internal/morton"
@@ -332,15 +331,6 @@ func validateSorted(codes []morton.Code, keys []uint64, perm []int32, pool *para
 	return nil
 }
 
-// commonLevel returns the level of the deepest common ancestor of two
-// distinct, non-nesting codes: the count of shared leading bit-triples of
-// their aligned cell indices. For a valid adjacent pair this is strictly
-// shallower than either code's own level.
-func commonLevel(a, b morton.Code) uint8 {
-	x := (a.Key() >> 6) ^ (b.Key() >> 6)
-	return uint8((3*morton.MaxLevel - bits.Len64(x)) / 3)
-}
-
 // derive builds the flat pre-order node array from the sorted, validated
 // leaf partition. Each node is emitted exactly once, by its first leaf
 // descendant: leaf i contributes its ancestors on the levels below the
@@ -356,7 +346,7 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 				counts[0] = int32(leaves[0].Level()) + 1
 				continue
 			}
-			counts[i] = int32(leaves[i].Level() - commonLevel(leaves[i-1], leaves[i]))
+			counts[i] = int32(leaves[i].Level() - morton.CommonLevel(leaves[i-1], leaves[i]))
 		}
 	})
 	offs := make([]int32, n+1)
@@ -371,7 +361,7 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 		for i := lo; i < hi; i++ {
 			start := uint8(0)
 			if i > 0 {
-				start = commonLevel(leaves[i-1], leaves[i]) + 1
+				start = morton.CommonLevel(leaves[i-1], leaves[i]) + 1
 			}
 			j := offs[i]
 			for l := start; l <= leaves[i].Level(); l++ {

@@ -45,6 +45,9 @@ type FastPathStats struct {
 	TileRebuildNs      uint64 // wall time spent cutting tile bounds
 	TileScatters       uint64 // ScatterLeafTiles calls
 	TileScatterBytes   uint64 // field bytes written back to the tree
+	// TransformIndexRebuilds counts layout passes that found the leaf index
+	// invalid and re-derived its codes by an uncharged walk.
+	TransformIndexRebuilds uint64
 }
 
 // FastPath returns the fast-path counters.

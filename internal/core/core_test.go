@@ -472,7 +472,7 @@ func TestTransformConcentratesHotSubtrees(t *testing.T) {
 			DisableTransform:  disable,
 			Seed:              seed,
 		})
-		tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return hotPred(c) })
+		tr.SetFeatures(func(c morton.Code) bool { return hotPred(c) })
 		// Build a uniform base mesh and commit it.
 		tr.RefineWhere(func(morton.Code) bool { return true }, 3)
 		tr.Persist()

@@ -71,6 +71,15 @@ func (t *Tree) index() *tile.Store {
 		t.fp.LeafIndexReuses++
 		return &t.idx
 	}
+	t.emitWalk()
+	t.endIndexEmit()
+	t.fp.LeafIndexRebuilds++
+	return &t.idx
+}
+
+// emitWalk re-derives the index entries with one tree walk, leaving them
+// unstamped.
+func (t *Tree) emitWalk() {
 	t.beginIndexEmit()
 	t.ForEachNode(func(_ Ref, o *Octant) bool {
 		if o.IsLeaf() {
@@ -78,9 +87,23 @@ func (t *Tree) index() *tile.Store {
 		}
 		return true
 	})
-	t.endIndexEmit()
-	t.fp.LeafIndexRebuilds++
-	return &t.idx
+}
+
+// transformCodes returns the working version's leaf codes for the layout
+// pass (transform.go). A valid index is read as is: codes only, so an open
+// loan stays open and the reuse counter does not move. An invalid one is
+// re-derived by a walk with device accounting suspended — the layout pass
+// is instrumentation (DESIGN.md decision 8) — and left unstamped, so the
+// next charged reader still pays its rebuild walk.
+func (t *Tree) transformCodes() []morton.Code {
+	if t.idx.ValidFor(t.contentSeq) {
+		return t.idx.Codes()
+	}
+	t.setAccounting(false)
+	defer t.setAccounting(true)
+	t.emitWalk()
+	t.fp.TransformIndexRebuilds++
+	return t.idx.Codes()
 }
 
 // LeafCodesSnapshot returns the working version's leaf codes in Z-order,

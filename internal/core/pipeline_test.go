@@ -71,7 +71,7 @@ func pipelineConfig(nv *nvbm.Device, depth, group int) Config {
 // runPipelineHistory runs the scripted workload and returns the digest of
 // every committed version, index 0 being the initial (empty) commit.
 func runPipelineHistory(tr *Tree, steps int) []uint64 {
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool {
+	tr.SetFeatures(func(c morton.Code) bool {
 		x, _, _ := c.Center()
 		return x > 0.5
 	})
@@ -127,7 +127,7 @@ func TestPipelineSyncBitIdentical(t *testing.T) {
 		tr := Create(pipelineConfig(nv, 0, 0))
 		var stages []string
 		tr.SetPersistHook(func(stage string) { stages = append(stages, stage) })
-		tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool {
+		tr.SetFeatures(func(c morton.Code) bool {
 			x, _, _ := c.Center()
 			return x > 0.5
 		})
@@ -227,7 +227,7 @@ func TestPipelineFlushBarrier(t *testing.T) {
 			<-block
 		}
 	})
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+	tr.SetFeatures(func(c morton.Code) bool { return true })
 	for s := 1; s <= 2; s++ {
 		pipelineScript(tr, s)
 		tr.Persist()
@@ -269,7 +269,7 @@ func TestPipelineBackpressure(t *testing.T) {
 			<-block
 		}
 	})
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+	tr.SetFeatures(func(c morton.Code) bool { return true })
 	pipelineScript(tr, 1)
 	tr.Persist()
 	<-entered // window is now full: one version in flight, worker parked
@@ -330,7 +330,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 			commits++
 		}
 	})
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+	tr.SetFeatures(func(c morton.Code) bool { return true })
 	pipelineScript(tr, 1)
 	tr.Persist()
 	<-entered // batch {1} fixed; queue its slot + room for two more
@@ -399,7 +399,7 @@ func TestPipelineCrashAtStages(t *testing.T) {
 					nv.CutPowerAfter(sc.budget)
 				}
 			})
-			tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+			tr.SetFeatures(func(c morton.Code) bool { return true })
 
 			history := map[uint64]bool{commitDigest(tr): true}
 			crashed := false
@@ -476,7 +476,7 @@ func TestPipelineWorkerFailureSurfacesOnMutator(t *testing.T) {
 			close(failed)
 		}
 	})
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+	tr.SetFeatures(func(c morton.Code) bool { return true })
 
 	caught := func() (r any) {
 		defer func() { r = recover() }()
@@ -509,7 +509,7 @@ func TestPipelineWorkerFailureSurfacesOnMutator(t *testing.T) {
 // hot) entries never participate in eviction ordering.
 func TestEvictSubtreeClearsAccess(t *testing.T) {
 	tr := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 256, Seed: 3})
-	tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool { return true })
+	tr.SetFeatures(func(c morton.Code) bool { return true })
 	tr.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
 	tr.Persist()
 	if len(tr.hot) == 0 {

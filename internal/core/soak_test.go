@@ -21,7 +21,7 @@ func TestSoak(t *testing.T) {
 		nv := nvbm.New(nvbm.NVBM, 0)
 		tr := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 32 + r.Intn(512), Seed: seed,
 			ThresholdDRAM: 0.5 + r.Float64()*0.4, GCEvery: 1 + r.Intn(3)})
-		tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool {
+		tr.SetFeatures(func(c morton.Code) bool {
 			x, _, _ := c.Center()
 			return x > 0.5
 		})
@@ -53,7 +53,7 @@ func TestSoak(t *testing.T) {
 					t.Fatalf("trial %d op %d: restore: %v", trial, op, err)
 				}
 				tr = restored
-				tr.SetFeatures(func(c morton.Code, _ [DataWords]float64) bool {
+				tr.SetFeatures(func(c morton.Code) bool {
 					x, _, _ := c.Center()
 					return x > 0.5
 				})

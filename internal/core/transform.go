@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"pmoctree/internal/morton"
 )
@@ -11,15 +12,9 @@ import (
 // transformation pass.
 type subtreeInfo struct {
 	root    morton.Code
-	size    int // octants in the subtree
-	samples []sampled
-	seen    int // octants offered to the reservoir
-	freq    int // feature hits among samples (computed later)
-}
-
-type sampled struct {
-	code morton.Code
-	data [DataWords]float64
+	size    int           // octants in the subtree, each offered to the reservoir
+	samples []morton.Code // reservoir samples: a window of Tree.samples
+	freq    int           // feature hits among samples (computed later)
 }
 
 // SubtreeLevelFor computes L_sub by Equation 1 of the paper:
@@ -63,7 +58,8 @@ func (t *Tree) retarget() {
 		// exactly the baseline of Figure 11.
 		return
 	}
-	infos, depth := t.collectSubtrees()
+	codes := t.transformCodes()
+	infos, depth := t.collect(codes)
 	t.depth = depth
 	selBudget := t.cfg.DRAMBudgetOctants / packingFactor
 	if selBudget < 1 {
@@ -73,7 +69,7 @@ func (t *Tree) retarget() {
 	if newLsub != t.lsub {
 		// Re-gather at the new subtree level.
 		t.lsub = newLsub
-		infos, _ = t.collectSubtrees()
+		infos, _ = t.collect(codes)
 	}
 	oldHot := t.hot
 	if !t.cfg.DisableTransform && len(t.features) > 0 {
@@ -103,55 +99,70 @@ func (t *Tree) retarget() {
 // and tests use it after installing feature functions.
 func (t *Tree) Retarget() { t.retarget() }
 
-// collectSubtrees walks the working version once, gathering per-subtree
-// sizes and reservoir samples at the current L_sub, and the tree depth.
-// The walk is instrumentation (the sampling pre-execution of §3.3 is
-// charged separately through evalFrequency's feature calls), so device
-// accounting is suspended.
-func (t *Tree) collectSubtrees() ([]subtreeInfo, uint8) {
-	t.setAccounting(false)
-	defer t.setAccounting(true)
-	byRoot := map[morton.Code]*subtreeInfo{}
-	var order []morton.Code
-	var depth uint8
-	t.ForEachNode(func(_ Ref, o *Octant) bool {
-		l := o.Code.Level()
-		if l > depth {
-			depth = l
-		}
-		var root morton.Code
-		switch {
-		case l < t.lsub && o.IsLeaf():
-			// A region coarser than L_sub is its own (single-octant)
-			// candidate subtree.
-			root = o.Code
-		case l < t.lsub:
-			// Trunk interior: not a candidate; residency follows the
-			// hot subtrees below it.
-			return true
-		default:
-			root = o.Code.AncestorAt(t.lsub)
-		}
-		info := byRoot[root]
-		if info == nil {
-			info = &subtreeInfo{root: root}
-			byRoot[root] = info
-			order = append(order, root)
-		}
-		info.size++
-		info.seen++
-		// Reservoir sampling: keep NSample uniform samples per subtree.
-		if len(info.samples) < t.cfg.NSample {
-			info.samples = append(info.samples, sampled{o.Code, o.Data})
-		} else if j := t.rng.Intn(info.seen); j < t.cfg.NSample {
-			info.samples[j] = sampled{o.Code, o.Data}
-		}
-		return true
-	})
-	infos := make([]subtreeInfo, 0, len(order))
-	for _, root := range order {
-		infos = append(infos, *byRoot[root])
+// collect gathers the candidate subtrees at the current L_sub. Tests swap
+// in the tree-walk oracle (transform_test.go) through walkOracle.
+func (t *Tree) collect(codes []morton.Code) ([]subtreeInfo, uint8) {
+	if t.walkOracle != nil {
+		return t.walkOracle(t)
 	}
+	return t.collectSubtrees(codes)
+}
+
+// collectSubtrees gathers per-subtree sizes and reservoir samples at the
+// current L_sub, and the tree depth, from the working version's leaf codes
+// in Z-order — without reading an octant. The interior octants are exactly
+// the proper ancestors of the leaves, so replaying, leaf by leaf, the
+// ancestors deeper than the common ancestor with the previous leaf and
+// then the leaf itself yields every octant in the pre-order of a tree walk
+// (DESIGN.md decision 6). Each is offered to its subtree's reservoir as
+// the walk would offer it, with the same t.rng calls.
+//
+// Candidate subtrees are contiguous in pre-order, so each one's samples are
+// a window of the flat, reused t.samples buffer, and in steady state the
+// pass allocates nothing.
+func (t *Tree) collectSubtrees(codes []morton.Code) ([]subtreeInfo, uint8) {
+	infos, samples := t.subtrees[:0], t.samples[:0]
+	lsub, ns := t.lsub, t.cfg.NSample
+	var depth uint8
+	lo := 0 // the open subtree's first sample
+	for k, c := range codes {
+		l := c.Level()
+		depth = max(depth, l)
+		first := uint8(0) // shallowest octant that is new at this leaf
+		if k > 0 {
+			first = morton.CommonLevel(codes[k-1], c) + 1
+		}
+		if l < lsub {
+			// A region coarser than L_sub is its own (single-octant)
+			// candidate subtree; the trunk interior above it is not a
+			// candidate — residency follows the hot subtrees below it.
+			infos = append(infos, subtreeInfo{root: c, size: 1})
+			samples = append(samples, c)
+			continue
+		}
+		if first <= lsub {
+			lo = len(samples)
+			infos = append(infos, subtreeInfo{root: c.AncestorAt(lsub)})
+			first = lsub
+		}
+		in := &infos[len(infos)-1]
+		for lv := first; lv <= l; lv++ {
+			in.size++
+			// Reservoir sampling: keep NSample uniform samples per subtree.
+			if len(samples)-lo < ns {
+				samples = append(samples, c.AncestorAt(lv))
+			} else if j := t.rng.Intn(in.size); j < ns {
+				samples[lo+j] = c.AncestorAt(lv)
+			}
+		}
+	}
+	lo = 0
+	for i := range infos {
+		n := min(infos[i].size, ns)
+		infos[i].samples = samples[lo : lo+n : lo+n]
+		lo += n
+	}
+	t.subtrees, t.samples = infos, samples
 	return infos, depth
 }
 
@@ -160,9 +171,9 @@ func (t *Tree) collectSubtrees() ([]subtreeInfo, uint8) {
 // of §3.3, step 3.
 func (t *Tree) evalFrequency(info *subtreeInfo) int {
 	hits := 0
-	for _, s := range info.samples {
+	for _, c := range info.samples {
 		for _, f := range t.features {
-			if f(s.code, s.data) {
+			if f(c) {
 				hits++
 				break
 			}
@@ -175,29 +186,50 @@ func (t *Tree) evalFrequency(info *subtreeInfo) int {
 // When the previous hot set is still valid, a cold subtree displaces a hot
 // one only if its frequency exceeds T_transform times the hot one's —
 // hysteresis that avoids thrashing the layout (§3.3, step 4).
+//
+// The weakest previously-hot candidate not yet re-selected is known without
+// a scan: candidates are ranked by falling frequency, and a previously-hot
+// one is passed over only for budget. So while one lies ahead, the last
+// previously-hot candidate of the ranking is the weakest; once none lies
+// ahead, the one most recently passed over is.
 func (t *Tree) selectHot(infos []subtreeInfo, oldHot map[morton.Code]bool) map[morton.Code]bool {
-	sort.SliceStable(infos, func(i, j int) bool {
-		if infos[i].freq != infos[j].freq {
-			return infos[i].freq > infos[j].freq
+	slices.SortFunc(infos, func(a, b subtreeInfo) int {
+		if a.freq != b.freq {
+			return cmp.Compare(b.freq, a.freq)
 		}
-		return infos[i].root.Less(infos[j].root)
+		return a.root.Compare(b.root)
 	})
+	lastOld := -1
+	for i := range infos {
+		if oldHot[infos[i].root] {
+			lastOld = i
+		}
+	}
 	budget := t.cfg.DRAMBudgetOctants
 	hot := map[morton.Code]bool{}
-	used := 0
+	used, passed := 0, -1 // passed: the last previously-hot candidate over budget
 	for i := range infos {
 		in := &infos[i]
+		old := oldHot[in.root]
 		if used+in.size > budget {
+			if old {
+				passed = i
+			}
 			continue
 		}
-		if in.freq == 0 && !oldHot[in.root] {
+		if in.freq == 0 && !old {
 			continue // never pull in subtrees with no predicted accesses
 		}
-		if !oldHot[in.root] {
+		if !old {
 			// This subtree is in NVBM. It displaces DRAM residency only
 			// if Ratio_access exceeds T_transform against the weakest
 			// already-hot candidate that it is effectively displacing.
-			if w, ok := weakestOld(infos, oldHot, hot); ok {
+			weakest := passed
+			if lastOld > i {
+				weakest = lastOld
+			}
+			if weakest >= 0 {
+				w := infos[weakest].freq
 				ratio := float64(in.freq) / math.Max(float64(w), 1)
 				if ratio <= t.cfg.TTransform && w > 0 {
 					continue
@@ -210,27 +242,11 @@ func (t *Tree) selectHot(infos []subtreeInfo, oldHot map[morton.Code]bool) map[m
 	return hot
 }
 
-// weakestOld returns the lowest frequency among previously-hot subtrees not
-// yet re-selected.
-func weakestOld(infos []subtreeInfo, oldHot, chosen map[morton.Code]bool) (int, bool) {
-	best := 0
-	found := false
-	for i := range infos {
-		if oldHot[infos[i].root] && !chosen[infos[i].root] {
-			if !found || infos[i].freq < best {
-				best = infos[i].freq
-				found = true
-			}
-		}
-	}
-	return best, found
-}
-
 // selectOblivious fills the DRAM budget with subtrees in Z-order,
 // regardless of access pattern — the locality-oblivious layout of
-// Figure 5(a), used when transformation is disabled.
+// Figure 5(a), used when transformation is disabled. collectSubtrees
+// emits the candidates in Z-order already.
 func (t *Tree) selectOblivious(infos []subtreeInfo) map[morton.Code]bool {
-	sort.SliceStable(infos, func(i, j int) bool { return infos[i].root.Less(infos[j].root) })
 	budget := t.cfg.DRAMBudgetOctants
 	hot := map[morton.Code]bool{}
 	used := 0

@@ -16,8 +16,10 @@ import (
 // Feature is an application-level predicate used by feature-directed
 // sampling (§3.3): it returns true when the octant's domain is of interest
 // (e.g. its refinement condition holds). PM-octree pre-executes these on
-// sampled octants to predict subtree access frequency.
-type Feature func(code morton.Code, data [DataWords]float64) bool
+// sampled octants to predict subtree access frequency. A feature sees the
+// octant's code only: the samples are drawn from the leaf index, and an
+// interior octant's payload is stale by construction.
+type Feature func(code morton.Code) bool
 
 // Config parameterizes a PM-octree.
 type Config struct {
@@ -163,6 +165,13 @@ type Tree struct {
 	features []Feature
 	rng      *rand.Rand
 	depth    uint8 // max leaf level observed
+
+	// Layout-pass scratch (transform.go), reused between passes: the
+	// candidate subtrees and their reservoir samples, one flat buffer.
+	// walkOracle, when set, replaces the key-space replay (tests only).
+	subtrees   []subtreeInfo
+	samples    []morton.Code
+	walkOracle func(*Tree) ([]subtreeInfo, uint8)
 
 	// scratch is the shared encode buffer of the WRITE path (and of the
 	// guarded raw reads in recovery/compaction). Mutating operations are
@@ -386,6 +395,7 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc("core.cache.invalidations", func() float64 { return float64(t.fp.CacheInvalidations) })
 	r.RegisterFunc("core.leafindex.rebuilds", func() float64 { return float64(t.fp.LeafIndexRebuilds) })
 	r.RegisterFunc("core.leafindex.reuses", func() float64 { return float64(t.fp.LeafIndexReuses) })
+	r.RegisterFunc("core.transform.index_rebuilds", func() float64 { return float64(t.fp.TransformIndexRebuilds) })
 	r.RegisterFunc("core.tile.rebuilds", func() float64 { return float64(t.fp.TileRebuilds) })
 	r.RegisterFunc("core.tile.reuses", func() float64 { return float64(t.fp.TileReuses) })
 	r.RegisterFunc("core.tile.rebuild_ns", func() float64 { return float64(t.fp.TileRebuildNs) })

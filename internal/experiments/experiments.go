@@ -288,7 +288,7 @@ func Fig5(obs *telemetry.Observer) Fig5Result {
 			rank = 1
 		}
 		tree.SetTracer(obs.TracerFor(rank, telemetry.DeviceProbe(tree.NVBMDevice())))
-		tree.SetFeatures(func(c morton.Code, _ [core.DataWords]float64) bool { return hot(c) })
+		tree.SetFeatures(func(c morton.Code) bool { return hot(c) })
 		tree.RefineWhere(func(morton.Code) bool { return true }, 3)
 		tree.Persist()
 		before := tree.NVBMDevice().Stats()

@@ -267,6 +267,15 @@ func Cover(lo, hi [3]uint32) Code {
 	return Encode(lo[0]>>shift, lo[1]>>shift, lo[2]>>shift, uint8(MaxLevel-shift))
 }
 
+// CommonLevel returns the level of the deepest octant containing both a and
+// b: the count of leading bit-triples their MaxLevel-aligned Morton keys
+// share, capped at the shallower level (an ancestor contains itself). For
+// two distinct, non-nesting codes it is strictly shallower than either.
+func CommonLevel(a, b Code) uint8 {
+	shared := uint8((3*MaxLevel - bits.Len64((a.Key()^b.Key())>>6)) / 3)
+	return min(shared, a.Level(), b.Level())
+}
+
 // Center returns the octant's center in the unit cube [0,1)^3.
 func (c Code) Center() (cx, cy, cz float64) {
 	x, y, z, l := c.Decode()

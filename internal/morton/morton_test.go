@@ -401,6 +401,41 @@ func TestCoverMatchesParentWalk(t *testing.T) {
 	}
 }
 
+// CommonLevel is the level at which the parent walks of both codes meet,
+// for any pair: nesting, equal, or disjoint.
+func TestCommonLevelMatchesParentWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	code := func() Code {
+		l := uint8(r.Intn(MaxLevel + 1))
+		n := 1 << l
+		return Encode(uint32(r.Intn(n)), uint32(r.Intn(n)), uint32(r.Intn(n)), l)
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := code(), code()
+		switch i % 4 {
+		case 1: // b nests under a
+			for b.Level() > 0 && !a.Contains(b) && a.Level() < MaxLevel {
+				b = a.Child(r.Intn(8))
+			}
+		case 2:
+			b = a
+		}
+		x, y := a, b
+		for x.Level() > y.Level() {
+			x = x.Parent()
+		}
+		for y.Level() > x.Level() {
+			y = y.Parent()
+		}
+		for x != y {
+			x, y = x.Parent(), y.Parent()
+		}
+		if got := CommonLevel(a, b); got != x.Level() {
+			t.Fatalf("CommonLevel(%v, %v) = %d, parent walk meets at %v", a, b, got, x)
+		}
+	}
+}
+
 // BenchmarkParseCode parses the wire form of a deep code, as a region
 // client does once per hit leaf.
 func BenchmarkParseCode(b *testing.B) {

@@ -198,6 +198,9 @@ func TestRequestTraceConcurrentSoak(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A client can read its response before the handler's deferred trace
+	// Finish runs; Close waits for every handler to return.
+	srv.Close()
 
 	if sink.Total() != clients*perClient {
 		t.Fatalf("sink finished %d traces, want %d (every served query traced)", sink.Total(), clients*perClient)

@@ -48,9 +48,8 @@ func CoarsenPredOf(f Field, step int) func(morton.Code) bool {
 // FeatureOf returns the feature function handed to PM-octree's
 // feature-directed sampling (§3.3): the next step's refinement criterion,
 // pre-executed to predict which subtrees the coming step will touch.
-func FeatureOf(f Field, nextStep int) func(morton.Code, [DataWords]float64) bool {
-	pred := RefinePredOf(f, nextStep)
-	return func(c morton.Code, _ [DataWords]float64) bool { return pred(c) }
+func FeatureOf(f Field, nextStep int) func(morton.Code) bool {
+	return RefinePredOf(f, nextStep)
 }
 
 // SolveOf returns the per-leaf relaxation sweep for step s (see

@@ -28,7 +28,7 @@ func (d *Droplet) CoarsenPred(step int) func(morton.Code) bool {
 
 // Feature returns the feature-directed sampling predicate for the next
 // step (see FeatureOf).
-func (d *Droplet) Feature(nextStep int) func(morton.Code, [DataWords]float64) bool {
+func (d *Droplet) Feature(nextStep int) func(morton.Code) bool {
 	return FeatureOf(d, nextStep)
 }
 
