@@ -2,18 +2,21 @@
 // Z-order key spans onto shard backends (pmserve processes or in-process
 // catalogs), scatter-gathers region and aggregate queries across the
 // spans a request touches, and hides shard failures behind health-gated
-// retries, hedged reads, circuit breakers, and a two-level fallback
-// (recovery replica, then healthy-peer takeover, then a stale committed
-// version served with explicit degraded markers).
+// retries, hedged reads, circuit breakers, and a failover chain: a
+// shard's primary, then its recovery replica, then a stale committed
+// version served with explicit degraded markers. Every shard serves a
+// materialized span arena (pmserve -materialize), which holds only its
+// own span, so no shard answers for another.
 //
 // Modes:
 //
 //	pmrouter -shards http://h1:8077,http://h2:8077   front remote pmserve shards
 //	  [-replicas http://r1:8077,]                    per-shard replica endpoints
 //	                                                 (aligned by index, blank = none)
-//	pmrouter -image run.img -inproc 3                single-process demo: route
-//	                                                 across N in-process shards
-//	                                                 over one restored image
+//	pmrouter -image run.img -inproc 3                single-process demo:
+//	                                                 materialize N uniform spans
+//	                                                 of one restored image in
+//	                                                 memory and route across them
 //	pmrouter -images s0.img,s1.img                   route across in-process
 //	                                                 shards restored from
 //	                                                 materialized per-shard
@@ -22,9 +25,10 @@
 //	pmrouter ... -script queries.json                batch mode: print one
 //	                                                 "<status> <body>" line per
 //	                                                 query, exit (CI smoke)
-//	pmrouter ... -loadgen -script mix.json           closed-loop load over the
+//	pmrouter ... -loadgen -loadgen-rate R \
+//	        -script mix.json                         open-loop load over the
 //	                                                 routed surface; emits the
-//	                                                 SLO JSON CI gates on
+//	                                                 SLO JSON
 //	pmrouter -chaos -seed 7                          run the router chaos soak
 //	                                                 (kill/restart shards under
 //	                                                 query load), print the
@@ -37,12 +41,16 @@
 // /v1/shards for per-shard health, breaker, and span state. /metrics,
 // /healthz, and /readyz stay outside the drainer so the balancer can
 // watch readiness flip during the SIGTERM drain.
+//
+// Exit codes: 0 success, 1 a failed run (an image that does not restore,
+// a failed script or load run, a chaos soak with wrong answers), 2 bad
+// usage.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,38 +69,46 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is pmrouter on args; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmrouter", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		shardList   = flag.String("shards", "", "comma-separated shard base URLs (pmserve endpoints, ascending span order)")
-		replicaList = flag.String("replicas", "", "comma-separated replica base URLs aligned with -shards (blank entry = no replica)")
-		image       = flag.String("image", "", "NVBM device image for -inproc mode")
-		inproc      = flag.Int("inproc", 0, "run this many in-process shards over -image instead of -shards")
-		images      = flag.String("images", "", "comma-separated per-shard NVBM images (pmserve -materialize output, ascending span order): each in-process shard restores only its own arena and refuses to answer outside its span, so a peer takeover of a dead shard's span fails and queries touching that span are unavailable")
-		addr        = flag.String("addr", "localhost:8078", "listen address for serve mode")
-		keep        = flag.Int("keep", 4, "committed versions to keep pinned per in-process shard")
+		shardList   = fs.String("shards", "", "comma-separated shard base URLs (pmserve endpoints over materialized arenas, ascending span order)")
+		replicaList = fs.String("replicas", "", "comma-separated replica base URLs aligned with -shards (blank entry = no replica)")
+		image       = fs.String("image", "", "NVBM device image for -inproc mode")
+		inproc      = fs.Int("inproc", 0, "materialize this many uniform spans of -image in memory and route across them as in-process shards")
+		images      = fs.String("images", "", "comma-separated per-shard NVBM images (pmserve -materialize output, ascending span order): each in-process shard restores only its own arena")
+		addr        = fs.String("addr", "localhost:8078", "listen address for serve mode")
 
-		retries    = flag.Int("retries", 2, "max retries per shard attempt")
-		hedge      = flag.Duration("hedge", 0, "hedged-read delay against a shard's replica (0 = off)")
-		attemptTO  = flag.Duration("attempt-timeout", 2*time.Second, "per-attempt timeout")
-		probeEvery = flag.Duration("probe-interval", 2*time.Second, "background shard health-probe interval (0 = off)")
-		drainFor   = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout on SIGTERM/SIGINT")
-		seed       = flag.Int64("seed", 1, "seed for retry jitter (and the -chaos schedule)")
+		retries    = fs.Int("retries", 2, "max retries per shard attempt")
+		hedge      = fs.Duration("hedge", 0, "hedged-read delay against a shard's replica (0 = off)")
+		attemptTO  = fs.Duration("attempt-timeout", 2*time.Second, "per-attempt timeout")
+		probeEvery = fs.Duration("probe-interval", 2*time.Second, "background shard health-probe interval (0 = off)")
+		drainFor   = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout on SIGTERM/SIGINT")
+		seed       = fs.Int64("seed", 1, "seed for retry jitter (and the -chaos schedule)")
 
-		script     = flag.String("script", "", "batch mode: JSON array of request paths to run and print")
-		loadgen    = flag.Bool("loadgen", false, "closed-loop load generation over -script; writes an SLO JSON summary and exits")
-		lgClients  = flag.Int("loadgen-clients", 4, "concurrent clients for -loadgen (closed-loop: offered load; open-loop: in-flight bound)")
-		lgRequests = flag.Int("loadgen-requests", 400, "total requests for -loadgen")
-		lgRate     = flag.Float64("loadgen-rate", 0, "open-loop -loadgen: offer this many requests/second on a fixed schedule regardless of service rate (0 = closed loop); latency counts queueing from the scheduled arrival")
-		lgPoisson  = flag.Bool("loadgen-poisson", false, "draw open-loop inter-arrival gaps from a Poisson process at -loadgen-rate instead of a fixed interval")
-		sloOut     = flag.String("slo-out", "", "write the -loadgen SLO JSON to this file (default stdout)")
+		script = fs.String("script", "", "batch mode: JSON array of request paths to run and print")
 
-		chaos       = flag.Bool("chaos", false, "run the router chaos soak and exit")
-		chaosRounds = flag.Int("chaos-rounds", 16, "soak rounds for -chaos")
-		chaosShards = flag.Int("chaos-shards", 3, "shard count for -chaos")
+		chaos       = fs.Bool("chaos", false, "run the router chaos soak and exit")
+		chaosRounds = fs.Int("chaos-rounds", 16, "soak rounds for -chaos")
+		chaosShards = fs.Int("chaos-shards", 3, "shard count for -chaos")
 
-		flightDump = flag.String("flightdump", "", "write the flight-recorder ring as JSONL to this file on exit and on SIGQUIT")
+		flightDump = fs.String("flightdump", "", "write the flight-recorder ring as JSONL to this file on exit and on SIGQUIT")
 	)
-	flag.Parse()
+	load := serve.AddLoadFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "pmrouter:", err)
+		return code
+	}
 
 	reg := telemetry.NewRegistry()
 	flight := telemetry.NewFlightRecorder(4096)
@@ -113,22 +129,26 @@ func main() {
 			Registry: reg,
 			Recorder: flight,
 		})
-		fmt.Print(rep.String())
+		fmt.Fprint(stdout, rep.String())
 		dumpFlight()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrouter: chaos soak FAILED: %v\n", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("chaos soak FAILED: %w", err))
 		}
-		return
+		return 0
 	}
 	defer dumpFlight()
 
-	shards, cleanup, err := buildShards(*shardList, *replicaList, *image, *images, *inproc, *keep, reg, flight)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
-		os.Exit(2)
+	if err := checkShardFlags(*shardList, *replicaList, *image, *images, *inproc); err != nil {
+		return fail(2, err)
 	}
+	if err := load.Check(*script); err != nil {
+		return fail(2, err)
+	}
+	shards, cleanup, err := buildShards(*shardList, *replicaList, *image, *images, *inproc, reg, flight)
 	defer cleanup()
+	if err != nil {
+		return fail(1, err)
+	}
 
 	health := telemetry.NewHealth()
 	r, err := router.New(router.Config{
@@ -143,8 +163,7 @@ func main() {
 		Process:        health,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmrouter:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	defer r.Close()
 	r.Probe(context.Background())
@@ -162,54 +181,25 @@ func main() {
 	mux.Handle("/healthz", health.HealthzHandler())
 	mux.Handle("/readyz", health.ReadyzHandler())
 
-	if *loadgen {
-		if *script == "" {
-			fmt.Fprintln(os.Stderr, "pmrouter: -loadgen needs -script (the query mix to replay)")
-			os.Exit(2)
+	if load.Enabled {
+		if err := load.Run(mux, *script, stdout, stderr); err != nil {
+			return fail(1, err)
 		}
-		doc, err := serve.RunLoadgenOpts(mux, *script, serve.LoadgenOptions{
-			Clients:  *lgClients,
-			Requests: *lgRequests,
-			Rate:     *lgRate,
-			Poisson:  *lgPoisson,
-			Seed:     *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmrouter: loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pmrouter: loadgen complete (%d clients):\n%s", *lgClients, serve.SummarizeSLO(doc))
-		out := io.Writer(os.Stdout)
-		if *sloOut != "" {
-			f, err := os.Create(*sloOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pmrouter: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := serve.WriteSLO(out, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "pmrouter: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return 0
 	}
 
 	if *script != "" {
-		if err := runScript(mux, *script); err != nil {
-			fmt.Fprintf(os.Stderr, "pmrouter: %v\n", err)
-			os.Exit(1)
+		if err := serve.RunScript(mux, *script, stdout); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmrouter: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	fmt.Fprintf(os.Stderr, "pmrouter: routing %d shard(s) on http://%s (try /v1/shards)\n",
+	fmt.Fprintf(stderr, "pmrouter: routing %d shard(s) on http://%s (try /v1/shards)\n",
 		len(shards), ln.Addr())
 	srv := serve.NewHTTPServer(mux)
 	go func() {
@@ -218,91 +208,67 @@ func main() {
 		<-sig
 		// Graceful shutdown: readiness flips first, new queries get 503 +
 		// Retry-After, in-flight scatters drain bounded by -drain.
-		fmt.Fprintf(os.Stderr, "pmrouter: draining (up to %v)\n", *drainFor)
+		fmt.Fprintf(stderr, "pmrouter: draining (up to %v)\n", *drainFor)
 		if !drainer.Shutdown(*drainFor) {
-			fmt.Fprintln(os.Stderr, "pmrouter: drain timeout expired with queries in flight")
+			fmt.Fprintln(stderr, "pmrouter: drain timeout expired with queries in flight")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "pmrouter: %v\n", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
+	return 0
 }
 
-// buildShards assembles the backend set: HTTP backends over -shards (with
-// optional aligned -replicas), -inproc local shards sharing one restored
-// image (every arena holds the full copy; the router's span map partitions
-// responsibility), or -images local shards each restoring its own
-// materialized per-shard arena (pmserve -materialize output) so shard i's
-// process footprint scales with its span, not the whole mesh.
-func buildShards(shardList, replicaList, image, images string, inproc, keep int,
-	reg *telemetry.Registry, flight *telemetry.FlightRecorder) ([]router.ShardConfig, func(), error) {
-	cleanup := func() {}
+// checkShardFlags reports a shard-mode usage error: more than one mode,
+// -inproc without -image or the reverse, no mode, -replicas without
+// -shards.
+func checkShardFlags(shardList, replicaList, image, images string, inproc int) error {
 	modes := 0
 	for _, on := range []bool{shardList != "", inproc > 0, images != ""} {
 		if on {
 			modes++
 		}
 	}
-	if modes > 1 {
-		return nil, cleanup, fmt.Errorf("-shards, -inproc, and -images are mutually exclusive")
+	switch {
+	case modes > 1:
+		return errors.New("-shards, -inproc, and -images are mutually exclusive")
+	case inproc > 0 && image == "":
+		return errors.New("-inproc needs -image (produce one with: droplet -image run.img)")
+	case image != "" && inproc <= 0:
+		return errors.New("-image needs -inproc N (the number of spans to materialize)")
+	case modes == 0:
+		return errors.New("need -shards url,..., -images s0.img,..., or -image img -inproc N")
+	case replicaList != "" && shardList == "":
+		return errors.New("-replicas needs -shards")
 	}
+	return nil
+}
 
-	if images != "" {
-		paths := strings.Split(images, ",")
-		var closers []func()
-		cleanup = func() {
-			for i := len(closers) - 1; i >= 0; i-- {
-				closers[i]()
-			}
-		}
-		out := make([]router.ShardConfig, len(paths))
-		for i, p := range paths {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				return nil, cleanup, fmt.Errorf("-images entry %d is empty", i)
-			}
-			dev, err := pmoctree.OpenDeviceFile(p)
-			if err != nil {
-				return nil, cleanup, fmt.Errorf("shard %d image: %w", i, err)
-			}
-			tree, err := pmoctree.Restore(pmoctree.Config{NVBMDevice: dev, VerifyRestore: true})
-			if err != nil {
-				return nil, cleanup, fmt.Errorf("restoring shard %d from %s: %w", i, p, err)
-			}
-			cat := serve.NewCatalog(tree, serve.Config{Keep: keep, Registry: reg})
-			sched := serve.NewScheduler(serve.SchedulerConfig{Registry: reg, Recorder: flight})
-			closers = append(closers, func() {
-				sched.Close()
-				cat.Close()
-			})
-			s, err := cat.Publish()
-			if err != nil {
-				return nil, cleanup, fmt.Errorf("publishing shard %d: %w", i, err)
-			}
-			s.Close()
-			out[i].Primary = router.NewLocalBackend(fmt.Sprintf("shard%d", i), cat, sched)
-		}
-		return out, cleanup, nil
-	}
-
+// buildShards assembles the backend set: HTTP backends over -shards (with
+// optional aligned -replicas), or in-process shards each serving one
+// materialized span arena — -inproc carves N uniform spans of one
+// restored image in memory, -images restores each shard's own arena from
+// a pmserve -materialize file. Either way shard i's footprint scales with
+// its span, not the whole mesh. The returned cleanup is always callable.
+func buildShards(shardList, replicaList, image, images string, inproc int,
+	reg *telemetry.Registry, flight *telemetry.FlightRecorder) ([]router.ShardConfig, func(), error) {
 	if shardList != "" {
 		urls := strings.Split(shardList, ",")
 		var replicas []string
 		if replicaList != "" {
 			replicas = strings.Split(replicaList, ",")
 			if len(replicas) != len(urls) {
-				return nil, cleanup, fmt.Errorf("-replicas has %d entries, -shards has %d (use blank entries for shards without replicas)", len(replicas), len(urls))
+				return nil, func() {}, fmt.Errorf("-replicas has %d entries, -shards has %d (use blank entries for shards without replicas)", len(replicas), len(urls))
 			}
 		}
 		out := make([]router.ShardConfig, len(urls))
 		for i, u := range urls {
 			u = strings.TrimSpace(u)
 			if u == "" {
-				return nil, cleanup, fmt.Errorf("-shards entry %d is empty", i)
+				return nil, func() {}, fmt.Errorf("-shards entry %d is empty", i)
 			}
 			out[i].Primary = router.NewHTTPBackend(fmt.Sprintf("shard%d", i), u, nil)
 			if replicas != nil {
@@ -311,80 +277,74 @@ func buildShards(shardList, replicaList, image, images string, inproc, keep int,
 				}
 			}
 		}
-		return out, cleanup, nil
+		return out, func() {}, nil
 	}
 
-	if inproc <= 0 {
-		return nil, cleanup, fmt.Errorf("need -shards url,... or -image img -inproc N")
+	var trees []*pmoctree.Tree
+	if images != "" {
+		for i, p := range strings.Split(images, ",") {
+			p = strings.TrimSpace(p)
+			if p == "" {
+				return nil, func() {}, fmt.Errorf("-images entry %d is empty", i)
+			}
+			tree, err := restoreImage(p)
+			if err != nil {
+				return nil, func() {}, fmt.Errorf("shard %d: %w", i, err)
+			}
+			trees = append(trees, tree)
+		}
+	} else {
+		src, err := restoreImage(image)
+		if err != nil {
+			return nil, func() {}, err
+		}
+		for i, span := range router.UniformSpans(inproc) {
+			tree, _, err := router.MaterializeShard(src, span, pmoctree.Config{NVBMDevice: pmoctree.NewNVBM()}, nil)
+			if err != nil {
+				return nil, func() {}, fmt.Errorf("materializing shard %d/%d: %w", i, inproc, err)
+			}
+			trees = append(trees, tree)
+		}
 	}
-	if image == "" {
-		return nil, cleanup, fmt.Errorf("-inproc needs -image (produce one with: droplet -image run.img)")
-	}
-	dev, err := pmoctree.OpenDeviceFile(image)
+	return localShards(trees, reg, flight)
+}
+
+// restoreImage restores and verifies the tree persisted in an image file.
+func restoreImage(path string) (*pmoctree.Tree, error) {
+	dev, err := pmoctree.OpenDeviceFile(path)
 	if err != nil {
-		return nil, cleanup, fmt.Errorf("opening image: %w", err)
+		return nil, fmt.Errorf("opening image: %w", err)
 	}
 	tree, err := pmoctree.Restore(pmoctree.Config{NVBMDevice: dev, VerifyRestore: true})
 	if err != nil {
-		return nil, cleanup, fmt.Errorf("restoring tree: %w", err)
+		return nil, fmt.Errorf("restoring %s: %w", path, err)
 	}
-	cat := serve.NewCatalog(tree, serve.Config{Keep: keep, Registry: reg})
-	sched := serve.NewScheduler(serve.SchedulerConfig{Registry: reg, Recorder: flight})
-	cleanup = func() {
-		sched.Close()
-		cat.Close()
-	}
-	// Publish ring history oldest-first so the newest commit lands last.
-	vs := tree.RetainedVersions()
-	for i := len(vs) - 1; i >= 0; i-- {
-		if s, err := cat.PublishVersion(vs[i].Root, vs[i].Step); err == nil {
-			s.Close()
+	return tree, nil
+}
+
+// localShards serves each materialized shard tree, in span order, from an
+// in-process catalog and scheduler that publish its committed version.
+func localShards(trees []*pmoctree.Tree, reg *telemetry.Registry, flight *telemetry.FlightRecorder) ([]router.ShardConfig, func(), error) {
+	var closers []func()
+	cleanup := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
 		}
 	}
-	s, err := cat.Publish()
-	if err != nil {
-		cleanup()
-		return nil, func() {}, fmt.Errorf("publishing committed version: %w", err)
-	}
-	s.Close()
-	out := make([]router.ShardConfig, inproc)
-	for i := range out {
+	out := make([]router.ShardConfig, len(trees))
+	for i, tree := range trees {
+		cat := serve.NewCatalog(tree, serve.Config{Registry: reg})
+		sched := serve.NewScheduler(serve.SchedulerConfig{Registry: reg, Recorder: flight})
+		closers = append(closers, func() {
+			sched.Close()
+			cat.Close()
+		})
+		s, err := cat.Publish()
+		if err != nil {
+			return nil, cleanup, fmt.Errorf("publishing shard %d: %w", i, err)
+		}
+		s.Close()
 		out[i].Primary = router.NewLocalBackend(fmt.Sprintf("shard%d", i), cat, sched)
 	}
 	return out, cleanup, nil
-}
-
-// runScript executes each request path from a JSON string array against
-// the handler over a loopback listener and prints one
-// "<status> <compact-json-body>" line per request.
-func runScript(h http.Handler, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var paths []string
-	if err := json.Unmarshal(raw, &paths); err != nil {
-		return fmt.Errorf("script %s: %w (want a JSON array of request paths)", path, err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := serve.NewHTTPServer(h)
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	for _, p := range paths {
-		resp, err := http.Get(base + p)
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", p, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", p, err)
-		}
-		fmt.Printf("%d %s\n", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return nil
 }

@@ -29,17 +29,16 @@
 // per-phase breakdown is retrievable from /v1/trace; -flightdump and
 // -tracedump write the flight-recorder ring (JSONL) and the retained
 // request traces (Chrome trace JSON) on exit, and SIGQUIT dumps the
-// flight ring from a live process. -loadgen runs the scripted query mix
-// closed-loop and emits the per-class latency SLO document CI gates on.
+// flight ring from a live process. -loadgen offers the scripted query mix
+// open-loop at -loadgen-rate and emits the per-class latency SLO
+// document.
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -63,7 +62,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "scheduler worker goroutines (0 = default)")
 		queue    = flag.Int("queue", 0, "admission queue depth (0 = default); full queue answers 503 + Retry-After")
 		batch    = flag.Int("batch", 0, "requests drained per worker wakeup (0 = default)")
-		shard    = flag.String("shard", "", "serve as shard `i/N`: region/agg requests without explicit klo/khi default to shard i's Z-order key span (0-based, e.g. -shard 1/4); explicit klo/khi overrides, so a router can serve a dead peer's span from this full copy")
 		drainFor = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
 		simulate = flag.Int("simulate", 0, "continue the droplet workload for this many steps, publishing every commit")
 		maxLevel = flag.Int("maxlevel", 5, "maximum refinement level for -simulate")
@@ -77,18 +75,15 @@ func main() {
 
 		materialize = flag.String("materialize", "", "materialize shard `i/N`: bulk-construct a per-shard arena holding only shard i's Z-order key span (the rest of the domain tiled by a zero-payload cover), write it to -out, print the footprint, and exit; serve the result with pmrouter -images")
 		matOut      = flag.String("out", "", "per-shard NVBM image file to write for -materialize")
-
-		loadgen    = flag.Bool("loadgen", false, "load generation over the -script query mix; writes an SLO JSON summary and exits (closed loop unless -loadgen-rate is set)")
-		lgClients  = flag.Int("loadgen-clients", 4, "concurrent clients for -loadgen (closed-loop: offered load; open-loop: in-flight bound)")
-		lgRequests = flag.Int("loadgen-requests", 400, "total requests for -loadgen")
-		lgRate     = flag.Float64("loadgen-rate", 0, "open-loop -loadgen: offer this many requests/second on a fixed schedule regardless of service rate (0 = closed loop); latency counts queueing from the scheduled arrival")
-		lgPoisson  = flag.Bool("loadgen-poisson", false, "draw open-loop inter-arrival gaps from a Poisson process at -loadgen-rate instead of a fixed interval")
-		lgSeed     = flag.Int64("loadgen-seed", 1, "seed for the -loadgen-poisson arrival schedule")
-		sloOut     = flag.String("slo-out", "", "write the -loadgen SLO JSON to this file (default stdout)")
 	)
+	load := serve.AddLoadFlags(flag.CommandLine)
 	flag.Parse()
 	if *image == "" {
 		fmt.Fprintln(os.Stderr, "pmserve: -image is required (produce one with: droplet -image run.img)")
+		os.Exit(2)
+	}
+	if err := load.Check(*script); err != nil {
+		fmt.Fprintln(os.Stderr, "pmserve:", err)
 		os.Exit(2)
 	}
 
@@ -145,14 +140,6 @@ func main() {
 	s.Close()
 
 	handler := serve.NewHandler(cat, sched)
-	if *shard != "" {
-		kr, err := router.ParseShardSpec(*shard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-			os.Exit(2)
-		}
-		handler.RestrictSpan(kr)
-	}
 	traces := telemetry.NewTraceSink(*traceCap)
 	handler.SetTraceSink(traces)
 	if *traceDump != "" {
@@ -197,36 +184,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pmserve: debug server on http://%s/debug/metrics\n", dbg.Addr())
 	}
 
-	if *loadgen {
-		if *script == "" {
-			fmt.Fprintln(os.Stderr, "pmserve: -loadgen needs -script (the query mix to replay)")
-			os.Exit(2)
-		}
+	if load.Enabled {
 		runSimulation(tree, cat, *simulate, *maxLevel, 0)
-		doc, err := serve.RunLoadgenOpts(mux, *script, serve.LoadgenOptions{
-			Clients:  *lgClients,
-			Requests: *lgRequests,
-			Rate:     *lgRate,
-			Poisson:  *lgPoisson,
-			Seed:     *lgSeed,
-		})
-		if err != nil {
+		if err := load.Run(mux, *script, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "pmserve: loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "pmserve: loadgen complete (%d clients):\n%s", *lgClients, serve.SummarizeSLO(doc))
-		out := io.Writer(os.Stdout)
-		if *sloOut != "" {
-			f, err := os.Create(*sloOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := serve.WriteSLO(out, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -236,7 +197,7 @@ func main() {
 		// Batch mode: any -simulate steps run up front so output is
 		// deterministic, then the scripted queries replay over loopback.
 		runSimulation(tree, cat, *simulate, *maxLevel, 0)
-		if err := runScript(mux, *script); err != nil {
+		if err := serve.RunScript(mux, *script, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
 			os.Exit(1)
 		}
@@ -357,39 +318,4 @@ func runSimulation(tree *pmoctree.Tree, cat *serve.Catalog, steps, maxLevel int,
 		}
 		time.Sleep(pause)
 	}
-}
-
-// runScript executes each request path from a JSON string array against
-// the handler over a loopback listener and prints one
-// "<status> <compact-json-body>" line per request.
-func runScript(h http.Handler, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var paths []string
-	if err := json.Unmarshal(raw, &paths); err != nil {
-		return fmt.Errorf("script %s: %w (want a JSON array of request paths)", path, err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := serve.NewHTTPServer(h)
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	for _, p := range paths {
-		resp, err := http.Get(base + p)
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", p, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", p, err)
-		}
-		fmt.Printf("%d %s\n", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return nil
 }

@@ -21,17 +21,19 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-// RouterChaosConfig parameterizes the sharded-serving chaos soak: a
-// router over N in-process shards, with shards killed and restarted
-// (sometimes mid-scatter, via a call-count fuse) while queries flow.
+// RouterChaosConfig parameterizes the sharded-serving chaos soak: one
+// writer materializing every commit into N span arenas, and a router over
+// N in-process shard servers, one per arena, each with a recovery
+// replica. Shard servers are killed and restarted (sometimes
+// mid-scatter, via a call-count fuse) while queries flow.
 type RouterChaosConfig struct {
 	Seed            int64
-	Shards          int // shard backends (default 3, min 2)
-	Rounds          int // soak rounds; each advances the fleet one step (default 18)
+	Shards          int // shard servers (default 3, min 2)
+	Rounds          int // soak rounds; each commits one writer step (default 18)
 	QueriesPerRound int // routed queries per round (default 8)
 	MaxLevel        uint8
 	Keep            int // versions each shard catalog retains (default 3)
-	ReplicaEvery    int // replica sync/refresh cadence in rounds (default 2)
+	ReplicaEvery    int // replica sync/rebind cadence in rounds, from round 1 (default 2)
 	// Recorder, when non-nil, receives the soak's kill/restart/refresh
 	// events plus the router's own breaker/fallback/stale flight events —
 	// the black box for a failed run.
@@ -86,7 +88,6 @@ type RouterChaosReport struct {
 	Retries          uint64 // from router metrics
 	Hedges           uint64
 	ReplicaFallbacks uint64
-	Takeovers        uint64
 	StaleFallbacks   uint64
 	BreakerOpens     uint64
 
@@ -103,30 +104,58 @@ func (r RouterChaosReport) String() string {
 		r.Kills, r.FuseKills, r.Restarts, r.ReplicaRefreshes)
 	fmt.Fprintf(&b, "  queries: total=%d served=%d unavailable=%d degraded=%d wrong=%d\n",
 		r.Queries, r.Served, r.Unavailable, r.DegradedServes, r.WrongAnswers)
-	fmt.Fprintf(&b, "  paths: retries=%d hedges=%d replica=%d takeover=%d stale=%d breaker_opens=%d\n",
-		r.Retries, r.Hedges, r.ReplicaFallbacks, r.Takeovers, r.StaleFallbacks, r.BreakerOpens)
+	fmt.Fprintf(&b, "  paths: retries=%d hedges=%d replica=%d stale=%d breaker_opens=%d\n",
+		r.Retries, r.Hedges, r.ReplicaFallbacks, r.StaleFallbacks, r.BreakerOpens)
 	fmt.Fprintf(&b, "  final: step=%d availability=%.4f digest=%016x\n", r.FinalStep, r.Availability, r.Digest)
 	return b.String()
 }
 
-// chaosShard is one shard process: its own deterministic droplet tree on
-// its own device, a catalog + scheduler behind a swappable local backend,
-// and a kill gate. Killing flips the gate (the process stops answering);
-// restarting rebuilds the catalog over the surviving tree, so pinned
-// history is lost and only the newest committed version comes back — the
-// version-skew that drives stale fallback. A fuse kills the shard after
-// a fixed number of further backend calls, landing mid-scatter.
-type chaosShard struct {
-	id       int
-	maxLevel uint8
-	keep     int
-	dev      *nvbm.Device
-	tree     *core.Tree
-	d        *sim.Droplet
-	step     int // last committed sim step (own clock; lags while down)
+// routerChaosSimSteps is the writer's fixed nominal droplet duration:
+// step s maps to time s/Steps.
+const routerChaosSimSteps = 64
 
-	down atomic.Bool
-	fuse atomic.Int64
+// chaosWriter is the soak's one simulation: a deterministic droplet tree
+// that is never killed. Its catalog keeps every committed version, so it
+// is also the reference every routed answer is replayed against.
+type chaosWriter struct {
+	tree *core.Tree
+	d    *sim.Droplet
+	step int
+	cat  *serve.Catalog
+}
+
+func newChaosWriter(keep int, seed int64) *chaosWriter {
+	w := &chaosWriter{
+		tree: core.Create(core.Config{
+			NVBMDevice: nvbm.New(nvbm.NVBM, 0),
+			DRAMDevice: nvbm.New(nvbm.DRAM, 0),
+			Seed:       seed,
+		}),
+		d: sim.NewDroplet(sim.DropletConfig{Steps: routerChaosSimSteps}),
+	}
+	w.tree.SetFeatures(w.d.Feature(1))
+	w.cat = serve.NewCatalog(w.tree, serve.Config{Keep: keep})
+	return w
+}
+
+// advance commits one more sim step and publishes it.
+func (w *chaosWriter) advance(maxLevel uint8) {
+	w.step++
+	sim.Step(w.tree, w.d, w.step, maxLevel)
+	w.tree.SetFeatures(w.d.Feature(w.step + 1))
+	w.tree.Persist()
+	if snap, err := w.cat.Publish(); err == nil {
+		snap.Close()
+	}
+}
+
+// chaosServer is one serving process: a catalog and scheduler behind a
+// local backend, replaced whole when the process restarts or rebinds. It
+// reports down until it first serves a catalog, and gate (when set) runs
+// before every backend call.
+type chaosServer struct {
+	name string
+	gate func() error
 
 	mu    sync.RWMutex
 	cat   *serve.Catalog
@@ -134,53 +163,129 @@ type chaosShard struct {
 	be    *router.LocalBackend
 }
 
-// routerChaosSimSteps is the fixed nominal droplet duration: step s maps
-// to time s/Steps, so every shard and the reference must share one
-// denominator for step s to be the same physical state everywhere.
-const routerChaosSimSteps = 64
+// serve replaces the process's catalog with cat, closing the old one and
+// with it any pinned history.
+func (s *chaosServer) serve(cat *serve.Catalog) {
+	sched := serve.NewScheduler(serve.SchedulerConfig{})
+	s.mu.Lock()
+	oldCat, oldSched := s.cat, s.sched
+	s.cat, s.sched = cat, sched
+	s.be = router.NewLocalBackend(s.name, cat, sched)
+	s.mu.Unlock()
+	if oldCat != nil {
+		oldSched.Close()
+		oldCat.Close()
+	}
+}
 
-func newChaosShard(id int, maxLevel uint8, keep int, seed int64) *chaosShard {
-	s := &chaosShard{id: id, maxLevel: maxLevel, keep: keep}
-	s.dev = nvbm.New(nvbm.NVBM, 0)
+// publish publishes the tree's committed version in the serving catalog.
+func (s *chaosServer) publish() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if snap, err := s.cat.Publish(); err == nil {
+		snap.Close()
+	}
+}
+
+func (s *chaosServer) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cat != nil {
+		s.sched.Close()
+		s.cat.Close()
+	}
+}
+
+func (s *chaosServer) backend() (router.Backend, error) {
+	if s.gate != nil {
+		if err := s.gate(); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.be == nil {
+		return nil, fmt.Errorf("%w: %s never served", router.ErrBackendDown, s.name)
+	}
+	return s.be, nil
+}
+
+func (s *chaosServer) Name() string { return s.name }
+
+func (s *chaosServer) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
+	be, err := s.backend()
+	if err != nil {
+		return serve.Result{}, err
+	}
+	return be.Query(ctx, v, q)
+}
+
+func (s *chaosServer) Versions(ctx context.Context) ([]uint64, error) {
+	be, err := s.backend()
+	if err != nil {
+		return nil, err
+	}
+	return be.Versions(ctx)
+}
+
+func (s *chaosServer) Probe(ctx context.Context) error {
+	be, err := s.backend()
+	if err != nil {
+		return err
+	}
+	return be.Probe(ctx)
+}
+
+// chaosShard is one shard: a materialized span arena (a core.Tree on its
+// own device, into which the writer materializes every commit), the
+// server over it, and the server's recovery replica. Killing stops the
+// server, not the arena: the gate flips (the process stops answering)
+// while the writer keeps materializing, because the persistent image
+// outlives the process. Restarting rebuilds the catalog over the arena's
+// committed version, so pinned history is lost and only the newest commit
+// comes back — the version skew that drives stale fallback. A fuse kills
+// the server after a fixed number of further backend calls, landing
+// mid-scatter.
+type chaosShard struct {
+	id      int
+	keep    int
+	span    serve.KeyRange
+	dev     *nvbm.Device
+	tree    *core.Tree
+	server  *chaosServer
+	replica *chaosServer
+
+	down atomic.Bool
+	fuse atomic.Int64
+}
+
+func newChaosShard(id int, span serve.KeyRange, keep int, seed int64) *chaosShard {
+	s := &chaosShard{id: id, keep: keep, span: span, dev: nvbm.New(nvbm.NVBM, 0)}
 	s.tree = core.Create(core.Config{
 		NVBMDevice:     s.dev,
 		DRAMDevice:     nvbm.New(nvbm.DRAM, 0),
 		Seed:           seed,
 		RetainVersions: 2,
 	})
-	s.d = sim.NewDroplet(sim.DropletConfig{Steps: routerChaosSimSteps})
-	s.tree.SetFeatures(s.d.Feature(1))
-	s.cat = serve.NewCatalog(s.tree, serve.Config{Keep: keep})
-	s.sched = serve.NewScheduler(serve.SchedulerConfig{})
-	s.be = router.NewLocalBackend(fmt.Sprintf("shard%d", id), s.cat, s.sched)
+	s.server = &chaosServer{name: fmt.Sprintf("shard%d", id), gate: s.gate}
+	s.server.serve(serve.NewCatalog(s.tree, serve.Config{Keep: keep}))
+	s.replica = &chaosServer{name: fmt.Sprintf("shard%d-replica", id)}
 	return s
 }
 
-// advance commits one more sim step and publishes it. Only called while
-// alive, from the soak loop.
-func (s *chaosShard) advance() {
-	s.step++
-	sim.Step(s.tree, s.d, s.step, s.maxLevel)
-	s.tree.SetFeatures(s.d.Feature(s.step + 1))
-	s.tree.Persist()
-	s.mu.RLock()
-	if snap, err := s.cat.Publish(); err == nil {
-		snap.Close()
+// materialize commits the writer's committed version of the shard's span
+// into the arena; a live server publishes it.
+func (s *chaosShard) materialize(src *core.Tree) error {
+	if _, err := router.MaterializeInto(s.tree, src, s.span, nil); err != nil {
+		return err
 	}
-	s.mu.RUnlock()
+	if !s.down.Load() {
+		s.server.publish()
+	}
+	return nil
 }
 
-// advanceTo replays steps up to the fleet clock: a shard that was down
-// resyncs the simulation feed it missed, commit by commit, once alive
-// again. Its catalog ends up holding the newest Keep versions, same as
-// everyone else's.
-func (s *chaosShard) advanceTo(target int) {
-	for s.step < target {
-		s.advance()
-	}
-}
-
-// kill stops the shard from answering, optionally after `fuse` more
+// kill stops the server from answering, optionally after `fuse` more
 // backend calls (a mid-scatter death).
 func (s *chaosShard) kill(fuse int64) {
 	if fuse > 0 {
@@ -190,32 +295,49 @@ func (s *chaosShard) kill(fuse int64) {
 	s.down.Store(true)
 }
 
-// restart brings the shard back: the old catalog (and its pinned
-// history) is gone; the rebuilt one republishes only the tree's current
-// committed version.
+// restart brings the server back over a catalog that publishes only the
+// arena's current committed version.
 func (s *chaosShard) restart() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sched.Close()
-	s.cat.Close()
-	s.cat = serve.NewCatalog(s.tree, serve.Config{Keep: s.keep})
-	if snap, err := s.cat.Publish(); err == nil {
+	cat := serve.NewCatalog(s.tree, serve.Config{Keep: s.keep})
+	if snap, err := cat.Publish(); err == nil {
 		snap.Close()
 	}
-	s.sched = serve.NewScheduler(serve.SchedulerConfig{})
-	s.be = router.NewLocalBackend(fmt.Sprintf("shard%d", s.id), s.cat, s.sched)
+	s.server.serve(cat)
 	s.fuse.Store(0)
 	s.down.Store(false)
 }
 
-func (s *chaosShard) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sched.Close()
-	s.cat.Close()
+// rebindReplica restores a tree from the replica image and serves its
+// retained ring oldest-first, then its committed version. Called from
+// the soak loop only.
+func (s *chaosShard) rebindReplica(img *nvbm.Device, seed int64) error {
+	t, err := core.Restore(core.Config{
+		NVBMDevice:     img,
+		DRAMDevice:     nvbm.New(nvbm.DRAM, 0),
+		Seed:           seed,
+		RetainVersions: 2,
+	})
+	if err != nil {
+		return err
+	}
+	cat := serve.NewCatalog(t, serve.Config{Keep: 3})
+	vs := t.RetainedVersions()
+	for i := len(vs) - 1; i >= 0; i-- {
+		if snap, err := cat.PublishVersion(vs[i].Root, vs[i].Step); err == nil {
+			snap.Close()
+		}
+	}
+	snap, err := cat.Publish()
+	if err != nil {
+		cat.Close()
+		return err
+	}
+	snap.Close()
+	s.replica.serve(cat)
+	return nil
 }
 
-// gate applies the fuse and the kill switch before every backend call.
+// gate applies the fuse and the kill switch before every server call.
 func (s *chaosShard) gate() error {
 	for {
 		f := s.fuse.Load()
@@ -235,134 +357,13 @@ func (s *chaosShard) gate() error {
 	return nil
 }
 
-func (s *chaosShard) backend() router.Backend {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.be
-}
-
-func (s *chaosShard) Name() string { return fmt.Sprintf("shard%d", s.id) }
-
-func (s *chaosShard) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
-	if err := s.gate(); err != nil {
-		return serve.Result{}, err
-	}
-	return s.backend().Query(ctx, v, q)
-}
-
-func (s *chaosShard) Versions(ctx context.Context) ([]uint64, error) {
-	if err := s.gate(); err != nil {
-		return nil, err
-	}
-	return s.backend().Versions(ctx)
-}
-
-func (s *chaosShard) Probe(ctx context.Context) error {
-	if err := s.gate(); err != nil {
-		return err
-	}
-	return s.backend().Probe(ctx)
-}
-
-// replicaShard is the recovery-replica backend for one shard: a catalog
-// over a tree restored from the shard's ReplicaManager image. Until the
-// first refresh it reports down; after that it serves whatever committed
-// version the last shipped frame held — typically lagging the primary.
-type replicaShard struct {
-	id int
-
-	mu    sync.RWMutex
-	cat   *serve.Catalog
-	sched *serve.Scheduler
-	be    *router.LocalBackend
-}
-
-func (r *replicaShard) Name() string { return fmt.Sprintf("shard%d-replica", r.id) }
-
-// rebind restores a tree from the replica image and serves its committed
-// version. Called from the soak loop only.
-func (r *replicaShard) rebind(img *nvbm.Device, seed int64) error {
-	t, err := core.Restore(core.Config{
-		NVBMDevice:     img,
-		DRAMDevice:     nvbm.New(nvbm.DRAM, 0),
-		Seed:           seed,
-		RetainVersions: 2,
-	})
-	if err != nil {
-		return err
-	}
-	cat := serve.NewCatalog(t, serve.Config{Keep: 1})
-	if snap, err := cat.Publish(); err != nil {
-		cat.Close()
-		return err
-	} else {
-		snap.Close()
-	}
-	sched := serve.NewScheduler(serve.SchedulerConfig{})
-	r.mu.Lock()
-	old, oldSched := r.cat, r.sched
-	r.cat, r.sched = cat, sched
-	r.be = router.NewLocalBackend(r.Name(), cat, sched)
-	r.mu.Unlock()
-	if oldSched != nil {
-		oldSched.Close()
-	}
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-func (r *replicaShard) backend() (router.Backend, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.be == nil {
-		return nil, fmt.Errorf("%w: replica for shard%d never synced", router.ErrBackendDown, r.id)
-	}
-	return r.be, nil
-}
-
-func (r *replicaShard) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sched != nil {
-		r.sched.Close()
-	}
-	if r.cat != nil {
-		r.cat.Close()
-	}
-}
-
-func (r *replicaShard) Query(ctx context.Context, v uint64, q serve.Query) (serve.Result, error) {
-	be, err := r.backend()
-	if err != nil {
-		return serve.Result{}, err
-	}
-	return be.Query(ctx, v, q)
-}
-
-func (r *replicaShard) Versions(ctx context.Context) ([]uint64, error) {
-	be, err := r.backend()
-	if err != nil {
-		return nil, err
-	}
-	return be.Versions(ctx)
-}
-
-func (r *replicaShard) Probe(ctx context.Context) error {
-	be, err := r.backend()
-	if err != nil {
-		return err
-	}
-	return be.Probe(ctx)
-}
-
 // RunRouterChaos soaks the query router against a fleet of in-process
-// shards while the seed-driven schedule kills and restarts them — at
-// least one shard is down whenever queries run, and some kills are armed
-// as call-count fuses that fire between the parts of a single scattered
-// query. Every answer is checked against a never-failing reference tree
-// advanced in lockstep:
+// shard servers over materialized span arenas while the seed-driven
+// schedule kills and restarts the servers — at least one is down whenever
+// queries run, and some kills are armed as call-count fuses that fire
+// between the parts of a single scattered query. A dead shard's span
+// fails over to its recovery replica, then to the stale retarget. Every
+// answer is checked against the writer's own tree:
 //
 //   - a non-degraded answer must be bit-identical to a single-tree replay
 //     of the served version (regions and points exactly; aggregates via
@@ -388,25 +389,19 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 		}
 	}
 
-	// The reference: same deterministic workload, never killed, keeps
-	// every version ever committed.
-	ref := newChaosShard(-1, cfg.MaxLevel, cfg.Rounds+2, cfg.Seed)
-	defer ref.close()
+	// The writer keeps every version it ever commits.
+	ref := newChaosWriter(cfg.Rounds+2, cfg.Seed)
+	defer ref.cat.Close()
 
+	spans := router.UniformSpans(cfg.Shards)
 	shards := make([]*chaosShard, cfg.Shards)
-	replicas := make([]*replicaShard, cfg.Shards)
 	shardCfgs := make([]router.ShardConfig, cfg.Shards)
 	for i := range shards {
-		shards[i] = newChaosShard(i, cfg.MaxLevel, cfg.Keep, cfg.Seed)
-		replicas[i] = &replicaShard{id: i}
-		shardCfgs[i] = router.ShardConfig{Primary: shards[i], Replica: replicas[i]}
+		shards[i] = newChaosShard(i, spans[i], cfg.Keep, cfg.Seed)
+		shardCfgs[i] = router.ShardConfig{Primary: shards[i].server, Replica: shards[i].replica}
+		defer shards[i].server.close()
+		defer shards[i].replica.close()
 	}
-	defer func() {
-		for i := range shards {
-			shards[i].close()
-			replicas[i].close()
-		}
-	}()
 
 	mgr := recovery.NewReplicaManager(cfg.Shards+1, 0, cluster.Gemini())
 
@@ -442,21 +437,24 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 	defer r.Close()
 	ctx := context.Background()
 
-	// refSteps tracks every committed reference version, newest last; the
-	// shard fleet's versions are always a subset (same workload, same
-	// sequential step clock).
+	// refSteps tracks every committed writer version, newest last; every
+	// shard arena, server and replica holds a subset.
 	var refSteps []uint64
 
-	advanceAll := func() {
-		ref.advance()
-		refSteps = append(refSteps, ref.tree.CommittedStep())
-		mix(commitDigest(ref.tree))
-		cfg.Recorder.Record(telemetry.FlightEvent{Kind: "commit", Step: ref.tree.CommittedStep(), Value: commitDigest(ref.tree)})
+	// commit advances the writer one step and materializes it into every
+	// shard arena, live server or not.
+	commit := func() error {
+		ref.advance(cfg.MaxLevel)
+		step, digest := ref.tree.CommittedStep(), commitDigest(ref.tree)
+		refSteps = append(refSteps, step)
+		mix(digest)
+		cfg.Recorder.Record(telemetry.FlightEvent{Kind: "commit", Step: step, Value: digest})
 		for _, s := range shards {
-			if !s.down.Load() {
-				s.advanceTo(ref.step)
+			if err := s.materialize(ref.tree); err != nil {
+				return fmt.Errorf("materialize shard%d at step %d: %w", s.id, step, err)
 			}
 		}
+		return nil
 	}
 
 	kill := func(id int, fuse int64) {
@@ -499,28 +497,28 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 
 	for round := 1; round <= cfg.Rounds; round++ {
 		tickClock()
-		advanceAll()
+		if err := commit(); err != nil {
+			return rep, fmt.Errorf("round %d: %w", round, err)
+		}
 
-		// Replica sync on cadence: alive shards ship a delta frame; one
-		// rng-chosen replica restores its image and rebinds, so replica
+		// Replica sync on cadence: every shard arena ships a delta frame
+		// and every replica restores its image and rebinds, so replica
 		// backends serve real (lagging) committed versions.
-		if round%cfg.ReplicaEvery == 0 {
-			alive, _ := partition()
-			for _, id := range alive {
-				if err := mgr.Sync(id, shards[id].dev); err != nil {
+		if (round-1)%cfg.ReplicaEvery == 0 {
+			for id, s := range shards {
+				if err := mgr.Sync(id, s.dev); err != nil {
 					return rep, fmt.Errorf("round %d: replica sync shard%d: %w", round, id, err)
 				}
-			}
-			if len(alive) > 0 {
-				id := pickFrom(alive)
-				if img, _, err := mgr.Recover(id); err == nil {
-					if err := replicas[id].rebind(img, cfg.Seed); err != nil {
-						return rep, fmt.Errorf("round %d: replica rebind shard%d: %w", round, id, err)
-					}
-					rep.ReplicaRefreshes++
-					mix(4, uint64(id))
-					cfg.Recorder.Record(telemetry.FlightEvent{Kind: "replica_refresh", Step: uint64(id)})
+				img, _, err := mgr.Recover(id)
+				if err != nil {
+					return rep, fmt.Errorf("round %d: replica recover shard%d: %w", round, id, err)
 				}
+				if err := s.rebindReplica(img, cfg.Seed); err != nil {
+					return rep, fmt.Errorf("round %d: replica rebind shard%d: %w", round, id, err)
+				}
+				rep.ReplicaRefreshes++
+				mix(4, uint64(id))
+				cfg.Recorder.Record(telemetry.FlightEvent{Kind: "replica_refresh", Step: uint64(id)})
 			}
 		}
 
@@ -555,8 +553,8 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 		r.Probe(ctx)
 
 		for q := 0; q < cfg.QueriesPerRound; q++ {
-			// 1-in-4 queries pin one of the three newest reference
-			// versions; the rest ask for Latest.
+			// 1-in-4 queries pin one of the three newest writer versions;
+			// the rest ask for Latest.
 			version := uint64(router.Latest)
 			if rng.Intn(4) == 0 {
 				back := rng.Intn(3)
@@ -566,7 +564,7 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 				version = refSteps[len(refSteps)-1-back]
 			}
 			rep.Queries++
-			wrong, served, degraded, err := runRouterChaosQuery(ctx, r, ref, rng, version)
+			wrong, served, degraded, err := runRouterChaosQuery(ctx, r, ref.cat, rng, version)
 			if err != nil {
 				rep.Unavailable++
 				cfg.Recorder.Record(telemetry.FlightEvent{Kind: "query_unavailable", Step: uint64(round), Detail: err.Error()})
@@ -592,7 +590,6 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 		rep.Retries = cfg.Registry.Counter("router.retries").Value()
 		rep.Hedges = cfg.Registry.Counter("router.hedges").Value()
 		rep.ReplicaFallbacks = cfg.Registry.Counter("router.fallback.replica").Value()
-		rep.Takeovers = cfg.Registry.Counter("router.fallback.takeover").Value()
 		rep.StaleFallbacks = cfg.Registry.Counter("router.fallback.stale").Value()
 		rep.BreakerOpens = cfg.Registry.Counter("router.breaker.opens").Value()
 	}
@@ -606,7 +603,7 @@ func RunRouterChaos(cfg RouterChaosConfig) (RouterChaosReport, error) {
 // against the reference tree. It returns a non-empty `wrong` description
 // when the answer diverges from the single-tree replay of the served
 // version, or violates the degraded-labeling contract.
-func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *chaosShard, rng *rand.Rand, version uint64) (wrong string, served uint64, degraded bool, err error) {
+func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *serve.Catalog, rng *rand.Rand, version uint64) (wrong string, served uint64, degraded bool, err error) {
 	kind := rng.Intn(3)
 	var (
 		pt  [3]float64
@@ -640,7 +637,7 @@ func runRouterChaosQuery(ctx context.Context, r *router.Router, ref *chaosShard,
 				return fmt.Sprintf("bad degraded labeling: served %d, requested %d, reasons %v", env.ServedStep, env.RequestedStep, env.Reasons), env.ServedStep, true, nil
 			}
 		}
-		snap, aerr := ref.cat.Acquire(env.ServedStep)
+		snap, aerr := ref.Acquire(env.ServedStep)
 		if aerr != nil {
 			return fmt.Sprintf("served version %d was never committed: %v", env.ServedStep, aerr), env.ServedStep, env.Degraded, nil
 		}

@@ -71,7 +71,7 @@ func (h *Handler) shards(w http.ResponseWriter, r *http.Request) {
 
 // query answers /v1/point, /v1/region and /v1/agg.
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	req, err := serve.ParseRequest(r.URL, serve.FullKeyRange())
+	req, err := serve.ParseRequest(r.URL)
 	if err != nil {
 		fail(w, err)
 		return

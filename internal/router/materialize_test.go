@@ -35,52 +35,24 @@ func buildSourceTree(t testing.TB, steps int, maxLevel uint8) (*core.Tree, *nvbm
 func materializedFixture(t testing.TB, src *core.Tree, i, n int) (*shardFixture, *nvbm.Device, MaterializeStats) {
 	t.Helper()
 	dev := nvbm.New(nvbm.NVBM, 0)
-	span := UniformSpans(n)[i]
-	shard, st, err := MaterializeShard(src, span, core.Config{NVBMDevice: dev}, nil)
+	shard, st, err := MaterializeShard(src, UniformSpans(n)[i], core.Config{NVBMDevice: dev}, nil)
 	if err != nil {
 		t.Fatalf("materialize %d/%d: %v", i, n, err)
 	}
-	cat := serve.NewCatalog(shard, serve.Config{Keep: 2})
-	snap, err := cat.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	sched := serve.NewScheduler(serve.SchedulerConfig{})
-	fx := &shardFixture{be: NewLocalBackend(fmt.Sprintf("mat%d", i), cat, sched), cat: cat, sched: sched}
-	t.Cleanup(func() {
-		sched.Close()
-		cat.Close()
-	})
+	fx := newFixture(t, fmt.Sprintf("mat%d", i), shard, 2)
+	publish(t, fx.cat)
 	return fx, dev, st
 }
 
 // TestMaterializeShardServesCorrectly: a 2-shard router over materialized
-// per-shard arenas answers every query exactly like a router over full
-// copies, and each shard arena is measurably smaller than the full one.
+// per-shard arenas answers every query exactly like the source tree — a
+// point its leaf, a region its hits, an aggregate the per-span merge —
+// and each shard arena is measurably smaller than the full one.
 func TestMaterializeShardServesCorrectly(t *testing.T) {
 	src, srcDev := buildSourceTree(t, 3, 6)
 	const n = 2
-
-	// Reference: both shards serve the full copy (the -inproc model).
-	fullCat := serve.NewCatalog(src, serve.Config{Keep: 2})
-	snap, err := fullCat.Publish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Close()
-	fullSched := serve.NewScheduler(serve.SchedulerConfig{})
-	defer fullSched.Close()
-	defer fullCat.Close()
-	fullShards := make([]ShardConfig, n)
-	for i := range fullShards {
-		fullShards[i] = ShardConfig{Primary: NewLocalBackend(fmt.Sprintf("full%d", i), fullCat, fullSched)}
-	}
-	refRouter, err := New(Config{Shards: fullShards, Seed: 1, Sleep: instantSleep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refRouter.Close()
+	ref := newFixture(t, "ref", src, 2)
+	publish(t, ref.cat)
 
 	matShards := make([]ShardConfig, n)
 	var devs []*nvbm.Device
@@ -112,6 +84,11 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 	if len(vs) != 1 || vs[0] != wantStep {
 		t.Fatalf("materialized versions = %v, want [%d]", vs, wantStep)
 	}
+	snap, err := ref.cat.Acquire(wantStep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
 
 	// Point queries across the domain, including both sides of the shard
 	// boundary.
@@ -119,7 +96,7 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		{0.5, 0.5, 0.9}, {0.5, 0.5, 0.6}, {0.1, 0.1, 0.1},
 		{0.49, 0.51, 0.5}, {0.51, 0.49, 0.5}, {0.9, 0.9, 0.02},
 	} {
-		want, err := refRouter.Point(ctx, Latest, p[0], p[1], p[2])
+		want, err := snap.Point(p[0], p[1], p[2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,14 +104,14 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point %v: %v", p, err)
 		}
-		if got.Leaf != want.Leaf {
-			t.Fatalf("point %v: %+v, want %+v", p, got.Leaf, want.Leaf)
+		if got.Leaf != want {
+			t.Fatalf("point %v: %+v, want %+v", p, got.Leaf, want)
 		}
 	}
 
 	// Region and aggregate queries over the shared test boxes.
 	for _, box := range testBoxes {
-		wantR, err := refRouter.Region(ctx, Latest, box)
+		wantR, err := snap.Region(box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,19 +119,15 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("region %v: %v", box, err)
 		}
-		if !reflect.DeepEqual(gotR.Hits, wantR.Hits) {
-			t.Fatalf("region %v: %d hits, want %d (or hit content differs)", box, len(gotR.Hits), len(wantR.Hits))
-		}
-		wantA, err := refRouter.Aggregate(ctx, Latest, 0, box)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(gotR.Hits, wantR) {
+			t.Fatalf("region %v: %d hits, want %d (or hit content differs)", box, len(gotR.Hits), len(wantR))
 		}
 		gotA, err := matRouter.Aggregate(ctx, Latest, 0, box)
 		if err != nil {
 			t.Fatalf("agg %v: %v", box, err)
 		}
-		if gotA.Agg != wantA.Agg {
-			t.Fatalf("agg %v: %+v, want %+v", box, gotA.Agg, wantA.Agg)
+		if wantA := replayAgg(t, snap, matRouter.Map(), 0, box); gotA.Agg != wantA {
+			t.Fatalf("agg %v: %+v, want %+v", box, gotA.Agg, wantA)
 		}
 	}
 
@@ -167,18 +140,17 @@ func TestMaterializeShardServesCorrectly(t *testing.T) {
 	}
 }
 
-// TestTakeoverRefusesMaterializedFillers: a materialized shard holds only
-// its own span and tiles the rest of the domain with zero-payload fillers.
-// With the other shard down and no replica, peer takeover must not answer
-// the dead span from those fillers: every query touching it is
-// unavailable, while the peer's own span still answers, and the peer's
-// health and breaker stay untouched.
-func TestTakeoverRefusesMaterializedFillers(t *testing.T) {
+// TestMisorderedShardsRefuseFillers: a materialized shard holds only its
+// own span and tiles the rest of the domain with zero-payload fillers.
+// When shard 0's span is bound to shard 1's arena (a misordered -images
+// list), a query in that span must end in ErrUnavailable, never in the
+// fillers' zeros, while the correctly bound span still answers — and the
+// misbound shard's health and breaker stay untouched, because refusing to
+// answer for keys it does not hold is not a failure.
+func TestMisorderedShardsRefuseFillers(t *testing.T) {
 	src, _ := buildSourceTree(t, 3, 6)
-	fx0, _, _ := materializedFixture(t, src, 0, 2)
-	dead := &gatedBackend{Backend: fx0.be}
-	dead.down.Store(true)
-	r, err := New(Config{Shards: []ShardConfig{{Primary: fx0.be}, {Primary: dead}}, Seed: 1, Sleep: instantSleep})
+	fx1, _, _ := materializedFixture(t, src, 1, 2)
+	r, err := New(Config{Shards: []ShardConfig{{Primary: fx1.be}, {Primary: fx1.be}}, Seed: 1, Sleep: instantSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +164,15 @@ func TestTakeoverRefusesMaterializedFillers(t *testing.T) {
 		}
 		return r.Map().OwnerOf(cell.Key())
 	}
-	for _, p := range [][3]float64{{0.5, 0.5, 0.9}, {0.1, 0.9, 0.6}, {0.9, 0.1, 0.55}, {0.51, 0.49, 0.75}} {
-		if owner(p) != 1 {
-			t.Fatalf("point %v is not in shard 1's span", p)
+	for _, p := range [][3]float64{{0.5, 0.5, 0.1}, {0.1, 0.9, 0.4}, {0.9, 0.1, 0.45}, {0.49, 0.51, 0.25}} {
+		if owner(p) != 0 {
+			t.Fatalf("point %v is not in shard 0's span", p)
 		}
 		if ans, err := r.Point(ctx, Latest, p[0], p[1], p[2]); !errors.Is(err, ErrUnavailable) {
-			t.Errorf("point %v in the dead span: %v %+v, want ErrUnavailable", p, err, ans)
+			t.Errorf("point %v in the misbound span: %v %+v, want ErrUnavailable", p, err, ans)
 		}
-		if _, err := fx0.be.Query(ctx, src.CommittedStep(), serve.Query{Class: serve.ClassPoint, Point: p}); !errors.Is(err, serve.ErrNotHeld) {
-			t.Errorf("materialized shard 0 asked for %v: %v, want serve.ErrNotHeld", p, err)
+		if _, err := fx1.be.Query(ctx, src.CommittedStep(), serve.Query{Class: serve.ClassPoint, Point: p}); !errors.Is(err, serve.ErrNotHeld) {
+			t.Errorf("materialized shard 1 asked for %v: %v, want serve.ErrNotHeld", p, err)
 		}
 	}
 	whole := testBoxes[0]
@@ -211,22 +183,24 @@ func TestTakeoverRefusesMaterializedFillers(t *testing.T) {
 		t.Errorf("whole-domain region: %v, %d hits, want ErrUnavailable", err, len(ans.Hits))
 	}
 
-	// Shard 0's own span still answers, from its primary.
-	p := [3]float64{0.5, 0.5, 0.1}
-	if owner(p) != 0 {
-		t.Fatalf("point %v is not in shard 0's span", p)
+	// Shard 1's own span still answers, from its primary.
+	p := [3]float64{0.5, 0.5, 0.9}
+	if owner(p) != 1 {
+		t.Fatalf("point %v is not in shard 1's span", p)
 	}
 	ans, err := r.Point(ctx, Latest, p[0], p[1], p[2])
-	if err != nil || ans.Degraded || len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0" {
-		t.Fatalf("point in shard 0's span: %v %+v", err, ans.Envelope)
+	if err != nil || ans.Degraded || len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard1" {
+		t.Fatalf("point in shard 1's span: %v %+v", err, ans.Envelope)
 	}
-	if info := r.Shards()[0]; info.Health != "healthy" || info.Breaker != "closed" {
-		t.Errorf("peer after refusing takeovers: health %s, breaker %s", info.Health, info.Breaker)
+	for _, info := range r.Shards() {
+		if info.Health != "healthy" || info.Breaker != "closed" {
+			t.Errorf("shard %d after refusing filler answers: health %s, breaker %s", info.ID, info.Health, info.Breaker)
+		}
 	}
 
 	// pmserve's surface answers a filler point with 421.
 	rec := httptest.NewRecorder()
-	serve.NewHandler(fx0.cat, fx0.sched).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/point?x=0.5&y=0.5&z=0.9", nil))
+	serve.NewHandler(fx1.cat, fx1.sched).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/point?x=0.5&y=0.5&z=0.1", nil))
 	if rec.Code != http.StatusMisdirectedRequest {
 		t.Errorf("filler point over HTTP: %d %s, want 421", rec.Code, rec.Body)
 	}
@@ -246,5 +220,17 @@ func TestMaterializeShardErrors(t *testing.T) {
 	})
 	if _, _, err := MaterializeShard(src, UniformSpans(2)[0], core.Config{}, nil); err == nil {
 		t.Fatal("dirty source accepted")
+	}
+
+	// MaterializeInto commits at the source's step, so a destination
+	// already at that step refuses the same step again.
+	clean, _ := buildSourceTree(t, 2, 4)
+	dst, _, err := MaterializeShard(clean, UniformSpans(2)[1], core.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, err := MaterializeInto(dst, clean, UniformSpans(2)[1], nil); err == nil {
+		t.Fatal("materializing a step the destination already committed was accepted")
 	}
 }

@@ -13,9 +13,10 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-// ErrUnavailable means no source — primary, replica, or healthy peer, at
-// any committed version — could serve the request. The HTTP layer maps it
-// to 503.
+// ErrUnavailable means the failover chain ran out for some shard: neither
+// its primary (after retries and hedging) nor its recovery replica could
+// serve the request, and the stale retarget found no older committed
+// version every missing part holds. The HTTP layer maps it to 503.
 var ErrUnavailable = fmt.Errorf("router: request unavailable")
 
 // ShardConfig is one shard's sources: the primary backend that owns the
@@ -28,18 +29,11 @@ type ShardConfig struct {
 
 // Config parameterizes a Router.
 type Config struct {
-	// Shards, in span order. Required.
+	// Shards, in span order, over the uniform partition (UniformSpans).
+	// Required.
 	Shards []ShardConfig
-	// Spans optionally overrides the uniform partition. Must be ascending,
-	// disjoint, and complete; len must equal len(Shards).
-	Spans []serve.KeyRange
 	// MaxRetries bounds retries after the first attempt (default 2).
 	MaxRetries int
-	// BaseBackoff and MaxBackoff shape the exponential backoff between
-	// retries (defaults 2ms and 100ms). Each wait gets equal jitter: half
-	// deterministic, half drawn from the seeded source.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// AttemptTimeout bounds each individual backend call; 0 means the
 	// request's own deadline is the only bound.
 	AttemptTimeout time.Duration
@@ -55,8 +49,6 @@ type Config struct {
 	// each shard's health tracker even when no traffic flows — a Down
 	// shard recovers via probes, not via sacrificial user requests.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe (default 500ms).
-	ProbeTimeout time.Duration
 	// Seed seeds the jitter source (0 means 1).
 	Seed int64
 	// Registry, when set, receives router.* metrics.
@@ -73,18 +65,18 @@ type Config struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
+// Retry backoff is exponential from baseBackoff, capped at maxBackoff,
+// and each wait gets equal jitter: half deterministic, half drawn from
+// the seeded source. probeTimeout bounds each health probe.
+const (
+	baseBackoff  = 2 * time.Millisecond
+	maxBackoff   = 100 * time.Millisecond
+	probeTimeout = 500 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 2
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 2 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 100 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -128,18 +120,17 @@ type Router struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	mRequests         *telemetry.Counter
-	mErrors           *telemetry.Counter
-	mUnavailable      *telemetry.Counter
-	mRetries          *telemetry.Counter
-	mHedges           *telemetry.Counter
-	mHedgeWins        *telemetry.Counter
-	mFallbackReplica  *telemetry.Counter
-	mFallbackTakeover *telemetry.Counter
-	mFallbackStale    *telemetry.Counter
-	mDegraded         *telemetry.Counter
-	mBreakerOpens     *telemetry.Counter
-	mLatency          *telemetry.Histogram
+	mRequests        *telemetry.Counter
+	mErrors          *telemetry.Counter
+	mUnavailable     *telemetry.Counter
+	mRetries         *telemetry.Counter
+	mHedges          *telemetry.Counter
+	mHedgeWins       *telemetry.Counter
+	mFallbackReplica *telemetry.Counter
+	mFallbackStale   *telemetry.Counter
+	mDegraded        *telemetry.Counter
+	mBreakerOpens    *telemetry.Counter
+	mLatency         *telemetry.Histogram
 }
 
 // New builds and starts a router.
@@ -148,13 +139,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("router: no shards configured")
 	}
-	spans := cfg.Spans
-	if spans == nil {
-		spans = UniformSpans(len(cfg.Shards))
-	}
-	if len(spans) != len(cfg.Shards) {
-		return nil, fmt.Errorf("router: %d spans for %d shards", len(spans), len(cfg.Shards))
-	}
+	spans := UniformSpans(len(cfg.Shards))
 	smap, err := NewShardMap(spans)
 	if err != nil {
 		return nil, err
@@ -173,7 +158,6 @@ func New(cfg Config) (*Router, error) {
 		r.mHedges = reg.Counter("router.hedges")
 		r.mHedgeWins = reg.Counter("router.hedge_wins")
 		r.mFallbackReplica = reg.Counter("router.fallback.replica")
-		r.mFallbackTakeover = reg.Counter("router.fallback.takeover")
 		r.mFallbackStale = reg.Counter("router.fallback.stale")
 		r.mDegraded = reg.Counter("router.degraded")
 		r.mBreakerOpens = reg.Counter("router.breaker.opens")
@@ -268,7 +252,7 @@ func (r *Router) probeLoop() {
 // open), its outcome counts — so a recovered shard re-closes its breaker
 // on the probe cadence instead of waiting for a live query to risk it.
 func (r *Router) probeShard(ctx context.Context, s *shardState) {
-	pctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	err := s.primary.Probe(pctx)
 	cancel()
 	observe(s.health, err)
@@ -365,12 +349,12 @@ func (r *Router) attemptCtx(ctx context.Context) (context.Context, context.Cance
 // backoff returns the wait before retry `attempt` (0-based): exponential
 // with a cap, equal-jittered from the seeded source.
 func (r *Router) backoff(attempt int) time.Duration {
-	d := r.cfg.BaseBackoff
-	for i := 0; i < attempt && d < r.cfg.MaxBackoff; i++ {
+	d := baseBackoff
+	for i := 0; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.cfg.MaxBackoff {
-		d = r.cfg.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	r.mu.Lock()
 	j := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
@@ -464,9 +448,10 @@ func sortedKeys(set map[uint64]bool) []uint64 {
 	return out
 }
 
-// primaryWithHedge runs the primary call, optionally racing a hedged read
-// against the shard's replica when the primary is slow (or immediately
-// when the shard is Degraded). The loser is canceled.
+// primaryWithHedge is the first step of the failover chain: the primary
+// call with retries, optionally racing a hedged read against the shard's
+// replica when the primary is slow (or immediately when the shard is
+// Degraded). The loser is canceled.
 func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version uint64, q serve.Query) (serve.Result, string, error) {
 	if r.cfg.HedgeDelay <= 0 || s.replica == nil {
 		res, err := r.tryBackend(ctx, s, s.primary, version, q)
@@ -509,7 +494,7 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 				primErr = rr.err
 				if !hedged {
 					// Primary failed outright before the hedge fired; the
-					// fallback chain (replica, peers) takes over from here.
+					// replica step of the chain takes over from here.
 					return serve.Result{}, "", primErr
 				}
 			} else {
@@ -531,15 +516,13 @@ func (r *Router) primaryWithHedge(ctx context.Context, s *shardState, version ui
 
 // servePart serves one shard's portion of a query — q filtered by the
 // shard's span ∩ the requested span — at an exact version, walking the
-// fallback chain: primary (retries + hedging) -> recovery replica ->
-// healthy peer takeover. A full-copy peer filtered by this shard's span
-// answers identically; a materialized peer holds only its own span and
-// refuses with serve.ErrNotHeld, which fails that source alone (it is
-// neither retried nor counted against the peer's health or breaker). When
-// every source is up but none holds the version, the returned error is a
-// NoSuchVersionError whose availability is the union across sources, so
-// the caller can retarget to a stale version. src reports where the
-// answer came from: "primary", "replica", or "peer:<n>".
+// shard's failover chain: primary (retries + hedging), then its recovery
+// replica. Each shard's arena holds only its own span, so no other shard
+// can answer for it. When every source is up but none holds the version,
+// the returned error is a NoSuchVersionError whose availability is the
+// union across sources, so scatter can take the chain's last step, the
+// stale retarget. src reports where the answer came from: "primary" or
+// "replica".
 func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, q serve.Query) (res serve.Result, src string, err error) {
 	if q.Class != serve.ClassPoint {
 		q.Span, _ = s.span.Intersect(q.Span)
@@ -583,25 +566,6 @@ func (r *Router) servePart(ctx context.Context, s *shardState, version uint64, q
 			return serve.Result{}, "", ctx.Err()
 		}
 		note(rerr)
-	}
-	for _, o := range r.shards {
-		if o == s || o.health.State() == Down {
-			continue
-		}
-		res, oerr := r.tryBackend(ctx, o, o.primary, version, q)
-		if oerr == nil {
-			inc(r.mFallbackTakeover)
-			r.cfg.Recorder.Record(telemetry.FlightEvent{
-				Kind:   "fallback",
-				Value:  uint64(s.id),
-				Detail: fmt.Sprintf("shard %d span served by peer %d", s.id, o.id),
-			})
-			return res, fmt.Sprintf("peer:%d", o.id), nil
-		}
-		if ctx.Err() != nil {
-			return serve.Result{}, "", ctx.Err()
-		}
-		note(oerr)
 	}
 	if anyMiss {
 		return serve.Result{}, "", &serve.NoSuchVersionError{Available: sortedKeys(miss)}

@@ -24,47 +24,136 @@ import (
 
 const testMaxLevel = 4
 
-// shardFixture is one in-process shard: a deterministic droplet tree with
-// its committed versions published into a catalog.
+// shardFixture is one in-process server: a catalog and scheduler over a
+// tree.
 type shardFixture struct {
 	be    *LocalBackend
 	cat   *serve.Catalog
 	sched *serve.Scheduler
 }
 
-// buildBackend runs the droplet workload for `steps` commits, publishing
-// every commit, keeping the newest `keep` in the catalog. The droplet sim
-// is deterministic, so every fixture with the same step count holds
-// bit-identical committed versions — the full-copy shard model.
-func buildBackend(t testing.TB, name string, steps, keep int) *shardFixture {
-	t.Helper()
-	// Fixed nominal duration: step s maps to time s/Steps, so every
-	// fixture must share the same denominator for step s to be the same
-	// physical state regardless of how many steps it commits.
-	d := sim.NewDroplet(sim.DropletConfig{Steps: 16})
-	tree := core.Create(core.Config{
-		NVBMDevice: nvbm.New(nvbm.NVBM, 0),
-		DRAMDevice: nvbm.New(nvbm.DRAM, 0),
-	})
-	tree.SetFeatures(d.Feature(1))
+func newFixture(t testing.TB, name string, tree *core.Tree, keep int) *shardFixture {
 	cat := serve.NewCatalog(tree, serve.Config{Keep: keep})
-	for s := 1; s <= steps; s++ {
-		sim.Step(tree, d, s, testMaxLevel)
-		tree.SetFeatures(d.Feature(s + 1))
-		tree.Persist()
-		snap, err := cat.Publish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Close()
-	}
 	sched := serve.NewScheduler(serve.SchedulerConfig{})
-	fx := &shardFixture{be: NewLocalBackend(name, cat, sched), cat: cat, sched: sched}
 	t.Cleanup(func() {
 		sched.Close()
 		cat.Close()
 	})
-	return fx
+	return &shardFixture{be: NewLocalBackend(name, cat, sched), cat: cat, sched: sched}
+}
+
+func publish(t testing.TB, cat *serve.Catalog) {
+	t.Helper()
+	snap, err := cat.Publish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+}
+
+// fleet is the deployment the router serves: one writer running the
+// deterministic droplet workload, and n shard arenas, one per span of
+// UniformSpans(n), into which every commit is materialized and published.
+// ref serves the writer's own tree, keeping every version: the
+// single-tree reference routed answers must equal.
+type fleet struct {
+	tree   *core.Tree
+	d      *sim.Droplet
+	step   int
+	ref    *shardFixture
+	arenas []*core.Tree
+	shards []*shardFixture
+}
+
+func newFleet(t testing.TB, n, keep int) *fleet {
+	t.Helper()
+	// Fixed nominal duration: step s maps to time s/Steps, so every
+	// writer must share the same denominator for step s to be the same
+	// physical state regardless of how many steps it commits.
+	const simSteps = 16
+	f := &fleet{d: sim.NewDroplet(sim.DropletConfig{Steps: simSteps})}
+	f.tree = core.Create(core.Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMDevice: nvbm.New(nvbm.DRAM, 0)})
+	f.tree.SetFeatures(f.d.Feature(1))
+	f.ref = newFixture(t, "ref", f.tree, simSteps)
+	for i := 0; i < n; i++ {
+		arena := core.Create(core.Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMDevice: nvbm.New(nvbm.DRAM, 0)})
+		f.arenas = append(f.arenas, arena)
+		f.shards = append(f.shards, newFixture(t, fmt.Sprintf("s%d", i), arena, keep))
+	}
+	return f
+}
+
+// commit runs one writer step and publishes it in ref; with toShards it
+// also materializes the step into every arena and publishes it there.
+func (f *fleet) commit(t testing.TB, toShards bool) {
+	t.Helper()
+	f.step++
+	sim.Step(f.tree, f.d, f.step, testMaxLevel)
+	f.tree.SetFeatures(f.d.Feature(f.step + 1))
+	f.tree.Persist()
+	publish(t, f.ref.cat)
+	if !toShards {
+		return
+	}
+	spans := UniformSpans(len(f.arenas))
+	for i, arena := range f.arenas {
+		if _, err := MaterializeInto(arena, f.tree, spans[i], nil); err != nil {
+			t.Fatal(err)
+		}
+		publish(t, f.shards[i].cat)
+	}
+}
+
+// buildFleet commits `steps` writer steps into n shard arenas whose
+// catalogs keep the newest `keep`. The droplet sim is deterministic, so
+// two fleets of the same shape hold bit-identical arenas: one serves as
+// the other's recovery replicas.
+func buildFleet(t testing.TB, n, steps, keep int) *fleet {
+	t.Helper()
+	f := newFleet(t, n, keep)
+	for s := 0; s < steps; s++ {
+		f.commit(t, true)
+	}
+	return f
+}
+
+// primaries returns the fleet's shard backends as router shards.
+func (f *fleet) primaries() []ShardConfig {
+	out := make([]ShardConfig, len(f.shards))
+	for i, fx := range f.shards {
+		out[i].Primary = fx.be
+	}
+	return out
+}
+
+// replayAgg is the router's distributed aggregate replayed on one tree:
+// per-span partials in span order, folded independently of
+// AggResult.Merge.
+func replayAgg(t *testing.T, s *serve.Snapshot, spans *ShardMap, field int, box serve.Box) serve.AggResult {
+	t.Helper()
+	var want serve.AggResult
+	first := true
+	for i := 0; i < spans.Len(); i++ {
+		res, err := s.Query(nil, serve.Query{Class: serve.ClassAgg, Box: box, Field: field, Span: spans.Span(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := res.Agg
+		if part.Count == 0 {
+			continue
+		}
+		want.Count += part.Count
+		want.Sum += part.Sum
+		want.VolSum += part.VolSum
+		if first || part.Min < want.Min {
+			want.Min = part.Min
+		}
+		if first || part.Max > want.Max {
+			want.Max = part.Max
+		}
+		first = false
+	}
+	return want
 }
 
 // instantSleep removes real backoff waits from tests.
@@ -170,11 +259,7 @@ func (s *skewedBackend) Query(ctx context.Context, v uint64, q serve.Query) (ser
 	return res, err
 }
 
-// replay answers a query against the reference catalog the way the
-// router's scatter does: per-span partials merged in span order. For
-// regions this equals the plain single-tree answer; for aggregates it is
-// the well-defined distributed answer (bitwise-stable given the span
-// layout).
+// replayRegion answers a region query against the reference catalog.
 func replayRegion(t *testing.T, ref *shardFixture, step uint64, box serve.Box) []serve.LeafHit {
 	t.Helper()
 	s, err := ref.cat.Acquire(step)
@@ -202,18 +287,15 @@ func sameHits(a, b []serve.LeafHit) bool {
 }
 
 // TestRoutedQueriesMatchSingleTree: for every committed version and
-// Latest, routed point/region/aggregate answers are identical to a
-// single-tree replay, with degraded=false and the exact version served.
+// Latest, routed point/region/aggregate answers over arenas the writer
+// materialized commit by commit are identical to a single-tree replay,
+// with degraded=false and the exact version served.
 func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 	const steps = 4
-	ref := buildBackend(t, "ref", steps, steps)
-	shards := []ShardConfig{
-		{Primary: buildBackend(t, "s0", steps, steps).be},
-		{Primary: buildBackend(t, "s1", steps, steps).be},
-		{Primary: buildBackend(t, "s2", steps, steps).be},
-	}
+	f := buildFleet(t, 3, steps, steps)
+	ref := f.ref
 	reg := telemetry.NewRegistry()
-	r, err := New(Config{Shards: shards, Seed: 42, Registry: reg, Sleep: instantSleep})
+	r, err := New(Config{Shards: f.primaries(), Seed: 42, Registry: reg, Sleep: instantSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,34 +331,11 @@ func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Aggregate(v=%d): %v", v, err)
 			}
-			// Replay the distributed merge exactly, with a fold of its own
-			// rather than AggResult.Merge: per-span partials in span order.
 			s, err := ref.cat.Acquire(wantStep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantAgg serve.AggResult
-			first := true
-			for i := 0; i < r.Map().Len(); i++ {
-				res, err := s.Query(nil, serve.Query{Class: serve.ClassAgg, Box: box, Span: r.Map().Span(i)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				part := res.Agg
-				if part.Count == 0 {
-					continue
-				}
-				wantAgg.Count += part.Count
-				wantAgg.Sum += part.Sum
-				wantAgg.VolSum += part.VolSum
-				if first || part.Min < wantAgg.Min {
-					wantAgg.Min = part.Min
-				}
-				if first || part.Max > wantAgg.Max {
-					wantAgg.Max = part.Max
-				}
-				first = false
-			}
+			wantAgg := replayAgg(t, s, r.Map(), 0, box)
 			whole, err := s.Aggregate(0, box)
 			if err != nil {
 				t.Fatal(err)
@@ -323,8 +382,7 @@ func TestRoutedQueriesMatchSingleTree(t *testing.T) {
 // TestRouterRetriesTransientFailures: a backend that fails its first two
 // calls is retried with backoff and ends up serving from the primary.
 func TestRouterRetriesTransientFailures(t *testing.T) {
-	fx := buildBackend(t, "s0", 2, 2)
-	flaky := &flakyBackend{Backend: fx.be, left: 2}
+	flaky := &flakyBackend{Backend: buildFleet(t, 1, 2, 2).shards[0].be, left: 2}
 	reg := telemetry.NewRegistry()
 	r, err := New(Config{
 		Shards:     []ShardConfig{{Primary: flaky}},
@@ -351,18 +409,19 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 
 // TestRouterReplicaFallback: a shard whose primary is dead serves from
 // its recovery replica at the exact requested version — a failover, not
-// a degradation.
+// a degradation — and a region across both spans merges the replica's
+// part with the live shard's into the single-tree answer.
 func TestRouterReplicaFallback(t *testing.T) {
 	const steps = 3
-	primary := &gatedBackend{Backend: buildBackend(t, "s0", steps, steps).be}
+	f := buildFleet(t, 2, steps, steps)
+	replica := buildFleet(t, 2, steps, steps).shards[0]
+	primary := &gatedBackend{Backend: f.shards[0].be}
 	primary.down.Store(true)
-	replica := buildBackend(t, "s0-replica", steps, steps)
-	other := buildBackend(t, "s1", steps, steps)
 	reg := telemetry.NewRegistry()
 	r, err := New(Config{
 		Shards: []ShardConfig{
 			{Primary: primary, Replica: replica.be},
-			{Primary: other.be},
+			{Primary: f.shards[1].be},
 		},
 		MaxRetries: 1,
 		Registry:   reg,
@@ -372,10 +431,11 @@ func TestRouterReplicaFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	ctx := context.Background()
 
 	// A point owned by shard 0 (origin corner has the smallest keys).
 	step := replica.cat.Steps()[steps-1]
-	ans, err := r.Point(context.Background(), step, 0.01, 0.01, 0.01)
+	ans, err := r.Point(ctx, step, 0.01, 0.01, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,52 +451,20 @@ func TestRouterReplicaFallback(t *testing.T) {
 	if reg.Counter("router.fallback.replica").Value() == 0 {
 		t.Fatal("router.fallback.replica not incremented")
 	}
-}
-
-// TestRouterTakeover: with no replica, a dead shard's span is served by a
-// healthy peer (full-copy arenas make the answer exact), and the merged
-// region still matches single-tree replay.
-func TestRouterTakeover(t *testing.T) {
-	const steps = 3
-	ref := buildBackend(t, "ref", steps, steps)
-	primary0 := &gatedBackend{Backend: buildBackend(t, "s0", steps, steps).be}
-	primary0.down.Store(true)
-	other := buildBackend(t, "s1", steps, steps)
-	reg := telemetry.NewRegistry()
-	r, err := New(Config{
-		Shards:     []ShardConfig{{Primary: primary0}, {Primary: other.be}},
-		MaxRetries: 0,
-		Registry:   reg,
-		Sleep:      instantSleep,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 
 	box := testBoxes[0] // whole domain: touches both spans
-	ans, err := r.Region(context.Background(), Latest, box)
+	reg2, err := r.Region(ctx, Latest, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ans.Degraded {
-		t.Fatalf("takeover at exact version marked degraded: %+v", ans.Envelope)
+	if reg2.Degraded || reg2.ServedStep != step {
+		t.Fatalf("region over a failed-over span: %+v, want a clean serve of %d", reg2.Envelope, step)
 	}
-	want := replayRegion(t, ref, ans.ServedStep, box)
-	if !sameHits(ans.Hits, want) {
-		t.Fatalf("takeover region: %d hits != replay %d", len(ans.Hits), len(want))
+	if want := []string{"shard0/replica", "shard1"}; fmt.Sprint(reg2.ServedBy) != fmt.Sprint(want) {
+		t.Fatalf("served_by = %v, want %v", reg2.ServedBy, want)
 	}
-	foundTakeover := false
-	for _, src := range ans.ServedBy {
-		if src == "shard0/peer:1" {
-			foundTakeover = true
-		}
-	}
-	if !foundTakeover {
-		t.Fatalf("served_by = %v, want shard0/peer:1", ans.ServedBy)
-	}
-	if reg.Counter("router.fallback.takeover").Value() == 0 {
-		t.Fatal("router.fallback.takeover not incremented")
+	if want := replayRegion(t, f.ref, step, box); !sameHits(reg2.Hits, want) {
+		t.Fatalf("failed-over region: %d hits != replay %d", len(reg2.Hits), len(want))
 	}
 }
 
@@ -444,14 +472,14 @@ func TestRouterTakeover(t *testing.T) {
 // version, the scatter retargets to the newest version available
 // everywhere and labels the answer degraded/stale_version.
 func TestRouterStaleFallback(t *testing.T) {
-	// The client pins a version it saw before the shard fleet restarted;
-	// the rebuilt catalogs only recovered the two newest-but-older steps,
-	// so no source anywhere holds the requested one.
-	ref := buildBackend(t, "ref", 5, 5)
-	s0 := buildBackend(t, "s0", 4, 2) // holds steps {3,4}
-	s1 := buildBackend(t, "s1", 4, 2) // holds steps {3,4}
+	// The client pins a version the writer committed but no shard arena
+	// received: the shards only hold the two newest-but-older steps, so
+	// no source anywhere holds the requested one.
+	f := buildFleet(t, 2, 4, 2) // shards hold steps {3,4}
+	f.commit(t, false)          // the writer commits step 5
+	ref, s0 := f.ref, f.shards[0]
 	r, err := New(Config{
-		Shards:     []ShardConfig{{Primary: s0.be}, {Primary: s1.be}},
+		Shards:     f.primaries(),
 		MaxRetries: 0,
 		Sleep:      instantSleep,
 	})
@@ -490,13 +518,14 @@ func TestRouterStaleFallback(t *testing.T) {
 }
 
 // TestRouterBreakerAndRecovery: a dying shard trips its breaker and goes
-// Down; queries keep flowing via takeover; probes revive it and the
+// Down; queries keep flowing via its replica; probes revive it and the
 // breaker re-closes after its quiet period.
 func TestRouterBreakerAndRecovery(t *testing.T) {
 	const steps = 2
-	primary0 := &gatedBackend{Backend: buildBackend(t, "s0", steps, steps).be}
+	f := buildFleet(t, 2, steps, steps)
+	replica := buildFleet(t, 2, steps, steps).shards[0]
+	primary0 := &gatedBackend{Backend: f.shards[0].be}
 	primary0.down.Store(true)
-	other := buildBackend(t, "s1", steps, steps)
 
 	var clockMu sync.Mutex
 	now := time.Unix(0, 0)
@@ -512,7 +541,7 @@ func TestRouterBreakerAndRecovery(t *testing.T) {
 	}
 
 	r, err := New(Config{
-		Shards:     []ShardConfig{{Primary: primary0}, {Primary: other.be}},
+		Shards:     []ShardConfig{{Primary: primary0, Replica: replica.be}, {Primary: f.shards[1].be}},
 		MaxRetries: 0,
 		Breaker:    BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Second, HalfOpenSuccesses: 2, Now: clock},
 		Health:     HealthConfig{DownAfter: 2, ReviveAfter: 2, DegradeAfter: 3, ClearAfter: 2},
@@ -525,14 +554,14 @@ func TestRouterBreakerAndRecovery(t *testing.T) {
 	ctx := context.Background()
 
 	// Three failing queries: trips the breaker (2 failures) and marks the
-	// shard Down (2 failures); every answer still arrives via takeover.
+	// shard Down (2 failures); every answer still arrives via the replica.
 	for i := 0; i < 3; i++ {
 		ans, err := r.Point(ctx, Latest, 0.01, 0.01, 0.01)
 		if err != nil {
 			t.Fatalf("query %d during outage: %v", i, err)
 		}
-		if ans.Degraded {
-			t.Fatalf("query %d: takeover marked degraded", i)
+		if ans.Degraded || len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0/replica" {
+			t.Fatalf("query %d during outage: %+v, want a clean replica serve", i, ans.Envelope)
 		}
 	}
 	info := r.Shards()
@@ -570,8 +599,8 @@ func TestRouterBreakerAndRecovery(t *testing.T) {
 // the replica's answer wins and is labeled, and the hedge counters move.
 func TestRouterHedgedReads(t *testing.T) {
 	const steps = 2
-	slow := &slowBackend{Backend: buildBackend(t, "s0", steps, steps).be, delay: 30 * time.Second}
-	replica := buildBackend(t, "s0-replica", steps, steps)
+	slow := &slowBackend{Backend: buildFleet(t, 1, steps, steps).shards[0].be, delay: 30 * time.Second}
+	replica := buildFleet(t, 1, steps, steps).shards[0]
 	reg := telemetry.NewRegistry()
 	r, err := New(Config{
 		Shards:     []ShardConfig{{Primary: slow, Replica: replica.be}},
@@ -605,7 +634,7 @@ func TestRouterHedgedReads(t *testing.T) {
 // back to the typed taxonomy.
 func TestHTTPBackendRoundTrip(t *testing.T) {
 	const steps = 3
-	fx := buildBackend(t, "local", steps, steps)
+	fx := buildFleet(t, 1, steps, steps).shards[0]
 	srv := httptest.NewServer(serve.NewHandler(fx.cat, fx.sched))
 	defer srv.Close()
 	hb := NewHTTPBackend("http", srv.URL, nil)
@@ -668,11 +697,11 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 // envelope, reports shard state, and maps router errors onto statuses.
 func TestRouterHTTPHandler(t *testing.T) {
 	const steps = 2
-	s0 := buildBackend(t, "s0", steps, steps)
-	s1 := buildBackend(t, "s1", steps, steps)
+	f := buildFleet(t, 2, steps, steps)
+	s0, s1 := f.shards[0], f.shards[1]
 	reg := telemetry.NewRegistry()
 	r, err := New(Config{
-		Shards:   []ShardConfig{{Primary: s0.be}, {Primary: s1.be}},
+		Shards:   f.primaries(),
 		Registry: reg,
 		Sleep:    instantSleep,
 	})
@@ -773,8 +802,8 @@ func jsonDecode(resp *http.Response, v any) error {
 // parameter. Every shard is down, so a request that got as far as routing
 // would answer 503 instead.
 func TestRouterRejectsNonFiniteParams(t *testing.T) {
-	s0 := buildBackend(t, "s0", 1, 1)
-	g0, g1 := &gatedBackend{Backend: s0.be}, &gatedBackend{Backend: s0.be}
+	f := buildFleet(t, 2, 1, 1)
+	g0, g1 := &gatedBackend{Backend: f.shards[0].be}, &gatedBackend{Backend: f.shards[1].be}
 	r, err := New(Config{
 		Shards: []ShardConfig{{Primary: g0}, {Primary: g1}},
 		Sleep:  instantSleep,
@@ -832,10 +861,11 @@ func TestRouterRejectsNonFiniteParams(t *testing.T) {
 // TestRouterRejectsWrongStepAnswers: an answer from another step than the
 // explicit one asked for is a failing backend, for every query class
 // alike: with no other source the query is unavailable, and with a
-// healthy peer the peer serves the span.
+// recovery replica the replica serves the span.
 func TestRouterRejectsWrongStepAnswers(t *testing.T) {
 	const steps = 2
-	skewed := &skewedBackend{Backend: buildBackend(t, "s0", steps, steps).be}
+	f := buildFleet(t, 1, steps, steps)
+	skewed := &skewedBackend{Backend: f.shards[0].be}
 	alone, err := New(Config{Shards: []ShardConfig{{Primary: skewed}}, MaxRetries: 0, Sleep: instantSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -852,9 +882,9 @@ func TestRouterRejectsWrongStepAnswers(t *testing.T) {
 		t.Errorf("agg from a wrong-step backend: err = %v, want ErrUnavailable", err)
 	}
 
-	peer := buildBackend(t, "s1", steps, steps)
+	replica := buildFleet(t, 1, steps, steps).shards[0]
 	r, err := New(Config{
-		Shards:     []ShardConfig{{Primary: skewed}, {Primary: peer.be}},
+		Shards:     []ShardConfig{{Primary: skewed, Replica: replica.be}},
 		MaxRetries: 0,
 		Sleep:      instantSleep,
 	})
@@ -862,14 +892,14 @@ func TestRouterRejectsWrongStepAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	ans, err := r.Point(ctx, Latest, 0.01, 0.01, 0.01) // owned by shard 0
+	ans, err := r.Point(ctx, Latest, 0.01, 0.01, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0/peer:1" {
-		t.Fatalf("served_by = %v, want [shard0/peer:1]", ans.ServedBy)
+	if ans.Degraded || len(ans.ServedBy) != 1 || ans.ServedBy[0] != "shard0/replica" {
+		t.Fatalf("answer = %+v, want a clean serve from [shard0/replica]", ans.Envelope)
 	}
-	s, err := peer.cat.Acquire(ans.ServedStep)
+	s, err := f.ref.cat.Acquire(ans.ServedStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,7 +913,7 @@ func TestRouterRejectsWrongStepAnswers(t *testing.T) {
 // over HTTP as in process — {0, 0} is the single key 0, which no leaf of
 // a refined mesh has, not "no filter".
 func TestHTTPBackendSendsFilteringSpans(t *testing.T) {
-	fx := buildBackend(t, "local", 2, 2)
+	fx := buildFleet(t, 1, 2, 2).shards[0]
 	srv := httptest.NewServer(serve.NewHandler(fx.cat, fx.sched))
 	defer srv.Close()
 	hb := NewHTTPBackend("http", srv.URL, nil)
@@ -919,20 +949,13 @@ func TestHTTPBackendSendsFilteringSpans(t *testing.T) {
 // the requested one are asked.
 func TestRoutedKeySpansMatchPmserve(t *testing.T) {
 	const steps = 3
-	var cfg Config
-	var single *shardFixture
-	for i := 0; i < 3; i++ {
-		fx := buildBackend(t, fmt.Sprintf("s%d", i), steps, steps)
-		cfg.Shards = append(cfg.Shards, ShardConfig{Primary: fx.be})
-		single = fx
-	}
-	cfg.Sleep = instantSleep
-	r, err := New(cfg)
+	f := buildFleet(t, 3, steps, steps)
+	r, err := New(Config{Shards: f.primaries(), Sleep: instantSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	pmserve, routed := serve.NewHandler(single.cat, single.sched), NewHandler(r)
+	pmserve, routed := serve.NewHandler(f.ref.cat, f.ref.sched), NewHandler(r)
 	get := func(h http.Handler, path string) []byte {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -1007,13 +1030,13 @@ func TestRoutedKeySpansMatchPmserve(t *testing.T) {
 // requests with one parser, so a bad parameter gets the same 400 and the
 // same message from both.
 func TestParamErrorsMatchAcrossSurfaces(t *testing.T) {
-	fx := buildBackend(t, "s0", 1, 1)
-	r, err := New(Config{Shards: []ShardConfig{{Primary: fx.be}}, Sleep: instantSleep})
+	f := buildFleet(t, 2, 1, 1)
+	r, err := New(Config{Shards: f.primaries(), Sleep: instantSleep})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	surfaces := []http.Handler{serve.NewHandler(fx.cat, fx.sched), NewHandler(r)}
+	surfaces := []http.Handler{serve.NewHandler(f.ref.cat, f.ref.sched), NewHandler(r)}
 	for _, tc := range []struct{ path, msg string }{
 		{"/v1/point?x=0.5&y=0.5&z=0.5&version=abc", "version must be a step number"},
 		{"/v1/region?x0=0&y0=0&z0=0&x1=1&y1=1&z1=1&version=-1", "version must be a step number"},

@@ -5,14 +5,14 @@
 // mode as first-class behavior. Per-shard health is tracked with
 // hysteresis, a circuit breaker gates each backend, retryable errors are
 // retried with exponential backoff and seeded jitter under the request's
-// own deadline, hedged reads bound tail latency, and when a shard cannot
-// serve at all the router falls back — first to the shard's recovery
-// replica, then to a healthy peer (every shard arena carries the full
-// committed image; responsibility, not data, is partitioned), and finally
-// to a stale-but-available committed version with an explicit
-// degraded/stale_version marker. The durable state, not the serving
-// process, is the unit that survives (the NVTraverse framing): any
-// surviving replica or fallback-ring version is instantly servable.
+// own deadline, and hedged reads bound tail latency. Every shard serves a
+// materialized arena holding only its own span (MaterializeShard), so
+// when a shard's primary cannot serve, the router falls back to the
+// shard's recovery replica, and then to a stale-but-available committed
+// version with an explicit degraded/stale_version marker. The durable
+// state, not the serving process, is the unit that survives (the
+// NVTraverse framing): any surviving replica or fallback-ring version is
+// instantly servable.
 package router
 
 import (

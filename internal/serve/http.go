@@ -28,13 +28,12 @@ type Handler struct {
 	cat    *Catalog
 	sched  *Scheduler
 	traces *telemetry.TraceSink // nil when request tracing is off
-	span   KeyRange             // default shard responsibility of a region or agg
 	mux    *http.ServeMux
 }
 
 // NewHandler mounts the /v1 endpoints.
 func NewHandler(cat *Catalog, sched *Scheduler) *Handler {
-	h := &Handler{cat: cat, sched: sched, span: FullKeyRange(), mux: http.NewServeMux()}
+	h := &Handler{cat: cat, sched: sched, mux: http.NewServeMux()}
 	h.mux.HandleFunc("/v1/versions", h.versions)
 	for _, c := range classNames {
 		h.mux.HandleFunc("/v1/"+c, h.query)
@@ -45,16 +44,6 @@ func NewHandler(cat *Catalog, sched *Scheduler) *Handler {
 
 // SetTraceSink enables per-request tracing; call before serving.
 func (h *Handler) SetTraceSink(ts *telemetry.TraceSink) { h.traces = ts }
-
-// RestrictSpan sets the handler's default responsibility span — the
-// pmserve -shard filter applied to region and aggregate requests that
-// carry no klo/khi of their own. Explicit klo/khi parameters override
-// it rather than intersecting with it: every shard process holds the
-// full committed image (responsibility, not data, is partitioned), and
-// a router performing peer takeover for a dead shard must be able to
-// ask a healthy peer for the dead shard's span and get an exact
-// answer. Call before serving.
-func (h *Handler) RestrictSpan(kr KeyRange) { h.span = kr }
 
 // TraceSink returns the handler's sink (nil when tracing is off).
 func (h *Handler) TraceSink() *telemetry.TraceSink { return h.traces }
@@ -113,7 +102,7 @@ func (h *Handler) versions(w http.ResponseWriter, r *http.Request) {
 
 // query answers /v1/point, /v1/region and /v1/agg.
 func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	req, err := ParseRequest(r.URL, h.span)
+	req, err := ParseRequest(r.URL)
 	if err != nil {
 		WriteError(w, err)
 		return

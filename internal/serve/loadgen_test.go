@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"flag"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -24,14 +27,14 @@ func loadgenHandler() http.Handler {
 	return mux
 }
 
-// TestLoadgenOpenLoop: open-loop runs carry the arrival-schedule summary,
-// serve the full request budget across the class histograms, and track
-// the target rate; closed-loop runs don't grow the open_loop field.
+// TestLoadgenOpenLoop: runs carry the arrival-schedule summary, serve
+// the full request budget across the class histograms, and track the
+// target rate.
 func TestLoadgenOpenLoop(t *testing.T) {
 	script := loadgenScript(t)
 	h := loadgenHandler()
 	for _, poisson := range []bool{false, true} {
-		doc, err := RunLoadgenOpts(h, script, LoadgenOptions{
+		doc, err := Loadgen(h, script, LoadgenOptions{
 			Clients:  3,
 			Requests: 80,
 			Rate:     4000,
@@ -40,9 +43,6 @@ func TestLoadgenOpenLoop(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if doc.OpenLoop == nil {
-			t.Fatalf("poisson=%v: open-loop run has no open_loop stats", poisson)
 		}
 		if doc.OpenLoop.TargetRPS != 4000 || doc.OpenLoop.Poisson != poisson {
 			t.Fatalf("poisson=%v: open_loop = %+v", poisson, doc.OpenLoop)
@@ -61,12 +61,33 @@ func TestLoadgenOpenLoop(t *testing.T) {
 			t.Fatalf("poisson=%v: classes = %v, want point and region", poisson, doc.Classes)
 		}
 	}
+}
 
-	closed, err := RunLoadgenOpts(h, script, LoadgenOptions{Clients: 2, Requests: 20})
-	if err != nil {
+// TestLoadgenRejectsZeroRate: a run without a positive arrival rate is
+// refused before any request, and the flag family reports it as a usage
+// error.
+func TestLoadgenRejectsZeroRate(t *testing.T) {
+	script := loadgenScript(t)
+	for _, rate := range []float64{0, -5, math.NaN()} {
+		if _, err := Loadgen(loadgenHandler(), script, LoadgenOptions{Requests: 4, Rate: rate}); err == nil {
+			t.Errorf("rate %v: run accepted", rate)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	lf := AddLoadFlags(fs)
+	if err := fs.Parse([]string{"-loadgen"}); err != nil {
 		t.Fatal(err)
 	}
-	if closed.OpenLoop != nil {
-		t.Fatalf("closed-loop run grew open_loop stats: %+v", closed.OpenLoop)
+	if err := lf.Check(script); err == nil || !strings.Contains(err.Error(), "-loadgen-rate") {
+		t.Errorf("-loadgen without -loadgen-rate: Check = %v", err)
+	}
+	if err := lf.Check(""); err == nil || !strings.Contains(err.Error(), "-script") {
+		t.Errorf("-loadgen without -script: Check = %v", err)
+	}
+	if err := fs.Parse([]string{"-loadgen", "-loadgen-rate", "100"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lf.Check(script); err != nil {
+		t.Errorf("-loadgen -loadgen-rate 100: Check = %v", err)
 	}
 }

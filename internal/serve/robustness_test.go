@@ -200,73 +200,6 @@ func TestDrainerShutdown(t *testing.T) {
 	}
 }
 
-// TestRestrictSpanExplicitOverride: a -shard handler's span is its
-// *default* responsibility, not a hard filter — explicit klo/khi must
-// be honored as given, because every shard process holds the full
-// committed image and a router performing peer takeover for a dead
-// shard asks a healthy peer for the dead shard's span expecting an
-// exact answer. Intersecting instead (the original behavior) silently
-// returned a near-empty aggregate for the dead span, unmarked as
-// degraded — a wrong answer.
-func TestRestrictSpanExplicitOverride(t *testing.T) {
-	tree, _ := buildTree(t, 4)
-	cat, s := publish(t, tree, Config{})
-	defer cat.Close()
-	defer s.Close()
-	sched := NewScheduler(SchedulerConfig{})
-	defer sched.Close()
-
-	// Split the key space at an arbitrary point with leaves on both
-	// sides; restrict the handler to the low half.
-	leaves, err := s.Region(Box{Min: [3]float64{0, 0, 0}, Max: [3]float64{1, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := leaves[len(leaves)/2].Code.Key()
-	low := KeyRange{Lo: 0, Hi: mid - 1}
-	high := KeyRange{Lo: mid, Hi: math.MaxUint64}
-	h := NewHandler(cat, sched)
-	h.RestrictSpan(low)
-
-	get := func(path string) aggBody {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body)
-		}
-		var out aggBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return out
-	}
-
-	// No klo/khi: the default span applies.
-	whole := Box{Min: [3]float64{0, 0, 0}, Max: [3]float64{1, 1, 1}}
-	res, err := s.Query(nil, Query{Class: ClassAgg, Box: whole, Span: low})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := res.Agg
-	if got := get("/v1/agg?field=0"); got.Count != want.Count || got.Sum != want.Sum {
-		t.Fatalf("default span: count=%d sum=%v, want count=%d sum=%v", got.Count, got.Sum, want.Count, want.Sum)
-	}
-
-	// Explicit klo/khi for the OTHER span: the full copy must answer
-	// exactly, not intersect down to nothing.
-	if res, err = s.Query(nil, Query{Class: ClassAgg, Box: whole, Span: high}); err != nil {
-		t.Fatal(err)
-	}
-	want = res.Agg
-	if want.Count == 0 {
-		t.Fatal("fixture degenerate: no leaves in the high span")
-	}
-	path := "/v1/agg?field=0&klo=" + strconv.FormatUint(high.Lo, 10) + "&khi=" + strconv.FormatUint(high.Hi, 10)
-	if got := get(path); got.Count != want.Count || got.Sum != want.Sum {
-		t.Fatalf("takeover span: count=%d sum=%v, want count=%d sum=%v", got.Count, got.Sum, want.Count, want.Sum)
-	}
-}
-
 // TestCatalogEvictionRace: a writer publishing new versions through a
 // keep-1 catalog races readers that acquire, query, and close late —
 // deliberately holding snapshots across the eviction of their version.

@@ -52,10 +52,9 @@ var (
 )
 
 // ParseRequest parses a /v1/point, /v1/region or /v1/agg request. A region
-// or aggregate without klo/khi gets span; explicit bounds are honored as
-// given (see Handler.RestrictSpan), an omitted one reaching to its end of
-// the key space.
-func ParseRequest(u *url.URL, span KeyRange) (Request, error) {
+// or aggregate without klo/khi spans the whole key space; an omitted bound
+// reaches to its end of the key space.
+func ParseRequest(u *url.URL) (Request, error) {
 	p := u.Query()
 	req := Request{Version: Latest}
 	var err error
@@ -97,7 +96,7 @@ func ParseRequest(u *url.URL, span KeyRange) (Request, error) {
 		return Request{}, ParamError(fmt.Sprintf("no query endpoint at %q", u.Path))
 	}
 	if req.Class != ClassPoint {
-		if req.Span, err = spanParams(p, span); err != nil {
+		if req.Span, err = spanParams(p); err != nil {
 			return Request{}, err
 		}
 	}
@@ -143,11 +142,8 @@ func boxParams(p url.Values) (Box, error) {
 	return box, nil
 }
 
-func spanParams(p url.Values, span KeyRange) (KeyRange, error) {
+func spanParams(p url.Values) (KeyRange, error) {
 	los, his := p.Get("klo"), p.Get("khi")
-	if los == "" && his == "" {
-		return span, nil
-	}
 	kr := FullKeyRange()
 	var err error
 	if los != "" {
@@ -164,8 +160,8 @@ func spanParams(p url.Values, span KeyRange) (KeyRange, error) {
 }
 
 // Path encodes the request as the path and query string ParseRequest
-// parses back to the same Request, under a full default span. Key bounds
-// are sent only when they filter.
+// parses back to the same Request. Key bounds are sent only when they
+// filter.
 func (r Request) Path() string {
 	p := url.Values{}
 	fmtFloat := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -98,7 +98,7 @@ func FuzzQueryRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		req, err := ParseRequest(u, FullKeyRange())
+		req, err := ParseRequest(u)
 		if err != nil {
 			return
 		}
@@ -107,7 +107,7 @@ func FuzzQueryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q encodes as unparsable %q: %v", raw, path, err)
 		}
-		again, err := ParseRequest(u2, FullKeyRange())
+		again, err := ParseRequest(u2)
 		if err != nil {
 			t.Fatalf("%q encodes as %q, which is refused: %v", raw, path, err)
 		}
