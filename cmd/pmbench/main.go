@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -40,18 +41,43 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-func main() {
-	paper := flag.Bool("paper", false, "run the large (paper-shaped) configuration")
-	titan := flag.Bool("titan", false, "weak-scale to 1000 simulated ranks (slow)")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event timeline to `file`")
-	metricsPath := flag.String("metrics", "", "write per-step JSONL records to `file`")
-	workers := flag.Int("workers", 0, "per-rank worker-pool width (0 = GOMAXPROCS); results are identical for any value")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() == 0 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is pmbench on args, writing tables (or JSON) to stdout and progress
+// and diagnostics to stderr; it returns the process exit code: 0, 1 on a
+// failed experiment or write, 2 on bad usage (no experiment id, or an
+// unknown one).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr) }
+	var (
+		paper       = fs.Bool("paper", false, "run the large (paper-shaped) configuration")
+		titan       = fs.Bool("titan", false, "weak-scale to 1000 simulated ranks (slow)")
+		asJSON      = fs.Bool("json", false, "emit machine-readable JSON instead of tables")
+		tracePath   = fs.String("trace", "", "write a Chrome trace_event timeline to `file`")
+		metricsPath = fs.String("metrics", "", "write per-step JSONL records to `file`")
+		workers     = fs.Int("workers", 0, "per-rank worker-pool width (0 = GOMAXPROCS); results are identical for any value")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	ids := fs.Args()
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = allExperiments
+	}
+	if len(ids) == 0 {
+		usage(stderr)
+		return 2
+	}
+	for _, id := range ids {
+		if !isExperiment(id) {
+			fmt.Fprintf(stderr, "pmbench: unknown experiment %q (try: pmbench all)\n", id)
+			return 2
+		}
 	}
 
 	sc := experiments.DefaultScale()
@@ -70,38 +96,48 @@ func main() {
 		obs = telemetry.NewObserver()
 	}
 
-	ids := flag.Args()
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = []string{"table2", "writemix", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "recovery", "endurance", "workloads", "pipeline"}
-	}
 	results := map[string]any{}
 	for _, id := range ids {
 		start := time.Now()
-		out, data, err := run(id, sc, obs)
+		out, data, err := runExperiment(id, sc, obs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pmbench: %v\n", err)
+			return 1
 		}
 		if *asJSON {
 			results[strings.ToLower(id)] = data
-			fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
 			continue
 		}
-		fmt.Print(out)
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprint(stdout, out)
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pmbench: %v\n", err)
+			return 1
 		}
 	}
 	if err := writeTelemetry(obs, *tracePath, *metricsPath); err != nil {
-		fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmbench: %v\n", err)
+		return 1
 	}
+	return 0
+}
+
+// allExperiments is what "pmbench all" runs, in order.
+var allExperiments = []string{"table2", "writemix", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "recovery", "endurance", "workloads", "pipeline"}
+
+// isExperiment reports whether id names an experiment (any case).
+func isExperiment(id string) bool {
+	for _, e := range allExperiments {
+		if strings.EqualFold(id, e) {
+			return true
+		}
+	}
+	return false
 }
 
 // writeTelemetry flushes the observer to the requested output files.
@@ -138,10 +174,10 @@ func writeTelemetry(obs *telemetry.Observer, tracePath, metricsPath string) erro
 	return nil
 }
 
-// run executes one experiment, returning its formatted table and the
-// structured rows (for -json). Scaling experiments share results across
+// runExperiment executes one experiment, returning its formatted table and
+// the structured rows (for -json). Scaling experiments share results across
 // the figure pairs that reuse them.
-func run(id string, sc experiments.Scale, obs *telemetry.Observer) (string, any, error) {
+func runExperiment(id string, sc experiments.Scale, obs *telemetry.Observer) (string, any, error) {
 	switch strings.ToLower(id) {
 	case "table2":
 		rows := experiments.Table2()
@@ -195,8 +231,8 @@ func run(id string, sc experiments.Scale, obs *telemetry.Observer) (string, any,
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: pmbench [-paper|-titan] [-json] [-trace=file] [-metrics=file] <experiment>...
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `usage: pmbench [-paper|-titan] [-json] [-trace=file] [-metrics=file] <experiment>...
 
 experiments: table2 writemix fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 recovery endurance workloads pipeline all
 `)

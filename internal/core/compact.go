@@ -69,6 +69,10 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	t.nv = newArena
 	t.committed = newRoot
 	t.cur = newRoot
+	// The copy carries version tag 0 and no ledger history: the next
+	// collection marks the new arena and reseeds from it.
+	t.led = newLedger("compact", newRoot, t.step-1)
+	t.led.roots[t.committedStep] = newRoot
 	// The durable watermark lives in the new region now; the queue is
 	// empty (flushed above), so this is a plain repoint.
 	t.pipe.rebind(newArena, newRoot, t.step-1)

@@ -87,7 +87,14 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	}
 	nn := len(bt.Nodes)
 	stride := t.nv.Stride()
+	if t.led.full == "" {
+		// The replaced version dies whole: its slots are the live ones the
+		// ledger has not seen dropped. An unseeded ledger leaves them to
+		// the full mark its next collection runs.
+		t.led.dropWorking(t.nv.LiveWords(), t.step)
+	}
 	base := t.nv.AllocRun(nn)
+	t.led.birthRun(base, nn, t.step)
 	ref := func(idx int32) Ref {
 		if idx < 0 {
 			return NilRef

@@ -72,59 +72,6 @@ func (t *Tree) ringVersions() [histSlots]VersionInfo {
 	return ring
 }
 
-// markRetained marks the octants of ring versions young enough to be
-// covered by Config.RetainVersions, so GC keeps them restorable. marked
-// is the GC pass's reusable bitset (one bit per NVBM slot).
-func (t *Tree) markRetained(marked []uint64) {
-	k := t.cfg.RetainVersions
-	if k <= 0 {
-		return
-	}
-	for _, e := range t.ringVersions() {
-		if e.Root.IsNil() || e.Root.InDRAM() {
-			continue
-		}
-		if e.Step+uint64(k) < t.committedStep {
-			continue // aged out of the retention window
-		}
-		t.markGuarded(e.Root, marked)
-	}
-}
-
-// markGuarded marks reachable NVBM slots like markStack, but tolerates
-// stale ring entries whose subtree was already partially reclaimed: freed
-// or out-of-range handles are skipped instead of panicking, and access
-// statistics are not perturbed.
-func (t *Tree) markGuarded(r Ref, marked []uint64) {
-	if r.IsNil() || r.InDRAM() {
-		return
-	}
-	stack := append(t.markScratch[:0], r)
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if r.IsNil() || r.InDRAM() {
-			continue
-		}
-		h := r.Handle()
-		idx := uint32(h - 1)
-		if marked[idx/64]&(1<<(idx%64)) != 0 || !t.nv.Live(h) {
-			continue
-		}
-		marked[idx/64] |= 1 << (idx % 64)
-		var o Octant
-		// Pending-aware: an in-flight version's staged records have not
-		// reached the device yet (chargedRead serves them from the
-		// pipeline's pending set with identical modeled cost).
-		t.chargedRead(r, t.scratch[:])
-		o.decode(t.scratch[:])
-		for _, c := range o.Children {
-			stack = append(stack, c)
-		}
-	}
-	t.markScratch = stack[:0]
-}
-
 // CommittedStep returns the step number of the last committed version.
 func (t *Tree) CommittedStep() uint64 { return t.committedStep }
 
@@ -223,6 +170,7 @@ func RestoreWithReport(cfg Config) (t *Tree, rep RestoreReport, err error) {
 		}
 		t.committed, t.cur = c.root, c.root
 		t.committedStep = c.step
+		t.led = newLedger("restore", c.root, c.step)
 		// The working version number must exceed every version tag stored
 		// anywhere in the arena, including the rejected newer versions.
 		t.step = c.step + 1

@@ -228,12 +228,12 @@ func TestRetainVersionsKeepsRingRestorable(t *testing.T) {
 	}
 }
 
-// markedHandles runs markGuarded from root into a fresh bitset and
+// markedHandles runs a guarded mark from root into a fresh bitset and
 // returns the marked handle set, for tests that reason about version
 // reachability.
 func markedHandles(tr *Tree, root Ref) map[pmem.Handle]bool {
 	bits := make([]uint64, (int(tr.nv.HighWater())+63)/64)
-	tr.markGuarded(root, bits)
+	tr.markFrom(root, bits, true, false, nil)
 	set := map[pmem.Handle]bool{}
 	for wi, w := range bits {
 		for b := 0; b < 64; b++ {

@@ -213,6 +213,7 @@ func (t *Tree) Persist() int {
 	p.commit(req)
 	t.committed = t.cur
 	t.committedStep = t.step
+	t.led.roots[t.step] = t.cur
 	t.step++
 	// Commit is an epoch boundary for the decoded-octant cache: the merge
 	// recycled every DRAM handle and the version tags just changed meaning.

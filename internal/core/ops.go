@@ -197,6 +197,7 @@ func (t *Tree) Depth() uint8 {
 func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 	defer t.span("Refine").End()
 	before := t.stats.Refines
+	t.maybeReclaim()
 	t.beginIndexEmit()
 	nr, _ := t.refineWalk(t.cur, pred, maxLevel)
 	t.cur = nr
@@ -256,6 +257,7 @@ func (t *Tree) splitLeaf(r Ref, o *Octant) Ref {
 	nr := r
 	if !t.inPlace(r, o) {
 		// Path copying handled by the caller splicing nr upward.
+		t.led.die(r.Handle(), o.Version, t.step)
 		o.Version = t.step
 		nr = t.allocIn(t.placeRegion(o.Code))
 		t.stats.Copies++

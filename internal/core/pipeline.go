@@ -28,8 +28,8 @@ import (
 //
 //   - A staged octant's slot is allocated (its persistent bitmap bit set)
 //     by the mutator before staging, so no later allocation can collide
-//     with an in-flight record, and GC marks in-flight roots
-//     (markInflight) so the sweep never frees them.
+//     with an in-flight record, and GC keeps in-flight versions
+//     live (inflightVersions) so a collection never frees them.
 //   - Staged slots are never read from the device until their record
 //     lands: every mutator read of an NVBM record consults the pending
 //     set first (read-your-writes), still charging the modeled device
@@ -363,20 +363,20 @@ func (p *pipeline) readPendingField(h pmem.Handle, off int, out []byte) bool {
 	return ok
 }
 
-// inflightRoots snapshots the roots GC must keep live: the newest durable
-// version (the on-device commit record names it) plus every enqueued
-// version.
-func (p *pipeline) inflightRoots() []Ref {
+// inflightVersions snapshots the versions GC must keep live: the newest
+// durable version (the on-device commit record names it) plus every
+// enqueued version.
+func (p *pipeline) inflightVersions() []VersionInfo {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	roots := make([]Ref, 0, len(p.queue)+1)
+	vs := make([]VersionInfo, 0, len(p.queue)+1)
 	if !p.durableRoot.IsNil() {
-		roots = append(roots, p.durableRoot)
+		vs = append(vs, VersionInfo{Root: p.durableRoot, Step: p.durableStep})
 	}
 	for _, req := range p.queue {
-		roots = append(roots, req.root)
+		vs = append(vs, VersionInfo{Root: req.root, Step: req.step})
 	}
-	return roots
+	return vs
 }
 
 // commit makes a merged version durable: handed to the worker when one
@@ -449,7 +449,7 @@ func (p *pipeline) worker() {
 		p.mu.Unlock()
 
 		// Entries stay in the queue during the writeback so GC's
-		// inflightRoots snapshot keeps marking them.
+		// inflightVersions snapshot keeps them live.
 		if hook != nil {
 			hook("writeback")
 		}
@@ -481,8 +481,8 @@ func (p *pipeline) writeback(batch []*commitReq) {
 	// All requests in a batch share one arena: Compact is the only arena
 	// swap and it drains the queue first. Records are deduplicated by slot
 	// offset, later versions winning, and sorted so runs are maximal. (A
-	// slot cannot be freed and re-staged while pending — GC marks in-flight
-	// roots — so duplicates do not occur today; the dedup keeps the span
+	// slot cannot be freed and re-staged while pending — GC keeps in-flight
+	// versions live — so duplicates do not occur today; the dedup keeps the span
 	// assembly correct if that ever changes.)
 	nv := batch[0].nv
 	stride := nv.Stride()

@@ -12,6 +12,7 @@ package core
 // index positions dirty into the working version and stamps the index valid
 // again. An empty batch only re-stamps.
 func (t *Tree) writeLeafBatch(dirty []int32) {
+	t.maybeReclaim()
 	if len(dirty) > 0 {
 		// Advance the stamp before the first store: a walk cut short by a
 		// device failure must not leave the index claiming to mirror the
@@ -42,6 +43,7 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 	if shared {
 		// Placed by code alone, like splitLeaf's copy: a working-version
 		// NVBM octant may sit over DRAM children until Persist merges them.
+		t.led.die(r.Handle(), o.Version, t.step)
 		nr = t.allocIn(t.placeRegion(o.Code))
 		o.Version = t.step
 		o.Parent = parent

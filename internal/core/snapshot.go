@@ -90,24 +90,6 @@ func (t *Tree) registerPin(root Ref, step uint64) *VersionPin {
 	return p
 }
 
-// markPinned marks the octants of every pinned version during GC so the
-// collector never reclaims a version a snapshot still reads. marked is the
-// GC pass's reusable bitset. Writer thread (GC) only; the registry lock
-// orders it against reader Releases.
-func (t *Tree) markPinned(marked []uint64) {
-	t.pinMu.Lock()
-	roots := make([]Ref, 0, len(t.pins))
-	for p := range t.pins {
-		if p.nv == t.nv { // pins on a retired arena (post-Compact) are dead weight
-			roots = append(roots, p.root)
-		}
-	}
-	t.pinMu.Unlock()
-	for _, r := range roots {
-		t.markGuarded(r, marked)
-	}
-}
-
 // PinnedVersions returns the number of currently registered pins. Safe
 // from any goroutine.
 func (t *Tree) PinnedVersions() int {

@@ -209,7 +209,9 @@ type Tree struct {
 	// balance is Balance's key-space closure with its scratch (balance.go).
 	balance bulk.Closure
 
-	// GC scratch (gc.go): the reusable mark bitset and explicit stack.
+	// GC state (gc.go, ledger.go): the lifetime ledger, and the reusable
+	// slot bitset and explicit stack of the full mark.
+	led         ledger
 	markBits    []uint64
 	markScratch []Ref
 
@@ -284,6 +286,8 @@ func Create(cfg Config) *Tree {
 	root := Octant{Code: morton.Root, Version: 0}
 	r := t.allocIn(false)
 	t.writeOct(r, &root)
+	t.led = newLedger("", r, 0)
+	t.led.birth(r.Handle(), 0) // committed as version 0
 	t.nv.SetRoot(rootSlotAddr, uint64(r))
 	t.nv.SetRoot(rootSlotStep, 0)
 	t.committed = r
@@ -316,6 +320,7 @@ func (t *Tree) Delete() {
 	t.dram = pmem.NewArena(t.cfg.DRAMDevice, RecordSize)
 	t.nv = pmem.NewArena(t.cfg.NVBMDevice, RecordSize)
 	t.committed, t.cur = NilRef, NilRef
+	t.led = newLedger("", NilRef, 0)
 	t.pipe.rebind(t.nv, NilRef, 0)
 	t.hot = map[morton.Code]bool{}
 	t.trunk = nil
@@ -407,6 +412,8 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 		}
 		return t.idx.Occupancy()
 	})
+	r.RegisterFunc("core.gc.full_collections", func() float64 { return float64(t.led.fulls) })
+	r.RegisterFunc("core.gc.pending", func() float64 { return float64(t.led.held) })
 	r.RegisterFunc("core.pipeline.enqueued", func() float64 { return float64(t.PipelineStats().Enqueued) })
 	r.RegisterFunc("core.pipeline.committed", func() float64 { return float64(t.PipelineStats().Committed) })
 	r.RegisterFunc("core.pipeline.coalesced", func() float64 { return float64(t.PipelineStats().Coalesced) })
@@ -573,7 +580,9 @@ func (t *Tree) allocIn(inDRAM bool) Ref {
 		}
 		return r
 	}
-	return makeRef(false, t.nv.AllocRaw())
+	h := t.nv.AllocRaw()
+	t.led.birth(h, t.step)
+	return makeRef(false, h)
 }
 
 // placeRegion decides where a new octant for code belongs: hot subtrees
@@ -637,6 +646,7 @@ func (t *Tree) commitOctant(r Ref, o *Octant) Ref {
 		t.writeOct(r, o)
 		return r
 	}
+	t.led.die(r.Handle(), o.Version, t.step)
 	o.Version = t.step
 	nr := t.allocIn(t.regionForCopy(o))
 	t.writeOct(nr, o)
@@ -666,17 +676,19 @@ func (t *Tree) reparentChanged(r Ref, o *Octant, changed *[8]bool) {
 // discard unlinks the octant at r from the working version: DRAM octants
 // are freed eagerly; working-version NVBM octants are marked deleted and
 // left for GC (deferred deletion, §3.2); shared octants are untouched —
-// they still belong to V(i-1).
+// they still belong to V(i-1). Either NVBM kind dies in the ledger now.
 func (t *Tree) discard(r Ref, o *Octant) {
-	switch {
-	case r.InDRAM():
+	if r.InDRAM() {
 		t.dram.Free(r.Handle())
 		t.cacheDrop(r)
 		t.mutSeq++
-	case o.Version == t.step:
+		return
+	}
+	if o.Version == t.step {
 		t.writeFlagsField(r, o.Flags|FlagDeleted)
 		t.stats.Deferred++
 	}
+	t.led.die(r.Handle(), o.Version, t.step)
 }
 
 // touch records an access to the subtree containing code for LFA eviction

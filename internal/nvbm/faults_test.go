@@ -296,7 +296,11 @@ func TestDiffApplyLinesRoundTrip(t *testing.T) {
 	if want := []int{1, 2, 5}; len(lines) != len(want) || lines[0] != 1 || lines[1] != 2 || lines[2] != 5 {
 		t.Fatalf("DiffLines = %v, want %v", lines, want)
 	}
-	b.ApplyLines(a, lines)
+	var payload []byte
+	for _, line := range lines {
+		payload = append(payload, a.Bytes()[line*LineSize:(line+1)*LineSize]...)
+	}
+	b.ApplyLines(a.Size(), lines, payload)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("contents differ after ApplyLines")
 	}

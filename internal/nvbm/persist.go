@@ -215,23 +215,24 @@ func lineEqual(a, ref []byte) bool {
 	return true
 }
 
-// ApplyLines copies the given lines from src into d, growing d to src's
-// size first. It models a replica applying a received delta frame: wear is
-// bumped for each applied line (the replica's cells absorb the stores) and
-// the CRC shadow is refreshed, but no latency is charged — the network
-// model prices the transfer.
-func (d *Device) ApplyLines(src *Device, lines []int) {
-	b := src.Bytes()
-	d.Grow(len(b))
+// ApplyLines stores a received delta into d: payload holds the contents
+// of lines, LineSize bytes each in order, of a device size bytes long, and
+// d is grown to size first. It models a replica applying a delta frame:
+// wear is bumped for each applied line (the replica's cells absorb the
+// stores) and the CRC shadow is refreshed, but no latency is charged — the
+// network model prices the transfer. Lines outside size are skipped, and
+// the part of a line past size is not stored.
+func (d *Device) ApplyLines(size int, lines []int, payload []byte) {
+	d.Grow(size)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, line := range lines {
+	for k, line := range lines {
 		lo := line * LineSize
-		hi := min(lo+LineSize, len(b))
-		if lo < 0 || lo >= hi || hi > len(d.data) {
+		hi := min(lo+LineSize, size)
+		if lo < 0 || lo >= hi || hi > len(d.data) || (k+1)*LineSize > len(payload) {
 			continue
 		}
-		copy(d.data[lo:hi], b[lo:hi])
+		copy(d.data[lo:hi], payload[k*LineSize:])
 		if line < len(d.wear) {
 			atomic.AddUint32(&d.wear[line], 1)
 		}

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -434,9 +435,59 @@ func (a *Arena) Free(h Handle) {
 	if h.IsNil() {
 		return
 	}
-	idx := a.index(h)
+	a.freeIndex(a.index(h))
+}
+
+// FreeSet frees every allocated slot whose bit is set in dead (bit i%64 of
+// word i/64 for slot index i), in ascending handle order, and returns how
+// many it freed. The allocator, the device contents and the device's
+// counts end exactly as a Free of each of those handles in turn would leave
+// them; FreeSet only serves the bitmap reads of the slots that share a
+// bitmap byte from one device read (every write to the byte is still its
+// own store), and charges those reads once per byte.
+func (a *Arena) FreeSet(dead []uint64) int {
+	n := 0
+	for wi := 0; wi < len(dead) && wi < len(a.liveWords); wi++ {
+		w := dead[wi] & a.liveWords[wi]
+		for w != 0 {
+			// The slots of one bitmap byte: bits [lo, lo+8) of the word.
+			lo := bits.TrailingZeros64(w) &^ 7
+			group := w & (0xff << lo)
+			w &^= group
+			n += bits.OnesCount64(group)
+			if a.deferBits {
+				for ; group != 0; group &= group - 1 {
+					a.freeIndex(uint32(wi*64 + bits.TrailingZeros64(group)))
+				}
+				continue
+			}
+			off := headerSize + (wi*64+lo)/8
+			var b [1]byte
+			a.dev.ReadAt(off, b[:])
+			// Free charges two reads per slot: its liveness probe and the
+			// bit's read-modify-write. The first probe was the read above.
+			a.dev.ChargeReadN(2*bits.OnesCount64(group)-1, 1)
+			for ; group != 0; group &= group - 1 {
+				idx := uint32(wi*64 + bits.TrailingZeros64(group))
+				if b[0]&(1<<(idx%8)) == 0 {
+					panic(fmt.Sprintf("pmem: double free of handle %d", idx+1))
+				}
+				b[0] &^= 1 << (idx % 8)
+				a.dev.WriteAt(off, b[:])
+				a.liveWords[wi] &^= 1 << (idx % 64)
+				a.free = append(a.free, idx)
+				a.live--
+			}
+		}
+	}
+	return n
+}
+
+// freeIndex frees slot idx: a charged probe of its bit, then the bit's
+// read-modify-write.
+func (a *Arena) freeIndex(idx uint32) {
 	if !a.bit(idx) {
-		panic(fmt.Sprintf("pmem: double free of handle %d", h))
+		panic(fmt.Sprintf("pmem: double free of handle %d", idx+1))
 	}
 	a.setBit(idx, false)
 	a.free = append(a.free, idx)

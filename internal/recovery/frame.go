@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 
 	"pmoctree/internal/nvbm"
@@ -14,19 +15,20 @@ import (
 // payload itself is applied locally after a successful Ship.
 type Frame struct {
 	Seq     uint64 // sync sequence number, detects stale frames
+	Size    int    // the primary's region size in bytes; the replica grows to it
 	Lines   []int  // line indices, ascending
 	Payload []byte // len(Lines) * LineSize bytes, line contents in order
 	CRC     uint32 // CRC-32 (IEEE) over header + line list + payload
 }
 
 // frameHeaderBytes is the modeled fixed overhead of one frame on the
-// wire: magic+seq+count (16) and the trailing CRC (4), rounded up.
+// wire: magic+seq+count (16), the region size (4) and the trailing CRC (4).
 const frameHeaderBytes = 24
 
 // buildFrame assembles the delta frame for the given lines of src.
 func buildFrame(src *nvbm.Device, lines []int, seq uint64) *Frame {
 	b := src.Bytes()
-	f := &Frame{Seq: seq, Lines: lines}
+	f := &Frame{Seq: seq, Size: len(b), Lines: lines}
 	f.Payload = make([]byte, 0, len(lines)*nvbm.LineSize)
 	for _, line := range lines {
 		lo := line * nvbm.LineSize
@@ -54,6 +56,8 @@ func (f *Frame) checksum() uint32 {
 	var u [8]byte
 	binary.LittleEndian.PutUint64(u[:], f.Seq)
 	h.Write(u[:])
+	binary.LittleEndian.PutUint64(u[:], uint64(f.Size))
+	h.Write(u[:])
 	for _, line := range f.Lines {
 		binary.LittleEndian.PutUint64(u[:], uint64(line))
 		h.Write(u[:])
@@ -68,3 +72,40 @@ func (f *Frame) Seal() { f.CRC = f.checksum() }
 // Verify reports whether the frame's contents match its checksum — the
 // receiver-side integrity check before a delta is applied.
 func (f *Frame) Verify() bool { return f.CRC == f.checksum() }
+
+// FrameError reports a delta frame a replica refused; the replica is left
+// as it was.
+type FrameError struct {
+	Seq    uint64 // the frame's sequence number, as received
+	Reason string
+}
+
+func (e *FrameError) Error() string {
+	return fmt.Sprintf("recovery: replica refused delta frame seq %d: %s", e.Seq, e.Reason)
+}
+
+// applyFrame is the replica side of a sync: it refuses a frame that fails
+// its checksum, is not newer than lastSeq (the last frame it applied), or
+// whose line list is not strictly ascending, reaches past the region size
+// or disagrees with the payload length — and otherwise applies the frame's
+// payload to replica.
+func applyFrame(replica *nvbm.Device, f *Frame, lastSeq uint64) error {
+	refuse := func(reason string) error { return &FrameError{Seq: f.Seq, Reason: reason} }
+	if !f.Verify() {
+		return refuse("checksum mismatch")
+	}
+	if f.Seq <= lastSeq {
+		return refuse(fmt.Sprintf("stale: last applied seq %d", lastSeq))
+	}
+	if len(f.Payload) != len(f.Lines)*nvbm.LineSize {
+		return refuse(fmt.Sprintf("payload of %d bytes for %d lines", len(f.Payload), len(f.Lines)))
+	}
+	regionLines := (f.Size + nvbm.LineSize - 1) / nvbm.LineSize
+	for i, line := range f.Lines {
+		if line < 0 || line >= regionLines || (i > 0 && line <= f.Lines[i-1]) {
+			return refuse(fmt.Sprintf("line %d out of order or past the %d-byte region", line, f.Size))
+		}
+	}
+	replica.ApplyLines(f.Size, f.Lines, f.Payload)
+	return nil
+}

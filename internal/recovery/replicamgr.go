@@ -159,15 +159,14 @@ func (m *ReplicaManager) Sync(primaryID int, primary *nvbm.Device) error {
 	} else {
 		m.ShippedNs += m.net.Transfer(wire)
 	}
-	if !frame.Verify() {
-		// Defensive: a delivered frame always verifies (corrupt attempts
-		// are NACKed inside Ship); a mismatch here means sender-side
+	oldSize := replica.Size()
+	if err := applyFrame(replica, frame, m.lastGood[primaryID]); err != nil {
+		// Defensive: a delivered frame always applies (corrupt attempts
+		// are NACKed inside Ship); a refusal here means sender-side
 		// memory corruption between Seal and delivery.
 		m.failedSyncs[primaryID]++
-		return fmt.Errorf("recovery: replica frame for node %d failed checksum after delivery", primaryID)
+		return fmt.Errorf("recovery: replica frame for node %d: %w", primaryID, err)
 	}
-	oldSize := replica.Size()
-	replica.ApplyLines(primary, frame.Lines)
 	host.usedBytes += replica.Size() - oldSize
 	m.ShippedBytes += uint64(wire)
 	m.FramesShipped++
