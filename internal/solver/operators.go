@@ -280,8 +280,7 @@ func (s *System) CellAt(x, y, z float64) (int, bool) {
 		return 0, false
 	}
 	cand := int(s.perm[i])
-	lo, hi := s.codes[cand].KeySpan()
-	if k >= lo && k < hi {
+	if s.codes[cand].Contains(code) {
 		return cand, true
 	}
 	return 0, false

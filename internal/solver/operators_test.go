@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pmoctree/internal/morton"
 )
 
 func TestDivergenceOfLinearField(t *testing.T) {
@@ -251,6 +253,44 @@ func TestCellAt(t *testing.T) {
 	for _, p := range [][3]float64{{-0.1, 0.5, 0.5}, {0.5, 1.0, 0.5}, {0.5, 0.5, 2}} {
 		if _, ok := s.CellAt(p[0], p[1], p[2]); ok {
 			t.Errorf("CellAt(%v) accepted an outside point", p)
+		}
+	}
+}
+
+// TestCellAtFarFaces locates points in the last MaxLevel voxel of the
+// domain, on the far corner and on each far face alone, against a linear
+// scan over the cells' float extents.
+func TestCellAtFarFaces(t *testing.T) {
+	far := math.Nextafter(1, 0)
+	points := []struct {
+		name    string
+		x, y, z float64
+	}{
+		{"corner", far, far, far},
+		{"x face", far, 0.3, 0.6},
+		{"y face", 0.6, far, 0.3},
+		{"z face", 0.3, 0.6, far},
+	}
+	for _, mesh := range []struct {
+		name   string
+		leaves []morton.Code
+	}{{"uniform", uniformLeaves(2)}, {"adaptive", adaptiveLeaves(4)}} {
+		s, err := Build(mesh.leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			want := -1
+			for i, c := range s.Codes() {
+				x, y, z, _ := c.Decode()
+				e := c.Extent()
+				if in := func(v float64, a uint32) bool { return float64(a)*e <= v && v < float64(a+1)*e }; in(p.x, x) && in(p.y, y) && in(p.z, z) {
+					want = i
+				}
+			}
+			if got, ok := s.CellAt(p.x, p.y, p.z); !ok || got != want {
+				t.Errorf("%s %s: CellAt = %d, %v; want %d", mesh.name, p.name, got, ok, want)
+			}
 		}
 	}
 }
