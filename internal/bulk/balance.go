@@ -30,7 +30,6 @@ func Balance(leaves []morton.Code, pool *parallel.Pool) ([]morton.Code, error) {
 // value is ready to use.
 type Closure struct {
 	in     []morton.Code // the round's input leaves, read by the chunked passes
-	cells  []uint64      // start cell of each input leaf
 	viol   []int32       // viol[6*i+f]: the leaf that leaf i forces to split across face f, or -1
 	mark   []bool        // leaves splitting this round
 	leaves [2][]morton.Code
@@ -52,7 +51,7 @@ type Closure struct {
 //
 // Each round every leaf at level >= 2 probes across its outward faces
 // (siblings inside its own parent are the same level by construction),
-// locates the leaf covering the neighboring cell by binary search, and
+// locates the leaf covering the neighboring cell (morton.Container), and
 // marks it for splitting when it is more than one level coarser. The
 // marking pass writes one slot per (probing leaf, face), so which leaves
 // split in a round never depends on chunk boundaries; the fixed point
@@ -62,15 +61,12 @@ func (c *Closure) Run(leaves []morton.Code, src []int32, pool *parallel.Pool) ([
 	for round := 0; ; round++ {
 		n := len(leaves)
 		c.in = leaves
-		c.cells = grow(c.cells, n)
 		c.viol = grow(c.viol, 6*n)
 		if pool.Workers() == 1 {
 			// Called directly: a method value handed to the pool escapes,
 			// and the per-step caller must not allocate.
-			c.fillCells(0, n)
 			c.probe(0, n)
 		} else {
-			pool.Run(n, c.fillCells)
 			pool.Run(n, c.probe)
 		}
 		c.mark = grow(c.mark, n)
@@ -121,12 +117,6 @@ func (c *Closure) Run(leaves []morton.Code, src []int32, pool *parallel.Pool) ([
 	}
 }
 
-func (c *Closure) fillCells(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		c.cells[i] = c.in[i].Key() >> 6
-	}
-}
-
 // faceDirs are the six face directions, in the order of viol's slots.
 var faceDirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
@@ -142,7 +132,8 @@ func outwardFaces(k int) uint8 {
 // the face neighbor of its parent, and a covering leaf more than one level
 // coarser than L covers that whole parent-level cell, so sibling leaves
 // share their probes: each run of consecutive siblings searches once per
-// face of the parent that any of them touches.
+// face of the parent that any of them touches and that lies on the
+// parent's own parent's boundary.
 func (c *Closure) probe(lo, hi int) {
 	viol := c.viol[6*lo : 6*hi]
 	for k := range viol {
@@ -161,6 +152,10 @@ func (c *Closure) probe(lo, hi int) {
 		for ; j < hi && c.in[j].Level() == level && c.in[j].Parent() == par; j++ {
 			faces |= outwardFaces(c.in[j].ChildIndex())
 		}
+		// Across an inward face of par lies a sibling of par: a leaf more
+		// than one level coarser holding it would hold par's parent, and
+		// so these leaves. Only par's own outward faces can force a split.
+		faces &= outwardFaces(par.ChildIndex())
 		for f, d := range faceDirs {
 			if faces&(1<<f) == 0 {
 				continue
@@ -169,29 +164,12 @@ func (c *Closure) probe(lo, hi int) {
 			if !ok {
 				continue
 			}
-			if k := coveringLeaf(c.cells, nb); c.in[k].Level() < level-1 {
+			if k, _ := morton.Container(c.in, nb); c.in[k].Level() < level-1 {
 				c.viol[6*i+f] = int32(k)
 			}
 		}
 		i = j
 	}
-}
-
-// coveringLeaf returns the index of the leaf whose region contains the
-// anchor cell of nb: because the sorted leaves partition the domain, it is
-// the last leaf whose start cell is <= nb's start cell.
-func coveringLeaf(cells []uint64, nb morton.Code) int {
-	cell := nb.Key() >> 6
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if cells[m] <= cell {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo - 1
 }
 
 // grow returns s resized to n elements, reallocating only when its

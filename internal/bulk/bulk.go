@@ -373,12 +373,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 		}
 	})
 
-	nkeys := make([]uint64, nn)
-	pool.Run(nn, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			nkeys[j] = nodes[j].Key()
-		}
-	})
 	parent := make([]int32, nn)
 	children := make([]int32, 8*nn)
 	pool.Run(nn, func(lo, hi int) {
@@ -393,7 +387,10 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 			// node is present; each child has exactly one parent, so the
 			// parent writes never collide across chunks.
 			for k := 0; k < 8; k++ {
-				idx := findKey(nkeys, nodes[j].Child(k).Key())
+				idx, ok := morton.Lookup(nodes, nodes[j].Child(k))
+				if !ok {
+					panic("bulk: derived octree is missing a child node (internal inconsistency)")
+				}
 				children[8*j+k] = int32(idx)
 				parent[idx] = int32(j)
 			}
@@ -431,14 +428,4 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 		NodeLeaf: nodeLeaf,
 		Depth:    depth,
 	}
-}
-
-// findKey locates key in the sorted node-key array; absence is an
-// internal-consistency bug, not an input error.
-func findKey(nkeys []uint64, key uint64) int {
-	i := sort.Search(len(nkeys), func(k int) bool { return nkeys[k] >= key })
-	if i >= len(nkeys) || nkeys[i] != key {
-		panic("bulk: derived octree is missing a child node (internal inconsistency)")
-	}
-	return i
 }

@@ -278,17 +278,13 @@ func unbalancedSet(deep uint8) []morton.Code {
 }
 
 func faceBalanced(leaves []morton.Code) bool {
-	cells := make([]uint64, len(leaves))
-	for i, c := range leaves {
-		cells[i] = c.Key() >> 6
-	}
 	var scratch [6]morton.Code
 	for _, o := range leaves {
 		if o.Level() < 2 {
 			continue
 		}
 		for _, nb := range o.FaceNeighbors(scratch[:0]) {
-			j := coveringLeaf(cells, nb)
+			j, _ := morton.Container(leaves, nb)
 			if int(o.Level())-int(leaves[j].Level()) > 1 {
 				return false
 			}

@@ -198,20 +198,12 @@ func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
 		px := clamp01((ix + ax + 0.5) * h)
 		py := clamp01((iy + ay + 0.5) * h)
 		pz := clamp01((iz + az + 0.5) * h)
-		if j, ok := st.Sys.CellAt(px, py, pz); ok {
-			u += wt * st.U[j]
-			v += wt * st.V[j]
-			w += wt * st.W[j]
-			vof += wt * st.VOF[j]
-		} else {
-			// A corner CellAt does not locate reads as 0. Adding wt*0 rather
-			// than skipping the term keeps the sums bit-identical to one
-			// sample per field, signed zeros included.
-			u += wt * 0
-			v += wt * 0
-			w += wt * 0
-			vof += wt * 0
-		}
+		// Clamped corners lie in the domain, which the cells tile.
+		j, _ := st.Sys.CellAt(px, py, pz)
+		u += wt * st.U[j]
+		v += wt * st.V[j]
+		w += wt * st.W[j]
+		vof += wt * st.VOF[j]
 	}
 	return
 }

@@ -133,7 +133,13 @@ func (c Code) Less(other Code) bool {
 // bits as a tie-breaker (ancestors first). This is the Etree "Z-value"
 // trick: a plain B-tree over Keys stores octants in traversal order.
 func (c Code) Key() uint64 {
-	return c.morton()<<(3*(MaxLevel-c.Level()))<<6 | uint64(c.Level())
+	l, m := uint64(c)&0x3f, uint64(c)&^0x3f
+	if l > MaxLevel {
+		m = 0 // alignment shifts out every Morton bit of an invalid level
+	}
+	// The mask proves the shift below 64, which spares the compiler's
+	// oversized-shift guard on this hot path.
+	return m<<(3*(MaxLevel-l)&63) | l
 }
 
 // KeySpan returns the inclusive range of Keys covered by c and all of its

@@ -125,24 +125,15 @@ func (m *ShardMap) OwnerOf(k uint64) int {
 	return lo
 }
 
-// overlapping returns the ascending shard ids whose spans intersect
-// [lo, hi].
-func (m *ShardMap) overlapping(lo, hi uint64) []int {
-	first, last := m.OwnerOf(lo), m.OwnerOf(hi)
-	out := make([]int, 0, last-first+1)
-	for i := first; i <= last; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-
 // CandidatesForBox returns the ascending shard ids that can own a leaf
 // intersecting box. A leaf intersecting the box is either a descendant
 // of the corner cells' lowest common ancestor a (its key inside
 // a.KeySpan()) or an ancestor of a itself (one of at most MaxLevel
 // distinct keys), so the candidate set is the spans overlapping
 // a.KeySpan() plus the owners of each ancestor key — exact, no
-// geometry-dependent misses.
+// geometry-dependent misses. Ancestor keys rise with level and all come
+// before a's span, so their owners, taken root first, never decrease and
+// never pass the span's first owner: one ordered append builds the list.
 func (m *ShardMap) CandidatesForBox(box serve.Box) ([]int, error) {
 	clo, chi, err := box.Cover()
 	if err != nil {
@@ -150,23 +141,15 @@ func (m *ShardMap) CandidatesForBox(box serve.Box) ([]int, error) {
 	}
 	a := morton.Cover(clo, chi)
 	lo, hi := a.KeySpan()
-	ids := m.overlapping(lo, hi)
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		seen[id] = true
-	}
-	for l := int(a.Level()) - 1; l >= 0; l-- {
-		id := m.OwnerOf(a.AncestorAt(uint8(l)).Key())
-		if !seen[id] {
-			seen[id] = true
+	first, last := m.OwnerOf(lo), m.OwnerOf(hi)
+	var ids []int
+	for l := uint8(0); l < a.Level(); l++ {
+		if id := m.OwnerOf(a.AncestorAt(l).Key()); id < first && (len(ids) == 0 || id > ids[len(ids)-1]) {
 			ids = append(ids, id)
 		}
 	}
-	// Keep ascending order (ancestor owners always precede the window).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
+	for id := first; id <= last; id++ {
+		ids = append(ids, id)
 	}
 	return ids, nil
 }

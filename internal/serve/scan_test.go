@@ -37,13 +37,14 @@ func linearScan(v *version, q Query, res *Result) error {
 	}
 	codes := v.leaves.Codes()
 	corner, cover := morton.Encode(lo[0], lo[1], lo[2], morton.MaxLevel), morton.Cover(lo, hi)
-	i, err := v.leafAt(corner.Key())
+	i, err := v.leafAt(corner)
 	if err != nil {
 		return err
 	}
 	first, last := i, i
 	if codes[i].Level() >= cover.Level() {
-		first, last = v.leaves.Window(cover.KeySpan())
+		lo, hi := cover.KeySpan()
+		first, last = morton.Window(codes, lo, hi)
 	}
 	for _, f := range v.fillers {
 		if c := codes[f]; f >= first && f <= last && q.Span.Contains(c.Key()) && overlaps(c, q.Box) {

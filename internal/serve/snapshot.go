@@ -123,23 +123,20 @@ func (v *version) ensureTraced(tc *telemetry.TraceContext) {
 // CellAt maps a point to its MaxLevel cell code. The domain is the unit
 // cube; coordinates must lie in [0, 1).
 func CellAt(p [3]float64) (morton.Code, error) {
-	const n = 1 << morton.MaxLevel
-	for _, c := range p {
-		if !(c >= 0 && c < 1) {
-			return 0, ErrOutOfDomain
-		}
+	if cell, ok := morton.CellOf(p[0], p[1], p[2]); ok {
+		return cell, nil
 	}
-	return morton.Encode(uint32(p[0]*n), uint32(p[1]*n), uint32(p[2]*n), morton.MaxLevel), nil
+	return 0, ErrOutOfDomain
 }
 
-// leafAt returns the index of the leaf whose span contains key k.
-func (v *version) leafAt(k uint64) (int, error) {
-	i, ok := v.leaves.Find(k)
+// leafAt returns the index of the leaf that holds cell.
+func (v *version) leafAt(cell morton.Code) (int, error) {
+	i, ok := morton.Container(v.leaves.Codes(), cell)
 	if i < 0 {
-		return 0, fmt.Errorf("serve: key %d precedes the first leaf", k)
+		return 0, fmt.Errorf("serve: cell %v precedes the first leaf", cell)
 	}
 	if !ok {
-		return 0, fmt.Errorf("serve: key %d falls between leaves; version index is inconsistent", k)
+		return 0, fmt.Errorf("serve: cell %v falls between leaves; version index is inconsistent", cell)
 	}
 	return i, nil
 }
@@ -316,7 +313,7 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 	codes := v.leaves.Codes()
 	if q.Class == ClassPoint {
-		i, err := v.leafAt(cell.Key())
+		i, err := v.leafAt(cell)
 		if err != nil {
 			return 0, err
 		}

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 
 	"pmoctree/internal/morton"
@@ -186,86 +186,27 @@ func leafCodes(m Mesh) []morton.Code {
 	return codes
 }
 
-// leafParents snapshots the parents of the current leaves, in
-// first-encounter (Z) order. Siblings are contiguous in the Z-ordered
-// leaf walk, so comparing against the previous parent removes their
-// duplicates; a coarse parent interleaved with deeper subtrees (the root,
-// typically) may still appear in several runs, which the memo index
-// tolerates — duplicate entries carry the same value.
+// leafParents snapshots the distinct parents of the current leaves,
+// ascending by Key. Siblings are contiguous in the Z-ordered leaf walk,
+// but a coarse parent interleaved with deeper subtrees (the root,
+// typically) appears in several runs, so the parents are sorted and
+// compacted.
 func leafParents(m Mesh) []morton.Code {
 	var parents []morton.Code
-	var last morton.Code
 	for _, c := range leafCodes(m) {
-		if c.Level() == 0 {
-			continue
+		if c.Level() > 0 {
+			parents = append(parents, c.Parent())
 		}
-		p := c.Parent()
-		if len(parents) > 0 && p == last {
-			continue
-		}
-		parents = append(parents, p)
-		last = p
 	}
-	return parents
+	slices.SortFunc(parents, func(a, b morton.Code) int { return cmp.Compare(a.Key(), b.Key()) })
+	return slices.Compact(parents)
 }
 
-// memoIndex is a sorted exact-match lookup over a code set — the
-// replacement for the per-step map memos. A map pays an allocation and a
-// hash per entry every step; the Z-order spine is already (nearly)
-// sorted, so a binary search over left-aligned keys reads three flat
-// arrays instead. Ties on key (a coarse octant and its first-corner
-// descendants share the left-aligned key) are broken by level.
-type memoIndex struct {
-	keys []uint64
-	lvls []uint8
-	pos  []int32 // sorted entry -> position in the original slice
-}
-
-func buildMemoIndex(codes []morton.Code) *memoIndex {
-	n := len(codes)
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		ca, cb := codes[perm[a]], codes[perm[b]]
-		ka, kb := ca.Key(), cb.Key()
-		if ka != kb {
-			return ka < kb
-		}
-		return ca.Level() < cb.Level()
-	})
-	ix := &memoIndex{
-		keys: make([]uint64, n),
-		lvls: make([]uint8, n),
-		pos:  make([]int32, n),
-	}
-	for s, p := range perm {
-		c := codes[p]
-		ix.keys[s] = c.Key()
-		ix.lvls[s] = c.Level()
-		ix.pos[s] = p
-	}
-	return ix
-}
-
-// find returns the original-slice position of c, if present.
-func (ix *memoIndex) find(c morton.Code) (int, bool) {
-	k, l := c.Key(), c.Level()
-	s := sort.Search(len(ix.keys), func(j int) bool {
-		return ix.keys[j] > k || (ix.keys[j] == k && ix.lvls[j] >= l)
-	})
-	if s < len(ix.keys) && ix.keys[s] == k && ix.lvls[s] == l {
-		return int(ix.pos[s]), true
-	}
-	return 0, false
-}
-
-// memoPred evaluates pred over codes on the pool and returns a lookup
-// predicate. Codes outside the snapshot (octants created mid-pass —
-// refinement recursing into fresh children, coarsening cascading upward)
-// fall back to direct evaluation, so the memo is an optimization, never a
-// semantic change.
+// memoPred evaluates pred over codes, Key-ascending and distinct, on the
+// pool and returns a lookup predicate. Codes outside the snapshot
+// (octants created mid-pass — refinement recursing into fresh children,
+// coarsening cascading upward) fall back to direct evaluation, so the memo
+// is an optimization, never a semantic change.
 func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
 	vals := make([]bool, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
@@ -273,9 +214,8 @@ func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) b
 			vals[i] = pred(codes[i])
 		}
 	})
-	ix := buildMemoIndex(codes)
 	return func(c morton.Code) bool {
-		if i, ok := ix.find(c); ok {
+		if i, ok := morton.Lookup(codes, c); ok {
 			return vals[i]
 		}
 		return pred(c)

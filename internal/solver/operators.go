@@ -265,25 +265,13 @@ func (s *System) ProjectedDivergence(u, v, w, p []float64, dt float64, out []flo
 }
 
 // CellAt returns the index of the cell containing the point (x, y, z) in
-// the unit cube, or false when the point is outside. The lookup is one
-// binary search over the sorted left-aligned key index (the internal/serve
-// leaf-lookup idiom).
+// the unit cube, or false when the point is outside.
 func (s *System) CellAt(x, y, z float64) (int, bool) {
-	if x < 0 || x >= 1 || y < 0 || y >= 1 || z < 0 || z >= 1 {
+	cell, ok := morton.CellOf(x, y, z)
+	if !ok {
 		return 0, false
 	}
-	grid := float64(uint64(1) << morton.MaxLevel)
-	code := morton.Encode(uint32(x*grid), uint32(y*grid), uint32(z*grid), morton.MaxLevel)
-	k := code.Key()
-	i := s.search(k)
-	if i < 0 {
-		return 0, false
-	}
-	cand := int(s.perm[i])
-	if s.codes[cand].Contains(code) {
-		return cand, true
-	}
-	return 0, false
+	return morton.Container(s.codes, cell)
 }
 
 // Extent returns cell i's edge length.

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -101,9 +100,9 @@ func referenceBuild(leaves []morton.Code) (*refSystem, error) {
 	return s, nil
 }
 
-// flatten transposes the AoS face lists into the CSR arrays, precomputes
-// per-cell geometry and builds the sorted point-location index, returning
-// the System the old two-pass Build produced.
+// flatten transposes the AoS face lists into the CSR arrays and
+// precomputes per-cell geometry, returning the System the old two-pass
+// Build produced.
 func (s *refSystem) flatten() *System {
 	out := &System{codes: s.codes, diag: s.diag}
 	n := len(s.codes)
@@ -131,18 +130,6 @@ func (s *refSystem) flatten() *System {
 		out.vol[i] = e * e * e
 	}
 	out.rowStart[n] = int32(len(out.nb))
-
-	out.perm = make([]int32, n)
-	for i := range out.perm {
-		out.perm[i] = int32(i)
-	}
-	sort.Slice(out.perm, func(a, b int) bool {
-		return s.codes[out.perm[a]].Key() < s.codes[out.perm[b]].Key()
-	})
-	out.keys = make([]uint64, n)
-	for k, p := range out.perm {
-		out.keys[k] = s.codes[p].Key()
-	}
 	return out
 }
 

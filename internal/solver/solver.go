@@ -22,10 +22,7 @@
 package solver
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -47,8 +44,9 @@ const (
 // The kernels sweep flat CSR face arrays (rowStart/nb/tr/...): one
 // contiguous run of neighbor indices and coefficients per cell, so a sweep
 // streams memory instead of chasing per-cell face lists (DESIGN.md
-// decision 16). Cell i is input leaf i; a sorted key index beside the
-// codes serves point location and Build's neighbor search.
+// decision 16). Cell i is input leaf i; the codes are in Z-order, so
+// point location and Build's neighbor search are morton key-space
+// searches over them.
 //
 // A System is safe for concurrent read-only use (Apply, Divergence, ...
 // into caller-owned output vectors); the iterative solvers own their
@@ -71,11 +69,6 @@ type System struct {
 	// Per-cell geometry, precomputed once at build.
 	extent []float64
 	vol    []float64 // extent^3
-
-	// Sorted point-location index: keys[k] = codes[perm[k]].Key(),
-	// ascending. CellAt and Build binary-search it.
-	keys []uint64
-	perm []int32
 
 	// pool schedules the matrix-free kernels; nil runs them inline.
 	// Reductions go through the pool's blocked summation either way, so
@@ -106,9 +99,9 @@ func (s *System) Workers() int { return s.pool.Workers() }
 var dirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
 // Build assembles the operator from the leaf codes of a 2:1-balanced
-// octree tiling; cell i of the System is leaves[i]. It returns an error
-// when the input does not tile the domain exactly or violates the
-// constraint.
+// octree tiling in Z-order (ascending Key, as Tree.LeafCodes returns
+// them); cell i of the System is leaves[i]. It returns an error when the
+// input is not such a tiling or violates the constraint.
 func Build(leaves []morton.Code) (*System, error) {
 	n := len(leaves)
 	if n == 0 {
@@ -127,7 +120,7 @@ func Build(leaves []morton.Code) (*System, error) {
 		extent: make([]float64, n),
 		vol:    make([]float64, n),
 	}
-	if err := s.buildIndex(); err != nil {
+	if err := tiles(s.codes); err != nil {
 		return nil, err
 	}
 	face := func(i int, j int32, t float64, di int, area float64) {
@@ -148,15 +141,21 @@ func Build(leaves []morton.Code) (*System, error) {
 				face(i, -1, h*h/(h/2), di, h*h)
 				continue
 			}
-			// The cell at nc's first key is nc itself, an ancestor of
-			// nc (a coarser neighbor), or a descendant (nc is split).
-			j := s.perm[s.search(nc.Key())]
+			// The cell holding nc's first cell is nc itself, an
+			// ancestor of nc (a coarser neighbor), or a descendant (nc
+			// is split). A sibling across the face sits where the
+			// child indices say when the siblings between are cells,
+			// which spares half the searches of a uniform region.
+			j := i + nc.ChildIndex() - c.ChildIndex()
+			if j < 0 || j >= n || s.codes[j] != nc {
+				j, _ = morton.Container(s.codes, nc)
+			}
 			switch lj := s.codes[j].Level(); {
 			case lj == c.Level():
-				face(i, j, h*h/h, di, h*h)
+				face(i, int32(j), h*h/h, di, h*h)
 			case lj < c.Level():
 				hj := 1.0 / float64(uint64(1)<<lj)
-				face(i, j, h*h/((h+hj)/2), di, h*h)
+				face(i, int32(j), h*h/((h+hj)/2), di, h*h)
 			default:
 				// Finer neighbors: the four children of nc whose bit
 				// along the face axis points back toward c. Under 2:1
@@ -171,7 +170,7 @@ func Build(leaves []morton.Code) (*System, error) {
 						continue
 					}
 					child := nc.Child(k)
-					j, ok := s.lookup(child)
+					j, ok := morton.Lookup(s.codes, child)
 					if !ok {
 						return nil, fmt.Errorf("solver: mesh not 2:1 balanced at %v (missing %v)", c, child)
 					}
@@ -185,57 +184,27 @@ func Build(leaves []morton.Code) (*System, error) {
 	return s, nil
 }
 
-// buildIndex sorts the cells into keys/perm and checks that they tile the
-// unit cube exactly: in key order each cell starts where the previous one
-// ended, from the origin to the far corner. Build's neighbor search relies
-// on it.
-func (s *System) buildIndex() error {
-	n := len(s.codes)
-	s.perm = make([]int32, n)
-	for i := range s.perm {
-		s.perm[i] = int32(i)
-	}
-	slices.SortFunc(s.perm, func(a, b int32) int {
-		return cmp.Compare(s.codes[a].Key(), s.codes[b].Key())
-	})
-	s.keys = make([]uint64, n)
+// tiles checks that codes tile the unit cube exactly in Z-order: each
+// cell starts where the previous one ended, from the origin to the far
+// corner. Build's neighbor search relies on it.
+func tiles(codes []morton.Code) error {
 	next := uint64(0) // left-aligned Morton position of the next cell
-	for k, p := range s.perm {
-		c := s.codes[p]
-		s.keys[k] = c.Key()
-		switch at := s.keys[k] >> 6; {
+	for k, c := range codes {
+		switch at := c.Key() >> 6; {
 		case at > next:
-			return fmt.Errorf("solver: cells do not tile the domain (gap before %v)", c)
+			return fmt.Errorf("solver: cells do not tile the domain in Z-order (gap before %v)", c)
 		case at < next:
-			prev := s.codes[s.perm[k-1]]
-			if prev == c {
-				return fmt.Errorf("solver: duplicate cell %v", c)
+			if prev := codes[k-1]; prev != c {
+				return fmt.Errorf("solver: cells %v and %v overlap or are out of Z-order", prev, c)
 			}
-			return fmt.Errorf("solver: cells %v and %v overlap", prev, c)
+			return fmt.Errorf("solver: duplicate cell %v", c)
 		}
 		next += 1 << (3 * (morton.MaxLevel - c.Level()))
 	}
 	if next != 1<<(3*morton.MaxLevel) {
-		return fmt.Errorf("solver: cells do not tile the domain (gap after %v)", s.codes[s.perm[n-1]])
+		return fmt.Errorf("solver: cells do not tile the domain in Z-order (gap after %v)", codes[len(codes)-1])
 	}
 	return nil
-}
-
-// search returns the sorted position of the cell holding key k's
-// left-aligned Morton position: the last cell whose first key is at or
-// before it, or -1. k's level bits are ignored, so the search for a split
-// octant lands on its first descendant.
-func (s *System) search(k uint64) int {
-	k |= 0x3f
-	return sort.Search(len(s.keys), func(j int) bool { return s.keys[j] > k }) - 1
-}
-
-// lookup returns the index of the cell with code c, if there is one.
-func (s *System) lookup(c morton.Code) (int, bool) {
-	if k := s.search(c.Key()); k >= 0 && s.codes[s.perm[k]] == c {
-		return int(s.perm[k]), true
-	}
-	return 0, false
 }
 
 // N returns the number of cells.

@@ -12,9 +12,10 @@
 // keeps one as its working-version index, edits it in step with the tree
 // (append, truncate, in-place refinement), lends it to kernels through
 // core.LeafTiles and stores their marked cells with core.ScatterLeafTiles;
-// serve builds one per pinned version and answers queries with Find and
-// BoxRuns. The Store does not know about the octree: the owner stamps it
-// with its content sequence number (Stamp/ValidFor).
+// serve builds one per pinned version and answers queries with
+// morton.Container over Codes and with BoxRuns. The Store does not know
+// about the octree: the owner stamps it with its content sequence number
+// (Stamp/ValidFor).
 //
 // Tile bounds and dirty flags are derived state, allocated on first use:
 // a store that is only searched (serve's) holds codes and payload alone.
@@ -24,7 +25,6 @@ package tile
 
 import (
 	"slices"
-	"sort"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -159,34 +159,12 @@ func (s *Store) Refine(leaves []morton.Code) {
 	s.cut = -1
 }
 
-// Find returns the position of the last leaf whose key is at most k, and
-// whether that leaf's key span contains k. Disjoint leaves have disjoint,
-// ordered key spans, so that leaf is the container of k if any leaf is.
-// The position is -1 when k precedes the first leaf.
-func (s *Store) Find(k uint64) (int, bool) {
-	i := sort.Search(len(s.codes), func(i int) bool { return s.codes[i].Key() > k }) - 1
-	if i < 0 {
-		return -1, false
-	}
-	_, hi := s.codes[i].KeySpan()
-	return i, k <= hi
-}
-
-// Window returns the positions [first, last] of the leaves whose keys lie
-// in [lo, hi]; last < first when there are none.
-func (s *Store) Window(lo, hi uint64) (first, last int) {
-	n := len(s.codes)
-	first = sort.Search(n, func(i int) bool { return s.codes[i].Key() >= lo })
-	last = sort.Search(n, func(i int) bool { return s.codes[i].Key() > hi }) - 1
-	return first, last
-}
-
 // BoxRuns calls fn, in ascending position order, with the runs [first,
 // last] of the leaves that overlap the box of MaxLevel cells lo..hi
 // (inclusive on each axis) and whose keys lie in [klo, khi]. It descends
 // from the box's cover octant in Z-order and skips every octant disjoint
 // from the box or whose key span misses the filter; an octant inside both
-// yields its whole leaf window as one run, found by binary search inside
+// yields its whole leaf window as one run, found by morton.Window inside
 // its parent's window. A leaf anchored at cell a with side s overlaps the
 // box iff a <= hi and a+s-1 >= lo on every axis: leaf faces are dyadic, so
 // this integer rule is the exact half-open float test.
@@ -198,7 +176,7 @@ func (s *Store) Window(lo, hi uint64) (first, last int) {
 // leaves of the runs are not counted.
 func (s *Store) BoxRuns(lo, hi [3]uint32, klo, khi uint64, fn func(first, last int)) (reads int) {
 	cover := morton.Cover(lo, hi)
-	if i, ok := s.Find(cover.Key()); ok && s.codes[i].Level() <= cover.Level() {
+	if i, ok := morton.Container(s.codes, cover); ok {
 		if k := s.codes[i].Key(); k >= klo && k <= khi {
 			fn(i, i)
 		}
@@ -234,16 +212,18 @@ func (w *boxWalk) visit(c morton.Code, a [3]uint32, first, last int) int {
 	if chi < w.klo || clo > w.khi {
 		return 0
 	}
+	sub := w.codes[first : last+1]
 	if inside {
-		if i, j := w.window(first, last, max(clo, w.klo), min(chi, w.khi)); i <= j {
-			w.fn(i, j)
+		if i, j := morton.Window(sub, max(clo, w.klo), min(chi, w.khi)); i <= j {
+			w.fn(first+i, first+j)
 		}
 		return 0
 	}
-	i, j := w.window(first, last, clo, chi)
+	i, j := morton.Window(sub, clo, chi)
 	if i > j {
 		return 0
 	}
+	i, j = first+i, first+j
 	if i == j && w.codes[i] == c {
 		if clo >= w.klo && clo <= w.khi {
 			w.fn(i, i)
@@ -257,15 +237,6 @@ func (w *boxWalk) visit(c morton.Code, a [3]uint32, first, last int) int {
 		n += w.visit(c.Child(k), ca, i, j)
 	}
 	return n
-}
-
-// window returns the positions [i, j] within [first, last] of the leaves
-// whose keys lie in [lo, hi].
-func (w *boxWalk) window(first, last int, lo, hi uint64) (i, j int) {
-	codes := w.codes[first : last+1]
-	i = sort.Search(len(codes), func(k int) bool { return codes[k].Key() >= lo })
-	j = i + sort.Search(len(codes)-i, func(k int) bool { return codes[i+k].Key() > hi }) - 1
-	return first + i, first + j
 }
 
 // Tiled reports whether the tile bounds are cut over the current leaves.

@@ -366,20 +366,23 @@ func TestRefineInPlace(t *testing.T) {
 	}
 }
 
-// bruteFind is the search oracle: the container of k by linear scan.
-func bruteFind(codes []morton.Code, k uint64) int {
+// bruteFind is the search oracle: the position of the leaf holding p's
+// first MaxLevel cell by linear scan, or -1.
+func bruteFind(codes []morton.Code, p morton.Code) int {
+	first := morton.FromKey(p.Key()&^0x3f | morton.MaxLevel)
 	for i, c := range codes {
-		if lo, hi := c.KeySpan(); k >= lo && k <= hi {
+		if c.Contains(first) {
 			return i
 		}
 	}
 	return -1
 }
 
-// TestFindWindowMatchesBruteForce holds point and window search to a
-// linear scan on a full leaf set and on a gapped one (every third leaf
-// dropped, as a shard holds a subset): keys before the first leaf, keys in
-// a gap, keys inside leaves, a window over everything and empty windows.
+// TestFindWindowMatchesBruteForce holds the key-space toolkit's point and
+// window search over a store's codes to a linear scan, on a full leaf set
+// and on a gapped one (every third leaf dropped, as a shard holds a
+// subset): probes before the first leaf, in a gap, inside leaves, split
+// among finer leaves, a window over everything and empty windows.
 func TestFindWindowMatchesBruteForce(t *testing.T) {
 	full := adaptiveCodes(t, 4)
 	var gapped []morton.Code
@@ -389,45 +392,50 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
+	const top = 1<<morton.MaxLevel - 1
 	for _, set := range []struct {
 		name  string
 		codes []morton.Code
 	}{{"full", full}, {"gapped", gapped}} {
 		s := filled(set.codes)
+		codes := s.Codes()
 		keys := []uint64{0, math.MaxUint64}
+		probes := []morton.Code{morton.Root, morton.Encode(top, top, top, morton.MaxLevel)}
 		for _, c := range full {
 			lo, hi := c.KeySpan()
 			keys = append(keys, lo, hi, lo+(hi-lo)/2)
+			probes = append(probes, c, c.Parent(), morton.FromKey(hi))
+			if c.Level() < morton.MaxLevel {
+				probes = append(probes, c.Child(7))
+			}
 		}
 		for i := 0; i < 200; i++ {
 			keys = append(keys, rng.Uint64())
+			probes = append(probes, morton.Encode(rng.Uint32()&top, rng.Uint32()&top, rng.Uint32()&top, morton.MaxLevel))
 		}
-		for _, k := range keys {
-			want := bruteFind(set.codes, k)
-			i, ok := s.Find(k)
+		for _, p := range probes {
+			want := bruteFind(set.codes, p)
+			i, ok := morton.Container(codes, p)
 			if want >= 0 {
-				if !ok || i != want {
-					t.Fatalf("%s: Find(%d) = %d, %v; want %d", set.name, k, i, ok, want)
+				if i != want || ok != set.codes[want].Contains(p) {
+					t.Fatalf("%s: Container(%v) = %d, %v; want %d", set.name, p, i, ok, want)
 				}
 				continue
 			}
 			if ok {
-				t.Fatalf("%s: Find(%d) = %d inside a leaf, the scan finds none", set.name, k, i)
+				t.Fatalf("%s: Container(%v) = %d inside a leaf, the scan finds none", set.name, p, i)
 			}
-			// Not contained: i is the last leaf before k, -1 when k
-			// precedes the first leaf.
+			// Not held: i is the last leaf before p, -1 when p precedes
+			// the first leaf.
 			wantI := -1
 			for j, c := range set.codes {
-				if c.Key() <= k {
+				if c.Key()>>6 <= p.Key()>>6 {
 					wantI = j
 				}
 			}
 			if i != wantI {
-				t.Fatalf("%s: Find(%d) = %d, want predecessor %d", set.name, k, i, wantI)
+				t.Fatalf("%s: Container(%v) = %d, want predecessor %d", set.name, p, i, wantI)
 			}
-		}
-		if i, _ := s.Find(set.codes[0].Key() - 1); set.codes[0].Key() > 0 && i != -1 {
-			t.Fatalf("%s: a key before the first leaf found %d", set.name, i)
 		}
 
 		spans := [][2]uint64{{0, math.MaxUint64}, {5, 4}}
@@ -436,7 +444,7 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 			spans = append(spans, [2]uint64{min(a, b), max(a, b)})
 		}
 		for _, sp := range spans {
-			first, last := s.Window(sp[0], sp[1])
+			first, last := morton.Window(codes, sp[0], sp[1])
 			var want []int
 			for j, c := range set.codes {
 				if k := c.Key(); k >= sp[0] && k <= sp[1] {
@@ -453,13 +461,13 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%s: Window(%d, %d) = [%d, %d], want [%d, %d]", set.name, sp[0], sp[1], first, last, want[0], want[len(want)-1])
 			}
 		}
-		if first, last := s.Window(0, math.MaxUint64); first != 0 || last != s.N()-1 {
+		if first, last := morton.Window(codes, 0, math.MaxUint64); first != 0 || last != s.N()-1 {
 			t.Fatalf("%s: a window over every key is [%d, %d] of %d leaves", set.name, first, last, s.N())
 		}
 	}
 	var empty Store
-	if i, ok := empty.Find(12345); i != -1 || ok {
-		t.Fatalf("empty store: Find = %d, %v", i, ok)
+	if i, ok := morton.Container(empty.Codes(), morton.Root); i != -1 || ok {
+		t.Fatalf("empty store: Container = %d, %v", i, ok)
 	}
 }
 
