@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -53,53 +54,65 @@ import (
 	"pmoctree/internal/telemetry"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is pmserve on args, writing to stdout and stderr; it returns the
+// process exit code: 0, 1 on a failed restore, publish, query run or
+// write, 2 on bad usage, 3 on a malformed -materialize leaf set.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pmserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		image    = flag.String("image", "", "NVBM device image to restore and serve (required)")
-		addr     = flag.String("addr", "localhost:8077", "listen address for serve mode")
-		keep     = flag.Int("keep", 4, "committed versions to keep pinned in the catalog")
-		history  = flag.Bool("history", true, "also publish versions retained in the fallback ring")
-		workers  = flag.Int("workers", 0, "scheduler worker goroutines (0 = default)")
-		queue    = flag.Int("queue", 0, "admission queue depth (0 = default); full queue answers 503 + Retry-After")
-		batch    = flag.Int("batch", 0, "requests drained per worker wakeup (0 = default)")
-		drainFor = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
-		simulate = flag.Int("simulate", 0, "continue the droplet workload for this many steps, publishing every commit")
-		maxLevel = flag.Int("maxlevel", 5, "maximum refinement level for -simulate")
-		stepTime = flag.Duration("steptime", 500*time.Millisecond, "pause between -simulate steps in serve mode")
-		script   = flag.String("script", "", "batch mode: JSON array of request paths to run and print")
+		image    = fs.String("image", "", "NVBM device image to restore and serve (required)")
+		addr     = fs.String("addr", "localhost:8077", "listen address for serve mode")
+		keep     = fs.Int("keep", 4, "committed versions to keep pinned in the catalog")
+		history  = fs.Bool("history", true, "also publish versions retained in the fallback ring")
+		workers  = fs.Int("workers", 0, "scheduler worker goroutines (0 = default)")
+		queue    = fs.Int("queue", 0, "admission queue depth (0 = default); full queue answers 503 + Retry-After")
+		batch    = fs.Int("batch", 0, "requests drained per worker wakeup (0 = default)")
+		drainFor = fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
+		simulate = fs.Int("simulate", 0, "continue the droplet workload for this many steps, publishing every commit")
+		maxLevel = fs.Int("maxlevel", 5, "maximum refinement level for -simulate")
+		stepTime = fs.Duration("steptime", 500*time.Millisecond, "pause between -simulate steps in serve mode")
+		script   = fs.String("script", "", "batch mode: JSON array of request paths to run and print")
 
-		debugAddr  = flag.String("debug", "", "serve expvar/metrics/pprof on `addr` (e.g. localhost:6060)")
-		traceCap   = flag.Int("traces", 256, "request traces retained for /v1/trace")
-		traceDump  = flag.String("tracedump", "", "write retained request traces as Chrome trace JSON to this file on exit")
-		flightDump = flag.String("flightdump", "", "write the flight-recorder ring as JSONL to this file on exit and on SIGQUIT")
+		debugAddr  = fs.String("debug", "", "serve expvar/metrics/pprof on `addr` (e.g. localhost:6060)")
+		traceCap   = fs.Int("traces", 256, "request traces retained for /v1/trace")
+		traceDump  = fs.String("tracedump", "", "write retained request traces as Chrome trace JSON to this file on exit")
+		flightDump = fs.String("flightdump", "", "write the flight-recorder ring as JSONL to this file on exit and on SIGQUIT")
 
-		materialize = flag.String("materialize", "", "materialize shard `i/N`: bulk-construct a per-shard arena holding only shard i's Z-order key span (the rest of the domain tiled by a zero-payload cover), write it to -out, print the footprint, and exit; serve the result with pmrouter -images")
-		matOut      = flag.String("out", "", "per-shard NVBM image file to write for -materialize")
+		materialize = fs.String("materialize", "", "materialize shard `i/N`: bulk-construct a per-shard arena holding only shard i's Z-order key span (the rest of the domain tiled by a zero-payload cover), write it to -out, print the footprint, and exit; serve the result with pmrouter -images")
+		matOut      = fs.String("out", "", "per-shard NVBM image file to write for -materialize")
 	)
-	load := serve.AddLoadFlags(flag.CommandLine)
-	flag.Parse()
+	load := serve.AddLoadFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if *image == "" {
-		fmt.Fprintln(os.Stderr, "pmserve: -image is required (produce one with: droplet -image run.img)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pmserve: -image is required (produce one with: droplet -image run.img)")
+		return 2
 	}
 	if err := load.Check(*script); err != nil {
-		fmt.Fprintln(os.Stderr, "pmserve:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "pmserve:", err)
+		return 2
 	}
 
 	dev, err := pmoctree.OpenDeviceFile(*image)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: opening image: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmserve: opening image: %v\n", err)
+		return 1
 	}
 	tree, err := pmoctree.Restore(pmoctree.Config{NVBMDevice: dev, VerifyRestore: true})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: restoring tree: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmserve: restoring tree: %v\n", err)
+		return 1
 	}
 
 	if *materialize != "" {
-		os.Exit(runMaterialize(tree, dev, *materialize, *matOut))
+		return runMaterialize(tree, dev, *materialize, *matOut, stdout, stderr)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -126,7 +139,7 @@ func main() {
 		for i := len(vs) - 1; i >= 0; i-- {
 			s, err := cat.PublishVersion(vs[i].Root, vs[i].Step)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pmserve: ring version step %d: %v\n", vs[i].Step, err)
+				fmt.Fprintf(stderr, "pmserve: ring version step %d: %v\n", vs[i].Step, err)
 				continue
 			}
 			s.Close()
@@ -134,8 +147,8 @@ func main() {
 	}
 	s, err := cat.Publish()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: publishing committed version: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmserve: publishing committed version: %v\n", err)
+		return 1
 	}
 	s.Close()
 
@@ -177,43 +190,43 @@ func main() {
 	if *debugAddr != "" {
 		dbg, err := telemetry.StartDebugServer(*debugAddr, reg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "pmserve: %v\n", err)
+			return 1
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "pmserve: debug server on http://%s/debug/metrics\n", dbg.Addr())
+		fmt.Fprintf(stderr, "pmserve: debug server on http://%s/debug/metrics\n", dbg.Addr())
 	}
 
 	if load.Enabled {
-		runSimulation(tree, cat, *simulate, *maxLevel, 0)
-		if err := load.Run(mux, *script, os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "pmserve: loadgen: %v\n", err)
-			os.Exit(1)
+		runSimulation(tree, cat, *simulate, *maxLevel, 0, stderr)
+		if err := load.Run(mux, *script, stdout, stderr); err != nil {
+			fmt.Fprintf(stderr, "pmserve: loadgen: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *script != "" {
 		// Batch mode: any -simulate steps run up front so output is
 		// deterministic, then the scripted queries replay over loopback.
-		runSimulation(tree, cat, *simulate, *maxLevel, 0)
-		if err := serve.RunScript(mux, *script, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-			os.Exit(1)
+		runSimulation(tree, cat, *simulate, *maxLevel, 0, stderr)
+		if err := serve.RunScript(mux, *script, stdout); err != nil {
+			fmt.Fprintf(stderr, "pmserve: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *simulate > 0 {
-		go runSimulation(tree, cat, *simulate, *maxLevel, *stepTime)
+		go runSimulation(tree, cat, *simulate, *maxLevel, *stepTime, stderr)
 	}
 	go watchSaturation(health, reg, flight)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmserve: %v\n", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "pmserve: serving %d version(s) of %s on http://%s (try /v1/versions)\n",
+	fmt.Fprintf(stderr, "pmserve: serving %d version(s) of %s on http://%s (try /v1/versions)\n",
 		len(cat.Steps()), *image, ln.Addr())
 	srv := serve.NewHTTPServer(mux)
 	go func() {
@@ -222,49 +235,50 @@ func main() {
 		<-sig
 		// Graceful shutdown: readiness flips first, new queries get 503 +
 		// Retry-After, in-flight queries drain bounded by -drain.
-		fmt.Fprintf(os.Stderr, "pmserve: draining (up to %v)\n", *drainFor)
+		fmt.Fprintf(stderr, "pmserve: draining (up to %v)\n", *drainFor)
 		if !drainer.Shutdown(*drainFor) {
-			fmt.Fprintln(os.Stderr, "pmserve: drain timeout expired with queries in flight")
+			fmt.Fprintln(stderr, "pmserve: drain timeout expired with queries in flight")
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pmserve: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 // runMaterialize builds the per-shard arena for -materialize and writes
 // it to out. Exit codes: 0 success, 2 flag misuse (bad spec, missing
 // -out), 3 malformed bulk input (the typed validation errors), 1
 // everything else.
-func runMaterialize(tree *pmoctree.Tree, src *pmoctree.Device, spec, out string) int {
+func runMaterialize(tree *pmoctree.Tree, src *pmoctree.Device, spec, out string, stdout, stderr io.Writer) int {
 	if out == "" {
-		fmt.Fprintln(os.Stderr, "pmserve: -materialize needs -out (the per-shard image file to write)")
+		fmt.Fprintln(stderr, "pmserve: -materialize needs -out (the per-shard image file to write)")
 		return 2
 	}
 	kr, err := router.ParseShardSpec(spec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
+		fmt.Fprintf(stderr, "pmserve: %v\n", err)
 		return 2
 	}
 	dev := pmoctree.NewNVBM()
 	_, st, err := router.MaterializeShard(tree, kr, pmoctree.Config{NVBMDevice: dev}, nil)
 	if err != nil {
 		if bulk.IsInputError(err) {
-			fmt.Fprintf(os.Stderr, "pmserve: materialize %s: malformed leaf set: %v\n", spec, err)
+			fmt.Fprintf(stderr, "pmserve: materialize %s: malformed leaf set: %v\n", spec, err)
 			return 3
 		}
-		fmt.Fprintf(os.Stderr, "pmserve: materialize %s: %v\n", spec, err)
+		fmt.Fprintf(stderr, "pmserve: materialize %s: %v\n", spec, err)
 		return 1
 	}
 	if err := dev.PersistFile(out); err != nil {
-		fmt.Fprintf(os.Stderr, "pmserve: writing %s: %v\n", out, err)
+		fmt.Fprintf(stderr, "pmserve: writing %s: %v\n", out, err)
 		return 1
 	}
-	fmt.Printf("pmserve: materialized shard %s into %s: %d kept leaves + %d fillers (%d octants), %d bytes vs %d full (%.0f%%)\n",
+	fmt.Fprintf(stdout, "pmserve: materialized shard %s into %s: %d kept leaves + %d fillers (%d octants), %d bytes vs %d full (%.0f%%)\n",
 		spec, out, st.Kept, st.Fillers, st.Nodes, dev.Size(), src.Size(),
 		100*float64(dev.Size())/float64(src.Size()))
 	return 0
@@ -299,7 +313,7 @@ func watchSaturation(health *telemetry.Health, reg *telemetry.Registry, flight *
 // runSimulation continues the droplet workload from the restored
 // committed step, publishing every new commit into the catalog. It is
 // the single writer; readers keep serving pinned versions concurrently.
-func runSimulation(tree *pmoctree.Tree, cat *serve.Catalog, steps, maxLevel int, pause time.Duration) {
+func runSimulation(tree *pmoctree.Tree, cat *serve.Catalog, steps, maxLevel int, pause time.Duration, stderr io.Writer) {
 	if steps <= 0 {
 		return
 	}
@@ -313,7 +327,7 @@ func runSimulation(tree *pmoctree.Tree, cat *serve.Catalog, steps, maxLevel int,
 		if snap, err := cat.Publish(); err == nil {
 			snap.Close()
 		} else {
-			fmt.Fprintf(os.Stderr, "pmserve: publish step %d: %v\n", s, err)
+			fmt.Fprintf(stderr, "pmserve: publish step %d: %v\n", s, err)
 			return
 		}
 		time.Sleep(pause)
