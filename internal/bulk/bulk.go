@@ -385,10 +385,16 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 			}
 			// The derived tree is complete, so every child of an internal
 			// node is present; each child has exactly one parent, so the
-			// parent writes never collide across chunks.
+			// parent writes never collide across chunks. In pre-order a
+			// child directly follows its previous sibling when that one is
+			// a leaf (child 0 directly follows the node), so only a child
+			// after an interior sibling needs a search.
+			idx, ok := j, true
 			for k := 0; k < 8; k++ {
-				idx, ok := morton.Lookup(nodes, nodes[j].Child(k))
-				if !ok {
+				child := nodes[j].Child(k)
+				if idx+1 < nn && nodes[idx+1] == child {
+					idx++
+				} else if idx, ok = morton.Lookup(nodes, child); !ok {
 					panic("bulk: derived octree is missing a child node (internal inconsistency)")
 				}
 				children[8*j+k] = int32(idx)
