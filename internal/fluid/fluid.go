@@ -179,9 +179,11 @@ func (st *State) Step(dt float64) (solver.Result, error) {
 // Piecewise-constant sampling would freeze any advection smaller than half
 // a cell per step, so interpolation is essential for semi-Lagrangian
 // transport. The container cell and the eight stencil corners are located
-// once and the same weights applied to U, V, W and VOF.
-func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
-	i, ok := st.Sys.CellAt(x, y, z)
+// once and the same weights applied to U, V, W and VOF. The point is
+// expected near cell at and the corners near the container, so each
+// search starts beside its hint.
+func (st *State) sample4(at int, x, y, z float64) (u, v, w, vof float64) {
+	i, ok := st.Sys.CellNear(at, x, y, z)
 	if !ok {
 		return 0, 0, 0, 0
 	}
@@ -199,7 +201,7 @@ func (st *State) sample4(x, y, z float64) (u, v, w, vof float64) {
 		py := clamp01((iy + ay + 0.5) * h)
 		pz := clamp01((iz + az + 0.5) * h)
 		// Clamped corners lie in the domain, which the cells tile.
-		j, _ := st.Sys.CellAt(px, py, pz)
+		j, _ := st.Sys.CellNear(i, px, py, pz)
 		u += wt * st.U[j]
 		v += wt * st.V[j]
 		w += wt * st.W[j]
@@ -219,7 +221,7 @@ func (st *State) advect(dt float64) {
 			bx := cx - dt*st.U[i]
 			by := cy - dt*st.V[i]
 			bz := cz - dt*st.W[i]
-			st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(bx, by, bz)
+			st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(i, bx, by, bz)
 		}
 	})
 	copy(st.U, st.u2)

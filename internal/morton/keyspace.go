@@ -31,6 +31,25 @@ func Container(codes []Code, c Code) (i int, ok bool) {
 	return i, i >= 0 && codes[i].Contains(c)
 }
 
+// near is how many positions on each side of a hint ContainerNear
+// searches first: the face neighbours and stencil corners of a cell mostly
+// lie that close to it in Z-order.
+const near = 64
+
+// ContainerNear is Container for a code expected near position i: it
+// searches the near codes on each side of i first, and the whole slice
+// only when none of them holds c. Among disjoint codes the holder of c is
+// unique, so a hit in the window is Container's answer.
+func ContainerNear(codes []Code, c Code, i int) (int, bool) {
+	lo, hi := max(0, i-near), min(len(codes), i+near+1)
+	if lo < hi {
+		if j, ok := Container(codes[lo:hi], c); ok {
+			return lo + j, true
+		}
+	}
+	return Container(codes, c)
+}
+
 // Lookup returns the position of c in codes and whether it is there. When
 // it is not, the position is that of the last code before c, or -1.
 func Lookup(codes []Code, c Code) (int, bool) {

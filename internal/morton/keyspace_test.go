@@ -137,8 +137,14 @@ func FuzzKeySpace(f *testing.F) {
 			for _, p := range probes {
 				if set.container {
 					i, ok := Container(set.codes, p)
-					if wi, wok := containerOracle(set.codes, p); i != wi || ok != wok {
+					wi, wok := containerOracle(set.codes, p)
+					if i != wi || ok != wok {
 						t.Fatalf("%s: Container(%v) = %d, %v; oracle %d, %v", set.name, p, i, ok, wi, wok)
+					}
+					for _, at := range []int{wi, wi + near + 1, int(raw2 % uint64(len(set.codes)+1))} {
+						if j, jok := ContainerNear(set.codes, p, at); j != wi || jok != wok {
+							t.Fatalf("%s: ContainerNear(%v, %d) = %d, %v; oracle %d, %v", set.name, p, at, j, jok, wi, wok)
+						}
 					}
 				}
 				i, ok := Lookup(set.codes, p)

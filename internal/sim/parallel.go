@@ -203,10 +203,12 @@ func leafParents(m Mesh) []morton.Code {
 }
 
 // memoPred evaluates pred over codes, Key-ascending and distinct, on the
-// pool and returns a lookup predicate. Codes outside the snapshot
-// (octants created mid-pass — refinement recursing into fresh children,
-// coarsening cascading upward) fall back to direct evaluation, so the memo
-// is an optimization, never a semantic change.
+// pool and returns a lookup predicate for one serial tree walk. Codes
+// outside the snapshot (octants created mid-pass — refinement recursing
+// into fresh children, coarsening cascading upward) fall back to direct
+// evaluation, so the memo is an optimization, never a semantic change.
+// The walk asks in Z-order, so the code after the last one found is tried
+// before a search.
 func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
 	vals := make([]bool, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
@@ -214,11 +216,17 @@ func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) b
 			vals[i] = pred(codes[i])
 		}
 	})
+	next := 0
 	return func(c morton.Code) bool {
-		if i, ok := morton.Lookup(codes, c); ok {
-			return vals[i]
+		i := next
+		if i >= len(codes) || codes[i] != c {
+			var ok bool
+			if i, ok = morton.Lookup(codes, c); !ok {
+				return pred(c)
+			}
 		}
-		return pred(c)
+		next = i + 1
+		return vals[i]
 	}
 }
 

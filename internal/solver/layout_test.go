@@ -143,9 +143,10 @@ func TestCSRMatchesReferenceBitIdentical(t *testing.T) {
 	check("SolveNeumann.x", xa, xb)
 }
 
-// TestCellAtMatchesReference: the key-space search must locate
-// exactly the cell the map-probe ancestor walk does, for random interior
-// points, points on cell boundaries, and points outside the domain.
+// TestCellAtMatchesReference: the key-space search, with or without a
+// hint, must locate exactly the cell the map-probe ancestor walk does, for
+// random interior points, points on cell boundaries, and points outside
+// the domain.
 func TestCellAtMatchesReference(t *testing.T) {
 	leaves := adaptiveLeaves(5)
 	s, err := Build(leaves)
@@ -163,6 +164,12 @@ func TestCellAtMatchesReference(t *testing.T) {
 		j, ok2 := ref.cellAt(x, y, z)
 		if ok != ok2 || (ok && i != j) {
 			t.Fatalf("CellAt(%v, %v, %v) = (%d, %v), reference (%d, %v)", x, y, z, i, ok, j, ok2)
+		}
+		// Any hint, near the answer or not, finds the same cell.
+		for _, at := range []int{j, j + 1, rng.Intn(s.N())} {
+			if k, ok3 := s.CellNear(at, x, y, z); ok3 != ok2 || (ok3 && k != j) {
+				t.Fatalf("CellNear(%d, %v, %v, %v) = (%d, %v), reference (%d, %v)", at, x, y, z, k, ok3, j, ok2)
+			}
 		}
 	}
 	for k := 0; k < 2000; k++ {

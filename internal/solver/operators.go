@@ -274,6 +274,16 @@ func (s *System) CellAt(x, y, z float64) (int, bool) {
 	return morton.Container(s.codes, cell)
 }
 
+// CellNear is CellAt for a point expected near cell i, such as a stencil
+// point of cell i: it searches the cells around i first.
+func (s *System) CellNear(i int, x, y, z float64) (int, bool) {
+	cell, ok := morton.CellOf(x, y, z)
+	if !ok {
+		return 0, false
+	}
+	return morton.ContainerNear(s.codes, cell, i)
+}
+
 // Extent returns cell i's edge length.
 func (s *System) Extent(i int) float64 { return s.codes[i].Extent() }
 

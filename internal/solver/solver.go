@@ -143,13 +143,8 @@ func Build(leaves []morton.Code) (*System, error) {
 			}
 			// The cell holding nc's first cell is nc itself, an
 			// ancestor of nc (a coarser neighbor), or a descendant (nc
-			// is split). A sibling across the face sits where the
-			// child indices say when the siblings between are cells,
-			// which spares half the searches of a uniform region.
-			j := i + nc.ChildIndex() - c.ChildIndex()
-			if j < 0 || j >= n || s.codes[j] != nc {
-				j, _ = morton.Container(s.codes, nc)
-			}
+			// is split).
+			j, _ := morton.ContainerNear(s.codes, nc, i)
 			switch lj := s.codes[j].Level(); {
 			case lj == c.Level():
 				face(i, int32(j), h*h/h, di, h*h)
