@@ -187,15 +187,15 @@ func leafCodes(m Mesh) []morton.Code {
 }
 
 // leafParents snapshots the distinct parents of the current leaves,
-// ascending by Key. Siblings are contiguous in the Z-ordered leaf walk,
-// but a coarse parent interleaved with deeper subtrees (the root,
-// typically) appears in several runs, so the parents are sorted and
-// compacted.
+// ascending by Key. Siblings are contiguous in the Z-ordered leaf walk, so
+// comparing against the previous parent removes most duplicates; a coarse
+// parent interleaved with deeper subtrees (the root, typically) appears
+// in several runs, so the parents are then sorted and compacted.
 func leafParents(m Mesh) []morton.Code {
 	var parents []morton.Code
 	for _, c := range leafCodes(m) {
-		if c.Level() > 0 {
-			parents = append(parents, c.Parent())
+		if p := c.Parent(); c.Level() > 0 && (len(parents) == 0 || parents[len(parents)-1] != p) {
+			parents = append(parents, p)
 		}
 	}
 	slices.SortFunc(parents, func(a, b morton.Code) int { return cmp.Compare(a.Key(), b.Key()) })
