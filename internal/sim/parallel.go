@@ -203,12 +203,10 @@ func leafParents(m Mesh) []morton.Code {
 }
 
 // memoPred evaluates pred over codes, Key-ascending and distinct, on the
-// pool and returns a lookup predicate for one serial tree walk. Codes
-// outside the snapshot (octants created mid-pass — refinement recursing
-// into fresh children, coarsening cascading upward) fall back to direct
-// evaluation, so the memo is an optimization, never a semantic change.
-// The walk asks in Z-order, so the code after the last one found is tried
-// before a search.
+// pool and returns a lookup predicate. Codes outside the snapshot
+// (octants created mid-pass — refinement recursing into fresh children,
+// coarsening cascading upward) fall back to direct evaluation, so the
+// memo is an optimization, never a semantic change.
 func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) bool) func(morton.Code) bool {
 	vals := make([]bool, len(codes))
 	pool.Run(len(codes), func(lo, hi int) {
@@ -216,17 +214,11 @@ func memoPred(codes []morton.Code, pool *parallel.Pool, pred func(morton.Code) b
 			vals[i] = pred(codes[i])
 		}
 	})
-	next := 0
 	return func(c morton.Code) bool {
-		i := next
-		if i >= len(codes) || codes[i] != c {
-			var ok bool
-			if i, ok = morton.Lookup(codes, c); !ok {
-				return pred(c)
-			}
+		if i, ok := morton.Lookup(codes, c); ok {
+			return vals[i]
 		}
-		next = i + 1
-		return vals[i]
+		return pred(c)
 	}
 }
 

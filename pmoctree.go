@@ -243,7 +243,9 @@ type SolverOptions = solver.Options
 type SolverResult = solver.Result
 
 // BuildPoisson assembles the operator from a tree's leaf codes, e.g.
-// BuildPoisson(tree.LeafCodes()).
+// BuildPoisson(tree.LeafCodes()). The leaves must be in Z-order
+// (ascending Key), as Tree.LeafCodes returns them; any other order is
+// refused with the same error as a gap or an overlap.
 func BuildPoisson(leaves []Code) (*PoissonSystem, error) { return solver.Build(leaves) }
 
 // FlowState is a Chorin projection-method incompressible flow field on a
