@@ -19,7 +19,6 @@ import (
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/recovery"
 	"pmoctree/internal/sim"
-	"pmoctree/internal/solver"
 )
 
 // benchScale trims the default experiment scale so one benchmark
@@ -566,46 +565,6 @@ func BenchmarkAblationGCDeferral(b *testing.B) {
 			b.ReportMetric(peak, "peak-expansion-x")
 		})
 	}
-}
-
-// --- Micro: multigrid V-cycles vs preconditioned CG ---
-
-func BenchmarkSolverMGvsCG(b *testing.B) {
-	mg, err := solver.NewUniformMultigrid(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := mg.Fine()
-	n := s.N()
-	rhs := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x, y, z := s.Center(i)
-		rhs[i] = x*y + z
-	}
-	b.Run("multigrid", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			x := make([]float64, n)
-			res, err := mg.Solve(rhs, x, solver.Options{Tol: 1e-8})
-			if err != nil || !res.Converged {
-				b.Fatal(res, err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "v-cycles")
-	})
-	b.Run("cg", func(b *testing.B) {
-		var iters int
-		for i := 0; i < b.N; i++ {
-			x := make([]float64, n)
-			res, err := s.Solve(rhs, x, solver.Options{Tol: 1e-8})
-			if err != nil || !res.Converged {
-				b.Fatal(res, err)
-			}
-			iters = res.Iterations
-		}
-		b.ReportMetric(float64(iters), "iterations")
-	})
 }
 
 // --- Octant fast path: repeated leaf sweeps + refine pass (walk vs index) ---

@@ -98,9 +98,6 @@ func (t *Tree) NVBMDataOffset() int { return t.nv.DataOffset() }
 // DRAMBudget returns the current C0 capacity in octants.
 func (t *Tree) DRAMBudget() int { return t.cfg.DRAMBudgetOctants }
 
-// DRAMUtilization returns the C0 arena's live/budget ratio in [0,1].
-func (t *Tree) DRAMUtilization() float64 { return t.dram.Utilization() }
-
 // LastPeakDRAMUtilization returns the highest C0 utilization reached
 // during the previous step (Persist drains C0, so the instantaneous
 // post-step value is near zero and useless for capacity decisions).

@@ -81,7 +81,8 @@ func TestRestoreRejectsCorruptGeometry(t *testing.T) {
 // tree it hands back must validate, survive an allocating refine and a
 // persist, and validate again. The restore keeps no versions: GC then
 // never walks the fallback ring, whose damaged entries its guarded mark
-// does not yet survive (ROADMAP item 8).
+// does not yet survive (ROADMAP "Recovery is right by construction on
+// faulty memory").
 func FuzzRestoreImage(f *testing.F) {
 	base := persistedImage(f)
 	f.Add(uint32(13), byte(0x01), uint32(0), byte(0))

@@ -182,15 +182,6 @@ func (p *VersionPin) readInto(r Ref, buf []byte, o *Octant) {
 	o.decode(buf)
 }
 
-// ReadOctant loads one octant of the pinned version. Safe from any
-// goroutine.
-func (p *VersionPin) ReadOctant(r Ref) Octant {
-	var buf [RecordSize]byte
-	var o Octant
-	p.readInto(r, buf[:], &o)
-	return o
-}
-
 // ForEachNode visits every octant of the pinned version in Z-order
 // pre-order. Return false from fn to stop early. Safe from any goroutine;
 // the walk charges one device read per visited octant, exactly like the
@@ -236,13 +227,10 @@ func (p *VersionPin) FindLeaf(code morton.Code) (Ref, Octant) {
 	return r, o
 }
 
-// ChargeReads accounts n modeled device reads of sz bytes each against the
-// pinned device, for read paths that answer from host-side indexes built
-// over the version (the serving layer's Morton leaf index) but semantically
-// consult persistent octants.
-func (p *VersionPin) ChargeReads(n, sz int) { p.dev.ChargeReadN(n, sz) }
-
-// ChargeReadsModeled charges like ChargeReads and returns the modeled
+// ChargeReadsModeled accounts n modeled device reads of sz bytes each
+// against the pinned device, for read paths that answer from host-side
+// indexes built over the version (the serving layer's Morton leaf index)
+// but semantically consult persistent octants. It returns the modeled
 // nanoseconds of device time the reads cost, so serving traces can
 // attribute device-read time to the request that incurred it.
 func (p *VersionPin) ChargeReadsModeled(n, sz int) uint64 {

@@ -126,9 +126,6 @@ func (t *Tree) LeafCount() int { return t.index.Len() }
 // Device returns the backing device.
 func (t *Tree) Device() *nvbm.Device { return t.store.Device() }
 
-// IndexHeight returns the current B-tree height (index probe cost).
-func (t *Tree) IndexHeight() int { return t.index.Height() }
-
 // --- page-level record plumbing ---
 
 func (t *Tree) readPage(pid int, buf []byte) int {

@@ -16,6 +16,7 @@
 package fluid
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,10 +44,11 @@ type State struct {
 	// Gravity is the body acceleration along -z applied to liquid cells.
 	Gravity float64
 
-	// scratch
-	div, gx, gy, gz  []float64
-	u2, v2, w2, vof2 []float64
-	lastDt           float64
+	// scratch; u2..p2 hold a step's new fields until its projection has
+	// converged
+	div, gx, gy, gz      []float64
+	u2, v2, w2, vof2, p2 []float64
+	lastDt               float64
 
 	// pool schedules the advection sweep and the per-cell update loops;
 	// nil runs them inline. The projection solve follows Sys's pool.
@@ -84,7 +86,7 @@ func NewState(sys *solver.System) *State {
 		U:   mk(), V: mk(), W: mk(), VOF: mk(), P: mk(),
 		Gravity: 9.81,
 		div:     mk(), gx: mk(), gy: mk(), gz: mk(),
-		u2: mk(), v2: mk(), w2: mk(), vof2: mk(),
+		u2: mk(), v2: mk(), w2: mk(), vof2: mk(), p2: mk(),
 	}
 }
 
@@ -124,12 +126,19 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Step advances the flow by dt.
+// ErrNotConverged reports a projection solve that stopped short of its
+// tolerance. Step returns it wrapped and leaves every field as it was.
+var ErrNotConverged = errors.New("fluid: pressure projection did not converge")
+
+// Step advances the flow by dt. It fails, changing no field, when dt is
+// not positive or the pressure projection does not converge (a
+// non-finite field, for one).
 func (st *State) Step(dt float64) (solver.Result, error) {
-	if dt <= 0 {
+	if !(dt > 0) {
 		return solver.Result{}, fmt.Errorf("fluid: non-positive dt %v", dt)
 	}
 	n := st.Sys.N()
+	u, v, w, vof, p := st.u2, st.v2, st.w2, st.vof2, st.p2
 
 	// 1. Semi-Lagrangian advection: trace the characteristic back and
 	// sample the previous field there.
@@ -138,7 +147,7 @@ func (st *State) Step(dt float64) (solver.Result, error) {
 	// 2. Gravity acts on the liquid phase.
 	st.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			st.W[i] -= dt * st.Gravity * st.VOF[i]
+			w[i] -= dt * st.Gravity * vof[i]
 		}
 	})
 
@@ -148,28 +157,33 @@ func (st *State) Step(dt float64) (solver.Result, error) {
 	// correction (the standard approximate projection on collocated
 	// grids). The assembled operator is the NEGATIVE Laplacian, so the
 	// right-hand side flips sign.
-	st.Sys.Divergence(st.U, st.V, st.W, st.div)
+	st.Sys.Divergence(u, v, w, st.div)
 	st.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st.div[i] /= -dt
 		}
 	})
-	for i := range st.P {
-		st.P[i] = 0
+	for i := range p {
+		p[i] = 0
 	}
-	res, err := st.Sys.SolveNeumann(st.div, st.P, solver.Options{Tol: 1e-8})
+	res, err := st.Sys.SolveNeumann(st.div, p, solver.Options{Tol: 1e-8})
 	if err != nil {
 		return res, err
 	}
-	st.lastDt = dt
-	st.Sys.Gradient(st.P, st.gx, st.gy, st.gz)
+	if !res.Converged {
+		return res, fmt.Errorf("%w: relative residual %g after %d iterations", ErrNotConverged, res.Residual, res.Iterations)
+	}
+	st.Sys.Gradient(p, st.gx, st.gy, st.gz)
 	st.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			st.U[i] -= dt * st.gx[i]
-			st.V[i] -= dt * st.gy[i]
-			st.W[i] -= dt * st.gz[i]
+			st.U[i] = u[i] - dt*st.gx[i]
+			st.V[i] = v[i] - dt*st.gy[i]
+			st.W[i] = w[i] - dt*st.gz[i]
 		}
 	})
+	copy(st.VOF, vof)
+	copy(st.P, p)
+	st.lastDt = dt
 	return res, nil
 }
 
@@ -211,8 +225,8 @@ func (st *State) sample4(at int, x, y, z float64) (u, v, w, vof float64) {
 }
 
 // advect performs the semi-Lagrangian transport of velocity and volume
-// fraction. Every cell samples only the PREVIOUS field (u2..vof2 are the
-// targets), so the sweep parallelizes with bit-identical results.
+// fraction into u2..vof2. Every cell samples only the PREVIOUS field, so
+// the sweep parallelizes with bit-identical results.
 func (st *State) advect(dt float64) {
 	n := st.Sys.N()
 	st.pool.RunMin(n, minAdvect, func(lo, hi int) {
@@ -224,10 +238,6 @@ func (st *State) advect(dt float64) {
 			st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(i, bx, by, bz)
 		}
 	})
-	copy(st.U, st.u2)
-	copy(st.V, st.v2)
-	copy(st.W, st.w2)
-	copy(st.VOF, st.vof2)
 }
 
 // MaxAbsDivergence returns the max-norm of the collocated cell-velocity

@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -208,5 +209,50 @@ func TestStepRejectsBadDt(t *testing.T) {
 	st := NewState(uniformSystem(t, 1))
 	if _, err := st.Step(0); err == nil {
 		t.Error("dt=0 accepted")
+	}
+}
+
+// TestStepFailureLeavesFieldsUntouched: a step that cannot be taken, for
+// a bad dt or a projection that does not converge, returns an error and
+// changes no field. One non-finite velocity is enough to stop the
+// projection: advection carries it into its neighbours' samples.
+func TestStepFailureLeavesFieldsUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		dt        float64
+		spoil     func(st *State)
+		projected bool // the failure is ErrNotConverged
+	}{
+		{"NaN dt", math.NaN(), func(*State) {}, false},
+		{"negative dt", -1e-3, func(*State) {}, false},
+		{"NaN velocity", 2e-3, func(st *State) { st.U[len(st.U)/2] = math.NaN() }, true},
+		{"infinite velocity", 2e-3, func(st *State) { st.W[len(st.W)/3] = math.Inf(-1) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := pouredState(t, adaptiveSystem(t))
+			if _, err := st.Step(2e-3); err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(st)
+			fields := [][]float64{st.U, st.V, st.W, st.VOF, st.P}
+			var before [][]float64
+			for _, f := range fields {
+				before = append(before, append([]float64(nil), f...))
+			}
+			res, err := st.Step(tc.dt)
+			if err == nil {
+				t.Fatalf("step accepted: %+v", res)
+			}
+			if got := errors.Is(err, ErrNotConverged); got != tc.projected {
+				t.Errorf("errors.Is(%v, ErrNotConverged) = %v", err, got)
+			}
+			for k, f := range fields {
+				for i := range f {
+					if math.Float64bits(f[i]) != math.Float64bits(before[k][i]) {
+						t.Fatalf("field %d cell %d changed: %v -> %v", k, i, before[k][i], f[i])
+					}
+				}
+			}
+		})
 	}
 }

@@ -93,6 +93,10 @@ func TestAdvectFusedMatchesReference(t *testing.T) {
 			} else {
 				st.advect(2e-3)
 			}
+			copy(st.U, st.u2)
+			copy(st.V, st.v2)
+			copy(st.W, st.w2)
+			copy(st.VOF, st.vof2)
 		}
 		return st
 	}

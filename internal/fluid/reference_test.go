@@ -40,7 +40,8 @@ func (st *State) sample(field []float64, x, y, z float64) float64 {
 	return acc
 }
 
-// advectRef is the advection sweep with one full sample per field.
+// advectRef is the advection sweep with one full sample per field, into
+// the same u2..vof2 targets.
 func (st *State) advectRef(dt float64) {
 	n := st.Sys.N()
 	st.pool.RunMin(n, minAdvect, func(lo, hi int) {
@@ -55,8 +56,4 @@ func (st *State) advectRef(dt float64) {
 			st.vof2[i] = st.sample(st.VOF, bx, by, bz)
 		}
 	})
-	copy(st.U, st.u2)
-	copy(st.V, st.v2)
-	copy(st.W, st.w2)
-	copy(st.VOF, st.vof2)
 }

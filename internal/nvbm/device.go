@@ -134,13 +134,6 @@ func New(kind Kind, size int) *Device {
 	return d
 }
 
-// NewWithLatency creates a Device with an explicit latency model.
-func NewWithLatency(kind Kind, size int, lat Latency) *Device {
-	d := New(kind, size)
-	d.lat = lat
-	return d
-}
-
 // Kind reports the memory technology this device emulates.
 func (d *Device) Kind() Kind { return d.kind }
 
@@ -371,9 +364,6 @@ func (d *Device) PowerLost() bool { return d.powerCut.Load() == 0 }
 // use it to model I/O whose payload is tracked elsewhere (e.g. B-tree
 // index pages held in a volatile cache but homed on this device).
 func (d *Device) ChargeRead(n int) { d.chargeRead(n) }
-
-// ChargeWrite accounts a write of n bytes without moving data.
-func (d *Device) ChargeWrite(n int) { d.chargeWrite(n) }
 
 // ChargeReadN accounts count independent reads of bytesEach bytes in one
 // call (bulk form of ChargeRead for modeling traversals).

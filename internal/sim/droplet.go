@@ -198,11 +198,6 @@ func (d *Droplet) PhiAtStep(x, y, z float64, step int) float64 {
 	return d.Phi(x, y, z, float64(step)/float64(d.cfg.Steps))
 }
 
-// Inside reports whether the point is in the liquid at step s.
-func (d *Droplet) Inside(x, y, z float64, step int) bool {
-	return d.PhiAtStep(x, y, z, step) < 0
-}
-
 // sphereDist is the signed distance to a sphere surface.
 func sphereDist(x, y, z, cx, cy, cz, r float64) float64 {
 	return math.Sqrt(sq(x-cx)+sq(y-cy)+sq(z-cz)) - r

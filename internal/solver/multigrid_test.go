@@ -1,141 +1,120 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"pmoctree/internal/morton"
 )
 
-func TestMultigridSolvesManufactured(t *testing.T) {
-	mg, err := NewUniformMultigrid(4)
-	if err != nil {
-		t.Fatal(err)
+// TestHierarchyTilesEveryLevel: every coarse level Build derives is a
+// tiling Build accepts on its own, one level shallower than the level
+// above, and its child ranges partition the finer level's index, each
+// fine cell lying in its range's owner.
+func TestHierarchyTilesEveryLevel(t *testing.T) {
+	meshes := map[string][]morton.Code{
+		"uniform4": uniformLeaves(4),
+		"flow":     flowLeaves(),
 	}
-	s := mg.Fine()
-	n := s.N()
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cx, cy, cz := s.Center(i)
-		b[i] = 3 * math.Pi * math.Pi * manufactured(cx, cy, cz)
+	for l := uint8(3); l <= 6; l++ {
+		meshes[fmt.Sprintf("adaptive%d", l)] = adaptiveLeaves(l)
 	}
-	res, err := mg.Solve(b, x, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("not converged: %+v", res)
-	}
-	// Discretization error vs the exact solution.
-	num, den := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		cx, cy, cz := s.Center(i)
-		e := s.Extent(i)
-		v := e * e * e
-		d := x[i] - manufactured(cx, cy, cz)
-		num += d * d * v
-		den += manufactured(cx, cy, cz) * manufactured(cx, cy, cz) * v
-	}
-	if rel := math.Sqrt(num / den); rel > 0.05 {
-		t.Errorf("relative L2 error %v", rel)
-	}
-}
-
-func TestMultigridMatchesCG(t *testing.T) {
-	mg, err := NewUniformMultigrid(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mg.Fine()
-	n := s.N()
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cx, cy, cz := s.Center(i)
-		b[i] = cx + 2*cy - cz
-	}
-	xmg := make([]float64, n)
-	xcg := make([]float64, n)
-	if _, err := mg.Solve(b, xmg, Options{Tol: 1e-11}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(b, xcg, Options{Tol: 1e-11}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(xmg[i]-xcg[i]) > 1e-7*(1+math.Abs(xcg[i])) {
-			t.Fatalf("cell %d: MG %v vs CG %v", i, xmg[i], xcg[i])
-		}
+	for name, leaves := range meshes {
+		t.Run(name, func(t *testing.T) {
+			s, err := Build(leaves)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := []int{s.N()}
+			for f := s; f.coarse != nil; f = f.coarse {
+				c := f.coarse
+				sizes = append(sizes, c.N())
+				if _, err := Build(c.codes); err != nil {
+					t.Fatalf("level of %d cells: %v", c.N(), err)
+				}
+				if f.N() <= coarsest || c.N() >= f.N() {
+					t.Fatalf("level of %d cells coarsened to %d", f.N(), c.N())
+				}
+				if len(f.kids) != c.N()+1 || f.kids[0] != 0 || int(f.kids[c.N()]) != f.N() {
+					t.Fatalf("child ranges %d long over [%d, %d), want %d over [0, %d)",
+						len(f.kids), f.kids[0], f.kids[len(f.kids)-1], c.N()+1, f.N())
+				}
+				for j, owner := range c.codes {
+					lo, hi := f.kids[j], f.kids[j+1]
+					if lo >= hi {
+						t.Fatalf("coarse cell %v owns the empty range [%d, %d)", owner, lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						if fc := f.codes[i]; fc != owner && !owner.Contains(fc) {
+							t.Fatalf("fine cell %v in the range of %v", fc, owner)
+						}
+					}
+				}
+			}
+			if last := sizes[len(sizes)-1]; last > coarsest {
+				t.Fatalf("bottom level has %d cells", last)
+			}
+			t.Logf("levels %v", sizes)
+		})
 	}
 }
 
+// TestMultigridIterationsFlatAcrossLevels: the V-cycle-preconditioned CG
+// converges in a near-constant number of iterations as the adaptive mesh
+// refines, where Jacobi-preconditioned CG (the oracle) grows like 1/h.
 func TestMultigridIterationsFlatAcrossLevels(t *testing.T) {
-	// The point of multigrid: V-cycle counts stay ~constant as the mesh
-	// refines, while CG iterations grow like 1/h.
-	var mgIters, cgIters []int
-	for _, level := range []uint8{3, 4, 5} {
-		mg, err := NewUniformMultigrid(level)
+	var iters, jacobi []int
+	for level := uint8(3); level <= 6; level++ {
+		leaves := adaptiveLeaves(level)
+		s, err := Build(leaves)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := mg.Fine()
 		n := s.N()
 		b := make([]float64, n)
 		for i := 0; i < n; i++ {
-			cx, cy, cz := s.Center(i)
-			b[i] = 3 * math.Pi * math.Pi * manufactured(cx, cy, cz)
+			b[i] = 3 * math.Pi * math.Pi * manufactured(s.Center(i))
 		}
-		x := make([]float64, n)
-		res, err := mg.Solve(b, x, Options{Tol: 1e-8})
+		res, err := s.Solve(b, make([]float64, n), Options{Tol: 1e-8})
 		if err != nil || !res.Converged {
-			t.Fatalf("level %d MG: %+v %v", level, res, err)
+			t.Fatalf("level %d: %+v %v", level, res, err)
 		}
-		mgIters = append(mgIters, res.Iterations)
-
-		x2 := make([]float64, n)
-		res2, err := s.Solve(b, x2, Options{Tol: 1e-8})
-		if err != nil || !res2.Converged {
-			t.Fatalf("level %d CG: %+v %v", level, res2, err)
+		if res.Iterations > 20 {
+			t.Errorf("level %d (%d cells): %d iterations, want <= 20", level, n, res.Iterations)
 		}
-		cgIters = append(cgIters, res2.Iterations)
+		iters = append(iters, res.Iterations)
+		ref, err := referenceBuild(leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jacobi = append(jacobi, ref.solve(b, make([]float64, n), Options{Tol: 1e-8}).Iterations)
 	}
-	// Cell-centered injection multigrid is mildly h-dependent near the
-	// Dirichlet walls, but its growth must stay far below CG's ~1/h.
-	mgGrowth := float64(mgIters[2]) / float64(mgIters[0])
-	cgGrowth := float64(cgIters[2]) / float64(cgIters[0])
-	if mgGrowth > 2 {
-		t.Errorf("MG iterations grew %vx: %v", mgGrowth, mgIters)
+	if jacobi[len(jacobi)-1] < 2*iters[len(iters)-1] {
+		t.Errorf("Jacobi CG %v not clearly above V-cycle CG %v at the finest level", jacobi, iters)
 	}
-	if cgGrowth < mgGrowth*1.3 {
-		t.Errorf("CG growth %vx not clearly above MG growth %vx (CG %v, MG %v)",
-			cgGrowth, mgGrowth, cgIters, mgIters)
-	}
-	t.Logf("V-cycles per level: %v; CG iterations: %v", mgIters, cgIters)
+	t.Logf("V-cycle CG iterations per level: %v; Jacobi CG: %v", iters, jacobi)
 }
 
+// TestMultigridZeroRHS: both solves return the exact zero solution on an
+// all-zero right-hand side, whatever the warm start held.
 func TestMultigridZeroRHS(t *testing.T) {
-	mg, err := NewUniformMultigrid(2)
+	s, err := Build(adaptiveLeaves(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := make([]float64, mg.N())
-	x := make([]float64, mg.N())
-	x[0] = 3
-	res, err := mg.Solve(b, x, Options{})
-	if err != nil || !res.Converged {
-		t.Fatalf("%+v %v", res, err)
-	}
-	for i, v := range x {
-		if math.Abs(v) > 1e-12 {
-			t.Fatalf("x[%d] = %v", i, v)
+	for _, solve := range []func([]float64, []float64, Options) (Result, error){s.Solve, s.SolveNeumann} {
+		b := make([]float64, s.N())
+		x := make([]float64, s.N())
+		x[0] = 3
+		res, err := solve(b, x, Options{})
+		if err != nil || !res.Converged || res.Iterations != 0 {
+			t.Fatalf("%+v %v", res, err)
 		}
-	}
-}
-
-func TestMultigridErrors(t *testing.T) {
-	if _, err := NewUniformMultigrid(0); err == nil {
-		t.Error("level 0 accepted")
-	}
-	mg, _ := NewUniformMultigrid(2)
-	if _, err := mg.Solve(make([]float64, 1), make([]float64, mg.N()), Options{}); err == nil {
-		t.Error("length mismatch accepted")
+		for i, v := range x {
+			if v != 0 {
+				t.Fatalf("x[%d] = %v", i, v)
+			}
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"fmt"
-
-	"pmoctree/internal/morton"
-)
+import "pmoctree/internal/morton"
 
 // axisOf maps a direction index to its axis (0=x, 1=y, 2=z) and sign.
 func axisOf(di int) (axis int, sign float64) {
@@ -104,137 +100,34 @@ func (s *System) ApplyNeumann(x, y []float64) {
 	})
 }
 
-// SolveNeumann runs CG on the (singular, semidefinite) Neumann operator:
-// A_N x = b*V. The right-hand side must be compatible (sum to zero), which
-// wall-bounded divergence fields satisfy by the divergence theorem; the
-// returned solution is volume-mean-free.
+// SolveNeumann runs the same V-cycle-preconditioned CG on the (singular,
+// semidefinite) Neumann operator: A_N x = b*V. The right-hand side must be
+// compatible (sum to zero), which wall-bounded divergence fields satisfy
+// by the divergence theorem; the returned solution is volume-mean-free.
 func (s *System) SolveNeumann(b []float64, x []float64, opt Options) (Result, error) {
+	rhs, err := s.integrate(b, x)
+	if err != nil {
+		return Result{}, err
+	}
 	n := s.N()
-	if len(b) != n || len(x) != n {
-		return Result{}, fmt.Errorf("solver: vector length %d/%d, want %d", len(b), len(x), n)
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10 * n
-	}
-	rhs := make([]float64, n)
-	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := s.codes[i].Extent()
-			rhs[i] = b[i] * e * e * e
-		}
-	})
 	rhsSum := s.pool.Sum(n, func(i int) float64 { return rhs[i] })
-	volSum := s.pool.Sum(n, func(i int) float64 {
-		e := s.codes[i].Extent()
-		return e * e * e
-	})
+	volSum := s.pool.Sum(n, func(i int) float64 { return s.vol[i] })
 	// Enforce compatibility exactly: remove the (tiny) incompatible
 	// component that floating point left behind.
 	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := s.codes[i].Extent()
-			rhs[i] -= rhsSum * (e * e * e) / volSum
+			rhs[i] -= rhsSum * s.vol[i] / volSum
 		}
 	})
-
-	// Neumann diagonal (wall terms excluded) for the Jacobi preconditioner.
-	diag := make([]float64, n)
-	s.neumannDiag(diag)
-
-	r := make([]float64, n)
-	s.ApplyNeumann(x, r)
-	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r[i] = rhs[i] - r[i]
-		}
-	})
-	z := make([]float64, n)
-	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			z[i] = r[i] / diag[i]
-		}
-	})
-	p := append([]float64(nil), z...)
-	ap := make([]float64, n)
-	rz := s.pool.Dot(r, z)
-	norm0 := s.pool.Norm2(rhs)
-	if norm0 == 0 {
-		// A zero right-hand side means the projection has nothing to do;
-		// any constant solves the singular system and the mean-free
-		// representative is x = 0. Returning the untouched initial guess
-		// here (as an earlier revision did) would silently hand back an
-		// unconverged x.
-		for i := range x {
-			x[i] = 0
-		}
-		return Result{Converged: true}, nil
-	}
-	var res Result
-	for res.Iterations = 0; res.Iterations < opt.MaxIter; res.Iterations++ {
-		res.Residual = s.pool.Norm2(r) / norm0
-		if res.Residual <= opt.Tol {
-			res.Converged = true
-			break
-		}
-		s.ApplyNeumann(p, ap)
-		pap := s.pool.Dot(p, ap)
-		if pap <= 0 {
-			break // numerical null-space contamination
-		}
-		alpha := rz / pap
-		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * ap[i]
-			}
-		})
-		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z[i] = r[i] / diag[i]
-			}
-		})
-		rzNew := s.pool.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p[i] = z[i] + beta*p[i]
-			}
-		})
-	}
+	res := s.pcg(true, rhs, x, opt)
 	// Pin the solution: remove the volume-weighted mean.
-	xm := s.pool.Sum(n, func(i int) float64 {
-		e := s.codes[i].Extent()
-		return x[i] * e * e * e
-	}) / volSum
+	xm := s.pool.Sum(n, func(i int) float64 { return x[i] * s.vol[i] }) / volSum
 	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			x[i] -= xm
 		}
 	})
-	res.Converged = res.Converged || res.Residual <= opt.Tol
 	return res, nil
-}
-
-// neumannDiag fills the wall-free (Neumann) diagonal used by
-// SolveNeumann's Jacobi preconditioner.
-func (s *System) neumannDiag(diag []float64) {
-	rs, nb, tr := s.rowStart, s.nb, s.tr
-	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for k := rs[i]; k < rs[i+1]; k++ {
-				if nb[k] >= 0 {
-					diag[i] += tr[k]
-				}
-			}
-			if diag[i] == 0 {
-				diag[i] = 1 // isolated cell (single-cell mesh)
-			}
-		}
-	})
 }
 
 // ProjectedDivergence computes the divergence of the face-corrected

@@ -12,10 +12,11 @@ import (
 // pinned to: assembly through a code→index map, an ancestor walk for
 // coarser neighbors and exact child probes for finer ones into per-cell
 // AoS face lists; the operator sweeps over those lists with geometry
-// recomputed from the codes; the map-probe point lookup; and the CG loops
-// driving the AoS sweeps. The accumulation order and every floating-point
-// expression match the CSR forms term for term, so the two round
-// identically.
+// recomputed from the codes; the map-probe point lookup; and the
+// Jacobi-preconditioned CG loops driving the AoS sweeps. The assembly and
+// the operators match the CSR forms term for term, so the two round
+// identically; the V-cycle-preconditioned solves must land within their
+// tolerance of these CG loops.
 
 // face is one flux connection of a cell.
 type face struct {
@@ -130,6 +131,8 @@ func (s *refSystem) flatten() *System {
 		out.vol[i] = e * e * e
 	}
 	out.rowStart[n] = int32(len(out.nb))
+	out.ndiag = make([]float64, n)
+	s.neumannDiag(out.ndiag)
 	return out
 }
 
@@ -309,7 +312,7 @@ func (s *refSystem) cellAt(x, y, z float64) (int, bool) {
 	return 0, false
 }
 
-// solve is System.Solve over the AoS sweeps.
+// solve is Jacobi-preconditioned CG on A x = b·V over the AoS sweeps.
 func (s *refSystem) solve(b []float64, x []float64, opt Options) Result {
 	n := len(s.codes)
 	if opt.Tol <= 0 {
@@ -371,7 +374,8 @@ func (s *refSystem) solve(b []float64, x []float64, opt Options) Result {
 	return res
 }
 
-// solveNeumann is System.SolveNeumann over the AoS sweeps.
+// solveNeumann is Jacobi-preconditioned CG on the Neumann operator over
+// the AoS sweeps, with SolveNeumann's compatibility and mean handling.
 func (s *refSystem) solveNeumann(b []float64, x []float64, opt Options) Result {
 	n := len(s.codes)
 	if opt.Tol <= 0 {

@@ -1,12 +1,13 @@
 // Package solver implements a cell-centered finite-volume Poisson solver
 // on 2:1-balanced adaptive octree meshes — the pressure-projection core a
 // Gerris-style incompressible flow solver runs every time step (§4 of the
-// paper). Two iterations are provided: geometric multigrid V-cycles on
-// uniform hierarchies (Multigrid — the Gerris solver family, with
-// iteration counts flat under refinement) and Jacobi-preconditioned
-// conjugate gradients (System.Solve / SolveNeumann) for arbitrary
-// 2:1-balanced adaptive meshes. Both sweep the same stencils, so the
-// memory access pattern the octree observes is identical.
+// paper). One iteration solves both the Dirichlet (System.Solve) and the
+// Neumann projection (System.SolveNeumann) problem: conjugate gradients
+// preconditioned by one geometric multigrid V-cycle over the mesh's own
+// octree levels, as Gerris solves Poisson. Build derives the coarser
+// levels from the Z-ordered leaf codes themselves, so any 2:1-balanced
+// adaptive mesh has a hierarchy, and the iteration count stays nearly
+// flat as the mesh refines.
 //
 // The discretization is the standard graded-octree two-point flux: for
 // the face between cells i and j,
@@ -55,6 +56,7 @@ const (
 type System struct {
 	codes []morton.Code
 	diag  []float64 // sum of transmissibilities per cell
+	ndiag []float64 // the same without wall faces (1 on an isolated cell)
 
 	// CSR face arrays: cell i's faces are entries
 	// [rowStart[i], rowStart[i+1]) of nb/tr/fdir/farea, in dirs order, the
@@ -70,9 +72,15 @@ type System struct {
 	extent []float64
 	vol    []float64 // extent^3
 
-	// pool schedules the matrix-free kernels; nil runs them inline.
-	// Reductions go through the pool's blocked summation either way, so
-	// results are bit-identical at every worker count.
+	// coarse is the next coarser level of the V-cycle hierarchy, nil on
+	// the coarsest; its cell j holds this level's cells
+	// [kids[j], kids[j+1]). Both are fixed at Build.
+	coarse *System
+	kids   []int32
+
+	// pool schedules the matrix-free kernels of every level; nil runs
+	// them inline. Reductions go through the pool's blocked summation
+	// either way, so results are bit-identical at every worker count.
 	pool *parallel.Pool
 }
 
@@ -82,15 +90,19 @@ type System struct {
 // reductions are deterministic blocked sums (see internal/parallel).
 func (s *System) SetWorkers(n int) {
 	if n == 1 {
-		s.pool = nil
+		s.SetPool(nil)
 		return
 	}
-	s.pool = parallel.New(n)
+	s.SetPool(parallel.New(n))
 }
 
 // SetPool attaches a caller-owned (possibly instrumented) pool; nil
 // restores serial execution.
-func (s *System) SetPool(p *parallel.Pool) { s.pool = p }
+func (s *System) SetPool(p *parallel.Pool) {
+	for l := s; l != nil; l = l.coarse {
+		l.pool = p
+	}
+}
 
 // Workers reports the configured scheduling width.
 func (s *System) Workers() int { return s.pool.Workers() }
@@ -101,22 +113,44 @@ var dirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0
 // Build assembles the operator from the leaf codes of a 2:1-balanced
 // octree tiling in Z-order (ascending Key, as Tree.LeafCodes returns
 // them); cell i of the System is leaves[i]. It returns an error when the
-// input is not such a tiling or violates the constraint.
+// input is not such a tiling or violates the constraint. Build also
+// assembles the solves' V-cycle hierarchy (multigrid.go): each coarser
+// level merges the finest cells of the one above into their parents,
+// until a level has at most 64 cells.
 func Build(leaves []morton.Code) (*System, error) {
-	n := len(leaves)
-	if n == 0 {
+	if len(leaves) == 0 {
 		return nil, fmt.Errorf("solver: no cells")
 	}
+	s, err := assemble(append([]morton.Code(nil), leaves...))
+	if err != nil {
+		return nil, err
+	}
+	for l := s; l.N() > coarsest; l = l.coarse {
+		codes, kids := coarsen(l.codes)
+		if l.coarse, err = assemble(codes); err != nil {
+			return nil, err
+		}
+		l.kids = kids
+	}
+	return s, nil
+}
+
+// assemble builds one level's operator over codes, which it keeps.
+func assemble(codes []morton.Code) (*System, error) {
+	n := len(codes)
 	s := &System{
-		codes:    append([]morton.Code(nil), leaves...),
+		codes:    codes,
 		diag:     make([]float64, n),
+		ndiag:    make([]float64, n),
 		rowStart: make([]int32, n+1),
-		// Six faces per cell is exact on uniform regions; split faces
-		// grow the arrays.
-		nb:     make([]int32, 0, 6*n),
-		tr:     make([]float64, 0, 6*n),
-		fdir:   make([]uint8, 0, 6*n),
-		farea:  make([]float64, 0, 6*n),
+		// Six faces per cell is exact on uniform regions, and each split
+		// face adds three. The room for one split face per sixth cell
+		// holds graded meshes with thin refinement fronts; more split
+		// faces grow the arrays once.
+		nb:     make([]int32, 0, 6*n+n/2),
+		tr:     make([]float64, 0, 6*n+n/2),
+		fdir:   make([]uint8, 0, 6*n+n/2),
+		farea:  make([]float64, 0, 6*n+n/2),
 		extent: make([]float64, n),
 		vol:    make([]float64, n),
 	}
@@ -129,6 +163,9 @@ func Build(leaves []morton.Code) (*System, error) {
 		s.fdir = append(s.fdir, uint8(di))
 		s.farea = append(s.farea, area)
 		s.diag[i] += t
+		if j >= 0 {
+			s.ndiag[i] += t
+		}
 	}
 	for i, c := range s.codes {
 		s.rowStart[i] = int32(len(s.nb))
@@ -174,6 +211,9 @@ func Build(leaves []morton.Code) (*System, error) {
 				}
 			}
 		}
+		if s.ndiag[i] == 0 {
+			s.ndiag[i] = 1 // isolated cell (single-cell mesh)
+		}
 	}
 	s.rowStart[n] = int32(len(s.nb))
 	return s, nil
@@ -208,6 +248,16 @@ func (s *System) N() int { return len(s.codes) }
 // Codes returns the cell codes in assembly order.
 func (s *System) Codes() []morton.Code { return s.codes }
 
+// apply computes y = A x for the Dirichlet (neumann false) or the
+// Neumann operator.
+func (s *System) apply(neumann bool, x, y []float64) {
+	if neumann {
+		s.ApplyNeumann(x, y)
+	} else {
+		s.Apply(x, y)
+	}
+}
+
 // Apply computes y = A x, where A is the (SPD) negative Laplacian with
 // Dirichlet walls: (Ax)_i = sum_f T_f (x_i - x_j), wall x_j = 0. Rows are
 // independent, so the sweep parallelizes without changing any result bit.
@@ -241,78 +291,92 @@ type Result struct {
 	Converged  bool
 }
 
-// Solve runs Jacobi-preconditioned conjugate gradients on A x = b·V (b is
-// a cell-centered source density; the right-hand side integrates it over
-// each cell volume). x is overwritten with the solution; pass a zero
+// Solve runs V-cycle-preconditioned conjugate gradients on A x = b·V (b
+// is a cell-centered source density; the right-hand side integrates it
+// over each cell volume). x is overwritten with the solution; pass a zero
 // slice for a cold start.
 func (s *System) Solve(b []float64, x []float64, opt Options) (Result, error) {
+	rhs, err := s.integrate(b, x)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.pcg(false, rhs, x, opt), nil
+}
+
+// integrate checks the vector lengths and returns the finite-volume
+// right-hand side rhs_i = b_i * V_i.
+func (s *System) integrate(b, x []float64) ([]float64, error) {
 	n := s.N()
 	if len(b) != n || len(x) != n {
-		return Result{}, fmt.Errorf("solver: vector length %d/%d, want %d", len(b), len(x), n)
+		return nil, fmt.Errorf("solver: vector length %d/%d, want %d", len(b), len(x), n)
 	}
+	rhs := make([]float64, n)
+	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rhs[i] = b[i] * s.vol[i]
+		}
+	})
+	return rhs, nil
+}
+
+// pcg is the one CG loop behind Solve (Dirichlet) and SolveNeumann,
+// preconditioned by one V-cycle per iteration. It stops early, not
+// converged, when the search direction has no positive curvature: the
+// Neumann null space has leaked in, or the input was not finite.
+func (s *System) pcg(neumann bool, rhs, x []float64, opt Options) Result {
+	n := s.N()
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-8
 	}
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 10 * n
 	}
-
-	// rhs_i = b_i * V_i (finite-volume integration).
-	rhs := make([]float64, n)
-	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := s.codes[i].Extent()
-			rhs[i] = b[i] * e * e * e
+	// An all-zero right-hand side (no sources anywhere) has the exact
+	// solution x = 0 (the mean-free one in the Neumann case); dividing by
+	// norm0 would turn every residual into NaN, and returning a warm
+	// start untouched would hand back an unconverged x.
+	norm0 := s.pool.Norm2(rhs)
+	if norm0 == 0 {
+		for i := range x {
+			x[i] = 0
 		}
-	})
+		return Result{Converged: true}
+	}
 
+	work := s.workspace()
 	r := make([]float64, n)
-	s.Apply(x, r)
+	s.apply(neumann, x, r)
 	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r[i] = rhs[i] - r[i]
 		}
 	})
 	z := make([]float64, n)
-	precond := func() {
-		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z[i] = r[i] / s.diag[i]
-			}
-		})
-	}
-	precond()
+	s.vcycle(neumann, r, z, work)
 	p := append([]float64(nil), z...)
 	ap := make([]float64, n)
-
 	rz := s.pool.Dot(r, z)
-	// An all-zero right-hand side (no sources anywhere) has the exact
-	// solution x = 0; dividing by norm0 would turn every residual into
-	// NaN, so report the converged zero solution instead.
-	norm0 := s.pool.Norm2(rhs)
-	if norm0 == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return Result{Converged: true}, nil
-	}
 
 	var res Result
 	for res.Iterations = 0; res.Iterations < opt.MaxIter; res.Iterations++ {
 		res.Residual = s.pool.Norm2(r) / norm0
 		if res.Residual <= opt.Tol {
 			res.Converged = true
-			return res, nil
+			return res
 		}
-		s.Apply(p, ap)
-		alpha := rz / s.pool.Dot(p, ap)
+		s.apply(neumann, p, ap)
+		pap := s.pool.Dot(p, ap)
+		if !(pap > 0) {
+			return res
+		}
+		alpha := rz / pap
 		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				x[i] += alpha * p[i]
 				r[i] -= alpha * ap[i]
 			}
 		})
-		precond()
+		s.vcycle(neumann, r, z, work)
 		rzNew := s.pool.Dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
@@ -324,7 +388,7 @@ func (s *System) Solve(b []float64, x []float64, opt Options) (Result, error) {
 	}
 	res.Residual = s.pool.Norm2(r) / norm0
 	res.Converged = res.Residual <= opt.Tol
-	return res, nil
+	return res
 }
 
 // dot is the serial form of the deterministic blocked inner product —

@@ -31,6 +31,28 @@ func adaptiveLeaves(maxLevel uint8) []morton.Code {
 	return tr.LeafCodes()
 }
 
+// flowLeaves returns the 51 808-cell mesh of the lifecycle benchmark's
+// flow_projection workload: cmd/flow's "drop" scene, a sphere of liquid
+// above a shallow pool, refined to level 6 around the liquid.
+func flowLeaves() []morton.Code {
+	tr := core.Create(core.Config{})
+	tr.RefineWhere(func(c morton.Code) bool {
+		x, y, z := c.Center()
+		h := c.Extent()
+		return flowLiquid(x, y, z) || flowLiquid(x+h, y, z) || flowLiquid(x-h, y, z) ||
+			flowLiquid(x, y, z+h) || flowLiquid(x, y, z-h)
+	}, 6)
+	tr.Balance()
+	return tr.LeafCodes()
+}
+
+// flowLiquid is the drop scene's initial liquid indicator.
+func flowLiquid(x, y, z float64) bool {
+	const r, cx, cy, cz = 0.15, 0.5, 0.5, 0.7
+	dx, dy, dz := x-cx, y-cy, z-cz
+	return dx*dx+dy*dy+dz*dz < r*r || z < 0.15
+}
+
 func TestBuildUniform(t *testing.T) {
 	s, err := Build(uniformLeaves(2))
 	if err != nil {
@@ -278,4 +300,42 @@ func BenchmarkSolverBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(leaves)), "cells")
+}
+
+// BenchmarkSolveNeumann times the projection solve of the flow_projection
+// mesh's first fluid step: gravity has pulled the liquid down for one
+// step, and the pressure removes the divergence that leaves.
+func BenchmarkSolveNeumann(b *testing.B) {
+	s, err := Build(flowLeaves())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetWorkers(2)
+	n := s.N()
+	const dt = 5e-3
+	u, w, div := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range w {
+		if flowLiquid(s.Center(i)) {
+			w[i] = -dt * 9.81
+		}
+	}
+	s.Divergence(u, u, w, div)
+	for i := range div {
+		div[i] /= -dt
+	}
+	x := make([]float64, n)
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range x {
+			x[j] = 0
+		}
+		res, err := s.SolveNeumann(div, x, Options{Tol: 1e-8})
+		if err != nil || !res.Converged {
+			b.Fatalf("%+v %v", res, err)
+		}
+		iters += res.Iterations
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+	b.ReportMetric(float64(n), "cells")
 }

@@ -236,7 +236,8 @@ func NewAutoTuner(minBudget, maxBudget int) *AutoTuner {
 // flow step.
 type PoissonSystem = solver.System
 
-// SolverOptions tunes the conjugate-gradient iteration.
+// SolverOptions tunes the V-cycle-preconditioned conjugate-gradient
+// iteration.
 type SolverOptions = solver.Options
 
 // SolverResult reports a completed linear solve.
