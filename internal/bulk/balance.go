@@ -1,7 +1,6 @@
 package bulk
 
 import (
-	"cmp"
 	"slices"
 
 	"pmoctree/internal/morton"
@@ -11,8 +10,7 @@ import (
 // Balance validates leaves as a partition of the domain and returns the
 // minimal 2:1 face-balanced refinement of it: the same fixed point
 // core.Tree.Balance reaches (both run Closure), computed over the flat
-// sorted array. The input slice is not modified; the result is sorted by
-// Key.
+// sorted array. The input slice is not modified; the result is sorted.
 func Balance(leaves []morton.Code, pool *parallel.Pool) ([]morton.Code, error) {
 	sorted, _, err := validateAndSort(leaves, pool)
 	if err != nil {
@@ -41,8 +39,8 @@ type Closure struct {
 // constraint and returns the balanced leaves, their payload sources, and
 // every leaf that was split in any round (a split leaf's children may
 // split again in a later round, so the set holds interior octants of the
-// result too), all sorted by Key — ancestors before descendants. leaves
-// must be a Key-sorted partition of the domain and is not modified; src,
+// result too), all sorted — ancestors before descendants. leaves
+// must be a sorted partition of the domain and is not modified; src,
 // when non-nil, maps each leaf to its payload source, and split children
 // inherit their split leaf's entry, mirroring how incremental refinement
 // copies payload down to new children. The returned slices alias the
@@ -82,11 +80,11 @@ func (c *Closure) Run(leaves []morton.Code, src []int32, pool *parallel.Pool) ([
 			if round > 1 {
 				// Each round emits its splits in Z-order; later rounds
 				// interleave with earlier ones.
-				slices.SortFunc(c.splits, func(a, b morton.Code) int { return cmp.Compare(a.Key(), b.Key()) })
+				slices.Sort(c.splits)
 			}
 			return leaves, src, c.splits
 		}
-		// Children of a split leaf are contiguous and ascending in Key, so
+		// Children of a split leaf are contiguous and ascending, so
 		// the rebuilt array stays sorted.
 		out := grow(c.leaves[round&1], n+7*nsplit)
 		var osrc []int32

@@ -4,8 +4,8 @@
 // node top-down from the common key prefixes of adjacent leaves, and link
 // parent/child indices — all in parallel chunks over internal/parallel.
 //
-// The output is a flat, index-linked node array in pre-order (= Key
-// order), the layout the p4est Morton-representation work shows is right
+// The output is a flat, index-linked node array in pre-order (= integer
+// order of the codes), the layout the p4est Morton-representation work shows is right
 // for bulk passes; core.Tree.ConstructFromCodes turns it into committed
 // PM-octree records with one span-coalesced arena write.
 //
@@ -46,7 +46,7 @@ type Options struct {
 }
 
 // Tree is the derived octree: a flat node array in pre-order (equal to
-// ascending Key order) with index links. Node 0 is the root.
+// ascending code order) with index links. Node 0 is the root.
 type Tree struct {
 	// Leaves is the final sorted leaf set: the validated input, plus any
 	// leaves created by balance splitting.
@@ -100,14 +100,8 @@ func validateAndSort(codes []morton.Code, pool *parallel.Pool) ([]morton.Code, [
 	if err := validateRange(codes, pool); err != nil {
 		return nil, nil, err
 	}
-	keys := make([]uint64, n)
-	pool.Run(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = codes[i].Key()
-		}
-	})
-	perm := sortPerm(keys, pool)
-	if err := validateSorted(codes, keys, perm, pool); err != nil {
+	perm := sortPerm(codes, pool)
+	if err := validateSorted(codes, perm, pool); err != nil {
 		return nil, nil, err
 	}
 	leaves := make([]morton.Code, n)
@@ -121,16 +115,6 @@ func validateAndSort(codes []morton.Code, pool *parallel.Pool) ([]morton.Code, [
 	return leaves, src, nil
 }
 
-// validCode reports whether c is a well-formed locational code: level
-// within range and no Morton bits beyond its level's grid.
-func validCode(c morton.Code) bool {
-	l := uint64(c) & 0x3f
-	if l > morton.MaxLevel {
-		return false
-	}
-	return uint64(c)>>6 < uint64(1)<<(3*l)
-}
-
 // validateRange returns an OutOfRangeError for the smallest input index
 // holding a malformed code.
 func validateRange(codes []morton.Code, pool *parallel.Pool) error {
@@ -142,7 +126,7 @@ func validateRange(codes []morton.Code, pool *parallel.Pool) error {
 			bad[c] = -1
 			hi := min((c+1)*valChunk, n)
 			for i := c * valChunk; i < hi; i++ {
-				if !validCode(codes[i]) {
+				if !codes[i].Valid() {
 					bad[c] = int32(i)
 					break
 				}
@@ -157,23 +141,23 @@ func validateRange(codes []morton.Code, pool *parallel.Pool) error {
 	return nil
 }
 
-// keyLess is the strict total order of the sort: Key ascending, input
+// codeLess is the strict total order of the sort: codes ascending, input
 // index as tie-breaker so equal codes stay in input order and the whole
 // permutation is uniquely determined.
-func keyLess(keys []uint64, a, b int32) bool {
-	if keys[a] != keys[b] {
-		return keys[a] < keys[b]
+func codeLess(codes []morton.Code, a, b int32) bool {
+	if codes[a] != codes[b] {
+		return codes[a] < codes[b]
 	}
 	return a < b
 }
 
-// sortPerm returns the permutation sorting keys ascending (ties by input
+// sortPerm returns the permutation sorting codes ascending (ties by input
 // index): fixed-size runs sorted independently, then merged pairwise.
 // Both the run boundaries and the merge tree are functions of n alone, so
 // the schedule — and trivially the result, since the order is total — is
 // identical at every worker count.
-func sortPerm(keys []uint64, pool *parallel.Pool) []int32 {
-	n := len(keys)
+func sortPerm(codes []morton.Code, pool *parallel.Pool) []int32 {
+	n := len(codes)
 	perm := make([]int32, n)
 	pool.Run(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -182,13 +166,13 @@ func sortPerm(keys []uint64, pool *parallel.Pool) []int32 {
 	})
 	nc := (n + sortChunk - 1) / sortChunk
 	if nc <= 1 {
-		sort.Slice(perm, func(a, b int) bool { return keyLess(keys, perm[a], perm[b]) })
+		sort.Slice(perm, func(a, b int) bool { return codeLess(codes, perm[a], perm[b]) })
 		return perm
 	}
 	pool.RunMin(nc, 2, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			run := perm[c*sortChunk : min((c+1)*sortChunk, n)]
-			sort.Slice(run, func(a, b int) bool { return keyLess(keys, run[a], run[b]) })
+			sort.Slice(run, func(a, b int) bool { return codeLess(codes, run[a], run[b]) })
 		}
 	})
 	buf := make([]int32, n)
@@ -198,7 +182,7 @@ func sortPerm(keys []uint64, pool *parallel.Pool) []int32 {
 		pool.RunMin(pairs, 2, func(plo, phi int) {
 			for p := plo; p < phi; p++ {
 				s := p * 2 * width
-				mergeRuns(keys, src, dst, s, min(s+width, n), min(s+2*width, n))
+				mergeRuns(codes, src, dst, s, min(s+width, n), min(s+2*width, n))
 			}
 		})
 		src, dst = dst, src
@@ -208,10 +192,10 @@ func sortPerm(keys []uint64, pool *parallel.Pool) []int32 {
 
 // mergeRuns merges the sorted runs src[s:mid] and src[mid:e] into
 // dst[s:e].
-func mergeRuns(keys []uint64, src, dst []int32, s, mid, e int) {
+func mergeRuns(codes []morton.Code, src, dst []int32, s, mid, e int) {
 	i, j := s, mid
 	for k := s; k < e; k++ {
-		if j >= e || (i < mid && keyLess(keys, src[i], src[j])) {
+		if j >= e || (i < mid && codeLess(codes, src[i], src[j])) {
 			dst[k] = src[i]
 			i++
 		} else {
@@ -230,19 +214,19 @@ func cellVolume(l uint8) uint64 {
 // validateSorted scans the sorted view for duplicates, overlapping
 // ancestor/descendant pairs, and coverage gaps, in that priority order,
 // each reported at its smallest sorted position.
-func validateSorted(codes []morton.Code, keys []uint64, perm []int32, pool *parallel.Pool) error {
+func validateSorted(codes []morton.Code, perm []int32, pool *parallel.Pool) error {
 	n := len(perm)
 	nc := (n + valChunk - 1) / valChunk
 	bad := make([]int32, nc)
 
-	// Duplicates: equal Keys are equal codes (Key is injective on valid
-	// codes); the index tie-break keeps the earlier input position first.
+	// Duplicates: equal codes are adjacent; the index tie-break keeps the
+	// earlier input position first.
 	pool.RunMin(nc, 2, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			bad[c] = -1
 			hi := min((c+1)*valChunk, n)
 			for i := max(c*valChunk, 1); i < hi; i++ {
-				if keys[perm[i-1]] == keys[perm[i]] {
+				if codes[perm[i-1]] == codes[perm[i]] {
 					bad[c] = int32(i)
 					break
 				}
@@ -311,7 +295,7 @@ func validateSorted(codes []morton.Code, keys []uint64, perm []int32, pool *para
 			cum := base[c]
 			hi := min((c+1)*valChunk, n)
 			for i := c * valChunk; i < hi; i++ {
-				if keys[perm[i]]>>6 != cum {
+				if uint64(codes[perm[i]])>>6 != cum {
 					bad[c] = int32(i)
 					gapCell[c] = cum
 					break
@@ -335,8 +319,8 @@ func validateSorted(codes []morton.Code, keys []uint64, perm []int32, pool *para
 // leaf partition. Each node is emitted exactly once, by its first leaf
 // descendant: leaf i contributes its ancestors on the levels below the
 // common prefix it shares with leaf i-1 (leaf 0 contributes the root
-// chain). The concatenation of those emission groups is already sorted by
-// Key, i.e. pre-order.
+// chain). The concatenation of those emission groups is already sorted,
+// i.e. pre-order.
 func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 	n := len(leaves)
 	counts := make([]int32, n)

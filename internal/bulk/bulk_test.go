@@ -46,10 +46,10 @@ func checkTree(t *testing.T, tr *Tree, wantLeaves int) {
 		t.Fatalf("leaves = %d, want %d", len(tr.Leaves), wantLeaves)
 	}
 	nn := len(tr.Nodes)
-	// Pre-order == ascending Key order.
+	// Pre-order == ascending code order.
 	for j := 1; j < nn; j++ {
-		if tr.Nodes[j-1].Key() >= tr.Nodes[j].Key() {
-			t.Fatalf("nodes not in key order at %d: %v >= %v", j, tr.Nodes[j-1], tr.Nodes[j])
+		if tr.Nodes[j-1] >= tr.Nodes[j] {
+			t.Fatalf("nodes not in code order at %d: %v >= %v", j, tr.Nodes[j-1], tr.Nodes[j])
 		}
 	}
 	if tr.Parent[0] != -1 || tr.Nodes[0] != morton.Root {
@@ -207,10 +207,19 @@ func TestValidationErrors(t *testing.T) {
 				t.Fatalf("got %v, want out-of-range at index 1", err)
 			}
 		}},
-		{"stray morton bits", []morton.Code{morton.Code(1 << 6)}, func(t *testing.T, err error) {
+		// The root with its x bit set: past the level-0 grid.
+		{"morton bits past the grid", []morton.Code{morton.Root | 1<<63}, func(t *testing.T, err error) {
 			var oe *OutOfRangeError
 			if !errors.As(err, &oe) || oe.Index != 0 {
 				t.Fatalf("got %v, want out-of-range at index 0", err)
+			}
+		}},
+		// Child 5 of the root with the x bit of level 2's triple set: a
+		// bit below level 1's resolution.
+		{"stray morton bits", append(level1[:5:5], level1[5]|morton.Root.Child(0).Child(1)&^0x3f), func(t *testing.T, err error) {
+			var oe *OutOfRangeError
+			if !errors.As(err, &oe) || oe.Index != 5 {
+				t.Fatalf("got %v, want out-of-range at index 5", err)
 			}
 		}},
 		{"duplicate", append(append([]morton.Code{}, level1...), level1[3]), func(t *testing.T, err error) {
@@ -346,10 +355,10 @@ func TestComplementCover(t *testing.T) {
 	checkTree(t, tr, len(part)+len(cov))
 	// The cover is minimal-ish sanity: every cover octant is outside the
 	// kept span.
-	lo := part[0].Key()
+	lo := uint64(part[0])
 	_, hiKey := part[len(part)-1].KeySpan()
 	for _, c := range cov {
-		if c.Key() >= lo && c.Key() <= hiKey {
+		if uint64(c) >= lo && uint64(c) <= hiKey {
 			t.Fatalf("cover octant %v lies inside the kept span", c)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // ComplementCover returns the minimal set of octants tiling everything the
-// given leaves do not cover. The input must be sorted by Key and pairwise
+// given leaves do not cover. The input must be sorted and pairwise
 // disjoint (the order Construct and Balance return); the result is sorted
 // and disjoint from the input, so input + cover together form a partition
 // of the domain that Construct accepts.
@@ -20,7 +20,7 @@ func ComplementCover(leaves []morton.Code) []morton.Code {
 	var out []morton.Code
 	next := uint64(0)
 	for _, c := range leaves {
-		start := c.Key() >> 6
+		start := uint64(c) >> 6
 		if start > next {
 			out = appendCover(out, next, start)
 		}
@@ -47,7 +47,7 @@ func appendCover(out []morton.Code, lo, hi uint64) []morton.Code {
 		for uint64(1)<<(3*p) > hi-lo {
 			p--
 		}
-		out = append(out, morton.FromKey(lo<<6|uint64(morton.MaxLevel-p)))
+		out = append(out, morton.Code(lo<<6|uint64(morton.MaxLevel-p)))
 		lo += uint64(1) << (3 * p)
 	}
 	return out

@@ -8,10 +8,10 @@ import (
 )
 
 // OutOfRangeError reports an input code that is not a well-formed
-// locational code: its level exceeds morton.MaxLevel or its Morton bits
-// lie outside the 2^level grid of its level. Index is the position in the
-// caller's input slice; validation reports the smallest such index so the
-// error is deterministic for any worker count.
+// locational code (morton.Code.Valid): its level exceeds morton.MaxLevel
+// or a bit is set below its level's resolution. Index is the position in
+// the caller's input slice; validation reports the smallest such index so
+// the error is deterministic for any worker count.
 type OutOfRangeError struct {
 	Index int
 	Code  morton.Code
@@ -19,7 +19,7 @@ type OutOfRangeError struct {
 
 func (e *OutOfRangeError) Error() string {
 	return fmt.Sprintf("bulk: code %#x at input index %d is out of range (level %d, max level %d)",
-		uint64(e.Code), e.Index, uint64(e.Code)&0x3f, morton.MaxLevel)
+		uint64(e.Code), e.Index, e.Code.Level(), morton.MaxLevel)
 }
 
 // DuplicateCodeError reports the same leaf code appearing twice in the
@@ -63,7 +63,7 @@ type CoverageError struct {
 
 func (e *CoverageError) Error() string {
 	return fmt.Sprintf("bulk: leaf set does not cover the domain: gap at cell %v (sorted position %d)",
-		morton.FromKey(e.Cell<<6|morton.MaxLevel), e.Index)
+		morton.Code(e.Cell<<6|morton.MaxLevel), e.Index)
 }
 
 // IsInputError reports whether err is (or wraps) one of the typed bulk

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
 
 	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
@@ -92,7 +92,7 @@ func globalBalance(cfg Config, ranks []*rank) (refined, rounds int, modeledNs fl
 		for c := range violators {
 			codes = append(codes, c)
 		}
-		sort.Slice(codes, func(i, j int) bool { return codes[i].Less(codes[j]) })
+		slices.Sort(codes)
 		for _, r := range ranks {
 			owned := map[morton.Code]bool{}
 			for _, c := range codes {

@@ -103,8 +103,7 @@ func (r *rank) ownsSpan(c morton.Code) bool {
 
 // ownsLeaf reports whether a leaf belongs to this rank (by its own key).
 func (r *rank) ownsLeaf(c morton.Code) bool {
-	k := c.Key()
-	return r.lo <= k && k < r.hi
+	return r.lo <= uint64(c) && uint64(c) < r.hi
 }
 
 // refinePred restricts the workload's refinement to the owned interval.
@@ -131,14 +130,14 @@ func (r *rank) coarsenPred(base func(morton.Code) bool) func(morton.Code) bool {
 func (r *rank) ownedLeafKeys(dst []uint64) []uint64 {
 	if r.pm != nil {
 		r.pm.ForEachLeafInRange(r.lo, r.hi, func(c morton.Code, _ [sim.DataWords]float64) bool {
-			dst = append(dst, c.Key())
+			dst = append(dst, uint64(c))
 			return true
 		})
 		return dst
 	}
 	r.mesh.ForEachLeaf(func(c morton.Code, _ [sim.DataWords]float64) bool {
 		if r.ownsLeaf(c) {
-			dst = append(dst, c.Key())
+			dst = append(dst, uint64(c))
 		}
 		return true
 	})

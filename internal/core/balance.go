@@ -25,7 +25,7 @@ func (t *Tree) Balance() int {
 	return len(splits)
 }
 
-// splitWalk splits every octant of splits — Key-sorted, non-empty, all
+// splitWalk splits every octant of splits — sorted, non-empty, all
 // within the span of the octant at r, each a leaf by the time the walk
 // reaches it — descending only into subtrees that hold one. Returns the
 // (possibly copied) ref and whether it changed.
@@ -47,7 +47,7 @@ func (t *Tree) splitWalk(r Ref, splits []morton.Code) (Ref, bool) {
 		}
 		_, hi := o.Code.Child(i).KeySpan()
 		n := 0
-		for n < len(splits) && splits[n].Key() <= hi {
+		for n < len(splits) && uint64(splits[n]) <= hi {
 			n++
 		}
 		if n == 0 {

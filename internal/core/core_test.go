@@ -521,7 +521,7 @@ func TestObliviousLayoutIsZOrderPrefix(t *testing.T) {
 		return true
 	})
 	for i := 1; i < len(all); i++ {
-		if !all[i-1].Less(all[i]) {
+		if all[i-1] >= all[i] {
 			t.Fatal("candidates not in Z-order")
 		}
 	}
@@ -737,20 +737,20 @@ func TestForEachLeafInRange(t *testing.T) {
 	// Split at the median leaf key: both halves partition the set.
 	var keys []uint64
 	tr.ForEachLeaf(func(c morton.Code, _ [DataWords]float64) bool {
-		keys = append(keys, c.Key())
+		keys = append(keys, uint64(c))
 		return true
 	})
 	mid := keys[len(keys)/2]
 	left, right := 0, 0
 	tr.ForEachLeafInRange(0, mid, func(c morton.Code, _ [DataWords]float64) bool {
-		if c.Key() >= mid {
+		if uint64(c) >= mid {
 			t.Fatalf("leaf %v outside range", c)
 		}
 		left++
 		return true
 	})
 	tr.ForEachLeafInRange(mid, ^uint64(0), func(c morton.Code, _ [DataWords]float64) bool {
-		if c.Key() < mid {
+		if uint64(c) < mid {
 			t.Fatalf("leaf %v outside range", c)
 		}
 		right++

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
+	"pmoctree/internal/pmem"
 )
 
 // imageConfig is the configuration the arena-image tests persist and
@@ -73,6 +75,26 @@ func TestRestoreRejectsCorruptGeometry(t *testing.T) {
 				t.Fatalf("restore failed with %v, want the geometry error", err)
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsOldMagic stamps the previous format's magic, PMARENA3,
+// into an otherwise valid image. Its code words would decode as other
+// octants, so opening the arena, reading its commit record and restoring
+// must each refuse it with pmem.ErrBadMagic.
+func TestRestoreRejectsOldMagic(t *testing.T) {
+	dev := persistedImage(t)
+	if _, _, err := RestoreWithReport(imageConfig(dev.Clone())); err != nil {
+		t.Fatalf("the unstamped image does not restore: %v", err)
+	}
+	dev.WriteAt(0, []byte("PMARENA3"))
+	_, openErr := pmem.OpenArena(dev)
+	_, stepErr := CommittedStepOf(dev)
+	_, _, restoreErr := RestoreWithReport(imageConfig(dev))
+	for name, err := range map[string]error{"OpenArena": openErr, "CommittedStepOf": stepErr, "RestoreWithReport": restoreErr} {
+		if !errors.Is(err, pmem.ErrBadMagic) {
+			t.Errorf("%s on a PMARENA3 image: %v, want pmem.ErrBadMagic", name, err)
+		}
 	}
 }
 

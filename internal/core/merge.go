@@ -27,7 +27,7 @@ func (t *Tree) leastAccessedHot() (morton.Code, bool) {
 	found := false
 	for c := range t.hot {
 		n := t.access[c]
-		if !found || n < bestN || (n == bestN && c.Less(best)) {
+		if !found || n < bestN || (n == bestN && c < best) {
 			best, bestN, found = c, n, true
 		}
 	}

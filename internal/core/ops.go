@@ -139,7 +139,7 @@ func (t *Tree) rangeWalk(r Ref, lo, hi uint64, fn func(morton.Code, [DataWords]f
 		return true // the whole subtree misses the interval
 	}
 	if o.IsLeaf() {
-		if k := o.Code.Key(); k >= lo && k < hi {
+		if k := uint64(o.Code); k >= lo && k < hi {
 			return fn(o.Code, o.Data)
 		}
 		return true

@@ -538,7 +538,7 @@ func TestEvictSubtreeClearsAccess(t *testing.T) {
 	var want morton.Code
 	wantN := ^uint64(0)
 	for c := range tr.hot {
-		if n := tr.access[c]; n < wantN || (n == wantN && c.Less(want)) {
+		if n := tr.access[c]; n < wantN || (n == wantN && c < want) {
 			want, wantN = c, n
 		}
 	}

@@ -32,9 +32,9 @@ const (
 	FlagFiller uint32 = 1 << 1
 )
 
-// Record layout (little-endian, RecordSize bytes):
+// Record layout (little-endian, RecordSize bytes; arena format PMARENA4):
 //
-//	 0  code     uint64
+//	 0  code     uint64 (morton.Code, curve-ordered)
 //	 8  parent   uint32 (Ref)
 //	12  flags    uint32
 //	16  children [8]uint32 (Ref)
@@ -89,9 +89,6 @@ func (o *Octant) IsLeaf() bool {
 	}
 	return true
 }
-
-// Deleted reports whether the octant carries the deferred-deletion mark.
-func (o *Octant) Deleted() bool { return o.Flags&FlagDeleted != 0 }
 
 // Filler reports whether the octant is a filler leaf.
 func (o *Octant) Filler() bool { return o.Flags&FlagFiller != 0 }

@@ -70,7 +70,7 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 		}
 		_, hi := o.Code.Child(i).KeySpan()
 		n := 0
-		for n < len(dirty) && codes[dirty[n]].Key() <= hi {
+		for n < len(dirty) && uint64(codes[dirty[n]]) <= hi {
 			n++
 		}
 		if n == 0 {

@@ -197,7 +197,7 @@ func (t *Tree) selectHot(infos []subtreeInfo, oldHot map[morton.Code]bool) map[m
 		if a.freq != b.freq {
 			return cmp.Compare(b.freq, a.freq)
 		}
-		return a.root.Compare(b.root)
+		return cmp.Compare(a.root, b.root)
 	})
 	lastOld := -1
 	for i := range infos {

@@ -68,7 +68,7 @@ func selectHotQuadratic(t *Tree, infos []subtreeInfo, oldHot map[morton.Code]boo
 		if infos[i].freq != infos[j].freq {
 			return infos[i].freq > infos[j].freq
 		}
-		return infos[i].root.Less(infos[j].root)
+		return infos[i].root < infos[j].root
 	})
 	budget := t.cfg.DRAMBudgetOctants
 	hot := map[morton.Code]bool{}
@@ -182,8 +182,8 @@ func fuzzCodes(data []byte) []morton.Code {
 			}
 		case 6: // add the parent: an overlap
 			codes = append(codes, c.Parent())
-		case 7: // a level-1 code whose Morton bits may leave the grid
-			codes = append(codes, morton.Code(uint64(b&31)<<6|1))
+		case 7: // a level-1 code, with stray bits below its triple when b&24 != 0
+			codes = append(codes, morton.Root.Child(int(b&7))|morton.Code(b&24)<<3)
 		}
 	}
 	return codes

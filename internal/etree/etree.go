@@ -100,7 +100,7 @@ func Open(dev *nvbm.Device) (*Tree, error) {
 		t.fill = append(t.fill, n)
 		for i := 0; i < n; i++ {
 			code := morton.Code(binary.LittleEndian.Uint64(buf[4+i*recSize:]))
-			t.index.Put(code.Key(), pid)
+			t.index.Put(uint64(code), pid)
 		}
 		if n < PageCapacity && t.open < 0 {
 			t.open = pid
@@ -177,12 +177,12 @@ func (t *Tree) insert(code morton.Code, d [DataWords]float64) {
 	n := t.readPage(t.open, buf)
 	putRec(buf, n, code, d)
 	t.writePage(t.open, buf, n+1)
-	t.index.Put(code.Key(), t.open)
+	t.index.Put(uint64(code), t.open)
 }
 
 // remove deletes the octant record for code, returning its data.
 func (t *Tree) remove(code morton.Code) ([DataWords]float64, bool) {
-	pid, ok := t.index.Get(code.Key())
+	pid, ok := t.index.Get(uint64(code))
 	if !ok {
 		return [DataWords]float64{}, false
 	}
@@ -198,7 +198,7 @@ func (t *Tree) remove(code morton.Code) ([DataWords]float64, bool) {
 				_ = last
 			}
 			t.writePage(pid, buf, n-1)
-			t.index.Delete(code.Key())
+			t.index.Delete(uint64(code))
 			return d, true
 		}
 	}
@@ -207,7 +207,7 @@ func (t *Tree) remove(code morton.Code) ([DataWords]float64, bool) {
 
 // get reads the octant record for code.
 func (t *Tree) get(code morton.Code) ([DataWords]float64, bool) {
-	pid, ok := t.index.Get(code.Key())
+	pid, ok := t.index.Get(uint64(code))
 	if !ok {
 		return [DataWords]float64{}, false
 	}
@@ -223,7 +223,7 @@ func (t *Tree) get(code morton.Code) ([DataWords]float64, bool) {
 
 // set rewrites the octant record for code in place.
 func (t *Tree) set(code morton.Code, d [DataWords]float64) bool {
-	pid, ok := t.index.Get(code.Key())
+	pid, ok := t.index.Get(uint64(code))
 	if !ok {
 		return false
 	}
@@ -243,7 +243,7 @@ func (t *Tree) set(code morton.Code, d [DataWords]float64) bool {
 
 // Exists reports whether code names a stored leaf.
 func (t *Tree) Exists(code morton.Code) bool {
-	_, ok := t.index.Get(code.Key())
+	_, ok := t.index.Get(uint64(code))
 	return ok
 }
 
@@ -302,7 +302,7 @@ func (t *Tree) ForEachLeaf(fn func(code morton.Code, data [DataWords]float64) bo
 	// record access reads each page per record (the paged-I/O cost).
 	var codes []morton.Code
 	t.index.Ascend(0, func(k uint64, _ int) bool {
-		codes = append(codes, morton.FromKey(k))
+		codes = append(codes, morton.Code(k))
 		return true
 	})
 	for _, c := range codes {
@@ -320,7 +320,7 @@ func (t *Tree) ForEachLeaf(fn func(code morton.Code, data [DataWords]float64) bo
 func (t *Tree) LeafCodes() []morton.Code {
 	var codes []morton.Code
 	t.index.Ascend(0, func(k uint64, _ int) bool {
-		codes = append(codes, morton.FromKey(k))
+		codes = append(codes, morton.Code(k))
 		return true
 	})
 	return codes
@@ -460,7 +460,7 @@ func (t *Tree) Validate() error {
 		e := c.Extent()
 		vol += e * e * e
 		if i > 0 {
-			if !codes[i-1].Less(c) {
+			if codes[i-1] >= c {
 				return fmt.Errorf("etree: leaves out of Z-order at %v", c)
 			}
 			if codes[i-1].Contains(c) || c.Contains(codes[i-1]) {

@@ -18,20 +18,17 @@ func TestBoundaryRoot(t *testing.T) {
 	if Root.AncestorAt(0) != Root {
 		t.Fatal("root is not its own level-0 ancestor")
 	}
-	if FromKey(Root.Key()) != Root {
-		t.Fatal("root key round trip failed")
-	}
 	// The root's span covers every code: both corner cells and itself.
 	lo, hi := Root.KeySpan()
 	last := uint32(1)<<MaxLevel - 1
 	corner := Encode(last, last, last, MaxLevel)
-	if Root.Key() != lo {
+	if uint64(Root) != lo {
 		t.Fatal("root key is not its own span minimum")
 	}
-	if k := corner.Key(); k != hi {
+	if k := uint64(corner); k != hi {
 		t.Fatalf("max corner key %#x != root span hi %#x", k, hi)
 	}
-	if k := Encode(0, 0, 0, MaxLevel).Key(); k < lo || k > hi {
+	if k := uint64(Encode(0, 0, 0, MaxLevel)); k < lo || k > hi {
 		t.Fatal("origin cell outside root span")
 	}
 	// No neighbors in any direction at level 0.
@@ -49,12 +46,12 @@ func TestBoundaryMaxCorner(t *testing.T) {
 	if x, y, z, l := c.Decode(); x != last || y != last || z != last || l != MaxLevel {
 		t.Fatalf("corner decodes to (%d,%d,%d,%d)", x, y, z, l)
 	}
-	if FromKey(c.Key()) != c {
-		t.Fatal("corner key round trip failed")
+	if !c.Valid() || c|0x3f != 1<<63-1 {
+		t.Fatalf("corner %#x is not the last valid Morton position", uint64(c))
 	}
 	// A MaxLevel cell's span is exactly itself.
-	if lo, hi := c.KeySpan(); lo != c.Key() || hi != c.Key() {
-		t.Fatalf("corner span [%#x, %#x] is not the single cell %#x", lo, hi, c.Key())
+	if lo, hi := c.KeySpan(); lo != uint64(c) || hi != uint64(c) {
+		t.Fatalf("corner span [%#x, %#x] is not the single cell %#x", lo, hi, uint64(c))
 	}
 	// Every ancestor up the chain is the all-ones cell of its level and
 	// contains the corner.
@@ -107,7 +104,7 @@ func TestBoundaryOriginDeepCell(t *testing.T) {
 	if p := c.Parent(); p != Encode(0, 0, 0, MaxLevel-1) || p.Child(0) != c {
 		t.Fatal("origin cell parent/child inconsistent")
 	}
-	if lo, _ := Root.KeySpan(); c.Key() <= lo {
+	if lo, _ := Root.KeySpan(); uint64(c) <= lo {
 		t.Fatal("origin cell key does not sort after the root")
 	}
 }
@@ -119,7 +116,7 @@ func TestBoundaryChildSpansPartition(t *testing.T) {
 	last := uint32(1)<<(MaxLevel-1) - 1
 	for _, p := range []Code{Root, Encode(last, last, last, MaxLevel-1)} {
 		_, phi := p.KeySpan()
-		prev := p.Key()
+		prev := uint64(p)
 		for i := 0; i < 8; i++ {
 			lo, hi := p.Child(i).KeySpan()
 			if lo <= prev {

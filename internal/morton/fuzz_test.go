@@ -5,63 +5,49 @@ import (
 	"testing"
 )
 
-// FuzzCodeRoundTrip exercises decode/re-encode and the derived operations
-// on arbitrary 64-bit patterns masked into valid codes.
+// FuzzCodeRoundTrip takes raw as a code word and as the legacy form of a
+// valid code. As a code word, Valid must hold exactly when re-encoding its
+// decoded anchor and level gives it back. As a legacy word masked into a
+// valid code (the level from the low 6 bits, the Morton bits cut to that
+// level's grid), every mask operation must match the decode-based oracle,
+// against a second code from the rotated word and a long offset from its
+// top bytes.
 func FuzzCodeRoundTrip(f *testing.F) {
-	f.Add(uint64(0))
-	f.Add(uint64(1<<63 - 1))
-	f.Add(uint64(0xdeadbeef))
-	// Boundary seeds: all-ones (max coordinates at whatever level the mask
-	// picks), the max-corner MaxLevel cell's key and raw code, the origin
-	// MaxLevel cell's raw code, and patterns landing exactly on the
-	// level-field edges of the mask.
-	f.Add(^uint64(0))
 	last := uint32(1)<<MaxLevel - 1
-	f.Add(uint64(Encode(last, last, last, MaxLevel)))
-	f.Add(Encode(last, last, last, MaxLevel).Key())
-	f.Add(uint64(Encode(0, 0, 0, MaxLevel)))
-	f.Add(uint64(MaxLevel))
-	f.Add(uint64(MaxLevel + 1))
+	corner := Encode(last, last, last, MaxLevel)
+	for _, raw := range []uint64{
+		0, 1<<63 - 1, 0xdeadbeef, ^uint64(0), MaxLevel, MaxLevel + 1,
+		// The far-corner MaxLevel cell as a code and in legacy form, the
+		// origin MaxLevel cell, a level-1 word with a stray bit below its
+		// triple, and the root with bit 63 set.
+		uint64(corner), uint64(legacyOf(corner)), uint64(Encode(0, 0, 0, MaxLevel)),
+		uint64(Root.Child(5)) | 1<<6, 1 << 63,
+	} {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw uint64) {
-		// Mask into a valid code: clamp the level and the morton bits.
-		level := uint8(raw % (MaxLevel + 1))
-		lim := uint32(1) << level
-		x := uint32(raw>>6) % lim
-		y := uint32(raw>>27) % lim
-		z := uint32(raw>>45) % lim
-		c := Encode(x, y, z, level)
+		c := Code(raw)
+		x, y, z, l := c.Decode()
+		reencodes := l <= MaxLevel && max(x, y, z) < uint32(1)<<l && Encode(x, y, z, l) == c
+		if c.Valid() != reencodes {
+			t.Fatalf("Valid(%#x) = %v, but re-encoding its decode gives it back: %v", raw, c.Valid(), reencodes)
+		}
 
-		gx, gy, gz, gl := c.Decode()
-		if gx != x || gy != y || gz != z || gl != level {
-			t.Fatalf("decode mismatch: (%d,%d,%d,%d) != (%d,%d,%d,%d)", gx, gy, gz, gl, x, y, z, level)
+		valid := func(w uint64) Code {
+			l := uint8(w&0x3f) % (MaxLevel + 1)
+			return legacy(w>>6&(1<<(3*l)-1)<<6 | uint64(l)).key()
 		}
-		if FromKey(c.Key()) != c {
-			t.Fatal("key round trip failed")
+		a, b := valid(raw), valid(raw<<29|raw>>35)
+		if !a.Valid() || !b.Valid() {
+			t.Fatalf("masked codes %#x, %#x are not valid", uint64(a), uint64(b))
 		}
-		lo, hi := c.KeySpan()
-		if k := c.Key(); k < lo || k > hi {
-			t.Fatal("own key outside key span")
+		x, y, z, l = a.Decode()
+		if Encode(x, y, z, l) != a {
+			t.Fatalf("decode/encode round trip of %v failed", a)
 		}
-		if level > 0 {
-			p := c.Parent()
-			if !p.IsAncestorOf(c) {
-				t.Fatal("parent not ancestor")
-			}
-			plo, phi := p.KeySpan()
-			if lo < plo || hi > phi {
-				t.Fatal("child span escapes parent span")
-			}
-			if p.Child(c.ChildIndex()) != c {
-				t.Fatal("parent/child/index inconsistent")
-			}
-		}
-		if level < MaxLevel {
-			for i := 0; i < 8; i++ {
-				if c.Child(i).Parent() != c {
-					t.Fatalf("child %d parent mismatch", i)
-				}
-			}
-		}
+		d := [3]int{int(int8(raw >> 56)), int(int8(raw >> 48)), int(int8(raw >> 40))}
+		checkOracle(t, a, b, d)
+		checkOracle(t, b, a, d)
 	})
 }
 

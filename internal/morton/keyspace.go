@@ -1,18 +1,19 @@
 package morton
 
-// Sorted-key primitives. Every leaf array in the system is a slice of codes
-// ascending by Key (the leaf index, a tree's LeafCodes, bulk's pre-order
-// node array), and every search over one goes through these functions.
+// Sorted-code primitives. Every leaf array in the system is a slice of
+// codes ascending as integers (the leaf index, a tree's LeafCodes, bulk's
+// pre-order node array), and every search over one goes through these
+// functions.
 // Containment has one rule, Code.Contains; no caller compares a key against
 // a KeySpan bound by hand.
 
-// after returns the number of codes whose Key is at most k: the position
-// of the first code after k.
+// after returns the number of codes at most k: the position of the first
+// code after k.
 func after(codes []Code, k uint64) int {
 	lo, hi := 0, len(codes)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if codes[m].Key() <= k {
+		if uint64(codes[m]) <= k {
 			lo = m + 1
 		} else {
 			hi = m
@@ -27,14 +28,15 @@ func after(codes []Code, k uint64) int {
 // false exactly when c is split among finer leaves. Container returns
 // -1, false when c precedes every code.
 func Container(codes []Code, c Code) (i int, ok bool) {
-	i = after(codes, c.Key()|0x3f) - 1
+	i = after(codes, uint64(c)|0x3f) - 1
 	return i, i >= 0 && codes[i].Contains(c)
 }
 
 // near is how many positions on each side of a hint ContainerNear
 // searches first. On the flow_projection benchmark mesh (51.8 k cells),
-// 81 % of solver.Build's face neighbours and 72 % of advection's stencil
-// lookups lie that close to their cell in Z-order.
+// 81 % of solver.Build's face neighbours and 76 % of advection's stencil
+// lookups lie that close to their cell in Z-order; searching the whole
+// slice for each instead makes Build a third slower and advection half.
 const near = 64
 
 // ContainerNear is Container for a code expected near position i: it
@@ -54,11 +56,11 @@ func ContainerNear(codes []Code, c Code, i int) (int, bool) {
 // Lookup returns the position of c in codes and whether it is there. When
 // it is not, the position is that of the last code before c, or -1.
 func Lookup(codes []Code, c Code) (int, bool) {
-	i := after(codes, c.Key()) - 1
+	i := after(codes, uint64(c)) - 1
 	return i, i >= 0 && codes[i] == c
 }
 
-// Window returns the positions [first, last] of the codes whose keys lie in
+// Window returns the positions [first, last] of the codes that lie in
 // [lo, hi]; last < first when there are none.
 func Window(codes []Code, lo, hi uint64) (first, last int) {
 	if lo > 0 {

@@ -7,7 +7,7 @@ import (
 
 // partition refines the root depth first, one shape byte per octant
 // visited: an odd byte splits it. Children are visited in order, so leaves
-// come out ascending by Key and nodes holds every octant visited in
+// come out ascending and nodes holds every octant visited in
 // pre-order (the bulk node array). Splitting stops at MaxLevel and once
 // the leaf count reaches maxLeaves; a short shape leaves the rest whole.
 func partition(shape []byte, maxLeaves int) (leaves, nodes []Code) {
@@ -47,7 +47,7 @@ func cornerChain(k int) []byte {
 }
 
 // firstCell is c's first MaxLevel cell.
-func firstCell(c Code) Code { return FromKey(c.Key()&^0x3f | MaxLevel) }
+func firstCell(c Code) Code { return c&^0x3f | MaxLevel }
 
 // containerOracle is Container by linear scan: the code holding c's first
 // cell, else the last code whose cell-aligned position precedes c's.
@@ -57,7 +57,7 @@ func containerOracle(codes []Code, c Code) (int, bool) {
 		if d.Contains(firstCell(c)) {
 			return j, d.Contains(c)
 		}
-		if d.Key()>>6 <= c.Key()>>6 {
+		if d>>6 <= c>>6 {
 			i = j
 		}
 	}
@@ -71,21 +71,21 @@ func lookupOracle(codes []Code, c Code) (int, bool) {
 		if d == c {
 			return j, true
 		}
-		if d.Key() < c.Key() {
+		if d < c {
 			i = j
 		}
 	}
 	return i, false
 }
 
-// windowOracle is Window by linear scan over Key-ascending codes.
+// windowOracle is Window by linear scan over ascending codes.
 func windowOracle(codes []Code, lo, hi uint64) (first, last int) {
 	last = -1
 	for j, d := range codes {
-		if d.Key() < lo {
+		if uint64(d) < lo {
 			first = j + 1
 		}
-		if d.Key() <= hi {
+		if uint64(d) <= hi {
 			last = j
 		}
 	}
@@ -105,7 +105,7 @@ func FuzzKeySpace(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 1}, uint64(0xdeadbeef), uint64(1<<40), 0.25, 0.75, 0.125)
 	f.Add(cornerChain(0), uint64(MaxLevel), uint64(1<<63-1), 0.0, 0.0, 0.0)
 	f.Add(cornerChain(7), ^uint64(0), ^uint64(0), far, far, far)
-	f.Add(cornerChain(7), uint64(Encode(1, 1, 1, 1)), Encode(1, 1, 1, 1).Key(), far, 0.5, 0.5)
+	f.Add(cornerChain(7), uint64(legacyOf(Encode(1, 1, 1, 1))), uint64(Encode(1, 1, 1, 1)), far, 0.5, 0.5)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint64(7), uint64(3), 1.0, 0.5, -0.0)
 	f.Add([]byte{3, 5, 7}, uint64(12345), uint64(999), math.NaN(), 0.5, 0.5)
 	f.Add([]byte{}, uint64(1), uint64(2), math.Inf(1), -1e-300, 0.5)
@@ -123,11 +123,23 @@ func FuzzKeySpace(f *testing.F) {
 		probes := []Code{Root, rc}
 		for _, c := range leaves {
 			_, hi := c.KeySpan()
-			probes = append(probes, c, c.Parent(), firstCell(c), FromKey(hi))
+			probes = append(probes, c, c.Parent(), firstCell(c), Code(hi))
 			if c.Level() < MaxLevel {
 				probes = append(probes, c.Child(0))
 			}
 		}
+
+		// Adjacent pre-order nodes are ascending integers, and every node's
+		// mask arithmetic matches the oracle against its predecessor and a
+		// long offset from raw.
+		d := [3]int{int(int8(raw)), int(int8(raw >> 8)), int(int8(raw2))}
+		for i := 1; i < len(nodes); i++ {
+			if nodes[i-1] >= nodes[i] {
+				t.Fatalf("pre-order nodes %v, %v are not ascending", nodes[i-1], nodes[i])
+			}
+			checkOracle(t, nodes[i], nodes[i-1], d)
+		}
+		checkOracle(t, rc, nodes[len(nodes)-1], d)
 
 		for _, set := range []struct {
 			name      string
@@ -152,7 +164,7 @@ func FuzzKeySpace(f *testing.F) {
 					t.Fatalf("%s: Lookup(%v) = %d, %v; oracle %d, %v", set.name, p, i, ok, wi, wok)
 				}
 				lo, hi := p.KeySpan()
-				for _, w := range [][2]uint64{{lo, hi}, {raw, raw2}, {p.Key(), p.Key()}, {0, math.MaxUint64}} {
+				for _, w := range [][2]uint64{{lo, hi}, {raw, raw2}, {uint64(p), uint64(p)}, {0, math.MaxUint64}} {
 					first, last := Window(set.codes, w[0], w[1])
 					if wf, wl := windowOracle(set.codes, w[0], w[1]); first != wf || last != wl {
 						t.Fatalf("%s: Window(%d, %d) = [%d, %d]; oracle [%d, %d]", set.name, w[0], w[1], first, last, wf, wl)

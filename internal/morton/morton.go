@@ -1,10 +1,12 @@
 // Package morton implements 3-D locational codes for octrees.
 //
 // A Code packs an octant's level and the Morton (Z-order) interleave of its
-// anchor coordinates into one uint64. Locational codes identify octants
-// globally: the out-of-core baseline uses them as B-tree keys (the Etree
-// "Z-value"), PM-octree uses them to route insertions to C0 or C1, and the
-// partitioner splits the space-filling curve into per-rank ranges.
+// anchor coordinates into one uint64 whose integer order is the
+// space-filling curve: a sorted slice of codes is a sorted slice of
+// uint64s. Locational codes identify octants globally: the out-of-core
+// baseline uses them as B-tree keys (the Etree "Z-value"), PM-octree uses
+// them to route insertions to C0 or C1, and the partitioner splits the
+// space-filling curve into per-rank ranges.
 package morton
 
 import (
@@ -19,16 +21,32 @@ import (
 // level bits fit in 63 bits.
 const MaxLevel = 19
 
-// Code is a level-prefixed locational code:
+// Code is a level-prefixed locational code, the Etree "Z-value":
 //
-//	code = morton(x, y, z) << 6 | level
+//	code = morton(x, y, z) << (6 + 3*(MaxLevel-level)) | level
 //
 // where x, y, z are the octant's anchor coordinates on the 2^level grid of
-// its level. The root octant is Code(0) (level 0 at the origin).
+// its level. The Morton bits are left-aligned to MaxLevel resolution, so
+// codes compare as integers in space-filling-curve pre-order: by anchor
+// position, then by level (ancestors before descendants). The root octant
+// is Code(0) (level 0 at the origin).
 type Code uint64
 
 // Root is the locational code of the root octant.
 const Root Code = 0
+
+// xbits marks the x bit of every Morton triple a level-MaxLevel code can
+// hold; y and z sit one and two bits above.
+const xbits = 0x1249249249249249 & (1<<(3*MaxLevel) - 1) << 6
+
+// triple returns the position of level l's Morton triple in a code. The
+// mask changes no valid level's position; it proves every shift by it
+// below 64, which spares the compiler's oversized-shift guard.
+func triple(l uint8) uint { return (6 + 3*MaxLevel - 3*uint(l)) & 63 }
+
+// below returns the bits of a code under level l's Morton triple: the
+// level field and every finer triple, which a level-l code leaves zero.
+func below(l uint8) Code { return 1<<triple(l) - 1 }
 
 // Encode builds the code for the octant at anchor (x, y, z) on the 2^level
 // grid. It panics if the coordinates do not fit the level.
@@ -40,21 +58,25 @@ func Encode(x, y, z uint32, level uint8) Code {
 	if x >= limit || y >= limit || z >= limit {
 		panic(fmt.Sprintf("morton: coordinate (%d,%d,%d) outside level-%d grid", x, y, z, level))
 	}
-	return Code(interleave(x, y, z))<<6 | Code(level)
+	return Code(interleave(x, y, z))<<triple(level) | Code(level)
 }
 
 // Decode returns the anchor coordinates and level of c.
 func (c Code) Decode() (x, y, z uint32, level uint8) {
-	level = uint8(c & 0x3f)
-	x, y, z = deinterleave(uint64(c >> 6))
+	level = c.Level()
+	x, y, z = deinterleave(uint64(c >> triple(level)))
 	return
+}
+
+// Valid reports whether c is a well-formed code: its level is at most
+// MaxLevel and no bit is set below that level's resolution.
+func (c Code) Valid() bool {
+	l := c.Level()
+	return l <= MaxLevel && c>>63 == 0 && c&below(l) == Code(l)
 }
 
 // Level returns the octree level of c (root is 0).
 func (c Code) Level() uint8 { return uint8(c & 0x3f) }
-
-// morton returns the raw interleaved bits.
-func (c Code) morton() uint64 { return uint64(c >> 6) }
 
 // Parent returns the code of c's parent octant. Parent of the root is the
 // root itself.
@@ -63,7 +85,7 @@ func (c Code) Parent() Code {
 	if l == 0 {
 		return c
 	}
-	return Code(c.morton()>>3)<<6 | Code(l-1)
+	return c&^(7<<triple(l)) - 1 // clear c's own triple, step the level up
 }
 
 // Child returns the code of child i (0..7) of c. Child index bits are
@@ -76,26 +98,20 @@ func (c Code) Child(i int) Code {
 	if l >= MaxLevel {
 		panic(fmt.Sprintf("morton: cannot descend below level %d", MaxLevel))
 	}
-	return Code(c.morton()<<3|uint64(i))<<6 | Code(l+1)
+	return c + Code(i)<<triple(l+1) + 1
 }
 
 // ChildIndex returns which child of its parent c is (0..7). The root
 // returns 0.
 func (c Code) ChildIndex() int {
-	if c.Level() == 0 {
-		return 0
-	}
-	return int(c.morton() & 7)
+	return int(c >> triple(c.Level()) & 7)
 }
 
 // IsAncestorOf reports whether c strictly contains other (other is deeper
 // and shares c's path prefix).
 func (c Code) IsAncestorOf(other Code) bool {
-	cl, ol := c.Level(), other.Level()
-	if ol <= cl {
-		return false
-	}
-	return other.morton()>>(3*(ol-cl)) == c.morton()
+	l := c.Level()
+	return other.Level() > l && other&^below(l)|Code(l) == c
 }
 
 // Contains reports whether the spatial region of c includes that of other
@@ -106,82 +122,53 @@ func (c Code) Contains(other Code) bool {
 
 // AncestorAt returns c's ancestor at the given (shallower or equal) level.
 func (c Code) AncestorAt(level uint8) Code {
-	cl := c.Level()
-	if level > cl {
+	if cl := c.Level(); level > cl {
 		panic(fmt.Sprintf("morton: level %d deeper than code level %d", level, cl))
 	}
-	return Code(c.morton()>>(3*(cl-level)))<<6 | Code(level)
+	return c&^below(level) | Code(level)
 }
 
-// Less orders codes along the space-filling curve: pre-order traversal
-// position, with ancestors before descendants. This is the Etree ordering.
-func (c Code) Less(other Code) bool {
-	cl, ol := c.Level(), other.Level()
-	// Align both morton keys to MaxLevel resolution so interleaved bits
-	// compare positionally.
-	ck := c.morton() << (3 * (MaxLevel - cl))
-	ok := other.morton() << (3 * (MaxLevel - ol))
-	if ck != ok {
-		return ck < ok
-	}
-	return cl < ol // ancestor first
-}
-
-// Key returns a uint64 whose natural integer order equals the Less
-// (space-filling-curve pre-order) ordering: the Morton bits are
-// left-aligned to MaxLevel resolution and the level occupies the low 6
-// bits as a tie-breaker (ancestors first). This is the Etree "Z-value"
-// trick: a plain B-tree over Keys stores octants in traversal order.
-func (c Code) Key() uint64 {
-	l, m := uint64(c)&0x3f, uint64(c)&^0x3f
-	if l > MaxLevel {
-		m = 0 // alignment shifts out every Morton bit of an invalid level
-	}
-	// The mask proves the shift below 64, which spares the compiler's
-	// oversized-shift guard on this hot path.
-	return m<<(3*(MaxLevel-l)&63) | l
-}
-
-// KeySpan returns the inclusive range of Keys covered by c and all of its
-// descendants. Space-filling-curve partitioners assign each rank a key
-// interval; an octant belongs to every rank whose interval its span
-// overlaps.
+// KeySpan returns the inclusive range of codes covered by c and all of its
+// descendants: c itself (ancestors sort first) through its last MaxLevel
+// cell. Space-filling-curve partitioners assign each rank a key interval;
+// an octant belongs to every rank whose interval its span overlaps.
 func (c Code) KeySpan() (lo, hi uint64) {
-	lo = c.Key() // ancestors sort first, so c itself is the minimum
-	shift := 3 * (MaxLevel - c.Level())
-	hi = (c.morton()<<shift|(uint64(1)<<shift-1))<<6 | uint64(MaxLevel)
-	return
-}
-
-// FromKey inverts Key.
-func FromKey(k uint64) Code {
-	level := uint8(k & 0x3f)
-	m := (k >> 6) >> (3 * (MaxLevel - level))
-	return Code(m)<<6 | Code(level)
-}
-
-// Compare returns -1, 0, or +1 in the Less ordering.
-func (c Code) Compare(other Code) int {
-	switch {
-	case c == other:
-		return 0
-	case c.Less(other):
-		return -1
-	default:
-		return 1
-	}
+	return uint64(c), uint64(c|below(c.Level()))&^0x3f | MaxLevel
 }
 
 // Neighbor returns the same-level octant displaced by (dx, dy, dz) grid
-// steps, and false if that would leave the domain.
+// steps, and false if that would leave the domain. It adds each offset to
+// its axis's bits of the interleaved word (dilated-integer arithmetic):
+// filling the other axes' bits with ones carries a sum straight across
+// them, and a carry out of the axis, or a borrow into it, means the step
+// left the domain.
 func (c Code) Neighbor(dx, dy, dz int) (Code, bool) {
-	x, y, z, l := c.Decode()
-	limit := int64(1) << l
-	nx, ny, nz := int64(x)+int64(dx), int64(y)+int64(dy), int64(z)+int64(dz)
-	if nx < 0 || ny < 0 || nz < 0 || nx >= limit || ny >= limit || nz >= limit {
-		return 0, false
+	l := c.Level()
+	for axis, d := range [3]int{dx, dy, dz} {
+		if d == 0 {
+			continue
+		}
+		step := uint64(d)
+		if d < 0 {
+			step = -step
+		}
+		if step>>l != 0 {
+			return 0, false
+		}
+		mask := xbits << axis &^ below(l)
+		v, dv := c&mask, Code(part1by2(uint32(step)))<<(triple(l)+uint(axis))
+		var n Code
+		if d > 0 {
+			n = (v | ^mask + dv) & mask
+		} else {
+			n = (v - dv) & mask
+		}
+		if (n < v) != (d < 0) {
+			return 0, false
+		}
+		c = c&^mask | n
 	}
-	return Encode(uint32(nx), uint32(ny), uint32(nz), l), true
+	return c, true
 }
 
 // FaceNeighbors appends the up-to-6 face neighbors of c to dst and returns
@@ -274,11 +261,11 @@ func Cover(lo, hi [3]uint32) Code {
 }
 
 // CommonLevel returns the level of the deepest octant containing both a and
-// b: the count of leading bit-triples their MaxLevel-aligned Morton keys
-// share, capped at the shallower level (an ancestor contains itself). For
-// two distinct, non-nesting codes it is strictly shallower than either.
+// b: the count of leading bit-triples their Morton bits share, capped at
+// the shallower level (an ancestor contains itself). For two distinct,
+// non-nesting codes it is strictly shallower than either.
 func CommonLevel(a, b Code) uint8 {
-	shared := uint8((3*MaxLevel - bits.Len64((a.Key()^b.Key())>>6)) / 3)
+	shared := uint8((3*MaxLevel - bits.Len64(uint64(a^b)>>6)) / 3)
 	return min(shared, a.Level(), b.Level())
 }
 

@@ -2,7 +2,7 @@ package morton
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -143,18 +143,15 @@ func TestAncestorAtPanics(t *testing.T) {
 func TestLessPreOrder(t *testing.T) {
 	// Ancestor sorts before its descendants; spatially earlier sorts first.
 	a := Encode(0, 0, 0, 1)
-	if !a.Less(a.Child(0)) {
+	if !(a < a.Child(0)) {
 		t.Error("ancestor must precede descendant")
 	}
-	if !a.Child(0).Less(a.Child(7)) {
+	if !(a.Child(0) < a.Child(7)) {
 		t.Error("child 0 must precede child 7")
 	}
 	b := Encode(1, 0, 0, 1)
-	if !a.Child(7).Less(b) {
+	if !(a.Child(7).Child(7) < b) {
 		t.Error("entire subtree of a must precede b")
-	}
-	if a.Compare(a) != 0 || a.Compare(b) != -1 || b.Compare(a) != 1 {
-		t.Error("Compare inconsistent")
 	}
 }
 
@@ -226,8 +223,8 @@ func TestString(t *testing.T) {
 }
 
 func TestSortedTraversalOrder(t *testing.T) {
-	// A full level-2 quad of octants plus their parents, sorted by Less,
-	// must put each parent immediately before its first child.
+	// A full level-2 quad of octants plus their parents, sorted as
+	// integers, must put each parent immediately before its first child.
 	var codes []Code
 	var walk func(c Code, depth int)
 	walk = func(c Code, depth int) {
@@ -245,7 +242,7 @@ func TestSortedTraversalOrder(t *testing.T) {
 	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	sort.Slice(shuffled, func(i, j int) bool { return shuffled[i].Less(shuffled[j]) })
+	slices.Sort(shuffled)
 	for i := range pre {
 		if shuffled[i] != pre[i] {
 			t.Fatalf("position %d: sorted %v != pre-order %v", i, shuffled[i], pre[i])
@@ -288,20 +285,21 @@ func TestQuickChildParent(t *testing.T) {
 	}
 }
 
-// Property: Less is a strict weak ordering (irreflexive, asymmetric,
-// transitive on a sample).
+// Property: the decode-based oracle order is a strict weak ordering
+// (irreflexive, asymmetric, transitive on a sample), so integer order,
+// which equals it, is the curve order.
 func TestQuickLessOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for i := 0; i < 500; i++ {
-		a, b, c := randCode(r), randCode(r), randCode(r)
-		if a.Less(a) {
-			t.Fatal("Less is reflexive")
+		a, b, c := legacyOf(randCode(r)), legacyOf(randCode(r)), legacyOf(randCode(r))
+		if a.less(a) {
+			t.Fatal("less is reflexive")
 		}
-		if a.Less(b) && b.Less(a) {
-			t.Fatal("Less is symmetric")
+		if a.less(b) && b.less(a) {
+			t.Fatal("less is symmetric")
 		}
-		if a.Less(b) && b.Less(c) && !a.Less(c) {
-			t.Fatalf("Less not transitive: %v %v %v", a, b, c)
+		if a.less(b) && b.less(c) && !a.less(c) {
+			t.Fatalf("less not transitive: %v %v %v", a.key(), b.key(), c.key())
 		}
 	}
 }
@@ -330,7 +328,7 @@ func TestQuickAncestorOrder(t *testing.T) {
 			continue
 		}
 		anc := c.AncestorAt(uint8(r.Intn(int(c.Level()))))
-		if !anc.Less(c) {
+		if anc >= c {
 			t.Fatalf("ancestor %v does not precede %v", anc, c)
 		}
 		if !anc.IsAncestorOf(c) {
@@ -339,16 +337,17 @@ func TestQuickAncestorOrder(t *testing.T) {
 	}
 }
 
-// Property: Key ordering equals Less ordering, and FromKey inverts Key.
+// Property: integer order equals the decode-based oracle order, and the
+// oracle form converts back to the same code.
 func TestQuickKeyOrderEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	for i := 0; i < 1000; i++ {
 		a, b := randCode(r), randCode(r)
-		if FromKey(a.Key()) != a {
-			t.Fatalf("FromKey(Key(%v)) != identity", a)
+		if legacyOf(a).key() != a {
+			t.Fatalf("legacy round trip of %v failed", a)
 		}
-		if (a.Key() < b.Key()) != a.Less(b) {
-			t.Fatalf("key order diverges from Less for %v, %v", a, b)
+		if (a < b) != legacyOf(a).less(legacyOf(b)) {
+			t.Fatalf("integer order diverges from the oracle for %v, %v", a, b)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package octree
 import (
 	"bytes"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +117,7 @@ func TestLeafOrderIsZOrder(t *testing.T) {
 	kids := tr.Refine(tr.Root)
 	tr.Refine(kids[4])
 	codes := tr.LeafCodes()
-	if !sort.SliceIsSorted(codes, func(i, j int) bool { return codes[i].Less(codes[j]) }) {
+	if !slices.IsSorted(codes) {
 		t.Errorf("leaves not in Z-order: %v", codes)
 	}
 	if len(codes) != 15 {

@@ -21,6 +21,7 @@ package pmem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
@@ -62,7 +63,14 @@ const (
 	DefaultMaxSlots = 1 << 21
 )
 
-var arenaMagic = [8]byte{'P', 'M', 'A', 'R', 'E', 'N', 'A', '3'}
+// arenaMagic names the arena format. Format 4 stores morton codes in
+// curve order; an older image's code words would decode as other
+// octants, so OpenArena refuses any other magic.
+var arenaMagic = [8]byte{'P', 'M', 'A', 'R', 'E', 'N', 'A', '4'}
+
+// ErrBadMagic reports a device whose header does not carry this format's
+// arena magic: not an arena, or one written in an older format.
+var ErrBadMagic = errors.New("pmem: bad arena magic")
 
 // geometrySum checksums the format-time geometry words. Nothing else in the
 // header is redundant with them, so without it a flipped capacity byte
@@ -205,7 +213,7 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	var magic [8]byte
 	dev.ReadAt(magicOff, magic[:])
 	if magic != arenaMagic {
-		return nil, fmt.Errorf("pmem: bad arena magic %q", magic[:])
+		return nil, fmt.Errorf("%w %q", ErrBadMagic, magic[:])
 	}
 	a := &Arena{
 		dev:      dev,

@@ -18,9 +18,6 @@ type Node struct {
 	capacity  int
 }
 
-// Used returns the node's consumed replica bytes.
-func (n *Node) Used() int { return n.usedBytes }
-
 // ReplicaManager automates remote-replica scheduling — the paper's §3.4
 // feature ("V(i-1)^P is stored on other compute nodes or staging nodes
 // selected by job schedulers according to their NVBM utilization") with

@@ -65,7 +65,7 @@ func MaterializeInto(dst, src *core.Tree, span serve.KeyRange, pool *parallel.Po
 	var codes []morton.Code
 	var data [][core.DataWords]float64
 	src.ForEachLeaf(func(c morton.Code, d [core.DataWords]float64) bool {
-		a := c.Key() >> 6
+		a := uint64(c) >> 6
 		v := uint64(1) << (3 * (morton.MaxLevel - c.Level()))
 		if a+v > cellLo && a <= cellHi {
 			codes = append(codes, c)

@@ -162,7 +162,7 @@ func TestMisorderedShardsRefuseFillers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Map().OwnerOf(cell.Key())
+		return r.Map().OwnerOf(uint64(cell))
 	}
 	for _, p := range [][3]float64{{0.5, 0.5, 0.1}, {0.1, 0.9, 0.4}, {0.9, 0.1, 0.45}, {0.49, 0.51, 0.25}} {
 		if owner(p) != 0 {

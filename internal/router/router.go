@@ -793,7 +793,7 @@ func (r *Router) route(q serve.Query) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []int{r.smap.OwnerOf(cell.Key())}, nil
+	return []int{r.smap.OwnerOf(uint64(cell))}, nil
 }
 
 // Point answers a point lookup.

@@ -929,7 +929,7 @@ func TestHTTPBackendSendsFilteringSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, h := range append(local.Hits, remote.Hits...) {
-			if k := h.Code.Key(); k < span.Lo || k > span.Hi {
+			if k := uint64(h.Code); k < span.Lo || k > span.Hi {
 				t.Fatalf("span %+v: hit %v outside it", span, h.Code)
 			}
 		}

@@ -26,12 +26,12 @@ import (
 )
 
 // maxCellKey is the largest key any cell can have: the last MaxLevel
-// cell's key. Keys left-align the Morton bits and pack the level into
+// cell's code. Codes left-align the Morton bits and pack the level into
 // the low 6 bits, so the populated key space is [0, maxCellKey] — well
 // below math.MaxUint64 (bit 63 is never set).
 func maxCellKey() uint64 {
 	const last = uint32(1<<morton.MaxLevel - 1)
-	return morton.Encode(last, last, last, morton.MaxLevel).Key()
+	return uint64(morton.Encode(last, last, last, morton.MaxLevel))
 }
 
 // UniformSpans splits the populated Z-order key space [0, maxCellKey]
@@ -144,7 +144,7 @@ func (m *ShardMap) CandidatesForBox(box serve.Box) ([]int, error) {
 	first, last := m.OwnerOf(lo), m.OwnerOf(hi)
 	var ids []int
 	for l := uint8(0); l < a.Level(); l++ {
-		if id := m.OwnerOf(a.AncestorAt(l).Key()); id < first && (len(ids) == 0 || id > ids[len(ids)-1]) {
+		if id := m.OwnerOf(uint64(a.AncestorAt(l))); id < first && (len(ids) == 0 || id > ids[len(ids)-1]) {
 			ids = append(ids, id)
 		}
 	}

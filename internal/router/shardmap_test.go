@@ -112,7 +112,7 @@ func TestCandidatesForBoxComplete(t *testing.T) {
 							if !overlapsBox(code, box) {
 								continue
 							}
-							owner := m.OwnerOf(code.Key())
+							owner := m.OwnerOf(uint64(code))
 							if !cand[owner] {
 								t.Fatalf("n=%d box %+v: octant %v owned by shard %d missing from candidates %v",
 									n, box, code, owner, ids)

@@ -47,7 +47,7 @@ func linearScan(v *version, q Query, res *Result) error {
 		first, last = morton.Window(codes, lo, hi)
 	}
 	for _, f := range v.fillers {
-		if c := codes[f]; f >= first && f <= last && q.Span.Contains(c.Key()) && overlaps(c, q.Box) {
+		if c := codes[f]; f >= first && f <= last && q.Span.Contains(uint64(c)) && overlaps(c, q.Box) {
 			return ErrNotHeld
 		}
 	}
@@ -57,7 +57,7 @@ func linearScan(v *version, q Query, res *Result) error {
 	}
 	for i := first; i <= last; i++ {
 		c := codes[i]
-		if !q.Span.Contains(c.Key()) || !overlaps(c, q.Box) {
+		if !q.Span.Contains(uint64(c)) || !overlaps(c, q.Box) {
 			continue
 		}
 		if q.Class == ClassRegion {
@@ -108,7 +108,7 @@ func checkScan(t testing.TB, v *version, q Query) bool {
 	codes := v.leaves.Codes()
 	v.leaves.BoxRuns(lo, hi, q.Span.Lo, q.Span.Hi, func(first, last int) {
 		for i := first; i <= last; i++ {
-			if !q.Span.Contains(codes[i].Key()) || !overlaps(codes[i], q.Box) {
+			if !q.Span.Contains(uint64(codes[i])) || !overlaps(codes[i], q.Box) {
 				t.Fatalf("box %+v span %+v: walk yielded %v outside the box or filter", q.Box, q.Span, codes[i])
 			}
 		}
@@ -185,14 +185,14 @@ func scanBoxes(rng *rand.Rand, codes []morton.Code) []Box {
 
 // shardBoundary is the first key of the upper half of the domain (root
 // child 4), the boundary of the two-shard trees below.
-var shardBoundary = morton.Root.Child(4).Key()
+var shardBoundary = uint64(morton.Root.Child(4))
 
 // scanFilters draws key filters over a mesh with leaves codes: the full
 // range, a leaf's single key, a single key no leaf has, a random range,
 // an inverted range, and ranges crossing the shard boundary.
 func scanFilters(rng *rand.Rand, codes []morton.Code) []KeyRange {
-	k := codes[rng.Intn(len(codes))].Key()
-	a, b := codes[rng.Intn(len(codes))].Key(), codes[rng.Intn(len(codes))].Key()
+	k := uint64(codes[rng.Intn(len(codes))])
+	a, b := uint64(codes[rng.Intn(len(codes))]), uint64(codes[rng.Intn(len(codes))])
 	return []KeyRange{
 		FullKeyRange(),
 		{Lo: k, Hi: k},

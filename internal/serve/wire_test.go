@@ -29,13 +29,13 @@ func TestZeroKeyRangeFilters(t *testing.T) {
 	}
 	inSpan := func(kr KeyRange) (n int) {
 		for _, l := range leaves {
-			if k := l.Code.Key(); k >= kr.Lo && k <= kr.Hi {
+			if k := uint64(l.Code); k >= kr.Lo && k <= kr.Hi {
 				n++
 			}
 		}
 		return n
 	}
-	origin := leaves[0].Code.Key()
+	origin := uint64(leaves[0].Code)
 	if origin == 0 {
 		t.Fatal("fixture degenerate: the mesh was never refined")
 	}

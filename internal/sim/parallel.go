@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 
@@ -187,7 +186,7 @@ func leafCodes(m Mesh) []morton.Code {
 }
 
 // leafParents snapshots the distinct parents of the current leaves,
-// ascending by Key. Siblings are contiguous in the Z-ordered leaf walk, so
+// ascending. Siblings are contiguous in the Z-ordered leaf walk, so
 // comparing against the previous parent removes most duplicates; a coarse
 // parent interleaved with deeper subtrees (the root, typically) appears
 // in several runs, so the parents are then sorted and compacted.
@@ -198,11 +197,11 @@ func leafParents(m Mesh) []morton.Code {
 			parents = append(parents, p)
 		}
 	}
-	slices.SortFunc(parents, func(a, b morton.Code) int { return cmp.Compare(a.Key(), b.Key()) })
+	slices.Sort(parents)
 	return slices.Compact(parents)
 }
 
-// memoPred evaluates pred over codes, Key-ascending and distinct, on the
+// memoPred evaluates pred over codes, ascending and distinct, on the
 // pool and returns a lookup predicate. Codes outside the snapshot
 // (octants created mid-pass — refinement recursing into fresh children,
 // coarsening cascading upward) fall back to direct evaluation, so the

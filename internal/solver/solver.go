@@ -111,7 +111,7 @@ func (s *System) Workers() int { return s.pool.Workers() }
 var dirs = [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
 // Build assembles the operator from the leaf codes of a 2:1-balanced
-// octree tiling in Z-order (ascending Key, as Tree.LeafCodes returns
+// octree tiling in Z-order (ascending codes, as Tree.LeafCodes returns
 // them); cell i of the System is leaves[i]. It returns an error when the
 // input is not such a tiling or violates the constraint. Build also
 // assembles the solves' V-cycle hierarchy (multigrid.go): each coarser
@@ -225,7 +225,7 @@ func assemble(codes []morton.Code) (*System, error) {
 func tiles(codes []morton.Code) error {
 	next := uint64(0) // left-aligned Morton position of the next cell
 	for k, c := range codes {
-		switch at := c.Key() >> 6; {
+		switch at := uint64(c) >> 6; {
 		case at > next:
 			return fmt.Errorf("solver: cells do not tile the domain in Z-order (gap before %v)", c)
 		case at < next:

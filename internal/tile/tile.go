@@ -132,7 +132,7 @@ func (s *Store) Grow(n int) {
 	}
 }
 
-// Refine replaces the leaves by leaves, a Key-sorted refinement of them
+// Refine replaces the leaves by leaves, a sorted refinement of them
 // (every code equal to or a descendant of a current leaf): each new leaf
 // takes the payload of the leaf covering it, the way a split copies payload
 // down to its children. The expansion runs back to front in place: new
@@ -148,7 +148,7 @@ func (s *Store) Refine(leaves []morton.Code) {
 	}
 	for j := n - 1; j >= 0; j-- {
 		i = min(i, j)
-		for s.codes[i].Key() > leaves[j].Key() {
+		for s.codes[i] > leaves[j] {
 			i--
 		}
 		s.codes[j] = leaves[j]
@@ -177,7 +177,7 @@ func (s *Store) Refine(leaves []morton.Code) {
 func (s *Store) BoxRuns(lo, hi [3]uint32, klo, khi uint64, fn func(first, last int)) (reads int) {
 	cover := morton.Cover(lo, hi)
 	if i, ok := morton.Container(s.codes, cover); ok {
-		if k := s.codes[i].Key(); k >= klo && k <= khi {
+		if k := uint64(s.codes[i]); k >= klo && k <= khi {
 			fn(i, i)
 		}
 		return int(s.codes[i].Level())

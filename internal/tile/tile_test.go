@@ -369,7 +369,7 @@ func TestRefineInPlace(t *testing.T) {
 // bruteFind is the search oracle: the position of the leaf holding p's
 // first MaxLevel cell by linear scan, or -1.
 func bruteFind(codes []morton.Code, p morton.Code) int {
-	first := morton.FromKey(p.Key()&^0x3f | morton.MaxLevel)
+	first := p&^0x3f | morton.MaxLevel
 	for i, c := range codes {
 		if c.Contains(first) {
 			return i
@@ -404,7 +404,7 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 		for _, c := range full {
 			lo, hi := c.KeySpan()
 			keys = append(keys, lo, hi, lo+(hi-lo)/2)
-			probes = append(probes, c, c.Parent(), morton.FromKey(hi))
+			probes = append(probes, c, c.Parent(), morton.Code(hi))
 			if c.Level() < morton.MaxLevel {
 				probes = append(probes, c.Child(7))
 			}
@@ -429,7 +429,7 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 			// the first leaf.
 			wantI := -1
 			for j, c := range set.codes {
-				if c.Key()>>6 <= p.Key()>>6 {
+				if c>>6 <= p>>6 {
 					wantI = j
 				}
 			}
@@ -447,7 +447,7 @@ func TestFindWindowMatchesBruteForce(t *testing.T) {
 			first, last := morton.Window(codes, sp[0], sp[1])
 			var want []int
 			for j, c := range set.codes {
-				if k := c.Key(); k >= sp[0] && k <= sp[1] {
+				if k := uint64(c); k >= sp[0] && k <= sp[1] {
 					want = append(want, j)
 				}
 			}
@@ -597,7 +597,7 @@ func bruteBox(codes []morton.Code, lo, hi [3]uint32, klo, khi uint64) []int {
 		x, y, z, l := c.Decode()
 		shift := morton.MaxLevel - l
 		end := uint32(1)<<shift - 1
-		in := c.Key() >= klo && c.Key() <= khi
+		in := uint64(c) >= klo && uint64(c) <= khi
 		for d, a := range [3]uint32{x << shift, y << shift, z << shift} {
 			in = in && a <= hi[d] && a+end >= lo[d]
 		}
