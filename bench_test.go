@@ -374,6 +374,49 @@ func BenchmarkCoreBalance(b *testing.B) {
 	b.ReportMetric(float64(refines)/float64(b.N), "refines/op")
 }
 
+// BenchmarkCoreRefineCoarsen times one amr-style step's Tree.RefineWhere
+// and Tree.CoarsenWhere on the level-7 droplet behind a 2 048-octant C0,
+// the in-repo counterpart of the lifecycle benchmark's core.refine_ms and
+// core.coarsen_ms: each iteration moves the interface one step and times
+// the refinement and coarsening to it. Balance, the solve sweeps (through
+// the leaf index, as the tiled step does) and Persist run untimed, so
+// every iteration adapts a committed, C0-evicted mesh as a real step does.
+// Same step window as BenchmarkCoreBalance (-benchtime 60x).
+func BenchmarkCoreRefineCoarsen(b *testing.B) {
+	const maxLevel, steps, first = 7, 80, 21
+	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
+	var (
+		nv                *nvbm.Device
+		tree              *core.Tree
+		reads             uint64
+		splits, collapses int
+	)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		step := first + i%(steps-first+1)
+		if step == first {
+			tree, nv = benchCommittedDroplet(d, maxLevel, first-1)
+		}
+		before := nv.Stats().Reads
+		b.StartTimer()
+		splits += tree.RefineWhere(d.RefinePred(step), maxLevel)
+		collapses += tree.CoarsenWhere(d.CoarsenPred(step))
+		b.StopTimer()
+		reads += nv.Stats().Reads - before
+		tree.Balance()
+		for it := 0; it < sim.SolverSweeps; it++ {
+			tree.UpdateLeavesIndexed(d.Solve(step))
+		}
+		tree.Persist()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "nvbm-reads/op")
+	b.ReportMetric(float64(splits)/float64(b.N), "splits/op")
+	b.ReportMetric(float64(collapses)/float64(b.N), "collapses/op")
+}
+
 // BenchmarkCoreScatter times the leaf-payload batch writer alone
 // (Tree.ScatterLeafTiles) on the level-6 droplet, the in-repo counterpart
 // of the lifecycle benchmark's core.scatter_ms: each iteration moves the
@@ -602,7 +645,7 @@ func BenchmarkLeafWalkRefine(b *testing.B) {
 		var sum float64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tree.RefineWhere(benchFastPathRegion, 5) // steady state: full walk, zero splits
+			tree.RefineWhere(benchFastPathRegion, 5) // steady state: decided on the index, zero splits, no octant read
 			for s := 0; s < sweeps; s++ {
 				tree.ForEachLeaf(func(_ morton.Code, data [core.DataWords]float64) bool {
 					sum += data[0]

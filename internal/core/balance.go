@@ -6,7 +6,7 @@ import "pmoctree/internal/morton"
 // and returns the number of refines. The complete ripple closure is
 // computed in key space (bulk.Closure, shared with bulk construction) over
 // the Z-ordered leaf index — no device access while the index is valid,
-// as the Refine and Coarsen walks leave it — and every split is then
+// as RefineWhere and CoarsenWhere leave it — and every split is then
 // applied in one Z-ordered walk through the PM-octree write path: each
 // refinement is copy-on-write and placed by the C0/C1 layout policy, and
 // splits under a common ancestor share its path copies. The closure's

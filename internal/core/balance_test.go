@@ -133,8 +133,10 @@ func TestBalanceMatchesOracle(t *testing.T) {
 				if err := got.Validate(); err != nil {
 					t.Error(err)
 				}
-				if n := got.LeafCount(); n != len(got.LeafCodes()) {
-					t.Errorf("LeafCount %d, walk counts %d", n, len(got.LeafCodes()))
+				walked := 0
+				got.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { walked++; return true })
+				if n := got.LeafCount(); n != walked {
+					t.Errorf("LeafCount %d, walk counts %d", n, walked)
 				}
 				got.Persist()
 				want.Persist()

@@ -18,13 +18,14 @@ import (
 //
 // Validity: the index is stamped with contentSeq, which advances only when
 // topology or leaf payload changes — relocating an octant (C0 eviction, the
-// Persist merge, Compact) leaves it valid. Every operation that already
-// visits all leaves in Z-order leaves the index behind as a by-product
-// instead of invalidating it: the Refine and Coarsen walks re-emit it,
-// Balance refines it in place from its key-space closure, and the batch
-// writer (scatter.go) stores payload from it. Only the single-leaf and
-// reference paths (UpdateLeaves, UpdateAt, RefineAt) invalidate, and the
-// next reader then rebuilds it with one charged tree walk.
+// Persist merge, Compact) leaves it valid. The key-space operations keep
+// it valid instead of invalidating it: RefineWhere decides over it and
+// expands it in place (tile.Store.Refine), CoarsenWhere decides and
+// compacts it in one pass (tile.Store.Coarsen), Balance refines it in place
+// from its key-space closure, and the batch writer (scatter.go) stores
+// payload from it. Only the single-leaf and reference paths (UpdateLeaves,
+// UpdateAt, RefineAt) invalidate, and the next reader then rebuilds it with
+// one charged tree walk.
 
 // The index carries the octree payload verbatim.
 var _ = [1]struct{}{}[tile.Words-DataWords]

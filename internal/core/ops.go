@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pmoctree/internal/morton"
 )
@@ -169,85 +170,48 @@ func (t *Tree) NodeCount() int {
 	return n
 }
 
-// LeafCodes returns the working-version leaf codes in Z-order.
-func (t *Tree) LeafCodes() []morton.Code {
-	var out []morton.Code
-	t.ForEachLeaf(func(c morton.Code, _ [DataWords]float64) bool {
-		out = append(out, c)
-		return true
-	})
-	return out
-}
-
-// Depth returns the maximum leaf level observed in the working version.
-func (t *Tree) Depth() uint8 {
-	var d uint8
-	t.ForEachNode(func(_ Ref, o *Octant) bool {
-		if l := o.Code.Level(); l > d {
-			d = l
-		}
-		return true
-	})
-	return d
-}
+// LeafCodes returns a copy of the working-version leaf codes in Z-order,
+// served from the leaf index.
+func (t *Tree) LeafCodes() []morton.Code { return slices.Clone(t.index().Codes()) }
 
 // RefineWhere refines every working-version leaf for which pred holds,
 // recursively, until no leaf below maxLevel satisfies pred. New octants
 // inherit their parent's data. Returns the number of leaf splits.
+//
+// The splits are decided over the leaf index — pred runs on every leaf
+// below maxLevel in Z-order, and on the children of each split — and
+// applied by one copy-on-write walk that descends only into key spans
+// holding a split (DESIGN.md decision 21).
 func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 	defer t.span("Refine").End()
-	before := t.stats.Refines
 	t.maybeReclaim()
-	t.beginIndexEmit()
-	nr, _ := t.refineWalk(t.cur, pred, maxLevel)
-	t.cur = nr
-	t.endIndexEmit()
+	splits, leaves := t.changes[:0], t.refined[:0]
+	for _, c := range t.index().Codes() {
+		splits, leaves = decideRefine(c, pred, maxLevel, splits, leaves)
+	}
+	t.changes, t.refined = splits, leaves
+	if len(splits) > 0 {
+		t.idx.Invalidate() // until the tree has caught up
+		t.cur, _ = t.splitWalk(t.cur, splits)
+		t.idx.Refine(leaves)
+		t.endIndexEmit()
+	}
 	t.maybeEvict()
 	t.maybeGC()
-	return t.stats.Refines - before
+	return len(splits)
 }
 
-// refineWalk recursively refines; returns the (possibly copied) ref and
-// whether it changed. It visits every leaf of the result in Z-order and
-// emits it into the leaf index.
-func (t *Tree) refineWalk(r Ref, pred func(morton.Code) bool, maxLevel uint8) (Ref, bool) {
-	o := t.readOct(r)
-	if o.IsLeaf() {
-		if o.Code.Level() >= maxLevel || !pred(o.Code) {
-			t.emitLeaf(&o)
-			return r, false
-		}
-		nr := t.splitLeaf(r, &o)
-		// The fresh children may refine further; they are working-version
-		// octants, so their refs cannot change.
-		for _, c := range o.Children {
-			t.refineWalk(c, pred, maxLevel)
-		}
-		return nr, nr != r
+// decideRefine appends c to splits when it splits, followed by the splits
+// below it in pre-order, and appends the leaves c becomes to leaves.
+func decideRefine(c morton.Code, pred func(morton.Code) bool, maxLevel uint8, splits, leaves []morton.Code) ([]morton.Code, []morton.Code) {
+	if c.Level() >= maxLevel || !pred(c) {
+		return splits, append(leaves, c)
 	}
-	changed := false
-	var chIdx [8]bool
-	for i, c := range o.Children {
-		if c.IsNil() {
-			continue
-		}
-		nc, chg := t.refineWalk(c, pred, maxLevel)
-		if chg {
-			o.Children[i] = nc
-			chIdx[i] = true
-			changed = true
-		}
+	splits = append(splits, c)
+	for i := 0; i < 8; i++ {
+		splits, leaves = decideRefine(c.Child(i), pred, maxLevel, splits, leaves)
 	}
-	if !changed {
-		return r, false
-	}
-	if t.inPlace(r, &o) {
-		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
-		return r, false
-	}
-	nr := t.commitOctant(r, &o)
-	return nr, true
+	return splits, leaves
 }
 
 // splitLeaf creates the 8 children of the leaf at r (after making it
@@ -331,46 +295,69 @@ func (t *Tree) refineAtWalk(r Ref, code morton.Code) (Ref, bool) {
 // CoarsenWhere collapses sibling groups of leaves whose parent satisfies
 // pred, bottom-up, until stable within one pass. Child data is averaged
 // into the parent. Returns the number of collapses.
+//
+// The collapses are decided by one post-order pass over the leaf index,
+// which compacts it in place (tile.Store.Coarsen), and applied by one
+// copy-on-write walk that descends only into key spans holding a collapse
+// (DESIGN.md decision 21).
 func (t *Tree) CoarsenWhere(pred func(morton.Code) bool) int {
 	defer t.span("Coarsen").End()
-	before := t.stats.Coarsens
-	t.beginIndexEmit()
-	nr, _, _ := t.coarsenWalk(t.cur, pred)
-	t.cur = nr
+	idx := t.index()
+	idx.Invalidate() // until the tree has caught up
+	merged := t.changes[:0]
+	idx.Coarsen(func(p morton.Code) bool {
+		if !pred(p) {
+			return false
+		}
+		merged = append(merged, p)
+		return true
+	})
+	t.changes = merged
+	if len(merged) > 0 {
+		// Decided in post-order; the walk takes ancestors first.
+		slices.Sort(merged)
+		t.cur, _ = t.collapseWalk(t.cur, merged)
+	}
 	t.endIndexEmit()
 	t.maybeEvict()
 	t.maybeGC()
-	return t.stats.Coarsens - before
+	return len(merged)
 }
 
-// coarsenWalk returns (ref, refChanged, isLeafNow). It visits every leaf in
-// Z-order and emits the result's leaves into the leaf index: a collapse
-// finds its eight children as the last eight entries and replaces them by
-// the parent.
-func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool) {
+// collapseWalk collapses every octant of merged — sorted, non-empty, all
+// within the span of the octant at r, each a parent of eight leaves once
+// the collapses below it are done — descending only into subtrees that
+// hold one. Child data is summed in child order and divided by 8. Returns
+// the (possibly copied) ref and whether it changed.
+func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 	o := t.readOct(r)
-	if o.IsLeaf() {
-		t.emitLeaf(&o)
-		return r, false, true
+	collapse := merged[0] == o.Code
+	if collapse {
+		merged = merged[1:] // the rest lie below: they collapse first
 	}
-	childrenChanged := false
-	allLeaves := true
+	changed := false
 	var chIdx [8]bool
 	for i, c := range o.Children {
-		if c.IsNil() {
+		if len(merged) == 0 {
+			break
+		}
+		_, hi := o.Code.Child(i).KeySpan()
+		n := 0
+		for n < len(merged) && uint64(merged[n]) <= hi {
+			n++
+		}
+		if n == 0 {
 			continue
 		}
-		nc, chg, leaf := t.coarsenWalk(c, pred)
+		nc, chg := t.collapseWalk(c, merged[:n])
+		merged = merged[n:]
 		if chg {
 			o.Children[i] = nc
 			chIdx[i] = true
-			childrenChanged = true
-		}
-		if !leaf {
-			allLeaves = false
+			changed = true
 		}
 	}
-	if allLeaves && pred(o.Code) {
+	if collapse {
 		var sum [DataWords]float64
 		for i, c := range o.Children {
 			co := t.readOct(c)
@@ -385,24 +372,18 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 		}
 		t.stats.Coarsens++
 		t.contentSeq++
-		if t.leafCount > 0 {
-			t.leafCount -= 7
-		}
-		t.idx.Truncate(t.idx.N() - 8)
-		t.emitLeaf(&o)
 		nr := t.commitOctant(r, &o)
-		return nr, nr != r, true
+		return nr, nr != r
 	}
-	if !childrenChanged {
-		return r, false, false
+	if !changed {
+		return r, false
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
 		t.reparentChanged(r, &o, &chIdx)
-		return r, false, false
+		return r, false
 	}
-	nr := t.commitOctant(r, &o)
-	return nr, true, false
+	return t.commitOctant(r, &o), true
 }
 
 // UpdateLeaves applies fn to every leaf; when fn reports a change, the new

@@ -352,12 +352,26 @@ func TestSolveDropletHistoryMatchesSweeps(t *testing.T) {
 }
 
 // TestIndexPathsSteadyStateAllocs: on a warmed tree the batch writer and
-// the index-emitting walks allocate nothing.
+// the key-space RefineWhere and CoarsenWhere allocate nothing, whether
+// they change nothing or split and collapse a patch of the mesh. The C0
+// budget holds the whole mesh, so the patch's octants live in C0 and a
+// collapse frees them at once (a working-version NVBM octant waits for GC,
+// and the arena would grow).
 func TestIndexPathsSteadyStateAllocs(t *testing.T) {
-	tr := Create(Config{})
+	tr := Create(Config{DRAMBudgetOctants: 1 << 16})
 	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.05), 5)
 	tr.Balance()
+	tr.Persist() // picks the hot set: every subtree is in C0 from here on
 	never := func(morton.Code) bool { return false }
+	patch := containing(0.8, 0.5, 0.5)
+	adapt := func() {
+		if n := tr.RefineWhere(patch, 7); n == 0 {
+			t.Fatal("the patch refined nothing")
+		}
+		if n := tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 5 && patch(c) }); n == 0 {
+			t.Fatal("the patch coarsened nothing")
+		}
+	}
 	bump := func() {
 		st := tr.LeafTiles()
 		for i := 0; i < st.N(); i++ {
@@ -373,8 +387,9 @@ func TestIndexPathsSteadyStateAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"scatter", bump},
-		{"refine walk", func() { tr.RefineWhere(never, 5) }},
-		{"coarsen walk", func() { tr.CoarsenWhere(never) }},
+		{"refine nothing", func() { tr.RefineWhere(never, 5) }},
+		{"coarsen nothing", func() { tr.CoarsenWhere(never) }},
+		{"refine and coarsen a patch", adapt},
 	} {
 		tc.run() // warm-up: grows scratch, copies shared paths
 		if avg := testing.AllocsPerRun(10, tc.run); avg != 0 {

@@ -44,7 +44,7 @@ func SubtreeLevelFor(depth uint8, dramBudgetOctants int) uint8 {
 // packingFactor refines Equation 1 for subtree selection: candidate
 // subtrees are sized to ~1/4 of the C0 budget rather than the whole of it,
 // so several hot subtrees pack the budget instead of one subtree leaving
-// the rest idle. BenchmarkAblationPacking quantifies the choice.
+// the rest idle.
 const packingFactor = 4
 
 // retarget recomputes L_sub and the hot subtree set after a persist (§3.3:

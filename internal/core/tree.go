@@ -206,8 +206,13 @@ type Tree struct {
 	// LeafCount costs no walk.
 	leafCount int
 
-	// balance is Balance's key-space closure with its scratch (balance.go).
+	// balance is Balance's key-space closure with its scratch (balance.go);
+	// changes (the splits or the merges) and refined (the leaves after the
+	// splits) are RefineWhere's and CoarsenWhere's decisions (ops.go),
+	// reused between calls.
 	balance bulk.Closure
+	changes []morton.Code
+	refined []morton.Code
 
 	// GC state (gc.go, ledger.go): the lifetime ledger, and the reusable
 	// slot bitset and explicit stack of the full mark.

@@ -10,12 +10,12 @@
 //
 // The store is the index itself, not a gathered image of one: core.Tree
 // keeps one as its working-version index, edits it in step with the tree
-// (append, truncate, in-place refinement), lends it to kernels through
-// core.LeafTiles and stores their marked cells with core.ScatterLeafTiles;
-// serve builds one per pinned version and answers queries with
-// morton.Container over Codes and with BoxRuns. The Store does not know
-// about the octree: the owner stamps it with its content sequence number
-// (Stamp/ValidFor).
+// (append, truncate, in-place refinement and coarsening), lends it to
+// kernels through core.LeafTiles and stores their marked cells with
+// core.ScatterLeafTiles; serve builds one per pinned version and answers
+// queries with morton.Container over Codes and with BoxRuns. The Store
+// does not know about the octree: the owner stamps it with its content
+// sequence number (Stamp/ValidFor).
 //
 // Tile bounds and dirty flags are derived state, allocated on first use:
 // a store that is only searched (serve's) holds codes and payload alone.
@@ -157,6 +157,47 @@ func (s *Store) Refine(leaves []morton.Code) {
 		}
 	}
 	s.cut = -1
+}
+
+// Coarsen merges complete sibling groups, the inverse of Refine. One
+// forward pass compacts the leaves in place; whenever the last eight kept
+// leaves are the eight children of a parent p it asks merge(p) — in
+// post-order, so a merged p may complete its own parent's group and the
+// merges cascade. A merged group becomes the one leaf p, whose payload is
+// the sum of its children's in child order divided by 8. Returns the
+// number of merges.
+func (s *Store) Coarsen(merge func(p morton.Code) bool) int {
+	n, w := 0, 0
+	for i, c := range s.codes {
+		s.codes[w] = c
+		for k := 0; k < Words; k++ {
+			s.F[k][w] = s.F[k][i]
+		}
+		w++
+		for w >= 8 && c.Level() > 0 && c.ChildIndex() == 7 {
+			p := c.Parent()
+			if s.codes[w-8] != p.Child(0) || !merge(p) {
+				break
+			}
+			w -= 8
+			for k := 0; k < Words; k++ {
+				sum := 0.0
+				for _, v := range s.F[k][w : w+8] {
+					sum += v
+				}
+				s.F[k][w] = sum / 8
+			}
+			s.codes[w] = p
+			w++
+			n++
+			c = p
+		}
+	}
+	s.Truncate(w)
+	if n > 0 {
+		s.cut = -1
+	}
+	return n
 }
 
 // BoxRuns calls fn, in ascending position order, with the runs [first,

@@ -366,6 +366,88 @@ func TestRefineInPlace(t *testing.T) {
 	}
 }
 
+// TestCoarsenInverseOfRefine: Coarsen merging exactly the groups a
+// refinement split gives back the leaves before it, each merged leaf
+// carrying the sum of its children's payload in child order divided by 8
+// (cascading through two levels), and asks about every complete group once.
+func TestCoarsenInverseOfRefine(t *testing.T) {
+	codes := adaptiveCodes(t, 2)
+	last := len(codes) - 1
+	for _, c := range []struct {
+		name string
+		deep bool
+		pos  []int
+	}{
+		{"first", false, []int{0}},
+		{"last", false, []int{last}},
+		{"several", false, []int{1, 5, last / 2, last - 1}},
+		{"two levels", true, []int{0, last / 3, last}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			leaves := splitAt(codes, c.deep, c.pos...)
+			isLeaf := map[morton.Code]bool{}
+			for _, l := range leaves {
+				isLeaf[l] = true
+			}
+			var mean func(morton.Code) [Words]float64
+			mean = func(p morton.Code) [Words]float64 {
+				if isLeaf[p] {
+					return payloadOf(p)
+				}
+				var sum [Words]float64
+				for k := 0; k < 8; k++ {
+					v := mean(p.Child(k))
+					for w := range sum {
+						sum[w] += v[w]
+					}
+				}
+				for w := range sum {
+					sum[w] /= 8
+				}
+				return sum
+			}
+			s := filled(leaves)
+			var asked []morton.Code
+			if n := s.Coarsen(func(p morton.Code) bool { asked = append(asked, p); return false }); n != 0 || !slices.Equal(s.Codes(), leaves) {
+				t.Fatalf("merging nothing merged %d groups", n)
+			}
+			var groups []morton.Code // every parent of eight leaves
+			for _, l := range leaves {
+				if l.Level() == 0 || l.ChildIndex() != 7 {
+					continue
+				}
+				p, complete := l.Parent(), true
+				for k := 0; k < 8; k++ {
+					complete = complete && isLeaf[p.Child(k)]
+				}
+				if complete {
+					groups = append(groups, p)
+				}
+			}
+			slices.Sort(asked)
+			if !slices.Equal(asked, groups) {
+				t.Fatalf("asked about %v, want every complete group once: %v", asked, groups)
+			}
+			split := map[morton.Code]bool{}
+			for _, i := range c.pos {
+				split[codes[i]] = true
+				if c.deep {
+					split[codes[i].Child(0)] = true
+				}
+			}
+			n := s.Coarsen(func(p morton.Code) bool { return split[p] })
+			if n != len(split) || !slices.Equal(s.Codes(), codes) {
+				t.Fatalf("merged %d groups into %d leaves, want %d into %d", n, s.N(), len(split), len(codes))
+			}
+			for i, code := range codes {
+				if got, want := s.Load(i), mean(code); got != want {
+					t.Fatalf("cell %d (%v) = %v, want %v", i, code, got, want)
+				}
+			}
+		})
+	}
+}
+
 // bruteFind is the search oracle: the position of the leaf holding p's
 // first MaxLevel cell by linear scan, or -1.
 func bruteFind(codes []morton.Code, p morton.Code) int {
