@@ -63,11 +63,10 @@ type State struct {
 // the projection's reductions are deterministic blocked sums.
 func (st *State) SetWorkers(n int) {
 	if n == 1 {
-		st.pool = nil
-	} else {
-		st.pool = parallel.New(n)
+		st.SetPool(nil)
+		return
 	}
-	st.Sys.SetWorkers(n)
+	st.SetPool(parallel.New(n))
 }
 
 // SetPool attaches a caller-owned pool to the state and its system; nil
@@ -133,10 +132,17 @@ var ErrNotConverged = errors.New("fluid: pressure projection did not converge")
 // Step advances the flow by dt. It fails, changing no field, when dt is
 // not positive or the pressure projection does not converge (a
 // non-finite field, for one).
-func (st *State) Step(dt float64) (solver.Result, error) {
+func (st *State) Step(dt float64) (res solver.Result, err error) {
 	if !(dt > 0) {
 		return solver.Result{}, fmt.Errorf("fluid: non-positive dt %v", dt)
 	}
+	// The step is a chain of dependent sweeps, so it is one Warm scope of
+	// the pool (DESIGN.md decision 11(c)).
+	st.pool.Warm(func() { res, err = st.step(dt) })
+	return res, err
+}
+
+func (st *State) step(dt float64) (solver.Result, error) {
 	n := st.Sys.N()
 	u, v, w, vof, p := st.u2, st.v2, st.w2, st.vof2, st.p2
 

@@ -7,6 +7,7 @@ import (
 	"pmoctree/internal/morton"
 	"pmoctree/internal/octree"
 	"pmoctree/internal/solver"
+	"pmoctree/internal/telemetry"
 )
 
 func pouredState(t testing.TB, sys *solver.System) *State {
@@ -141,3 +142,24 @@ func benchAdvect(b *testing.B, workers int) {
 
 func BenchmarkAdvectSerial(b *testing.B)   { benchAdvect(b, 1) }
 func BenchmarkAdvectParallel(b *testing.B) { benchAdvect(b, 4) }
+
+// TestSetWorkersSharesOnePool: the state and its system run on one pool,
+// so a state has one helper team; one worker means no pool at all.
+func TestSetWorkersSharesOnePool(t *testing.T) {
+	st := NewState(uniformSystem(t, 4))
+	st.SetWorkers(2)
+	if st.pool == nil || st.pool.Workers() != 2 {
+		t.Fatalf("SetWorkers(2): state pool %v", st.pool)
+	}
+	// The system's sweeps must show up in the state pool's telemetry.
+	reg := telemetry.NewRegistry()
+	st.pool.Instrument(reg, "pool")
+	st.Sys.ApplyNeumann(st.U, st.div)
+	if runs := reg.Snapshot().Counters["pool.runs"]; runs != 1 {
+		t.Fatalf("a system sweep made %d runs on the state's pool, want 1", runs)
+	}
+	st.SetWorkers(1)
+	if st.pool != nil || st.Sys.Workers() != 1 {
+		t.Fatalf("SetWorkers(1): state pool %v, system workers %d", st.pool, st.Sys.Workers())
+	}
+}

@@ -78,7 +78,9 @@ func TestRunPanicPropagates(t *testing.T) {
 // included.
 func TestDotWorkerCountInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 64*1024 + 129} {
+	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1,
+		minReduce - BlockSize - 1, minReduce - 1, minReduce, minReduce + 1, minReduce + BlockSize + 1,
+		64*1024 + 129} {
 		a := make([]float64, n)
 		b := make([]float64, n)
 		for i := range a {
@@ -91,8 +93,8 @@ func TestDotWorkerCountInvariant(t *testing.T) {
 		if want != wantSum {
 			t.Fatalf("n=%d: Dot %v != Sum %v on nil pool", n, want, wantSum)
 		}
-		for _, workers := range []int{1, 2, 4, 16} {
-			p := New(workers)
+		for _, p := range []*Pool{New(1), New(2), New(4), New(16), NewForced(2), NewForced(3)} {
+			workers := p.Workers()
 			if got := p.Dot(a, b); got != want {
 				t.Fatalf("n=%d workers=%d: Dot %v, want bit-identical %v", n, workers, got, want)
 			}
@@ -222,6 +224,22 @@ func TestRunMinCutoff(t *testing.T) {
 	}
 }
 
+// TestReduceCutoff: blocked reductions go to the team from minReduce
+// elements (an element count, not a block count) and run inline below.
+func TestReduceCutoff(t *testing.T) {
+	for _, n := range []int{minReduce - 1, minReduce} {
+		p := NewForced(2)
+		reg := telemetry.NewRegistry()
+		p.Instrument(reg, "pool")
+		a := make([]float64, n)
+		p.Dot(a, a)
+		chunks := reg.Snapshot().Counters["pool.chunks"]
+		if split := chunks > 1; split != (n >= minReduce) {
+			t.Fatalf("n=%d: %d chunks", n, chunks)
+		}
+	}
+}
+
 // TestRunMinCoversEveryIndex is TestRunCoversEveryIndex for the RunMin
 // entry point with aggressive cutoffs.
 func TestRunMinCoversEveryIndex(t *testing.T) {
@@ -265,6 +283,12 @@ func poolWorkload(out []float64) func(lo, hi int) {
 // serial cutoffs and caller participation, a 4-worker pool must be at
 // least as fast as the serial pool on the same sweep. Compare the
 // serial/workers4 sub-benchmarks.
+//
+// The dependent/* cases time the shape of one projection solve: 200 runs
+// of a light 50k-index sweep, each followed by a short serial gap. On a cold
+// team every run pays a helper wake-up; inside Warm the helpers are
+// already polling. Compare dependent/serial, dependent/cold and
+// dependent/warm.
 func BenchmarkPoolCrossover(b *testing.B) {
 	const n = 200_000
 	out := make([]float64, n)
@@ -278,6 +302,35 @@ func BenchmarkPoolCrossover(b *testing.B) {
 		p := New(4)
 		for i := 0; i < b.N; i++ {
 			p.Run(n, poolWorkload(out))
+		}
+	})
+	dependent := func(p *Pool) {
+		// An axpy-weight sweep, about as long as one of the solve's.
+		sweep := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i] = 0.5*out[i] + 1
+			}
+		}
+		for r := 0; r < 200; r++ {
+			p.RunMin(50_000, 1, sweep)
+			poolWorkload(out[:64])(0, 64) // the serial gap
+		}
+	}
+	b.Run("dependent/serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dependent(nil)
+		}
+	})
+	b.Run("dependent/cold", func(b *testing.B) {
+		p := New(2)
+		for i := 0; i < b.N; i++ {
+			dependent(p)
+		}
+	})
+	b.Run("dependent/warm", func(b *testing.B) {
+		p := New(2)
+		for i := 0; i < b.N; i++ {
+			p.Warm(func() { dependent(p) })
 		}
 	})
 }

@@ -28,12 +28,7 @@ func (s *System) Divergence(u, v, w []float64, out []float64) {
 			acc := 0.0
 			for k := rs[i]; k < rs[i+1]; k++ {
 				axis, sign := axisOf(int(s.fdir[k]))
-				var uf float64
-				if j := nb[k]; j >= 0 {
-					uf = 0.5 * (comp[axis][i] + comp[axis][j])
-				} else {
-					uf = 0 // wall: no flow through
-				}
+				uf := 0.5 * (comp[axis][i] + comp[axis][nb[k]])
 				acc += sign * s.farea[k] * uf
 			}
 			out[i] = acc / s.vol[i]
@@ -60,9 +55,6 @@ func (s *System) Gradient(p []float64, gx, gy, gz []float64) {
 			}
 			for k := rs[i]; k < rs[i+1]; k++ {
 				j := nb[k]
-				if j < 0 {
-					continue
-				}
 				axis, sign := axisOf(int(s.fdir[k]))
 				d := (h + s.extent[j]) / 2
 				acc[axis] += s.farea[k] * sign * (p[j] - p[i]) / d
@@ -87,13 +79,12 @@ func (s *System) ApplyNeumann(x, y []float64) {
 	rs, nb, tr := s.rowStart, s.nb, s.tr
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			a, b := rs[i], rs[i+1]
+			row, t := nb[a:b], tr[a:b]
+			xi := x[i]
 			acc := 0.0
-			for k := rs[i]; k < rs[i+1]; k++ {
-				j := nb[k]
-				if j < 0 {
-					continue
-				}
-				acc += tr[k] * (x[i] - x[j])
+			for k, j := range row {
+				acc += t[k] * (xi - x[j])
 			}
 			y[i] = acc
 		}
@@ -105,10 +96,12 @@ func (s *System) ApplyNeumann(x, y []float64) {
 // compatible (sum to zero), which wall-bounded divergence fields satisfy
 // by the divergence theorem; the returned solution is volume-mean-free.
 func (s *System) SolveNeumann(b []float64, x []float64, opt Options) (Result, error) {
-	rhs, err := s.integrate(b, x)
-	if err != nil {
-		return Result{}, err
-	}
+	return s.solve(b, x, func(rhs []float64) Result { return s.solveNeumann(rhs, x, opt) })
+}
+
+// solveNeumann is SolveNeumann on the integrated right-hand side, which it
+// makes compatible in place.
+func (s *System) solveNeumann(rhs, x []float64, opt Options) Result {
 	n := s.N()
 	rhsSum := s.pool.Sum(n, func(i int) float64 { return rhs[i] })
 	volSum := s.pool.Sum(n, func(i int) float64 { return s.vol[i] })
@@ -127,7 +120,7 @@ func (s *System) SolveNeumann(b []float64, x []float64, opt Options) (Result, er
 			x[i] -= xm
 		}
 	})
-	return res, nil
+	return res
 }
 
 // ProjectedDivergence computes the divergence of the face-corrected
@@ -143,9 +136,6 @@ func (s *System) ProjectedDivergence(u, v, w, p []float64, dt float64, out []flo
 			acc := 0.0
 			for k := rs[i]; k < rs[i+1]; k++ {
 				j := nb[k]
-				if j < 0 {
-					continue
-				}
 				axis, sign := axisOf(int(s.fdir[k]))
 				uf := 0.5 * (comp[axis][i] + comp[axis][j])
 				// Outward-normal correction: u_out -= dt (p_j - p_i)/d,

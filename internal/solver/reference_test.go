@@ -103,13 +103,18 @@ func referenceBuild(leaves []morton.Code) (*refSystem, error) {
 
 // flatten transposes the AoS face lists into the CSR arrays and
 // precomputes per-cell geometry, returning the System the old two-pass
-// Build produced.
+// Build produced with its wall entries dropped: a wall's transmissibility
+// stays in diag, but its row gets no entry.
 func (s *refSystem) flatten() *System {
 	out := &System{codes: s.codes, diag: s.diag}
 	n := len(s.codes)
 	total := 0
 	for i := range s.faces {
-		total += len(s.faces[i])
+		for _, f := range s.faces[i] {
+			if f.neighbor >= 0 {
+				total++
+			}
+		}
 	}
 	out.rowStart = make([]int32, n+1)
 	out.nb = make([]int32, 0, total)
@@ -121,6 +126,9 @@ func (s *refSystem) flatten() *System {
 	for i, fl := range s.faces {
 		out.rowStart[i] = int32(len(out.nb))
 		for _, f := range fl {
+			if f.neighbor < 0 {
+				continue
+			}
 			out.nb = append(out.nb, int32(f.neighbor))
 			out.tr = append(out.tr, f.t)
 			out.fdir = append(out.fdir, uint8(f.dir))

@@ -58,12 +58,13 @@ type System struct {
 	diag  []float64 // sum of transmissibilities per cell
 	ndiag []float64 // the same without wall faces (1 on an isolated cell)
 
-	// CSR face arrays: cell i's faces are entries
+	// CSR face arrays: cell i's interior faces are entries
 	// [rowStart[i], rowStart[i+1]) of nb/tr/fdir/farea, in dirs order, the
 	// four halves of a split face in ascending child order. Every
-	// accumulation over a row runs in that order.
+	// accumulation over a row runs in that order. Wall faces have no
+	// entry: their transmissibility is in diag alone.
 	rowStart []int32
-	nb       []int32   // adjacent cell index, -1 for a wall
+	nb       []int32   // adjacent cell index
 	tr       []float64 // transmissibility A/d
 	fdir     []uint8   // direction index into dirs
 	farea    []float64 // face area
@@ -163,9 +164,7 @@ func assemble(codes []morton.Code) (*System, error) {
 		s.fdir = append(s.fdir, uint8(di))
 		s.farea = append(s.farea, area)
 		s.diag[i] += t
-		if j >= 0 {
-			s.ndiag[i] += t
-		}
+		s.ndiag[i] += t
 	}
 	for i, c := range s.codes {
 		s.rowStart[i] = int32(len(s.nb))
@@ -174,8 +173,10 @@ func assemble(codes []morton.Code) (*System, error) {
 		for di, d := range dirs {
 			nc, ok := c.Neighbor(d[0], d[1], d[2])
 			if !ok {
-				// Domain wall: Dirichlet ghost at distance h/2.
-				face(i, -1, h*h/(h/2), di, h*h)
+				// Domain wall: a Dirichlet ghost at distance h/2, which
+				// only the Dirichlet diagonal sees. The row gets no entry,
+				// so the sweeps run over interior faces alone.
+				s.diag[i] += h * h / (h / 2)
 				continue
 			}
 			// The cell holding nc's first cell is nc itself, an
@@ -259,17 +260,18 @@ func (s *System) apply(neumann bool, x, y []float64) {
 }
 
 // Apply computes y = A x, where A is the (SPD) negative Laplacian with
-// Dirichlet walls: (Ax)_i = sum_f T_f (x_i - x_j), wall x_j = 0. Rows are
+// Dirichlet walls: (Ax)_i = sum_f T_f (x_i - x_j), wall x_j = 0 (so a
+// wall adds T_f x_i, which diag already holds). Rows are
 // independent, so the sweep parallelizes without changing any result bit.
 func (s *System) Apply(x, y []float64) {
 	rs, nb, tr := s.rowStart, s.nb, s.tr
 	s.pool.RunMin(len(s.codes), minStencil, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			a, b := rs[i], rs[i+1]
+			row, t := nb[a:b], tr[a:b]
 			acc := s.diag[i] * x[i]
-			for k := rs[i]; k < rs[i+1]; k++ {
-				if j := nb[k]; j >= 0 {
-					acc -= tr[k] * x[j]
-				}
+			for k, j := range row {
+				acc -= t[k] * x[j]
 			}
 			y[i] = acc
 		}
@@ -296,27 +298,29 @@ type Result struct {
 // over each cell volume). x is overwritten with the solution; pass a zero
 // slice for a cold start.
 func (s *System) Solve(b []float64, x []float64, opt Options) (Result, error) {
-	rhs, err := s.integrate(b, x)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.pcg(false, rhs, x, opt), nil
+	return s.solve(b, x, func(rhs []float64) Result { return s.pcg(false, rhs, x, opt) })
 }
 
-// integrate checks the vector lengths and returns the finite-volume
-// right-hand side rhs_i = b_i * V_i.
-func (s *System) integrate(b, x []float64) ([]float64, error) {
+// solve checks the vector lengths, integrates the right-hand side
+// rhs_i = b_i * V_i and runs body on it. The whole solve is one Warm
+// scope of the pool: its sweeps are a chain of dependent runs, each
+// waiting on the one before (DESIGN.md decision 11(c)).
+func (s *System) solve(b, x []float64, body func(rhs []float64) Result) (Result, error) {
 	n := s.N()
 	if len(b) != n || len(x) != n {
-		return nil, fmt.Errorf("solver: vector length %d/%d, want %d", len(b), len(x), n)
+		return Result{}, fmt.Errorf("solver: vector length %d/%d, want %d", len(b), len(x), n)
 	}
-	rhs := make([]float64, n)
-	s.pool.RunMin(n, minAxpy, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rhs[i] = b[i] * s.vol[i]
-		}
+	var res Result
+	s.pool.Warm(func() {
+		rhs := make([]float64, n)
+		s.pool.RunMin(n, minAxpy, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				rhs[i] = b[i] * s.vol[i]
+			}
+		})
+		res = body(rhs)
 	})
-	return rhs, nil
+	return res, nil
 }
 
 // pcg is the one CG loop behind Solve (Dirichlet) and SolveNeumann,

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,10 +62,21 @@ func TestBuildUniform(t *testing.T) {
 	if s.N() != 64 {
 		t.Fatalf("N = %d", s.N())
 	}
-	// Every cell has exactly 6 faces on a uniform grid.
-	for i := 0; i < s.N(); i++ {
-		if nf := s.rowStart[i+1] - s.rowStart[i]; nf != 6 {
-			t.Fatalf("cell %d has %d faces", i, nf)
+	// Every cell has 6 faces on a uniform grid, and a row holds the
+	// interior ones: 6 minus the cell's walls.
+	for i, c := range s.Codes() {
+		walls := 0
+		x, y, z, _ := c.Decode()
+		for _, v := range []uint32{x, y, z} {
+			if v == 0 {
+				walls++
+			}
+			if v == 3 {
+				walls++
+			}
+		}
+		if nf := s.rowStart[i+1] - s.rowStart[i]; nf != int32(6-walls) {
+			t.Fatalf("cell %d (%d walls) has %d faces, want %d", i, walls, nf, 6-walls)
 		}
 	}
 }
@@ -303,14 +315,23 @@ func BenchmarkSolverBuild(b *testing.B) {
 }
 
 // BenchmarkSolveNeumann times the projection solve of the flow_projection
-// mesh's first fluid step: gravity has pulled the liquid down for one
-// step, and the pressure removes the divergence that leaves.
+// mesh's first fluid step at 1 and 2 workers: gravity has pulled the
+// liquid down for one step, and the pressure removes the divergence that
+// leaves. w1 over w2 is the projection's parallel speedup.
 func BenchmarkSolveNeumann(b *testing.B) {
 	s, err := Build(flowLeaves())
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.SetWorkers(2)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			s.SetWorkers(workers)
+			benchSolveNeumann(b, s)
+		})
+	}
+}
+
+func benchSolveNeumann(b *testing.B, s *System) {
 	n := s.N()
 	const dt = 5e-3
 	u, w, div := make([]float64, n), make([]float64, n), make([]float64, n)
