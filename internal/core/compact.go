@@ -58,6 +58,7 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 		return nr
 	}
 	newRoot := copyTree(t.committed, NilRef)
+	landBits(newArena)
 	newArena.SetRoot(rootSlotStep, t.step-1)
 	newArena.SetRoot(rootSlotAddr, uint64(newRoot))
 	if t.cfg.NVBMBudgetOctants > 0 {
@@ -75,7 +76,7 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	t.led.roots[t.committedStep] = newRoot
 	// The durable watermark lives in the new region now; the queue is
 	// empty (flushed above), so this is a plain repoint.
-	t.pipe.rebind(newArena, newRoot, t.step-1)
+	t.pipe.rebind(newRoot, t.step-1)
 	// Every NVBM ref changed identity: drop the decoded cache. The leaf
 	// index holds no refs and the content is the same.
 	t.cacheInvalidateAll()

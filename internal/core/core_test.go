@@ -1,12 +1,15 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
+	"pmoctree/internal/pmem"
 )
 
 // sphere returns a refinement predicate that is true when the octant's
@@ -346,6 +349,12 @@ func TestEvictionUnderTinyBudget(t *testing.T) {
 	}
 }
 
+// TestRestoreAfterCrash crashes a tree mid-step and checks what the
+// bitmap-landing rule promises: the working version's NVBM allocations
+// never reach the device bitmap, so the restored arena holds live exactly
+// the slots the committed and retained versions reach plus the slots GC
+// freed since the last landing, and the first collection frees exactly
+// the latter.
 func TestRestoreAfterCrash(t *testing.T) {
 	nvDev := nvbm.New(nvbm.NVBM, 0)
 	dramDev := nvbm.New(nvbm.DRAM, 0)
@@ -354,13 +363,23 @@ func TestRestoreAfterCrash(t *testing.T) {
 	tr.Persist()
 	committed := leafSet(tr, tr.CommittedRoot())
 	step := tr.Step()
+	// The commit landed the bitmap; the collection after it freed slots
+	// that only the next landing would clear on the device.
+	landed := landedLiveWords(t, nvDev)
+	freedSince := andNot(landed, tr.nv.LiveWords())
+	if popcount(freedSince) == 0 {
+		t.Fatal("the collection after the commit freed nothing; the test checks nothing")
+	}
 
 	// Mutate the working version, then crash before persisting. Exhaust
 	// the DRAM budget so some working octants land in NVBM and become
-	// recoverable orphans.
+	// lost allocations.
 	tr.dram.SetBudget(8)
 	tr.RefineWhere(func(c morton.Code) bool { return c.Level() < 3 }, 3)
 	tr.UpdateLeaves(func(morton.Code, *[DataWords]float64) bool { return true })
+	if popcount(andNot(tr.nv.LiveWords(), landed)) == 0 {
+		t.Fatal("the working version allocated no NVBM slot; the test checks nothing")
+	}
 	dramDev.Crash()
 	nvDev.Crash() // no-op for NVBM
 
@@ -383,9 +402,14 @@ func TestRestoreAfterCrash(t *testing.T) {
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Orphaned working-version octants are reclaimed by the next GC.
-	if freed := re.GC(); freed == 0 {
-		t.Error("post-restore GC found no orphans despite lost working version")
+	reach := reachableSlots(re)
+	if want := or(reach, freedSince); !equalWords(re.nv.LiveWords(), want) {
+		t.Fatalf("restored arena holds %d live slots, want the %d reachable plus the %d freed since the landing",
+			re.nv.LiveCount(), popcount(reach), popcount(freedSince))
+	}
+	// The first collection frees exactly the slots freed since the landing.
+	if freed := re.GC(); freed != popcount(freedSince) || !equalWords(re.nv.LiveWords(), reach) {
+		t.Fatalf("post-restore GC freed %d slots, want the %d freed since the landing", freed, popcount(freedSince))
 	}
 	// And the restored tree keeps working.
 	re.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 4)
@@ -393,6 +417,97 @@ func TestRestoreAfterCrash(t *testing.T) {
 	if err := re.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// landedLiveWords reads the allocation bitmap as landed on dev.
+func landedLiveWords(t *testing.T, dev *nvbm.Device) []uint64 {
+	t.Helper()
+	dev.SetAccounting(false)
+	defer dev.SetAccounting(true)
+	a, err := pmem.OpenArena(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.LiveWords()
+}
+
+// reachableSlots returns the bitset of NVBM slots the versions GC keeps
+// live reach (the committed one and the retained ring), reading records
+// straight from the arena. A slot the arena holds free is included but
+// not read: its record may lie past the landed high water.
+func reachableSlots(tr *Tree) []uint64 {
+	tr.setAccounting(false)
+	defer tr.setAccounting(true)
+	var out []uint64
+	var buf [RecordSize]byte
+	for _, v := range tr.liveVersions() {
+		stack := []Ref{v.Root}
+		for len(stack) > 0 {
+			r := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if r.IsNil() || r.InDRAM() {
+				continue
+			}
+			i := int(r.Handle() - 1)
+			for i/64 >= len(out) {
+				out = append(out, 0)
+			}
+			out[i/64] |= 1 << (i % 64)
+			if !tr.nv.Live(r.Handle()) {
+				continue
+			}
+			var o Octant
+			tr.nv.Read(r.Handle(), buf[:])
+			o.decode(buf[:])
+			stack = append(stack, o.Children[:]...)
+		}
+	}
+	return out
+}
+
+// andNot, or, popcount and equalWords treat []uint64 as slot bitsets,
+// missing trailing words reading as zero.
+func andNot(a, b []uint64) []uint64 {
+	out := slices.Clone(a)
+	for i := range out {
+		if i < len(b) {
+			out[i] &^= b[i]
+		}
+	}
+	return out
+}
+
+func or(a, b []uint64) []uint64 {
+	out := make([]uint64, max(len(a), len(b)))
+	copy(out, a)
+	for i, w := range b {
+		out[i] |= w
+	}
+	return out
+}
+
+func popcount(a []uint64) int {
+	n := 0
+	for _, w := range a {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+func equalWords(a, b []uint64) bool {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		var x, y uint64
+		if i < len(a) {
+			x = a[i]
+		}
+		if i < len(b) {
+			y = b[i]
+		}
+		if x != y {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRestoreAcrossFile(t *testing.T) {

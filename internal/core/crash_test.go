@@ -6,6 +6,7 @@ import (
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
+	"pmoctree/internal/pmem"
 )
 
 // TestPowerCutTorture cuts power after every possible write count during
@@ -16,13 +17,20 @@ import (
 // exercised exhaustively at the granularity of individual device writes,
 // for the inline commit (depth 0, top-level subtests) and for a persist
 // worker two versions deep (the depth=2 group), whose writeback, ring
-// push and commit flip land after Persist returns.
+// push and commit flip land after Persist returns. Each depth runs with
+// the default RetainVersions 0, where GC frees and reuses the most slots
+// before the next landing, and again in a retain=1 group, where restore
+// keeps a superseded version whose slots must stay allocated too.
 func TestPowerCutTorture(t *testing.T) {
-	powerCutTorture(t, 0)
-	t.Run("depth=2", func(t *testing.T) { powerCutTorture(t, 2) })
+	powerCutTorture(t, 0, 0)
+	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 0, 1) })
+	t.Run("depth=2", func(t *testing.T) {
+		powerCutTorture(t, 2, 0)
+		t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 2, 1) })
+	})
 }
 
-func powerCutTorture(t *testing.T, depth int) {
+func powerCutTorture(t *testing.T, depth, retain int) {
 	// Dry run to learn how many NVBM writes the doomed phase performs. With
 	// a persist worker the count varies by a few writes with its timing, so
 	// take the longest of several runs: a cut past a shorter run's last
@@ -34,7 +42,7 @@ func powerCutTorture(t *testing.T, depth int) {
 	totalWrites := 0
 	for ; runs > 0; runs-- {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, depth)
+		tree, _ := buildBase(t, nv, depth, retain)
 		before := nv.Stats().Writes
 		doomedPhase(tree)
 		totalWrites = max(totalWrites, int(nv.Stats().Writes-before))
@@ -47,7 +55,7 @@ func powerCutTorture(t *testing.T, depth int) {
 	// commit store (deterministic, so computed once).
 	fullVersion := func() map[morton.Code][DataWords]float64 {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, depth)
+		tree, _ := buildBase(t, nv, depth, retain)
 		doomedPhase(tree)
 		return leafSet(tree, tree.CommittedRoot())
 	}()
@@ -68,7 +76,7 @@ func powerCutTorture(t *testing.T, depth int) {
 		n := n
 		t.Run(fmt.Sprintf("cut-after-%d-writes", n), func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, history := buildBase(t, nv, depth)
+			tree, history := buildBase(t, nv, depth, retain)
 			nv.CutPowerAfter(n)
 			// The doomed process may die with a panic once its writes
 			// stop landing; that is exactly a crash.
@@ -79,34 +87,96 @@ func powerCutTorture(t *testing.T, depth int) {
 			tree.AbortPipeline() // a worker dies with the process
 			nv.RestorePower()
 
-			restored, err := Restore(Config{NVBMDevice: nv})
-			if err != nil {
-				t.Fatalf("restore after cut at %d: %v", n, err)
-			}
-			if err := restored.Validate(); err != nil {
-				t.Fatalf("restored tree invalid after cut at %d: %v", n, err)
-			}
-			got := leafSet(restored, restored.Root())
+			got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: retain})
 			if !matchesAny(got, append(history, fullVersion)) {
 				t.Fatalf("cut at %d writes: restored %d leaves match no committed version",
 					n, len(got))
-			}
-			// The restored tree must remain fully usable.
-			restored.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 3)
-			restored.Persist()
-			if err := restored.Validate(); err != nil {
-				t.Fatalf("post-recovery persist invalid after cut at %d: %v", n, err)
 			}
 		})
 	}
 }
 
-// buildBase creates a tree persisting at the given pipeline depth with two
-// durably committed versions and returns the history of committed leaf
-// sets.
-func buildBase(t *testing.T, nv *nvbm.Device, depth int) (*Tree, []map[morton.Code][DataWords]float64) {
+// TestLostLandingFailsCommit wears out the allocator metadata (header,
+// root table and bitmap lines) before a persist: the commit's bitmap
+// landing is dropped, and the read-back fails the commit with
+// pmem.ErrStoreLost before the root store. Once the lines take stores
+// again, restore lands on the version before, with every slot it and the
+// retained version reach allocated.
+func TestLostLandingFailsCommit(t *testing.T) {
+	for _, depth := range []int{0, 2} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tree, history := buildBase(t, nv, depth, 1)
+			// Rewrite the metadata in place up to a wear limit no record
+			// line reaches during the phase, so only metadata stores drop.
+			meta := tree.nv.DataOffset()
+			limit := nv.WearMax(meta, nv.Size()) + 64
+			img := make([]byte, meta)
+			nv.ReadAt(0, img)
+			for range limit {
+				nv.WriteAt(0, img)
+			}
+			nv.SetWearLimit(limit)
+			func() {
+				defer func() {
+					if r := recover(); r != pmem.ErrStoreLost {
+						t.Fatalf("persist over worn-out lines: recovered %v, want pmem.ErrStoreLost", r)
+					}
+				}()
+				doomedPhase(tree)
+			}()
+			tree.AbortPipeline()
+			nv.SetWearLimit(0)
+			got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: 1})
+			if !equalLeafSets(got, history[len(history)-1]) {
+				t.Fatalf("restored %d leaves, want the last committed version", len(got))
+			}
+		})
+	}
+}
+
+// restoreChecked restores the tree cfg names after a power cut on
+// fault-free media and holds it to what every cut must leave:
+//   - the commit record's version restores without a fallback (a fallback
+//     means a persist point landed after the root store);
+//   - every slot the committed and retained versions reach is allocated in
+//     the reopened arena (an allocation landed too late would be handed
+//     out again over a durable octant);
+//   - the tree validates, and keeps doing so through one more refine,
+//     persist and flush.
+//
+// It returns the restored version's leaf set.
+func restoreChecked(t *testing.T, cfg Config) map[morton.Code][DataWords]float64 {
 	t.Helper()
-	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, PipelineDepth: depth})
+	restored, rep, err := RestoreWithReport(cfg)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if rep.Fallbacks != 0 {
+		t.Fatalf("restore fell back past the commit record's version: %v", rep.Rejected)
+	}
+	if n := popcount(andNot(reachableSlots(restored), restored.nv.LiveWords())); n != 0 {
+		t.Fatalf("%d slots the committed and retained versions reach are free in the reopened arena", n)
+	}
+	if err := restored.Validate(); err != nil {
+		t.Fatalf("restored tree invalid: %v", err)
+	}
+	got := leafSet(restored, restored.Root())
+	restored.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 3)
+	restored.Persist()
+	restored.Flush()
+	if err := restored.Validate(); err != nil {
+		t.Fatalf("post-recovery persist invalid: %v", err)
+	}
+	return got
+}
+
+// buildBase creates a tree persisting at the given pipeline depth and
+// retaining retain superseded versions, with two durably committed
+// versions, and returns the history of committed leaf sets.
+func buildBase(t *testing.T, nv *nvbm.Device, depth, retain int) (*Tree, []map[morton.Code][DataWords]float64) {
+	t.Helper()
+	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, PipelineDepth: depth, RetainVersions: retain})
 	var history []map[morton.Code][DataWords]float64
 	history = append(history, leafSet(tree, tree.CommittedRoot()))
 
@@ -150,63 +220,82 @@ func matchesAny(got map[morton.Code][DataWords]float64, candidates []map[morton.
 
 // TestPowerCutDuringEveryEarlyWrite runs the dense version of the torture
 // on a smaller tree: every single cut point from 0 to the full phase, for
-// the inline commit and for a persist worker two versions deep.
+// the inline commit and for a persist worker two versions deep, each with
+// RetainVersions 0 and 1, on the arena Create built and on one Compact
+// rewrote the tree into before the phase.
 func TestPowerCutDuringEveryEarlyWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive torture skipped in -short")
 	}
 	for _, depth := range []int{0, 2} {
-		// Learn the phase length.
-		phase := func(tree *Tree) {
-			tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
-			tree.Persist()
+		for _, retain := range []int{0, 1} {
+			for _, compacted := range []bool{false, true} {
+				arena := "created"
+				if compacted {
+					arena = "compacted"
+				}
+				t.Run(fmt.Sprintf("depth=%d,retain=%d,%s", depth, retain, arena), func(t *testing.T) {
+					denseTorture(t, depth, retain, compacted)
+				})
+			}
+		}
+	}
+}
+
+func denseTorture(t *testing.T, depth, retain int, compacted bool) {
+	// Learn the phase length.
+	phase := func(tree *Tree) {
+		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
+		tree.Persist()
+		tree.Flush()
+	}
+	// build returns the tree and its device, a fresh one if Compact
+	// moved the tree.
+	build := func() (*Tree, *nvbm.Device, map[morton.Code][DataWords]float64) {
+		tree := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 16, Seed: 9, PipelineDepth: depth, RetainVersions: retain})
+		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
+		tree.Persist()
+		if compacted {
+			if _, err := tree.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
 			tree.Flush()
 		}
-		build := func(nv *nvbm.Device) (*Tree, map[morton.Code][DataWords]float64) {
-			tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 16, Seed: 9, PipelineDepth: depth})
-			tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
-			tree.Persist()
-			tree.Flush()
-			return tree, leafSet(tree, tree.CommittedRoot())
+		return tree, tree.cfg.NVBMDevice, leafSet(tree, tree.CommittedRoot())
+	}
+	total := func() int {
+		tree, nv, _ := build()
+		before := nv.Stats().Writes
+		phase(tree)
+		return int(nv.Stats().Writes - before)
+	}()
+
+	fullWant := func() map[morton.Code][DataWords]float64 {
+		tree, _, _ := build()
+		phase(tree)
+		return leafSet(tree, tree.CommittedRoot())
+	}()
+
+	// Exhaustive: power fails after every possible write count.
+	for n := 0; n <= total; n++ {
+		tree, nv, committed := build()
+		nv.CutPowerAfter(n)
+		func() {
+			defer func() { recover() }()
+			phase(tree)
+		}()
+		tree.AbortPipeline()
+		nv.RestorePower()
+		var got map[morton.Code][DataWords]float64
+		if !t.Run(fmt.Sprintf("cut-%d", n), func(t *testing.T) {
+			got = restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: retain})
+		}) {
+			t.FailNow()
 		}
-		total := func() int {
-			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, _ := build(nv)
-			before := nv.Stats().Writes
-			phase(tree)
-			return int(nv.Stats().Writes - before)
-		}()
-
-		fullWant := func() map[morton.Code][DataWords]float64 {
-			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, _ := build(nv)
-			phase(tree)
-			return leafSet(tree, tree.CommittedRoot())
-		}()
-
-		// Exhaustive: power fails after every possible write count.
-		for n := 0; n <= total; n++ {
-			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, committed := build(nv)
-			nv.CutPowerAfter(n)
-			func() {
-				defer func() { recover() }()
-				phase(tree)
-			}()
-			tree.AbortPipeline()
-			nv.RestorePower()
-			restored, err := Restore(Config{NVBMDevice: nv})
-			if err != nil {
-				t.Fatalf("depth %d cut %d/%d: restore: %v", depth, n, total, err)
-			}
-			if err := restored.Validate(); err != nil {
-				t.Fatalf("depth %d cut %d/%d: invalid: %v", depth, n, total, err)
-			}
-			got := leafSet(restored, restored.Root())
-			if !equalLeafSets(got, committed) && !equalLeafSets(got, fullWant) {
-				t.Fatalf("depth %d cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
-					depth, n, total, len(got))
-			}
+		if !equalLeafSets(got, committed) && !equalLeafSets(got, fullWant) {
+			t.Fatalf("depth %d cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
+				depth, n, total, len(got))
 		}
 	}
 }

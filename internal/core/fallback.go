@@ -91,6 +91,28 @@ func CommittedStepOf(dev *nvbm.Device) (step uint64, err error) {
 	return nv.Root(rootSlotStep), nil
 }
 
+// CommittedRootRange returns the device byte range of the record of the
+// root octant the commit record on a surviving device names, without
+// constructing a Tree (fault harnesses aim at it to make the newest
+// version unrestorable).
+func CommittedRootRange(dev *nvbm.Device) (off, n int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: locating the committed root: %v", r)
+		}
+	}()
+	nv, err := pmem.OpenArena(dev)
+	if err != nil {
+		return 0, 0, err
+	}
+	root := Ref(nv.Root(rootSlotAddr))
+	if root.IsNil() || root.InDRAM() {
+		return 0, 0, fmt.Errorf("core: commit record names no NVBM root (%v)", root)
+	}
+	off, n = nv.SlotRange(root.Handle())
+	return off, n, nil
+}
+
 // RestoreReport describes how a restore found its version.
 type RestoreReport struct {
 	Candidates int      // versions examined, newest first
@@ -181,6 +203,7 @@ func RestoreWithReport(cfg Config) (t *Tree, rep RestoreReport, err error) {
 		rep.Fallbacks = idx
 		rep.Verified = deep
 		if idx > 0 {
+			landBits(t.nv)
 			t.nv.SetRoot(rootSlotAddr, uint64(c.root))
 			t.nv.SetRoot(rootSlotStep, c.step)
 		}

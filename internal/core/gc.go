@@ -120,7 +120,7 @@ func (t *Tree) gcFull(vs []VersionInfo) int {
 	t.markVersions(vs, marked, &t.led)
 	hw := t.nv.HighWater()
 	// The sweep's per-handle bitmap probes, accounted in bulk: one 1-byte
-	// read per handle in [1, HighWater], exactly what Live(h) charges.
+	// read per handle in [1, HighWater].
 	t.nv.Device().ChargeReadN(int(hw), 1)
 	live := t.nv.LiveWords()
 	for wi := range marked {

@@ -175,7 +175,8 @@ func (t *Tree) stageOct(r Ref, o *Octant) {
 //
 //  1. Merge: every DRAM octant of V(i) moves to NVBM, so the version is
 //     closed under NVBM.
-//  2. Commit: commitBatch pushes V(i-1) onto the fallback ring, then a
+//  2. Commit: commitBatch lands the allocation-bitmap words dirtied since
+//     the previous commit, pushes V(i-1) onto the fallback ring, then a
 //     single 8-byte store of the root ref into the arena's root table
 //     makes the new version durable. Crash before this store recovers
 //     V(i-1); after it, V(i).

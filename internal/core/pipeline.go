@@ -11,13 +11,13 @@ import (
 )
 
 // Persistence pipeline. Every tree has one, and every Persist ends in the
-// same commitBatch: fallback-ring push, step store, root store. At
-// Config.PipelineDepth 0 no worker exists and commitBatch runs inline on
-// the mutator, after a merge that stored every record and bitmap bit
-// eagerly. With PipelineDepth > 0 the merge instead STAGES the step's
-// delta (the records of every octant relocated from C0) in host memory
-// and hands it to a background persist worker, which performs the device
-// writeback and then commitBatch off the mutator's critical path. The
+// same commitBatch: bitmap landing, fallback-ring push, step store, root
+// store. At Config.PipelineDepth 0 no worker exists and commitBatch runs
+// inline on the mutator, after a merge that stored every record. With
+// PipelineDepth > 0 the merge instead STAGES the step's delta (the
+// records of every octant relocated from C0) in host memory and hands it
+// to a background persist worker, which performs the device writeback and
+// then commitBatch off the mutator's critical path. The
 // mutator's view of "committed" advances immediately at every depth —
 // step i+1 treats version i as immutable either way — while DURABILITY
 // trails by at most PipelineDepth versions: a crash loses
@@ -26,8 +26,8 @@ import (
 //
 // Invariants the pipeline preserves while a worker runs:
 //
-//   - A staged octant's slot is allocated (its persistent bitmap bit set)
-//     by the mutator before staging, so no later allocation can collide
+//   - A staged octant's slot is allocated (its mirror bit set) by the
+//     mutator before staging, so no later allocation can collide
 //     with an in-flight record, and GC keeps in-flight versions
 //     live (inflightVersions) so a collection never frees them.
 //   - Staged slots are never read from the device until their record
@@ -87,9 +87,9 @@ type stagedRec struct {
 // commitReq is one enqueued version: its root, step number, merge delta,
 // and the arena it must be written to (captured at enqueue time so a
 // later Compact cannot swap the arena under the worker). bits and hw are
-// the deferred allocation-bitmap snapshot covering every alloc and free
-// up to this version — the worker lands them before the commit flip, so
-// a recovered allocator never hands out a slot the durable root owns.
+// the allocation-bitmap snapshot covering every alloc and free up to this
+// version — commitBatch lands them before the root store, so a recovered
+// allocator never hands out a slot the durable root owns.
 type commitReq struct {
 	root  Ref
 	step  uint64
@@ -167,10 +167,6 @@ func (t *Tree) startPipeline() {
 	t.pipe = p
 	if p.depth > 0 {
 		p.async = true
-		// While the worker runs, allocation-bitmap and high-water
-		// persistence ride its commit batches instead of charging the
-		// mutator a device read-modify-write per alloc and free.
-		t.nv.SetDeferredBits(true)
 		go p.worker()
 	}
 }
@@ -216,11 +212,13 @@ func (t *Tree) SetPersistHook(fn func(stage string)) {
 
 // Flush blocks until every enqueued version is durably committed — the
 // durability barrier: after Flush returns, the commit record names the
-// newest version Persist produced. A persist-worker crash (e.g. power
-// lost during writeback) is re-raised here on the caller, exactly as an
-// inline commit would have panicked at the failing device access. With
-// no worker running every version is already durable and Flush returns
-// at once.
+// newest version Persist produced. Then, with the queue empty and any
+// worker idle, it lands the bitmap words changed since that commit (what
+// GC freed, and the working version's allocations), so a flushed device's
+// allocation bitmap is exact at every pipeline depth. A persist-worker
+// crash (e.g. power lost during writeback) is re-raised here on the
+// caller, exactly as an inline commit would have panicked at the failing
+// device access.
 func (t *Tree) Flush() {
 	p := t.pipe
 	p.mu.Lock()
@@ -232,33 +230,29 @@ func (t *Tree) Flush() {
 	if f != nil {
 		panic(f)
 	}
+	landBits(t.nv)
 }
 
 // Close flushes the pipeline and stops the persist worker; later commits
-// run inline on the mutator. Only the flush happens when no worker runs.
+// run inline on the mutator.
 func (t *Tree) Close() {
 	t.Flush()
-	if t.pipe.stop(false) {
-		// Back to inline commits: land bitmap words dirtied since the last
-		// enqueue (GC frees, retargeting) and resume eager per-bit writes.
-		t.nv.SetDeferredBits(false)
-	}
+	t.pipe.stop(false)
 }
 
 // AbortPipeline stops the persist worker WITHOUT flushing: versions still
 // in flight are dropped (they were never durable — after a crash this is
 // the truth on the device anyway). Crash-recovery paths use it to stop
 // the worker when the device no longer accepts writes; a stashed worker
-// failure is discarded rather than re-raised. The arena keeps deferring
-// bitmap words, so an aborted tree is fit only for Delete or to be
-// dropped. Does nothing when no worker runs.
+// failure is discarded rather than re-raised. An aborted tree is fit only
+// for Delete or to be dropped. Does nothing when no worker runs.
 func (t *Tree) AbortPipeline() { t.pipe.stop(true) }
 
 // stop ends the persist worker, draining its queue or (abort) dropping
-// it, and reports whether a worker was running. Mutator-only.
-func (p *pipeline) stop(abort bool) bool {
+// it. Mutator-only.
+func (p *pipeline) stop(abort bool) {
 	if !p.async {
-		return false
+		return
 	}
 	p.mu.Lock()
 	p.closed = true
@@ -270,20 +264,14 @@ func (p *pipeline) stop(abort bool) bool {
 	p.mu.Unlock()
 	<-p.done
 	p.async = false
-	return true
 }
 
-// rebind repoints the durable watermark after Compact rewrote the
-// committed version into the fresh arena nv, which a running worker needs
-// in deferred-bit mode (it was built with eager bits: the copy is its
-// durable baseline). Mutator-only, queue drained (Compact flushes first).
-func (p *pipeline) rebind(nv *pmem.Arena, root Ref, step uint64) {
+// rebind repoints the durable watermark after Compact or Delete swapped
+// in a fresh arena. Mutator-only, queue drained.
+func (p *pipeline) rebind(root Ref, step uint64) {
 	p.mu.Lock()
 	p.durableRoot, p.durableStep = root, step
 	p.mu.Unlock()
-	if p.async {
-		nv.SetDeferredBits(true)
-	}
 }
 
 // durable returns the newest durably committed (root, step).
@@ -521,25 +509,25 @@ func (p *pipeline) writeback(batch []*commitReq) {
 		}
 		i = j
 	}
-	// Land the batch's deferred allocation-bitmap snapshots (enqueue
-	// order, last-wins per word) and the high-water mark. Must precede the
-	// commit flip: once the flip makes these slots reachable, a recovered
-	// allocator has to see them allocated.
+}
+
+// commitBatch makes a batch of versions durable, every record of which is
+// already on the device: one landing of the batch's allocation-bitmap
+// snapshots, one fallback-ring push of the version the batch supersedes,
+// and one commit-record flip naming the batch's newest version, which then
+// becomes the durable watermark. The worker calls it after writeback; at
+// PipelineDepth 0 Persist calls it inline with a batch of one.
+func (p *pipeline) commitBatch(batch []*commitReq, hook func(string)) {
+	final := batch[len(batch)-1]
+	// The landing rule: the bitmap words (enqueue order, last-wins per
+	// word) and the high water land before any root word is stored, so
+	// once the flip makes the batch's slots reachable a recovered
+	// allocator sees them allocated.
 	var bits []pmem.BitWord
 	for _, req := range batch {
 		bits = append(bits, req.bits...)
 	}
-	nv.WriteBitsExclusive(bits, batch[len(batch)-1].hw)
-}
-
-// commitBatch makes a batch of versions durable, every record of which is
-// already on the device: one fallback-ring push of the version the batch
-// supersedes, and one commit-record flip naming the batch's newest
-// version, which then becomes the durable watermark. The worker calls it
-// after writeback; at PipelineDepth 0 Persist calls it inline with a
-// batch of one.
-func (p *pipeline) commitBatch(batch []*commitReq, hook func(string)) {
-	final := batch[len(batch)-1]
+	final.nv.WriteBitsExclusive(bits, final.hw)
 	durableRoot, durableStep := p.durable()
 	p.rootMu.Lock()
 	// The superseded durable version enters the fallback ring before the
@@ -587,4 +575,13 @@ func (p *pipeline) retire(batch []*commitReq) {
 	for _, req := range batch {
 		p.t.flight.Record(telemetry.FlightEvent{Kind: "persist_complete", Step: req.step, Value: uint64(req.root)})
 	}
+}
+
+// landBits lands every allocation-bitmap word nv dirtied since its
+// previous landing, and its high water: the landing rule for the root
+// stores outside commitBatch (Create's first root, Compact's new arena,
+// a restore's fallback repair), and the exact bitmap Flush leaves.
+func landBits(nv *pmem.Arena) {
+	words, hw := nv.TakeDirtyBits(nil)
+	nv.WriteBitsExclusive(words, hw)
 }

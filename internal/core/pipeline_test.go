@@ -443,6 +443,9 @@ func TestPipelineCrashAtStages(t *testing.T) {
 			if got := commitDigest(restored); !history[got] {
 				t.Fatalf("recovery landed on digest %016x, which no enqueued version published", got)
 			}
+			// The allocator check runs on a copy: it writes, and the
+			// pipelined restore below must read the crash image.
+			restoreChecked(t, Config{NVBMDevice: nv.Clone()})
 			// The restored tree is fully usable, pipeline included.
 			restored2, err := Restore(pipelineConfig(nv, 2, 2))
 			if err != nil {

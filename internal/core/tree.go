@@ -293,6 +293,7 @@ func Create(cfg Config) *Tree {
 	t.writeOct(r, &root)
 	t.led = newLedger("", r, 0)
 	t.led.birth(r.Handle(), 0) // committed as version 0
+	landBits(t.nv)
 	t.nv.SetRoot(rootSlotAddr, uint64(r))
 	t.nv.SetRoot(rootSlotStep, 0)
 	t.committed = r
@@ -326,7 +327,7 @@ func (t *Tree) Delete() {
 	t.nv = pmem.NewArena(t.cfg.NVBMDevice, RecordSize)
 	t.committed, t.cur = NilRef, NilRef
 	t.led = newLedger("", NilRef, 0)
-	t.pipe.rebind(t.nv, NilRef, 0)
+	t.pipe.rebind(NilRef, 0)
 	t.hot = map[morton.Code]bool{}
 	t.trunk = nil
 	t.access = map[morton.Code]uint64{}

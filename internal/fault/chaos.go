@@ -67,13 +67,14 @@ type ChaosReport struct {
 	Committed   int // steps that persisted successfully
 	CutsArmed   int // torn power cuts armed
 	Crashes     int // power-loss crashes taken (cuts that fired)
+	NewestLost  int // recoveries whose newest committed version was damaged first
 	RotEvents   int
 	BitsFlipped int
 
 	Restores         int // successful restores after a crash
 	Fallbacks        int // restores that walked past the newest version
 	Failovers        int // restores that needed the remote replica
-	ValidateFailures int // mid-run validation failures treated as crashes
+	ValidateFailures int // mid-run validation failures and lost stores, treated as crashes
 
 	SyncFailures int // replica frames abandoned after retries
 	Link         cluster.LossyStats
@@ -98,8 +99,8 @@ type ChaosReport struct {
 func (r ChaosReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos seed=%d steps=%d committed=%d\n", r.Seed, r.Steps, r.Committed)
-	fmt.Fprintf(&b, "  cuts: armed=%d fired=%d torn_writes=%d torn_lines_dropped=%d\n",
-		r.CutsArmed, r.Crashes, r.TornWrites, r.TornLinesDropped)
+	fmt.Fprintf(&b, "  cuts: armed=%d fired=%d torn_writes=%d torn_lines_dropped=%d newest_lost=%d\n",
+		r.CutsArmed, r.Crashes, r.TornWrites, r.TornLinesDropped, r.NewestLost)
 	fmt.Fprintf(&b, "  rot: events=%d bits=%d  stuck_writes=%d\n", r.RotEvents, r.BitsFlipped, r.StuckWrites)
 	fmt.Fprintf(&b, "  recovery: restores=%d fallbacks=%d failovers=%d validate_failures=%d\n",
 		r.Restores, r.Fallbacks, r.Failovers, r.ValidateFailures)
@@ -176,11 +177,16 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 		nv.RestorePower()
 		// Pre-restore scrub: when the replica mirrors the device's
 		// current committed version, heal media damage before validation
-		// so restore rejects as little as possible.
-		if haveReplica {
-			if devStep, err := core.CommittedStepOf(nv); err == nil && devStep == replicaStep {
-				accumulateScrub(&rep, cfg.Recorder, scrubFromReplica(nv, mgr))
-			}
+		// so restore rejects as little as possible. Otherwise only remap
+		// worn-out lines, so a root-table line that dropped a commit
+		// store takes the restored tree's stores again.
+		if devStep, err := core.CommittedStepOf(nv); err == nil && haveReplica && devStep == replicaStep {
+			accumulateScrub(&rep, cfg.Recorder, scrubFromReplica(nv, mgr))
+		} else {
+			rep.ScrubRemapped += nv.RemapWorn()
+		}
+		if in.LoseNewest(nv) {
+			cfg.Recorder.Record(telemetry.FlightEvent{Kind: "lose_newest", Step: uint64(s)})
 		}
 		t, rrep, err := core.RestoreWithReport(mkConfig(nv))
 		if err != nil && haveReplica {
@@ -226,8 +232,10 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 				if r := recover(); r != nil {
 					if r != nvbm.ErrPowerLost {
 						// Corruption-driven panics (walking a rotted
-						// pointer) are crashes too; recovery must handle
-						// them identically.
+						// pointer) and commits failed by a store a
+						// worn-out line dropped (pmem.ErrStoreLost) are
+						// crashes too; recovery must handle them
+						// identically.
 						rep.ValidateFailures++
 					} else {
 						rep.Crashes++
@@ -328,6 +336,7 @@ func accumulateScrub(rep *ChaosReport, fr *telemetry.FlightRecorder, sr nvbm.Scr
 func finalize(rep *ChaosReport, in *Injector, link *cluster.LossyNetwork,
 	mgr *recovery.ReplicaManager, nv *nvbm.Device, tree *core.Tree) {
 	rep.CutsArmed = int(in.CutsArmed)
+	rep.NewestLost = int(in.NewestLost)
 	rep.RotEvents = int(in.RotEvents)
 	rep.BitsFlipped = int(in.BitsFlipped)
 	rep.Link = link.Stats()

@@ -12,7 +12,7 @@ func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
-	var crashes, fallbacks, corrupt int
+	var crashes, fallbacks, corrupt, validateFailures, remapped int
 	for _, seed := range seeds {
 		rep, err := Run(ChaosConfig{Seed: seed, Steps: 40})
 		if err != nil {
@@ -37,6 +37,8 @@ func TestChaosSoak(t *testing.T) {
 		crashes += rep.Crashes
 		fallbacks += rep.Fallbacks
 		corrupt += rep.ScrubCorrupt
+		validateFailures += rep.ValidateFailures
+		remapped += rep.ScrubRemapped
 	}
 	// The soak is only meaningful if the fault paths actually fired.
 	if crashes == 0 {
@@ -47,6 +49,12 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if corrupt == 0 {
 		t.Error("scrub never found an injected media error")
+	}
+	if validateFailures == 0 {
+		t.Error("no mid-run check ever failed; lost-store detection (pmem.ErrStoreLost) is untested")
+	}
+	if remapped == 0 {
+		t.Error("scrub never remapped a worn-out line; wear-out is untested")
 	}
 }
 

@@ -13,6 +13,7 @@ package fault
 import (
 	"math/rand"
 
+	"pmoctree/internal/core"
 	"pmoctree/internal/nvbm"
 )
 
@@ -37,18 +38,28 @@ type Profile struct {
 	SpareLines int
 }
 
+// loseNewestProb is the share of recoveries on which LoseNewest damages
+// the newest committed version beyond scrub's reach, so that restore has
+// to fall back past it.
+const loseNewestProb = 0.25
+
 // DefaultProfile returns fault intensities tuned so a few dozen steps see
-// several torn crashes, repeated bit-rot, occasional wear-out remaps, and
-// dropped replica frames, without making runs degenerate.
+// several torn crashes, repeated bit-rot, occasional wear-out remaps,
+// restores that fall back, and dropped replica frames, without making runs
+// degenerate. CutWindow and WearLimit are sized to the droplet soak's
+// device traffic, about 240 writes per step with allocation words landing
+// once per commit, and 170 writes on its hottest line (the root table's)
+// over 40 steps: that line wears out about once a run, drops a commit
+// store, and the commit fails with pmem.ErrStoreLost.
 func DefaultProfile() Profile {
 	return Profile{
 		CutProb:     0.25,
-		CutWindow:   3000,
+		CutWindow:   1000,
 		RotProb:     0.5,
 		RotBurst:    8,
 		DropProb:    0.15,
 		CorruptProb: 0.10,
-		WearLimit:   4000,
+		WearLimit:   80,
 		SpareLines:  512,
 	}
 }
@@ -62,6 +73,7 @@ type Injector struct {
 	CutsArmed   uint64
 	RotEvents   uint64
 	BitsFlipped uint64
+	NewestLost  uint64
 }
 
 // NewInjector builds an injector over the profile with its own RNG.
@@ -107,4 +119,22 @@ func (in *Injector) InjectRot(d *nvbm.Device) int {
 		in.BitsFlipped += uint64(flipped)
 	}
 	return flipped
+}
+
+// LoseNewest maybe damages the newest committed version on d, reporting
+// whether it did: it flips one bit of the record of the root octant the
+// commit record names. Called after the pre-restore scrub, the rot is
+// beyond scrub's reach, so a verifying restore rejects the version and
+// falls back past it.
+func (in *Injector) LoseNewest(d *nvbm.Device) bool {
+	if in.rng.Float64() >= loseNewestProb {
+		return false
+	}
+	off, n, err := core.CommittedRootRange(d)
+	if err != nil {
+		return false
+	}
+	d.FlipBit(off+in.rng.Intn(n), uint8(in.rng.Intn(8)))
+	in.NewestLost++
+	return true
 }

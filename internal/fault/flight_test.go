@@ -16,12 +16,12 @@ import (
 // dump alone identifies the recovered version.
 func TestChaosFlightRecorder(t *testing.T) {
 	fr := telemetry.NewFlightRecorder(4096)
-	rep, err := Run(ChaosConfig{Seed: 1, Steps: 40, Recorder: fr})
+	rep, err := Run(ChaosConfig{Seed: 2, Steps: 40, Recorder: fr})
 	if err != nil {
 		t.Fatalf("recovery guarantee violated: %v\n%s", err, rep)
 	}
-	if rep.Crashes == 0 {
-		t.Fatalf("seed 1 fired no crashes; pick a seed that exercises recovery\n%s", rep)
+	if rep.Crashes == 0 || rep.Fallbacks == 0 {
+		t.Fatalf("seed 2 fired no crash or no fallback; pick a seed that exercises recovery\n%s", rep)
 	}
 
 	// Round-trip through the JSONL dump: assertions run against what a
@@ -46,7 +46,7 @@ func TestChaosFlightRecorder(t *testing.T) {
 	// Digests published by commit/commit_attempt events are the only
 	// legitimate recovery targets.
 	legit := map[uint64]bool{}
-	var crashes, restores, scrubs int
+	var crashes, restores, scrubs, lost int
 	var lastCommitted *telemetry.FlightEvent
 	for i := range events {
 		ev := events[i]
@@ -66,6 +66,8 @@ func TestChaosFlightRecorder(t *testing.T) {
 			lastCommitted = &events[i]
 		case "scrub":
 			scrubs++
+		case "lose_newest":
+			lost++
 		}
 	}
 	if crashes == 0 {
@@ -76,6 +78,9 @@ func TestChaosFlightRecorder(t *testing.T) {
 	}
 	if scrubs != rep.ScrubPasses {
 		t.Errorf("dump has %d scrub events, report counts %d scrub passes", scrubs, rep.ScrubPasses)
+	}
+	if lost != rep.NewestLost {
+		t.Errorf("dump has %d lose_newest events, report counts %d", lost, rep.NewestLost)
 	}
 	if lastCommitted == nil {
 		t.Fatal("no commit or restore event in the dump")

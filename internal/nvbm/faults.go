@@ -301,6 +301,35 @@ func (d *Device) Scrub(src func(off int, p []byte) bool) ScrubReport {
 	return rep
 }
 
+// RemapWorn remaps every worn-out line onto a spare line, as a scrub pass
+// does, but checks and repairs nothing: a remapped line keeps the contents
+// it last accepted. Recovery with no commit-consistent repair source calls
+// it, so that lines which dropped stores accept them again. It returns the
+// number of lines remapped (counted with scrub's remaps and charged one
+// line write each); worn lines beyond the spare pool stay stuck.
+func (d *Device) RemapWorn() int {
+	limit := d.wearLimit.Load()
+	if limit == 0 {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for line := range d.wear {
+		if d.spare == 0 {
+			break
+		}
+		if atomic.LoadUint32(&d.wear[line]) >= limit {
+			d.spare--
+			atomic.StoreUint32(&d.wear[line], 0)
+			n++
+		}
+	}
+	d.ChargeWriteN(n, LineSize)
+	d.scrubRemapped += uint64(n)
+	return n
+}
+
 // FaultStats is a snapshot of the device's fault and self-healing
 // counters, published through the telemetry layer.
 type FaultStats struct {

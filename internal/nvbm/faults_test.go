@@ -250,6 +250,43 @@ func TestWearOutStuckLineAndRemap(t *testing.T) {
 	}
 }
 
+// TestRemapWornKeepsContents: a sourceless remap unsticks a worn-out line
+// without touching its contents, and leaves a corrupt line alone.
+func TestRemapWornKeepsContents(t *testing.T) {
+	const limit = 2
+	d := New(NVBM, 3*LineSize)
+	d.EnableMediaTracking()
+	d.SetWearLimit(limit)
+	d.SetSpareLines(1)
+	for i := 0; i < limit; i++ {
+		d.WriteAt(0, bytes.Repeat([]byte{byte(i + 1)}, LineSize))
+	}
+	d.WriteAt(0, bytes.Repeat([]byte{0xEE}, LineSize)) // dropped
+	d.WriteAt(LineSize, []byte{5})
+	d.FlipBit(LineSize, 1)
+	if n := d.RemapWorn(); n != 1 {
+		t.Fatalf("RemapWorn = %d, want 1", n)
+	}
+	if got := d.Bytes()[0]; got != limit {
+		t.Errorf("remap changed contents: byte0 = %#x, want %#x", got, limit)
+	}
+	if got := d.CorruptLines(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("CorruptLines = %v, want [1]: a remap repairs nothing", got)
+	}
+	if fs := d.FaultStats(); fs.LinesRemapped != 1 || fs.SparesLeft != 0 {
+		t.Errorf("remapped %d, spares left %d, want 1/0", fs.LinesRemapped, fs.SparesLeft)
+	}
+	d.WriteAt(0, []byte{0x77})
+	if got := d.Bytes()[0]; got != 0x77 {
+		t.Error("write to the remapped line did not land")
+	}
+	// With the spare pool empty, a re-worn line stays stuck.
+	d.WriteAt(0, []byte{0x78})
+	if n := d.RemapWorn(); n != 0 || len(d.StuckLines()) != 1 {
+		t.Errorf("RemapWorn with no spares = %d, stuck %v; want 0 and line 0 stuck", n, d.StuckLines())
+	}
+}
+
 // TestClonePreservesFaultState is the regression test for replica clones
 // silently resetting endurance and media state: wear counters, the CRC
 // shadow (including latent damage), the wear limit, and the spare pool

@@ -8,7 +8,7 @@ import (
 )
 
 // TestAllocRunEquivalence proves a run is indistinguishable, once
-// persisted, from the same slots allocated one by one: identical bitmap
+// landed, from the same slots allocated one by one: identical bitmap
 // mirror, identical high water, identical reopened state.
 func TestAllocRunEquivalence(t *testing.T) {
 	devA := nvbm.New(nvbm.NVBM, 0)
@@ -29,6 +29,8 @@ func TestAllocRunEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(a.LiveWords(), b.LiveWords()) {
 		t.Fatal("liveWords mirrors diverged")
 	}
+	land(a)
+	land(b)
 	// The persistent images agree byte for byte over header + bitmap.
 	bmBytes := headerSize + a.bitmapBytes()
 	bufA := make([]byte, bmBytes)
@@ -93,8 +95,9 @@ func TestAllocRunAfterChurn(t *testing.T) {
 			t.Fatalf("slot payload corrupt at byte %d", j)
 		}
 	}
-	// Reopen: the full live set survives, the two freed slots are back on
-	// the free list.
+	// Reopen after a landing: the full live set survives, the two freed
+	// slots are back on the free list.
+	land(a)
 	r, err := OpenArena(dev)
 	if err != nil {
 		t.Fatal(err)
@@ -107,17 +110,18 @@ func TestAllocRunAfterChurn(t *testing.T) {
 	}
 }
 
-// TestAllocRunDeferred checks deferred-bitmap mode: the run dirties its
-// words without touching the device, and a TakeDirtyBits →
-// WriteBitsExclusive cycle lands state a reopen can rebuild.
+// TestAllocRunDeferred checks a run dirties its words without touching
+// the device, and a TakeDirtyBits → WriteBitsExclusive cycle lands state
+// a reopen can rebuild.
 func TestAllocRunDeferred(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 88)
 	a.AllocRaw()
-	a.SetDeferredBits(true)
+	land(a)
+	st := dev.Stats()
 	h := a.AllocRun(200)
-	if dev.ReadU32(highWaterOff) != 1 {
-		t.Fatal("deferred run persisted the high-water mark eagerly")
+	if dev.Stats() != st {
+		t.Fatal("a run charged device traffic before its landing")
 	}
 	words, hw := a.TakeDirtyBits(nil)
 	if hw != 201 {

@@ -15,17 +15,26 @@
 // recorded in a persistent allocation bitmap, so a crashed process rebuilds
 // its volatile free list from one small sequential read — the allocator is
 // crash-consistent without a log, and recovery cost is metadata-sized, not
-// data-sized. (A crash between a slot write and its bitmap flip leaks at
-// most one slot, which the octree's mark-and-sweep GC reclaims.)
+// data-sized. Allocations and frees change only a volatile mirror of the
+// bitmap; the caller lands the words they dirtied, and the high-water
+// mark, once per commit (TakeDirtyBits, then WriteBitsExclusive) before the
+// store that makes the new slots reachable. A crash therefore loses exactly
+// the allocation state changed since the last landing: a lost allocation
+// is a slot no durable root references, and a lost free is a leak the
+// octree's mark-and-sweep GC reclaims. Landings and root stores are read
+// back, so one that a worn-out line dropped panics (ErrStoreLost) instead
+// of going unnoticed.
 package pmem
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pmoctree/internal/nvbm"
@@ -72,11 +81,21 @@ var arenaMagic = [8]byte{'P', 'M', 'A', 'R', 'E', 'N', 'A', '4'}
 // arena magic: not an arena, or one written in an older format.
 var ErrBadMagic = errors.New("pmem: bad arena magic")
 
+// ErrStoreLost reports a root word or a bitmap landing that did not reach
+// the media: the line it targets has worn out and drops stores (nvbm's
+// wear limit). These are the stores a restore trusts without a way to
+// check them — a lost landing lets a reopened allocator hand out a slot a
+// durable version holds, a lost root word names a version the tree has
+// moved past — so SetRoot and WriteBitsExclusive read each one back and
+// panic with ErrStoreLost on a mismatch, failing the commit like a power
+// cut at that store.
+var ErrStoreLost = errors.New("pmem: a root or allocation-bitmap store did not reach the media")
+
 // geometrySum checksums the format-time geometry words. Nothing else in the
 // header is redundant with them, so without it a flipped capacity byte
 // moves every slot offset silently. The high-water mark is left out: it is
-// rewritten on every allocation, and covering it would add a device write
-// per allocation.
+// rewritten at every landing, and covering it would add a checksum store
+// to each.
 func geometrySum(slotSize, stride, maxSlots int) uint64 {
 	h := fnv.New64a()
 	var b [12]byte
@@ -99,11 +118,13 @@ func geometrySum(slotSize, stride, maxSlots int) uint64 {
 //   - Persist writeback: a single background worker may WriteExclusive to
 //     slots the mutator does not concurrently read or write, while the
 //     mutator keeps allocating, freeing and writing other slots. All
-//     allocation bookkeeping (free list, liveWords mirror, zeroBuf, the
-//     persistent bitmap) stays mutator-owned — the worker only stores
-//     payloads into slots the mutator already allocated, and does so
-//     under the device's exclusive lock because adjacent slot payloads
-//     can share a cache line (see nvbm.Device.WriteAtExclusive).
+//     volatile allocation bookkeeping (free list, liveWords mirror, dirty
+//     set, zeroBuf) stays mutator-owned — the worker only stores payloads
+//     into slots the mutator already allocated, and lands bitmap words
+//     the mutator snapshotted (WriteBitsExclusive; the mutator never
+//     writes the bitmap or high-water bytes itself). It does so under the
+//     device's exclusive lock because adjacent slot payloads can share a
+//     cache line (see nvbm.Device.WriteAtExclusive).
 type Arena struct {
 	dev      *nvbm.Device
 	slotSize int // user-visible bytes per slot
@@ -131,10 +152,17 @@ type Arena struct {
 	wearLevel bool
 	fifoHead  int // consumed prefix of the free list in FIFO mode
 
-	// liveWords is a volatile mirror of the persistent allocation bitmap
-	// (64 slots per word), kept in lockstep by setBit. GC sweeps scan it
-	// word by word instead of probing the device per handle.
+	// liveWords is the allocation bitmap's truth (64 slots per word): the
+	// persistent copy trails it until the caller lands the dirty words.
+	// GC sweeps scan it word by word instead of probing the device per
+	// handle.
 	liveWords []uint64
+	// dirty has one bit per liveWords index, set when the word changes and
+	// cleared by TakeDirtyBits, which therefore emits words in ascending
+	// order. It is bounded by the capacity (512 words at DefaultMaxSlots),
+	// so an arena that is never landed — the DRAM region C0 — keeps it
+	// small.
+	dirty []uint64
 
 	// zeroBuf is the reusable zeroing buffer for Alloc. It is only ever
 	// passed to dev.WriteAt, which copies it, so it stays all-zero. It is
@@ -142,21 +170,6 @@ type Arena struct {
 	// would be an unsynchronized field store racing any concurrent
 	// reader/persister goroutine that shares the Arena value.
 	zeroBuf []byte
-
-	// deferBits switches allocation-bitmap persistence from eager per-bit
-	// device read-modify-writes to deferred whole-word writeback: setBit
-	// updates only the volatile liveWords mirror and records the touched
-	// word in dirty; TakeDirtyBits snapshots the dirty words (and the
-	// high-water mark, whose per-allocation WriteU32 is deferred too) for
-	// a persist worker to land via WriteBitsExclusive before a commit
-	// record flips. Crash-wise the deferral is free: a set bit lost to a
-	// crash describes a slot no durable root references (bits land before
-	// the flip that makes slots reachable), and a cleared bit lost is a
-	// leak the octree's mark-and-sweep reclaims — both already the
-	// documented behavior of a crash between a slot write and its bitmap
-	// flip. Mutator-owned, like every other allocation field.
-	deferBits bool
-	dirty     map[int]struct{}
 }
 
 // NewArena formats dev as an empty arena with the given user slot size and
@@ -241,19 +254,31 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	if hw := a.highWater.Load(); hw > 0 && a.slotOff(hw-1)+a.stride > dev.Size() {
 		return nil, fmt.Errorf("pmem: corrupt arena geometry: high water %d ends past the device (%d bytes)", hw, dev.Size())
 	}
-	// Rebuild the free list from the bitmap prefix covering handed-out
-	// slots: one sequential read.
+	// Rebuild the mirror and the free list from the bitmap prefix covering
+	// handed-out slots: one sequential read, then one word at a time. Bits
+	// past the high water are ignored.
 	n := int(a.highWater.Load())
 	if n > 0 {
-		bm := make([]byte, (n+7)/8)
-		a.dev.ReadAt(headerSize, bm)
+		bm := make([]byte, (n+63)/64*8)
+		a.dev.ReadAt(headerSize, bm[:(n+7)/8])
 		a.liveWords = make([]uint64, (n+63)/64)
-		for i := 0; i < n; i++ {
-			if bm[i/8]&(1<<(i%8)) != 0 {
-				a.live++
-				a.liveWords[i/64] |= 1 << (i % 64)
-			} else {
-				a.free = append(a.free, uint32(i))
+		a.dirty = make([]uint64, (len(a.liveWords)+63)/64)
+		for wi := range a.liveWords {
+			w := binary.LittleEndian.Uint64(bm[8*wi:])
+			if rem := n - 64*wi; rem < 64 {
+				w &= 1<<rem - 1
+			}
+			a.liveWords[wi] = w
+			a.live += bits.OnesCount64(w)
+		}
+		a.free = make([]uint32, 0, n-a.live)
+		for wi, w := range a.liveWords {
+			free := ^w
+			if rem := n - 64*wi; rem < 64 {
+				free &= 1<<rem - 1
+			}
+			for ; free != 0; free &= free - 1 {
+				a.free = append(a.free, uint32(64*wi+bits.TrailingZeros64(free)))
 			}
 		}
 	}
@@ -271,50 +296,40 @@ func (a *Arena) slotOff(i uint32) int {
 	return a.slotsBase() + int(i)*a.stride
 }
 
-// setBit flips slot i's allocation bit (one byte read-modify-write) and
-// keeps the volatile liveWords mirror in lockstep. In deferred mode the
-// device access is skipped: the mirror is the truth and the word is
-// queued for WriteBitsExclusive.
+// cover extends the mirror and the dirty set to hold slot i's word.
+func (a *Arena) cover(i uint32) {
+	wi := int(i / 64)
+	if wi < len(a.liveWords) {
+		return
+	}
+	a.liveWords = append(a.liveWords, make([]uint64, wi+1-len(a.liveWords))...)
+	if dw := wi/64 + 1; dw > len(a.dirty) {
+		a.dirty = append(a.dirty, make([]uint64, dw-len(a.dirty))...)
+	}
+}
+
+// setBit flips slot i's allocation bit in the mirror and marks its word
+// dirty.
 func (a *Arena) setBit(i uint32, on bool) {
-	if !a.deferBits {
-		off := headerSize + int(i/8)
-		var b [1]byte
-		a.dev.ReadAt(off, b[:])
-		if on {
-			b[0] |= 1 << (i % 8)
-		} else {
-			b[0] &^= 1 << (i % 8)
-		}
-		a.dev.WriteAt(off, b[:])
-	}
-	if wi := int(i / 64); wi >= len(a.liveWords) {
-		grown := make([]uint64, wi+1)
-		copy(grown, a.liveWords)
-		a.liveWords = grown
-	}
+	a.cover(i)
 	if on {
 		a.liveWords[i/64] |= 1 << (i % 64)
 	} else {
 		a.liveWords[i/64] &^= 1 << (i % 64)
 	}
-	if a.deferBits {
-		a.dirty[int(i/64)] = struct{}{}
-	}
+	a.markDirty(int(i / 64))
 }
 
-// bit reads slot i's allocation bit. In deferred mode the persistent
-// bitmap may lag the truth, so the volatile mirror answers instead —
-// uncharged, because the host genuinely never touches the device here.
+// markDirty records that mirror word wi changed since the last landing.
+func (a *Arena) markDirty(wi int) { a.dirty[wi/64] |= 1 << (wi % 64) }
+
+// bit reads slot i's allocation bit from the mirror — uncharged, because
+// the host never touches the device here.
 func (a *Arena) bit(i uint32) bool {
-	if a.deferBits {
-		if wi := int(i / 64); wi < len(a.liveWords) {
-			return a.liveWords[wi]&(1<<(i%64)) != 0
-		}
-		return false
+	if wi := int(i / 64); wi < len(a.liveWords) {
+		return a.liveWords[wi]&(1<<(i%64)) != 0
 	}
-	var b [1]byte
-	a.dev.ReadAt(headerSize+int(i/8), b[:])
-	return b[0]&(1<<(i%8)) != 0
+	return false
 }
 
 // SetWearLeveling selects FIFO free-slot recycling, rotating writes
@@ -360,9 +375,6 @@ func (a *Arena) AllocRaw() Handle {
 			a.dev.Grow(newSize)
 		}
 		a.highWater.Store(idx + 1)
-		if !a.deferBits {
-			a.dev.WriteU32(highWaterOff, idx+1)
-		}
 	}
 	a.setBit(idx, true)
 	a.live++
@@ -374,17 +386,9 @@ func (a *Arena) AllocRaw() Handle {
 // in order, at Stride-spaced device offsets, so the caller can store all
 // payloads with one WriteSpanExclusive. The free list is deliberately
 // bypassed: recycled slots are scattered, and the point of a run is
-// contiguity.
-//
-// Where AllocRaw costs three device accesses per slot (bitmap
-// read-modify-write plus the high-water store), AllocRun persists the
-// whole run's allocation state in two: the covered bitmap byte range is
-// rebuilt from the volatile liveWords mirror — in eager mode the mirror is
-// in lockstep with the device, so the rebuild needs no read — and stored
-// in one write, followed by one high-water store. In deferred mode the
-// touched words join the dirty set exactly as per-slot allocation would.
-// Bulk construction of a 10^5-octant tree is therefore charged O(bitmap
-// bytes), not O(slots), of device traffic.
+// contiguity. The run sets whole mirror words at a time and dirties each
+// once, so bulk construction of a 10^5-octant tree lands O(bitmap bytes),
+// not O(slots), of allocation state.
 func (a *Arena) AllocRun(n int) Handle {
 	if n <= 0 {
 		panic("pmem: AllocRun length must be positive")
@@ -402,11 +406,7 @@ func (a *Arena) AllocRun(n int) Handle {
 		a.dev.Grow(newSize)
 	}
 	a.highWater.Store(end)
-	if lastWord := int((end - 1) / 64); lastWord >= len(a.liveWords) {
-		grown := make([]uint64, lastWord+1)
-		copy(grown, a.liveWords)
-		a.liveWords = grown
-	}
+	a.cover(end - 1)
 	for i := start; i < end; {
 		wi := int(i / 64)
 		count := 64 - i%64
@@ -418,22 +418,10 @@ func (a *Arena) AllocRun(n int) Handle {
 			mask = (uint64(1)<<count - 1) << (i % 64)
 		}
 		a.liveWords[wi] |= mask
-		if a.deferBits {
-			a.dirty[wi] = struct{}{}
-		}
+		a.markDirty(wi)
 		i += count
 	}
 	a.live += n
-	if !a.deferBits {
-		bLo := int(start / 8)
-		bHi := int((end + 7) / 8)
-		buf := make([]byte, bHi-bLo)
-		for bi := bLo; bi < bHi; bi++ {
-			buf[bi-bLo] = byte(a.liveWords[bi/8] >> (8 * (bi % 8)))
-		}
-		a.dev.WriteAt(headerSize+bLo, buf)
-		a.dev.WriteU32(highWaterOff, end)
-	}
 	return Handle(start + 1)
 }
 
@@ -447,52 +435,30 @@ func (a *Arena) Free(h Handle) {
 }
 
 // FreeSet frees every allocated slot whose bit is set in dead (bit i%64 of
-// word i/64 for slot index i), in ascending handle order, and returns how
-// many it freed. The allocator, the device contents and the device's
-// counts end exactly as a Free of each of those handles in turn would leave
-// them; FreeSet only serves the bitmap reads of the slots that share a
-// bitmap byte from one device read (every write to the byte is still its
-// own store), and charges those reads once per byte.
+// word i/64 for slot index i) and returns how many it freed. Each word's
+// dead group leaves the mirror in one operation; the freed slots join the
+// free list in ascending handle order, so the allocator ends exactly as a
+// Free of each of those handles in turn would leave it. Set bits of slots
+// that are not allocated are ignored.
 func (a *Arena) FreeSet(dead []uint64) int {
 	n := 0
 	for wi := 0; wi < len(dead) && wi < len(a.liveWords); wi++ {
-		w := dead[wi] & a.liveWords[wi]
-		for w != 0 {
-			// The slots of one bitmap byte: bits [lo, lo+8) of the word.
-			lo := bits.TrailingZeros64(w) &^ 7
-			group := w & (0xff << lo)
-			w &^= group
-			n += bits.OnesCount64(group)
-			if a.deferBits {
-				for ; group != 0; group &= group - 1 {
-					a.freeIndex(uint32(wi*64 + bits.TrailingZeros64(group)))
-				}
-				continue
-			}
-			off := headerSize + (wi*64+lo)/8
-			var b [1]byte
-			a.dev.ReadAt(off, b[:])
-			// Free charges two reads per slot: its liveness probe and the
-			// bit's read-modify-write. The first probe was the read above.
-			a.dev.ChargeReadN(2*bits.OnesCount64(group)-1, 1)
-			for ; group != 0; group &= group - 1 {
-				idx := uint32(wi*64 + bits.TrailingZeros64(group))
-				if b[0]&(1<<(idx%8)) == 0 {
-					panic(fmt.Sprintf("pmem: double free of handle %d", idx+1))
-				}
-				b[0] &^= 1 << (idx % 8)
-				a.dev.WriteAt(off, b[:])
-				a.liveWords[wi] &^= 1 << (idx % 64)
-				a.free = append(a.free, idx)
-				a.live--
-			}
+		group := dead[wi] & a.liveWords[wi]
+		if group == 0 {
+			continue
+		}
+		a.liveWords[wi] &^= group
+		a.markDirty(wi)
+		n += bits.OnesCount64(group)
+		for ; group != 0; group &= group - 1 {
+			a.free = append(a.free, uint32(wi*64+bits.TrailingZeros64(group)))
 		}
 	}
+	a.live -= n
 	return n
 }
 
-// freeIndex frees slot idx: a charged probe of its bit, then the bit's
-// read-modify-write.
+// freeIndex frees slot idx, panicking on a double free.
 func (a *Arena) freeIndex(idx uint32) {
 	if !a.bit(idx) {
 		panic(fmt.Sprintf("pmem: double free of handle %d", idx+1))
@@ -577,117 +543,105 @@ func (a *Arena) WriteSpanExclusive(h Handle, p []byte) {
 	a.dev.WriteAtExclusive(a.slotOff(a.index(h)), p)
 }
 
-// BitWord is one deferred allocation-bitmap word: the 64-slot word at
-// index Index held value Val when TakeDirtyBits snapshotted it. The
-// little-endian encoding of Val is byte-for-byte the persistent bitmap's
-// layout (slot i lives in byte i/8, bit i%8).
+// BitWord is one allocation-bitmap word awaiting its landing: the 64-slot
+// word at index Index held value Val when TakeDirtyBits snapshotted it.
+// The little-endian encoding of Val is byte-for-byte the persistent
+// bitmap's layout (slot i lives in byte i/8, bit i%8).
 type BitWord struct {
 	Index int
 	Val   uint64
 }
 
-// SetDeferredBits toggles deferred bitmap persistence (see the deferBits
-// field). Turning it off flushes any still-dirty words and the high-water
-// mark to the device synchronously, restoring the eager invariant.
-// Mutator-only; callers abandoning an arena after a simulated crash
-// simply never turn it off.
-func (a *Arena) SetDeferredBits(on bool) {
-	if on == a.deferBits {
-		return
-	}
-	if on {
-		a.deferBits = true
-		if a.dirty == nil {
-			a.dirty = make(map[int]struct{})
-		}
-		return
-	}
-	words, hw := a.TakeDirtyBits(nil)
-	a.deferBits = false
-	var b [8]byte
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(b[:], w.Val)
-		off := headerSize + 8*w.Index
-		n := 8
-		if rem := a.bitmapBytes() - 8*w.Index; rem < n {
-			n = rem
-		}
-		a.dev.WriteAt(off, b[:n])
-	}
-	a.dev.WriteU32(highWaterOff, hw)
-}
-
-// TakeDirtyBits snapshots every bitmap word dirtied since the last take
-// (appending to dst) along with the current high-water mark, and clears
-// the dirty set. The persist pipeline calls it at enqueue time, so the
-// snapshot captures exactly the allocations and frees of the versions up
-// to the one being enqueued — the worker lands it before that version's
-// commit record flips. Mutator-only.
+// TakeDirtyBits snapshots every bitmap word dirtied since the last take, in
+// ascending index order (appending to dst), along with the current
+// high-water mark, and clears the dirty set. The octree's commit path
+// takes a snapshot per version, so it captures exactly the allocations
+// and frees up to that version, and lands it with WriteBitsExclusive
+// before the store that makes the version's root reachable.
+// Mutator-only.
 func (a *Arena) TakeDirtyBits(dst []BitWord) ([]BitWord, uint32) {
-	for wi := range a.dirty {
-		var v uint64
-		if wi < len(a.liveWords) {
-			v = a.liveWords[wi]
+	for di, d := range a.dirty {
+		if d == 0 {
+			continue
 		}
-		dst = append(dst, BitWord{Index: wi, Val: v})
-		delete(a.dirty, wi)
+		for ; d != 0; d &= d - 1 {
+			wi := di*64 + bits.TrailingZeros64(d)
+			dst = append(dst, BitWord{Index: wi, Val: a.liveWords[wi]})
+		}
+		a.dirty[di] = 0
 	}
 	return dst, a.highWater.Load()
 }
 
-// WriteBitsExclusive lands a TakeDirtyBits snapshot: the words are sorted
+// WriteBitsExclusive lands TakeDirtyBits snapshots: the words are sorted
 // and adjacent ones coalesced into single exclusive device writes (a
 // step's allocations are near-sequential, so a few thousand bit flips
 // typically collapse into one span), then the high-water mark is stored.
-// Words given more than once apply last-wins, so a worker may concatenate
-// the snapshots of a whole commit group in enqueue order. Safe from the
-// persist worker: in deferred mode the mutator never writes the bitmap
-// or high-water device bytes itself. A power cut mid-span tears at line
+// Words given more than once apply last-wins, so a persist worker may
+// concatenate the snapshots of a whole commit group in enqueue order.
+// Safe from the persist worker: the mutator never writes the bitmap or
+// high-water device bytes itself. A power cut mid-span tears at line
 // granularity — untouched words keep their old durable value, which
-// describes only slots no durable root references (leaks at worst).
+// describes only slots no durable root references (leaks at worst). With
+// no words it stores nothing: every allocation dirties a word, so the
+// high water has not moved since the previous landing.
 func (a *Arena) WriteBitsExclusive(words []BitWord, highWater uint32) {
-	if len(words) > 0 {
-		sorted := make([]BitWord, len(words))
-		copy(sorted, words)
-		// Stable: duplicate Indexes keep their given order, so last-wins
-		// below really applies the NEWEST snapshot of a word. An unstable
-		// sort could land a pre-allocation value of a word over the
-		// snapshot that set the new version's bits — clearing, on the
-		// device, slots the version flipped right afterwards references.
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-		buf := make([]byte, 0, 8*len(sorted))
-		flush := func(start int) {
-			off := headerSize + 8*start
-			n := len(buf)
-			if rem := a.bitmapBytes() - 8*start; rem < n {
-				n = rem
-			}
-			a.dev.WriteAtExclusive(off, buf[:n])
-		}
-		start := -1
-		for i, w := range sorted {
-			if i > 0 && w.Index == sorted[i-1].Index {
-				// Duplicate: overwrite in place, last wins.
-				binary.LittleEndian.PutUint64(buf[len(buf)-8:], w.Val)
-				continue
-			}
-			if start >= 0 && w.Index != sorted[i-1].Index+1 {
-				flush(start)
-				buf = buf[:0]
-				start = -1
-			}
-			if start < 0 {
-				start = w.Index
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, w.Val)
-		}
-		if start >= 0 {
-			flush(start)
-		}
+	if len(words) == 0 {
+		return
 	}
+	byIndex := func(a, b BitWord) int { return cmp.Compare(a.Index, b.Index) }
+	sorted := words
+	if !slices.IsSortedFunc(words, byIndex) {
+		// A commit group's concatenated snapshots. Stable: duplicate
+		// Indexes keep their given order, so last-wins below really
+		// applies the NEWEST snapshot of a word. An unstable sort could
+		// land a pre-allocation value of a word over the snapshot that set
+		// the new version's bits — clearing, on the device, slots the
+		// version flipped right afterwards references.
+		sorted = slices.Clone(words)
+		slices.SortStableFunc(sorted, byIndex)
+	}
+	buf := make([]byte, 0, 8*len(sorted))
+	back := make([]byte, 8*len(sorted))
+	flush := func(start int) {
+		off := headerSize + 8*start
+		n := len(buf)
+		if rem := a.bitmapBytes() - 8*start; rem < n {
+			n = rem
+		}
+		a.storeChecked(off, buf[:n], back[:n])
+	}
+	start := -1
+	for i, w := range sorted {
+		if i > 0 && w.Index == sorted[i-1].Index {
+			// Duplicate: overwrite in place, last wins.
+			binary.LittleEndian.PutUint64(buf[len(buf)-8:], w.Val)
+			continue
+		}
+		if start >= 0 && w.Index != sorted[i-1].Index+1 {
+			flush(start)
+			buf = buf[:0]
+			start = -1
+		}
+		if start < 0 {
+			start = w.Index
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, w.Val)
+	}
+	flush(start)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], highWater)
-	a.dev.WriteAtExclusive(highWaterOff, b[:])
+	a.storeChecked(highWaterOff, b[:], back[:4])
+}
+
+// storeChecked stores p exclusively at device offset off and reads it back
+// into back (len(p) bytes), panicking with ErrStoreLost if it did not land.
+func (a *Arena) storeChecked(off int, p, back []byte) {
+	a.dev.WriteAtExclusive(off, p)
+	a.dev.ReadAt(off, back)
+	if !bytes.Equal(back, p) {
+		panic(ErrStoreLost)
+	}
 }
 
 // ReadField copies len(p) payload bytes starting at field offset off.
@@ -710,11 +664,16 @@ func (a *Arena) WriteField(h Handle, off int, p []byte) {
 
 // SetRoot stores v in persistent root slot i. PM-octree keeps ADDR(Vi) and
 // ADDR(Vi-1) here; swapping them is the atomic commit point of a time step.
+// The store is read back: a worn-out line that dropped it panics with
+// ErrStoreLost.
 func (a *Arena) SetRoot(i int, v uint64) {
 	if i < 0 || i >= NumRoots {
 		panic(fmt.Sprintf("pmem: root index %d out of range", i))
 	}
 	a.dev.WriteU64(rootTableOff+8*i, v)
+	if a.dev.ReadU64(rootTableOff+8*i) != v {
+		panic(ErrStoreLost)
+	}
 }
 
 // Root loads persistent root slot i.
@@ -750,7 +709,7 @@ func (a *Arena) HighWater() uint32 { return a.highWater.Load() }
 // Device returns the underlying memory device (for statistics).
 func (a *Arena) Device() *nvbm.Device { return a.dev }
 
-// LiveWords returns the volatile allocation-bitmap mirror, 64 slots per
+// LiveWords returns the allocation-bitmap mirror, 64 slots per
 // uint64, bit i%64 of word i/64 set iff slot i is allocated. It is a
 // host-side view: reading it charges no device traffic (callers modeling
 // a persistent-bitmap scan account for it explicitly, e.g. via

@@ -13,6 +13,13 @@ func newTestArena(t *testing.T, kind nvbm.Kind, slotSize int) *Arena {
 	return NewArena(nvbm.New(kind, 4096), slotSize)
 }
 
+// land stores every dirty bitmap word and the high water, as a commit does
+// before its root store.
+func land(a *Arena) {
+	words, hw := a.TakeDirtyBits(nil)
+	a.WriteBitsExclusive(words, hw)
+}
+
 func TestAllocFreeCycle(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 32)
 	h1 := a.Alloc()
@@ -201,6 +208,35 @@ func TestRootRangePanics(t *testing.T) {
 	a.SetRoot(NumRoots, 1)
 }
 
+// TestStoreLostOnWornLine: SetRoot and WriteBitsExclusive read their
+// stores back, so a worn-out line that drops one panics with ErrStoreLost;
+// a store that leaves the line as it was loses nothing.
+func TestStoreLostOnWornLine(t *testing.T) {
+	a := newTestArena(t, nvbm.NVBM, 8)
+	h := a.Alloc()
+	land(a)
+	a.SetRoot(0, uint64(h))
+	// Every line written so far (header, root table, bitmap) wears out.
+	a.Device().SetWearLimit(1)
+	lost := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != ErrStoreLost {
+				t.Errorf("%s on a worn-out line: recovered %v, want ErrStoreLost", name, r)
+			}
+		}()
+		f()
+	}
+	lost("SetRoot", func() { a.SetRoot(0, 7) })
+	a.Alloc()
+	lost("landing", func() { land(a) })
+	a.SetRoot(0, uint64(h)) // unchanged: nothing lost
+	a.Device().SetWearLimit(0)
+	if a.Root(0) != uint64(h) {
+		t.Errorf("root 0 = %d, want %d", a.Root(0), h)
+	}
+}
+
 func TestOpenArenaRecoversState(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 16)
@@ -209,6 +245,7 @@ func TestOpenArenaRecoversState(t *testing.T) {
 	h3 := a.Alloc()
 	a.Write(h2, []byte("surviving data!!"))
 	a.Free(h1)
+	land(a)
 	a.SetRoot(0, uint64(h2))
 	_ = h3
 
@@ -243,6 +280,7 @@ func TestOpenArenaAcrossFilePersist(t *testing.T) {
 	a := NewArena(dev, 8)
 	h := a.Alloc()
 	a.Write(h, []byte("disk8byt"))
+	land(a)
 	a.SetRoot(0, uint64(h))
 
 	path := t.TempDir() + "/arena.img"

@@ -10,64 +10,56 @@ import (
 )
 
 // TestFreeSetMatchesFree holds FreeSet to a Free of each set slot in
-// ascending order: same device bytes, device counts and wear, same free
-// list (so the same later allocations), eager and deferred, with a wear
-// limit that wears bitmap lines out mid-sweep.
+// ascending order: no device traffic, the same mirror and dirty words,
+// the same free list (so the same later allocations), and the same device
+// bytes once both land.
 func TestFreeSetMatchesFree(t *testing.T) {
-	for _, deferred := range []bool{false, true} {
-		for _, limit := range []uint32{0, 25} {
-			for seed := int64(1); seed <= 4; seed++ {
-				build := func() *Arena {
-					dev := nvbm.New(nvbm.NVBM, 0)
-					dev.EnableMediaTracking()
-					a := NewArena(dev, 24)
-					a.SetDeferredBits(deferred)
-					for i := 0; i < 900; i++ {
-						a.AllocRaw()
-					}
-					if limit > 0 {
-						// Just above the bitmap's wear: its lines wear out
-						// part way through the sweep.
-						dev.SetWearLimit(dev.WearMax(headerSize, a.DataOffset()) + limit)
-					}
-					return a
-				}
-				want, got := build(), build()
-				rng := rand.New(rand.NewSource(seed))
-				dead := make([]uint64, (900+63)/64)
-				var hs []Handle
-				for i := 0; i < 900; i++ {
-					if rng.Intn(3) > 0 {
-						dead[i/64] |= 1 << (i % 64)
-						hs = append(hs, Handle(i+1))
-					}
-				}
-				for _, h := range hs {
-					want.Free(h)
-				}
-				if n := got.FreeSet(dead); n != len(hs) {
-					t.Fatalf("FreeSet freed %d slots, want %d", n, len(hs))
-				}
-				if w, g := want.Device().Stats(), got.Device().Stats(); w != g {
-					t.Fatalf("deferred=%v limit=%d seed %d: device stats %+v, Free gives %+v", deferred, limit, seed, g, w)
-				}
-				if !bytes.Equal(want.Device().Bytes(), got.Device().Bytes()) {
-					t.Fatal("device contents differ from per-slot Free")
-				}
-				if want.Device().Wear() != got.Device().Wear() || want.Device().FaultStats() != got.Device().FaultStats() {
-					t.Fatal("wear or stuck writes differ from per-slot Free")
-				}
-				if want.LiveCount() != got.LiveCount() || !slices.Equal(want.LiveWords(), got.LiveWords()) {
-					t.Fatal("allocation state differs from per-slot Free")
-				}
-				if limit > 0 && !deferred && got.Device().FaultStats().StuckWrites == 0 {
-					t.Fatal("the wear limit never dropped a bitmap store; the case tests nothing")
-				}
-				for i := 0; i < 50; i++ {
-					if w, g := want.AllocRaw(), got.AllocRaw(); w != g {
-						t.Fatalf("allocation %d after the sweep: %d, per-slot Free gives %d", i, g, w)
-					}
-				}
+	for seed := int64(1); seed <= 4; seed++ {
+		build := func() *Arena {
+			a := NewArena(nvbm.New(nvbm.NVBM, 0), 24)
+			for i := 0; i < 900; i++ {
+				a.AllocRaw()
+			}
+			land(a)
+			return a
+		}
+		want, got := build(), build()
+		rng := rand.New(rand.NewSource(seed))
+		dead := make([]uint64, (900+63)/64)
+		var hs []Handle
+		for i := 0; i < 900; i++ {
+			if rng.Intn(3) > 0 {
+				dead[i/64] |= 1 << (i % 64)
+				hs = append(hs, Handle(i+1))
+			}
+		}
+		for _, h := range hs {
+			want.Free(h)
+		}
+		st := got.Device().Stats()
+		if n := got.FreeSet(dead); n != len(hs) {
+			t.Fatalf("FreeSet freed %d slots, want %d", n, len(hs))
+		}
+		if got.Device().Stats() != st {
+			t.Fatalf("seed %d: FreeSet charged device traffic", seed)
+		}
+		if want.LiveCount() != got.LiveCount() || !slices.Equal(want.LiveWords(), got.LiveWords()) ||
+			!slices.Equal(want.free, got.free) {
+			t.Fatalf("seed %d: allocation state differs from per-slot Free", seed)
+		}
+		ww, _ := want.TakeDirtyBits(nil)
+		gw, hw := got.TakeDirtyBits(nil)
+		if !slices.Equal(ww, gw) {
+			t.Fatalf("seed %d: dirty words %v, per-slot Free gives %v", seed, gw, ww)
+		}
+		want.WriteBitsExclusive(ww, hw)
+		got.WriteBitsExclusive(gw, hw)
+		if !bytes.Equal(want.Device().Bytes(), got.Device().Bytes()) {
+			t.Fatal("landed device contents differ from per-slot Free")
+		}
+		for i := 0; i < 50; i++ {
+			if w, g := want.AllocRaw(), got.AllocRaw(); w != g {
+				t.Fatalf("allocation %d after the sweep: %d, per-slot Free gives %d", i, g, w)
 			}
 		}
 	}
@@ -82,5 +74,32 @@ func TestFreeSetSkipsFreeSlots(t *testing.T) {
 	a.Free(h)
 	if n := a.FreeSet([]uint64{^uint64(0)}); n != 1 || a.LiveCount() != 0 {
 		t.Fatalf("FreeSet freed %d, live %d; want 1, 0", n, a.LiveCount())
+	}
+}
+
+// BenchmarkArenaFreeSet frees 189 k scattered slots of a 1.43 M-slot arena
+// in one sweep: the size of a bulk_routed collection.
+func BenchmarkArenaFreeSet(b *testing.B) {
+	const slots, frees = 1_430_000, 189_000
+	rng := rand.New(rand.NewSource(1))
+	dead := make([]uint64, (slots+63)/64)
+	for n := 0; n < frees; {
+		if i := rng.Intn(slots); dead[i/64]&(1<<(i%64)) == 0 {
+			dead[i/64] |= 1 << (i % 64)
+			n++
+		}
+	}
+	a := NewArena(nvbm.New(nvbm.NVBM, 0), 8)
+	a.AllocRun(slots)
+	full := slices.Clone(a.LiveWords())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := a.FreeSet(dead); n != frees {
+			b.Fatalf("freed %d, want %d", n, frees)
+		}
+		b.StopTimer()
+		copy(a.liveWords, full)
+		a.free, a.live = a.free[:0], slots
+		b.StartTimer()
 	}
 }

@@ -1,14 +1,16 @@
 package pmem
 
 import (
+	"slices"
 	"testing"
 
 	"pmoctree/internal/nvbm"
 )
 
 // FuzzArenaOps drives the allocator with an arbitrary operation script and
-// checks it against a reference model, including a mid-script reopen (the
-// recovery path).
+// checks it against a reference model, including mid-script landings and
+// reopens (the recovery path): a reopen follows a landing, so it must
+// rebuild exactly the mirror and the free slots.
 func FuzzArenaOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 1})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0})
@@ -35,10 +37,20 @@ func FuzzArenaOps(f *testing.F) {
 					a.Free(live[len(live)-1].h)
 					live = live[:len(live)-1]
 				}
-			case 2: // reopen (crash recovery)
+			case 2: // land, then reopen (crash recovery)
+				land(a)
 				re, err := OpenArena(dev)
 				if err != nil {
 					t.Fatalf("op %d: reopen: %v", i, err)
+				}
+				if !slices.Equal(re.LiveWords(), a.LiveWords()) || re.HighWater() != a.HighWater() {
+					t.Fatalf("op %d: reopened mirror %x (hw %d), landed %x (hw %d)",
+						i, re.LiveWords(), re.HighWater(), a.LiveWords(), a.HighWater())
+				}
+				want := slices.Clone(a.free)
+				slices.Sort(want)
+				if !slices.Equal(re.free, want) {
+					t.Fatalf("op %d: reopened free list %v, want %v", i, re.free, want)
 				}
 				a = re
 			}
