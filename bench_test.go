@@ -1,23 +1,19 @@
-// Benchmarks, one per table and figure of the paper's evaluation (§5),
-// plus ablations of the design decisions DESIGN.md calls out. Each
-// benchmark reports modeled nanoseconds or NVBM writes as custom metrics
-// alongside wall-clock time, so `go test -bench=. -benchmem` regenerates
-// the experiment the corresponding figure is built from.
+// Benchmarks of the layers of one simulation step (balance,
+// refine/coarsen, scatter, the layout pass, the pipelined commit, leaf
+// sweeps), plus the Figure 3 experiment. Each reports modeled device counts or the
+// figure's measure as custom metrics alongside wall-clock time. The
+// paper's tables and figures are regenerated by cmd/pmbench.
 package pmoctree_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"pmoctree"
-	"pmoctree/internal/cluster"
 	"pmoctree/internal/core"
 	"pmoctree/internal/experiments"
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
-	"pmoctree/internal/recovery"
 	"pmoctree/internal/sim"
 )
 
@@ -26,53 +22,7 @@ import (
 func benchScale() experiments.Scale {
 	s := experiments.DefaultScale()
 	s.Fig3Steps = 5
-	s.WeakRanks = []int{1, 4}
-	s.WeakMaxLevel = 4
-	s.WeakSteps = 1
-	s.StrongRanks = []int{2, 8}
-	s.StrongJets = 4
-	s.StrongMaxLevel = 4
-	s.StrongSteps = 1
-	s.Fig10Budgets = []int{64, 512}
-	s.Fig10Ranks = 1
-	s.Fig10MaxLevel = 4
-	s.Fig10Steps = 2
-	s.Fig11Levels = []uint8{4}
-	s.Fig11Ranks = 1
-	s.Fig11Steps = 3
-	s.WriteMixSteps = 3
-	s.WriteMixMaxLevel = 4
-	s.RecoveryCrashStep = 12
-	s.RecoveryMaxLevel = 4
 	return s
-}
-
-// --- Table 2: the memory model itself ---
-
-func BenchmarkTable2DeviceAccess(b *testing.B) {
-	for _, kind := range []nvbm.Kind{nvbm.DRAM, nvbm.NVBM} {
-		b.Run(kind.String(), func(b *testing.B) {
-			dev := nvbm.New(kind, 4096)
-			buf := make([]byte, 88)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dev.WriteAt(0, buf)
-				dev.ReadAt(0, buf)
-			}
-			b.ReportMetric(float64(dev.Stats().ModeledNs)/float64(b.N), "modeled-ns/op")
-		})
-	}
-}
-
-// --- §1: write share of meshing accesses ---
-
-func BenchmarkWriteMix(b *testing.B) {
-	sc := benchScale()
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		avg = experiments.WriteMix(sc, nil).Avg
-	}
-	b.ReportMetric(avg*100, "write-%")
 }
 
 // --- Figure 3: overlap ratio and memory per 1000 octants ---
@@ -86,235 +36,6 @@ func BenchmarkFig3Overlap(b *testing.B) {
 	}
 	b.ReportMetric(last.Overlap*100, "overlap-%")
 	b.ReportMetric(last.MemPerK, "B/1k-octants")
-}
-
-// --- Figure 5: layout transformation write savings ---
-
-func BenchmarkFig5Layout(b *testing.B) {
-	var res experiments.Fig5Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig5(nil)
-	}
-	b.ReportMetric(float64(res.ObliviousWrites), "oblivious-writes")
-	b.ReportMetric(float64(res.AwareWrites), "aware-writes")
-}
-
-// --- Figures 6/7: weak scaling ---
-
-func BenchmarkFig6WeakScaling(b *testing.B) {
-	sc := benchScale()
-	for _, impl := range []cluster.Impl{cluster.PMOctree, cluster.InCore, cluster.OutOfCore} {
-		b.Run(string(impl), func(b *testing.B) {
-			var secs float64
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(cluster.Config{
-					Ranks: sc.WeakRanks[len(sc.WeakRanks)-1], Impl: impl,
-					MaxLevel: sc.WeakMaxLevel, Steps: sc.WeakSteps, Seed: 1,
-				})
-				secs = res.Total.TotalSeconds()
-			}
-			b.ReportMetric(secs*1000, "modeled-ms")
-		})
-	}
-}
-
-// --- Figure 8: strong scaling of PM-octree ---
-
-func BenchmarkFig8StrongScaling(b *testing.B) {
-	sc := benchScale()
-	for _, ranks := range sc.StrongRanks {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			var secs float64
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(cluster.Config{
-					Ranks: ranks, Jets: sc.StrongJets, Impl: cluster.PMOctree,
-					MaxLevel: sc.StrongMaxLevel, Steps: sc.StrongSteps, Seed: 1,
-				})
-				secs = res.Total.TotalSeconds()
-			}
-			b.ReportMetric(secs*1000, "modeled-ms")
-		})
-	}
-}
-
-// --- Figure 9: strong-scaling comparison ---
-
-func BenchmarkFig9Comparison(b *testing.B) {
-	sc := benchScale()
-	ranks := sc.StrongRanks[len(sc.StrongRanks)-1]
-	for _, impl := range []cluster.Impl{cluster.PMOctree, cluster.InCore, cluster.OutOfCore} {
-		b.Run(string(impl), func(b *testing.B) {
-			var secs float64
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(cluster.Config{
-					Ranks: ranks, Jets: sc.StrongJets, Impl: impl,
-					MaxLevel: sc.StrongMaxLevel, Steps: sc.StrongSteps, Seed: 1,
-				})
-				secs = res.Total.TotalSeconds()
-			}
-			b.ReportMetric(secs*1000, "modeled-ms")
-		})
-	}
-}
-
-// --- Figure 10: DRAM size for the C0 tree ---
-
-func BenchmarkFig10DRAMSize(b *testing.B) {
-	sc := benchScale()
-	for _, budget := range sc.Fig10Budgets {
-		b.Run(fmt.Sprintf("c0=%d", budget), func(b *testing.B) {
-			var secs float64
-			var merges int
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(cluster.Config{
-					Ranks: sc.Fig10Ranks, Impl: cluster.PMOctree,
-					MaxLevel: sc.Fig10MaxLevel, Steps: sc.Fig10Steps,
-					DRAMBudgetOctants: budget, Seed: 1,
-				})
-				secs = res.Total.TotalSeconds()
-				merges = res.PM.Merges
-			}
-			b.ReportMetric(secs*1000, "modeled-ms")
-			b.ReportMetric(float64(merges), "merges")
-		})
-	}
-}
-
-// --- Figure 11: dynamic transformation on/off ---
-
-func BenchmarkFig11Transform(b *testing.B) {
-	sc := benchScale()
-	for _, disable := range []bool{true, false} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var writes uint64
-			for i := 0; i < b.N; i++ {
-				res := cluster.Run(cluster.Config{
-					Ranks: sc.Fig11Ranks, Impl: cluster.PMOctree,
-					MaxLevel: sc.Fig11Levels[0], Steps: sc.Fig11Steps,
-					DRAMBudgetOctants: 64, DropletSteps: 30,
-					DisableTransform: disable, Seed: 1,
-				})
-				writes = res.NVBM.Writes
-			}
-			b.ReportMetric(float64(writes), "nvbm-writes")
-		})
-	}
-}
-
-// --- §5.6: failure recovery ---
-
-func BenchmarkRecovery(b *testing.B) {
-	sc := benchScale()
-	for _, impl := range []cluster.Impl{cluster.InCore, cluster.PMOctree, cluster.OutOfCore} {
-		b.Run(string(impl), func(b *testing.B) {
-			var restart float64
-			for i := 0; i < b.N; i++ {
-				rep, err := recovery.Run(recovery.Config{
-					Impl: impl, SameNode: true,
-					CrashStep: sc.RecoveryCrashStep, MaxLevel: sc.RecoveryMaxLevel,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				restart = rep.RestartNs
-			}
-			b.ReportMetric(restart/1e3, "restart-us")
-		})
-	}
-}
-
-// --- Ablation: handle dereference vs native pointer chase (design 1) ---
-
-func BenchmarkAblationHandleDeref(b *testing.B) {
-	b.Run("arena-handle", func(b *testing.B) {
-		tree := core.Create(core.Config{})
-		tree.RefineWhere(func(morton.Code) bool { return true }, 3)
-		code := morton.Root.Child(7).Child(7).Child(7)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if tree.Find(code).IsNil() {
-				b.Fatal("lost octant")
-			}
-		}
-	})
-	b.Run("native-pointer", func(b *testing.B) {
-		tree := pmoctree.NewPointerOctree()
-		tree.RefineWhere(func(morton.Code) bool { return true }, 3)
-		code := morton.Root.Child(7).Child(7).Child(7)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if tree.Find(code) == nil {
-				b.Fatal("lost octant")
-			}
-		}
-	})
-}
-
-// --- Ablation: deferred deletion + mark-and-sweep GC (design 3) ---
-
-func BenchmarkAblationGC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tree := core.Create(core.Config{DRAMBudgetOctants: 1})
-		tree.RefineWhere(func(morton.Code) bool { return true }, 3)
-		tree.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 1 })
-		b.StartTimer()
-		tree.GC()
-	}
-}
-
-// --- Ablation: feature-directed sampling cost (design 5) ---
-
-func BenchmarkAblationSampling(b *testing.B) {
-	tree := core.Create(core.Config{DRAMBudgetOctants: 256})
-	tree.SetFeatures(func(c morton.Code) bool {
-		x, _, _ := c.Center()
-		return x > 0.5
-	})
-	tree.RefineWhere(func(morton.Code) bool { return true }, 4)
-	tree.Persist()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Retarget()
-	}
-}
-
-// --- Ablation: 26-neighbor linear-octree balance vs pointer balance ---
-
-func BenchmarkAblationBalance(b *testing.B) {
-	shell := func(c morton.Code) bool {
-		x, y, z := c.Center()
-		h := c.Extent()
-		d := (x-0.5)*(x-0.5) + (y-0.5)*(y-0.5) + (z-0.5)*(z-0.5)
-		lo := 0.3 - h
-		if lo < 0 {
-			lo = 0
-		}
-		hi := 0.3 + h
-		return d >= lo*lo && d <= hi*hi
-	}
-	b.Run("pm-octree-faces", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			tree := core.Create(core.Config{})
-			tree.RefineWhere(shell, 4)
-			b.StartTimer()
-			tree.Balance()
-		}
-	})
-	b.Run("etree-26-neighbors", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			tree := pmoctree.NewOutOfCoreMesh(pmoctree.NewNVBM())
-			tree.RefineWhere(shell, 4)
-			b.StartTimer()
-			tree.Balance()
-		}
-	})
 }
 
 // --- Micro: the core.balance rung of the benchmark's step ladder ---
@@ -506,18 +227,6 @@ func BenchmarkCoreTransform(b *testing.B) {
 	}
 }
 
-// --- Micro: the commit path ---
-
-func BenchmarkPersist(b *testing.B) {
-	tree := core.Create(core.Config{})
-	d := sim.NewDroplet(sim.DropletConfig{Steps: b.N + 10})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step(tree, d, i+1, 4)
-		tree.Persist()
-	}
-}
-
 // --- Pipelined commit: sync vs async vs group commit ---
 
 // BenchmarkStepPipelined steps the droplet workload to the same
@@ -569,43 +278,6 @@ func BenchmarkStepPipelined(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(persistNs)/float64(b.N*steps), "persist-ns/step")
-		})
-	}
-}
-
-// --- Micro: restore cost vs snapshot reload ---
-
-func BenchmarkRestore(b *testing.B) {
-	nv := nvbm.New(nvbm.NVBM, 0)
-	tree := core.Create(core.Config{NVBMDevice: nv})
-	tree.RefineWhere(func(morton.Code) bool { return true }, 3)
-	tree.Persist()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Restore(core.Config{NVBMDevice: nv}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Ablation: two-version retention vs deferred GC (design 2) ---
-
-func BenchmarkAblationGCDeferral(b *testing.B) {
-	for _, every := range []int{1, 4} {
-		b.Run(fmt.Sprintf("gc-every-%d", every), func(b *testing.B) {
-			var peak float64
-			for i := 0; i < b.N; i++ {
-				tree := core.Create(core.Config{GCEvery: every, Seed: 2})
-				d := sim.NewDroplet(sim.DropletConfig{Steps: 20})
-				for s := 1; s <= 6; s++ {
-					sim.Step(tree, d, s, 4)
-					tree.Persist()
-					if e := tree.VersionStats().ExpansionFactor; e > peak {
-						peak = e
-					}
-				}
-			}
-			b.ReportMetric(peak, "peak-expansion-x")
 		})
 	}
 }

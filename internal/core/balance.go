@@ -11,18 +11,41 @@ import "pmoctree/internal/morton"
 // refinement is copy-on-write and placed by the C0/C1 layout policy, and
 // splits under a common ancestor share its path copies. The closure's
 // balanced leaves become the new index, so Balance leaves it valid.
+//
+// When every topology change since the last Balance was recorded (the
+// seeds), the closure starts from those cells alone; any other change
+// makes it probe every leaf.
 func (t *Tree) Balance() int {
 	defer t.span("Balance").End()
-	leaves, _, splits := t.balance.Run(t.LeafCodesSnapshot(), nil, nil)
-	if len(splits) == 0 {
-		return 0
+	var leaves, splits []morton.Code
+	if t.seedSeq == t.topoSeq+1 {
+		leaves, splits = t.balance.RunFrom(t.LeafCodesSnapshot(), t.seeds, nil)
+	} else {
+		leaves, _, splits = t.balance.Run(t.LeafCodesSnapshot(), nil, nil)
 	}
-	nr, _ := t.splitWalk(t.cur, splits)
-	t.cur = nr
-	t.idx.Refine(leaves)
-	t.idx.Stamp(t.contentSeq)
-	t.maybeEvict()
+	if len(splits) > 0 {
+		nr, _ := t.splitWalk(t.cur, splits)
+		t.cur = nr
+		t.idx.Refine(leaves)
+		t.idx.Stamp(t.contentSeq)
+		t.maybeEvict()
+	}
+	t.seeds = t.seeds[:0]
+	t.seedSeq = t.topoSeq + 1
 	return len(splits)
+}
+
+// recordSeeds adds the cells one RefineWhere or CoarsenWhere split or
+// merged to Balance's seeds when the seeds held every change as the
+// operation began (seeded, read before it). A list longer than an eighth
+// of the leaves is dropped: probing every leaf is then cheaper.
+func (t *Tree) recordSeeds(seeded bool, changed []morton.Code) {
+	if !seeded || len(t.seeds)+len(changed) > t.idx.N()/8 {
+		t.seeds = t.seeds[:0]
+		return
+	}
+	t.seeds = append(t.seeds, changed...)
+	t.seedSeq = t.topoSeq + 1
 }
 
 // splitWalk splits every octant of splits — sorted, non-empty, all

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pmoctree/internal/morton"
+	"pmoctree/internal/nvbm"
 	"pmoctree/internal/sim"
 )
 
@@ -159,18 +161,33 @@ func (m oracleMesh) Balance() int {
 	return n
 }
 
+// seededMesh is a Tree that counts the Balance calls starting from
+// complete seeds (the seeded closure) rather than probing every leaf.
+type seededMesh struct {
+	*Tree
+	seeded *int
+}
+
+func (m seededMesh) Balance() int {
+	if m.seedSeq == m.topoSeq+1 {
+		*m.seeded++
+	}
+	return m.Tree.Balance()
+}
+
 // TestBalanceDropletHistoryMatchesOracle runs the droplet workload twice,
 // balancing one tree in key space and the other by the oracle, and pins
 // the committed digest and the step counts of all 20 steps against each
-// other.
+// other. After the first step, every key-space Balance ripples from the
+// cells Refine and Coarsen recorded.
 func TestBalanceDropletHistoryMatchesOracle(t *testing.T) {
 	const maxLevel, steps = 5, 20
 	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
 	got := Create(Config{DRAMBudgetOctants: 512, Seed: 1})
 	want := Create(Config{DRAMBudgetOctants: 512, Seed: 1})
-	balanced := 0
+	balanced, seeded := 0, 0
 	for s := 1; s <= steps; s++ {
-		gc := sim.StepField(got, d, s, maxLevel)
+		gc := sim.StepField(seededMesh{got, &seeded}, d, s, maxLevel)
 		wc := sim.StepField(oracleMesh{want}, d, s, maxLevel)
 		if gc != wc {
 			t.Fatalf("step %d: counts %+v, oracle %+v", s, gc, wc)
@@ -185,6 +202,9 @@ func TestBalanceDropletHistoryMatchesOracle(t *testing.T) {
 	if balanced == 0 {
 		t.Fatal("the droplet run never exercised Balance")
 	}
+	if seeded != steps-1 {
+		t.Fatalf("%d of steps 2-%d balanced from recorded seeds, want all", seeded, steps)
+	}
 	if !got.IsBalanced() {
 		t.Fatal("unbalanced after the run")
 	}
@@ -193,9 +213,77 @@ func TestBalanceDropletHistoryMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBalanceSteadyStateAllocs: on a mesh that is already balanced, with
-// the leaf index valid and the closure scratch grown, Balance allocates
-// nothing.
+// TestBalanceAfterUnrecordedChange: a topology change that RefineWhere
+// and CoarsenWhere did not record makes the next Balance probe every
+// leaf. Each case balances a recorded mesh, leaves a 2:1 violation by
+// another path, and Balance must repair it.
+func TestBalanceAfterUnrecordedChange(t *testing.T) {
+	// chain splits the leaf holding (0.49, 0.49, 0.49) three times: its
+	// level-4 neighbors lie across the domain's center planes.
+	chain := func(tr *Tree) {
+		for i := 0; i < 3; i++ {
+			_, o := tr.FindLeaf(morton.Encode(125, 125, 125, 8))
+			tr.RefineAt(o.Code)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, tr *Tree) *Tree
+	}{
+		{"RefineAt", func(_ *testing.T, tr *Tree) *Tree { chain(tr); return tr }},
+		{"walk", func(_ *testing.T, tr *Tree) *Tree {
+			tr.refineWhereWalk(containing(0.49, 0.49, 0.49), 7)
+			return tr
+		}},
+		{"construct", func(t *testing.T, tr *Tree) *Tree {
+			var codes []morton.Code
+			var walk func(c morton.Code)
+			walk = func(c morton.Code) {
+				if c.Level() < 7 && containing(0.49, 0.49, 0.49)(c) {
+					for k := 0; k < 8; k++ {
+						walk(c.Child(k))
+					}
+					return
+				}
+				codes = append(codes, c)
+			}
+			walk(morton.Root)
+			tr.Persist() // construction starts from a committed state
+			if _, err := tr.ConstructFromCodes(codes, nil, nil, false); err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}},
+		{"restore", func(t *testing.T, tr *Tree) *Tree {
+			other := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0)})
+			chain(other)
+			other.Persist()
+			other.Close()
+			r, err := Restore(Config{NVBMDevice: other.NVBMDevice()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := Create(Config{})
+			tr.RefineWhere(func(c morton.Code) bool { return c.Level() < 4 }, 4)
+			tr.Balance()
+			tr = tc.change(t, tr)
+			if tr.IsBalanced() {
+				t.Fatal("the change left the mesh balanced")
+			}
+			if tr.Balance() == 0 || !tr.IsBalanced() {
+				t.Fatal("Balance did not repair an unrecorded change")
+			}
+		})
+	}
+}
+
+// TestBalanceSteadyStateAllocs: with the leaf index valid and the closure
+// scratch grown, Balance allocates nothing, on a mesh that is already
+// balanced and on the seeded path after a recorded refine and coarsen.
 func TestBalanceSteadyStateAllocs(t *testing.T) {
 	tr := Create(Config{})
 	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.05), 5)
@@ -207,5 +295,45 @@ func TestBalanceSteadyStateAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("Balance on a balanced mesh allocates %.1f times per call, want 0", avg)
+	}
+
+	// A chain to level 7 inside the shell, whose ripple Balance repairs,
+	// then collapsed again below level 5, whose collapse Balance may
+	// repair too: the mesh cycles, and each cycle balances twice. Each
+	// Balance is committed, so the collections keep the arena from
+	// growing.
+	deep, off := containing(0.71, 0.5, 0.5), func(c morton.Code) bool { return c.Level() >= 5 }
+	cycle := func() (allocs uint64, refined int) {
+		var ms runtime.MemStats
+		balance := func() {
+			if tr.seedSeq != tr.topoSeq+1 {
+				t.Fatal("Balance after a recorded change took the full path")
+			}
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			refined += tr.Balance()
+			runtime.ReadMemStats(&ms)
+			allocs += ms.Mallocs - before
+			tr.Persist()
+		}
+		tr.RefineWhere(deep, 7)
+		balance()
+		tr.CoarsenWhere(off)
+		balance()
+		return allocs, refined
+	}
+	cycle()
+	cycle() // warm-up: grows the seeds and the scratch to the cycle
+	// As in testing.AllocsPerRun: other goroutines' allocations would
+	// count too.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 10; i++ {
+		allocs, refined := cycle()
+		if refined == 0 {
+			t.Fatal("the cycle never rippled")
+		}
+		if allocs != 0 {
+			t.Fatalf("seeded Balance allocates %d times per cycle, want 0", allocs)
+		}
 	}
 }

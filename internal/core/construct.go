@@ -135,6 +135,7 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	t.cacheInvalidateAll()
 	t.beginIndexEmit()
 	t.contentSeq++
+	t.topoSeq++
 	t.idx.Grow(len(bt.Leaves))
 	var payload [DataWords]float64
 	for i, code := range bt.Leaves {

@@ -185,6 +185,7 @@ func (t *Tree) LeafCodes() []morton.Code { return slices.Clone(t.index().Codes()
 func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 	defer t.span("Refine").End()
 	t.maybeReclaim()
+	seeded := t.seedSeq == t.topoSeq+1
 	splits, leaves := t.changes[:0], t.refined[:0]
 	for _, c := range t.index().Codes() {
 		splits, leaves = decideRefine(c, pred, maxLevel, splits, leaves)
@@ -196,6 +197,7 @@ func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 		t.idx.Refine(leaves)
 		t.endIndexEmit()
 	}
+	t.recordSeeds(seeded, splits)
 	t.maybeEvict()
 	t.maybeGC()
 	return len(splits)
@@ -240,6 +242,7 @@ func (t *Tree) splitLeaf(r Ref, o *Octant) Ref {
 	t.writeOct(nr, o)
 	t.stats.Refines++
 	t.contentSeq++
+	t.topoSeq++
 	if t.leafCount > 0 {
 		t.leafCount += 7
 	}
@@ -302,6 +305,7 @@ func (t *Tree) refineAtWalk(r Ref, code morton.Code) (Ref, bool) {
 // (DESIGN.md decision 21).
 func (t *Tree) CoarsenWhere(pred func(morton.Code) bool) int {
 	defer t.span("Coarsen").End()
+	seeded := t.seedSeq == t.topoSeq+1
 	idx := t.index()
 	idx.Invalidate() // until the tree has caught up
 	merged := t.changes[:0]
@@ -319,6 +323,7 @@ func (t *Tree) CoarsenWhere(pred func(morton.Code) bool) int {
 		t.cur, _ = t.collapseWalk(t.cur, merged)
 	}
 	t.endIndexEmit()
+	t.recordSeeds(seeded, merged)
 	t.maybeEvict()
 	t.maybeGC()
 	return len(merged)
@@ -358,20 +363,7 @@ func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 		}
 	}
 	if collapse {
-		var sum [DataWords]float64
-		for i, c := range o.Children {
-			co := t.readOct(c)
-			for w := 0; w < DataWords; w++ {
-				sum[w] += co.Data[w]
-			}
-			t.discard(c, &co)
-			o.Children[i] = NilRef
-		}
-		for w := 0; w < DataWords; w++ {
-			o.Data[w] = sum[w] / 8
-		}
-		t.stats.Coarsens++
-		t.contentSeq++
+		t.mergeChildren(&o)
 		nr := t.commitOctant(r, &o)
 		return nr, nr != r
 	}
@@ -384,6 +376,26 @@ func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 		return r, false
 	}
 	return t.commitOctant(r, &o), true
+}
+
+// mergeChildren makes o, the parent of eight leaves, a leaf: the children
+// are discarded, and their data is summed in child order and divided by 8.
+func (t *Tree) mergeChildren(o *Octant) {
+	var sum [DataWords]float64
+	for i, c := range o.Children {
+		co := t.readOct(c)
+		for w := 0; w < DataWords; w++ {
+			sum[w] += co.Data[w]
+		}
+		t.discard(c, &co)
+		o.Children[i] = NilRef
+	}
+	for w := 0; w < DataWords; w++ {
+		o.Data[w] = sum[w] / 8
+	}
+	t.stats.Coarsens++
+	t.contentSeq++
+	t.topoSeq++
 }
 
 // UpdateLeaves applies fn to every leaf; when fn reports a change, the new

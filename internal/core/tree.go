@@ -214,6 +214,14 @@ type Tree struct {
 	changes []morton.Code
 	refined []morton.Code
 
+	// topoSeq counts topology changes: leaf splits, collapses and bulk
+	// construction. seeds are the cells RefineWhere and CoarsenWhere split
+	// or merged since the last Balance; they hold every such change while
+	// seedSeq is topoSeq+1 (a new or restored tree's zero matches nothing),
+	// and Balance then ripples from them alone (balance.go).
+	topoSeq, seedSeq uint64
+	seeds            []morton.Code
+
 	// GC state (gc.go, ledger.go): the lifetime ledger, and the reusable
 	// slot bitset and explicit stack of the full mark.
 	led         ledger

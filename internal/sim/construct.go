@@ -49,9 +49,8 @@ func ConstructInitial(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.
 	}
 
 	// The step's solve: SolverSweeps relaxation sweeps from the zero field
-	// state. The level set is pure in (cell, step), so one evaluation per
-	// cell feeds every sweep — the same sharing the parallel step driver
-	// does. Solved counts first-sweep changes, as StepCounts defines.
+	// state, run per cell as the tiled step does. Solved counts
+	// first-sweep changes, as StepCounts defines.
 	data := make([][DataWords]float64, len(balanced))
 	changed := make([]bool, len(balanced))
 	speed := f.Speed()
@@ -59,13 +58,7 @@ func ConstructInitial(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.
 		for i := lo; i < hi; i++ {
 			c := balanced[i]
 			x, y, z := c.Center()
-			phi := f.PhiAtStep(x, y, z, step)
-			for it := 0; it < SolverSweeps; it++ {
-				ch := solveCell(speed, phi, c, &data[i])
-				if it == 0 {
-					changed[i] = ch
-				}
-			}
+			changed[i] = relax(speed, f.PhiAtStep(x, y, z, step), c.Extent(), &data[i], SolverSweeps)
 		}
 	})
 

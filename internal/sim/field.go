@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"pmoctree/internal/morton"
-	"pmoctree/internal/tile"
 )
 
 // Field is a time-dependent implicit interface driving adaptive meshing:
@@ -57,49 +56,33 @@ func FeatureOf(f Field, nextStep int) func(morton.Code) bool {
 func SolveOf(f Field, step int) func(morton.Code, *[DataWords]float64) bool {
 	return func(c morton.Code, data *[DataWords]float64) bool {
 		x, y, z := c.Center()
-		return solveCell(f.Speed(), f.PhiAtStep(x, y, z, step), c, data)
+		return relax(f.Speed(), f.PhiAtStep(x, y, z, step), c.Extent(), data, 1)
 	}
 }
 
-// solveCell applies one relaxation update given the field's level-set
-// value at the cell center. Splitting phi out lets the parallel step
-// driver pre-evaluate the (expensive, pure) level set once per step and
-// share it across all SolverSweeps sweeps with bit-identical results.
-func solveCell(speed, phi float64, c morton.Code, data *[DataWords]float64) bool {
-	eps := c.Extent()
+// relax applies up to sweeps relaxation updates to one cell's fields,
+// given the field's level-set value phi at the cell center and the cell
+// extent eps, and reports whether the first update changed them. The
+// volume fraction, the pressure proxy's target and the velocity are pure
+// in (phi, eps), so they are computed once; only the pressure proxy moves
+// from sweep to sweep. An update that changes nothing leaves the cell at
+// its fixed point, where every later one would change nothing either, so
+// the loop stops there. No cell reads another, so a cell's sweeps run back
+// to back give the fields that sweeping the whole mesh sweeps times gives.
+func relax(speed, phi, eps float64, data *[DataWords]float64, sweeps int) bool {
 	vof := quantize(smoothstep(-phi / eps))
 	target := math.Exp(-math.Abs(phi) * 8)
-	p := quantize(data[1] + 0.35*(target-data[1]))
 	w := quantize(-speed * vof)
-	if data[0] == vof && data[1] == p && data[3] == w {
-		return false
+	for it := 0; it < sweeps; it++ {
+		p := quantize(data[1] + 0.35*(target-data[1]))
+		if data[0] == vof && data[1] == p && data[3] == w {
+			return it > 0
+		}
+		data[0] = vof
+		data[1] = p
+		data[2] = 0
+		data[3] = w
 	}
-	data[0] = vof
-	data[1] = p
-	data[2] = 0
-	data[3] = w
-	return true
-}
-
-// solveCellFlat is solveCell operating on cell i of the tiled SoA store
-// instead of an octant payload: the two MUST stay in lockstep term for
-// term — same expressions, same evaluation order, same change test — so
-// the tiled sweep is bit-identical to the per-leaf one (the coherence
-// tests pin this). phi and eps arrive precomputed (the level set is pure
-// in (cell, step); eps is the cell extent).
-func solveCellFlat(speed, phi, eps float64, i int, st *tile.Store) bool {
-	f0, f1, f3 := st.F[0], st.F[1], st.F[3]
-	vof := quantize(smoothstep(-phi / eps))
-	target := math.Exp(-math.Abs(phi) * 8)
-	p := quantize(f1[i] + 0.35*(target-f1[i]))
-	w := quantize(-speed * vof)
-	if f0[i] == vof && f1[i] == p && f3[i] == w {
-		return false
-	}
-	f0[i] = vof
-	f1[i] = p
-	st.F[2][i] = 0
-	f3[i] = w
 	return true
 }
 

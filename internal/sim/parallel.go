@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sync"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -14,9 +13,9 @@ import (
 var _ = [1]struct{}{}[tile.Words-DataWords]
 
 // minTileSolve is the serial cutoff (in cells) for the tiled relaxation
-// sweep: one cell costs an exp and a handful of flops, so small meshes
-// run inline.
-const minTileSolve = 4096
+// pass: one cell costs a level-set evaluation, an exp and a few sweeps of
+// flops, so small meshes run inline.
+const minTileSolve = 2048
 
 // StepWorkers is StepField with an explicit worker count: the refinement,
 // coarsening and solve PREDICATES — the level-set evaluations that
@@ -63,10 +62,10 @@ func StepFieldPool(m Mesh, f Field, step int, maxLevel uint8, pool *parallel.Poo
 	sc.Balanced = m.Balance()
 
 	if tm, tiled := m.(tiledMesh); tiled {
-		// Tiled SoA path: borrow the mesh's leaf index, run all sweeps over
-		// its contiguous field slices, scatter the changed cells back in
-		// one batch. Bit-identical to the sweeps below, which remain for
-		// meshes without tiles.
+		// Tiled SoA path: borrow the mesh's leaf index, run every cell's
+		// sweeps in one pass over its contiguous field slices, scatter the
+		// changed cells back in one batch. Bit-identical to the sweeps
+		// below, which remain for meshes without tiles.
 		sc.Solved, sc.Leaves = tiledSolve(tm, f, step, pool)
 		return sc
 	}
@@ -101,66 +100,33 @@ type tiledMesh interface {
 	ScatterLeafTiles(*tile.Store) int
 }
 
-// solveScratch is tiledSolve's per-step working set, recycled across steps
-// and meshes.
-type solveScratch struct {
-	phis, eps []float64
-	counts    []int32
-}
-
-var solveScratchPool = sync.Pool{New: func() any { return new(solveScratch) }}
-
-// tiledSolve runs the relaxation sweeps over the mesh's tiled SoA leaf
-// index: one loan, SolverSweeps flat sweeps scheduled in tile-aligned
-// chunks, one scatter of every cell any sweep changed — all under one Solve
-// span of the mesh's tracer, the routine the three stand for. The per-cell
-// update is solveCellFlat — solveCell's arithmetic term for term — and
-// the changed counts are integer sums folded in tile order, so the mesh
-// evolution is bit-identical to the per-leaf path at every worker count.
+// tiledSolve runs the step's relaxation over the mesh's tiled SoA leaf
+// index: one loan, one pass scheduled in tile-aligned chunks that
+// evaluates each cell's level set and runs its SolverSweeps updates back
+// to back (relax), and one scatter of every changed cell — all under one
+// Solve span of the mesh's tracer. relax is the per-leaf sweep's
+// arithmetic, and a cell any sweep changes is one the first sweep
+// changes, so the mesh evolution and the solved count (the cells the
+// scatter stores) are bit-identical to the per-leaf path at every worker
+// count.
 func tiledSolve(tm tiledMesh, f Field, step int, pool *parallel.Pool) (solved, leaves int) {
 	defer telemetry.TracerOf(tm).Begin("Solve").End()
 	st := tm.LeafTiles()
 	codes := st.Codes()
-	n := len(codes)
-	sc := solveScratchPool.Get().(*solveScratch)
-	defer solveScratchPool.Put(sc)
-	sc.phis = slices.Grow(sc.phis[:0], n)[:n]
-	sc.eps = slices.Grow(sc.eps[:0], n)[:n]
-	sc.counts = slices.Grow(sc.counts[:0], st.Tiles())[:st.Tiles()]
-	phis, eps, counts := sc.phis, sc.eps, sc.counts
-	// The level set is a pure function of (cell, step): evaluate it once
-	// per leaf in parallel and share it across all sweeps, alongside the
-	// cell extents the smoothing band scales with.
-	pool.Run(n, func(lo, hi int) {
+	speed := f.Speed()
+	st.RunTileRanges(pool, minTileSolve, func(tileLo, tileHi int) {
+		lo, _ := st.TileBounds(tileLo)
+		_, hi := st.TileBounds(tileHi - 1)
 		for i := lo; i < hi; i++ {
 			x, y, z := codes[i].Center()
-			phis[i] = f.PhiAtStep(x, y, z, step)
-			eps[i] = codes[i].Extent()
+			d := st.Load(i)
+			if relax(speed, f.PhiAtStep(x, y, z, step), codes[i].Extent(), &d, SolverSweeps) {
+				st.Set(i, d)
+				st.MarkDirty(i)
+			}
 		}
 	})
-	speed := f.Speed()
-	for it := 0; it < SolverSweeps; it++ {
-		st.RunTileRanges(pool, minTileSolve, func(tileLo, tileHi int) {
-			for ti := tileLo; ti < tileHi; ti++ {
-				lo, hi := st.TileBounds(ti)
-				changed := int32(0)
-				for i := lo; i < hi; i++ {
-					if solveCellFlat(speed, phis[i], eps[i], i, st) {
-						st.MarkDirty(i)
-						changed++
-					}
-				}
-				counts[ti] = changed
-			}
-		})
-		if it == 0 {
-			for _, c := range counts {
-				solved += int(c)
-			}
-		}
-	}
-	tm.ScatterLeafTiles(st)
-	return solved, n
+	return tm.ScatterLeafTiles(st), len(codes)
 }
 
 // indexedMesh is the optional contract of a mesh that keeps a Z-order leaf
@@ -256,7 +222,7 @@ func (r *phiReplay) solve(c morton.Code, data *[DataWords]float64) bool {
 	i := r.pos
 	r.pos++
 	if i < len(r.codes) && r.codes[i] == c {
-		return solveCell(r.speed, r.phis[i], c, data)
+		return relax(r.speed, r.phis[i], c.Extent(), data, 1)
 	}
 	x, y, z := c.Center()
 	phi := r.f.PhiAtStep(x, y, z, r.step)
@@ -264,5 +230,5 @@ func (r *phiReplay) solve(c morton.Code, data *[DataWords]float64) bool {
 		r.codes = append(r.codes, c)
 		r.phis = append(r.phis, phi)
 	}
-	return solveCell(r.speed, phi, c, data)
+	return relax(r.speed, phi, c.Extent(), data, 1)
 }

@@ -42,10 +42,12 @@ type StepCounts struct {
 }
 
 // SolverSweeps is the number of relaxation sweeps the Solve routine makes
-// per time step. Incompressible flow solvers iterate a pressure solve to
-// convergence every step, so octants near the interface are read and
-// written several times per step — the access pattern that makes DRAM
-// residency (C0) profitable.
+// per time step, as an incompressible flow solver iterates its pressure
+// solve every step. No cell's update reads another cell, so the tiled
+// step (and ConstructInitial) runs a cell's sweeps back to back in one
+// pass and stops at its fixed point; only the per-leaf path, for meshes
+// without a leaf index, still walks the tree once per sweep, reading and
+// writing the octants near the interface each time.
 const SolverSweeps = 6
 
 // Step advances mesh through one AMR time step of the droplet workload:
