@@ -55,11 +55,11 @@ func (t *Tree) AdvanceStepTo(step uint64) error {
 // LeafTiles after construction is free.
 //
 // The caller commits with Persist as usual; every constructed octant is
-// already NVBM-resident, so the persist merge has nothing to move (the
-// step boundary is detected and the merge walk skipped). Returns the total
-// octant count (internal + leaves). Validation failures return the typed
-// bulk errors (*bulk.DuplicateCodeError, *bulk.OverlapError, ...)
-// unwrapped, with the tree untouched.
+// already NVBM-resident and C0 holds nothing, so the persist merge visits
+// no octant. Returns the total octant count (internal + leaves).
+// Validation failures return the typed bulk errors
+// (*bulk.DuplicateCodeError, *bulk.OverlapError, ...) unwrapped, with the
+// tree untouched.
 func (t *Tree) ConstructFromCodes(codes []morton.Code, data [][DataWords]float64, pool *parallel.Pool, balance bool) (int, error) {
 	return t.construct(codes, data, len(codes), pool, balance)
 }
@@ -147,10 +147,6 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	t.endIndexEmit()
 	t.idx.Retile()
 
-	// Mark the step boundary clean for Persist: as long as no further
-	// mutation lands, the merge walk is provably a no-op and is skipped.
-	t.constructClean = true
-	t.constructSeq = t.mutSeq
 	t.stats.Constructs++
 	t.flight.Record(telemetry.FlightEvent{Kind: "construct", Step: t.step, Value: uint64(nn)})
 	return nn, nil

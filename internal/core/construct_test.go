@@ -238,9 +238,10 @@ func TestAdvanceStepTo(t *testing.T) {
 	}
 }
 
-// TestConstructPersistSkipsMerge: the persist after a clean construct must
-// not re-read the whole tree (the merge walk is skipped), and any mutation
-// between construct and persist must fall back to the full walk.
+// TestConstructPersistSkipsMerge: the persist after a clean construct
+// makes no merge read — the constructed version is all NVBM and C0 holds
+// nothing, so the merge visits no octant — and a mutation between
+// construct and persist still lands in the committed image.
 func TestConstructPersistSkipsMerge(t *testing.T) {
 	ref := refTreeShell(5)
 	codes := ref.LeafCodes()
@@ -249,34 +250,29 @@ func TestConstructPersistSkipsMerge(t *testing.T) {
 		data[i] = constructPayload(c)
 	}
 
-	// Control: identical construct, stamp cleared to force the full merge
-	// walk. The clean persist must save the walk's per-octant reads (GC
-	// and retargeting still read the device on both paths).
-	persistReads := func(forceWalk bool) uint64 {
-		tr := Create(Config{})
-		if _, err := tr.ConstructFromCodes(codes, data, nil, false); err != nil {
-			t.Fatal(err)
-		}
-		if !tr.constructCleanNow() {
-			t.Fatal("fresh construct not marked clean")
-		}
-		if forceWalk {
-			tr.constructClean = false
-		}
-		r0 := tr.nv.Device().Stats().Reads
-		tr.Persist()
-		if tr.constructClean {
-			t.Fatal("constructClean not cleared by Persist")
-		}
-		return tr.nv.Device().Stats().Reads - r0
+	tr := Create(Config{})
+	if _, err := tr.ConstructFromCodes(codes, data, nil, false); err != nil {
+		t.Fatal(err)
 	}
-	clean, walked := persistReads(false), persistReads(true)
-	if clean+uint64(len(codes)) > walked {
-		t.Fatalf("clean persist read %d vs %d with the walk forced; merge walk not skipped", clean, walked)
+	reads := func() uint64 { return tr.NVBMDevice().Stats().Reads + tr.DRAMDevice().Stats().Reads }
+	merged := -1
+	tr.mergeOracle = func(t *Tree, r Ref) Ref {
+		r0 := reads()
+		nr := t.moveToNVBMUnder(r, morton.Root, NilRef, false)
+		merged = int(reads() - r0)
+		return nr
+	}
+	root := tr.Root()
+	tr.Persist()
+	if merged != 0 {
+		t.Fatalf("the merge after a clean construct read %d records or fields, want 0", merged)
+	}
+	if tr.CommittedRoot() != root {
+		t.Fatalf("the merge moved the constructed root %v to %v", root, tr.CommittedRoot())
 	}
 
-	// A mutation between construct and persist invalidates the stamp; the
-	// fallback walk still produces the right committed image.
+	// A mutation between construct and persist reaches the committed
+	// image.
 	tr2 := Create(Config{})
 	if _, err := tr2.ConstructFromCodes(codes, data, nil, false); err != nil {
 		t.Fatal(err)
@@ -285,9 +281,6 @@ func TestConstructPersistSkipsMerge(t *testing.T) {
 		d[3] = 99
 		return true
 	})
-	if tr2.constructCleanNow() {
-		t.Fatal("mutated tree still marked construct-clean")
-	}
 	tr2.Persist()
 	found := false
 	tr2.ForEachCommittedNode(func(_ Ref, o *Octant) bool {

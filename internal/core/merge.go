@@ -50,6 +50,7 @@ func (t *Tree) evictSubtree(code morton.Code) {
 	delete(t.access, code)
 	nr, _ := t.evictWalkTrunk(t.cur, code)
 	t.cur = nr
+	t.c0.clearUnder(code)
 	t.stats.Merges++
 }
 
@@ -60,7 +61,7 @@ func (t *Tree) evictSubtree(code morton.Code) {
 func (t *Tree) evictWalkTrunk(r Ref, code morton.Code) (Ref, bool) {
 	o := t.readOct(r)
 	if o.Code == code {
-		nr := t.moveToNVBM(r)
+		nr := t.moveToNVBM(r, code)
 		return nr, nr != r
 	}
 	if !o.Code.IsAncestorOf(code) {
@@ -90,41 +91,55 @@ func (t *Tree) evictWalkTrunk(r Ref, code morton.Code) (Ref, bool) {
 	return nr, nr != r
 }
 
-// constructCleanNow reports whether the working version is exactly the
-// output of a ConstructFromCodes with no mutation since (construct.go):
-// the only state in which Persist may skip the merge walk.
-func (t *Tree) constructCleanNow() bool {
-	return t.constructClean && t.mutSeq == t.constructSeq
-}
-
-// moveToNVBM relocates every DRAM-resident octant reachable from r into
-// NVBM, post-order, freeing the DRAM slots.
+// moveToNVBM relocates every DRAM-resident octant of the working
+// subtree at r, whose code is code, into NVBM, post-order, freeing the
+// DRAM slots.
 //
-// Octants shared with the committed version are closed under NVBM (the
-// committed version's region invariant) and are returned untouched.
-// Working-version NVBM octants, however, may legally reference DRAM
-// children mid-step — such edges are crash-safe because those octants are
-// unreachable from the committed root — so the walk traverses them and
-// patches any relocated children in place.
+// The walk goes only where a C0 octant can be. Octants shared with the
+// committed version are closed under NVBM (the committed version's
+// region invariant) and are returned untouched. Working-version NVBM
+// octants may legally reference DRAM children mid-step — such edges are
+// crash-safe because those octants are unreachable from the committed
+// root — so the walk reads the ones whose key span holds a C0 octant
+// (t.c0) and patches any relocated children in place. Shared and
+// working slots are told apart by the GC ledger, and C0 spans by the
+// host-side span map, so neither costs a device read.
 //
 // The destination slot of a moved octant is allocated BEFORE descending,
 // so children are written with their final parent ref already in their
 // record, avoiding a parent-field fix-up write per child.
-func (t *Tree) moveToNVBM(r Ref) Ref { return t.moveToNVBMUnder(r, NilRef, false) }
+func (t *Tree) moveToNVBM(r Ref, code morton.Code) Ref {
+	if t.mergeOracle != nil {
+		return t.mergeOracle(t, r)
+	}
+	return t.moveToNVBMUnder(r, code, NilRef, false)
+}
 
-func (t *Tree) moveToNVBMUnder(r, parent Ref, setParent bool) Ref {
+func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bool) Ref {
 	if r.IsNil() {
 		return r
 	}
 	if !r.InDRAM() {
-		if !t.isCurrent(r) {
+		if !t.bornWorking(r) {
 			return r // shared subtree: closed under NVBM already
+		}
+		if !t.c0.below(code) {
+			// Nothing below r moves. Under a moved C0 octant r's parent
+			// field still names the freed DRAM ref: store the new one
+			// without reading r.
+			if setParent {
+				t.writeParentField(r, parent)
+			}
+			return r
 		}
 		o := t.readOct(r)
 		var chIdx [8]bool
 		changed := false
 		for i, c := range o.Children {
-			nc := t.moveToNVBMUnder(c, r, false)
+			if c.IsNil() {
+				continue
+			}
+			nc := t.moveToNVBMUnder(c, code.Child(i), r, false)
 			if nc != c {
 				o.Children[i] = nc
 				chIdx[i] = true
@@ -143,7 +158,9 @@ func (t *Tree) moveToNVBMUnder(r, parent Ref, setParent bool) Ref {
 	o := t.readOct(r)
 	nr := t.allocIn(false)
 	for i, c := range o.Children {
-		o.Children[i] = t.moveToNVBMUnder(c, nr, true)
+		if !c.IsNil() {
+			o.Children[i] = t.moveToNVBMUnder(c, code.Child(i), nr, true)
+		}
 	}
 	if setParent {
 		o.Parent = parent
@@ -158,15 +175,23 @@ func (t *Tree) moveToNVBMUnder(r, parent Ref, setParent bool) Ref {
 	return nr
 }
 
+// bornWorking reports, from the GC ledger alone, whether the NVBM slot at
+// r belongs to the working version's mutable set: it is live and was born
+// in the working step. For a slot the working version reaches, that is
+// exactly the test isCurrent makes with a device read of its version tag.
+func (t *Tree) bornWorking(r Ref) bool {
+	i := int(r.Handle()) - 1
+	return i < len(t.led.born) && t.led.born[i] == t.step && t.nv.Live(r.Handle())
+}
+
 // stageOct is writeOct for a pipelined persist merge: the encoded record
 // joins the pipeline's staging delta instead of being stored (the
 // background worker writes it back, charging the device write then),
-// while the host-side write-through — decoded cache, mutation sequence,
-// access accounting — happens exactly as in writeOct.
+// while the host-side write-through — decoded cache, access accounting —
+// happens exactly as in writeOct.
 func (t *Tree) stageOct(r Ref, o *Octant) {
 	t.pipe.stageRecord(r.Handle(), o)
 	t.cachePut(r, o)
-	t.mutSeq++
 	t.touch(o.Code)
 }
 
@@ -174,7 +199,7 @@ func (t *Tree) stageOct(r Ref, o *Octant) {
 // (pm_persistent, Table 1):
 //
 //  1. Merge: every DRAM octant of V(i) moves to NVBM, so the version is
-//     closed under NVBM.
+//     closed under NVBM. The walk visits only the paths to C0 octants.
 //  2. Commit: commitBatch lands the allocation-bitmap words dirtied since
 //     the previous commit, pushes V(i-1) onto the fallback ring, then a
 //     single 8-byte store of the root ref into the arena's root table
@@ -200,15 +225,8 @@ func (t *Tree) Persist() int {
 	// inline commit would have hit the same device failure.
 	p.checkFailure()
 	p.beginStage()
-	if t.constructCleanNow() {
-		// ConstructFromCodes just rebuilt the working version entirely in
-		// NVBM with exact parent links, and nothing mutated since: the
-		// merge walk would visit every octant to move nothing. Skip it.
-		t.constructClean = false
-	} else {
-		t.constructClean = false
-		t.cur = t.moveToNVBM(t.cur)
-	}
+	t.cur = t.moveToNVBM(t.cur, morton.Root)
+	t.c0.reset() // the merge drained C0
 	req := &commitReq{root: t.cur, step: t.step, delta: p.endStage(), nv: t.nv}
 	req.bits, req.hw = t.nv.TakeDirtyBits(nil)
 	p.commit(req)
@@ -229,4 +247,90 @@ func (t *Tree) Persist() int {
 	t.lastPeakDRAMUtil = t.peakDRAMUtil
 	t.peakDRAMUtil = 0
 	return freed
+}
+
+// c0SpanLevel is the deepest level the C0 span map resolves. Its level
+// bitsets are allocated on first use; the deepest holds 8^7 bits
+// (256 KiB), and only a tree with C0 octants below level 7 needs it.
+const c0SpanLevel = 7
+
+// c0Spans is the merge's host-side map of the key spans that hold a C0
+// octant (DESIGN decision 7): bit i of lv[l] is set when some C0 octant
+// lies strictly below the level-l cell with Z-order index i. Storing a C0
+// octant marks its ancestors' cells; one deeper than c0SpanLevel+1 marks
+// its level-c0SpanLevel ancestor, so a span below that level is answered
+// for its whole level-c0SpanLevel cell. The merge clears what it drains.
+// An octant freed any other way leaves its marks, which cost only a
+// descent that finds nothing to move.
+type c0Spans struct {
+	lv [c0SpanLevel + 1][]uint64
+}
+
+// spanIndex is the Z-order index of c's level-l ancestor (l ≤ c's level),
+// or of c's first level-l descendant (l ≥ c's level).
+func spanIndex(c morton.Code, l uint8) uint64 {
+	return uint64(c) >> (6 + 3*(morton.MaxLevel-uint(l)))
+}
+
+// mark records a C0 octant at c, climbing from its deepest cell. A marked
+// cell's ancestors are all marked, so the first cell already marked ends
+// the climb.
+func (s *c0Spans) mark(c morton.Code) {
+	if c.Level() == 0 {
+		return
+	}
+	for l := min(c.Level()-1, c0SpanLevel); ; l-- {
+		w := s.lv[l]
+		if w == nil {
+			w = make([]uint64, max(1, int(1)<<(3*l)/64))
+			s.lv[l] = w
+		}
+		i := spanIndex(c, l)
+		if w[i/64]&(1<<(i%64)) != 0 {
+			return
+		}
+		w[i/64] |= 1 << (i % 64)
+		if l == 0 {
+			return
+		}
+	}
+}
+
+// below reports whether a C0 octant may lie strictly below c.
+func (s *c0Spans) below(c morton.Code) bool {
+	l := min(c.Level(), c0SpanLevel)
+	w := s.lv[l]
+	if w == nil {
+		return false
+	}
+	i := spanIndex(c, l)
+	return w[i/64]&(1<<(i%64)) != 0
+}
+
+// clearUnder records that no C0 octant is left at or below c. Ancestors
+// keep their marks: other C0 octants may lie below them.
+func (s *c0Spans) clearUnder(c morton.Code) {
+	for l := c.Level(); l <= c0SpanLevel; l++ {
+		if w := s.lv[l]; w != nil {
+			lo := spanIndex(c, l)
+			clearRange(w, lo, lo+1<<(3*(l-c.Level())))
+		}
+	}
+}
+
+// reset records that C0 is empty.
+func (s *c0Spans) reset() {
+	for _, w := range s.lv {
+		clear(w)
+	}
+}
+
+// clearRange clears bits [lo, hi) of w.
+func clearRange(w []uint64, lo, hi uint64) {
+	for lo < hi {
+		b := lo % 64
+		n := min(64-b, hi-lo)
+		w[lo/64] &^= (uint64(1)<<n - 1) << b
+		lo += n
+	}
 }

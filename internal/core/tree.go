@@ -186,14 +186,12 @@ type Tree struct {
 
 	// Octant fast path (cache.go, leafindex.go): the direct-mapped
 	// decoded-octant cache with its epoch stamp, the Z-order leaf index
-	// stamped with contentSeq, and the fast-path counters. mutSeq counts
-	// every device store (constructClean's guard); contentSeq only the ones
-	// that change topology or payload, so moving an octant between arenas
-	// leaves the index valid. lent is set while LeafTiles has the index on
-	// loan to a kernel.
+	// stamped with contentSeq, and the fast-path counters. contentSeq
+	// counts the device stores that change topology or payload, so moving
+	// an octant between arenas leaves the index valid. lent is set while
+	// LeafTiles has the index on loan to a kernel.
 	cache      []cacheLine
 	cacheEpoch uint64
-	mutSeq     uint64
 	contentSeq uint64
 	idx        tile.Store
 	lent       bool
@@ -228,13 +226,11 @@ type Tree struct {
 	markBits    []uint64
 	markScratch []Ref
 
-	// Bulk-construction boundary stamp (construct.go): when constructClean
-	// and the mutation sequence still equals constructSeq, the working
-	// version was just built by ConstructFromCodes — fully NVBM-resident
-	// with exact parent links — so Persist's merge walk is provably a
-	// no-op and is skipped. Any mutation in between invalidates the stamp.
-	constructClean bool
-	constructSeq   uint64
+	// c0 maps the key spans that hold a C0 octant, so the merge walks only
+	// the paths to them (merge.go). mergeOracle, when set, replaces the
+	// merge walk (tests only).
+	c0          c0Spans
+	mergeOracle func(*Tree, Ref) Ref
 
 	// pipe is the persist pipeline (pipeline.go). Every tree has one; the
 	// hot read paths consult its pending set only while a worker runs.
@@ -336,6 +332,7 @@ func (t *Tree) Delete() {
 	t.committed, t.cur = NilRef, NilRef
 	t.led = newLedger("", NilRef, 0)
 	t.pipe.rebind(NilRef, 0)
+	t.c0.reset()
 	t.hot = map[morton.Code]bool{}
 	t.trunk = nil
 	t.access = map[morton.Code]uint64{}
@@ -501,12 +498,15 @@ func (t *Tree) readOct(r Ref) Octant {
 	return o
 }
 
-// writeOct stores o at r and writes it through to the decoded cache.
+// writeOct stores o at r and writes it through to the decoded cache; a C0
+// octant also marks its span for the merge.
 func (t *Tree) writeOct(r Ref, o *Octant) {
 	o.encode(t.scratch[:])
 	t.arenaFor(r).Write(r.Handle(), t.scratch[:])
+	if r.InDRAM() {
+		t.c0.mark(o.Code)
+	}
 	t.cachePut(r, o)
-	t.mutSeq++
 	t.touch(o.Code)
 }
 
@@ -521,7 +521,6 @@ func (t *Tree) writeChildren(r Ref, o *Octant) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Children = o.Children
 	}
-	t.mutSeq++
 }
 
 // writeParentField stores only the parent field at r. While a merge is
@@ -534,7 +533,6 @@ func (t *Tree) writeParentField(r Ref, parent Ref) {
 		if line := t.cacheLineOf(r); line != nil {
 			line.oct.Parent = parent
 		}
-		t.mutSeq++
 		return
 	}
 	var buf [4]byte
@@ -543,7 +541,6 @@ func (t *Tree) writeParentField(r Ref, parent Ref) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Parent = parent
 	}
-	t.mutSeq++
 }
 
 // writeDataField stores only the data array at r.
@@ -556,7 +553,6 @@ func (t *Tree) writeDataField(r Ref, o *Octant) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Data = o.Data
 	}
-	t.mutSeq++
 }
 
 // writeFlagsField stores only the flags word at r.
@@ -567,7 +563,6 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 	if line := t.cacheLineOf(r); line != nil {
 		line.oct.Flags = flags
 	}
-	t.mutSeq++
 }
 
 // readVersion loads only the version word at r, consulting the persist
@@ -695,7 +690,6 @@ func (t *Tree) discard(r Ref, o *Octant) {
 	if r.InDRAM() {
 		t.dram.Free(r.Handle())
 		t.cacheDrop(r)
-		t.mutSeq++
 		return
 	}
 	if o.Version == t.step {

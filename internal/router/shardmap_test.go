@@ -141,9 +141,9 @@ func overlapsBox(code morton.Code, box serve.Box) bool {
 func TestNewShardMapRejectsBadSpans(t *testing.T) {
 	bad := [][]serve.KeyRange{
 		{},
-		{{Lo: 1, Hi: math.MaxUint64}},                      // gap at 0
-		{{Lo: 0, Hi: 10}, {Lo: 12, Hi: math.MaxUint64}},    // gap
-		{{Lo: 0, Hi: 10}, {Lo: 10, Hi: math.MaxUint64}},    // overlap
+		{{Lo: 1, Hi: math.MaxUint64}}, // gap at 0
+		{{Lo: 0, Hi: 10}, {Lo: 12, Hi: math.MaxUint64}},     // gap
+		{{Lo: 0, Hi: 10}, {Lo: 10, Hi: math.MaxUint64}},     // overlap
 		{{Lo: 0, Hi: 10}, {Lo: 11, Hi: math.MaxUint64 - 1}}, // incomplete
 	}
 	for i, spans := range bad {

@@ -20,7 +20,7 @@ import (
 type Health struct {
 	mu       sync.Mutex
 	ready    bool
-	degraded map[string]string      // reason -> detail
+	degraded map[string]string       // reason -> detail
 	checks   map[string]func() error // readiness checks by name
 }
 
