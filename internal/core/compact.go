@@ -77,8 +77,7 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	// The durable watermark lives in the new region now; the queue is
 	// empty (flushed above), so this is a plain repoint.
 	t.pipe.rebind(newRoot, t.step-1)
-	// Every NVBM ref changed identity: drop the decoded cache. The leaf
-	// index holds no refs and the content is the same.
-	t.cacheInvalidateAll()
+	// The leaf index holds no refs and the content is the same, so it
+	// stays valid although every NVBM ref changed identity.
 	return retired, nil
 }

@@ -129,10 +129,8 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	t.cur = makeRef(false, base)
 	t.depth = bt.Depth
 
-	// The span write bypassed writeOct, so invalidate explicitly; then
-	// fill the leaf index from the flat derivation, cut its tiles and stamp
-	// it valid, so the first LeafTiles re-reads nothing.
-	t.cacheInvalidateAll()
+	// Fill the leaf index from the flat derivation, cut its tiles and
+	// stamp it valid, so the first LeafTiles re-reads nothing.
 	t.beginIndexEmit()
 	t.contentSeq++
 	t.topoSeq++

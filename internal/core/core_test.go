@@ -924,3 +924,114 @@ func TestOnDemandGCAtNVBMThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheCoherence interleaves every mutation class the octree has —
+// refinement, data sweeps (walk-driven and index-driven), coarsening,
+// balancing, Persist's merge+commit+GC, on-demand GC, Compact and crash
+// restore — and validates the tree after each. The tree keeps no decoded
+// copy of an octant, so every read, committed or working, comes from the
+// device; the subtest name records that committed reads are never served
+// from a cache.
+func TestCacheCoherence(t *testing.T) {
+	t.Run("CacheCommittedReads=false", func(t *testing.T) {
+		cfg := Config{
+			NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
+			DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
+			DRAMBudgetOctants: 256,
+			RetainVersions:    1,
+		}
+		tr := Create(cfg)
+		steps := []struct {
+			name string
+			run  func()
+		}{
+			{"refine", func() { tr.RefineWhere(sphere(0.4, 0.4, 0.4, 0.3, 0.2), 3) }},
+			{"update", func() {
+				tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+					d[0] = float64(c) * 0.5
+					return true
+				})
+			}},
+			{"updateIndexed", func() {
+				tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
+					d[1] = d[0] + 1
+					return true
+				})
+			}},
+			{"persist", func() { tr.Persist() }},
+			{"refineDeeper", func() { tr.RefineWhere(sphere(0.6, 0.6, 0.6, 0.25, 0.15), 4) }},
+			{"balance", func() { tr.Balance() }},
+			{"coarsen", func() {
+				tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 3 })
+			}},
+			{"gc", func() { tr.GC() }},
+			{"persistAgain", func() { tr.Persist() }},
+			{"indexedAfterPersist", func() {
+				tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
+					d[2] = d[1] * 2
+					return true
+				})
+			}},
+			{"compact", func() {
+				tr.Persist()
+				if _, err := tr.Compact(); err != nil {
+					t.Fatalf("compact: %v", err)
+				}
+			}},
+		}
+		for _, s := range steps {
+			s.run()
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+		}
+
+		// Crash restore: reopen from the device, compare the committed leaves
+		// and keep simulating on the restored tree.
+		before := leafSet(tr, tr.CommittedRoot())
+		cfg.NVBMDevice = tr.NVBMDevice()
+		re, _, err := RestoreWithReport(cfg)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		sameLeaves(t, leafSet(re, re.CommittedRoot()), before, "restore")
+		re.RefineWhere(sphere(0.5, 0.5, 0.5, 0.2, 0.2), 3)
+		re.Persist()
+		if err := re.Validate(); err != nil {
+			t.Fatalf("restore+persist: %v", err)
+		}
+	})
+}
+
+// TestDeviceChargesDeterministic holds the modeled device counters of a
+// workload to a pure function of the workload: two runs of the same
+// refine, update, coarsen, balance and persist steps charge identical
+// device traffic and commit identical leaves.
+func TestDeviceChargesDeterministic(t *testing.T) {
+	run := func() (nvbm.Stats, map[morton.Code][DataWords]float64) {
+		tr := Create(Config{
+			NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
+			DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
+			DRAMBudgetOctants: 256,
+		})
+		for s := 0; s < 4; s++ {
+			off := 0.3 + 0.1*float64(s)
+			tr.RefineWhere(sphere(off, off, off, 0.25, 0.15), 4)
+			tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+				d[0] = off
+				return true
+			})
+			tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= 4 })
+			tr.Balance()
+			tr.Persist()
+		}
+		return tr.NVBMDevice().Stats(), leafSet(tr, tr.CommittedRoot())
+	}
+
+	stats1, leaves1 := run()
+	stats2, leaves2 := run()
+	sameLeaves(t, leaves2, leaves1, "rerun")
+	if stats1 != stats2 {
+		t.Errorf("device traffic is not a function of the workload:\nfirst:  %+v\nsecond: %+v", stats1, stats2)
+	}
+}

@@ -55,11 +55,6 @@ func (t *Tree) gcLedger(vs []VersionInfo) int {
 
 // gcDone accounts a collection that freed freed slots and returns freed.
 func (t *Tree) gcDone(freed int) int {
-	if freed > 0 {
-		// Freed NVBM handles are recycled by later allocations; no stale
-		// decode may survive them.
-		t.cacheInvalidateAll()
-	}
 	t.stats.GCs++
 	t.stats.GCFreed += freed
 	t.stats.Deferred = 0
@@ -164,7 +159,7 @@ func (t *Tree) markVersions(vs []VersionInfo, marked []uint64, seed *ledger) {
 
 // markFrom walks the version rooted at r on an explicit stack, setting the
 // bit of every reachable NVBM handle; one charged read per newly marked
-// octant, and none of the tree's access or cache state is touched. DRAM
+// octant, and none of the tree's access state is touched. DRAM
 // octants are traversed (the working version's may reference NVBM
 // children) but are managed eagerly, not swept. A guarded mark skips DRAM
 // and freed slots instead of walking them; working says whether r is the

@@ -30,6 +30,26 @@ import (
 // The index carries the octree payload verbatim.
 var _ = [1]struct{}{}[tile.Words-DataWords]
 
+// FastPathStats counts leaf-index and tile activity. They are host-side
+// observability counters, independent of the modeled devices.
+type FastPathStats struct {
+	// CacheHits and CacheMisses are always zero: there is no octant cache.
+	CacheHits, CacheMisses uint64
+	LeafIndexRebuilds      uint64 // leaf-index rebuild walks
+	LeafIndexReuses        uint64 // leaf index served without a walk
+	TileRebuilds           uint64 // LeafTiles tile-bound cuts (the leaf set changed)
+	TileReuses             uint64 // LeafTiles served without a cut
+	TileRebuildNs          uint64 // wall time spent cutting tile bounds
+	TileScatters           uint64 // ScatterLeafTiles calls
+	TileScatterBytes       uint64 // field bytes written back to the tree
+	// TransformIndexRebuilds counts layout passes that found the leaf index
+	// invalid and re-derived its codes by an uncharged walk.
+	TransformIndexRebuilds uint64
+}
+
+// FastPath returns the fast-path counters.
+func (t *Tree) FastPath() FastPathStats { return t.fp }
+
 // beginIndexEmit starts re-deriving the index from a walk that visits
 // every leaf in Z-order; the walk calls emitLeaf per leaf and endIndexEmit
 // when done. The index reads invalid in between, so a walk cut short by a

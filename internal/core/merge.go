@@ -133,22 +133,20 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 			return r
 		}
 		o := t.readOct(r)
-		var chIdx [8]bool
 		changed := false
 		for i, c := range o.Children {
 			if c.IsNil() {
 				continue
 			}
-			nc := t.moveToNVBMUnder(c, code.Child(i), r, false)
+			// A relocated C0 child is written once, already naming r.
+			nc := t.moveToNVBMUnder(c, code.Child(i), r, c.InDRAM())
 			if nc != c {
 				o.Children[i] = nc
-				chIdx[i] = true
 				changed = true
 			}
 		}
 		if changed {
 			t.writeChildren(r, &o)
-			t.reparentChanged(r, &o, &chIdx)
 		}
 		if setParent && o.Parent != parent {
 			t.writeParentField(r, parent)
@@ -171,7 +169,6 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 		t.writeOct(nr, &o)
 	}
 	t.dram.Free(r.Handle())
-	t.cacheDrop(r) // the DRAM handle is recycled by later allocations
 	return nr
 }
 
@@ -187,11 +184,9 @@ func (t *Tree) bornWorking(r Ref) bool {
 // stageOct is writeOct for a pipelined persist merge: the encoded record
 // joins the pipeline's staging delta instead of being stored (the
 // background worker writes it back, charging the device write then),
-// while the host-side write-through — decoded cache, access accounting —
-// happens exactly as in writeOct.
+// while the access accounting happens exactly as in writeOct.
 func (t *Tree) stageOct(r Ref, o *Octant) {
 	t.pipe.stageRecord(r.Handle(), o)
-	t.cachePut(r, o)
 	t.touch(o.Code)
 }
 
@@ -234,9 +229,6 @@ func (t *Tree) Persist() int {
 	t.committedStep = t.step
 	t.led.roots[t.step] = t.cur
 	t.step++
-	// Commit is an epoch boundary for the decoded-octant cache: the merge
-	// recycled every DRAM handle and the version tags just changed meaning.
-	t.cacheInvalidateAll()
 	t.stats.Persists++
 	freed := 0
 	if t.stats.Persists%t.cfg.GCEvery == 0 {

@@ -47,18 +47,18 @@ func (t *Tree) ForEachNode(fn func(r Ref, o *Octant) bool) {
 // ForEachCommittedNode visits every octant of the committed version.
 //
 // The committed version is immutable and this walk is side-effect-free on
-// the tree — no access accounting, no decoded-cache fills, and a per-call
-// read buffer instead of the shared t.scratch — so multiple goroutines
-// may call it concurrently (device charge counters are atomic). That is
-// the ONLY concurrent entry point: every other Tree method, including the
+// the tree — no access accounting, and a per-call read buffer instead of
+// the shared t.scratch — so multiple goroutines may call it concurrently
+// (device charge counters are atomic). That is the ONLY concurrent entry
+// point: every other Tree method, including the
 // working-version walks and all mutations, shares t.scratch and the
-// volatile access/cache state and remains single-threaded by contract.
+// volatile access state and remains single-threaded by contract.
 func (t *Tree) ForEachCommittedNode(fn func(r Ref, o *Octant) bool) {
 	t.walkRO(t.committed, fn)
 }
 
 // walkRO is the read-only, concurrency-safe form of walk: charged device
-// reads into a per-call buffer, no touch, no cache.
+// reads into a per-call buffer, no touch.
 func (t *Tree) walkRO(r Ref, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true

@@ -35,11 +35,8 @@ import (
 //     set first (read-your-writes), still charging the modeled device
 //     read so accounting does not depend on writeback timing.
 //   - Committed octants are immutable, so once a version is enqueued its
-//     delta records are final — with one exception: while the NEXT merge
-//     is staging, reparentChanged may patch the parent field of a record
-//     staged moments earlier in the SAME merge. patchParent therefore
-//     only touches records of the merge currently being staged, never a
-//     record the worker may be writing.
+//     delta records are final: the merge stages each relocated octant
+//     once, already holding its final parent and children.
 //   - Only commitBatch stores to the root table; mutator-side root-table
 //     reads (ringVersions) take rootMu so ring pushes and commit flips
 //     stay atomic under them.
@@ -320,22 +317,6 @@ func (p *pipeline) stageRecord(h pmem.Handle, o *Octant) {
 	p.pendMu.Lock()
 	p.pending[h] = r
 	p.pendMu.Unlock()
-}
-
-// patchParent updates the parent field of a record staged by the merge
-// currently running, returning false when the slot is not pending (the
-// caller then writes the device directly). Call only while staging: a
-// pending record from an already-enqueued version is never patched — by
-// construction reparentChanged only targets slots the ongoing merge just
-// created — so the worker never writes bytes the mutator is mutating.
-func (p *pipeline) patchParent(h pmem.Handle, parent Ref) bool {
-	p.pendMu.Lock()
-	r, ok := p.pending[h]
-	if ok {
-		putU32(r.rec[offParent:], uint32(parent))
-	}
-	p.pendMu.Unlock()
-	return ok
 }
 
 // readPendingField copies len(out) bytes at field offset off from the

@@ -24,7 +24,7 @@ import (
 // Release, Refs and all its read methods are safe from any goroutine, and
 // safe concurrently with the writer mutating the tree — reads go through
 // per-call buffers straight to the pinned arena, never through the shared
-// scratch, decoded cache, or access accounting.
+// scratch or access accounting.
 
 // ErrPinned is returned (wrapped) by operations that would invalidate
 // outstanding snapshot pins, such as Compact.

@@ -184,14 +184,11 @@ type Tree struct {
 	tel     *telemetry.Tracer         // nil when telemetry is off
 	flight  *telemetry.FlightRecorder // nil when the flight recorder is off
 
-	// Octant fast path (cache.go, leafindex.go): the direct-mapped
-	// decoded-octant cache with its epoch stamp, the Z-order leaf index
-	// stamped with contentSeq, and the fast-path counters. contentSeq
-	// counts the device stores that change topology or payload, so moving
-	// an octant between arenas leaves the index valid. lent is set while
-	// LeafTiles has the index on loan to a kernel.
-	cache      []cacheLine
-	cacheEpoch uint64
+	// Leaf fast path (leafindex.go): the Z-order leaf index stamped with
+	// contentSeq, and the fast-path counters. contentSeq counts the device
+	// stores that change topology or payload, so moving an octant between
+	// arenas leaves the index valid. lent is set while LeafTiles has the
+	// index on loan to a kernel.
 	contentSeq uint64
 	idx        tile.Store
 	lent       bool
@@ -339,7 +336,6 @@ func (t *Tree) Delete() {
 	t.depth = 0
 	t.lsub = 1
 	t.leafCount = 0
-	t.cacheInvalidateAll()
 	t.lent = false
 	t.idx.Invalidate()
 }
@@ -406,9 +402,6 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc(prefix+".step", func() float64 { return float64(t.step) })
 	// Fast-path counters live under fixed "core." names so dashboards
 	// find them regardless of the caller's prefix.
-	r.RegisterFunc("core.cache.hits", func() float64 { return float64(t.fp.CacheHits) })
-	r.RegisterFunc("core.cache.misses", func() float64 { return float64(t.fp.CacheMisses) })
-	r.RegisterFunc("core.cache.invalidations", func() float64 { return float64(t.fp.CacheInvalidations) })
 	r.RegisterFunc("core.leafindex.rebuilds", func() float64 { return float64(t.fp.LeafIndexRebuilds) })
 	r.RegisterFunc("core.leafindex.reuses", func() float64 { return float64(t.fp.LeafIndexReuses) })
 	r.RegisterFunc("core.transform.index_rebuilds", func() float64 { return float64(t.fp.TransformIndexRebuilds) })
@@ -475,72 +468,41 @@ func (t *Tree) chargedRead(r Ref, buf []byte) {
 	t.arenaFor(r).Read(r.Handle(), buf)
 }
 
-// readOct loads the octant at r and records a subtree access. A decoded-
-// cache hit skips the host-side decode, but the charged device read still
-// happens (same bytes, same modeled latency), so cached and uncached runs
-// produce identical device statistics.
+// readOct loads the octant at r and records a subtree access.
 func (t *Tree) readOct(r Ref) Octant {
-	if line := t.cacheLineOf(r); line != nil {
-		t.fp.CacheHits++
-		var buf [RecordSize]byte
-		t.chargedRead(r, buf[:])
-		o := line.oct
-		t.touch(o.Code)
-		return o
-	}
-	t.fp.CacheMisses++
 	var o Octant
 	var buf [RecordSize]byte
 	t.chargedRead(r, buf[:])
 	o.decode(buf[:])
-	t.cachePut(r, &o)
 	t.touch(o.Code)
 	return o
 }
 
-// writeOct stores o at r and writes it through to the decoded cache; a C0
-// octant also marks its span for the merge.
+// writeOct stores o at r; a C0 octant also marks its span for the merge.
 func (t *Tree) writeOct(r Ref, o *Octant) {
 	o.encode(t.scratch[:])
 	t.arenaFor(r).Write(r.Handle(), t.scratch[:])
 	if r.InDRAM() {
 		t.c0.mark(o.Code)
 	}
-	t.cachePut(r, o)
 	t.touch(o.Code)
 }
 
 // writeChildren stores only the children field of o at r (a partial write,
-// cheaper than rewriting the record), patching the cached line if present.
+// cheaper than rewriting the record).
 func (t *Tree) writeChildren(r Ref, o *Octant) {
 	var buf [32]byte
 	for i := 0; i < 8; i++ {
 		putU32(buf[4*i:], uint32(o.Children[i]))
 	}
 	t.arenaFor(r).WriteField(r.Handle(), offChildren, buf[:])
-	if line := t.cacheLineOf(r); line != nil {
-		line.oct.Children = o.Children
-	}
 }
 
-// writeParentField stores only the parent field at r. While a merge is
-// staging for the persist worker, a target relocated moments earlier has
-// no device record yet — the parent is patched into its staged record
-// instead (the field reaches the device once, with the batch writeback,
-// so the fix-up write is never charged).
+// writeParentField stores only the parent field at r.
 func (t *Tree) writeParentField(r Ref, parent Ref) {
-	if pp := t.pipe; pp.staging && !r.InDRAM() && pp.patchParent(r.Handle(), parent) {
-		if line := t.cacheLineOf(r); line != nil {
-			line.oct.Parent = parent
-		}
-		return
-	}
 	var buf [4]byte
 	putU32(buf[:], uint32(parent))
 	t.arenaFor(r).WriteField(r.Handle(), offParent, buf[:])
-	if line := t.cacheLineOf(r); line != nil {
-		line.oct.Parent = parent
-	}
 }
 
 // writeDataField stores only the data array at r.
@@ -550,9 +512,6 @@ func (t *Tree) writeDataField(r Ref, o *Octant) {
 		putU64(buf[8*i:], f64bits(o.Data[i]))
 	}
 	t.arenaFor(r).WriteField(r.Handle(), offData, buf[:])
-	if line := t.cacheLineOf(r); line != nil {
-		line.oct.Data = o.Data
-	}
 }
 
 // writeFlagsField stores only the flags word at r.
@@ -560,9 +519,6 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 	var buf [4]byte
 	putU32(buf[:], flags)
 	t.arenaFor(r).WriteField(r.Handle(), offFlags, buf[:])
-	if line := t.cacheLineOf(r); line != nil {
-		line.oct.Flags = flags
-	}
 }
 
 // readVersion loads only the version word at r, consulting the persist
@@ -689,7 +645,6 @@ func (t *Tree) reparentChanged(r Ref, o *Octant, changed *[8]bool) {
 func (t *Tree) discard(r Ref, o *Octant) {
 	if r.InDRAM() {
 		t.dram.Free(r.Handle())
-		t.cacheDrop(r)
 		return
 	}
 	if o.Version == t.step {

@@ -137,7 +137,7 @@ func (st *State) Step(dt float64) (res solver.Result, err error) {
 		return solver.Result{}, fmt.Errorf("fluid: non-positive dt %v", dt)
 	}
 	// The step is a chain of dependent sweeps, so it is one Warm scope of
-	// the pool (DESIGN.md decision 11(c)).
+	// the pool (DESIGN.md decision 11(b)).
 	st.pool.Warm(func() { res, err = st.step(dt) })
 	return res, err
 }

@@ -151,9 +151,6 @@ func (d *Device) Size() int {
 // addition to the always-on deterministic latency accounting.
 func (d *Device) SetDelayInjection(on bool) { d.inject.Store(on) }
 
-// DelayInjection reports whether spin-delay injection is enabled.
-func (d *Device) DelayInjection() bool { return d.inject.Load() }
-
 // Grow extends the device so that it has capacity for at least size bytes.
 // Growing is an administrative operation (like plugging in a DIMM) and is
 // not charged memory latency.

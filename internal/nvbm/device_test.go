@@ -342,11 +342,11 @@ func TestBytesCopy(t *testing.T) {
 
 func TestDelayInjectionToggle(t *testing.T) {
 	d := New(NVBM, 64)
-	if d.DelayInjection() {
+	if d.inject.Load() {
 		t.Error("injection on by default")
 	}
 	d.SetDelayInjection(true)
-	if !d.DelayInjection() {
+	if !d.inject.Load() {
 		t.Error("SetDelayInjection(true) did not stick")
 	}
 	d.WriteAt(0, make([]byte, 8)) // exercise the spin path
@@ -481,9 +481,6 @@ func TestEnduranceReport(t *testing.T) {
 	if rep.String() == "" {
 		t.Error("empty report string")
 	}
-	if rep.LifetimeAt(time.Second) != 1e5*time.Second {
-		t.Errorf("LifetimeAt = %v", rep.LifetimeAt(time.Second))
-	}
 }
 
 func TestEnduranceUnwornDevice(t *testing.T) {
@@ -491,9 +488,6 @@ func TestEnduranceUnwornDevice(t *testing.T) {
 	rep := d.EstimateLifetime(5, 1e6)
 	if !math.IsInf(rep.LifetimeSteps, 1) {
 		t.Errorf("unworn device lifetime = %v", rep.LifetimeSteps)
-	}
-	if rep.LifetimeAt(time.Second) <= 0 {
-		t.Error("infinite lifetime mapped to non-positive duration")
 	}
 }
 

@@ -3,7 +3,6 @@ package nvbm
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // EnduranceReport estimates device lifetime from observed wear. NVBM cells
@@ -47,19 +46,6 @@ func (d *Device) EstimateLifetime(stepsObserved int, endurance uint64) Endurance
 		rep.LifetimeSteps = math.Inf(1)
 	}
 	return rep
-}
-
-// LifetimeAt converts the extrapolated lifetime to wall time given a step
-// cadence.
-func (r EnduranceReport) LifetimeAt(stepDuration time.Duration) time.Duration {
-	if math.IsInf(r.LifetimeSteps, 1) {
-		return time.Duration(math.MaxInt64)
-	}
-	d := r.LifetimeSteps * float64(stepDuration)
-	if d > float64(math.MaxInt64) {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(d)
 }
 
 // String formats the report.

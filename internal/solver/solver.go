@@ -304,7 +304,7 @@ func (s *System) Solve(b []float64, x []float64, opt Options) (Result, error) {
 // solve checks the vector lengths, integrates the right-hand side
 // rhs_i = b_i * V_i and runs body on it. The whole solve is one Warm
 // scope of the pool: its sweeps are a chain of dependent runs, each
-// waiting on the one before (DESIGN.md decision 11(c)).
+// waiting on the one before (DESIGN.md decision 11(b)).
 func (s *System) solve(b, x []float64, body func(rhs []float64) Result) (Result, error) {
 	n := s.N()
 	if len(b) != n || len(x) != n {

@@ -222,15 +222,3 @@ func TestObserverRoundTrip(t *testing.T) {
 		t.Fatalf("JSONL missing phase: %s", buf.String())
 	}
 }
-
-func TestSummarizeSteps(t *testing.T) {
-	s := SummarizeSteps([]StepRecord{{
-		Step: 1, Elements: 10, ModeledNs: 2e6, Overlap: 0.5, Merges: 3,
-		Phases: []PhaseStat{{Name: "Refine", ModeledNs: 2e6}},
-	}})
-	for _, want := range []string{"step", "Refine", "50.0%"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary missing %q:\n%s", want, s)
-		}
-	}
-}

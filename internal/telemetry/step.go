@@ -2,10 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
-	"text/tabwriter"
 )
 
 // PhaseStat aggregates all top-level spans of one phase name within a
@@ -85,24 +82,4 @@ func WriteStepsJSONL(w io.Writer, recs []StepRecord) error {
 		}
 	}
 	return nil
-}
-
-// SummarizeSteps renders the step records as a human-readable table, the
-// counterpart of the JSONL exporter for terminal use.
-func SummarizeSteps(recs []StepRecord) string {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "step\telements\tmodeled\tnvbm R/W\toverlap\tmerges\tphases")
-	for _, r := range recs {
-		var phases []string
-		for _, p := range r.Phases {
-			phases = append(phases, fmt.Sprintf("%s %.2fms", p.Name, float64(p.ModeledNs)/1e6))
-		}
-		fmt.Fprintf(w, "%d\t%d\t%.2fms\t%d/%d\t%.1f%%\t%d\t%s\n",
-			r.Step, r.Elements, float64(r.ModeledNs)/1e6,
-			r.NVBMReads, r.NVBMWrites, 100*r.Overlap, r.Merges,
-			strings.Join(phases, ", "))
-	}
-	w.Flush()
-	return sb.String()
 }
