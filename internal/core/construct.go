@@ -128,6 +128,7 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	t.nv.WriteSpanExclusive(base, buf)
 	t.cur = makeRef(false, base)
 	t.depth = bt.Depth
+	t.fillers = held < len(codes)
 
 	// Fill the leaf index from the flat derivation, cut its tiles and
 	// stamp it valid, so the first LeafTiles re-reads nothing.

@@ -106,6 +106,7 @@ func (t *Tree) emitWalk() {
 		if o.IsLeaf() {
 			t.emitLeaf(o)
 		}
+		t.fillers = t.fillers || o.Filler()
 		return true
 	})
 }

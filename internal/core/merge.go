@@ -227,6 +227,7 @@ func (t *Tree) Persist() int {
 	p.commit(req)
 	t.committed = t.cur
 	t.committedStep = t.step
+	t.commitSeq = t.contentSeq
 	t.led.roots[t.step] = t.cur
 	t.step++
 	t.stats.Persists++

@@ -7,6 +7,7 @@ import (
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/pmem"
+	"pmoctree/internal/tile"
 )
 
 // MVCC snapshot pinning. A committed PM-octree version is immutable —
@@ -42,6 +43,10 @@ type VersionPin struct {
 	root Ref
 	step uint64
 	refs atomic.Int64
+
+	// leaves is a copy of the writer's leaf index taken at pin time when
+	// it equals the pinned version (PinCommitted), else nil.
+	leaves *tile.Store
 }
 
 // ensurePins lazily initializes the writer-side pin registry.
@@ -60,12 +65,25 @@ func (t *Tree) ensurePins() {
 // pipeline's pending set by design (they read from any goroutine, with no
 // claim on pipeline synchronization). Serving therefore always exposes
 // crash-consistent state; Flush first to pin the newest version.
+//
+// When the writer's leaf index is the pinned version's, the pin carries a
+// copy of it (Leaves), so a reader need not walk the version to index it:
+// the pinned step must be the committed one, no topology or payload change
+// may have followed the commit, the index must be valid with no kernel
+// edit pending, and the tree may hold no filler leaf (the index does not
+// mark them).
 func (t *Tree) PinCommitted() *VersionPin {
 	root, step := t.pipe.durable()
 	if root.IsNil() || root.InDRAM() {
 		panic("core: no committed NVBM version to pin")
 	}
-	return t.registerPin(root, step)
+	p := t.registerPin(root, step)
+	if step == t.committedStep && t.contentSeq == t.commitSeq && !t.fillers &&
+		t.idx.ValidFor(t.contentSeq) && !(t.lent && t.idx.HasDirty()) {
+		st := t.idx.CloneLeaves()
+		p.leaves = &st
+	}
+	return p
 }
 
 // PinVersion pins an arbitrary committed version, typically one of the
@@ -170,6 +188,11 @@ func (p *VersionPin) Root() Ref { return p.root }
 // Step returns the pinned version's step number.
 func (p *VersionPin) Step() uint64 { return p.step }
 
+// Leaves returns the copy of the writer's leaf index PinCommitted took
+// for this version — its leaves in Z-order with their payload, codes and
+// field words only — or nil when the pin carries none. Read-only.
+func (p *VersionPin) Leaves() *tile.Store { return p.leaves }
+
 // readInto performs a charged, read-only octant load from the pinned
 // arena into a caller-provided buffer. The read-only guard: a pinned
 // version is NVBM-closed by the region invariant, so any DRAM ref reached
@@ -208,8 +231,9 @@ func (p *VersionPin) walk(r Ref, buf []byte, fn func(Ref, *Octant) bool) bool {
 	return true
 }
 
-// FindLeaf descends to the deepest pinned-version octant containing code.
-// Safe from any goroutine.
+// FindLeaf descends to the deepest pinned-version octant containing code,
+// charging one device read per octant on the path: level+1 for a leaf at
+// that level. Safe from any goroutine.
 func (p *VersionPin) FindLeaf(code morton.Code) (Ref, Octant) {
 	var buf [RecordSize]byte
 	r := p.root
@@ -235,5 +259,12 @@ func (p *VersionPin) FindLeaf(code morton.Code) (Ref, Octant) {
 // attribute device-read time to the request that incurred it.
 func (p *VersionPin) ChargeReadsModeled(n, sz int) uint64 {
 	p.dev.ChargeReadN(n, sz)
+	return p.dev.ModeledReadCost(n, sz)
+}
+
+// ReadsModeled returns the modeled nanoseconds n device reads of sz bytes
+// cost, without charging them: the attribution half of ChargeReadsModeled,
+// for reads a pin's own descent (FindLeaf) already charged.
+func (p *VersionPin) ReadsModeled(n, sz int) uint64 {
 	return p.dev.ModeledReadCost(n, sz)
 }

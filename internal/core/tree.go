@@ -195,6 +195,18 @@ type Tree struct {
 	dirtyPos   []int32 // the batch writer's dirty index positions (scatter.go)
 	fp         FastPathStats
 
+	// commitSeq is contentSeq as of the last commit (Create, Persist, or
+	// the version Restore chose): while the two are equal the working
+	// version holds the committed version's leaves and payload, and
+	// PinCommitted may hand a copy of a valid index to the pin (snapshot.go).
+	// fillers is set while the working version may hold a filler leaf: by
+	// ConstructWithFillers, and by a rebuild walk that meets an octant
+	// flagged FlagFiller (a collapse turns a split filler back into a
+	// filler leaf, so interior octants count). Only a construction that
+	// replaces the whole version clears it.
+	commitSeq uint64
+	fillers   bool
+
 	// leafCount is the working version's leaf count, 0 while unknown (a
 	// restored tree before its first count or leaf-index build). Leaf
 	// splits, sibling collapses and bulk construction keep it current, so

@@ -3,6 +3,8 @@ package serve
 import (
 	"strconv"
 	"testing"
+
+	"pmoctree/internal/core"
 )
 
 // benchSnapshot builds a served droplet tree once per benchmark.
@@ -10,7 +12,7 @@ func benchSnapshot(b *testing.B) (*Catalog, *Snapshot) {
 	b.Helper()
 	tree, _ := buildTree(b, 5)
 	cat, s := publish(b, tree, Config{})
-	s.LeafCount() // force the index build out of the timed section
+	s.LeafCount() // build the index, if the version arrived without one, untimed
 	return cat, s
 }
 
@@ -96,3 +98,45 @@ func benchBoxSweep(b *testing.B, class Class) {
 func BenchmarkServeRegionQuery(b *testing.B) { benchBoxSweep(b, ClassRegion) }
 
 func BenchmarkServeAggQuery(b *testing.B) { benchBoxSweep(b, ClassAgg) }
+
+// BenchmarkServeRecoverFirstAnswer times a restart up to its first answer
+// on a level-7 droplet image: RestoreWithReport, Publish, one query. The
+// restored version arrives without a leaf index, so point-first answers by
+// descending the pinned tree, and region-first still pays the index build.
+func BenchmarkServeRecoverFirstAnswer(b *testing.B) {
+	// A level-7 droplet image (the amr_ejection mesh level). Restoring an
+	// undamaged image writes nothing to it, so every restart sees the same
+	// bytes.
+	tree, _ := buildTreeAt(b, 3, sweepLevel)
+	tree.Close()
+	img := tree.NVBMDevice()
+	for _, c := range []struct {
+		name string
+		q    Query
+	}{
+		{"point-first", Query{Class: ClassPoint, Point: [3]float64{0.5, 0.5, 0.55}}},
+		{"region-first", Query{Class: ClassRegion, Box: Box{Min: [3]float64{0.48, 0.48, 0.53}, Max: [3]float64{0.52, 0.52, 0.57}}, Span: FullKeyRange()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rt, _, err := core.RestoreWithReport(core.Config{NVBMDevice: img})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cat := NewCatalog(rt, Config{})
+				s, err := cat.Publish()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Query(nil, c.q); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Close()
+				cat.Close()
+				rt.Close()
+				b.StartTimer()
+			}
+		})
+	}
+}

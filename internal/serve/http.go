@@ -20,8 +20,9 @@ import (
 // When the handler carries a TraceSink, every query request gets a trace
 // context threaded through the scheduler and the snapshot query, the
 // response carries its ID in X-Trace-Id, and the finished trace —
-// queue_wait, index_build, leaf_scan, device_read spans plus derived
-// handler overhead — is retrievable from /v1/trace.
+// queue_wait, index_build (on the one query that builds a version's
+// index), leaf_scan, device_read spans plus derived handler overhead — is
+// retrievable from /v1/trace.
 
 // Handler is the HTTP surface over one catalog and one scheduler.
 type Handler struct {

@@ -12,11 +12,16 @@
 //     catalog pins it (core.VersionPin) and retires the oldest beyond its
 //     keep depth. Readers acquire refcounted Snapshot handles; GC may reap
 //     a version only after its last snapshot closes.
-//   - Snapshot: an immutable read handle. Every Query — point, region or
-//     aggregate — runs over a flat Morton-sorted leaf index (the
-//     Cornerstone/Etree layout, built once per version with one charged
-//     walk) with binary-searched key windows — no tree pointer chasing on
-//     the hot path.
+//   - Snapshot: an immutable read handle. Queries run over a flat
+//     Morton-sorted leaf index (the Cornerstone/Etree layout) with
+//     binary-searched key windows — no tree pointer chasing on the hot
+//     path. A version the writer publishes right after its commit arrives
+//     with a copy of the writer's own index. Any other version (a restored
+//     tree's, a fallback-ring version, the older durable version a
+//     pipelined writer pins while its newest commit is in flight, a tree
+//     holding filler leaves) is read in place: its points descend
+//     the pinned tree, and its first region, aggregate or LeafCount builds
+//     the index with one charged walk, which every later point uses.
 //   - Scheduler: bounded admission. Requests queue up to a fixed depth and
 //     are drained in small batches by worker goroutines; a full queue
 //     rejects immediately with a retry-after hint instead of collapsing
@@ -157,7 +162,7 @@ func (c *Catalog) PublishVersion(root core.Ref, step uint64) (*Snapshot, error) 
 // a caller-owned handle (the pin's initial reference becomes the
 // catalog's; the handle retains one more).
 func (c *Catalog) install(pin *core.VersionPin) (*Snapshot, error) {
-	v := &version{pin: pin}
+	v := newVersion(pin)
 	own := &Snapshot{v: v} // catalog's handle, wrapping the pin's initial ref
 	c.mu.Lock()
 	if c.closed {

@@ -14,6 +14,7 @@ import (
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/sim"
 	"pmoctree/internal/telemetry"
+	"pmoctree/internal/tile"
 )
 
 const testMaxLevel = 4
@@ -82,24 +83,41 @@ func TestPointMatchesTreeDescent(t *testing.T) {
 }
 
 // TestSnapshotIndexMatchesWriter: right after Persist the working version
-// is the committed one, so the leaf index a published snapshot builds and
-// serves from must equal the writer's own, leaf for leaf, in codes and
-// payload — the two sides of one tile.Store type.
+// is the committed one, so a snapshot published then carries a copy of
+// the writer's leaf index, and the index a walk of the same version builds
+// must equal the writer's own, leaf for leaf, in codes and payload — the
+// two sides of one tile.Store type.
 func TestSnapshotIndexMatchesWriter(t *testing.T) {
 	tree, _ := buildTree(t, 4)
 	cat, s := publish(t, tree, Config{})
 	defer cat.Close()
 	defer s.Close()
+	if !s.v.built.Load() {
+		t.Fatal("a version published right after Persist arrived without the writer's index")
+	}
+	// The same version pinned without the copy builds its index by a walk.
+	pin, err := tree.PinVersion(tree.CommittedRoot(), tree.CommittedStep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Release()
+	walked := newVersion(pin)
+	if walked.built.Load() || !walked.ensure() {
+		t.Fatal("a version pinned without the writer's index did not build one")
+	}
 
 	w := tree.LeafTiles()
-	if n := s.LeafCount(); n != w.N() {
-		t.Fatalf("snapshot serves %d leaves, the writer's index holds %d", n, w.N())
+	if n := s.LeafCount(); n != w.N() || walked.leaves.N() != w.N() {
+		t.Fatalf("snapshot serves %d leaves, a walk indexes %d, the writer's index holds %d", n, walked.leaves.N(), w.N())
 	}
-	served := &s.v.leaves
-	for i, c := range w.Codes() {
-		if served.Codes()[i] != c || served.Load(i) != w.Load(i) {
-			t.Fatalf("leaf %d: snapshot %v %v, writer %v %v", i, served.Codes()[i], served.Load(i), c, w.Load(i))
+	for _, served := range []*tile.Store{&s.v.leaves, &walked.leaves} {
+		for i, c := range w.Codes() {
+			if served.Codes()[i] != c || served.Load(i) != w.Load(i) {
+				t.Fatalf("leaf %d: snapshot %v %v, writer %v %v", i, served.Codes()[i], served.Load(i), c, w.Load(i))
+			}
 		}
+	}
+	for i, c := range w.Codes() {
 		res, err := s.Point(c.Center())
 		if err != nil || res.Code != c || res.Data != w.Load(i) {
 			t.Fatalf("Point at leaf %d (%v) = %v %v, %v", i, c, res.Code, res.Data, err)

@@ -30,22 +30,39 @@ var ErrBadField = fmt.Errorf("serve: field index outside octant data")
 // data of the mesh and must never be served as if they were.
 var ErrNotHeld = fmt.Errorf("serve: answer lies outside the data this arena holds")
 
-// version is the shared, lazily indexed state of one pinned committed
-// version. All Snapshot handles on the same version share it.
+// version is the shared state of one pinned committed version. All
+// Snapshot handles on the same version share it.
 type version struct {
 	pin *core.VersionPin
 
 	// The Morton leaf index: the version's leaves in Z-order with their
-	// payload, the same tile.Store the writer keeps as its own index. Built
-	// once, on first query, with one charged walk of the pinned version;
-	// leaf data is embedded, so the query hot path never touches the arena
-	// again. Guarded by mu rather than sync.Once: a build aborted by a
-	// fault-injection panic (chaos soak cuts power under readers) must stay
-	// unbuilt and be retried, not be poisoned empty.
+	// payload, the same tile.Store the writer keeps as its own index. A
+	// version the writer published right after its commit arrives with a
+	// copy of the writer's index (core.VersionPin.Leaves) and is built
+	// from the start. Any other version is read in place until a query
+	// needs the index: a point descends the pinned tree, and the first
+	// region, aggregate or LeafCount builds it with one charged walk.
+	// Once built, leaf data is embedded, so the query hot path never
+	// touches the arena again. The build runs under mu rather than
+	// sync.Once: a build aborted by a fault-injection panic (chaos soak
+	// cuts power under readers) must stay unbuilt and be retried, not be
+	// poisoned empty. built is atomic so a descent never takes mu.
 	mu      sync.Mutex
-	built   bool
+	built   atomic.Bool
 	leaves  tile.Store
 	fillers []int // ascending positions in leaves of filler leaves
+}
+
+// newVersion wraps a fresh pin, installing the leaf index it carries.
+// A carried index holds no filler: core shares none from a tree that may
+// hold one.
+func newVersion(pin *core.VersionPin) *version {
+	v := &version{pin: pin}
+	if st := pin.Leaves(); st != nil {
+		v.leaves = *st
+		v.built.Store(true)
+	}
+	return v
 }
 
 // Snapshot is one acquired, refcounted read handle on a pinned committed
@@ -82,13 +99,17 @@ func (s *Snapshot) LeafCount() int {
 	return s.v.leaves.N()
 }
 
-// ensure builds the Morton leaf index on first use, reporting whether
-// this call did the build — the caller that pays the build records it as
-// an index_build trace span; everyone else rides the cached index.
+// ensure builds the Morton leaf index unless the version has one,
+// reporting whether this call did the build — the caller that pays the
+// build records it as an index_build trace span; everyone else rides the
+// existing index.
 func (v *version) ensure() bool {
+	if v.built.Load() {
+		return false
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.built {
+	if v.built.Load() {
 		return false
 	}
 	var leaves tile.Store
@@ -103,7 +124,7 @@ func (v *version) ensure() bool {
 		return true
 	})
 	v.leaves, v.fillers = leaves, fillers
-	v.built = true
+	v.built.Store(true)
 	return true
 }
 
@@ -275,10 +296,12 @@ type Result struct {
 }
 
 // Query answers q with per-phase trace spans on tc (nil means untraced):
-// index_build when this call pays for the lazy index, leaf_scan for the
-// binary search or window scan, and device_read, which takes no wall time
-// and carries the modeled cost of the tree descent the index replaces,
-// charged against the pinned device.
+// index_build when this call pays for the index, leaf_scan for the tree
+// descent, binary search or window scan, and device_read, which takes no
+// wall time and carries the modeled cost of the octant reads the answer
+// stands for, charged against the pinned device. A point on a version
+// without an index descends the pinned tree (descend) and builds nothing;
+// every other query builds the index first.
 func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	if err := q.Check(); err != nil {
 		return Result{}, err
@@ -292,6 +315,22 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	}
 	res := Result{Step: s.Step()}
 	tc.SetStep(res.Step)
+	if q.Class == ClassPoint && !s.v.built.Load() {
+		scan := tc.StartSpan("leaf_scan")
+		reads, ok, err := s.v.descend(cell, &res)
+		scan.End()
+		if ok {
+			if err != nil {
+				return Result{}, err
+			}
+			dr := tc.StartSpan("device_read")
+			dr.AddModeled(s.v.pin.ReadsModeled(reads, core.RecordSize))
+			dr.End()
+			return res, nil
+		}
+		// The descent ended on an interior octant: the version is
+		// malformed, and the index path names the fault.
+	}
 	s.v.ensureTraced(tc)
 	scan := tc.StartSpan("leaf_scan")
 	charge, err := s.v.scan(q, cell, &res)
@@ -303,6 +342,24 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
 	dr.End()
 	return res, nil
+}
+
+// descend answers a point by descending the pinned tree to the leaf
+// holding cell, which charges its level+1 octant reads to the device —
+// the count the index path charges for the same answer. It returns those
+// reads, and ok false when the descent ended on an interior octant
+// (nothing answered). A filler leaf is refused with ErrNotHeld, as by the
+// index path.
+func (v *version) descend(cell morton.Code, res *Result) (reads int, ok bool, err error) {
+	_, o := v.pin.FindLeaf(cell)
+	if !o.IsLeaf() {
+		return 0, false, nil
+	}
+	if o.Filler() {
+		return 0, true, ErrNotHeld
+	}
+	res.Leaf = LeafHit{Code: o.Code, Data: o.Data}
+	return int(o.Code.Level()) + 1, true, nil
 }
 
 // scan answers q from the leaf index into res and returns the number of

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"pmoctree/internal/core"
 	"pmoctree/internal/telemetry"
 )
 
@@ -38,9 +39,76 @@ func spanNames(rt telemetry.RequestTrace) map[string]telemetry.SpanRecord {
 	return m
 }
 
+// traceQuery serves path on srv and returns the request trace its
+// X-Trace-Id names, after checking its kind, step and accounting identity.
+func traceQuery(t *testing.T, srv *httptest.Server, path, kind string, step uint64) telemetry.RequestTrace {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read to EOF: the handler finishes its trace after it wrote the
+	// answer, and the body only ends once the handler has returned.
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("%s -> %d", path, resp.StatusCode)
+	}
+	id := resp.Header.Get("X-Trace-Id")
+	if id == "" {
+		t.Fatalf("%s: no X-Trace-Id header", path)
+	}
+	tr, err := srv.Client().Get(srv.URL + "/v1/trace?id=" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rt telemetry.RequestTrace
+	if err := json.NewDecoder(tr.Body).Decode(&rt); err != nil {
+		t.Fatalf("/v1/trace?id=%s: %v", id, err)
+	}
+	tr.Body.Close()
+	if rt.Kind != kind {
+		t.Fatalf("trace kind = %q, want %q", rt.Kind, kind)
+	}
+	if rt.Step != step {
+		t.Fatalf("trace step = %d, want %d", rt.Step, step)
+	}
+	checkIdentity(t, rt)
+	return rt
+}
+
+// requireSpans fails unless the trace holds every one of want, and a
+// device_read span that carries modeled time.
+func requireSpans(t *testing.T, label string, rt telemetry.RequestTrace, want ...string) map[string]telemetry.SpanRecord {
+	t.Helper()
+	sp := spanNames(rt)
+	for _, w := range want {
+		if _, ok := sp[w]; !ok {
+			t.Fatalf("%s trace missing %q span (have %v)", label, w, rt.Spans)
+		}
+	}
+	if sp["device_read"].ModeledNs == 0 {
+		t.Fatalf("%s device_read span carries no modeled time", label)
+	}
+	return sp
+}
+
+var traceQueries = []struct {
+	path string
+	kind string
+}{
+	{"/v1/point?x=0.5&y=0.5&z=0.82", "point"},
+	{"/v1/region?x0=0.3&y0=0.3&z0=0.3&x1=0.7&y1=0.7&z1=0.9", "region"},
+	{"/v1/agg?field=0", "agg"},
+}
+
 // TestRequestTraceEndToEnd: every served query carries a trace that
 // decomposes into queue-wait, index, and device-read time, retrievable
-// by the X-Trace-Id the response carries.
+// by the X-Trace-Id the response carries. The index_build span shows the
+// index's lifecycle: a version the writer publishes right after its
+// commit carries the writer's index and never builds one; a restored
+// version answers its first point by a tree descent, reads charged and
+// nothing built, and builds the index on its first region.
 func TestRequestTraceEndToEnd(t *testing.T) {
 	tree, _ := buildTree(t, 3)
 	reg := telemetry.NewRegistry()
@@ -58,60 +126,11 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	queries := []struct {
-		path string
-		kind string
-	}{
-		{"/v1/point?x=0.5&y=0.5&z=0.82", "point"},
-		{"/v1/region?x0=0.3&y0=0.3&z0=0.3&x1=0.7&y1=0.7&z1=0.9", "region"},
-		{"/v1/agg?field=0", "agg"},
-	}
-	for i, q := range queries {
-		resp, err := srv.Client().Get(srv.URL + q.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Read to EOF: the handler finishes its trace after it wrote the
-		// answer, and the body only ends once the handler has returned.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s -> %d", q.path, resp.StatusCode)
-		}
-		id := resp.Header.Get("X-Trace-Id")
-		if id == "" {
-			t.Fatalf("%s: no X-Trace-Id header", q.path)
-		}
-
-		tr, err := srv.Client().Get(srv.URL + "/v1/trace?id=" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rt telemetry.RequestTrace
-		if err := json.NewDecoder(tr.Body).Decode(&rt); err != nil {
-			t.Fatalf("/v1/trace?id=%s: %v", id, err)
-		}
-		tr.Body.Close()
-		if rt.Kind != q.kind {
-			t.Fatalf("trace kind = %q, want %q", rt.Kind, q.kind)
-		}
-		if rt.Step != tree.CommittedStep() {
-			t.Fatalf("trace step = %d, want %d", rt.Step, tree.CommittedStep())
-		}
-		checkIdentity(t, rt)
-
-		sp := spanNames(rt)
-		for _, want := range []string{"queue_wait", "leaf_scan", "device_read"} {
-			if _, ok := sp[want]; !ok {
-				t.Fatalf("%s trace missing %q span (have %v)", q.kind, want, rt.Spans)
-			}
-		}
-		if sp["device_read"].ModeledNs == 0 {
-			t.Fatalf("%s device_read span carries no modeled time", q.kind)
-		}
-		// The first query pays the lazy index build; later ones must not.
-		if _, ok := sp["index_build"]; ok != (i == 0) {
-			t.Fatalf("query %d (%s): index_build presence = %v, want %v", i, q.kind, ok, i == 0)
+	for _, q := range traceQueries {
+		rt := traceQuery(t, srv, q.path, q.kind, tree.CommittedStep())
+		sp := requireSpans(t, "writer-published "+q.kind, rt, "queue_wait", "leaf_scan", "device_read")
+		if _, ok := sp["index_build"]; ok {
+			t.Fatalf("writer-published %s: index_build span on a version that carries the writer's index", q.kind)
 		}
 	}
 
@@ -126,8 +145,8 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Body.Close()
-	if len(all) != len(queries) {
-		t.Fatalf("retained %d traces, want %d", len(all), len(queries))
+	if len(all) != len(traceQueries) {
+		t.Fatalf("retained %d traces, want %d", len(all), len(traceQueries))
 	}
 
 	// Per-class scheduler histograms fed by the same requests.
@@ -138,6 +157,28 @@ func TestRequestTraceEndToEnd(t *testing.T) {
 		}
 		if snap.Histograms["serve.service_ns."+kind].Count == 0 {
 			t.Fatalf("no service-time samples for class %q", kind)
+		}
+	}
+
+	// The same version restored from its image carries no index.
+	rtree, err := core.Restore(core.Config{NVBMDevice: tree.NVBMDevice().Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rtree.Close()
+	rcat, rs := publish(t, rtree, Config{})
+	rs.Close()
+	defer rcat.Close()
+	rh := NewHandler(rcat, sched)
+	rh.SetTraceSink(telemetry.NewTraceSink(32))
+	rsrv := httptest.NewServer(rh)
+	defer rsrv.Close()
+	for i, q := range traceQueries {
+		rt := traceQuery(t, rsrv, q.path, q.kind, tree.CommittedStep())
+		sp := requireSpans(t, "restored "+q.kind, rt, "queue_wait", "leaf_scan", "device_read")
+		// The point descends; the region that follows pays the build.
+		if _, ok := sp["index_build"]; ok != (i == 1) {
+			t.Fatalf("restored query %d (%s): index_build presence = %v, want %v", i, q.kind, ok, i == 1)
 		}
 	}
 }

@@ -12,10 +12,11 @@
 // keeps one as its working-version index, edits it in step with the tree
 // (append, truncate, in-place refinement and coarsening), lends it to
 // kernels through core.LeafTiles and stores their marked cells with
-// core.ScatterLeafTiles; serve builds one per pinned version and answers
-// queries with morton.Container over Codes and with BoxRuns. The Store
-// does not know about the octree: the owner stamps it with its content
-// sequence number (Stamp/ValidFor).
+// core.ScatterLeafTiles; serve holds one per pinned version (a
+// CloneLeaves copy of the writer's, or one built by a walk of the
+// version) and answers queries with morton.Container over Codes and with
+// BoxRuns. The Store does not know about the octree: the owner stamps it
+// with its content sequence number (Stamp/ValidFor).
 //
 // Tile bounds and dirty flags are derived state, allocated on first use:
 // a store that is only searched (serve's) holds codes and payload alone.
@@ -122,6 +123,20 @@ func (s *Store) Truncate(n int) {
 	for w := 0; w < Words; w++ {
 		s.F[w] = s.F[w][:n]
 	}
+}
+
+// CloneLeaves returns a copy of the leaves and their payload alone: one
+// copy of the codes and one of the field words, into a single backing
+// array. Tile bounds, dirty flags and the stamp stay behind.
+func (s *Store) CloneLeaves() Store {
+	n := len(s.codes)
+	out := Store{codes: slices.Clone(s.codes)}
+	buf := make([]float64, Words*n)
+	for w := 0; w < Words; w++ {
+		out.F[w] = buf[w*n : (w+1)*n : (w+1)*n]
+		copy(out.F[w], s.F[w])
+	}
+	return out
 }
 
 // Grow makes room for n more leaves without reallocating.

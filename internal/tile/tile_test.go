@@ -181,6 +181,34 @@ func TestStamping(t *testing.T) {
 	}
 }
 
+// TestCloneLeaves: a clone holds the same leaves and payload in storage of
+// its own, and nothing derived: no tiles, no stamp.
+func TestCloneLeaves(t *testing.T) {
+	codes := adaptiveCodes(t, 4)
+	s := filled(codes)
+	s.Stamp(3)
+	c := s.CloneLeaves()
+	if !slices.Equal(c.Codes(), codes) {
+		t.Fatal("clone codes differ")
+	}
+	for i := range codes {
+		if c.Load(i) != s.Load(i) {
+			t.Fatalf("cell %d: clone payload %v, store %v", i, c.Load(i), s.Load(i))
+		}
+	}
+	if c.Tiles() != 0 || c.ValidFor(3) {
+		t.Fatal("clone carries tile bounds or a stamp")
+	}
+	// Edits of the source must not show in the clone, and growing one
+	// field of the clone must not overwrite the next one's first cell.
+	s.Set(0, [Words]float64{9, 9, 9, 9})
+	s.codes[1] = 0
+	c.Append(morton.Root, payloadOf(morton.Root))
+	if c.Load(0) != payloadOf(codes[0]) || c.Codes()[1] != codes[1] {
+		t.Fatal("clone shares storage with its source or across fields")
+	}
+}
+
 // TestRunTileRangesCoverage: every tile is handed out exactly once, chunk
 // boundaries are tile boundaries, and parallel scheduling covers the same
 // set as serial.
