@@ -1,6 +1,6 @@
 // Benchmarks of the layers of one simulation step (balance,
-// refine/coarsen, scatter, persist, the layout pass, the pipelined commit,
-// leaf sweeps), plus the Figure 3 experiment. Each reports modeled device counts or the
+// refine/coarsen, scatter, persist, the layout pass, leaf sweeps), plus
+// the Figure 3 experiment. Each reports modeled device counts or the
 // figure's measure as custom metrics alongside wall-clock time. The
 // paper's tables and figures are regenerated by cmd/pmbench.
 package pmoctree_test
@@ -8,7 +8,6 @@ package pmoctree_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"pmoctree/internal/core"
 	"pmoctree/internal/experiments"
@@ -260,61 +259,6 @@ func BenchmarkCoreTransform(b *testing.B) {
 		tree.Persist()
 		b.StartTimer()
 		tree.Retarget()
-	}
-}
-
-// --- Pipelined commit: sync vs async vs group commit ---
-
-// BenchmarkStepPipelined steps the droplet workload to the same
-// committed-version count under each persistence mode, with the modeled
-// NVBM latency injected as real delay so writeback cost is wall-clock
-// visible. ns/op is the whole run (steps + persists + the final Flush, so
-// async modes pay for full durability); persist-ns/step is the share the
-// stepping thread spends inside Persist — the commit path the pipeline
-// exists to shorten. Async must come in below sync on both.
-func BenchmarkStepPipelined(b *testing.B) {
-	modes := []struct {
-		name         string
-		depth, group int
-	}{
-		{"sync", 0, 0},
-		{"async-k1", 3, 1},
-		{"async-k2", 3, 2},
-		{"async-k4", 3, 4},
-	}
-	const steps = 8
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			var persistNs int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dev := nvbm.New(nvbm.NVBM, 0)
-				dev.SetDelayInjection(true)
-				tree := core.Create(core.Config{
-					NVBMDevice:        dev,
-					DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
-					DRAMBudgetOctants: 2048,
-					PipelineDepth:     m.depth,
-					GroupCommit:       m.group,
-					Seed:              9,
-				})
-				d := sim.NewDroplet(sim.DropletConfig{Steps: steps + 10})
-				tree.SetFeatures(d.Feature(1))
-				b.StartTimer()
-				for s := 1; s <= steps; s++ {
-					sim.Step(tree, d, s, 4)
-					tree.SetFeatures(d.Feature(s + 1))
-					p0 := time.Now()
-					tree.Persist()
-					persistNs += time.Since(p0).Nanoseconds()
-				}
-				tree.Flush()
-				b.StopTimer()
-				tree.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(persistNs)/float64(b.N*steps), "persist-ns/step")
-		})
 	}
 }
 

@@ -15,11 +15,6 @@
 // shipping, recovering every crash through scrub, multi-version fallback,
 // and replica failover, and exits nonzero if any recovery lands on a
 // state that was never committed.
-//
-// -pipeline <n> moves persistence off the step's critical path: up to n
-// commits ride a background persist worker, with -groupcommit coalescing
-// adjacent step deltas into one durable commit. -chaospipeline <seed>
-// soaks that pipeline under power cuts at every stage.
 package main
 
 import (
@@ -61,9 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		retain      = fs.Int("retain", 0, "extra committed versions to retain in the fallback ring (0..2); gives cmd/pmserve -history older versions to serve")
 		chaosQuery  = fs.Int("chaosreaders", 0, "with -chaos: run this many concurrent MVCC snapshot readers against pinned versions during the soak")
 		chaosFlight = fs.String("chaosflight", "", "with -chaos: write the soak's flight-recorder ring (commits, crashes, restores, scrubs) as JSONL to `file`")
-		pipeline    = fs.Int("pipeline", 0, "persist versions asynchronously, allowing up to `n` commits in flight (0 = synchronous; at most 3 minus -retain)")
-		groupCommit = fs.Int("groupcommit", 1, "with -pipeline: coalesce up to `k` step deltas into one durable commit")
-		chaosPipe   = fs.Int64("chaospipeline", 0, "run the pipelined chaos soak with this `seed` (nonzero): power cuts at every persist-pipeline stage, recovery checked against the enqueued-version history")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -74,38 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *retain < 0 || *retain > 2 {
 		fmt.Fprintf(stderr, "droplet: -retain %d outside 0..2\n", *retain)
 		return 2
-	}
-
-	if *chaosPipe != 0 {
-		var fr *telemetry.FlightRecorder
-		if *chaosFlight != "" {
-			fr = telemetry.NewFlightRecorder(4096)
-		}
-		depth := *pipeline
-		if depth <= 0 {
-			depth = 3
-		}
-		rep, err := fault.RunPipeline(fault.PipelineChaosConfig{
-			Seed:          *chaosPipe,
-			Steps:         *steps,
-			MaxLevel:      uint8(*maxLevel),
-			DRAMBudget:    *budget,
-			PipelineDepth: depth,
-			GroupCommit:   *groupCommit,
-			Recorder:      fr,
-		})
-		if *chaosFlight != "" {
-			if derr := fr.DumpFile(*chaosFlight); derr != nil {
-				fmt.Fprintf(stderr, "droplet: flight dump: %v\n", derr)
-			}
-		}
-		fmt.Fprint(stdout, rep)
-		if err != nil {
-			fmt.Fprintf(stderr, "droplet: pipelined chaos run FAILED: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(stdout, "pipelined chaos run passed: every crash recovered to an enqueued version")
-		return 0
 	}
 
 	if *chaosSeed != 0 {
@@ -144,18 +104,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pool := pmoctree.NewWorkerPool(*workers)
 
 	nv := pmoctree.NewNVBM()
-	cfg := pmoctree.Config{
+	tree := pmoctree.Create(pmoctree.Config{
 		NVBMDevice:        nv,
 		DRAMBudgetOctants: *budget,
 		RetainVersions:    *retain,
-		PipelineDepth:     *pipeline,
-		GroupCommit:       *groupCommit,
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(stderr, "droplet: %v\n", err)
-		return 2
-	}
-	tree := pmoctree.Create(cfg)
+	})
 
 	var obs *telemetry.Observer
 	if *tracePath != "" || *metricsPath != "" || *debugAddr != "" {
@@ -239,8 +192,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tuner.Observe(tree)
 		}
 	}
-	// Durability barrier: with -pipeline, commits may still be in flight on
-	// the persist worker; the image and final stats must see them landed.
+	// Land what the last collection freed, so the image's allocation
+	// bitmap is exact.
 	tree.Flush()
 	w.Flush()
 
@@ -264,11 +217,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "octree ops: %d refines, %d coarsens, %d COW copies, %d merges, %d GC passes (%d freed), %d transforms\n",
 		st.Refines, st.Coarsens, st.Copies, st.Merges, st.GCs, st.GCFreed, st.Transforms)
 	fmt.Fprintf(stdout, "NVBM: %v; wear imbalance %.2f\n", nv.Stats(), nv.Wear().WearImbalance())
-	if *pipeline > 0 {
-		ps := tree.PipelineStats()
-		fmt.Fprintf(stdout, "pipeline: %d enqueued, %d commits (%d coalesced), %d stalls\n",
-			ps.Enqueued, ps.Committed, ps.Coalesced, ps.Stalls)
-	}
 	if tuner != nil {
 		fmt.Fprintf(stdout, "autotune: %d adjustments, final C0 budget %d octants (peak util %.0f%%)\n",
 			tuner.Adjustments, tree.DRAMBudget(), tree.LastPeakDRAMUtilization()*100)

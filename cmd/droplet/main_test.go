@@ -9,12 +9,12 @@ import (
 	"testing"
 )
 
-// Flag misuse and configurations Config.Validate rejects exit 2.
+// Flag misuse and out-of-range flag values exit 2.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "sloshing", "-steps", "1"},
 		{"-retain", "3", "-steps", "1"},
-		{"-retain", "1", "-pipeline", "3", "-steps", "1"},
+		{"-retain", "4", "-steps", "1"},
 		{"-steps", "x"},
 	} {
 		var out, errb bytes.Buffer

@@ -14,7 +14,6 @@
 //	pmbench recovery   restart time after failures (§5.6)
 //	pmbench endurance  NVBM wear and lifetime, layout on/off (extension)
 //	pmbench workloads  the three motivating workloads on PM-octree (extension)
-//	pmbench pipeline   sync vs async pipelined persistence, group commit (extension)
 //	pmbench all        everything above
 //
 // -paper selects the larger configuration (minutes, closer to the paper's
@@ -128,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // allExperiments is what "pmbench all" runs, in order.
-var allExperiments = []string{"table2", "writemix", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "recovery", "endurance", "workloads", "pipeline"}
+var allExperiments = []string{"table2", "writemix", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "recovery", "endurance", "workloads"}
 
 // isExperiment reports whether id names an experiment (any case).
 func isExperiment(id string) bool {
@@ -217,9 +216,6 @@ func runExperiment(id string, sc experiments.Scale, obs *telemetry.Observer) (st
 	case "endurance":
 		rows := experiments.Endurance(sc, obs)
 		return experiments.FormatEndurance(rows), rows, nil
-	case "pipeline":
-		rows := experiments.Pipeline(sc, obs)
-		return experiments.FormatPipeline(rows), rows, nil
 	case "recovery":
 		rows, err := experiments.Recovery(sc, obs)
 		if err != nil {
@@ -234,6 +230,6 @@ func runExperiment(id string, sc experiments.Scale, obs *telemetry.Observer) (st
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `usage: pmbench [-paper|-titan] [-json] [-trace=file] [-metrics=file] <experiment>...
 
-experiments: table2 writemix fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 recovery endurance workloads pipeline all
+experiments: table2 writemix fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 recovery endurance workloads all
 `)
 }

@@ -17,8 +17,7 @@ const smokeScript = "testdata/smoke_queries.json"
 func writeImage(t *testing.T) string {
 	t.Helper()
 	dev := pmoctree.NewNVBM()
-	tree := pmoctree.Create(pmoctree.Config{NVBMDevice: dev, DRAMBudgetOctants: 2048, RetainVersions: 2, GroupCommit: 1})
-	defer tree.Close()
+	tree := pmoctree.Create(pmoctree.Config{NVBMDevice: dev, DRAMBudgetOctants: 2048, RetainVersions: 2})
 	const steps = 8
 	d := pmoctree.NewDroplet(pmoctree.DropletConfig{Steps: steps + 10, Jets: 1})
 	tree.SetFeatures(pmoctree.WorkloadFeature(d, 1))

@@ -20,10 +20,7 @@ import (
 // points at the new region.
 func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	defer t.span("Compact").End()
-	// Compaction swaps the arena wholesale: drain in-flight commits first
-	// so the persist worker never stores into the retired region after
-	// the swap (and so the compacted copy reads fully written-back
-	// records).
+	// The retired region keeps an exact allocation bitmap.
 	t.Flush()
 	if t.cur != t.committed {
 		return nil, fmt.Errorf("core: compaction requires a committed state; call Persist first")
@@ -70,13 +67,12 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	t.nv = newArena
 	t.committed = newRoot
 	t.cur = newRoot
+	// The new commit record names step t.step-1; the next commit pushes
+	// the compacted root onto the fallback ring under that step.
+	t.committedStep = t.step - 1
 	// The copy carries version tag 0 and no ledger history: the next
 	// collection marks the new arena and reseeds from it.
-	t.led = newLedger("compact", newRoot, t.step-1)
-	t.led.roots[t.committedStep] = newRoot
-	// The durable watermark lives in the new region now; the queue is
-	// empty (flushed above), so this is a plain repoint.
-	t.pipe.rebind(newRoot, t.step-1)
+	t.led = newLedger("compact", newRoot, t.committedStep)
 	// The leaf index holds no refs and the content is the same, so it
 	// stays valid although every NVBM ref changed identity.
 	return retired, nil

@@ -14,48 +14,39 @@ import (
 // previously committed version, intact and validated. This is the
 // system's central claim (§3: "our algorithms can guarantee at least one
 // version of the octree is consistent while updating its newer version")
-// exercised exhaustively at the granularity of individual device writes,
-// for the inline commit (depth 0, top-level subtests) and for a persist
-// worker two versions deep (the depth=2 group), whose writeback, ring
-// push and commit flip land after Persist returns. Each depth runs with
-// the default RetainVersions 0, where GC frees and reuses the most slots
-// before the next landing, and again in a retain=1 group, where restore
-// keeps a superseded version whose slots must stay allocated too.
+// exercised exhaustively at the granularity of individual device writes.
+// It runs with the default RetainVersions 0, where GC frees and reuses the
+// most slots before the next landing, and again in a retain=1 group, where
+// restore keeps a superseded version whose slots must stay allocated too.
 func TestPowerCutTorture(t *testing.T) {
-	powerCutTorture(t, 0, 0)
-	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 0, 1) })
-	t.Run("depth=2", func(t *testing.T) {
-		powerCutTorture(t, 2, 0)
-		t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 2, 1) })
-	})
+	powerCutTorture(t, 0)
+	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 1) })
 }
 
-func powerCutTorture(t *testing.T, depth, retain int) {
+func powerCutTorture(t *testing.T, retain int) {
 	// Dry run to learn how many NVBM writes the doomed phase performs. The
-	// device's write counter reads low when the persist worker writes
-	// while a mutator-side instrumentation walk has metering off, so it
-	// gives only a lower bound. The power-cut countdown counts every
-	// write: an armed cut of n leaves the power lost after the phase
-	// exactly when the phase made at least n writes, so step n up from
-	// the counted length until the phase completes with power on.
+	// power-cut countdown counts every write: an armed cut of n leaves the
+	// power lost after the phase exactly when the phase made at least n
+	// writes, so the counted length must lose power at n and complete at
+	// n+1.
 	lostAfter := func(n int) bool {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, depth, retain)
+		tree, _ := buildBase(t, nv, retain)
 		nv.CutPowerAfter(n)
 		func() {
 			defer func() { recover() }()
 			doomedPhase(tree)
 		}()
-		tree.AbortPipeline()
 		return nv.PowerLost()
 	}
 	nv := nvbm.New(nvbm.NVBM, 0)
-	tree, _ := buildBase(t, nv, depth, retain)
+	tree, _ := buildBase(t, nv, retain)
 	before := nv.Stats().Writes
 	doomedPhase(tree)
 	totalWrites := int(nv.Stats().Writes - before)
-	for lostAfter(totalWrites + 1) {
-		totalWrites++
+	if at, past := lostAfter(totalWrites), lostAfter(totalWrites+1); !at || past {
+		t.Fatalf("the write counter read %d writes, but a cut there lost power %v and one write later %v",
+			totalWrites, at, past)
 	}
 	if totalWrites < 50 {
 		t.Fatalf("doomed phase performs only %d writes; torture too weak", totalWrites)
@@ -65,7 +56,7 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 	// commit store (deterministic, so computed once).
 	fullVersion := func() map[morton.Code][DataWords]float64 {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, depth, retain)
+		tree, _ := buildBase(t, nv, retain)
 		doomedPhase(tree)
 		return leafSet(tree, tree.CommittedRoot())
 	}()
@@ -92,7 +83,7 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 		n := n
 		t.Run(fmt.Sprintf("cut-after-%d-writes", n), func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, history := buildBase(t, nv, depth, retain)
+			tree, history := buildBase(t, nv, retain)
 			nv.CutPowerAfter(n)
 			// The doomed process may die with a panic once its writes
 			// stop landing; that is exactly a crash.
@@ -100,7 +91,6 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 				defer func() { recover() }()
 				doomedPhase(tree)
 			}()
-			tree.AbortPipeline() // a worker dies with the process
 			nv.RestorePower()
 
 			got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: retain})
@@ -119,36 +109,33 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 // again, restore lands on the version before, with every slot it and the
 // retained version reach allocated.
 func TestLostLandingFailsCommit(t *testing.T) {
-	for _, depth := range []int{0, 2} {
-		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
-			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, history := buildBase(t, nv, depth, 1)
-			// Rewrite the metadata in place up to a wear limit no record
-			// line reaches during the phase, so only metadata stores drop.
-			meta := tree.nv.DataOffset()
-			limit := nv.WearMax(meta, nv.Size()) + 64
-			img := make([]byte, meta)
-			nv.ReadAt(0, img)
-			for range limit {
-				nv.WriteAt(0, img)
-			}
-			nv.SetWearLimit(limit)
-			func() {
-				defer func() {
-					if r := recover(); r != pmem.ErrStoreLost {
-						t.Fatalf("persist over worn-out lines: recovered %v, want pmem.ErrStoreLost", r)
-					}
-				}()
-				doomedPhase(tree)
+	t.Run("depth=0", func(t *testing.T) {
+		nv := nvbm.New(nvbm.NVBM, 0)
+		tree, history := buildBase(t, nv, 1)
+		// Rewrite the metadata in place up to a wear limit no record
+		// line reaches during the phase, so only metadata stores drop.
+		meta := tree.nv.DataOffset()
+		limit := nv.WearMax(meta, nv.Size()) + 64
+		img := make([]byte, meta)
+		nv.ReadAt(0, img)
+		for range limit {
+			nv.WriteAt(0, img)
+		}
+		nv.SetWearLimit(limit)
+		func() {
+			defer func() {
+				if r := recover(); r != pmem.ErrStoreLost {
+					t.Fatalf("persist over worn-out lines: recovered %v, want pmem.ErrStoreLost", r)
+				}
 			}()
-			tree.AbortPipeline()
-			nv.SetWearLimit(0)
-			got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: 1})
-			if !equalLeafSets(got, history[len(history)-1]) {
-				t.Fatalf("restored %d leaves, want the last committed version", len(got))
-			}
-		})
-	}
+			doomedPhase(tree)
+		}()
+		nv.SetWearLimit(0)
+		got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: 1})
+		if !equalLeafSets(got, history[len(history)-1]) {
+			t.Fatalf("restored %d leaves, want the last committed version", len(got))
+		}
+	})
 }
 
 // restoreChecked restores the tree cfg names after a power cut on
@@ -187,12 +174,11 @@ func restoreChecked(t *testing.T, cfg Config) map[morton.Code][DataWords]float64
 	return got
 }
 
-// buildBase creates a tree persisting at the given pipeline depth and
-// retaining retain superseded versions, with two durably committed
-// versions, and returns the history of committed leaf sets.
-func buildBase(t *testing.T, nv *nvbm.Device, depth, retain int) (*Tree, []map[morton.Code][DataWords]float64) {
+// buildBase creates a tree retaining retain superseded versions, with two
+// committed versions, and returns the history of committed leaf sets.
+func buildBase(t *testing.T, nv *nvbm.Device, retain int) (*Tree, []map[morton.Code][DataWords]float64) {
 	t.Helper()
-	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, PipelineDepth: depth, RetainVersions: retain})
+	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, RetainVersions: retain})
 	var history []map[morton.Code][DataWords]float64
 	history = append(history, leafSet(tree, tree.CommittedRoot()))
 
@@ -212,7 +198,7 @@ func buildBase(t *testing.T, nv *nvbm.Device, depth, retain int) (*Tree, []map[m
 
 // doomedPhase is the mutation whose writes the torture interrupts: a
 // refinement, a solve-style update, and a persist (including its merge,
-// commit, GC and retarget), ending in the durability barrier.
+// commit, GC and retarget), ending in the bitmap landing of Flush.
 func doomedPhase(tree *Tree) {
 	tree.RefineWhere(sphere(0.6, 0.6, 0.6, 0.2, 0.15), 4)
 	tree.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
@@ -235,30 +221,28 @@ func matchesAny(got map[morton.Code][DataWords]float64, candidates []map[morton.
 }
 
 // TestPowerCutDuringEveryEarlyWrite runs the dense version of the torture
-// on a smaller tree: every single cut point from 0 to the full phase, for
-// the inline commit and for a persist worker two versions deep, each with
+// on a smaller tree: every single cut point from 0 to the full phase, with
 // RetainVersions 0 and 1, on the arena Create built and on one Compact
-// rewrote the tree into before the phase.
+// rewrote the tree into before the phase. (The depth=0 in the subtest
+// names is kept so their results compare with earlier runs.)
 func TestPowerCutDuringEveryEarlyWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive torture skipped in -short")
 	}
-	for _, depth := range []int{0, 2} {
-		for _, retain := range []int{0, 1} {
-			for _, compacted := range []bool{false, true} {
-				arena := "created"
-				if compacted {
-					arena = "compacted"
-				}
-				t.Run(fmt.Sprintf("depth=%d,retain=%d,%s", depth, retain, arena), func(t *testing.T) {
-					denseTorture(t, depth, retain, compacted)
-				})
+	for _, retain := range []int{0, 1} {
+		for _, compacted := range []bool{false, true} {
+			arena := "created"
+			if compacted {
+				arena = "compacted"
 			}
+			t.Run(fmt.Sprintf("depth=0,retain=%d,%s", retain, arena), func(t *testing.T) {
+				denseTorture(t, retain, compacted)
+			})
 		}
 	}
 }
 
-func denseTorture(t *testing.T, depth, retain int, compacted bool) {
+func denseTorture(t *testing.T, retain int, compacted bool) {
 	// Learn the phase length.
 	phase := func(tree *Tree) {
 		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
@@ -268,7 +252,7 @@ func denseTorture(t *testing.T, depth, retain int, compacted bool) {
 	// build returns the tree and its device, a fresh one if Compact
 	// moved the tree.
 	build := func() (*Tree, *nvbm.Device, map[morton.Code][DataWords]float64) {
-		tree := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 16, Seed: 9, PipelineDepth: depth, RetainVersions: retain})
+		tree := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 16, Seed: 9, RetainVersions: retain})
 		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
 		tree.Persist()
 		if compacted {
@@ -301,7 +285,6 @@ func denseTorture(t *testing.T, depth, retain int, compacted bool) {
 			defer func() { recover() }()
 			phase(tree)
 		}()
-		tree.AbortPipeline()
 		nv.RestorePower()
 		var got map[morton.Code][DataWords]float64
 		if !t.Run(fmt.Sprintf("cut-%d", n), func(t *testing.T) {
@@ -310,8 +293,8 @@ func denseTorture(t *testing.T, depth, retain int, compacted bool) {
 			t.FailNow()
 		}
 		if !equalLeafSets(got, committed) && !equalLeafSets(got, fullWant) {
-			t.Fatalf("depth %d cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
-				depth, n, total, len(got))
+			t.Fatalf("cut %d/%d: restored tree is neither the old nor the new version (%d leaves)",
+				n, total, len(got))
 		}
 	}
 }

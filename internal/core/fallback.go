@@ -58,17 +58,12 @@ const (
 func histAddrSlot(i int) int { return histBase + 2*i }
 func histStepSlot(i int) int { return histBase + 2*i + 1 }
 
-// ringVersions snapshots the fallback ring's entries in slot order, under
-// rootMu so a concurrent ring push and commit flip by the persist worker
-// stay atomic under the read. Callers walk the versions outside the lock
-// — whole-version walks must not stall commits.
+// ringVersions reads the fallback ring's entries in slot order.
 func (t *Tree) ringVersions() [histSlots]VersionInfo {
 	var ring [histSlots]VersionInfo
-	t.pipe.rootMu.Lock()
 	for i := range ring {
 		ring[i] = VersionInfo{Root: Ref(t.nv.Root(histAddrSlot(i))), Step: t.nv.Root(histStepSlot(i))}
 	}
-	t.pipe.rootMu.Unlock()
 	return ring
 }
 
@@ -207,7 +202,6 @@ func RestoreWithReport(cfg Config) (t *Tree, rep RestoreReport, err error) {
 			t.nv.SetRoot(rootSlotAddr, uint64(c.root))
 			t.nv.SetRoot(rootSlotStep, c.step)
 		}
-		t.startPipeline()
 		return t, rep, nil
 	}
 	return nil, rep, fmt.Errorf("core: no intact committed version among %d candidates: %s",

@@ -8,8 +8,8 @@ import (
 
 // GC reclaims the NVBM octants no live version holds (deferred deletion,
 // §3.2) and returns the number of slots freed. The live versions are the
-// working and committed ones, the retained fallback-ring versions, the
-// persist pipeline's in-flight versions and every pinned snapshot.
+// working and committed ones, the retained fallback-ring versions and
+// every pinned snapshot.
 //
 // A collection normally answers from the lifetime ledger (ledger.go): it
 // frees each dropped slot whose [birth, death) interval holds no live
@@ -26,7 +26,6 @@ import (
 // committed root, and its first collection marks from it.
 func (t *Tree) GC() int {
 	defer t.span("GC").End()
-	t.led.flips = t.pipe.committed.Load()
 	vs := t.liveVersions()
 	if why := t.fullReason(vs); why != "" {
 		freed := t.gcFull(vs)
@@ -63,13 +62,9 @@ func (t *Tree) gcDone(freed int) int {
 }
 
 // liveVersions lists the committed versions a collection must keep: the
-// committed one, then the pipeline's durable and enqueued versions, the
-// retained ring versions and the pinned ones. The pipeline is read before
-// the ring: a version the worker pushes into the ring in between is then
-// seen in one list or the other, never in neither.
+// committed one, the retained ring versions and the pinned ones.
 func (t *Tree) liveVersions() []VersionInfo {
 	vs := []VersionInfo{{Root: t.committed, Step: t.committedStep}}
-	vs = append(vs, t.pipe.inflightVersions()...)
 	if k := t.cfg.RetainVersions; k > 0 {
 		for _, e := range t.ringVersions() {
 			if e.Root.IsNil() || e.Root.InDRAM() || e.Step+uint64(k) < t.committedStep {
@@ -181,10 +176,7 @@ func (t *Tree) markFrom(r Ref, marked []uint64, guarded, working bool, seed *led
 			marked[idx/64] |= 1 << (idx % 64)
 		}
 		var o Octant
-		// Pending-aware: an in-flight version's staged records have not
-		// reached the device yet (chargedRead serves them from the
-		// pipeline's pending set with identical modeled cost).
-		t.chargedRead(r, t.scratch[:])
+		t.arenaFor(r).Read(r.Handle(), t.scratch[:])
 		o.decode(t.scratch[:])
 		if seed != nil && !r.InDRAM() {
 			seed.reseed(r.Handle(), o.Version, working)
@@ -195,31 +187,11 @@ func (t *Tree) markFrom(r Ref, marked []uint64, guarded, working bool, seed *led
 }
 
 // maybeGC triggers an on-demand collection when NVBM utilization crosses
-// its watermark (threshold_NVBM, §3.2), and otherwise maybeReclaim. GC is
-// suppressed while the tree is mid-merge; here it runs only from
-// batch-operation boundaries, which are always consistent points.
+// its watermark (threshold_NVBM, §3.2). GC is suppressed while the tree is
+// mid-merge; here it runs only from batch-operation boundaries, which are
+// always consistent points.
 func (t *Tree) maybeGC() {
 	if t.cfg.NVBMBudgetOctants > 0 && t.nv.Utilization() >= t.cfg.ThresholdNVBM {
 		t.GC()
-		return
-	}
-	t.maybeReclaim()
-}
-
-// maybeReclaim runs a ledger collection at a batch-operation boundary once
-// the persist worker has flipped the commit record since the last
-// collection while deaths are held: the durable version it superseded no
-// longer holds them, so the step's next allocations reuse those slots
-// instead of raising the high-water mark. It never falls back to the full
-// mark.
-func (t *Tree) maybeReclaim() {
-	p := t.pipe
-	if t.led.held == 0 || !p.async || p.committed.Load() == t.led.flips {
-		return
-	}
-	defer t.span("GC").End()
-	t.led.flips = p.committed.Load()
-	if vs := t.liveVersions(); t.fullReason(vs) == "" {
-		t.gcDone(t.gcLedger(vs))
 	}
 }

@@ -26,12 +26,11 @@ type gcScript struct {
 	gcs, fulls int // collections of the retired trees
 }
 
-func newGCScript(tb testing.TB, depth, retain int) *gcScript {
+func newGCScript(tb testing.TB, retain int) *gcScript {
 	cfg := Config{
 		NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
 		DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
 		DRAMBudgetOctants: 96,
-		PipelineDepth:     depth,
 		RetainVersions:    retain,
 	}
 	return &gcScript{tb: tb, cfg: cfg, tr: Create(cfg)}
@@ -108,13 +107,10 @@ func (s *gcScript) op(code, arg byte) {
 			s.size = append(s.size[:i], s.size[i+1:]...)
 		}
 	case 8, 9:
-		// A clean restart, or a crash that loses the working version and
-		// every version still in flight.
+		// A clean restart, or a crash that loses the working version.
 		s.releaseAll()
 		if code%2 == 0 {
 			tr.Close()
-		} else {
-			tr.AbortPipeline()
 		}
 		s.gcs += tr.stats.GCs
 		s.fulls += tr.led.fulls
@@ -178,11 +174,9 @@ func pinLeafCount(p *VersionPin) int {
 	return n
 }
 
-// gcConfigs are the persist shapes the ledger is held to: synchronous and
-// pipelined, with and without retained versions. (PipelineDepth 2 leaves
-// ring room for RetainVersions 1 only, so the pipelined retaining case
-// runs at depth 1.)
-var gcConfigs = [][2]int{{0, 0}, {0, 2}, {2, 0}, {1, 2}}
+// gcRetains are the RetainVersions settings the ledger is held to: with
+// and without retained versions.
+var gcRetains = []int{0, 2}
 
 // TestGCLedgerMatchesMarkSweep runs random operation sequences — refine,
 // coarsen, tile scatter, indexed update, construct, persist, pin, release,
@@ -193,8 +187,8 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, c := range gcConfigs {
-		t.Run(fmt.Sprintf("depth%d_retain%d", c[0], c[1]), func(t *testing.T) {
+	for _, retain := range gcRetains {
+		t.Run(fmt.Sprintf("depth0_retain%d", retain), func(t *testing.T) {
 			var gcs, fulls int
 			for seed := 0; seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(seed)))
@@ -208,7 +202,7 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 						ops[i] = 5
 					}
 				}
-				s := newGCScript(t, c[0], c[1])
+				s := newGCScript(t, retain)
 				s.run(ops)
 				g, f := s.collections()
 				gcs, fulls = gcs+g, fulls+f
@@ -222,7 +216,7 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 }
 
 // FuzzGCLedger is TestGCLedgerMatchesMarkSweep over fuzzed operation
-// sequences: the first byte picks the persist shape.
+// sequences: the first byte picks RetainVersions.
 func FuzzGCLedger(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 0, 2, 0, 5, 0, 6, 0, 1, 2, 5, 0, 7, 0, 5, 0})
 	f.Add([]byte{1, 0, 3, 5, 0, 6, 0, 4, 1, 5, 0, 9, 0, 0, 4, 5, 0, 11, 0})
@@ -232,8 +226,7 @@ func FuzzGCLedger(f *testing.F) {
 		if len(ops) == 0 || len(ops) > 97 {
 			return
 		}
-		c := gcConfigs[int(ops[0])%len(gcConfigs)]
-		newGCScript(t, c[0], c[1]).run(ops[1:])
+		newGCScript(t, gcRetains[int(ops[0])%len(gcRetains)]).run(ops[1:])
 	})
 }
 
@@ -335,90 +328,53 @@ func TestGCPendingHeldByPin(t *testing.T) {
 // version must stay whole — a full walk reads the leaf count it had when
 // pinned — until its own release. Run it under -race.
 func TestPinReleaseRacesLedgerGC(t *testing.T) {
-	for _, depth := range []int{0, 2} {
-		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
-			tr := Create(Config{DRAMBudgetOctants: 256, PipelineDepth: depth})
-			defer tr.Close()
-			type held struct {
-				pin    *VersionPin
-				leaves int
-			}
-			work := make(chan held, 64)
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var failures []string
-			for r := 0; r < 3; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for h := range work {
-						for k := 0; k < 3; k++ {
-							if got := pinLeafCount(h.pin); got != h.leaves {
-								mu.Lock()
-								failures = append(failures, fmt.Sprintf("step %d: %d leaves, %d when pinned", h.pin.Step(), got, h.leaves))
-								mu.Unlock()
-								break
-							}
+	t.Run("depth0", func(t *testing.T) {
+		tr := Create(Config{DRAMBudgetOctants: 256})
+		type held struct {
+			pin    *VersionPin
+			leaves int
+		}
+		work := make(chan held, 64)
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var failures []string
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for h := range work {
+					for k := 0; k < 3; k++ {
+						if got := pinLeafCount(h.pin); got != h.leaves {
+							mu.Lock()
+							failures = append(failures, fmt.Sprintf("step %d: %d leaves, %d when pinned", h.pin.Step(), got, h.leaves))
+							mu.Unlock()
+							break
 						}
-						h.pin.Release()
 					}
-				}()
-			}
-			steps := 30
-			if testing.Short() {
-				steps = 12
-			}
-			for s := 0; s < steps; s++ {
-				amrStep(tr, s)
-				p := tr.PinCommitted()
-				work <- held{pin: p, leaves: pinLeafCount(p)}
-			}
-			close(work)
-			wg.Wait()
-			tr.GC()
-			if len(failures) > 0 {
-				t.Fatal(failures[0])
-			}
-			if n := tr.led.fulls; n != 0 {
-				t.Fatalf("%d full collections; the ledger should answer every one", n)
-			}
-			if err := LedgerCheckError(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestGCReclaimsOnceDurable: a pipelined Persist collects while the worker
-// still owes the previous commit, so the superseded durable version holds
-// that step's deaths; the first batch operation after the worker's flip
-// frees them from the ledger before it allocates.
-func TestGCReclaimsOnceDurable(t *testing.T) {
-	tr := Create(Config{DRAMBudgetOctants: 256, PipelineDepth: 2})
-	defer tr.Close()
-	amrStep(tr, 0)
-	tr.Flush()
-	gate := make(chan struct{})
-	tr.SetPersistHook(func(stage string) {
-		if stage == "writeback" {
-			<-gate
+					h.pin.Release()
+				}
+			}()
+		}
+		steps := 30
+		if testing.Short() {
+			steps = 12
+		}
+		for s := 0; s < steps; s++ {
+			amrStep(tr, s)
+			p := tr.PinCommitted()
+			work <- held{pin: p, leaves: pinLeafCount(p)}
+		}
+		close(work)
+		wg.Wait()
+		tr.GC()
+		if len(failures) > 0 {
+			t.Fatal(failures[0])
+		}
+		if n := tr.led.fulls; n != 0 {
+			t.Fatalf("%d full collections; the ledger should answer every one", n)
+		}
+		if err := LedgerCheckError(); err != nil {
+			t.Fatal(err)
 		}
 	})
-	amrStep(tr, 1) // the worker waits at writeback: the collection sees step 0 durable
-	if tr.led.held == 0 {
-		t.Fatal("no deaths held while the superseded version is still durable")
-	}
-	close(gate)
-	tr.Flush()
-	gcs, freed := tr.stats.GCs, tr.stats.GCFreed
-	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.2, 0.05), 4)
-	if tr.stats.GCs != gcs+1 || tr.stats.GCFreed == freed {
-		t.Fatalf("after the flip: %d collections freeing %d, want one that frees", tr.stats.GCs-gcs, tr.stats.GCFreed-freed)
-	}
-	if tr.led.held != 0 {
-		t.Fatalf("%d deaths still held with no older version live", tr.led.held)
-	}
-	if err := LedgerCheckError(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -33,9 +33,8 @@ type ledger struct {
 	// has not yet seen the arena it describes (after Restore or Compact).
 	full string
 
-	held  int    // dropped slots a live version still held after the last collection
-	fulls int    // collections that ran the full mark
-	flips uint64 // pipeline commit-record flips when the last collection began
+	held  int // dropped slots a live version still held after the last collection
+	fulls int // collections that ran the full mark
 }
 
 // deathGroup is the dropped slots of one step.

@@ -163,11 +163,7 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 	if setParent {
 		o.Parent = parent
 	}
-	if t.pipe.staging {
-		t.stageOct(nr, &o)
-	} else {
-		t.writeOct(nr, &o)
-	}
+	t.writeOct(nr, &o)
 	t.dram.Free(r.Handle())
 	return nr
 }
@@ -181,50 +177,27 @@ func (t *Tree) bornWorking(r Ref) bool {
 	return i < len(t.led.born) && t.led.born[i] == t.step && t.nv.Live(r.Handle())
 }
 
-// stageOct is writeOct for a pipelined persist merge: the encoded record
-// joins the pipeline's staging delta instead of being stored (the
-// background worker writes it back, charging the device write then),
-// while the access accounting happens exactly as in writeOct.
-func (t *Tree) stageOct(r Ref, o *Octant) {
-	t.pipe.stageRecord(r.Handle(), o)
-	t.touch(o.Code)
-}
-
 // Persist commits the working version as the new persistent version
 // (pm_persistent, Table 1):
 //
 //  1. Merge: every DRAM octant of V(i) moves to NVBM, so the version is
 //     closed under NVBM. The walk visits only the paths to C0 octants.
-//  2. Commit: commitBatch lands the allocation-bitmap words dirtied since
-//     the previous commit, pushes V(i-1) onto the fallback ring, then a
-//     single 8-byte store of the root ref into the arena's root table
-//     makes the new version durable. Crash before this store recovers
-//     V(i-1); after it, V(i).
+//  2. Commit (commit.go): land the allocation-bitmap words dirtied since
+//     the previous commit, push V(i-1) onto the fallback ring, store the
+//     step, then a single 8-byte store of the root ref into the arena's
+//     root table makes the new version durable. Crash before this store
+//     recovers V(i-1); after it, V(i).
 //  3. GC: octants reachable only from the old version are swept.
 //  4. Transform: the hot set for the next step is re-derived by
 //     feature-directed sampling (or obliviously when disabled).
 //
-// It returns the number of octants garbage-collected.
-//
-// At Config.PipelineDepth 0 the commit runs inline. With PipelineDepth > 0
-// the merge stages its delta in host memory and the persist worker writes
-// it back and commits (see pipeline.go); durability trails until the
-// worker's commit-record flip (or an explicit Flush). Either way the
-// mutator's committed/step counters advance here, so step i+1 and the
-// whole digest history are the same at every depth: content never
-// depends on WHEN records reach the device.
+// The version is durable when Persist returns. It returns the number of
+// octants garbage-collected.
 func (t *Tree) Persist() int {
 	defer t.span("Persist").End()
-	p := t.pipe
-	// A worker that died (power cut mid-writeback) surfaces here, where an
-	// inline commit would have hit the same device failure.
-	p.checkFailure()
-	p.beginStage()
 	t.cur = t.moveToNVBM(t.cur, morton.Root)
 	t.c0.reset() // the merge drained C0
-	req := &commitReq{root: t.cur, step: t.step, delta: p.endStage(), nv: t.nv}
-	req.bits, req.hw = t.nv.TakeDirtyBits(nil)
-	p.commit(req)
+	t.commit()
 	t.committed = t.cur
 	t.committedStep = t.step
 	t.commitSeq = t.contentSeq

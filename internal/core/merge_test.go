@@ -9,7 +9,6 @@ import (
 
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
-	"pmoctree/internal/pmem"
 )
 
 // moveWalk is the merge walk moveToNVBM replaced, kept as its oracle
@@ -41,12 +40,7 @@ func (t *Tree) moveWalk(r, parent Ref, setParent bool, reparents *nvbm.Stats) Re
 			t.writeChildren(r, &o)
 			before := t.NVBMDevice().Stats()
 			for i, c := range o.Children {
-				if !chIdx[i] {
-					continue
-				}
-				// A child staged moments earlier has no device record
-				// yet: its staged record takes the parent, at no charge.
-				if !t.pipe.staging || !t.pipe.patchParent(c.Handle(), r) {
+				if chIdx[i] {
 					t.writeParentField(c, r)
 				}
 			}
@@ -67,26 +61,9 @@ func (t *Tree) moveWalk(r, parent Ref, setParent bool, reparents *nvbm.Stats) Re
 	if setParent {
 		o.Parent = parent
 	}
-	if t.pipe.staging {
-		t.stageOct(nr, &o)
-	} else {
-		t.writeOct(nr, &o)
-	}
+	t.writeOct(nr, &o)
 	t.dram.Free(r.Handle())
 	return nr
-}
-
-// patchParent updates the parent field of a record staged by the merge
-// currently running, returning false when the slot is not pending. Only
-// the oracle's parent-field stores need it.
-func (p *pipeline) patchParent(h pmem.Handle, parent Ref) bool {
-	p.pendMu.Lock()
-	r, ok := p.pending[h]
-	if ok {
-		putU32(r.rec[offParent:], uint32(parent))
-	}
-	p.pendMu.Unlock()
-	return ok
 }
 
 // mergePair drives one tree through the span-directed merge and its twin
@@ -105,15 +82,10 @@ type mergePair struct {
 	// retired.
 	reparents      nvbm.Stats
 	reparentWrites uint64
-
-	// With a persist worker, each commit's writeback waits at gate until
-	// release lets it through, so both devices are compared at rest.
-	gate     chan struct{}
-	inflight int
 }
 
 func newMergePair(t testing.TB, conf Config) *mergePair {
-	p := &mergePair{t: t, gate: make(chan struct{})}
+	p := &mergePair{t: t}
 	for i := range p.cfg {
 		p.cfg[i] = conf
 		p.cfg[i].NVBMDevice, p.cfg[i].DRAMDevice = nvbm.New(nvbm.NVBM, 0), nvbm.New(nvbm.DRAM, 0)
@@ -123,24 +95,15 @@ func newMergePair(t testing.TB, conf Config) *mergePair {
 }
 
 func (p *mergePair) hook(tr *Tree, oracle bool) *Tree {
-	tr.SetPersistHook(func(stage string) {
-		if stage == "writeback" {
-			<-p.gate
-		}
-	})
 	if oracle {
 		tr.mergeOracle = func(t *Tree, r Ref) Ref { return t.moveWalk(r, NilRef, false, &p.reparents) }
 	}
 	return tr
 }
 
-// release lets every queued writeback through and waits until both trees
-// are durable.
+// release lands both trees' allocation bitmaps, so both devices are
+// compared at rest.
 func (p *mergePair) release() {
-	for ; p.inflight > 0; p.inflight-- {
-		p.gate <- struct{}{}
-		p.gate <- struct{}{}
-	}
 	p.got.Flush()
 	p.want.Flush()
 }
@@ -228,9 +191,6 @@ func (p *mergePair) op(code, arg byte) {
 	case 5:
 		p.release()
 		both(func(tr *Tree) { tr.Persist() })
-		if p.got.cfg.PipelineDepth > 0 {
-			p.inflight++
-		}
 		p.compare()
 	case 6:
 		both(func(tr *Tree) { tr.GC() })
@@ -282,8 +242,7 @@ func (p *mergePair) op(code, arg byte) {
 // coarsen (spatial and scattered), tile scatter, indexed update, eviction,
 // persist, collection, clean restart, compaction, balance, a mid-step
 // layout pass — on a tree and on its twin merging through the walk
-// oracle, synchronous and pipelined, with and without retained versions,
-// behind C0 budgets that fill up (dramFull) and that restart from the
+// oracle, with and without retained versions, behind C0 budgets that fill up (dramFull) and that restart from the
 // bootstrap layout (trunk == nil) after every restore. After every
 // persist the devices must be byte-identical, the span-directed merge
 // must have written exactly the oracle's writes less the oracle's
@@ -293,13 +252,13 @@ func TestMergeMatchesWalkOracle(t *testing.T) {
 	if testing.Short() {
 		seeds, budgets = 1, budgets[:2]
 	}
-	for _, c := range gcConfigs {
+	for _, retain := range gcRetains {
 		for _, budget := range budgets {
-			t.Run(fmt.Sprintf("depth%d_retain%d_c0_%d", c[0], c[1], budget), func(t *testing.T) {
+			t.Run(fmt.Sprintf("depth0_retain%d_c0_%d", retain, budget), func(t *testing.T) {
 				var saved, savedWrites uint64
 				for seed := 0; seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(int64(seed)))
-					p := newMergePair(t, Config{DRAMBudgetOctants: budget, PipelineDepth: c[0], RetainVersions: c[1], Seed: int64(seed)})
+					p := newMergePair(t, Config{DRAMBudgetOctants: budget, RetainVersions: retain, Seed: int64(seed)})
 					for i := 0; i < 120; i++ {
 						code, arg := byte(rng.Intn(len(mergeOps))), byte(rng.Intn(256))
 						if rng.Intn(6) == 0 {
@@ -374,5 +333,51 @@ func TestC0SpansMatchScan(t *testing.T) {
 		if s.below(morton.Root) {
 			t.Fatalf("round %d: a C0 octant below the root after reset", round)
 		}
+	}
+}
+
+// TestEvictSubtreeClearsAccess pins the satellite fix: eviction retires
+// the victim's access count along with its hot-set membership, so a stale
+// pre-eviction count can never skew a later LFA ranking, and dead (non-
+// hot) entries never participate in eviction ordering.
+func TestEvictSubtreeClearsAccess(t *testing.T) {
+	tr := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 256, Seed: 3})
+	tr.SetFeatures(func(c morton.Code) bool { return true })
+	tr.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
+	tr.Persist()
+	if len(tr.hot) == 0 {
+		t.Fatal("retarget selected no hot subtrees")
+	}
+
+	// Give the victim an absurd pre-eviction count; after eviction the
+	// entry must not retain it (the relocation walk re-creates it with
+	// only its own touches, which is the correct post-eviction signal).
+	victim, ok := tr.leastAccessedHot()
+	if !ok {
+		t.Fatal("no hot subtree to evict")
+	}
+	const stale = 1 << 40
+	tr.access[victim] = stale
+	tr.evictSubtree(victim)
+	if tr.hot[victim] {
+		t.Fatal("eviction left the victim in the hot set")
+	}
+	if n := tr.access[victim]; n >= stale {
+		t.Fatalf("eviction left the stale access count %d in place", n)
+	}
+
+	// Eviction ordering ignores dead entries: a huge count on a code that
+	// is NOT hot must not displace the true least-accessed hot subtree.
+	var want morton.Code
+	wantN := ^uint64(0)
+	for c := range tr.hot {
+		if n := tr.access[c]; n < wantN || (n == wantN && c < want) {
+			want, wantN = c, n
+		}
+	}
+	tr.access[victim] = 1 // dead entry: victim is no longer hot
+	got, ok := tr.leastAccessedHot()
+	if !ok || got != want {
+		t.Fatalf("leastAccessedHot returned %v, want %v (dead entries must not participate)", got, want)
 	}
 }

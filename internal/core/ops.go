@@ -65,10 +65,7 @@ func (t *Tree) walkRO(r Ref, fn func(Ref, *Octant) bool) bool {
 	}
 	var buf [RecordSize]byte
 	var o Octant
-	// chargedRead rather than a raw arena read: under the persist
-	// pipeline the committed walk may reach octants still awaiting
-	// writeback, whose truth is the pipeline's pending set.
-	t.chargedRead(r, buf[:])
+	t.arenaFor(r).Read(r.Handle(), buf[:])
 	o.decode(buf[:])
 	if !fn(r, &o) {
 		return false
@@ -184,7 +181,6 @@ func (t *Tree) LeafCodes() []morton.Code { return slices.Clone(t.index().Codes()
 // holding a split (DESIGN.md decision 21).
 func (t *Tree) RefineWhere(pred func(morton.Code) bool, maxLevel uint8) int {
 	defer t.span("Refine").End()
-	t.maybeReclaim()
 	seeded := t.seedSeq == t.topoSeq+1
 	splits, leaves := t.changes[:0], t.refined[:0]
 	for _, c := range t.index().Codes() {

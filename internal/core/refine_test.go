@@ -18,7 +18,6 @@ import (
 // refineWhereWalk is RefineWhere by refineWalk.
 func (t *Tree) refineWhereWalk(pred func(morton.Code) bool, maxLevel uint8) int {
 	before := t.stats.Refines
-	t.maybeReclaim()
 	t.beginIndexEmit()
 	nr, _ := t.refineWalk(t.cur, pred, maxLevel)
 	t.cur = nr
@@ -150,39 +149,22 @@ type rcPair struct {
 	got, want *Tree
 	rng       *rand.Rand
 	at        string // the running operation, for failure messages
-
-	// With a persist worker, each commit's writeback waits at gate until
-	// release lets it through: a collection inside Persist then never
-	// races the worker's commit, and no writeback lands inside a measured
-	// operation.
-	gate     chan struct{}
-	inflight int
 }
 
 func newRCPair(t testing.TB, conf Config, seed int64) *rcPair {
-	p := &rcPair{t: t, rng: rand.New(rand.NewSource(seed)), gate: make(chan struct{})}
+	p := &rcPair{t: t, rng: rand.New(rand.NewSource(seed))}
 	build := func() *Tree {
 		c := conf
 		c.NVBMDevice, c.DRAMDevice = nvbm.New(nvbm.NVBM, 0), nvbm.New(nvbm.DRAM, 0)
-		tr := Create(c)
-		tr.SetPersistHook(func(stage string) {
-			if stage == "writeback" {
-				<-p.gate
-			}
-		})
-		return tr
+		return Create(c)
 	}
 	p.got, p.want = build(), build()
 	return p
 }
 
-// release lets every queued writeback through and waits until both trees
-// are durable.
+// release lands both trees' allocation bitmaps, so no landing falls
+// inside a measured operation.
 func (p *rcPair) release() {
-	for ; p.inflight > 0; p.inflight-- {
-		p.gate <- struct{}{}
-		p.gate <- struct{}{}
-	}
 	p.got.Flush()
 	p.want.Flush()
 }
@@ -233,9 +215,6 @@ func (p *rcPair) op(code, arg byte) {
 		p.release()
 		p.got.Persist()
 		p.want.Persist()
-		if p.got.cfg.PipelineDepth > 0 {
-			p.inflight++
-		}
 		if g, w := commitDigest(p.got), commitDigest(p.want); g != w {
 			p.fatalf("committed digest %#x, oracle %#x", g, w)
 		}
@@ -311,8 +290,8 @@ func (p *rcPair) check(name string, pred func(morton.Code) bool, got, want func(
 }
 
 // settle makes the next operation's device traffic its own and its
-// eviction order independent of access counts. The persist workers go
-// idle (release), and every hot subtree gets the same access count in both trees,
+// eviction order independent of access counts. Both bitmaps land
+// (release), and every hot subtree gets the same access count in both trees,
 // spaced so far apart that no operation's touches can reorder them: the
 // key-space walks read only the changed paths, where the oracle reads
 // every octant, and the LFA ranking is the one thing that may differ.
@@ -366,9 +345,8 @@ func sameBits(a, b []leafEntry) bool {
 // FuzzRefineCoarsen holds the key-space RefineWhere and CoarsenWhere to
 // the whole-tree walks they replaced, over byte-coded scripts of random
 // refinements (recursive to maxLevel, and sparse), cascading collapses,
-// payload updates, Balance and Persist. cfg picks the persist pipeline
-// depth (0 or 2), a C0 budget small enough to evict or the default, and
-// the predicates' seed.
+// payload updates, Balance and Persist. cfg picks a C0 budget small
+// enough to evict or the default, and the predicates' seed.
 func FuzzRefineCoarsen(f *testing.F) {
 	f.Add(byte(0), []byte{0, 3, 4, 0, 2, 1, 5, 0, 0, 2, 3, 0, 5, 0})
 	f.Add(byte(1), []byte{0, 2, 5, 0, 1, 1, 4, 1, 2, 8, 5, 0, 0, 3, 3, 1})
@@ -386,9 +364,6 @@ func FuzzRefineCoarsen(f *testing.F) {
 			return
 		}
 		conf := Config{Seed: 5}
-		if cfg&1 != 0 {
-			conf.PipelineDepth = 2
-		}
 		if cfg&2 != 0 {
 			conf.DRAMBudgetOctants = 24
 		}

@@ -12,7 +12,6 @@ package core
 // index positions dirty into the working version and stamps the index valid
 // again. An empty batch only re-stamps.
 func (t *Tree) writeLeafBatch(dirty []int32) {
-	t.maybeReclaim()
 	if len(dirty) > 0 {
 		// Advance the stamp before the first store: a walk cut short by a
 		// device failure must not leave the index claiming to mirror the

@@ -59,26 +59,17 @@ func (t *Tree) ensurePins() {
 // PinCommitted pins the currently committed version V(i-1) and returns the
 // pin holding one reference. Writer thread only.
 //
-// The newest DURABLE version is pinned, not the host's committed view —
-// the two differ only while a persist worker runs: an enqueued version's
-// octants are not all on the device yet, and pin readers bypass the
-// pipeline's pending set by design (they read from any goroutine, with no
-// claim on pipeline synchronization). Serving therefore always exposes
-// crash-consistent state; Flush first to pin the newest version.
-//
 // When the writer's leaf index is the pinned version's, the pin carries a
 // copy of it (Leaves), so a reader need not walk the version to index it:
-// the pinned step must be the committed one, no topology or payload change
-// may have followed the commit, the index must be valid with no kernel
-// edit pending, and the tree may hold no filler leaf (the index does not
-// mark them).
+// no topology or payload change may have followed the commit, the index
+// must be valid with no kernel edit pending, and the tree may hold no
+// filler leaf (the index does not mark them).
 func (t *Tree) PinCommitted() *VersionPin {
-	root, step := t.pipe.durable()
-	if root.IsNil() || root.InDRAM() {
+	if t.committed.IsNil() || t.committed.InDRAM() {
 		panic("core: no committed NVBM version to pin")
 	}
-	p := t.registerPin(root, step)
-	if step == t.committedStep && t.contentSeq == t.commitSeq && !t.fillers &&
+	p := t.registerPin(t.committed, t.committedStep)
+	if t.contentSeq == t.commitSeq && !t.fillers &&
 		t.idx.ValidFor(t.contentSeq) && !(t.lent && t.idx.HasDirty()) {
 		st := t.idx.CloneLeaves()
 		p.leaves = &st

@@ -121,9 +121,7 @@ func (t *Tree) Validate() error {
 				return false
 			}
 			var co Octant
-			// Pending-aware: under the persist pipeline a committed child
-			// may still await writeback.
-			t.chargedRead(c, t.scratch[:])
+			t.arenaFor(c).Read(c.Handle(), t.scratch[:])
 			co.decode(t.scratch[:])
 			if co.Code != o.Code.Child(i) {
 				err = t.verrf("committed %v child %d has code %v", o.Code, i, co.Code)

@@ -372,44 +372,37 @@ func TestSelectHotMatchesQuadratic(t *testing.T) {
 // TestTransformHistoryMatchesWalkOracle steps the level-5 droplet 40 times
 // on two trees, one collecting candidates through the walk oracle, and
 // requires the same L_sub, hot set, transformation count and committed
-// digest after every Persist, synchronous and pipelined. Synchronously the
-// device traffic must match too. Pipelined it cannot be compared: GC marks
-// every still-queued root, so its reads follow the persist worker's timing
-// (two replaying trees differ as well).
+// digest after every Persist, and the same device traffic.
 func TestTransformHistoryMatchesWalkOracle(t *testing.T) {
 	const maxLevel, steps = 5, 40
 	d := sim.NewDroplet(sim.DropletConfig{Steps: steps})
-	for _, depth := range []int{0, 2} {
-		mk := func() (*Tree, *nvbm.Device) {
-			nv := nvbm.New(nvbm.NVBM, 0)
-			return Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 512, Seed: 3, PipelineDepth: depth}), nv
+	mk := func() (*Tree, *nvbm.Device) {
+		nv := nvbm.New(nvbm.NVBM, 0)
+		return Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 512, Seed: 3}), nv
+	}
+	got, gnv := mk()
+	want, wnv := mk()
+	want.walkOracle = walkCollect
+	for s := 1; s <= steps; s++ {
+		label := fmt.Sprintf("step %d", s)
+		for _, tr := range []*Tree{got, want} {
+			sim.StepField(tr, d, s, maxLevel)
+			tr.SetFeatures(d.Feature(s + 1))
+			tr.Persist()
 		}
-		got, gnv := mk()
-		want, wnv := mk()
-		want.walkOracle = walkCollect
-		for s := 1; s <= steps; s++ {
-			label := fmt.Sprintf("depth %d, step %d", depth, s)
-			for _, tr := range []*Tree{got, want} {
-				sim.StepField(tr, d, s, maxLevel)
-				tr.SetFeatures(d.Feature(s + 1))
-				tr.Persist()
-			}
-			// Device counters first: the digests read the device.
-			if g, w := gnv.Stats(), wnv.Stats(); depth == 0 && g != w {
-				t.Fatalf("%s: device %+v, oracle %+v", label, g, w)
-			}
-			if !maps.Equal(got.hot, want.hot) || got.lsub != want.lsub {
-				t.Fatalf("%s: L_sub %d hot %v, oracle L_sub %d hot %v", label, got.lsub, got.hot, want.lsub, want.hot)
-			}
-			if g, w := got.Stats().Transforms, want.Stats().Transforms; g != w {
-				t.Fatalf("%s: %d transforms, oracle %d", label, g, w)
-			}
-			if g, w := commitDigest(got), commitDigest(want); g != w {
-				t.Fatalf("%s: committed digest %#x, oracle %#x", label, g, w)
-			}
+		// Device counters first: the digests read the device.
+		if g, w := gnv.Stats(), wnv.Stats(); g != w {
+			t.Fatalf("%s: device %+v, oracle %+v", label, g, w)
 		}
-		got.Close()
-		want.Close()
+		if !maps.Equal(got.hot, want.hot) || got.lsub != want.lsub {
+			t.Fatalf("%s: L_sub %d hot %v, oracle L_sub %d hot %v", label, got.lsub, got.hot, want.lsub, want.hot)
+		}
+		if g, w := got.Stats().Transforms, want.Stats().Transforms; g != w {
+			t.Fatalf("%s: %d transforms, oracle %d", label, g, w)
+		}
+		if g, w := commitDigest(got), commitDigest(want); g != w {
+			t.Fatalf("%s: committed digest %#x, oracle %#x", label, g, w)
+		}
 	}
 }
 

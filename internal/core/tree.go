@@ -69,22 +69,15 @@ type Config struct {
 	// Restore returns it. Default 0: superseded versions are reclaimed as
 	// the paper prescribes.
 	RetainVersions int
-	// PipelineDepth, when k > 0, starts a background persist worker:
-	// Persist stages the step's merge delta and returns while the worker
-	// performs the NVBM writeback, fallback-ring push, and commit-record
-	// flip. k bounds the in-flight window (versions enqueued but not yet
-	// durable); Persist blocks when the window is full. It may not exceed
-	// MaxRetainVersions - RetainVersions — every commit claims a
-	// fallback-ring entry, and the retained versions must survive a full
-	// in-flight window (PipelineDepthError otherwise). Default 0: Persist
-	// commits inline, every version durable when it returns. See
-	// pipeline.go for semantics and Flush for the durability barrier.
+	// PipelineDepth is ignored: Persist always commits inline.
+	//
+	// Deprecated: the persist worker it sized is gone. The field stays
+	// only because benchmark/spec.go still sets it.
 	PipelineDepth int
-	// GroupCommit, with PipelineDepth > 0, lets the persist worker
-	// coalesce up to this many queued step deltas into one durable commit:
-	// one writeback batch, one ring push, one commit-record flip naming
-	// the newest version of the group. Versions folded into a group never
-	// get their own commit record. Clamped to [1, PipelineDepth].
+	// GroupCommit is ignored: every Persist makes its own commit.
+	//
+	// Deprecated: the persist worker it configured is gone. The field
+	// stays only because benchmark/spec.go still sets it.
 	GroupCommit int
 
 	// NVBMDevice, when set, is the persistent region to use (e.g. one
@@ -97,16 +90,10 @@ type Config struct {
 // Validate reports configuration errors that defaulting cannot repair:
 // RetainVersions deeper than the persistent fallback ring (which used to
 // be silently clamped — a snapshot catalog sized to the request would
-// then pin fewer versions than promised), and a persist-pipeline window
-// deeper than the ring headroom left after retention.
+// then pin fewer versions than promised).
 func (c Config) Validate() error {
 	if c.RetainVersions > MaxRetainVersions {
 		return &RetainDepthError{Requested: c.RetainVersions, Limit: MaxRetainVersions}
-	}
-	if c.PipelineDepth > 0 {
-		if limit := MaxRetainVersions - c.RetainVersions; c.PipelineDepth > limit {
-			return &PipelineDepthError{Requested: c.PipelineDepth, Limit: limit}
-		}
 	}
 	return nil
 }
@@ -241,9 +228,8 @@ type Tree struct {
 	c0          c0Spans
 	mergeOracle func(*Tree, Ref) Ref
 
-	// pipe is the persist pipeline (pipeline.go). Every tree has one; the
-	// hot read paths consult its pending set only while a worker runs.
-	pipe *pipeline
+	// hook is the persist hook (commit.go), nil when none is set.
+	hook func(stage string)
 
 	// Snapshot pin registry (snapshot.go): committed versions held alive
 	// for concurrent readers. pinMu orders reader Releases against the
@@ -311,7 +297,6 @@ func Create(cfg Config) *Tree {
 	t.nv.SetRoot(rootSlotStep, 0)
 	t.committed = r
 	t.cur = r
-	t.startPipeline()
 	return t
 }
 
@@ -333,14 +318,10 @@ func Restore(cfg Config) (*Tree, error) {
 // observe reformatted slots (reads stay memory-safe, results become
 // garbage).
 func (t *Tree) Delete() {
-	// In-flight versions die with the tree; stop the worker before the
-	// arenas are reformatted under it.
-	t.AbortPipeline()
 	t.dram = pmem.NewArena(t.cfg.DRAMDevice, RecordSize)
 	t.nv = pmem.NewArena(t.cfg.NVBMDevice, RecordSize)
 	t.committed, t.cur = NilRef, NilRef
 	t.led = newLedger("", NilRef, 0)
-	t.pipe.rebind(NilRef, 0)
 	t.c0.reset()
 	t.hot = map[morton.Code]bool{}
 	t.trunk = nil
@@ -430,11 +411,6 @@ func (t *Tree) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	})
 	r.RegisterFunc("core.gc.full_collections", func() float64 { return float64(t.led.fulls) })
 	r.RegisterFunc("core.gc.pending", func() float64 { return float64(t.led.held) })
-	r.RegisterFunc("core.pipeline.enqueued", func() float64 { return float64(t.PipelineStats().Enqueued) })
-	r.RegisterFunc("core.pipeline.committed", func() float64 { return float64(t.PipelineStats().Committed) })
-	r.RegisterFunc("core.pipeline.coalesced", func() float64 { return float64(t.PipelineStats().Coalesced) })
-	r.RegisterFunc("core.pipeline.stalls", func() float64 { return float64(t.PipelineStats().Stalls) })
-	r.RegisterFunc("core.pipeline.pending", func() float64 { return float64(t.PipelineStats().Pending) })
 	telemetry.RegisterDevice(r, prefix+".nvbm", t.cfg.NVBMDevice)
 	telemetry.RegisterDevice(r, prefix+".dram", t.cfg.DRAMDevice)
 }
@@ -466,25 +442,11 @@ func (t *Tree) arenaFor(r Ref) *pmem.Arena {
 	return t.nv
 }
 
-// chargedRead fills buf from the record at r, serving NVBM slots that are
-// staged in the persist pipeline but not yet written back from the
-// pipeline's pending set (read-your-writes). A pending hit still charges
-// the modeled device read, so modeled traffic — and therefore the golden
-// statistics — does not depend on writeback timing. With no worker
-// running this is exactly the arena read, and takes no lock.
-func (t *Tree) chargedRead(r Ref, buf []byte) {
-	if pp := t.pipe; pp.async && !r.InDRAM() && pp.readPendingField(r.Handle(), 0, buf) {
-		t.cfg.NVBMDevice.ChargeRead(len(buf))
-		return
-	}
-	t.arenaFor(r).Read(r.Handle(), buf)
-}
-
 // readOct loads the octant at r and records a subtree access.
 func (t *Tree) readOct(r Ref) Octant {
 	var o Octant
 	var buf [RecordSize]byte
-	t.chargedRead(r, buf[:])
+	t.arenaFor(r).Read(r.Handle(), buf[:])
 	o.decode(buf[:])
 	t.touch(o.Code)
 	return o
@@ -533,16 +495,9 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 	t.arenaFor(r).WriteField(r.Handle(), offFlags, buf[:])
 }
 
-// readVersion loads only the version word at r, consulting the persist
-// worker's pending set first while one runs (the staged record is the
-// truth for a slot whose writeback has not landed; the modeled field read
-// is still charged).
+// readVersion loads only the version word at r.
 func (t *Tree) readVersion(r Ref) uint64 {
 	var buf [8]byte
-	if pp := t.pipe; pp.async && !r.InDRAM() && pp.readPendingField(r.Handle(), offVersion, buf[:]) {
-		t.cfg.NVBMDevice.ChargeRead(len(buf))
-		return getU64(buf[:])
-	}
 	t.arenaFor(r).ReadField(r.Handle(), offVersion, buf[:])
 	return getU64(buf[:])
 }

@@ -54,9 +54,6 @@ type Scale struct {
 
 	RecoveryCrashStep int
 	RecoveryMaxLevel  uint8
-
-	PipelineSteps    int
-	PipelineMaxLevel uint8
 }
 
 // DefaultScale returns the fast configuration.
@@ -88,9 +85,6 @@ func DefaultScale() Scale {
 
 		RecoveryCrashStep: 15,
 		RecoveryMaxLevel:  5,
-
-		PipelineSteps:    12,
-		PipelineMaxLevel: 5,
 	}
 }
 
@@ -113,7 +107,6 @@ func PaperScale() Scale {
 	s.Fig11Levels = []uint8{4, 5, 6}
 	s.Fig11Ranks = 4
 	s.Fig11Steps = 6
-	s.PipelineSteps = 30
 	return s
 }
 

@@ -302,6 +302,15 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 	if n := srv.mismatchCount(); n > 0 {
 		return rep, fmt.Errorf("snapshot immutability violated: %d double-pass mismatches on pinned versions", n)
 	}
+	// The device the soak ends with restores to a version it committed. The
+	// restore runs on a clone, so the report does not depend on it.
+	final, rrep, err := core.RestoreWithReport(mkConfig(nv.Clone()))
+	if err != nil {
+		return rep, fmt.Errorf("final restore: %w", err)
+	}
+	if !history[commitDigest(final)] {
+		return rep, fmt.Errorf("final restore landed on step %d, a version that was never committed", rrep.ChosenStep)
+	}
 	return rep, nil
 }
 

@@ -9,7 +9,7 @@ import (
 	"pmoctree/internal/core"
 )
 
-// TestMain runs the chaos, pipeline, construct and router soaks with the
+// TestMain runs the chaos, construct and router soaks with the
 // GC ledger's self-check on: every ledger collection of every tree they
 // build is compared with the mark-and-sweep oracle, and a difference fails
 // the run.

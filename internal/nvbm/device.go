@@ -264,10 +264,9 @@ func (d *Device) WriteAt(off int, p []byte) {
 // concurrent writers touch disjoint cache LINES; with media tracking on,
 // however, every store recomputes the whole per-line CRC shadow, so two
 // writers whose byte ranges are disjoint but SHARE a line can publish a
-// stale checksum for each other's bytes — false corruption. The persist
-// pipeline's background writeback uses this entry point because octant
-// records are not line-aligned (adjacent arena slots share lines with
-// whatever the mutator writes in the same instant). Latency accounting
+// stale checksum for each other's bytes — false corruption. The arena's
+// span stores and bitmap landings use this entry point, so they never
+// race a store to a line they share. Latency accounting
 // and any injected spin delay happen outside the lock, exactly like
 // WriteAt, so exclusivity costs only the data copy.
 func (d *Device) WriteAtExclusive(off int, p []byte) {

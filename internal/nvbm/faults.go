@@ -26,8 +26,7 @@ import (
 // even when their byte ranges are disjoint. With tracking on, enable only
 // single-writer phases or line-disjoint access patterns per lock class —
 // or route one side through WriteAtExclusive, which serializes against
-// every other access, as the persist pipeline's background writeback does
-// (its slot payloads are not line-aligned).
+// every other access.
 
 // zeroLineCRC is the CRC-32 of an all-zero full line, used to initialize
 // the shadow for freshly grown (zeroed) capacity.

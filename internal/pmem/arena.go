@@ -13,7 +13,8 @@
 //
 // An Arena manages fixed-size slots inside one device. Slot liveness is
 // recorded in a persistent allocation bitmap, so a crashed process rebuilds
-// its volatile free list from one small sequential read — the allocator is
+// its volatile allocation state from one small sequential read (and lists
+// its free slots only when it first allocates or frees) — the allocator is
 // crash-consistent without a log, and recovery cost is metadata-sized, not
 // data-sized. Allocations and frees change only a volatile mirror of the
 // bitmap; the caller lands the words they dirtied, and the high-water
@@ -107,24 +108,13 @@ func geometrySum(slotSize, stride, maxSlots int) uint64 {
 }
 
 // Arena is a fixed-slot allocator over a Device. It is not safe for
-// general concurrent use; each simulation rank owns its arenas. Two
-// exceptions are carved out:
-//
-//   - MVCC serving: Read/ReadField/Live/HighWater on slots that are never
-//     freed or rewritten (committed, pinned octree versions) may run
-//     concurrently with the single writer's AllocRaw/Write on OTHER slots
-//     — the high-water mark is atomic and the device tolerates
-//     disjoint-range access racing Grow.
-//   - Persist writeback: a single background worker may WriteExclusive to
-//     slots the mutator does not concurrently read or write, while the
-//     mutator keeps allocating, freeing and writing other slots. All
-//     volatile allocation bookkeeping (free list, liveWords mirror, dirty
-//     set, zeroBuf) stays mutator-owned — the worker only stores payloads
-//     into slots the mutator already allocated, and lands bitmap words
-//     the mutator snapshotted (WriteBitsExclusive; the mutator never
-//     writes the bitmap or high-water bytes itself). It does so under the
-//     device's exclusive lock because adjacent slot payloads can share a
-//     cache line (see nvbm.Device.WriteAtExclusive).
+// general concurrent use; each simulation rank owns its arenas. One
+// exception is carved out, MVCC serving: Read/ReadField/Live/HighWater on
+// slots that are never freed or rewritten (committed, pinned octree
+// versions) may run concurrently with the single writer's AllocRaw/Write
+// on OTHER slots — the high-water mark is atomic and the device tolerates
+// disjoint-range access racing Grow. All volatile allocation bookkeeping
+// (free list, liveWords mirror, dirty set, zeroBuf) belongs to the writer.
 type Arena struct {
 	dev      *nvbm.Device
 	slotSize int // user-visible bytes per slot
@@ -138,6 +128,10 @@ type Arena struct {
 	highWater atomic.Uint32
 	free      []uint32 // volatile free list of 0-based slot indexes
 	live      int      // currently allocated slots
+	// unlisted is set by OpenArena: free does not hold the mirror's free
+	// slots yet. The first AllocRaw, Free or FreeSet lists them (listFree),
+	// so a reopened arena that only serves reads never builds the list.
+	unlisted bool
 
 	// budget, when nonzero, is the slot capacity used for utilization
 	// tracking (threshold_DRAM / threshold_NVBM in the paper). The arena
@@ -167,8 +161,8 @@ type Arena struct {
 	// zeroBuf is the reusable zeroing buffer for Alloc. It is only ever
 	// passed to dev.WriteAt, which copies it, so it stays all-zero. It is
 	// built eagerly at construction: a lazy first-Alloc initialization
-	// would be an unsynchronized field store racing any concurrent
-	// reader/persister goroutine that shares the Arena value.
+	// would be an unsynchronized field store racing any concurrent reader
+	// goroutine that shares the Arena value.
 	zeroBuf []byte
 }
 
@@ -217,8 +211,10 @@ func NewArenaCap(dev *nvbm.Device, slotSize, maxSlots int) *Arena {
 }
 
 // OpenArena maps an existing formatted arena in dev, rebuilding the
-// volatile free list from the persistent allocation bitmap — one small
-// sequential read, the recovery path after a crash or restart.
+// volatile allocation mirror and live count from the persistent allocation
+// bitmap — one small sequential read, the recovery path after a crash or
+// restart. The free list is built from the mirror on the first allocation
+// or free (listFree), in the order an eager build would give it.
 func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	if dev.Size() < headerSize {
 		return nil, fmt.Errorf("pmem: device too small (%d bytes) to hold an arena header", dev.Size())
@@ -254,9 +250,9 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	if hw := a.highWater.Load(); hw > 0 && a.slotOff(hw-1)+a.stride > dev.Size() {
 		return nil, fmt.Errorf("pmem: corrupt arena geometry: high water %d ends past the device (%d bytes)", hw, dev.Size())
 	}
-	// Rebuild the mirror and the free list from the bitmap prefix covering
-	// handed-out slots: one sequential read, then one word at a time. Bits
-	// past the high water are ignored.
+	// Rebuild the mirror from the bitmap prefix covering handed-out slots:
+	// one sequential read, then one word at a time. Bits past the high
+	// water are ignored.
 	n := int(a.highWater.Load())
 	if n > 0 {
 		bm := make([]byte, (n+63)/64*8)
@@ -271,18 +267,26 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 			a.liveWords[wi] = w
 			a.live += bits.OnesCount64(w)
 		}
-		a.free = make([]uint32, 0, n-a.live)
-		for wi, w := range a.liveWords {
-			free := ^w
-			if rem := n - 64*wi; rem < 64 {
-				free &= 1<<rem - 1
-			}
-			for ; free != 0; free &= free - 1 {
-				a.free = append(a.free, uint32(64*wi+bits.TrailingZeros64(free)))
-			}
-		}
+		a.unlisted = true
 	}
 	return a, nil
+}
+
+// listFree builds the free list of a reopened arena (unlisted) from the
+// mirror, in ascending slot order, on its first allocation or free.
+func (a *Arena) listFree() {
+	a.unlisted = false
+	n := int(a.highWater.Load())
+	a.free = make([]uint32, 0, n-a.live)
+	for wi, w := range a.liveWords {
+		free := ^w
+		if rem := n - 64*wi; rem < 64 {
+			free &= 1<<rem - 1
+		}
+		for ; free != 0; free &= free - 1 {
+			a.free = append(a.free, uint32(64*wi+bits.TrailingZeros64(free)))
+		}
+	}
 }
 
 // bitmapBytes returns the persistent bitmap size.
@@ -348,6 +352,9 @@ func (a *Arena) Alloc() Handle {
 // overwrite the whole payload (the octree always writes a full record into
 // a fresh slot) use this to avoid a redundant full-slot write.
 func (a *Arena) AllocRaw() Handle {
+	if a.unlisted {
+		a.listFree()
+	}
 	var idx uint32
 	if a.wearLevel && a.fifoHead < len(a.free) {
 		idx = a.free[a.fifoHead]
@@ -441,6 +448,9 @@ func (a *Arena) Free(h Handle) {
 // Free of each of those handles in turn would leave it. Set bits of slots
 // that are not allocated are ignored.
 func (a *Arena) FreeSet(dead []uint64) int {
+	if a.unlisted {
+		a.listFree()
+	}
 	n := 0
 	for wi := 0; wi < len(dead) && wi < len(a.liveWords); wi++ {
 		group := dead[wi] & a.liveWords[wi]
@@ -462,6 +472,9 @@ func (a *Arena) FreeSet(dead []uint64) int {
 func (a *Arena) freeIndex(idx uint32) {
 	if !a.bit(idx) {
 		panic(fmt.Sprintf("pmem: double free of handle %d", idx+1))
+	}
+	if a.unlisted {
+		a.listFree()
 	}
 	a.setBit(idx, false)
 	a.free = append(a.free, idx)
@@ -511,21 +524,6 @@ func (a *Arena) Write(h Handle, p []byte) {
 	a.dev.WriteAt(a.slotOff(idx), p)
 }
 
-// WriteExclusive copies p into the slot payload like Write, but performs
-// the device store under the device's exclusive lock. The persist
-// pipeline's background worker uses it for octant writeback: slot
-// payloads are not cache-line aligned, so a worker write and a mutator
-// write to ADJACENT slots can share a line, which the shared-lock write
-// path only tolerates while media tracking is off (see
-// nvbm.Device.WriteAtExclusive).
-func (a *Arena) WriteExclusive(h Handle, p []byte) {
-	idx := a.index(h)
-	if len(p) > a.slotSize {
-		p = p[:a.slotSize]
-	}
-	a.dev.WriteAtExclusive(a.slotOff(idx), p)
-}
-
 // Stride returns the allocated bytes per slot: the payload size rounded
 // up to 8-byte alignment. Consecutive slot offsets differ by exactly
 // Stride.
@@ -533,12 +531,11 @@ func (a *Arena) Stride() int { return a.stride }
 
 // WriteSpanExclusive stores p — the images of one or more CONSECUTIVE
 // slots, laid out at Stride intervals starting with slot h — in a single
-// exclusive device access. The persist pipeline's worker coalesces a
-// batch of adjacent writeback records into spans: one store amortizes the
-// per-access device latency and the exclusive lock across the run, which
-// is where group persistence earns its name. The caller must own every
-// slot the span covers (the inter-record padding bytes are written too;
-// they are zero in fresh slots and unobservable through Read).
+// exclusive device access. Bulk construction stores an AllocRun's records
+// this way: one store amortizes the per-access device latency across the
+// run. The caller must own every slot the span covers (the inter-record
+// padding bytes are written too; they are zero in fresh slots and
+// unobservable through Read).
 func (a *Arena) WriteSpanExclusive(h Handle, p []byte) {
 	a.dev.WriteAtExclusive(a.slotOff(a.index(h)), p)
 }
@@ -577,10 +574,8 @@ func (a *Arena) TakeDirtyBits(dst []BitWord) ([]BitWord, uint32) {
 // and adjacent ones coalesced into single exclusive device writes (a
 // step's allocations are near-sequential, so a few thousand bit flips
 // typically collapse into one span), then the high-water mark is stored.
-// Words given more than once apply last-wins, so a persist worker may
-// concatenate the snapshots of a whole commit group in enqueue order.
-// Safe from the persist worker: the mutator never writes the bitmap or
-// high-water device bytes itself. A power cut mid-span tears at line
+// Words given more than once apply last-wins, so snapshots taken one after
+// another may be concatenated in the order taken. A power cut mid-span tears at line
 // granularity — untouched words keep their old durable value, which
 // describes only slots no durable root references (leaks at worst). With
 // no words it stores nothing: every allocation dirties a word, so the
@@ -592,7 +587,7 @@ func (a *Arena) WriteBitsExclusive(words []BitWord, highWater uint32) {
 	byIndex := func(a, b BitWord) int { return cmp.Compare(a.Index, b.Index) }
 	sorted := words
 	if !slices.IsSortedFunc(words, byIndex) {
-		// A commit group's concatenated snapshots. Stable: duplicate
+		// Concatenated snapshots. Stable: duplicate
 		// Indexes keep their given order, so last-wins below really
 		// applies the NEWEST snapshot of a word. An unstable sort could
 		// land a pre-allocation value of a word over the snapshot that set

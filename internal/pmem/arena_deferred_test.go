@@ -85,9 +85,9 @@ func TestTakeDirtyBitsAscending(t *testing.T) {
 	}
 }
 
-// TestArenaDeferredBitsLastWins pins the commit-group concatenation rule:
-// when snapshots taken at two enqueue points both contain the same bitmap
-// word, WriteBitsExclusive must land the LATER snapshot's value. (A
+// TestArenaDeferredBitsLastWins pins the concatenation rule: when
+// snapshots taken one after another both contain the same bitmap word,
+// WriteBitsExclusive must land the LATER snapshot's value. (A
 // regression here once let an unstable sort write a pre-allocation word
 // value over the snapshot carrying a newly committed version's bits,
 // leaving the flipped version referencing officially-free slots.)
@@ -103,7 +103,7 @@ func TestArenaDeferredBitsLastWins(t *testing.T) {
 		t.Fatalf("high water did not advance: %d then %d", hw1, hw2)
 	}
 
-	// One group commit: both snapshots, enqueue order, newest wins.
+	// Both snapshots in the order taken: the newest wins.
 	a.WriteBitsExclusive(append(snap1, snap2...), hw2)
 	b, err := OpenArena(dev)
 	if err != nil {

@@ -1,101 +1,11 @@
 package pmem
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"pmoctree/internal/nvbm"
 )
-
-// TestArenaPersistWorkerRace pins the persist-writeback carve-out in the
-// Arena contract: a single background worker storing payloads through
-// WriteExclusive into already-allocated slots, concurrent with the
-// mutator allocating, writing, freeing and growing OTHER slots. Media
-// tracking is on, so the per-line CRC shadow would flag the historical
-// races this carve-out exists to exclude — adjacent slots sharing a cache
-// line (the slot payload is not line-aligned), the lazily-initialized
-// zero buffer, and device growth under a concurrent writer. Run with
-// -race; the data race on any shared scratch would also trip the
-// detector directly.
-func TestArenaPersistWorkerRace(t *testing.T) {
-	const (
-		slotSize = 88 // core.RecordSize: deliberately not line-aligned
-		pool     = 64 // slots owned by the persist worker
-		churn    = 48 // allocation churn per mutator round
-		rounds   = 200
-	)
-	dev := nvbm.New(nvbm.NVBM, 0)
-	dev.EnableMediaTracking()
-	a := NewArena(dev, slotSize)
-
-	fill := func(h Handle, tag byte) []byte {
-		p := make([]byte, slotSize)
-		for i := range p {
-			p[i] = tag ^ byte(i) ^ byte(h)
-		}
-		return p
-	}
-
-	// The worker's slots are allocated up front by the mutator (the
-	// worker never touches allocation bookkeeping); the slots at the pool
-	// boundary share cache lines with the mutator's churn slots, which is
-	// exactly the overlap WriteExclusive exists to make safe.
-	workerSlots := make([]Handle, pool)
-	for i := range workerSlots {
-		workerSlots[i] = a.Alloc()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := 0; r < rounds; r++ {
-			for _, h := range workerSlots {
-				a.WriteExclusive(h, fill(h, byte(r)))
-			}
-		}
-	}()
-
-	// Mutator: churn allocations hard enough to force repeated device
-	// Grow while the worker writes. Freed slots recycle only within the
-	// mutator's own set, so the two ranges stay disjoint.
-	held := map[Handle][]byte{}
-	for r := 0; r < rounds; r++ {
-		for i := 0; i < churn; i++ {
-			h := a.Alloc()
-			p := fill(h, 0xA5)
-			a.Write(h, p)
-			held[h] = p
-		}
-		for h, want := range held {
-			got := make([]byte, slotSize)
-			a.Read(h, got)
-			if !bytes.Equal(got, want) {
-				t.Errorf("round %d: mutator slot %v corrupted", r, h)
-			}
-			if len(held) > churn/2 {
-				a.Free(h)
-				delete(held, h)
-			}
-		}
-	}
-	<-done
-
-	// Every worker slot carries the final round's payload intact.
-	for _, h := range workerSlots {
-		got := make([]byte, slotSize)
-		a.Read(h, got)
-		if !bytes.Equal(got, fill(h, byte(rounds-1))) {
-			t.Fatalf("worker slot %v corrupted after concurrent churn", h)
-		}
-	}
-	// The CRC shadow agrees with the media everywhere — a torn line-level
-	// checksum update (two writers recomputing the same line's CRC) would
-	// surface here even when the payload bytes happen to survive.
-	if dev.RangeCorrupt(0, dev.Size()) {
-		t.Fatalf("CRC shadow inconsistent after concurrent writeback: corrupt lines %v", dev.CorruptLines())
-	}
-}
 
 // TestArenaZeroBufEagerInit pins the satellite fix directly: the zeroing
 // buffer exists before the first Alloc, so a reader goroutine sharing the

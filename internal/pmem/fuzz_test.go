@@ -47,8 +47,12 @@ func FuzzArenaOps(f *testing.F) {
 					t.Fatalf("op %d: reopened mirror %x (hw %d), landed %x (hw %d)",
 						i, re.LiveWords(), re.HighWater(), a.LiveWords(), a.HighWater())
 				}
+				if a.unlisted {
+					a.listFree()
+				}
 				want := slices.Clone(a.free)
 				slices.Sort(want)
+				re.listFree()
 				if !slices.Equal(re.free, want) {
 					t.Fatalf("op %d: reopened free list %v, want %v", i, re.free, want)
 				}

@@ -30,9 +30,12 @@ func openPerBit(dev *nvbm.Device) (liveWords []uint64, free []uint32, live int) 
 }
 
 // TestOpenArenaMatchesPerBit holds OpenArena's word-at-a-time rebuild to
-// the per-bit loop: the same mirror, free list and live count, with high
-// waters inside and at the end of a word, and with stray bitmap bits past
-// the high water (which both must ignore).
+// the per-bit loop: the same mirror and live count at open, and the same
+// free list once the first allocation lists it, with high waters inside
+// and at the end of a word, and with stray bitmap bits past the high
+// water (which both must ignore). A reopened arena that allocates every
+// free slot gets them in the order the per-bit list hands them out: last
+// first (LIFO), and first first under wear levelling (FIFO).
 func TestOpenArenaMatchesPerBit(t *testing.T) {
 	for _, hw := range []int{1, 63, 64, 65, 700, 4096, 5000} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -56,12 +59,36 @@ func TestOpenArenaMatchesPerBit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(r.LiveWords(), wantWords) || !slices.Equal(r.free, wantFree) || r.LiveCount() != wantLive {
+			if !slices.Equal(r.LiveWords(), wantWords) || r.LiveCount() != wantLive {
 				t.Fatalf("hw %d seed %d: rebuild differs from the per-bit loop (live %d, want %d)",
 					hw, seed, r.LiveCount(), wantLive)
 			}
 			if r.LiveCount() != a.LiveCount() {
 				t.Fatalf("hw %d seed %d: reopened live %d, landed %d", hw, seed, r.LiveCount(), a.LiveCount())
+			}
+			r.listFree()
+			if !slices.Equal(r.free, wantFree) {
+				t.Fatalf("hw %d seed %d: listed %d free slots, the per-bit loop %d", hw, seed, len(r.free), len(wantFree))
+			}
+
+			for _, fifo := range []bool{false, true} {
+				r, err := OpenArena(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.SetWearLeveling(fifo)
+				order := slices.Clone(wantFree)
+				if !fifo {
+					slices.Reverse(order)
+				}
+				for i, idx := range order {
+					if h := r.AllocRaw(); h != Handle(idx+1) {
+						t.Fatalf("hw %d seed %d fifo %v: allocation %d got handle %d, eager listing gives %d", hw, seed, fifo, i, h, idx+1)
+					}
+				}
+				if h := r.AllocRaw(); h != Handle(hw+1) {
+					t.Fatalf("hw %d seed %d fifo %v: allocation past the free slots got handle %d, want %d", hw, seed, fifo, h, hw+1)
+				}
 			}
 		}
 	}

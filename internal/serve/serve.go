@@ -17,9 +17,8 @@
 //     binary-searched key windows — no tree pointer chasing on the hot
 //     path. A version the writer publishes right after its commit arrives
 //     with a copy of the writer's own index. Any other version (a restored
-//     tree's, a fallback-ring version, the older durable version a
-//     pipelined writer pins while its newest commit is in flight, a tree
-//     holding filler leaves) is read in place: its points descend
+//     tree's, a fallback-ring version, a tree holding filler leaves) is
+//     read in place: its points descend
 //     the pinned tree, and its first region, aggregate or LeafCount builds
 //     the index with one charged walk, which every later point uses.
 //   - Scheduler: bounded admission. Requests queue up to a fixed depth and
