@@ -94,58 +94,62 @@ func randomMesh(seed int64) func(tr *Tree) {
 // TestBalanceMatchesOracle holds the key-space Balance to the tree-walk
 // fixed point it replaced: same leaves with the same inherited payloads,
 // same refine count, same content digest, and the independent checks
-// (IsBalanced, Validate) pass.
+// (IsBalanced, Validate) pass, at each of pipelineDepths.
 func TestBalanceMatchesOracle(t *testing.T) {
 	cases := balanceCases
 	for seed := int64(1); seed <= 8; seed++ {
 		cases = append(cases, balanceCase{fmt.Sprintf("random%d", seed), randomMesh(seed), 0})
 	}
 	for _, tc := range cases {
-		t.Run(tc.name+"/depth0", func(t *testing.T) {
-			build := func() *Tree {
-				tr := Create(Config{DRAMBudgetOctants: 64, Seed: 3})
-				tc.build(tr)
-				tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
-					*d = constructPayload(c)
-					return true
-				})
-				return tr
-			}
-			got, want := build(), build()
+		for _, depth := range pipelineDepths {
+			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
+				build := func() *Tree {
+					tr := Create(Config{DRAMBudgetOctants: 64, Seed: 3, PipelineDepth: depth})
+					tc.build(tr)
+					tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+						*d = constructPayload(c)
+						return true
+					})
+					return tr
+				}
+				got, want := build(), build()
+				defer got.Close()
+				defer want.Close()
 
-			wantN, rounds := balanceOracle(want)
-			if rounds < tc.minRounds {
-				t.Fatalf("oracle needed %d rounds, case promises >= %d", rounds, tc.minRounds)
-			}
-			if gotN := got.Balance(); gotN != wantN {
-				t.Errorf("Balance refined %d, oracle %d", gotN, wantN)
-			}
-			if !reflect.DeepEqual(leafSet(got, got.cur), leafSet(want, want.cur)) {
-				t.Error("leaf sets differ")
-			}
-			if g, w := workingDigest(got), workingDigest(want); g != w {
-				t.Errorf("working digest %#x, oracle %#x", g, w)
-			}
-			if !got.IsBalanced() {
-				t.Error("IsBalanced false after Balance")
-			}
-			if err := got.Validate(); err != nil {
-				t.Error(err)
-			}
-			walked := 0
-			got.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { walked++; return true })
-			if n := got.LeafCount(); n != walked {
-				t.Errorf("LeafCount %d, walk counts %d", n, walked)
-			}
-			got.Persist()
-			want.Persist()
-			if g, w := commitDigest(got), commitDigest(want); g != w {
-				t.Errorf("committed digest %#x, oracle %#x", g, w)
-			}
-			if again := got.Balance(); again != 0 {
-				t.Errorf("second Balance refined %d", again)
-			}
-		})
+				wantN, rounds := balanceOracle(want)
+				if rounds < tc.minRounds {
+					t.Fatalf("oracle needed %d rounds, case promises >= %d", rounds, tc.minRounds)
+				}
+				if gotN := got.Balance(); gotN != wantN {
+					t.Errorf("Balance refined %d, oracle %d", gotN, wantN)
+				}
+				if !reflect.DeepEqual(leafSet(got, got.cur), leafSet(want, want.cur)) {
+					t.Error("leaf sets differ")
+				}
+				if g, w := workingDigest(got), workingDigest(want); g != w {
+					t.Errorf("working digest %#x, oracle %#x", g, w)
+				}
+				if !got.IsBalanced() {
+					t.Error("IsBalanced false after Balance")
+				}
+				if err := got.Validate(); err != nil {
+					t.Error(err)
+				}
+				walked := 0
+				got.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { walked++; return true })
+				if n := got.LeafCount(); n != walked {
+					t.Errorf("LeafCount %d, walk counts %d", n, walked)
+				}
+				got.Persist()
+				want.Persist()
+				if g, w := commitDigest(got), commitDigest(want); g != w {
+					t.Errorf("committed digest %#x, oracle %#x", g, w)
+				}
+				if again := got.Balance(); again != 0 {
+					t.Errorf("second Balance refined %d", again)
+				}
+			})
+		}
 	}
 }
 

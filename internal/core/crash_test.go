@@ -18,12 +18,25 @@ import (
 // It runs with the default RetainVersions 0, where GC frees and reuses the
 // most slots before the next landing, and again in a retain=1 group, where
 // restore keeps a superseded version whose slots must stay allocated too.
+// The depth=2 group repeats both on a Config carrying the deprecated
+// PipelineDepth 2, which Persist ignores, and spreads its cut points over
+// the phase length the removed persist worker had (workerPhaseWrites), so
+// it cuts at offsets the depth-0 spreads do not.
 func TestPowerCutTorture(t *testing.T) {
-	powerCutTorture(t, 0)
-	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 1) })
+	powerCutTorture(t, 0, 0)
+	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 0, 1) })
+	t.Run("depth=2", func(t *testing.T) {
+		powerCutTorture(t, 2, 0)
+		t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 2, 1) })
+	})
 }
 
-func powerCutTorture(t *testing.T, retain int) {
+// workerPhaseWrites is, per RetainVersions, how many writes the doomed
+// phase made when a persist worker two versions deep wrote its versions
+// back. The inline phase writes more, so every spread point is a cut.
+var workerPhaseWrites = map[int]int{0: 3790, 1: 3792}
+
+func powerCutTorture(t *testing.T, depth, retain int) {
 	// Dry run to learn how many NVBM writes the doomed phase performs. The
 	// power-cut countdown counts every write: an armed cut of n leaves the
 	// power lost after the phase exactly when the phase made at least n
@@ -31,7 +44,7 @@ func powerCutTorture(t *testing.T, retain int) {
 	// n+1.
 	lostAfter := func(n int) bool {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, retain)
+		tree, _ := buildBase(t, nv, depth, retain)
 		nv.CutPowerAfter(n)
 		func() {
 			defer func() { recover() }()
@@ -40,7 +53,7 @@ func powerCutTorture(t *testing.T, retain int) {
 		return nv.PowerLost()
 	}
 	nv := nvbm.New(nvbm.NVBM, 0)
-	tree, _ := buildBase(t, nv, retain)
+	tree, _ := buildBase(t, nv, depth, retain)
 	before := nv.Stats().Writes
 	doomedPhase(tree)
 	totalWrites := int(nv.Stats().Writes - before)
@@ -56,7 +69,7 @@ func powerCutTorture(t *testing.T, retain int) {
 	// commit store (deterministic, so computed once).
 	fullVersion := func() map[morton.Code][DataWords]float64 {
 		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, _ := buildBase(t, nv, retain)
+		tree, _ := buildBase(t, nv, depth, retain)
 		doomedPhase(tree)
 		return leafSet(tree, tree.CommittedRoot())
 	}()
@@ -65,16 +78,24 @@ func powerCutTorture(t *testing.T, retain int) {
 	// the commit machinery lives: the ring push, the commit flip and the
 	// bitmap landing end the phase), plus two spreads of points covering
 	// the whole phase, whose strides differ by one so that their points
-	// fall at different offsets.
+	// fall at different offsets. The depth=2 group lays the same pattern
+	// over the worker's shorter phase.
+	span := totalWrites
+	if depth != 0 {
+		span = workerPhaseWrites[retain]
+		if span > totalWrites {
+			t.Fatalf("the phase makes %d writes, fewer than the %d the cut points spread over", totalWrites, span)
+		}
+	}
 	points := map[int]bool{}
 	for n := 0; n <= 20; n++ {
 		points[n] = true
 	}
-	for n := totalWrites - 10; n <= totalWrites; n++ {
+	for n := span - 10; n <= span; n++ {
 		points[n] = true
 	}
-	for _, stride := range []int{totalWrites / 24, totalWrites/24 + 1} {
-		for n := 0; n <= totalWrites; n += stride {
+	for _, stride := range []int{span / 24, span/24 + 1} {
+		for n := 0; n <= span; n += stride {
 			points[n] = true
 		}
 	}
@@ -83,7 +104,7 @@ func powerCutTorture(t *testing.T, retain int) {
 		n := n
 		t.Run(fmt.Sprintf("cut-after-%d-writes", n), func(t *testing.T) {
 			nv := nvbm.New(nvbm.NVBM, 0)
-			tree, history := buildBase(t, nv, retain)
+			tree, history := buildBase(t, nv, depth, retain)
 			nv.CutPowerAfter(n)
 			// The doomed process may die with a panic once its writes
 			// stop landing; that is exactly a crash.
@@ -109,33 +130,35 @@ func powerCutTorture(t *testing.T, retain int) {
 // again, restore lands on the version before, with every slot it and the
 // retained version reach allocated.
 func TestLostLandingFailsCommit(t *testing.T) {
-	t.Run("depth=0", func(t *testing.T) {
-		nv := nvbm.New(nvbm.NVBM, 0)
-		tree, history := buildBase(t, nv, 1)
-		// Rewrite the metadata in place up to a wear limit no record
-		// line reaches during the phase, so only metadata stores drop.
-		meta := tree.nv.DataOffset()
-		limit := nv.WearMax(meta, nv.Size()) + 64
-		img := make([]byte, meta)
-		nv.ReadAt(0, img)
-		for range limit {
-			nv.WriteAt(0, img)
-		}
-		nv.SetWearLimit(limit)
-		func() {
-			defer func() {
-				if r := recover(); r != pmem.ErrStoreLost {
-					t.Fatalf("persist over worn-out lines: recovered %v, want pmem.ErrStoreLost", r)
-				}
+	for _, depth := range pipelineDepths {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tree, history := buildBase(t, nv, depth, 1)
+			// Rewrite the metadata in place up to a wear limit no record
+			// line reaches during the phase, so only metadata stores drop.
+			meta := tree.nv.DataOffset()
+			limit := nv.WearMax(meta, nv.Size()) + 64
+			img := make([]byte, meta)
+			nv.ReadAt(0, img)
+			for range limit {
+				nv.WriteAt(0, img)
+			}
+			nv.SetWearLimit(limit)
+			func() {
+				defer func() {
+					if r := recover(); r != pmem.ErrStoreLost {
+						t.Fatalf("persist over worn-out lines: recovered %v, want pmem.ErrStoreLost", r)
+					}
+				}()
+				doomedPhase(tree)
 			}()
-			doomedPhase(tree)
-		}()
-		nv.SetWearLimit(0)
-		got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: 1})
-		if !equalLeafSets(got, history[len(history)-1]) {
-			t.Fatalf("restored %d leaves, want the last committed version", len(got))
-		}
-	})
+			nv.SetWearLimit(0)
+			got := restoreChecked(t, Config{NVBMDevice: nv, RetainVersions: 1})
+			if !equalLeafSets(got, history[len(history)-1]) {
+				t.Fatalf("restored %d leaves, want the last committed version", len(got))
+			}
+		})
+	}
 }
 
 // restoreChecked restores the tree cfg names after a power cut on
@@ -174,11 +197,12 @@ func restoreChecked(t *testing.T, cfg Config) map[morton.Code][DataWords]float64
 	return got
 }
 
-// buildBase creates a tree retaining retain superseded versions, with two
-// committed versions, and returns the history of committed leaf sets.
-func buildBase(t *testing.T, nv *nvbm.Device, retain int) (*Tree, []map[morton.Code][DataWords]float64) {
+// buildBase creates a tree carrying the given (deprecated) pipeline depth
+// and retaining retain superseded versions, with two committed versions,
+// and returns the history of committed leaf sets.
+func buildBase(t *testing.T, nv *nvbm.Device, depth, retain int) (*Tree, []map[morton.Code][DataWords]float64) {
 	t.Helper()
-	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, RetainVersions: retain})
+	tree := Create(Config{NVBMDevice: nv, DRAMBudgetOctants: 64, Seed: 5, PipelineDepth: depth, RetainVersions: retain})
 	var history []map[morton.Code][DataWords]float64
 	history = append(history, leafSet(tree, tree.CommittedRoot()))
 
@@ -221,28 +245,29 @@ func matchesAny(got map[morton.Code][DataWords]float64, candidates []map[morton.
 }
 
 // TestPowerCutDuringEveryEarlyWrite runs the dense version of the torture
-// on a smaller tree: every single cut point from 0 to the full phase, with
-// RetainVersions 0 and 1, on the arena Create built and on one Compact
-// rewrote the tree into before the phase. (The depth=0 in the subtest
-// names is kept so their results compare with earlier runs.)
+// on a smaller tree: every single cut point from 0 to the full phase, at
+// each of pipelineDepths, with RetainVersions 0 and 1, on the arena Create
+// built and on one Compact rewrote the tree into before the phase.
 func TestPowerCutDuringEveryEarlyWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive torture skipped in -short")
 	}
-	for _, retain := range []int{0, 1} {
-		for _, compacted := range []bool{false, true} {
-			arena := "created"
-			if compacted {
-				arena = "compacted"
+	for _, depth := range pipelineDepths {
+		for _, retain := range []int{0, 1} {
+			for _, compacted := range []bool{false, true} {
+				arena := "created"
+				if compacted {
+					arena = "compacted"
+				}
+				t.Run(fmt.Sprintf("depth=%d,retain=%d,%s", depth, retain, arena), func(t *testing.T) {
+					denseTorture(t, depth, retain, compacted)
+				})
 			}
-			t.Run(fmt.Sprintf("depth=0,retain=%d,%s", retain, arena), func(t *testing.T) {
-				denseTorture(t, retain, compacted)
-			})
 		}
 	}
 }
 
-func denseTorture(t *testing.T, retain int, compacted bool) {
+func denseTorture(t *testing.T, depth, retain int, compacted bool) {
 	// Learn the phase length.
 	phase := func(tree *Tree) {
 		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
@@ -252,7 +277,7 @@ func denseTorture(t *testing.T, retain int, compacted bool) {
 	// build returns the tree and its device, a fresh one if Compact
 	// moved the tree.
 	build := func() (*Tree, *nvbm.Device, map[morton.Code][DataWords]float64) {
-		tree := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 16, Seed: 9, RetainVersions: retain})
+		tree := Create(Config{NVBMDevice: nvbm.New(nvbm.NVBM, 0), DRAMBudgetOctants: 16, Seed: 9, PipelineDepth: depth, RetainVersions: retain})
 		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 1 }, 1)
 		tree.Persist()
 		if compacted {

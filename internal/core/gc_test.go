@@ -26,11 +26,12 @@ type gcScript struct {
 	gcs, fulls int // collections of the retired trees
 }
 
-func newGCScript(tb testing.TB, retain int) *gcScript {
+func newGCScript(tb testing.TB, depth, retain int) *gcScript {
 	cfg := Config{
 		NVBMDevice:        nvbm.New(nvbm.NVBM, 0),
 		DRAMDevice:        nvbm.New(nvbm.DRAM, 0),
 		DRAMBudgetOctants: 96,
+		PipelineDepth:     depth,
 		RetainVersions:    retain,
 	}
 	return &gcScript{tb: tb, cfg: cfg, tr: Create(cfg)}
@@ -174,9 +175,12 @@ func pinLeafCount(p *VersionPin) int {
 	return n
 }
 
-// gcRetains are the RetainVersions settings the ledger is held to: with
-// and without retained versions.
-var gcRetains = []int{0, 2}
+// gcConfigs are the (PipelineDepth, RetainVersions) pairs the ledger is
+// held to: with and without retained versions, and each again on a Config
+// carrying the deprecated PipelineDepth, at the pairs the removed persist
+// worker ran (depth 2 left ring room for RetainVersions 1 only, so the
+// retaining pair is at depth 1).
+var gcConfigs = [][2]int{{0, 0}, {0, 2}, {2, 0}, {1, 2}}
 
 // TestGCLedgerMatchesMarkSweep runs random operation sequences — refine,
 // coarsen, tile scatter, indexed update, construct, persist, pin, release,
@@ -187,8 +191,8 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 2
 	}
-	for _, retain := range gcRetains {
-		t.Run(fmt.Sprintf("depth0_retain%d", retain), func(t *testing.T) {
+	for _, c := range gcConfigs {
+		t.Run(fmt.Sprintf("depth%d_retain%d", c[0], c[1]), func(t *testing.T) {
 			var gcs, fulls int
 			for seed := 0; seed < seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(seed)))
@@ -202,7 +206,7 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 						ops[i] = 5
 					}
 				}
-				s := newGCScript(t, retain)
+				s := newGCScript(t, c[0], c[1])
 				s.run(ops)
 				g, f := s.collections()
 				gcs, fulls = gcs+g, fulls+f
@@ -216,7 +220,7 @@ func TestGCLedgerMatchesMarkSweep(t *testing.T) {
 }
 
 // FuzzGCLedger is TestGCLedgerMatchesMarkSweep over fuzzed operation
-// sequences: the first byte picks RetainVersions.
+// sequences: the first byte picks the gcConfigs pair.
 func FuzzGCLedger(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 0, 2, 0, 5, 0, 6, 0, 1, 2, 5, 0, 7, 0, 5, 0})
 	f.Add([]byte{1, 0, 3, 5, 0, 6, 0, 4, 1, 5, 0, 9, 0, 0, 4, 5, 0, 11, 0})
@@ -226,7 +230,8 @@ func FuzzGCLedger(f *testing.F) {
 		if len(ops) == 0 || len(ops) > 97 {
 			return
 		}
-		newGCScript(t, gcRetains[int(ops[0])%len(gcRetains)]).run(ops[1:])
+		c := gcConfigs[int(ops[0])%len(gcConfigs)]
+		newGCScript(t, c[0], c[1]).run(ops[1:])
 	})
 }
 
@@ -328,53 +333,86 @@ func TestGCPendingHeldByPin(t *testing.T) {
 // version must stay whole — a full walk reads the leaf count it had when
 // pinned — until its own release. Run it under -race.
 func TestPinReleaseRacesLedgerGC(t *testing.T) {
-	t.Run("depth0", func(t *testing.T) {
-		tr := Create(Config{DRAMBudgetOctants: 256})
-		type held struct {
-			pin    *VersionPin
-			leaves int
-		}
-		work := make(chan held, 64)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var failures []string
-		for r := 0; r < 3; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for h := range work {
-					for k := 0; k < 3; k++ {
-						if got := pinLeafCount(h.pin); got != h.leaves {
-							mu.Lock()
-							failures = append(failures, fmt.Sprintf("step %d: %d leaves, %d when pinned", h.pin.Step(), got, h.leaves))
-							mu.Unlock()
-							break
+	for _, depth := range pipelineDepths {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			tr := Create(Config{DRAMBudgetOctants: 256, PipelineDepth: depth})
+			defer tr.Close()
+			type held struct {
+				pin    *VersionPin
+				leaves int
+			}
+			work := make(chan held, 64)
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			var failures []string
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for h := range work {
+						for k := 0; k < 3; k++ {
+							if got := pinLeafCount(h.pin); got != h.leaves {
+								mu.Lock()
+								failures = append(failures, fmt.Sprintf("step %d: %d leaves, %d when pinned", h.pin.Step(), got, h.leaves))
+								mu.Unlock()
+								break
+							}
 						}
+						h.pin.Release()
 					}
-					h.pin.Release()
-				}
-			}()
+				}()
+			}
+			steps := 30
+			if testing.Short() {
+				steps = 12
+			}
+			for s := 0; s < steps; s++ {
+				amrStep(tr, s)
+				p := tr.PinCommitted()
+				work <- held{pin: p, leaves: pinLeafCount(p)}
+			}
+			close(work)
+			wg.Wait()
+			tr.GC()
+			if len(failures) > 0 {
+				t.Fatal(failures[0])
+			}
+			if n := tr.led.fulls; n != 0 {
+				t.Fatalf("%d full collections; the ledger should answer every one", n)
+			}
+			if err := LedgerCheckError(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestGCReclaimsOnceDurable: every version is durable when its Persist
+// returns, so the collection inside Persist frees the superseded
+// version's deaths at once — even on a Config carrying the deprecated
+// PipelineDepth, under which the removed persist worker held them until
+// its commit flip. No death is held with no older version live, and the
+// next batch operation runs no catch-up collection before it allocates.
+func TestGCReclaimsOnceDurable(t *testing.T) {
+	tr := Create(Config{DRAMBudgetOctants: 256, PipelineDepth: 2})
+	defer tr.Close()
+	amrStep(tr, 0)
+	for s := 1; s <= 3; s++ {
+		freed := tr.stats.GCFreed
+		amrStep(tr, s)
+		if tr.stats.GCFreed == freed {
+			t.Fatalf("step %d: the collection inside Persist freed nothing", s)
 		}
-		steps := 30
-		if testing.Short() {
-			steps = 12
+		if tr.led.held != 0 {
+			t.Fatalf("step %d: %d deaths held with no older version live", s, tr.led.held)
 		}
-		for s := 0; s < steps; s++ {
-			amrStep(tr, s)
-			p := tr.PinCommitted()
-			work <- held{pin: p, leaves: pinLeafCount(p)}
+		gcs := tr.stats.GCs
+		tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.2, 0.05), 4)
+		if tr.stats.GCs != gcs {
+			t.Fatalf("step %d: %d collections inside RefineWhere after a commit", s, tr.stats.GCs-gcs)
 		}
-		close(work)
-		wg.Wait()
-		tr.GC()
-		if len(failures) > 0 {
-			t.Fatal(failures[0])
-		}
-		if n := tr.led.fulls; n != 0 {
-			t.Fatalf("%d full collections; the ledger should answer every one", n)
-		}
-		if err := LedgerCheckError(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	if err := LedgerCheckError(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -242,8 +242,9 @@ func (p *mergePair) op(code, arg byte) {
 // coarsen (spatial and scattered), tile scatter, indexed update, eviction,
 // persist, collection, clean restart, compaction, balance, a mid-step
 // layout pass — on a tree and on its twin merging through the walk
-// oracle, with and without retained versions, behind C0 budgets that fill up (dramFull) and that restart from the
-// bootstrap layout (trunk == nil) after every restore. After every
+// oracle, at each of gcConfigs, behind C0 budgets that fill up
+// (dramFull) and that restart from the bootstrap layout (trunk == nil)
+// after every restore. After every
 // persist the devices must be byte-identical, the span-directed merge
 // must have written exactly the oracle's writes less the oracle's
 // parent-field stores, and it may only read less.
@@ -252,13 +253,13 @@ func TestMergeMatchesWalkOracle(t *testing.T) {
 	if testing.Short() {
 		seeds, budgets = 1, budgets[:2]
 	}
-	for _, retain := range gcRetains {
+	for _, c := range gcConfigs {
 		for _, budget := range budgets {
-			t.Run(fmt.Sprintf("depth0_retain%d_c0_%d", retain, budget), func(t *testing.T) {
+			t.Run(fmt.Sprintf("depth%d_retain%d_c0_%d", c[0], c[1], budget), func(t *testing.T) {
 				var saved, savedWrites uint64
 				for seed := 0; seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(int64(seed)))
-					p := newMergePair(t, Config{DRAMBudgetOctants: budget, RetainVersions: retain, Seed: int64(seed)})
+					p := newMergePair(t, Config{DRAMBudgetOctants: budget, PipelineDepth: c[0], RetainVersions: c[1], Seed: int64(seed)})
 					for i := 0; i < 120; i++ {
 						code, arg := byte(rng.Intn(len(mergeOps))), byte(rng.Intn(256))
 						if rng.Intn(6) == 0 {

@@ -91,7 +91,7 @@ func scatterRound(t *testing.T, got, want *Tree, round int, pick func(morton.Cod
 }
 
 // TestScatterMatchesReference holds the batch writer to UpdateLeaves on
-// seeded random meshes x dirty subsets x persist modes, under a C0 budget
+// seeded random meshes x dirty subsets x pipelineDepths, under a C0 budget
 // small enough that the rounds evict: same content, same COW copies, a
 // valid tree, an untouched committed version, a coherent index. Each case
 // scatters over a freshly committed mesh (every path shared), again without
@@ -101,37 +101,41 @@ func TestScatterMatchesReference(t *testing.T) {
 	merges := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, dc := range dirtyCases {
-			t.Run(fmt.Sprintf("mesh%d/%s/depth0", seed, dc.name), func(t *testing.T) {
-				build := func() *Tree {
-					tr := Create(Config{DRAMBudgetOctants: 48, Seed: 3})
-					randomMesh(seed)(tr)
-					tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
-						*d = constructPayload(c)
-						return true
-					})
-					tr.Balance()
-					tr.Persist()
-					return tr
-				}
-				got, want := build(), build()
-				rng := rand.New(rand.NewSource(seed))
-				for round := 0; round < 5; round++ {
-					scatterRound(t, got, want, round, dc.pick(got.LeafCodes(), rng))
-					switch round {
-					case 1, 3:
-						got.Persist()
-						want.Persist()
-						if g, w := commitDigest(got), commitDigest(want); g != w {
-							t.Fatalf("round %d: committed digest %#x, reference %#x", round, g, w)
-						}
-					case 2:
-						p := containing(rng.Float64(), rng.Float64(), rng.Float64())
-						got.RefineWhere(p, 6)
-						want.RefineWhere(p, 6)
+			for _, depth := range pipelineDepths {
+				t.Run(fmt.Sprintf("mesh%d/%s/depth%d", seed, dc.name, depth), func(t *testing.T) {
+					build := func() *Tree {
+						tr := Create(Config{DRAMBudgetOctants: 48, Seed: 3, PipelineDepth: depth})
+						randomMesh(seed)(tr)
+						tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+							*d = constructPayload(c)
+							return true
+						})
+						tr.Balance()
+						tr.Persist()
+						return tr
 					}
-				}
-				merges += got.Stats().Merges
-			})
+					got, want := build(), build()
+					defer got.Close()
+					defer want.Close()
+					rng := rand.New(rand.NewSource(seed))
+					for round := 0; round < 5; round++ {
+						scatterRound(t, got, want, round, dc.pick(got.LeafCodes(), rng))
+						switch round {
+						case 1, 3:
+							got.Persist()
+							want.Persist()
+							if g, w := commitDigest(got), commitDigest(want); g != w {
+								t.Fatalf("round %d: committed digest %#x, reference %#x", round, g, w)
+							}
+						case 2:
+							p := containing(rng.Float64(), rng.Float64(), rng.Float64())
+							got.RefineWhere(p, 6)
+							want.RefineWhere(p, 6)
+						}
+					}
+					merges += got.Stats().Merges
+				})
+			}
 		}
 	}
 	if merges == 0 {
@@ -164,125 +168,128 @@ func tileBounds(st *tile.Store) [][2]int {
 // equals a fresh tree walk, codes and payload, and that its tile bounds,
 // when cut, equal a fresh cut.
 func TestLeafIndexCoherence(t *testing.T) {
-	t.Run("depth0", func(t *testing.T) {
-		cfg := Config{DRAMBudgetOctants: 48, Seed: 5, NVBMDevice: nvbm.New(nvbm.NVBM, 0)}
-		tr := Create(cfg)
-		rng := rand.New(rand.NewSource(17))
-		point := func() func(morton.Code) bool {
-			return containing(rng.Float64(), rng.Float64(), rng.Float64())
-		}
-		randomLeaf := func() morton.Code {
-			codes := tr.LeafCodes()
-			return codes[rng.Intn(len(codes))]
-		}
-		// edit writes a random field of about a third of the lent
-		// index's cells in place, the way tiledSolve does.
-		edit := func() {
-			st := tr.LeafTiles()
-			w, k := rng.Intn(DataWords), rng.Float64()
-			for i := range st.Codes() {
-				if rng.Intn(3) == 0 {
-					st.F[w][i] = k + float64(i)
-					st.MarkDirty(i)
+	for _, depth := range pipelineDepths {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := Config{DRAMBudgetOctants: 48, Seed: 5, PipelineDepth: depth, NVBMDevice: nvbm.New(nvbm.NVBM, 0)}
+			tr := Create(cfg)
+			defer func() { tr.Close() }()
+			rng := rand.New(rand.NewSource(int64(17 + depth)))
+			point := func() func(morton.Code) bool {
+				return containing(rng.Float64(), rng.Float64(), rng.Float64())
+			}
+			randomLeaf := func() morton.Code {
+				codes := tr.LeafCodes()
+				return codes[rng.Intn(len(codes))]
+			}
+			// edit writes a random field of about a third of the lent
+			// index's cells in place, the way tiledSolve does.
+			edit := func() {
+				st := tr.LeafTiles()
+				w, k := rng.Intn(DataWords), rng.Float64()
+				for i := range st.Codes() {
+					if rng.Intn(3) == 0 {
+						st.F[w][i] = k + float64(i)
+						st.MarkDirty(i)
+					}
 				}
 			}
-		}
-		ops := []struct {
-			name string
-			do   func()
-		}{
-			{"Refine", func() { tr.RefineWhere(point(), uint8(2+rng.Intn(5))) }},
-			{"Coarsen", func() {
-				min := uint8(2 + rng.Intn(4))
-				keep := point()
-				tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= min && !keep(c) })
-			}},
-			{"Balance", func() { tr.Balance() }},
-			{"Scatter", func() {
-				k := rng.Float64()
-				sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool {
-					d[rng.Intn(DataWords)] = k + float64(c%97)
-					return rng.Intn(3) > 0
-				})
-			}},
-			{"EditScatter", func() {
-				edit()
-				tr.ScatterLeafTiles(tr.LeafTiles())
-			}},
-			{"EditNoScatter", edit},
-			{"UpdateLeavesIndexed", func() {
-				k := rng.Float64()
-				tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
-					d[1] = k
-					return rng.Intn(2) == 0
-				})
-			}},
-			{"UpdateLeaves", func() {
-				tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
-					d[2]++
-					return rng.Intn(4) == 0
-				})
-			}},
-			{"UpdateAt", func() { tr.UpdateAt(randomLeaf(), func(d *[DataWords]float64) { d[0] = rng.Float64() }) }},
-			{"RefineAt", func() {
-				if leaf := randomLeaf(); leaf.Level() < 7 {
-					tr.RefineAt(leaf)
+			ops := []struct {
+				name string
+				do   func()
+			}{
+				{"Refine", func() { tr.RefineWhere(point(), uint8(2+rng.Intn(5))) }},
+				{"Coarsen", func() {
+					min := uint8(2 + rng.Intn(4))
+					keep := point()
+					tr.CoarsenWhere(func(c morton.Code) bool { return c.Level() >= min && !keep(c) })
+				}},
+				{"Balance", func() { tr.Balance() }},
+				{"Scatter", func() {
+					k := rng.Float64()
+					sweepTiled(tr, func(c morton.Code, d *[DataWords]float64) bool {
+						d[rng.Intn(DataWords)] = k + float64(c%97)
+						return rng.Intn(3) > 0
+					})
+				}},
+				{"EditScatter", func() {
+					edit()
+					tr.ScatterLeafTiles(tr.LeafTiles())
+				}},
+				{"EditNoScatter", edit},
+				{"UpdateLeavesIndexed", func() {
+					k := rng.Float64()
+					tr.UpdateLeavesIndexed(func(c morton.Code, d *[DataWords]float64) bool {
+						d[1] = k
+						return rng.Intn(2) == 0
+					})
+				}},
+				{"UpdateLeaves", func() {
+					tr.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+						d[2]++
+						return rng.Intn(4) == 0
+					})
+				}},
+				{"UpdateAt", func() { tr.UpdateAt(randomLeaf(), func(d *[DataWords]float64) { d[0] = rng.Float64() }) }},
+				{"RefineAt", func() {
+					if leaf := randomLeaf(); leaf.Level() < 7 {
+						tr.RefineAt(leaf)
+					}
+				}},
+				{"Evict", func() {
+					// Shrink C0 below its contents: the watermark eviction
+					// drains hot subtrees, then the budget is restored.
+					tr.SetDRAMBudget(1)
+					tr.maybeEvict()
+					tr.SetDRAMBudget(cfg.DRAMBudgetOctants)
+				}},
+				{"Persist", func() { tr.Persist() }},
+				{"GC", func() { tr.GC() }},
+				{"Compact", func() {
+					tr.Persist()
+					if _, err := tr.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					cfg.NVBMDevice = tr.NVBMDevice()
+				}},
+				{"Restore", func() {
+					tr.Persist()
+					tr.Close()
+					restored, err := Restore(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr = restored
+				}},
+			}
+			valid := 0
+			const steps = 300
+			for step := 0; step < steps; step++ {
+				op := ops[rng.Intn(len(ops))]
+				op.do()
+				label := fmt.Sprintf("step %d (%s)", step, op.name)
+				if tr.indexValid() {
+					valid++
+					if !slices.Equal(storeLeaves(&tr.idx), walkLeaves(tr)) {
+						t.Fatalf("%s: the index claims to be valid and differs from a fresh walk", label)
+					}
+					if tr.idx.Tiled() && !slices.Equal(tileBounds(&tr.idx), freshBounds(tr.idx.Codes())) {
+						t.Fatalf("%s: the index's tile bounds differ from a fresh cut", label)
+					}
 				}
-			}},
-			{"Evict", func() {
-				// Shrink C0 below its contents: the watermark eviction
-				// drains hot subtrees, then the budget is restored.
-				tr.SetDRAMBudget(1)
-				tr.maybeEvict()
-				tr.SetDRAMBudget(cfg.DRAMBudgetOctants)
-			}},
-			{"Persist", func() { tr.Persist() }},
-			{"GC", func() { tr.GC() }},
-			{"Compact", func() {
-				tr.Persist()
-				if _, err := tr.Compact(); err != nil {
-					t.Fatal(err)
+				if got, want := tr.LeafCount(), len(tr.LeafCodes()); got != want {
+					t.Fatalf("%s: LeafCount %d, walk counts %d", label, got, want)
 				}
-				cfg.NVBMDevice = tr.NVBMDevice()
-			}},
-			{"Restore", func() {
-				tr.Persist()
-				tr.Close()
-				restored, err := Restore(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr = restored
-			}},
-		}
-		valid := 0
-		const steps = 300
-		for step := 0; step < steps; step++ {
-			op := ops[rng.Intn(len(ops))]
-			op.do()
-			label := fmt.Sprintf("step %d (%s)", step, op.name)
-			if tr.indexValid() {
-				valid++
-				if !slices.Equal(storeLeaves(&tr.idx), walkLeaves(tr)) {
-					t.Fatalf("%s: the index claims to be valid and differs from a fresh walk", label)
-				}
-				if tr.idx.Tiled() && !slices.Equal(tileBounds(&tr.idx), freshBounds(tr.idx.Codes())) {
-					t.Fatalf("%s: the index's tile bounds differ from a fresh cut", label)
+				if err := tr.Validate(); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
-			if got, want := tr.LeafCount(), len(tr.LeafCodes()); got != want {
-				t.Fatalf("%s: LeafCount %d, walk counts %d", label, got, want)
+			// Twelve of the fifteen operations leave the index valid, and an
+			// invalid one stays so until the next Refine or Coarsen walk.
+			if valid < steps/2 {
+				t.Fatalf("the index was valid after only %d of %d operations", valid, steps)
 			}
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-		}
-		// Twelve of the fifteen operations leave the index valid, and an
-		// invalid one stays so until the next Refine or Coarsen walk.
-		if valid < steps/2 {
-			t.Fatalf("the index was valid after only %d of %d operations", valid, steps)
-		}
-	})
+		})
+	}
 }
 
 // sweepsOnly hides everything but sim.Mesh, so the step driver falls back

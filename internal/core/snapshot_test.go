@@ -190,22 +190,26 @@ func TestRetainedVersionsAndPinVersion(t *testing.T) {
 // carries (VersionPin.Leaves): through random sequences of refine,
 // coarsen, balance, scatter (closed, and left open with marked edits),
 // persist, flush, GC, Compact, Restore and both bulk constructions, at
-// RetainVersions 0 and 2, every copy a pin carries equals a walk of
-// the pinned version in codes and payload, and is never taken from a
-// version holding a filler leaf. A pin is taken after each operation and
+// each of pipelineDepths and RetainVersions 0 and 2 (1 beside depth 2, as
+// the removed persist worker's ring room allowed), every copy a pin
+// carries equals a walk of the pinned version in codes and payload, and is
+// never taken from a version holding a filler leaf. A pin is taken after each operation and
 // rechecked while it is held. Pins of retained ring versions carry none.
 func TestPinnedLeafIndexMatchesWalk(t *testing.T) {
-	for _, retain := range []int{0, 2} {
-		t.Run(fmt.Sprintf("depth0/retain%d", retain), func(t *testing.T) {
-			pinnedIndexSoak(t, retain)
-		})
+	for _, depth := range pipelineDepths {
+		for _, retain := range []int{0, 2} {
+			retain = min(retain, MaxRetainVersions-depth)
+			t.Run(fmt.Sprintf("depth%d/retain%d", depth, retain), func(t *testing.T) {
+				pinnedIndexSoak(t, depth, retain)
+			})
+		}
 	}
 }
 
-func pinnedIndexSoak(t *testing.T, retain int) {
-	cfg := Config{DRAMBudgetOctants: 48, Seed: 9, RetainVersions: retain, NVBMDevice: nvbm.New(nvbm.NVBM, 0)}
+func pinnedIndexSoak(t *testing.T, depth, retain int) {
+	cfg := Config{DRAMBudgetOctants: 48, Seed: 9, PipelineDepth: depth, RetainVersions: retain, NVBMDevice: nvbm.New(nvbm.NVBM, 0)}
 	tr := Create(cfg)
-	rng := rand.New(rand.NewSource(int64(41 + retain)))
+	rng := rand.New(rand.NewSource(int64(41 + 10*depth + retain)))
 	point := func() func(morton.Code) bool {
 		return containing(rng.Float64(), rng.Float64(), rng.Float64())
 	}
