@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
 	"pmoctree/internal/parallel"
+	"pmoctree/internal/sim"
 )
 
 // constructDigest hashes (code, data) of every working-version octant in
@@ -366,5 +368,63 @@ func TestConstructRestore(t *testing.T) {
 	restored.Persist()
 	if err := restored.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConstructReusesFreedSpace ingests droplet leaf sets into one arena,
+// sixteen construct + persist + GC cycles over four sets in turn, as a
+// bulk ingest does, with 0 and 2 retained versions. GC frees what each
+// replaced version held, and the next construct's run takes that space
+// first fit, so after two rounds of the sets neither the high water nor
+// the device grows; every committed digest equals a fresh construct's of
+// the same set.
+func TestConstructReusesFreedSpace(t *testing.T) {
+	const maxLevel, cycles, warmup = 6, 16, 8
+	d := sim.NewDroplet(sim.DropletConfig{Steps: 40})
+	type leafSet struct {
+		codes  []morton.Code
+		data   [][DataWords]float64
+		digest uint64
+	}
+	var sets []leafSet
+	for _, step := range []int{8, 24, 16, 32} {
+		fresh := Create(Config{})
+		if _, ok := sim.ConstructInitial(fresh, d, step, maxLevel, nil); !ok {
+			t.Fatal("ConstructInitial declined a fresh tree")
+		}
+		fresh.Persist()
+		s := leafSet{digest: constructDigest(fresh)}
+		fresh.ForEachLeaf(func(c morton.Code, data [DataWords]float64) bool {
+			s.codes = append(s.codes, c)
+			s.data = append(s.data, data)
+			return true
+		})
+		sets = append(sets, s)
+	}
+	for _, retain := range []int{0, 2} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			nv := nvbm.New(nvbm.NVBM, 0)
+			tr := Create(Config{NVBMDevice: nv, RetainVersions: retain})
+			var hw uint32
+			var size int
+			for c := 0; c < cycles; c++ {
+				s := sets[c%len(sets)]
+				if _, err := tr.ConstructFromCodes(s.codes, s.data, nil, false); err != nil {
+					t.Fatal(err)
+				}
+				tr.Persist()
+				if got := constructDigest(tr); got != s.digest {
+					t.Fatalf("cycle %d: committed digest %#x, a fresh construct's %#x", c, got, s.digest)
+				}
+				if c >= warmup && (tr.nv.HighWater() != hw || nv.Size() != size) {
+					t.Fatalf("cycle %d: high water %d -> %d, device %d -> %d bytes after warm-up",
+						c, hw, tr.nv.HighWater(), size, nv.Size())
+				}
+				hw, size = tr.nv.HighWater(), nv.Size()
+			}
+			if err := tr.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"pmoctree/internal/core"
+	"pmoctree/internal/morton"
 	"pmoctree/internal/nvbm"
+	"pmoctree/internal/pmem"
 	"pmoctree/internal/sim"
 )
 
@@ -115,4 +117,137 @@ func TestConstructChaosSoak(t *testing.T) {
 		t.Fatalf("degenerate cut sweep: %d crashes, %d clean runs", crashes, survived)
 	}
 	t.Logf("construct torn-cut sweep: %d crashes recovered, %d clean runs", crashes, survived)
+}
+
+// ingestSet is one droplet leaf set ready for ConstructFromCodes, with the
+// committed digest a fresh tree constructed from it reaches.
+type ingestSet struct {
+	codes  []morton.Code
+	data   [][core.DataWords]float64
+	digest uint64
+}
+
+func dropletSet(t *testing.T, d *sim.Droplet, step int, maxLevel uint8) ingestSet {
+	t.Helper()
+	fresh := core.Create(core.Config{})
+	if _, ok := sim.ConstructInitial(fresh, d, step, maxLevel, nil); !ok {
+		t.Fatal("ConstructInitial declined a fresh PM-octree")
+	}
+	fresh.Persist()
+	s := ingestSet{digest: commitDigest(fresh)}
+	fresh.ForEachLeaf(func(c morton.Code, data [core.DataWords]float64) bool {
+		s.codes = append(s.codes, c)
+		s.data = append(s.data, data)
+		return true
+	})
+	return s
+}
+
+// TestConstructReuseChaosSoak is TestConstructChaosSoak on a used arena:
+// the cut construct's run lands on an extent GC freed, not on fresh space.
+// Sets a, b, c and d ingest in turn into one tree; a is the largest, so
+// once b's commit frees it, c's run fits in a's old extent below the high
+// water (the dry run checks that the landed high water does not move). A
+// torn power cut at every write count of c's construct + persist, two
+// tear seeds each, must restore the committed content of b (V(i−1)) or c
+// (V(i)), never a hybrid of c's records and a's leftovers; the survivor
+// validates and ingests the rest to the fresh constructs' digests.
+func TestConstructReuseChaosSoak(t *testing.T) {
+	const maxLevel = 6
+	d := sim.NewDroplet(sim.DropletConfig{Steps: 40})
+	a, b, c, dd := dropletSet(t, d, 32, maxLevel), dropletSet(t, d, 24, maxLevel),
+		dropletSet(t, d, 8, maxLevel), dropletSet(t, d, 16, maxLevel)
+	ingest := func(tree *core.Tree, s ingestSet) {
+		if _, err := tree.ConstructFromCodes(s.codes, s.data, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		tree.Persist()
+	}
+	landedHW := func(nv *nvbm.Device) uint32 {
+		ar, err := pmem.OpenArena(nv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ar.HighWater()
+	}
+	warm := func() (*nvbm.Device, core.Config, *core.Tree) {
+		nv := nvbm.New(nvbm.NVBM, 0)
+		cfg := core.Config{NVBMDevice: nv, VerifyRestore: true}
+		tree := core.Create(cfg)
+		ingest(tree, a)
+		ingest(tree, b)
+		return nv, cfg, tree
+	}
+
+	// Dry run: count c's writes and check its run reused a's extent.
+	nv, _, tree := warm()
+	hw, w0 := landedHW(nv), nv.Stats().Writes
+	ingest(tree, c)
+	writes := int(nv.Stats().Writes - w0)
+	if got := landedHW(nv); got != hw {
+		t.Fatalf("c's construct moved the landed high water %d -> %d: its run did not reuse freed space", hw, got)
+	}
+
+	restored := map[uint64]int{}
+	for cut := 0; cut <= writes+1; cut++ {
+		for seed := int64(1); seed <= 2; seed++ {
+			nv, cfg, tree := warm()
+			nv.CutPowerAfterTorn(cut, int64(cut)*7919+seed)
+			crashed := false
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						if r != nvbm.ErrPowerLost {
+							t.Fatalf("cut %d: non-power panic: %v", cut, r)
+						}
+						crashed = true
+					}
+				}()
+				ingest(tree, c)
+			}()
+			nv.RestorePower()
+			// Power fails at the first access after the countdown, so
+			// even a cut after every write dies reading the root store
+			// back; only the next countdown completes.
+			if crashed != (cut <= writes) {
+				t.Fatalf("cut %d of %d writes: crashed %v", cut, writes, crashed)
+			}
+			rest := []ingestSet{dd}
+			if crashed {
+				rt, err := core.Restore(cfg)
+				if err != nil {
+					t.Fatalf("cut %d seed %d: unrecoverable after torn cut: %v", cut, seed, err)
+				}
+				restored[commitDigest(rt)]++
+				switch commitDigest(rt) {
+				case b.digest:
+					rest = []ingestSet{c, dd}
+				case c.digest:
+				default:
+					t.Fatalf("cut %d seed %d: restored content (digest %016x) matches neither b nor c",
+						cut, seed, commitDigest(rt))
+				}
+				if err := rt.Validate(); err != nil {
+					t.Fatalf("cut %d seed %d: restored tree: %v", cut, seed, err)
+				}
+				tree = rt
+			} else if commitDigest(tree) != c.digest {
+				t.Fatalf("cut %d: uncut commit diverged from a fresh construct of c", cut)
+			}
+			for _, s := range rest {
+				ingest(tree, s)
+				if commitDigest(tree) != s.digest {
+					t.Fatalf("cut %d seed %d: ingest after recovery diverged from a fresh construct", cut, seed)
+				}
+			}
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("cut %d seed %d: final validate: %v", cut, seed, err)
+			}
+		}
+	}
+	if restored[b.digest] == 0 || restored[c.digest] == 0 {
+		t.Fatalf("degenerate cut sweep: %d cuts restored b, %d restored c", restored[b.digest], restored[c.digest])
+	}
+	t.Logf("reuse torn-cut sweep over %d writes: %d cuts restored b, %d restored c",
+		writes, restored[b.digest], restored[c.digest])
 }

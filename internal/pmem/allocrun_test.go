@@ -1,7 +1,9 @@
 package pmem
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pmoctree/internal/nvbm"
@@ -53,9 +55,9 @@ func TestAllocRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestAllocRunAfterChurn checks a run lands above the high-water mark and
-// leaves earlier free slots alone, across an arbitrary alloc/free history
-// that puts the run start mid-byte and mid-word.
+// TestAllocRunAfterChurn checks a run too long for any freed hole lands at
+// the high-water mark and leaves the holes alone, across an arbitrary
+// alloc/free history that puts the run start mid-byte and mid-word.
 func TestAllocRunAfterChurn(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 88)
@@ -140,6 +142,66 @@ func TestAllocRunDeferred(t *testing.T) {
 	}
 }
 
+// TestAllocRunReusesFirstFit checks a run takes the lowest free extent that
+// fits — inside a word, across words, or a free tail that the high water
+// ends — moves the high water only by the part past it, and grows the
+// device only when nothing below the mark fits. AllocRaw never hands out
+// the slots a run took off its free list.
+func TestAllocRunReusesFirstFit(t *testing.T) {
+	dev := nvbm.New(nvbm.NVBM, 0)
+	a := NewArena(dev, 88)
+	a.AllocRun(1000)
+	free := func(lo, hi int) { // frees slots [lo, hi)
+		for i := lo; i < hi; i++ {
+			a.Free(Handle(i + 1))
+		}
+	}
+	free(3, 7)      // 4 slots inside word 0
+	free(10, 20)    // 10 slots inside word 0
+	free(100, 300)  // 200 slots across words 1-4
+	free(900, 1000) // the tail below the high water
+	size := dev.Size()
+	for _, tc := range []struct{ n, start, hw int }{
+		{4, 3, 1000},       // the first hole fits exactly
+		{8, 10, 1000},      // too long for what is left of it: the next
+		{2, 18, 1000},      // the rest of the second hole
+		{150, 100, 1000},   // across words
+		{60, 900, 1000},    // too long for the 50 left there: the tail
+		{100, 960, 1060},   // 40 tail slots left: a run past the mark
+		{4000, 1060, 5060}, // nothing fits: the device grows
+	} {
+		if got := int(a.AllocRun(tc.n)) - 1; got != tc.start || int(a.HighWater()) != tc.hw {
+			t.Fatalf("run of %d at slot %d (high water %d), want %d (%d)", tc.n, got, a.HighWater(), tc.start, tc.hw)
+		}
+		if tc.hw == 1000 && dev.Size() != size {
+			t.Fatalf("run of %d below the high water grew the device %d -> %d", tc.n, size, dev.Size())
+		}
+	}
+	if dev.Size() == size {
+		t.Fatal("a run past every free extent did not grow the device")
+	}
+	// The free slots left are 250-299; the free list also
+	// holds the stale entries of every slot the runs took, which AllocRaw
+	// skips.
+	var got []int
+	for a.LiveCount() < int(a.HighWater()) {
+		got = append(got, int(a.AllocRaw())-1)
+	}
+	if len(got) != 50 {
+		t.Fatalf("AllocRaw handed out %d slots, want the 50 free ones", len(got))
+	}
+	seen := map[int]bool{}
+	for _, s := range got {
+		if seen[s] || s < 250 || s >= 300 {
+			t.Fatalf("AllocRaw handed out slot %d (free slots 250-299)", s)
+		}
+		seen[s] = true
+	}
+	if h := a.AllocRaw(); int(h)-1 != 5060 {
+		t.Fatalf("allocation past the free slots got slot %d, want 5060", int(h)-1)
+	}
+}
+
 // TestAllocRunGrowsAndPanics: a run forces geometric device growth, and
 // overrunning the formatted capacity panics like AllocRaw does.
 func TestAllocRunGrowsAndPanics(t *testing.T) {
@@ -155,4 +217,45 @@ func TestAllocRunGrowsAndPanics(t *testing.T) {
 		}
 	}()
 	a.AllocRun(101)
+}
+
+// BenchmarkAllocRun times first fit on a fragmented 2^21-slot mirror: a
+// 2e5-slot run (a bulk_routed ingest) passes full words, half-free words
+// and 64-slot holes before it finds the one extent that fits, at the end.
+// Each iteration puts the run's mirror words back, so every one scans the
+// same mirror.
+func BenchmarkAllocRun(b *testing.B) {
+	const slots, n = DefaultMaxSlots, 200_000
+	dev := nvbm.New(nvbm.NVBM, 0)
+	a := NewArena(dev, 8)
+	a.AllocRun(slots)
+	rng := rand.New(rand.NewSource(1))
+	dead := make([]uint64, slots/64)
+	for wi := range dead {
+		switch {
+		case wi < len(dead)/4: // full
+		case wi < len(dead)/2: // about half free, in short runs
+			dead[wi] = rng.Uint64()
+		case 64*wi < slots-n: // a free word between full ones
+			if wi%2 == 0 {
+				dead[wi] = ^uint64(0)
+			}
+		default: // the extent that fits
+			dead[wi] = ^uint64(0)
+		}
+	}
+	a.FreeSet(dead)
+	land(a)
+	a, err := OpenArena(dev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frag := slices.Clone(a.LiveWords())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first := int(a.AllocRun(n) - 1)
+		lo, hi := first/64, (first+n+63)/64
+		copy(a.liveWords[lo:hi], frag[lo:hi])
+		a.live -= n
+	}
 }

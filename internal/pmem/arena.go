@@ -29,13 +29,11 @@ package pmem
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"slices"
 	"sync/atomic"
 
 	"pmoctree/internal/nvbm"
@@ -114,7 +112,7 @@ func geometrySum(slotSize, stride, maxSlots int) uint64 {
 // versions) may run concurrently with the single writer's AllocRaw/Write
 // on OTHER slots — the high-water mark is atomic and the device tolerates
 // disjoint-range access racing Grow. All volatile allocation bookkeeping
-// (free list, liveWords mirror, dirty set, zeroBuf) belongs to the writer.
+// (free list, liveWords mirror, dirty set) belongs to the writer.
 type Arena struct {
 	dev      *nvbm.Device
 	slotSize int // user-visible bytes per slot
@@ -126,8 +124,12 @@ type Arena struct {
 	// contract) but because pinned-snapshot readers call Read on committed
 	// slots while the writer allocates, and both paths consult the mark.
 	highWater atomic.Uint32
-	free      []uint32 // volatile free list of 0-based slot indexes
-	live      int      // currently allocated slots
+	// free is the volatile free list of 0-based slot indexes. It holds
+	// every free slot below the high water at least once; an entry whose
+	// slot a run took since (its mirror bit is set) is stale, and AllocRaw
+	// skips it. trimFree keeps the list within twice the free-slot count.
+	free []uint32
+	live int // currently allocated slots
 	// unlisted is set by OpenArena: free does not hold the mirror's free
 	// slots yet. The first AllocRaw, Free or FreeSet lists them (listFree),
 	// so a reopened arena that only serves reads never builds the list.
@@ -157,13 +159,6 @@ type Arena struct {
 	// so an arena that is never landed — the DRAM region C0 — keeps it
 	// small.
 	dirty []uint64
-
-	// zeroBuf is the reusable zeroing buffer for Alloc. It is only ever
-	// passed to dev.WriteAt, which copies it, so it stays all-zero. It is
-	// built eagerly at construction: a lazy first-Alloc initialization
-	// would be an unsynchronized field store racing any concurrent reader
-	// goroutine that shares the Arena value.
-	zeroBuf []byte
 }
 
 // NewArena formats dev as an empty arena with the given user slot size and
@@ -187,7 +182,6 @@ func NewArenaCap(dev *nvbm.Device, slotSize, maxSlots int) *Arena {
 		slotSize: slotSize,
 		stride:   align8(slotSize),
 		maxSlots: maxSlots,
-		zeroBuf:  make([]byte, slotSize),
 	}
 	reformatting := dev.Size() > 0
 	if min := a.slotsBase(); dev.Size() < min {
@@ -240,7 +234,6 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 		dev.ReadU64(geomSumOff) != geometrySum(a.slotSize, a.stride, a.maxSlots) {
 		return nil, fmt.Errorf("pmem: corrupt arena geometry: slot %d stride %d cap %d", a.slotSize, a.stride, a.maxSlots)
 	}
-	a.zeroBuf = make([]byte, a.slotSize)
 	if int(a.highWater.Load()) > a.maxSlots {
 		return nil, fmt.Errorf("pmem: high water %d exceeds capacity %d", a.highWater.Load(), a.maxSlots)
 	}
@@ -272,10 +265,12 @@ func OpenArena(dev *nvbm.Device) (*Arena, error) {
 	return a, nil
 }
 
-// listFree builds the free list of a reopened arena (unlisted) from the
-// mirror, in ascending slot order, on its first allocation or free.
+// listFree builds the free list from the mirror, in ascending slot order:
+// for a reopened arena (unlisted) on its first allocation or free, and
+// when trimFree drops the stale entries runs left behind.
 func (a *Arena) listFree() {
 	a.unlisted = false
+	a.fifoHead = 0
 	n := int(a.highWater.Load())
 	a.free = make([]uint32, 0, n-a.live)
 	for wi, w := range a.liveWords {
@@ -340,71 +335,65 @@ func (a *Arena) bit(i uint32) bool {
 // across freed slots to even out NVBM cell wear (see EnduranceReport).
 func (a *Arena) SetWearLeveling(on bool) { a.wearLevel = on }
 
-// Alloc allocates a slot and returns its handle. The slot contents are
-// zeroed. It panics when the formatted capacity is exhausted.
-func (a *Arena) Alloc() Handle {
-	h := a.AllocRaw()
-	a.dev.WriteAt(a.slotOff(uint32(h-1)), a.zeroBuf)
-	return h
-}
-
 // AllocRaw allocates a slot without zeroing it. Callers that immediately
 // overwrite the whole payload (the octree always writes a full record into
-// a fresh slot) use this to avoid a redundant full-slot write.
+// a fresh slot) need no zeroing store.
 func (a *Arena) AllocRaw() Handle {
 	if a.unlisted {
 		a.listFree()
 	}
-	var idx uint32
-	if a.wearLevel && a.fifoHead < len(a.free) {
-		idx = a.free[a.fifoHead]
-		a.fifoHead++
-		if a.fifoHead == len(a.free) {
-			a.free = a.free[:0]
-			a.fifoHead = 0
-		}
-	} else if n := len(a.free); n > a.fifoHead {
-		idx = a.free[n-1]
-		a.free = a.free[:n-1]
-	} else {
+	idx, ok := a.popFree()
+	if !ok {
 		if int(a.highWater.Load()) >= a.maxSlots {
 			panic(fmt.Sprintf("pmem: arena capacity %d exhausted", a.maxSlots))
 		}
 		idx = a.highWater.Load()
-		need := a.slotOff(idx) + a.stride
-		if need > a.dev.Size() {
-			// Grow geometrically to amortize; growth is
-			// administrative and uncharged.
-			newSize := a.dev.Size() * 2
-			if newSize < need {
-				newSize = need
-			}
-			a.dev.Grow(newSize)
-		}
+		a.growTo(idx + 1)
 		a.highWater.Store(idx + 1)
 	}
 	a.setBit(idx, true)
 	a.live++
+	a.trimFree()
 	return Handle(idx + 1)
 }
 
-// AllocRun allocates n consecutive slots starting at the high-water mark
-// and returns the handle of the first; handles h .. h+n-1 address the run
-// in order, at Stride-spaced device offsets, so the caller can store all
-// payloads with one WriteSpanExclusive. The free list is deliberately
-// bypassed: recycled slots are scattered, and the point of a run is
-// contiguity. The run sets whole mirror words at a time and dirties each
-// once, so bulk construction of a 10^5-octant tree lands O(bitmap bytes),
-// not O(slots), of allocation state.
-func (a *Arena) AllocRun(n int) Handle {
-	if n <= 0 {
-		panic("pmem: AllocRun length must be positive")
+// popFree takes the next free-list entry whose slot is still free: the
+// oldest under wear leveling (FIFO), otherwise the newest (LIFO). Stale
+// entries it passes on the way are dropped.
+func (a *Arena) popFree() (uint32, bool) {
+	for a.fifoHead < len(a.free) {
+		var idx uint32
+		if a.wearLevel {
+			idx = a.free[a.fifoHead]
+			a.fifoHead++
+		} else {
+			idx = a.free[len(a.free)-1]
+			a.free = a.free[:len(a.free)-1]
+		}
+		if a.fifoHead == len(a.free) {
+			a.free = a.free[:0]
+			a.fifoHead = 0
+		}
+		if !a.bit(idx) {
+			return idx, true
+		}
 	}
-	start := a.highWater.Load()
-	if int(start)+n > a.maxSlots {
-		panic(fmt.Sprintf("pmem: arena capacity %d exhausted by run of %d slots at %d", a.maxSlots, n, start))
+	return 0, false
+}
+
+// trimFree rebuilds the free list from the mirror once its stale entries
+// outnumber the free slots. Every stale entry was appended by a free, so
+// the rebuild costs, amortized, no more than listing them did; an arena
+// whose runs never reuse listed slots never rebuilds.
+func (a *Arena) trimFree() {
+	if !a.unlisted && len(a.free)-a.fifoHead > 2*(int(a.highWater.Load())-a.live) {
+		a.listFree()
 	}
-	end := start + uint32(n)
+}
+
+// growTo grows the device, geometrically to amortize, until it backs the
+// first end slots. Growth is administrative and uncharged.
+func (a *Arena) growTo(end uint32) {
 	if need := a.slotOff(end-1) + a.stride; need > a.dev.Size() {
 		newSize := a.dev.Size() * 2
 		if newSize < need {
@@ -412,8 +401,34 @@ func (a *Arena) AllocRun(n int) Handle {
 		}
 		a.dev.Grow(newSize)
 	}
-	a.highWater.Store(end)
-	a.cover(end - 1)
+}
+
+// AllocRun allocates n consecutive slots and returns the handle of the
+// first; handles h .. h+n-1 address the run in order, at Stride-spaced
+// device offsets, so the caller can store all payloads with one
+// WriteSpanExclusive. The run starts at the lowest slot that has n free
+// slots from it (first fit in address order, see firstFit), so space GC
+// freed is reused before the high water moves: a free tail that ends at
+// the high water counts toward the run, only the remainder raises the
+// mark, and the device grows only when no free extent fits. Free-list
+// entries of the slots a run takes go stale; AllocRaw skips them. The run
+// sets whole mirror words at a time and dirties each once, so bulk
+// construction of a 10^5-octant tree lands O(bitmap bytes), not O(slots),
+// of allocation state.
+func (a *Arena) AllocRun(n int) Handle {
+	if n <= 0 {
+		panic("pmem: AllocRun length must be positive")
+	}
+	first := a.firstFit(n)
+	if first+n > a.maxSlots {
+		panic(fmt.Sprintf("pmem: arena capacity %d exhausted by run of %d slots at %d", a.maxSlots, n, first))
+	}
+	start, end := uint32(first), uint32(first+n)
+	if end > a.highWater.Load() {
+		a.growTo(end)
+		a.highWater.Store(end)
+		a.cover(end - 1)
+	}
 	for i := start; i < end; {
 		wi := int(i / 64)
 		count := 64 - i%64
@@ -429,7 +444,59 @@ func (a *Arena) AllocRun(n int) Handle {
 		i += count
 	}
 	a.live += n
+	a.trimFree()
 	return Handle(start + 1)
+}
+
+// firstFit returns the lowest slot index s such that slots s .. s+n-1 are
+// all free, counting every slot at or past the high water as free (the
+// mirror holds no bits there). It scans the mirror a word at a time: full
+// words end the current free run, empty words add 64 slots to it, and a
+// mixed word extends it by its low free bits, may hold a short run inside
+// it, and starts the next run with its high free bits.
+func (a *Arena) firstFit(n int) int {
+	run := 0 // free slots that end where word wi starts
+	for wi, w := range a.liveWords {
+		switch {
+		case w == 0:
+			if run+64 >= n {
+				return 64*wi - run
+			}
+			run += 64
+		case w == ^uint64(0):
+			run = 0
+		default:
+			if run+bits.TrailingZeros64(w) >= n {
+				return 64*wi - run
+			}
+			if n < 64 {
+				if s := inWordRun(^w, n); s >= 0 {
+					return 64*wi + s
+				}
+			}
+			run = bits.LeadingZeros64(w)
+		}
+	}
+	return 64*len(a.liveWords) - run
+}
+
+// inWordRun returns the lowest bit position i such that bits i .. i+n-1 of
+// free are all set, or -1 when the word holds no n set bits in a row.
+// Each step ANDs the word with itself shifted, doubling the run length
+// every set bit stands for, up to n.
+func inWordRun(free uint64, n int) int {
+	for k := 1; k < n && free != 0; {
+		s := k
+		if n-k < s {
+			s = n - k
+		}
+		free &= free >> s
+		k += s
+	}
+	if free == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(free)
 }
 
 // Free releases the slot. Freeing the nil handle is a no-op; double frees
@@ -534,8 +601,7 @@ func (a *Arena) Stride() int { return a.stride }
 // exclusive device access. Bulk construction stores an AllocRun's records
 // this way: one store amortizes the per-access device latency across the
 // run. The caller must own every slot the span covers (the inter-record
-// padding bytes are written too; they are zero in fresh slots and
-// unobservable through Read).
+// padding bytes are written too; they are unobservable through Read).
 func (a *Arena) WriteSpanExclusive(h Handle, p []byte) {
 	a.dev.WriteAtExclusive(a.slotOff(a.index(h)), p)
 }
@@ -570,34 +636,28 @@ func (a *Arena) TakeDirtyBits(dst []BitWord) ([]BitWord, uint32) {
 	return dst, a.highWater.Load()
 }
 
-// WriteBitsExclusive lands TakeDirtyBits snapshots: the words are sorted
-// and adjacent ones coalesced into single exclusive device writes (a
-// step's allocations are near-sequential, so a few thousand bit flips
-// typically collapse into one span), then the high-water mark is stored.
-// Words given more than once apply last-wins, so snapshots taken one after
-// another may be concatenated in the order taken. A power cut mid-span tears at line
-// granularity — untouched words keep their old durable value, which
-// describes only slots no durable root references (leaks at worst). With
-// no words it stores nothing: every allocation dirties a word, so the
-// high water has not moved since the previous landing.
+// WriteBitsExclusive lands one TakeDirtyBits snapshot: adjacent words are
+// coalesced into single exclusive device writes (a step's allocations are
+// near-sequential, so a few thousand bit flips typically collapse into one
+// span), then the high-water mark is stored. The words must ascend without
+// repeats, as TakeDirtyBits gives them; anything else panics before any
+// store. A power cut mid-span tears at line granularity — untouched words
+// keep their old durable value, which describes only slots no durable root
+// references (leaks at worst). With no words it stores nothing: every
+// allocation dirties a word, so the high water has not moved since the
+// previous landing.
 func (a *Arena) WriteBitsExclusive(words []BitWord, highWater uint32) {
 	if len(words) == 0 {
 		return
 	}
-	byIndex := func(a, b BitWord) int { return cmp.Compare(a.Index, b.Index) }
-	sorted := words
-	if !slices.IsSortedFunc(words, byIndex) {
-		// Concatenated snapshots. Stable: duplicate
-		// Indexes keep their given order, so last-wins below really
-		// applies the NEWEST snapshot of a word. An unstable sort could
-		// land a pre-allocation value of a word over the snapshot that set
-		// the new version's bits — clearing, on the device, slots the
-		// version flipped right afterwards references.
-		sorted = slices.Clone(words)
-		slices.SortStableFunc(sorted, byIndex)
+	for i := 1; i < len(words); i++ {
+		if words[i].Index <= words[i-1].Index {
+			panic(fmt.Sprintf("pmem: WriteBitsExclusive: bitmap word %d follows word %d; words must ascend without repeats (TakeDirtyBits order)",
+				words[i].Index, words[i-1].Index))
+		}
 	}
-	buf := make([]byte, 0, 8*len(sorted))
-	back := make([]byte, 8*len(sorted))
+	buf := make([]byte, 0, 8*len(words))
+	back := make([]byte, 8*len(words))
 	flush := func(start int) {
 		off := headerSize + 8*start
 		n := len(buf)
@@ -606,19 +666,11 @@ func (a *Arena) WriteBitsExclusive(words []BitWord, highWater uint32) {
 		}
 		a.storeChecked(off, buf[:n], back[:n])
 	}
-	start := -1
-	for i, w := range sorted {
-		if i > 0 && w.Index == sorted[i-1].Index {
-			// Duplicate: overwrite in place, last wins.
-			binary.LittleEndian.PutUint64(buf[len(buf)-8:], w.Val)
-			continue
-		}
-		if start >= 0 && w.Index != sorted[i-1].Index+1 {
+	start := words[0].Index
+	for i, w := range words {
+		if i > 0 && w.Index != words[i-1].Index+1 {
 			flush(start)
 			buf = buf[:0]
-			start = -1
-		}
-		if start < 0 {
 			start = w.Index
 		}
 		buf = binary.LittleEndian.AppendUint64(buf, w.Val)

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"strings"
 	"testing"
 
 	"pmoctree/internal/nvbm"
@@ -85,32 +86,36 @@ func TestTakeDirtyBitsAscending(t *testing.T) {
 	}
 }
 
-// TestArenaDeferredBitsLastWins pins the concatenation rule: when
-// snapshots taken one after another both contain the same bitmap word,
-// WriteBitsExclusive must land the LATER snapshot's value. (A
-// regression here once let an unstable sort write a pre-allocation word
-// value over the snapshot carrying a newly committed version's bits,
-// leaving the flipped version referencing officially-free slots.)
-func TestArenaDeferredBitsLastWins(t *testing.T) {
-	dev := nvbm.New(nvbm.NVBM, 0)
-	a := NewArena(dev, 88)
-
-	h1 := a.AllocRaw() // slot 0
-	snap1, hw1 := a.TakeDirtyBits(nil)
-	h2 := a.AllocRaw() // slot 1, same bitmap word
-	snap2, hw2 := a.TakeDirtyBits(nil)
-	if hw2 <= hw1 {
-		t.Fatalf("high water did not advance: %d then %d", hw1, hw2)
-	}
-
-	// Both snapshots in the order taken: the newest wins.
-	a.WriteBitsExclusive(append(snap1, snap2...), hw2)
-	b, err := OpenArena(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Live(h1) || !b.Live(h2) {
-		t.Fatalf("reopened liveness h1=%v h2=%v, want both live (older snapshot must not shadow the newer)",
-			b.Live(h1), b.Live(h2))
+// TestWriteBitsRejectsUnsorted pins the landing contract: WriteBitsExclusive
+// takes one TakeDirtyBits snapshot, ascending and without repeats, and
+// panics on a repeated or descending word before it stores anything, so a
+// concatenation of snapshots can never land an older value of a word over
+// a newer one.
+func TestWriteBitsRejectsUnsorted(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		words []BitWord
+	}{
+		{"repeat", []BitWord{{0, 1}, {0, 3}}},
+		{"descending", []BitWord{{5, 1}, {2, 1}}},
+		{"repeat after a gap", []BitWord{{1, 1}, {4, 1}, {4, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := nvbm.New(nvbm.NVBM, 0)
+			a := NewArena(dev, 88)
+			st := dev.Stats()
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "must ascend without repeats") {
+						t.Fatalf("recovered %q, want the ascending-words panic", msg)
+					}
+				}()
+				a.WriteBitsExclusive(tc.words, 300)
+			}()
+			if st := dev.Stats().Sub(st); st.Writes != 0 {
+				t.Fatalf("a rejected landing stored %d writes", st.Writes)
+			}
+		})
 	}
 }

@@ -13,6 +13,14 @@ func newTestArena(t *testing.T, kind nvbm.Kind, slotSize int) *Arena {
 	return NewArena(nvbm.New(kind, 4096), slotSize)
 }
 
+// alloc allocates a slot and zeroes its payload, as a caller that does not
+// overwrite the whole slot must.
+func alloc(a *Arena) Handle {
+	h := a.AllocRaw()
+	a.Write(h, make([]byte, a.SlotSize()))
+	return h
+}
+
 // land stores every dirty bitmap word and the high water, as a commit does
 // before its root store.
 func land(a *Arena) {
@@ -22,8 +30,8 @@ func land(a *Arena) {
 
 func TestAllocFreeCycle(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 32)
-	h1 := a.Alloc()
-	h2 := a.Alloc()
+	h1 := alloc(a)
+	h2 := alloc(a)
 	if h1 == h2 {
 		t.Fatalf("duplicate handles: %d", h1)
 	}
@@ -38,7 +46,7 @@ func TestAllocFreeCycle(t *testing.T) {
 		t.Errorf("LiveCount after free = %d", a.LiveCount())
 	}
 	// Freed slot is recycled.
-	h3 := a.Alloc()
+	h3 := alloc(a)
 	if h3 != h1 {
 		t.Errorf("expected recycled handle %d, got %d", h1, h3)
 	}
@@ -46,10 +54,10 @@ func TestAllocFreeCycle(t *testing.T) {
 
 func TestAllocZeroesSlot(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 16)
-	h := a.Alloc()
+	h := alloc(a)
 	a.Write(h, bytes.Repeat([]byte{0xff}, 16))
 	a.Free(h)
-	h2 := a.Alloc()
+	h2 := alloc(a)
 	if h2 != h {
 		t.Fatalf("expected recycled slot")
 	}
@@ -62,7 +70,7 @@ func TestAllocZeroesSlot(t *testing.T) {
 
 func TestReadWritePayload(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 24)
-	h := a.Alloc()
+	h := alloc(a)
 	payload := []byte("twenty-four byte payload")
 	a.Write(h, payload)
 	got := make([]byte, 24)
@@ -74,7 +82,7 @@ func TestReadWritePayload(t *testing.T) {
 
 func TestFieldAccess(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 32)
-	h := a.Alloc()
+	h := alloc(a)
 	a.WriteField(h, 8, []byte{1, 2, 3, 4})
 	got := make([]byte, 4)
 	a.ReadField(h, 8, got)
@@ -91,7 +99,7 @@ func TestFieldAccess(t *testing.T) {
 
 func TestFieldOutOfRangePanics(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 16)
-	h := a.Alloc()
+	h := alloc(a)
 	for _, fn := range []func(){
 		func() { a.ReadField(h, 12, make([]byte, 8)) },
 		func() { a.WriteField(h, -1, make([]byte, 1)) },
@@ -109,7 +117,7 @@ func TestFieldOutOfRangePanics(t *testing.T) {
 
 func TestDoubleFreePanics(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 8)
-	h := a.Alloc()
+	h := alloc(a)
 	a.Free(h)
 	defer func() {
 		if recover() == nil {
@@ -141,7 +149,7 @@ func TestArenaGrowth(t *testing.T) {
 	a := NewArena(nvbm.New(nvbm.NVBM, 0), 64)
 	var handles []Handle
 	for i := 0; i < 1000; i++ {
-		handles = append(handles, a.Alloc())
+		handles = append(handles, alloc(a))
 	}
 	if a.LiveCount() != 1000 {
 		t.Fatalf("LiveCount = %d", a.LiveCount())
@@ -166,7 +174,7 @@ func TestArenaGrowth(t *testing.T) {
 
 func TestLiveQuery(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 8)
-	h := a.Alloc()
+	h := alloc(a)
 	if !a.Live(h) {
 		t.Error("allocated slot not live")
 	}
@@ -213,7 +221,7 @@ func TestRootRangePanics(t *testing.T) {
 // a store that leaves the line as it was loses nothing.
 func TestStoreLostOnWornLine(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 8)
-	h := a.Alloc()
+	h := alloc(a)
 	land(a)
 	a.SetRoot(0, uint64(h))
 	// Every line written so far (header, root table, bitmap) wears out.
@@ -228,7 +236,7 @@ func TestStoreLostOnWornLine(t *testing.T) {
 		f()
 	}
 	lost("SetRoot", func() { a.SetRoot(0, 7) })
-	a.Alloc()
+	alloc(a)
 	lost("landing", func() { land(a) })
 	a.SetRoot(0, uint64(h)) // unchanged: nothing lost
 	a.Device().SetWearLimit(0)
@@ -240,9 +248,9 @@ func TestStoreLostOnWornLine(t *testing.T) {
 func TestOpenArenaRecoversState(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 16)
-	h1 := a.Alloc()
-	h2 := a.Alloc()
-	h3 := a.Alloc()
+	h1 := alloc(a)
+	h2 := alloc(a)
+	h3 := alloc(a)
 	a.Write(h2, []byte("surviving data!!"))
 	a.Free(h1)
 	land(a)
@@ -269,7 +277,7 @@ func TestOpenArenaRecoversState(t *testing.T) {
 		t.Errorf("recovered payload = %q", got)
 	}
 	// Freed slot must be reusable after recovery.
-	h := re.Alloc()
+	h := alloc(re)
 	if h != h1 {
 		t.Errorf("recovered free list did not recycle %d (got %d)", h1, h)
 	}
@@ -278,7 +286,7 @@ func TestOpenArenaRecoversState(t *testing.T) {
 func TestOpenArenaAcrossFilePersist(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 8)
-	h := a.Alloc()
+	h := alloc(a)
 	a.Write(h, []byte("disk8byt"))
 	land(a)
 	a.SetRoot(0, uint64(h))
@@ -322,13 +330,13 @@ func TestUtilizationAndBudget(t *testing.T) {
 	if a.Budget() != 4 {
 		t.Errorf("Budget = %d", a.Budget())
 	}
-	a.Alloc()
-	a.Alloc()
+	alloc(a)
+	alloc(a)
 	if got := a.Utilization(); got != 0.5 {
 		t.Errorf("Utilization = %v, want 0.5", got)
 	}
 	for i := 0; i < 6; i++ {
-		a.Alloc()
+		alloc(a)
 	}
 	if got := a.Utilization(); got != 1.0 {
 		t.Errorf("Utilization clamped = %v, want 1.0", got)
@@ -355,9 +363,9 @@ func TestQuickAllocFreeInvariant(t *testing.T) {
 		a := NewArena(nvbm.New(nvbm.NVBM, 0), 8)
 		liveSet := map[Handle]bool{}
 		var handles []Handle
-		for _, alloc := range ops {
-			if alloc || len(handles) == 0 {
-				h := a.Alloc()
+		for _, isAlloc := range ops {
+			if isAlloc || len(handles) == 0 {
+				h := alloc(a)
 				if liveSet[h] {
 					return false // double-issued live handle
 				}
@@ -392,7 +400,7 @@ func TestQuickSlotIsolation(t *testing.T) {
 		a := NewArena(nvbm.New(nvbm.NVBM, 0), 4)
 		hs := make([]Handle, len(vals))
 		for i, v := range vals {
-			hs[i] = a.Alloc()
+			hs[i] = alloc(a)
 			a.Write(hs[i], []byte{v, v, v, v})
 		}
 		for i, v := range vals {
@@ -419,7 +427,7 @@ func TestWearLevelingSpreadsReuse(t *testing.T) {
 		// Create a pool of freed slots.
 		var hs []Handle
 		for i := 0; i < 64; i++ {
-			hs = append(hs, a.Alloc())
+			hs = append(hs, alloc(a))
 		}
 		for _, h := range hs {
 			a.Free(h)
@@ -455,7 +463,7 @@ func TestWearLevelingCorrectness(t *testing.T) {
 			}
 			continue
 		}
-		h := a.Alloc()
+		h := alloc(a)
 		if _, dup := live[h]; dup {
 			t.Fatalf("live handle %d reissued", h)
 		}

@@ -69,8 +69,8 @@ func TestFreeSetMatchesFree(t *testing.T) {
 // callers rely on (they mask by the live mirror anyway).
 func TestFreeSetSkipsFreeSlots(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 24)
-	h := a.Alloc()
-	a.Alloc()
+	h := alloc(a)
+	alloc(a)
 	a.Free(h)
 	if n := a.FreeSet([]uint64{^uint64(0)}); n != 1 || a.LiveCount() != 0 {
 		t.Fatalf("FreeSet freed %d, live %d; want 1, 0", n, a.LiveCount())
