@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pmoctree/internal/morton"
@@ -284,7 +285,15 @@ func TestBalanceAfterUnrecordedChange(t *testing.T) {
 // TestBalanceSteadyStateAllocs: with the leaf index valid and the closure
 // scratch grown, Balance allocates nothing, on a mesh that is already
 // balanced and on the seeded path after a recorded refine and coarsen.
+//
+// The counts are process-wide, so the collector stays off while the test
+// runs: a collection that ends inside a measured Balance wakes the
+// runtime's cleanup of unique's maps (linked in through net/netip), and
+// that goroutine allocates twice per collection. Turning the collector off
+// waits for a running collection to end; the cleanup it wakes runs during
+// the warm-up, before any count is taken.
 func TestBalanceSteadyStateAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	tr := Create(Config{})
 	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.05), 5)
 	tr.Balance()

@@ -17,9 +17,9 @@ import (
 // for a live version — the first collection after Restore or Compact, a
 // live root other than the one committed at its step, or a dropped slot
 // whose death step is unknown — the collection is the full mark-and-sweep
-// instead, which also reseeds the ledger. Either way the slots are freed
-// in ascending handle order, so the allocator's free list, and every later
-// allocation, do not depend on which path ran.
+// instead, which also reseeds the ledger. Either way the freed set leaves
+// the allocator's liveness mirror in one FreeSet, and allocation reads only
+// the mirror, so no later allocation depends on which path ran.
 //
 // GC never touches octants reachable from the committed version, so it is
 // safe to crash at any point during collection: recovery restores the

@@ -236,28 +236,7 @@ func (d *Device) consumePowerCut(off int, p []byte) {
 // latency for one access of len(p) bytes and bumping wear counters for
 // every touched line. With an armed power cut whose countdown has
 // expired, the access panics with ErrPowerLost.
-func (d *Device) WriteAt(off int, p []byte) {
-	d.consumePowerCut(off, p)
-	d.mu.RLock()
-	if off < 0 || off+len(p) > len(d.data) {
-		d.mu.RUnlock()
-		panic(fmt.Sprintf("nvbm: write [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
-	}
-	if d.kind == NVBM && len(p) > 0 && (d.wearLimit.Load() > 0 || d.track.Load()) {
-		d.writeLinesLocked(off, p)
-	} else {
-		copy(d.data[off:], p)
-		if d.kind == NVBM && len(p) > 0 {
-			for line := off / LineSize; line <= (off+len(p)-1)/LineSize; line++ {
-				if line < len(d.wear) {
-					atomic.AddUint32(&d.wear[line], 1)
-				}
-			}
-		}
-	}
-	d.mu.RUnlock()
-	d.chargeWrite(len(p))
-}
+func (d *Device) WriteAt(off int, p []byte) { d.write(off, p, false) }
 
 // WriteAtExclusive is WriteAt under the device's exclusive lock. The
 // default WriteAt runs under the shared lock, which is correct when
@@ -269,16 +248,24 @@ func (d *Device) WriteAt(off int, p []byte) {
 // race a store to a line they share. Latency accounting
 // and any injected spin delay happen outside the lock, exactly like
 // WriteAt, so exclusivity costs only the data copy.
-func (d *Device) WriteAtExclusive(off int, p []byte) {
+func (d *Device) WriteAtExclusive(off int, p []byte) { d.write(off, p, true) }
+
+// write is the one store body of WriteAt and WriteAtExclusive, which
+// differ only in the lock the copy holds.
+func (d *Device) write(off int, p []byte, exclusive bool) {
 	d.consumePowerCut(off, p)
-	d.mu.Lock()
-	if off < 0 || off+len(p) > len(d.data) {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("nvbm: write [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
-	}
-	if d.kind == NVBM && len(p) > 0 && (d.wearLimit.Load() > 0 || d.track.Load()) {
-		d.writeLinesLocked(off, p)
+	if exclusive {
+		d.mu.Lock()
 	} else {
+		d.mu.RLock()
+	}
+	inRange := off >= 0 && off+len(p) <= len(d.data)
+	switch {
+	case !inRange:
+		// Nothing is stored; the panic waits for the unlock (Size locks).
+	case d.kind == NVBM && len(p) > 0 && (d.wearLimit.Load() > 0 || d.track.Load()):
+		d.writeLinesLocked(off, p)
+	default:
 		copy(d.data[off:], p)
 		if d.kind == NVBM && len(p) > 0 {
 			for line := off / LineSize; line <= (off+len(p)-1)/LineSize; line++ {
@@ -288,7 +275,14 @@ func (d *Device) WriteAtExclusive(off int, p []byte) {
 			}
 		}
 	}
-	d.mu.Unlock()
+	if exclusive {
+		d.mu.Unlock()
+	} else {
+		d.mu.RUnlock()
+	}
+	if !inRange {
+		panic(fmt.Sprintf("nvbm: write [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
+	}
 	d.chargeWrite(len(p))
 }
 

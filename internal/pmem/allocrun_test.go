@@ -98,7 +98,7 @@ func TestAllocRunAfterChurn(t *testing.T) {
 		}
 	}
 	// Reopen after a landing: the full live set survives, the two freed
-	// slots are back on the free list.
+	// slots stay free.
 	land(a)
 	r, err := OpenArena(dev)
 	if err != nil {
@@ -145,8 +145,8 @@ func TestAllocRunDeferred(t *testing.T) {
 // TestAllocRunReusesFirstFit checks a run takes the lowest free extent that
 // fits — inside a word, across words, or a free tail that the high water
 // ends — moves the high water only by the part past it, and grows the
-// device only when nothing below the mark fits. AllocRaw never hands out
-// the slots a run took off its free list.
+// device only when nothing below the mark fits. AllocRaw then takes the
+// free slots the runs left, lowest first, and only then the high water.
 func TestAllocRunReusesFirstFit(t *testing.T) {
 	dev := nvbm.New(nvbm.NVBM, 0)
 	a := NewArena(dev, 88)
@@ -180,22 +180,11 @@ func TestAllocRunReusesFirstFit(t *testing.T) {
 	if dev.Size() == size {
 		t.Fatal("a run past every free extent did not grow the device")
 	}
-	// The free slots left are 250-299; the free list also
-	// holds the stale entries of every slot the runs took, which AllocRaw
-	// skips.
-	var got []int
-	for a.LiveCount() < int(a.HighWater()) {
-		got = append(got, int(a.AllocRaw())-1)
-	}
-	if len(got) != 50 {
-		t.Fatalf("AllocRaw handed out %d slots, want the 50 free ones", len(got))
-	}
-	seen := map[int]bool{}
-	for _, s := range got {
-		if seen[s] || s < 250 || s >= 300 {
-			t.Fatalf("AllocRaw handed out slot %d (free slots 250-299)", s)
+	// The free slots left are 250-299.
+	for s := 250; s < 300; s++ {
+		if got := int(a.AllocRaw()) - 1; got != s {
+			t.Fatalf("AllocRaw handed out slot %d, want the lowest free slot %d", got, s)
 		}
-		seen[s] = true
 	}
 	if h := a.AllocRaw(); int(h)-1 != 5060 {
 		t.Fatalf("allocation past the free slots got slot %d, want 5060", int(h)-1)
@@ -257,5 +246,35 @@ func BenchmarkAllocRun(b *testing.B) {
 		lo, hi := first/64, (first+n+63)/64
 		copy(a.liveWords[lo:hi], frag[lo:hi])
 		a.live -= n
+	}
+}
+
+// BenchmarkAllocRaw times the allocator's steady state under GC: each
+// iteration frees 12 k scattered slots of a full 100 k-slot arena of
+// 88-byte records in one sweep, then allocates 12 k single slots, which
+// refill exactly the freed ones.
+func BenchmarkAllocRaw(b *testing.B) {
+	const slots, frees = 100_000, 12_000
+	rng := rand.New(rand.NewSource(1))
+	dead := make([]uint64, (slots+63)/64)
+	for n := 0; n < frees; {
+		if i := rng.Intn(slots); dead[i/64]&(1<<(i%64)) == 0 {
+			dead[i/64] |= 1 << (i % 64)
+			n++
+		}
+	}
+	a := NewArena(nvbm.New(nvbm.NVBM, 0), 88)
+	a.AllocRun(slots)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := a.FreeSet(dead); n != frees {
+			b.Fatalf("freed %d, want %d", n, frees)
+		}
+		for j := 0; j < frees; j++ {
+			a.AllocRaw()
+		}
+	}
+	if a.HighWater() != slots {
+		b.Fatalf("high water %d, want %d: the allocations did not refill the freed slots", a.HighWater(), slots)
 	}
 }

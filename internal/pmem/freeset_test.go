@@ -9,10 +9,10 @@ import (
 	"pmoctree/internal/nvbm"
 )
 
-// TestFreeSetMatchesFree holds FreeSet to a Free of each set slot in
-// ascending order: no device traffic, the same mirror and dirty words,
-// the same free list (so the same later allocations), and the same device
-// bytes once both land.
+// TestFreeSetMatchesFree holds FreeSet to a Free of each set slot, in a
+// shuffled order: no device traffic, the same mirror, live count and dirty
+// words, the same device bytes once both land, and the same later
+// allocations, through every freed slot and past the high water.
 func TestFreeSetMatchesFree(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		build := func() *Arena {
@@ -33,6 +33,7 @@ func TestFreeSetMatchesFree(t *testing.T) {
 				hs = append(hs, Handle(i+1))
 			}
 		}
+		rng.Shuffle(len(hs), func(i, j int) { hs[i], hs[j] = hs[j], hs[i] })
 		for _, h := range hs {
 			want.Free(h)
 		}
@@ -43,8 +44,7 @@ func TestFreeSetMatchesFree(t *testing.T) {
 		if got.Device().Stats() != st {
 			t.Fatalf("seed %d: FreeSet charged device traffic", seed)
 		}
-		if want.LiveCount() != got.LiveCount() || !slices.Equal(want.LiveWords(), got.LiveWords()) ||
-			!slices.Equal(want.free, got.free) {
+		if want.LiveCount() != got.LiveCount() || !slices.Equal(want.LiveWords(), got.LiveWords()) {
 			t.Fatalf("seed %d: allocation state differs from per-slot Free", seed)
 		}
 		ww, _ := want.TakeDirtyBits(nil)
@@ -57,7 +57,7 @@ func TestFreeSetMatchesFree(t *testing.T) {
 		if !bytes.Equal(want.Device().Bytes(), got.Device().Bytes()) {
 			t.Fatal("landed device contents differ from per-slot Free")
 		}
-		for i := 0; i < 50; i++ {
+		for i := 0; i < len(hs)+50; i++ {
 			if w, g := want.AllocRaw(), got.AllocRaw(); w != g {
 				t.Fatalf("allocation %d after the sweep: %d, per-slot Free gives %d", i, g, w)
 			}
@@ -99,7 +99,7 @@ func BenchmarkArenaFreeSet(b *testing.B) {
 		}
 		b.StopTimer()
 		copy(a.liveWords, full)
-		a.free, a.live = a.free[:0], slots
+		a.live = slots
 		b.StartTimer()
 	}
 }

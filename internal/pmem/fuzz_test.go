@@ -12,24 +12,26 @@ import (
 // slot, FreeSet sweeps, and mid-script landings with reopens (the recovery
 // path) — with wear leveling off or on (the script's first byte), and
 // checks it against a slot-set model after every operation:
-//   - no slot is handed out while it is live, and every run is the lowest
-//     extent of free slots that fits, counting slots past the high water
-//     as free, so the high water grows only when no free extent fits;
+//   - no slot is handed out while it is live, and every allocation, single
+//     or run, is the lowest extent of free slots that fits, counting slots
+//     past the high water as free; under wear leveling it is the first one
+//     after the previous allocation (next fit), unless that would raise
+//     the high water;
+//   - the high water grows only when no free extent below it fits, in
+//     both modes;
 //   - the mirror holds exactly the model's live slots;
-//   - the free list yields no live slot, lists every free slot below the
-//     high water, and stays within twice the free-slot count;
-//   - a reopen after a landing rebuilds the mirror, the high water and the
-//     free slots exactly.
+//   - a reopen after a landing rebuilds the mirror and the high water
+//     exactly, and allocates from them as the model does, its next-fit
+//     cursor back at slot 0.
 func FuzzArenaOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 1})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0})
 	f.Add([]byte{1, 3, 3, 21, 4, 5, 9, 0, 3, 0, 0, 10, 27, 2, 45, 0, 4, 4, 3})
 	f.Add([]byte{0, 63, 3, 0, 0, 0, 11, 17, 2, 9, 3, 0, 4, 0, 1, 33})
-	// Runs take listed slots until the stale entries outnumber the free
-	// ones: LIFO, then FIFO.
-	trim := append(make([]byte, 20), 5, 11, 17, 15, 15, 0, 0, 0, 4, 0)
-	f.Add(trim)
-	f.Add(append([]byte{1}, trim...))
+	// Runs and single allocations among frees: first fit, then next fit.
+	refill := append(make([]byte, 20), 5, 11, 17, 15, 15, 0, 0, 0, 4, 0)
+	f.Add(refill)
+	f.Add(append([]byte{1}, refill...))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
 			script = script[:256]
@@ -43,7 +45,7 @@ func FuzzArenaOps(f *testing.F) {
 		live := make([]bool, capSlots) // the model's slot set
 		data := make([]byte, capSlots) // payload byte of each live slot
 		var order []uint32             // live slots, oldest first
-		hw := 0
+		hw, next := 0, 0               // high water, next-fit cursor
 		take := func(i int, idx uint32, v byte) {
 			if live[idx] {
 				t.Fatalf("op %d: slot %d handed out while live", i, idx)
@@ -56,9 +58,9 @@ func FuzzArenaOps(f *testing.F) {
 			live[order[k]] = false
 			order = slices.Delete(order, k, k+1)
 		}
-		firstFit := func(n int) int {
+		firstFit := func(n, from int) int {
 			run := 0
-			for s := 0; ; s++ {
+			for s := from; ; s++ {
 				if s >= hw || !live[s] {
 					run++
 				} else {
@@ -69,6 +71,26 @@ func FuzzArenaOps(f *testing.F) {
 				}
 			}
 		}
+		// allocate checks that a allocated n slots at start where the model
+		// would, and takes them.
+		allocate := func(i, n, start int) {
+			want := firstFit(n, 0)
+			if wear {
+				if s := firstFit(n, next); s+n <= hw {
+					want = s
+				}
+			}
+			if start != want {
+				t.Fatalf("op %d: %d slots at slot %d, the model's fit is %d (wear %v, next %d)", i, n, start, want, wear, next)
+			}
+			if start+n > hw && firstFit(n, 0)+n <= hw {
+				t.Fatalf("op %d: %d slots at %d raised the high water %d past a free extent that fits", i, n, start, hw)
+			}
+			for s := start; s < start+n; s++ {
+				take(i, uint32(s), byte(i+s))
+			}
+			hw, next = max(hw, start+n), start+n
+		}
 
 		for i, op := range script {
 			switch op % 6 {
@@ -76,14 +98,7 @@ func FuzzArenaOps(f *testing.F) {
 				if len(order) == hw && hw == capSlots {
 					continue
 				}
-				idx := uint32(a.AllocRaw() - 1)
-				take(i, idx, byte(i))
-				if int(idx) >= hw {
-					if int(idx) != hw {
-						t.Fatalf("op %d: fresh slot %d, high water was %d", i, idx, hw)
-					}
-					hw++
-				}
+				allocate(i, 1, int(a.AllocRaw()-1))
 			case 1: // free newest
 				if len(order) > 0 {
 					a.Free(Handle(order[len(order)-1] + 1))
@@ -99,32 +114,14 @@ func FuzzArenaOps(f *testing.F) {
 					t.Fatalf("op %d: reopened mirror %x (hw %d), landed %x (hw %d)",
 						i, re.LiveWords(), re.HighWater(), a.LiveWords(), a.HighWater())
 				}
-				var want []uint32
-				for s := 0; s < hw; s++ {
-					if !live[s] {
-						want = append(want, uint32(s))
-					}
-				}
-				re.listFree()
-				if !slices.Equal(re.free, want) {
-					t.Fatalf("op %d: reopened free list %v, want %v", i, re.free, want)
-				}
 				re.SetWearLeveling(wear)
-				a = re
+				a, next = re, 0
 			case 3: // run of 1..169 slots
 				n := 1 + 4*int(op/6)
-				want := firstFit(n)
-				if want+n > capSlots {
+				if firstFit(n, 0)+n > capSlots {
 					continue
 				}
-				start := int(a.AllocRun(n) - 1)
-				if start != want {
-					t.Fatalf("op %d: run of %d at slot %d, first fit is %d", i, n, start, want)
-				}
-				for s := start; s < start+n; s++ {
-					take(i, uint32(s), byte(i+s))
-				}
-				hw = max(hw, start+n)
+				allocate(i, n, int(a.AllocRun(n)-1))
 			case 4: // free a middle slot, leaving a hole
 				if len(order) > 0 {
 					k := int(op) % len(order)
@@ -157,24 +154,6 @@ func FuzzArenaOps(f *testing.F) {
 				if a.bit(uint32(s)) != live[s] {
 					t.Fatalf("op %d: mirror bit of slot %d is %v, model %v", i, s, a.bit(uint32(s)), live[s])
 				}
-			}
-			if a.unlisted {
-				continue
-			}
-			listed := make([]bool, hw)
-			for _, idx := range a.free[a.fifoHead:] {
-				if int(idx) >= hw {
-					t.Fatalf("op %d: free list holds slot %d past the high water %d", i, idx, hw)
-				}
-				listed[idx] = true
-			}
-			for s := 0; s < hw; s++ {
-				if !live[s] && !listed[s] {
-					t.Fatalf("op %d: free slot %d is not on the free list", i, s)
-				}
-			}
-			if l, free := len(a.free)-a.fifoHead, hw-len(order); l > 2*free {
-				t.Fatalf("op %d: free list holds %d entries for %d free slots", i, l, free)
 			}
 		}
 		// All surviving payloads intact.

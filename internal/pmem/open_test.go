@@ -8,8 +8,9 @@ import (
 	"pmoctree/internal/nvbm"
 )
 
-// openPerBit is the per-bit free-list rebuild OpenArena replaced, kept as
-// its oracle: it reads the landed bitmap prefix and walks it slot by slot.
+// openPerBit is the per-bit rebuild OpenArena replaced, kept as its
+// oracle: it reads the landed bitmap prefix and walks it slot by slot,
+// listing the free slots in ascending order.
 func openPerBit(dev *nvbm.Device) (liveWords []uint64, free []uint32, live int) {
 	n := int(dev.ReadU32(highWaterOff))
 	if n == 0 {
@@ -30,12 +31,11 @@ func openPerBit(dev *nvbm.Device) (liveWords []uint64, free []uint32, live int) 
 }
 
 // TestOpenArenaMatchesPerBit holds OpenArena's word-at-a-time rebuild to
-// the per-bit loop: the same mirror and live count at open, and the same
-// free list once the first allocation lists it, with high waters inside
-// and at the end of a word, and with stray bitmap bits past the high
-// water (which both must ignore). A reopened arena that allocates every
-// free slot gets them in the order the per-bit list hands them out: last
-// first (LIFO), and first first under wear levelling (FIFO).
+// the per-bit loop: the same mirror and live count at open, with high
+// waters inside and at the end of a word, and with stray bitmap bits past
+// the high water (which both must ignore). A reopened arena that allocates
+// every free slot gets them in ascending order, then the high water, with
+// wear leveling off (first fit) and on (next fit from slot 0).
 func TestOpenArenaMatchesPerBit(t *testing.T) {
 	for _, hw := range []int{1, 63, 64, 65, 700, 4096, 5000} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -55,40 +55,91 @@ func TestOpenArenaMatchesPerBit(t *testing.T) {
 			dev.WriteAt(headerSize+hw/8+8, stray)
 
 			wantWords, wantFree, wantLive := openPerBit(dev)
-			r, err := OpenArena(dev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(r.LiveWords(), wantWords) || r.LiveCount() != wantLive {
-				t.Fatalf("hw %d seed %d: rebuild differs from the per-bit loop (live %d, want %d)",
-					hw, seed, r.LiveCount(), wantLive)
-			}
-			if r.LiveCount() != a.LiveCount() {
-				t.Fatalf("hw %d seed %d: reopened live %d, landed %d", hw, seed, r.LiveCount(), a.LiveCount())
-			}
-			r.listFree()
-			if !slices.Equal(r.free, wantFree) {
-				t.Fatalf("hw %d seed %d: listed %d free slots, the per-bit loop %d", hw, seed, len(r.free), len(wantFree))
-			}
-
-			for _, fifo := range []bool{false, true} {
+			for _, wear := range []bool{false, true} {
 				r, err := OpenArena(dev)
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.SetWearLeveling(fifo)
-				order := slices.Clone(wantFree)
-				if !fifo {
-					slices.Reverse(order)
+				if !slices.Equal(r.LiveWords(), wantWords) || r.LiveCount() != wantLive {
+					t.Fatalf("hw %d seed %d: rebuild differs from the per-bit loop (live %d, want %d)",
+						hw, seed, r.LiveCount(), wantLive)
 				}
-				for i, idx := range order {
+				if r.LiveCount() != a.LiveCount() {
+					t.Fatalf("hw %d seed %d: reopened live %d, landed %d", hw, seed, r.LiveCount(), a.LiveCount())
+				}
+				r.SetWearLeveling(wear)
+				for i, idx := range wantFree {
 					if h := r.AllocRaw(); h != Handle(idx+1) {
-						t.Fatalf("hw %d seed %d fifo %v: allocation %d got handle %d, eager listing gives %d", hw, seed, fifo, i, h, idx+1)
+						t.Fatalf("hw %d seed %d wear %v: allocation %d got handle %d, the lowest free slot is %d", hw, seed, wear, i, h, idx+1)
 					}
 				}
 				if h := r.AllocRaw(); h != Handle(hw+1) {
-					t.Fatalf("hw %d seed %d fifo %v: allocation past the free slots got handle %d, want %d", hw, seed, fifo, h, hw+1)
+					t.Fatalf("hw %d seed %d wear %v: allocation past the free slots got handle %d, want %d", hw, seed, wear, h, hw+1)
 				}
+			}
+		}
+	}
+}
+
+// TestReopenAllocatesLikeOriginal churns an arena with single allocations,
+// runs, frees in no particular order and sweeps, lands it, and reopens a
+// clone of its device: in the default mode the reopened arena and the one
+// that landed the bitmap hand out the same next handles, because the
+// mirror is all either consults.
+func TestReopenAllocatesLikeOriginal(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev := nvbm.New(nvbm.NVBM, 0)
+		a := NewArena(dev, 24)
+		var live []Handle
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				live = append(live, a.AllocRaw())
+			case r < 5:
+				n := 1 + rng.Intn(90)
+				h := a.AllocRun(n)
+				for i := 0; i < n; i++ {
+					live = append(live, h+Handle(i))
+				}
+			case r < 9:
+				if len(live) > 0 {
+					k := rng.Intn(len(live))
+					a.Free(live[k])
+					live[k] = live[len(live)-1]
+					live = live[:len(live)-1]
+				}
+			default:
+				dead := make([]uint64, (a.HighWater()+63)/64)
+				kept := live[:0]
+				for _, h := range live {
+					if rng.Intn(4) == 0 {
+						dead[(h-1)/64] |= 1 << ((h - 1) % 64)
+					} else {
+						kept = append(kept, h)
+					}
+				}
+				live = kept
+				a.FreeSet(dead)
+			}
+		}
+		land(a)
+		r, err := OpenArena(dev.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		free := int(a.HighWater()) - a.LiveCount()
+		if free == 0 {
+			t.Fatalf("seed %d: the churn left no free slot to reuse", seed)
+		}
+		for i := 0; i < free+20; i++ {
+			if w, g := a.AllocRaw(), r.AllocRaw(); w != g {
+				t.Fatalf("seed %d: allocation %d of the reopened arena got handle %d, the original %d", seed, i, g, w)
+			}
+		}
+		for _, n := range []int{1, 7, 64, 200} {
+			if w, g := a.AllocRun(n), r.AllocRun(n); w != g {
+				t.Fatalf("seed %d: run of %d: reopened arena at handle %d, the original at %d", seed, n, g, w)
 			}
 		}
 	}

@@ -11,11 +11,12 @@ import (
 // TestDropletAllocationSequence pins the slots a droplet run allocates: an
 // FNV-64a digest over the ref and code of every octant of each step's
 // working version (before Persist, so C0 and C1 handles both count) and
-// committed version (after it), in walk order. When allocation state
-// reaches the device never decides which slot an allocation gets, so the
-// digest is fixed.
+// committed version (after it), in walk order. An allocation takes the
+// lowest free slot of the arena's liveness mirror, so neither the order of
+// earlier frees nor when allocation state reaches the device decides which
+// slot it gets, and the digest is fixed.
 func TestDropletAllocationSequence(t *testing.T) {
-	const want = 0x979464b5e1e6e09a
+	const want = 0x7bc12973424f1cce
 	tr := core.Create(core.Config{DRAMBudgetOctants: 512, Seed: 3})
 	d := NewDroplet(DropletConfig{Steps: 32})
 	tr.SetFeatures(d.Feature(1))
