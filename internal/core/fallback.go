@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -169,7 +168,6 @@ func RestoreWithReport(cfg Config) (t *Tree, rep RestoreReport, err error) {
 		nv:     nv,
 		hot:    map[morton.Code]bool{},
 		access: map[morton.Code]uint64{},
-		rng:    rand.New(rand.NewSource(cfg.Seed + 1)),
 		lsub:   1,
 	}
 	t.dram.SetBudget(cfg.DRAMBudgetOctants)

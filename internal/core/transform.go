@@ -115,13 +115,14 @@ func (t *Tree) collect(codes []morton.Code) ([]subtreeInfo, uint8) {
 // ancestors deeper than the common ancestor with the previous leaf and
 // then the leaf itself yields every octant in the pre-order of a tree walk
 // (DESIGN.md decision 6). Each is offered to its subtree's reservoir as
-// the walk would offer it, with the same t.rng calls.
+// the walk would offer it, with the same t.random() calls.
 //
 // Candidate subtrees are contiguous in pre-order, so each one's samples are
 // a window of the flat, reused t.samples buffer, and in steady state the
 // pass allocates nothing.
 func (t *Tree) collectSubtrees(codes []morton.Code) ([]subtreeInfo, uint8) {
 	infos, samples := t.subtrees[:0], t.samples[:0]
+	rng := t.random()
 	lsub, ns := t.lsub, t.cfg.NSample
 	var depth uint8
 	lo := 0 // the open subtree's first sample
@@ -151,7 +152,7 @@ func (t *Tree) collectSubtrees(codes []morton.Code) ([]subtreeInfo, uint8) {
 			// Reservoir sampling: keep NSample uniform samples per subtree.
 			if len(samples)-lo < ns {
 				samples = append(samples, c.AncestorAt(lv))
-			} else if j := t.rng.Intn(in.size); j < ns {
+			} else if j := rng.Intn(in.size); j < ns {
 				samples[lo+j] = c.AncestorAt(lv)
 			}
 		}

@@ -49,7 +49,7 @@ func walkCollect(t *Tree) ([]subtreeInfo, uint8) {
 		info.size++
 		if len(info.samples) < t.cfg.NSample {
 			info.samples = append(info.samples, o.Code)
-		} else if j := t.rng.Intn(info.size); j < t.cfg.NSample {
+		} else if j := t.random().Intn(info.size); j < t.cfg.NSample {
 			info.samples[j] = o.Code
 		}
 		return true
@@ -265,7 +265,7 @@ func TestTransformMatchesWalkOracle(t *testing.T) {
 		if !maps.Equal(got.hot, want.hot) || !maps.Equal(got.trunk, want.trunk) {
 			t.Fatalf("hot %v trunk %v, oracle hot %v trunk %v", got.hot, got.trunk, want.hot, want.trunk)
 		}
-		if g, w := got.rng.Int63(), want.rng.Int63(); g != w {
+		if g, w := got.random().Int63(), want.random().Int63(); g != w {
 			t.Fatalf("RNG stream diverged (next %d, oracle %d)", g, w)
 		}
 	})
