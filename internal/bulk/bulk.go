@@ -2,7 +2,7 @@
 // Morton codes, Cornerstone-style: sort the codes along the space-filling
 // curve, validate them as a partition of the domain, derive every internal
 // node top-down from the common key prefixes of adjacent leaves, and link
-// parent/child indices — all in parallel chunks over internal/parallel.
+// child indices — all in parallel chunks over internal/parallel.
 //
 // The output is a flat, index-linked node array in pre-order (= integer
 // order of the codes), the layout the p4est Morton-representation work shows is right
@@ -59,8 +59,6 @@ type Tree struct {
 
 	// Nodes holds every octant (internal + leaf) in pre-order.
 	Nodes []morton.Code
-	// Parent[j] is the node index of Nodes[j]'s parent, -1 for the root.
-	Parent []int32
 	// Children[8*j+k] is the node index of Nodes[j]'s k-th child, -1 for
 	// all eight when Nodes[j] is a leaf. Internal nodes always have all
 	// eight (a partition of the domain derives a complete octree).
@@ -357,7 +355,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 		}
 	})
 
-	parent := make([]int32, nn)
 	children := make([]int32, 8*nn)
 	pool.Run(nn, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -368,11 +365,10 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 				continue
 			}
 			// The derived tree is complete, so every child of an internal
-			// node is present; each child has exactly one parent, so the
-			// parent writes never collide across chunks. In pre-order a
-			// child directly follows its previous sibling when that one is
-			// a leaf (child 0 directly follows the node), so only a child
-			// after an interior sibling needs a search.
+			// node is present. In pre-order a child directly follows its
+			// previous sibling when that one is a leaf (child 0 directly
+			// follows the node), so only a child after an interior
+			// sibling needs a search.
 			idx, ok := j, true
 			for k := 0; k < 8; k++ {
 				child := nodes[j].Child(k)
@@ -382,11 +378,9 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 					panic("bulk: derived octree is missing a child node (internal inconsistency)")
 				}
 				children[8*j+k] = int32(idx)
-				parent[idx] = int32(j)
 			}
 		}
 	})
-	parent[0] = -1
 
 	depth := uint8(0)
 	nc := (n + valChunk - 1) / valChunk
@@ -413,7 +407,6 @@ func derive(leaves []morton.Code, src []int32, pool *parallel.Pool) *Tree {
 		Leaves:   leaves,
 		SrcIdx:   src,
 		Nodes:    nodes,
-		Parent:   parent,
 		Children: children,
 		NodeLeaf: nodeLeaf,
 		Depth:    depth,

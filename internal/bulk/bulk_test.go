@@ -52,8 +52,8 @@ func checkTree(t *testing.T, tr *Tree, wantLeaves int) {
 			t.Fatalf("nodes not in code order at %d: %v >= %v", j, tr.Nodes[j-1], tr.Nodes[j])
 		}
 	}
-	if tr.Parent[0] != -1 || tr.Nodes[0] != morton.Root {
-		t.Fatalf("node 0 is %v with parent %d, want root with parent -1", tr.Nodes[0], tr.Parent[0])
+	if tr.Nodes[0] != morton.Root {
+		t.Fatalf("node 0 is %v, want the root", tr.Nodes[0])
 	}
 	leafSeen := 0
 	for j := 0; j < nn; j++ {
@@ -76,9 +76,6 @@ func checkTree(t *testing.T, tr *Tree, wantLeaves int) {
 			}
 			if tr.Nodes[ci] != tr.Nodes[j].Child(k) {
 				t.Fatalf("node %d child %d is %v, want %v", j, k, tr.Nodes[ci], tr.Nodes[j].Child(k))
-			}
-			if tr.Parent[ci] != int32(j) {
-				t.Fatalf("parent of node %d = %d, want %d", ci, tr.Parent[ci], j)
 			}
 		}
 	}

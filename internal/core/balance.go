@@ -63,7 +63,6 @@ func (t *Tree) splitWalk(r Ref, splits []morton.Code) (Ref, bool) {
 		splits = splits[1:]
 	}
 	changed := false
-	var chIdx [8]bool
 	for i, c := range o.Children {
 		if len(splits) == 0 {
 			break
@@ -80,7 +79,6 @@ func (t *Tree) splitWalk(r Ref, splits []morton.Code) (Ref, bool) {
 		splits = splits[n:]
 		if chg {
 			o.Children[i] = nc
-			chIdx[i] = true
 			changed = true
 		}
 	}
@@ -94,7 +92,6 @@ func (t *Tree) splitWalk(r Ref, splits []morton.Code) (Ref, bool) {
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
 		return r, false
 	}
 	return t.commitOctant(r, &o), true

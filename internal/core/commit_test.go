@@ -29,7 +29,7 @@ func workingDigest(tr *Tree) uint64 { return contentDigest(tr, tr.cur) }
 func contentDigest(tr *Tree, root Ref) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	tr.walkRO(root, func(_ Ref, o *Octant) bool {
+	walkRead(tr, root, func(_ Ref, o *Octant) bool {
 		binary.LittleEndian.PutUint64(b[:], uint64(o.Code))
 		h.Write(b[:])
 		for _, d := range o.Data {

@@ -36,25 +36,23 @@ func (t *Tree) Compact() (retired *nvbm.Device, err error) {
 	newDev := nvbm.New(nvbm.NVBM, 0)
 	newArena := pmem.NewArena(newDev, RecordSize)
 
-	// Copy pre-order with parent threading: allocate the destination
-	// slot before descending so children are written with final parent
-	// refs, exactly like the persist merge.
-	var copyTree func(r, parent Ref) Ref
-	copyTree = func(r, parent Ref) Ref {
+	// Copy pre-order: allocate the destination slot before descending, so
+	// the new region holds the version in Z-order, like the persist merge.
+	var copyTree func(r Ref) Ref
+	copyTree = func(r Ref) Ref {
 		o := t.readOct(r)
 		nr := makeRef(false, newArena.AllocRaw())
-		o.Parent = parent
 		o.Version = 0 // committed content; any working step exceeds it
 		for i, c := range o.Children {
 			if !c.IsNil() {
-				o.Children[i] = copyTree(c, nr)
+				o.Children[i] = copyTree(c)
 			}
 		}
 		o.encode(t.scratch[:])
 		newArena.Write(nr.Handle(), t.scratch[:])
 		return nr
 	}
-	newRoot := copyTree(t.committed, NilRef)
+	newRoot := copyTree(t.committed)
 	landBits(newArena)
 	newArena.SetRoot(rootSlotStep, t.step-1)
 	newArena.SetRoot(rootSlotAddr, uint64(newRoot))

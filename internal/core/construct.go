@@ -105,11 +105,7 @@ func (t *Tree) construct(codes []morton.Code, data [][DataWords]float64, held in
 	pool.Run(nn, func(lo, hi int) {
 		var o Octant
 		for j := lo; j < hi; j++ {
-			o = Octant{
-				Code:    bt.Nodes[j],
-				Parent:  ref(bt.Parent[j]),
-				Version: t.step,
-			}
+			o = Octant{Code: bt.Nodes[j], Version: t.step}
 			for k := 0; k < 8; k++ {
 				o.Children[k] = ref(bt.Children[8*j+k])
 			}

@@ -260,7 +260,7 @@ func TestConstructPersistSkipsMerge(t *testing.T) {
 	merged := -1
 	tr.mergeOracle = func(t *Tree, r Ref) Ref {
 		r0 := reads()
-		nr := t.moveToNVBMUnder(r, morton.Root, NilRef, false)
+		nr := t.moveToNVBMUnder(r, morton.Root)
 		merged = int(reads() - r0)
 		return nr
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -811,12 +812,13 @@ func TestQuickCrashRecovery(t *testing.T) {
 	}
 }
 
-// Property: octant record encode/decode is the identity.
+// Property: octant record encode/decode is the identity, and the
+// reserved bytes 8–11 encode as zero (over whatever the buffer held) and
+// are ignored on decode.
 func TestQuickRecordRoundTrip(t *testing.T) {
-	f := func(code uint64, parent uint32, flags uint32, kids [8]uint32, d0, d1, d2, d3 float64, ver uint64) bool {
+	f := func(code uint64, reserved uint32, flags uint32, kids [8]uint32, d0, d1, d2, d3 float64, ver uint64) bool {
 		o := Octant{
 			Code:    morton.Code(code),
-			Parent:  Ref(parent),
 			Flags:   flags,
 			Data:    [DataWords]float64{d0, d1, d2, d3},
 			Version: ver,
@@ -825,7 +827,12 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 			o.Children[i] = Ref(k)
 		}
 		var buf [RecordSize]byte
+		binary.LittleEndian.PutUint32(buf[offReserved:], reserved)
 		o.encode(buf[:])
+		if binary.LittleEndian.Uint32(buf[offReserved:]) != 0 {
+			return false
+		}
+		binary.LittleEndian.PutUint32(buf[offReserved:], reserved)
 		var got Octant
 		got.decode(buf[:])
 		return got == o

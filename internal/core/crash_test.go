@@ -19,9 +19,10 @@ import (
 // most slots before the next landing, and again in a retain=1 group, where
 // restore keeps a superseded version whose slots must stay allocated too.
 // The depth=2 group repeats both on a Config carrying the deprecated
-// PipelineDepth 2, which Persist ignores, and spreads its cut points over
-// the phase length the removed persist worker had (workerPhaseWrites), so
-// it cuts at offsets the depth-0 spreads do not.
+// PipelineDepth 2, which Persist ignores. Each group spreads its cut
+// points over a recorded phase length (recordedPhaseWrites), so the cuts
+// keep their offsets while the phase's length moves with the write
+// stream, and cuts the phase's measured end as well.
 func TestPowerCutTorture(t *testing.T) {
 	powerCutTorture(t, 0, 0)
 	t.Run("retain=1", func(t *testing.T) { powerCutTorture(t, 0, 1) })
@@ -31,10 +32,16 @@ func TestPowerCutTorture(t *testing.T) {
 	})
 }
 
-// workerPhaseWrites is, per RetainVersions, how many writes the doomed
-// phase made when a persist worker two versions deep wrote its versions
-// back. The inline phase writes more, so every spread point is a cut.
-var workerPhaseWrites = map[int]int{0: 3790, 1: 3792}
+// recordedPhaseWrites is, per pipeline depth and RetainVersions, the
+// doomed phase length the group's cut points spread over: at depth 2 the
+// length the phase had when a persist worker two versions deep wrote its
+// versions back, at depth 0 the length the inline phase had while every
+// octant still stored a parent ref. The phase writes at least as much, so
+// every spread point is a cut.
+var recordedPhaseWrites = map[int]map[int]int{
+	0: {0: 3848, 1: 3847},
+	2: {0: 3790, 1: 3792},
+}
 
 func powerCutTorture(t *testing.T, depth, retain int) {
 	// Dry run to learn how many NVBM writes the doomed phase performs. The
@@ -77,22 +84,21 @@ func powerCutTorture(t *testing.T, depth, retain int) {
 	// Cut at every point in the first 20 writes and in the last 10 (where
 	// the commit machinery lives: the ring push, the commit flip and the
 	// bitmap landing end the phase), plus two spreads of points covering
-	// the whole phase, whose strides differ by one so that their points
-	// fall at different offsets. The depth=2 group lays the same pattern
-	// over the worker's shorter phase.
-	span := totalWrites
-	if depth != 0 {
-		span = workerPhaseWrites[retain]
-		if span > totalWrites {
-			t.Fatalf("the phase makes %d writes, fewer than the %d the cut points spread over", totalWrites, span)
-		}
+	// the recorded phase length, whose strides differ by one so that their
+	// points fall at different offsets. The 10 points before the recorded
+	// length are cut too, as they were while it was the measured one.
+	span := recordedPhaseWrites[depth][retain]
+	if span > totalWrites {
+		t.Fatalf("the phase makes %d writes, fewer than the %d the cut points spread over", totalWrites, span)
 	}
 	points := map[int]bool{}
 	for n := 0; n <= 20; n++ {
 		points[n] = true
 	}
-	for n := span - 10; n <= span; n++ {
-		points[n] = true
+	for _, end := range []int{span, totalWrites} {
+		for n := end - 10; n <= end; n++ {
+			points[n] = true
+		}
 	}
 	for _, stride := range []int{span / 24, span/24 + 1} {
 		for n := 0; n <= span; n += stride {
@@ -221,14 +227,18 @@ func buildBase(t *testing.T, nv *nvbm.Device, depth, retain int) (*Tree, []map[m
 }
 
 // doomedPhase is the mutation whose writes the torture interrupts: a
-// refinement, a solve-style update, and a persist (including its merge,
-// commit, GC and retarget), ending in the bitmap landing of Flush.
+// refinement, two solve-style updates, and a persist (including its
+// merge, commit, GC and retarget), ending in the bitmap landing of Flush.
+// The second update rewrites in place what the first copied, and keeps
+// the phase at least as long as recordedPhaseWrites.
 func doomedPhase(tree *Tree) {
 	tree.RefineWhere(sphere(0.6, 0.6, 0.6, 0.2, 0.15), 4)
-	tree.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
-		d[1] = 1
-		return true
-	})
+	for w := 1; w <= 2; w++ {
+		tree.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+			d[w] = 1
+			return true
+		})
+	}
 	tree.Persist()
 	tree.Flush()
 }
@@ -268,9 +278,15 @@ func TestPowerCutDuringEveryEarlyWrite(t *testing.T) {
 }
 
 func denseTorture(t *testing.T, depth, retain int, compacted bool) {
-	// Learn the phase length.
+	// Learn the phase length. The payload sweep keeps the phase at least
+	// as long as it was while every octant still stored a parent ref, so
+	// every cut the group names falls inside it.
 	phase := func(tree *Tree) {
 		tree.RefineWhere(func(c morton.Code) bool { return c.Level() < 2 }, 2)
+		tree.UpdateLeaves(func(c morton.Code, d *[DataWords]float64) bool {
+			d[0] = 1
+			return true
+		})
 		tree.Persist()
 		tree.Flush()
 	}
@@ -295,6 +311,13 @@ func denseTorture(t *testing.T, depth, retain int, compacted bool) {
 		phase(tree)
 		return int(nv.Stats().Writes - before)
 	}()
+	recorded := 97 // the phase length while octants stored a parent ref
+	if retain == 1 && compacted {
+		recorded = 95
+	}
+	if total < recorded {
+		t.Fatalf("the phase makes %d writes, fewer than the %d cut points the group names", total, recorded)
+	}
 
 	fullWant := func() map[morton.Code][DataWords]float64 {
 		tree, _, _ := build()

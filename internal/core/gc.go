@@ -170,8 +170,10 @@ func (t *Tree) markFrom(r Ref, marked []uint64, guarded, working bool, seed *led
 		if !r.InDRAM() {
 			h := r.Handle()
 			idx := uint32(h - 1)
-			if marked[idx/64]&(1<<(idx%64)) != 0 || (guarded && !t.nv.Live(h)) {
-				continue // shared subtree already visited, or reclaimed
+			// Liveness first: a damaged ref may lie past the high water,
+			// and so past the end of marked.
+			if (guarded && !t.nv.Live(h)) || marked[idx/64]&(1<<(idx%64)) != 0 {
+				continue // reclaimed, or shared subtree already visited
 			}
 			marked[idx/64] |= 1 << (idx % 64)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,34 +99,112 @@ func TestRestoreRejectsOldMagic(t *testing.T) {
 	}
 }
 
-// FuzzRestoreImage XORs two bytes anywhere in a persisted image and
-// restores it with deep verification. Restore may reject the image; a
+// restoreDamaged restores a damaged image with deep verification, at the
+// retention imageConfig persisted it with. Restore may reject the image; a
 // tree it hands back must validate, survive an allocating refine and a
-// persist, and validate again. The restore keeps no versions: GC then
-// never walks the fallback ring, whose damaged entries its guarded mark
-// does not yet survive (ROADMAP "Recovery is right by construction on
+// persist (whose collection marks from every retained ring entry), and
+// validate again.
+func restoreDamaged(t *testing.T, dev *nvbm.Device) {
+	t.Helper()
+	tr, _, err := RestoreWithReport(imageConfig(dev))
+	if err != nil {
+		return
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("restored tree invalid: %v", err)
+	}
+	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.2, 0.1), 4)
+	tr.Persist()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("tree invalid after refine and persist: %v", err)
+	}
+}
+
+// TestRestoreDamagedImage holds restoreDamaged's contract on byte flips
+// that once broke it. "ring-entry-past-high-water" damages a fallback
+// ring entry so that it names a slot past the high water: the guarded
+// mark of the next collection must find the slot not live before it
+// indexes its mark bitset (ROADMAP "Recovery is right by construction on
 // faulty memory").
+func TestRestoreDamagedImage(t *testing.T) {
+	base := persistedImage(t)
+	cases := []struct {
+		name  string
+		flips [][2]int // device offset, XOR mask
+	}{
+		{"ring-entry-past-high-water", [][2]int{{104, 0x3c}, {114, 0xb3}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dev := base.Clone()
+			for _, f := range c.flips {
+				xorByte(dev, f[0], byte(f[1]))
+			}
+			restoreDamaged(t, dev)
+		})
+	}
+}
+
+// FuzzRestoreImage XORs two bytes anywhere in a persisted image and holds
+// the restore to restoreDamaged's contract.
 func FuzzRestoreImage(f *testing.F) {
 	base := persistedImage(f)
 	f.Add(uint32(13), byte(0x01), uint32(0), byte(0))
 	f.Add(uint32(18), byte(0x01), uint32(0), byte(0))
 	f.Add(uint32(17), byte(0x10), uint32(0), byte(0))
 	f.Add(uint32(21), byte(0x64), uint32(0), byte(0))
+	f.Add(uint32(104), byte(0x3c), uint32(114), byte(0xb3))
 	f.Fuzz(func(t *testing.T, off1 uint32, x1 byte, off2 uint32, x2 byte) {
 		dev := base.Clone()
 		xorByte(dev, int(off1%uint32(dev.Size())), x1)
 		xorByte(dev, int(off2%uint32(dev.Size())), x2)
-		tr, _, err := RestoreWithReport(Config{NVBMDevice: dev, DRAMBudgetOctants: 16, VerifyRestore: true})
+		restoreDamaged(t, dev)
+	})
+}
+
+// TestRestoreIgnoresReservedBytes writes garbage into the reserved bytes
+// 8–11 of every record slot of a persisted image. Restore and Validate
+// must accept it as they do the clean image, the committed versions must
+// decode to the same octants, and a step on each must commit the same
+// digest.
+func TestRestoreIgnoresReservedBytes(t *testing.T) {
+	clean := persistedImage(t)
+	dirty := clean.Clone()
+	a, err := pmem.OpenArena(dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := pmem.Handle(1); uint32(h) <= a.HighWater(); h++ {
+		off, _ := a.SlotRange(h)
+		dirty.WriteU32(off+offReserved, 0x9e3779b9*uint32(h)|1)
+	}
+	var trees [2]*Tree
+	var octs [2][]Octant
+	for i, dev := range []*nvbm.Device{clean, dirty} {
+		tr, _, err := RestoreWithReport(imageConfig(dev))
 		if err != nil {
-			return
+			t.Fatalf("restore: %v", err)
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("restored tree invalid: %v", err)
 		}
+		tr.ForEachCommittedNode(func(_ Ref, o *Octant) bool {
+			octs[i] = append(octs[i], *o)
+			return true
+		})
+		trees[i] = tr
+	}
+	if !slices.Equal(octs[0], octs[1]) {
+		t.Fatalf("the committed versions decode differently: %d and %d octants", len(octs[0]), len(octs[1]))
+	}
+	for _, tr := range trees {
 		tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.2, 0.1), 4)
 		tr.Persist()
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("tree invalid after refine and persist: %v", err)
 		}
-	})
+	}
+	if c, d := commitDigest(trees[0]), commitDigest(trees[1]); c != d {
+		t.Fatalf("committed digest %x, the clean image's %x", d, c)
+	}
 }

@@ -79,7 +79,6 @@ func (t *Tree) evictWalkTrunk(r Ref, code morton.Code) (Ref, bool) {
 	o.Children[idx] = nc
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.writeParentField(nc, r)
 		return r, false
 	}
 	// The trunk octant itself is shared: copy it. The eviction path must
@@ -106,30 +105,23 @@ func (t *Tree) evictWalkTrunk(r Ref, code morton.Code) (Ref, bool) {
 // host-side span map, so neither costs a device read.
 //
 // The destination slot of a moved octant is allocated BEFORE descending,
-// so children are written with their final parent ref already in their
-// record, avoiding a parent-field fix-up write per child.
+// so the moved octants take their NVBM handles in pre-order, and each is
+// written once, with its final children.
 func (t *Tree) moveToNVBM(r Ref, code morton.Code) Ref {
 	if t.mergeOracle != nil {
 		return t.mergeOracle(t, r)
 	}
-	return t.moveToNVBMUnder(r, code, NilRef, false)
+	return t.moveToNVBMUnder(r, code)
 }
 
-func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bool) Ref {
+func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code) Ref {
 	if r.IsNil() {
 		return r
 	}
 	if !r.InDRAM() {
-		if !t.bornWorking(r) {
-			return r // shared subtree: closed under NVBM already
-		}
-		if !t.c0.below(code) {
-			// Nothing below r moves. Under a moved C0 octant r's parent
-			// field still names the freed DRAM ref: store the new one
-			// without reading r.
-			if setParent {
-				t.writeParentField(r, parent)
-			}
+		if !t.bornWorking(r) || !t.c0.below(code) {
+			// A shared subtree is closed under NVBM already; below a
+			// working octant with no C0 span nothing moves.
 			return r
 		}
 		o := t.readOct(r)
@@ -138,9 +130,7 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 			if c.IsNil() {
 				continue
 			}
-			// A relocated C0 child is written once, already naming r.
-			nc := t.moveToNVBMUnder(c, code.Child(i), r, c.InDRAM())
-			if nc != c {
+			if nc := t.moveToNVBMUnder(c, code.Child(i)); nc != c {
 				o.Children[i] = nc
 				changed = true
 			}
@@ -148,20 +138,14 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 		if changed {
 			t.writeChildren(r, &o)
 		}
-		if setParent && o.Parent != parent {
-			t.writeParentField(r, parent)
-		}
 		return r
 	}
 	o := t.readOct(r)
 	nr := t.allocIn(false)
 	for i, c := range o.Children {
 		if !c.IsNil() {
-			o.Children[i] = t.moveToNVBMUnder(c, code.Child(i), nr, true)
+			o.Children[i] = t.moveToNVBMUnder(c, code.Child(i))
 		}
-	}
-	if setParent {
-		o.Parent = parent
 	}
 	t.writeOct(nr, &o)
 	t.dram.Free(r.Handle())
@@ -171,7 +155,7 @@ func (t *Tree) moveToNVBMUnder(r Ref, code morton.Code, parent Ref, setParent bo
 // bornWorking reports, from the GC ledger alone, whether the NVBM slot at
 // r belongs to the working version's mutable set: it is live and was born
 // in the working step. For a slot the working version reaches, that is
-// exactly the test isCurrent makes with a device read of its version tag.
+// exactly what a device read of its version tag would say.
 func (t *Tree) bornWorking(r Ref) bool {
 	i := int(r.Handle()) - 1
 	return i < len(t.led.born) && t.led.born[i] == t.step && t.nv.Live(r.Handle())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,10 +15,8 @@ import (
 // moveWalk is the merge walk moveToNVBM replaced, kept as its oracle
 // (TestMergeMatchesWalkOracle): it reads every working-version NVBM
 // octant, and the version tag of each one's children, to find the C0
-// octants below. It writes a relocated child of such an octant first and
-// stores the child's parent field after; reparents counts the NVBM device
-// writes of those stores, which the merge does without.
-func (t *Tree) moveWalk(r, parent Ref, setParent bool, reparents *nvbm.Stats) Ref {
+// octants below.
+func (t *Tree) moveWalk(r Ref) Ref {
 	if r.IsNil() {
 		return r
 	}
@@ -26,62 +25,51 @@ func (t *Tree) moveWalk(r, parent Ref, setParent bool, reparents *nvbm.Stats) Re
 			return r // shared subtree: closed under NVBM already
 		}
 		o := t.readOct(r)
-		var chIdx [8]bool
 		changed := false
 		for i, c := range o.Children {
-			nc := t.moveWalk(c, r, false, reparents)
-			if nc != c {
+			if nc := t.moveWalk(c); nc != c {
 				o.Children[i] = nc
-				chIdx[i] = true
 				changed = true
 			}
 		}
 		if changed {
 			t.writeChildren(r, &o)
-			before := t.NVBMDevice().Stats()
-			for i, c := range o.Children {
-				if chIdx[i] {
-					t.writeParentField(c, r)
-				}
-			}
-			after := t.NVBMDevice().Stats()
-			reparents.Writes += after.Writes - before.Writes
-			reparents.WriteBytes += after.WriteBytes - before.WriteBytes
-		}
-		if setParent && o.Parent != parent {
-			t.writeParentField(r, parent)
 		}
 		return r
 	}
 	o := t.readOct(r)
 	nr := t.allocIn(false)
 	for i, c := range o.Children {
-		o.Children[i] = t.moveWalk(c, nr, true, reparents)
-	}
-	if setParent {
-		o.Parent = parent
+		o.Children[i] = t.moveWalk(c)
 	}
 	t.writeOct(nr, &o)
 	t.dram.Free(r.Handle())
 	return nr
 }
 
+// isCurrent reports whether the octant at r belongs to the working
+// version's mutable set, reading only its version field.
+func (t *Tree) isCurrent(r Ref) bool {
+	return r.InDRAM() || t.readVersion(r) == t.step
+}
+
+// readVersion loads only the version word at r.
+func (t *Tree) readVersion(r Ref) uint64 {
+	var buf [8]byte
+	t.arenaFor(r).ReadField(r.Handle(), offVersion, buf[:])
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
 // mergePair drives one tree through the span-directed merge and its twin
 // through the walk oracle, over the same operations. After every persist
 // both NVBM devices must hold the same bytes, the merge must have written
-// exactly the oracle's writes less its parent-field stores, and it must
-// have read no more than the oracle.
+// exactly the oracle's writes, and it must have read no more than the
+// oracle.
 type mergePair struct {
 	t         testing.TB
 	cfg       [2]Config // got's, want's
 	got, want *Tree
 	at        string // the running operation, for failure messages
-
-	// reparents counts the oracle's parent-field stores on its current
-	// NVBM device, reparentWrites their writes on the devices Compact
-	// retired.
-	reparents      nvbm.Stats
-	reparentWrites uint64
 }
 
 func newMergePair(t testing.TB, conf Config) *mergePair {
@@ -96,7 +84,7 @@ func newMergePair(t testing.TB, conf Config) *mergePair {
 
 func (p *mergePair) hook(tr *Tree, oracle bool) *Tree {
 	if oracle {
-		tr.mergeOracle = func(t *Tree, r Ref) Ref { return t.moveWalk(r, NilRef, false, &p.reparents) }
+		tr.mergeOracle = (*Tree).moveWalk
 	}
 	return tr
 }
@@ -123,12 +111,8 @@ func (p *mergePair) compare() {
 	}
 	for _, d := range [][2]*nvbm.Device{{gn, wn}, {p.got.DRAMDevice(), p.want.DRAMDevice()}} {
 		g, w := d[0].Stats(), d[1].Stats()
-		if d[0] == gn {
-			w.Writes -= p.reparents.Writes
-			w.WriteBytes -= p.reparents.WriteBytes
-		}
 		if g.Writes != w.Writes || g.WriteBytes != w.WriteBytes {
-			p.fatalf("%v device: %d writes (%d B), oracle %d (%d B) less its parent-field stores", d[0].Kind(), g.Writes, g.WriteBytes, w.Writes, w.WriteBytes)
+			p.fatalf("%v device: %d writes (%d B), oracle %d (%d B)", d[0].Kind(), g.Writes, g.WriteBytes, w.Writes, w.WriteBytes)
 		}
 		if g.Reads > w.Reads {
 			p.fatalf("%v device: %d reads, more than the oracle's %d", d[0].Kind(), g.Reads, w.Reads)
@@ -217,8 +201,6 @@ func (p *mergePair) op(code, arg byte) {
 				}
 			})
 			p.cfg[0].NVBMDevice, p.cfg[1].NVBMDevice = p.got.NVBMDevice(), p.want.NVBMDevice()
-			p.reparentWrites += p.reparents.Writes
-			p.reparents = nvbm.Stats{} // the devices are fresh
 		}
 	case 9:
 		both(func(tr *Tree) { tr.Balance() })
@@ -244,10 +226,9 @@ func (p *mergePair) op(code, arg byte) {
 // layout pass — on a tree and on its twin merging through the walk
 // oracle, at each of gcConfigs, behind C0 budgets that fill up
 // (dramFull) and that restart from the bootstrap layout (trunk == nil)
-// after every restore. After every
-// persist the devices must be byte-identical, the span-directed merge
-// must have written exactly the oracle's writes less the oracle's
-// parent-field stores, and it may only read less.
+// after every restore. After every persist the devices must be
+// byte-identical, the span-directed merge must have written exactly the
+// oracle's writes, and it may only read less.
 func TestMergeMatchesWalkOracle(t *testing.T) {
 	seeds, budgets := 4, []int{24, 96, 200}
 	if testing.Short() {
@@ -256,7 +237,7 @@ func TestMergeMatchesWalkOracle(t *testing.T) {
 	for _, c := range gcConfigs {
 		for _, budget := range budgets {
 			t.Run(fmt.Sprintf("depth%d_retain%d_c0_%d", c[0], c[1], budget), func(t *testing.T) {
-				var saved, savedWrites uint64
+				var saved uint64
 				for seed := 0; seed < seeds; seed++ {
 					rng := rand.New(rand.NewSource(int64(seed)))
 					p := newMergePair(t, Config{DRAMBudgetOctants: budget, PipelineDepth: c[0], RetainVersions: c[1], Seed: int64(seed)})
@@ -274,11 +255,10 @@ func TestMergeMatchesWalkOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					saved += p.want.NVBMDevice().Stats().Reads - p.got.NVBMDevice().Stats().Reads
-					savedWrites += p.reparentWrites + p.reparents.Writes
 					p.got.Close()
 					p.want.Close()
 				}
-				t.Logf("the span-directed merge saved %d NVBM reads and %d parent-field writes", saved, savedWrites)
+				t.Logf("the span-directed merge saved %d NVBM reads", saved)
 			})
 		}
 	}

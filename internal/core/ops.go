@@ -54,51 +54,60 @@ func (t *Tree) ForEachNode(fn func(r Ref, o *Octant) bool) {
 // working-version walks and all mutations, shares t.scratch and the
 // volatile access state and remains single-threaded by contract.
 func (t *Tree) ForEachCommittedNode(fn func(r Ref, o *Octant) bool) {
-	t.walkRO(t.committed, fn)
+	walkRead(t, t.committed, fn)
 }
 
-// walkRO is the read-only, concurrency-safe form of walk: charged device
-// reads into a per-call buffer, no touch.
-func (t *Tree) walkRO(r Ref, fn func(Ref, *Octant) bool) bool {
-	if r.IsNil() {
-		return true
-	}
-	var buf [RecordSize]byte
-	var o Octant
-	t.arenaFor(r).Read(r.Handle(), buf[:])
-	o.decode(buf[:])
-	if !fn(r, &o) {
-		return false
-	}
-	for _, c := range o.Children {
-		if !c.IsNil() && !t.walkRO(c, fn) {
-			return false
-		}
-	}
-	return true
+// readInto loads the octant at r into o through buf, charging the device
+// read but recording no access.
+func (t *Tree) readInto(r Ref, buf []byte, o *Octant) {
+	t.arenaFor(r).Read(r.Handle(), buf)
+	o.decode(buf)
 }
 
-// walk visits the subtree at r in Z-order pre-order. Octants are decoded
-// into one per-walk buffer indexed by depth — fn's *Octant escapes, so a
-// local per node would cost a heap allocation per visited octant — and fn
-// must not retain the pointer past its call.
+// walk visits the subtree at r in Z-order pre-order, recording each
+// access as readOct does.
 func (t *Tree) walk(r Ref, fn func(Ref, *Octant) bool) bool {
+	return walkRead(touching{t}, r, fn)
+}
+
+// touching reads like its Tree and records each access, as readOct does.
+type touching struct{ t *Tree }
+
+func (a touching) readInto(r Ref, buf []byte, o *Octant) {
+	a.t.readInto(r, buf, o)
+	a.t.touch(o.Code)
+}
+
+// recordReader is where a walker loads octants from: a Tree (no access
+// recorded, so concurrent walks of a closed version are safe), a Tree
+// recording accesses (touching), or a VersionPin.
+type recordReader interface {
+	readInto(r Ref, buf []byte, o *Octant)
+}
+
+// walker makes one charged device read per visited octant, through its own
+// record buffer, and decodes into a buffer indexed by depth — fn's *Octant
+// escapes, so a local per node would cost a heap allocation per visited
+// octant. fn must not retain the pointer past its call.
+type walker struct {
+	src recordReader
+	fn  func(Ref, *Octant) bool
+	rec [RecordSize]byte
+	buf [morton.MaxLevel + 1]Octant
+}
+
+// walkRead visits the subtree at r in Z-order pre-order, loading from src.
+func walkRead(src recordReader, r Ref, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
-	w := walker{t: t, fn: fn}
+	w := walker{src: src, fn: fn}
 	return w.visit(r, 0)
-}
-
-type walker struct {
-	t   *Tree
-	fn  func(Ref, *Octant) bool
-	buf [morton.MaxLevel + 1]Octant
 }
 
 func (w *walker) visit(r Ref, depth int) bool {
 	o := &w.buf[depth]
-	*o = w.t.readOct(r)
+	w.src.readInto(r, w.rec[:], o)
 	if !w.fn(r, o) {
 		return false
 	}
@@ -227,7 +236,6 @@ func (t *Tree) splitLeaf(r Ref, o *Octant) Ref {
 	for i := 0; i < 8; i++ {
 		child := Octant{
 			Code:    o.Code.Child(i),
-			Parent:  nr,
 			Data:    o.Data,
 			Version: t.step,
 		}
@@ -285,7 +293,6 @@ func (t *Tree) refineAtWalk(r Ref, code morton.Code) (Ref, bool) {
 	o.Children[idx] = nc
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.writeParentField(nc, r)
 		return r, true
 	}
 	return t.commitOctant(r, &o), true
@@ -337,7 +344,6 @@ func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 		merged = merged[1:] // the rest lie below: they collapse first
 	}
 	changed := false
-	var chIdx [8]bool
 	for i, c := range o.Children {
 		if len(merged) == 0 {
 			break
@@ -354,7 +360,6 @@ func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 		merged = merged[n:]
 		if chg {
 			o.Children[i] = nc
-			chIdx[i] = true
 			changed = true
 		}
 	}
@@ -368,7 +373,6 @@ func (t *Tree) collapseWalk(r Ref, merged []morton.Code) (Ref, bool) {
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
 		return r, false
 	}
 	return t.commitOctant(r, &o), true
@@ -422,7 +426,6 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 		return nr, true
 	}
 	changed := false
-	var chIdx [8]bool
 	for i, c := range o.Children {
 		if c.IsNil() {
 			continue
@@ -430,7 +433,6 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 		nc, chg := t.updateWalk(c, fn, n)
 		if chg {
 			o.Children[i] = nc
-			chIdx[i] = true
 			changed = true
 		}
 	}
@@ -439,7 +441,6 @@ func (t *Tree) updateWalk(r Ref, fn func(morton.Code, *[DataWords]float64) bool,
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
 		return r, false
 	}
 	nr := t.commitOctant(r, &o)
@@ -488,7 +489,6 @@ func (t *Tree) updateAtWalk(r Ref, code morton.Code, fn func(*[DataWords]float64
 	o.Children[idx] = nc
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.writeParentField(nc, r)
 		return r, true
 	}
 	return t.commitOctant(r, &o), true

@@ -14,7 +14,6 @@ const DataWords = 4
 // value type: mutating it does not touch the arena until written back.
 type Octant struct {
 	Code     morton.Code
-	Parent   Ref
 	Flags    uint32
 	Children [8]Ref
 	Data     [DataWords]float64
@@ -35,14 +34,19 @@ const (
 // Record layout (little-endian, RecordSize bytes; arena format PMARENA4):
 //
 //	 0  code     uint64 (morton.Code, curve-ordered)
-//	 8  parent   uint32 (Ref)
+//	 8  reserved uint32 (written as zero, ignored on decode)
 //	12  flags    uint32
 //	16  children [8]uint32 (Ref)
 //	48  data     [DataWords]float64
 //	80  version  uint64
+//
+// No record names a parent: an octant the committed and working versions
+// share has no single one, and every upward step goes by code
+// (morton.Code.Parent). Bytes 8–11, which held one in earlier builds,
+// stay reserved until the record's layout next changes.
 const (
 	offCode     = 0
-	offParent   = 8
+	offReserved = 8
 	offFlags    = 12
 	offChildren = 16
 	offData     = 48
@@ -55,7 +59,7 @@ const (
 // encode serializes o into buf, which must be at least RecordSize bytes.
 func (o *Octant) encode(buf []byte) {
 	binary.LittleEndian.PutUint64(buf[offCode:], uint64(o.Code))
-	binary.LittleEndian.PutUint32(buf[offParent:], uint32(o.Parent))
+	binary.LittleEndian.PutUint32(buf[offReserved:], 0)
 	binary.LittleEndian.PutUint32(buf[offFlags:], o.Flags)
 	for i := 0; i < 8; i++ {
 		binary.LittleEndian.PutUint32(buf[offChildren+4*i:], uint32(o.Children[i]))
@@ -69,7 +73,6 @@ func (o *Octant) encode(buf []byte) {
 // decode deserializes o from buf.
 func (o *Octant) decode(buf []byte) {
 	o.Code = morton.Code(binary.LittleEndian.Uint64(buf[offCode:]))
-	o.Parent = Ref(binary.LittleEndian.Uint32(buf[offParent:]))
 	o.Flags = binary.LittleEndian.Uint32(buf[offFlags:])
 	for i := 0; i < 8; i++ {
 		o.Children[i] = Ref(binary.LittleEndian.Uint32(buf[offChildren+4*i:]))

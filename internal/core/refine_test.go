@@ -58,7 +58,6 @@ func (t *Tree) refineWalk(r Ref, pred func(morton.Code) bool, maxLevel uint8) (R
 		return nr, nr != r
 	}
 	changed := false
-	var chIdx [8]bool
 	for i, c := range o.Children {
 		if c.IsNil() {
 			continue
@@ -66,7 +65,6 @@ func (t *Tree) refineWalk(r Ref, pred func(morton.Code) bool, maxLevel uint8) (R
 		nc, chg := t.refineWalk(c, pred, maxLevel)
 		if chg {
 			o.Children[i] = nc
-			chIdx[i] = true
 			changed = true
 		}
 	}
@@ -75,7 +73,6 @@ func (t *Tree) refineWalk(r Ref, pred func(morton.Code) bool, maxLevel uint8) (R
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
 		return r, false
 	}
 	nr := t.commitOctant(r, &o)
@@ -94,7 +91,6 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 	}
 	childrenChanged := false
 	allLeaves := true
-	var chIdx [8]bool
 	for i, c := range o.Children {
 		if c.IsNil() {
 			continue
@@ -102,7 +98,6 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 		nc, chg, leaf := t.coarsenWalk(c, pred)
 		if chg {
 			o.Children[i] = nc
-			chIdx[i] = true
 			childrenChanged = true
 		}
 		if !leaf {
@@ -124,7 +119,6 @@ func (t *Tree) coarsenWalk(r Ref, pred func(morton.Code) bool) (Ref, bool, bool)
 	}
 	if t.inPlace(r, &o) {
 		t.writeChildren(r, &o)
-		t.reparentChanged(r, &o, &chIdx)
 		return r, false, false
 	}
 	nr := t.commitOctant(r, &o)

@@ -17,25 +17,23 @@ func (t *Tree) writeLeafBatch(dirty []int32) {
 		// device failure must not leave the index claiming to mirror the
 		// half-written tree.
 		t.contentSeq++
-		t.cur = t.scatterWalk(t.cur, NilRef, dirty)
+		t.cur = t.scatterWalk(t.cur, dirty)
 	}
 	t.idx.Stamp(t.contentSeq)
 }
 
 // scatterWalk stores the payload of the dirty leaves — non-empty, all
 // within the span of the octant at r — and returns the ref now holding that
-// octant. parent is the ref the octant's parent will have once the walk
-// returns.
+// octant.
 //
 // An octant shared with the committed version that has a dirty leaf below
 // it is certain to be copied, and so is every octant between it and that
 // leaf: the committed version is closed, so everything under a shared
 // octant is shared too. Its slot is therefore allocated before descending
-// (as moveToNVBMUnder does) and each copy is written exactly once, with its
-// final parent ref and final children — no parent fix-up store afterwards
-// and no version probe of the children. Untouched children stay shared and
-// keep their V(i-1) parent ref, as under commitOctant.
-func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
+// (as moveToNVBMUnder does), so the copies take their handles in pre-order,
+// and each copy is written exactly once, with its final children — no
+// version probe of the children. Untouched children stay shared.
+func (t *Tree) scatterWalk(r Ref, dirty []int32) Ref {
 	o := t.readOct(r)
 	nr := r
 	shared := !t.inPlace(r, &o)
@@ -45,7 +43,6 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 		t.led.die(r.Handle(), o.Version, t.step)
 		nr = t.allocIn(t.placeRegion(o.Code))
 		o.Version = t.step
-		o.Parent = parent
 		t.stats.Copies++
 	}
 	codes := t.idx.Codes()
@@ -75,7 +72,7 @@ func (t *Tree) scatterWalk(r, parent Ref, dirty []int32) Ref {
 		if n == 0 {
 			continue
 		}
-		nc := t.scatterWalk(c, nr, dirty[:n])
+		nc := t.scatterWalk(c, dirty[:n])
 		dirty = dirty[n:]
 		if nc != c {
 			o.Children[i] = nc

@@ -201,25 +201,7 @@ func (p *VersionPin) readInto(r Ref, buf []byte, o *Octant) {
 // the walk charges one device read per visited octant, exactly like the
 // single-threaded committed walk.
 func (p *VersionPin) ForEachNode(fn func(r Ref, o *Octant) bool) {
-	var buf [RecordSize]byte
-	p.walk(p.root, buf[:], fn)
-}
-
-func (p *VersionPin) walk(r Ref, buf []byte, fn func(Ref, *Octant) bool) bool {
-	if r.IsNil() {
-		return true
-	}
-	var o Octant
-	p.readInto(r, buf, &o)
-	if !fn(r, &o) {
-		return false
-	}
-	for _, c := range o.Children {
-		if !c.IsNil() && !p.walk(c, buf, fn) {
-			return false
-		}
-	}
-	return true
+	walkRead(p, p.root, fn)
 }
 
 // FindLeaf descends to the deepest pinned-version octant containing code,

@@ -358,3 +358,38 @@ func pinnedIndexSoak(t *testing.T, depth, retain int) {
 		t.Fatalf("%d pins carried the writer's index and %d did not, of %d", shared, plain, steps)
 	}
 }
+
+// TestReadOnlyWalksDoNotAllocatePerNode pins the read-only walks'
+// allocation profile: ForEachCommittedNode and VersionPin.ForEachNode
+// decode into their walker's per-depth buffer, so a walk allocates that
+// walker once and nothing per visited octant, and still charges exactly
+// one device read per visited octant.
+func TestReadOnlyWalksDoNotAllocatePerNode(t *testing.T) {
+	dev := nvbm.New(nvbm.NVBM, 0)
+	tr := Create(Config{NVBMDevice: dev, DRAMDevice: nvbm.New(nvbm.DRAM, 0)})
+	tr.RefineWhere(sphere(0.5, 0.5, 0.5, 0.3, 0.2), 4)
+	tr.Persist()
+	pin := tr.PinCommitted()
+	defer pin.Release()
+
+	nodes := 0
+	count := func(Ref, *Octant) bool { nodes++; return true }
+	for _, w := range []struct {
+		name string
+		walk func()
+	}{
+		{"ForEachCommittedNode", func() { tr.ForEachCommittedNode(count) }},
+		{"VersionPin.ForEachNode", func() { pin.ForEachNode(count) }},
+	} {
+		nodes = 0
+		reads := dev.Stats().Reads
+		w.walk()
+		n := nodes
+		if got := dev.Stats().Reads - reads; got != uint64(n) || n < 100 {
+			t.Fatalf("%s visited %d octants with %d device reads, want one read each over at least 100", w.name, n, got)
+		}
+		if allocs := testing.AllocsPerRun(10, w.walk); allocs > 1 {
+			t.Errorf("%s allocates %v times per walk of %d octants, want only its walker", w.name, allocs, n)
+		}
+	}
+}

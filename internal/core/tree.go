@@ -455,8 +455,7 @@ func (t *Tree) arenaFor(r Ref) *pmem.Arena {
 func (t *Tree) readOct(r Ref) Octant {
 	var o Octant
 	var buf [RecordSize]byte
-	t.arenaFor(r).Read(r.Handle(), buf[:])
-	o.decode(buf[:])
+	t.readInto(r, buf[:], &o)
 	t.touch(o.Code)
 	return o
 }
@@ -481,13 +480,6 @@ func (t *Tree) writeChildren(r Ref, o *Octant) {
 	t.arenaFor(r).WriteField(r.Handle(), offChildren, buf[:])
 }
 
-// writeParentField stores only the parent field at r.
-func (t *Tree) writeParentField(r Ref, parent Ref) {
-	var buf [4]byte
-	putU32(buf[:], uint32(parent))
-	t.arenaFor(r).WriteField(r.Handle(), offParent, buf[:])
-}
-
 // writeDataField stores only the data array at r.
 func (t *Tree) writeDataField(r Ref, o *Octant) {
 	var buf [8 * DataWords]byte
@@ -502,13 +494,6 @@ func (t *Tree) writeFlagsField(r Ref, flags uint32) {
 	var buf [4]byte
 	putU32(buf[:], flags)
 	t.arenaFor(r).WriteField(r.Handle(), offFlags, buf[:])
-}
-
-// readVersion loads only the version word at r.
-func (t *Tree) readVersion(r Ref) uint64 {
-	var buf [8]byte
-	t.arenaFor(r).ReadField(r.Handle(), offVersion, buf[:])
-	return getU64(buf[:])
 }
 
 // allocIn allocates an octant slot in the chosen region. The slot is not
@@ -573,12 +558,6 @@ func (t *Tree) inPlace(r Ref, o *Octant) bool {
 	return r.InDRAM() || o.Version == t.step
 }
 
-// isCurrent reports whether the octant at r belongs to the working
-// version's mutable set, reading only its version field.
-func (t *Tree) isCurrent(r Ref) bool {
-	return r.InDRAM() || t.readVersion(r) == t.step
-}
-
 // commitOctant stores the (modified) octant o, copying on write when r is
 // shared with the committed version. It returns the ref now holding o;
 // when that differs from r, the caller must splice it into the parent.
@@ -592,26 +571,7 @@ func (t *Tree) commitOctant(r Ref, o *Octant) Ref {
 	nr := t.allocIn(t.regionForCopy(o))
 	t.writeOct(nr, o)
 	t.stats.Copies++
-	// Children created in the working version keep exact parent refs;
-	// shared children keep their V(i-1) parent (upward traversal is only
-	// defined within a version).
-	for _, c := range o.Children {
-		if !c.IsNil() && t.isCurrent(c) {
-			t.writeParentField(c, nr)
-		}
-	}
 	return nr
-}
-
-// reparentChanged repairs the parent field of children whose refs were
-// just spliced into the in-place parent at r: a COW copy carries the stale
-// parent ref of the shared octant it replaced.
-func (t *Tree) reparentChanged(r Ref, o *Octant, changed *[8]bool) {
-	for i, c := range o.Children {
-		if changed[i] && !c.IsNil() {
-			t.writeParentField(c, r)
-		}
-	}
 }
 
 // discard unlinks the octant at r from the working version: DRAM octants
@@ -654,9 +614,3 @@ func putU64(b []byte, v uint64) {
 }
 
 func f64bits(f float64) uint64 { return math.Float64bits(f) }
-
-func getU64(b []byte) uint64 {
-	lo := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-	hi := uint64(b[4]) | uint64(b[5])<<8 | uint64(b[6])<<16 | uint64(b[7])<<24
-	return lo | hi<<32
-}
