@@ -107,7 +107,6 @@ func TestCompactedLayoutIsZOrdered(t *testing.T) {
 	// Pre-order allocation: every parent's handle precedes its
 	// children's (traversal reads move forward through the region).
 	ok := true
-	tr.setAccounting(false)
 	tr.walk(tr.CommittedRoot(), func(r Ref, o *Octant) bool {
 		for _, c := range o.Children {
 			if !c.IsNil() && c.Handle() <= r.Handle() {
@@ -117,7 +116,6 @@ func TestCompactedLayoutIsZOrdered(t *testing.T) {
 		}
 		return true
 	})
-	tr.setAccounting(true)
 	if !ok {
 		t.Error("compacted layout not in pre-order")
 	}

@@ -49,14 +49,12 @@ func sphere(cx, cy, cz, rad, band float64) func(morton.Code) bool {
 // leafSet collects code->data for all leaves reachable from root r.
 func leafSet(t *Tree, r Ref) map[morton.Code][DataWords]float64 {
 	out := map[morton.Code][DataWords]float64{}
-	t.setAccounting(false)
 	t.walk(r, func(_ Ref, o *Octant) bool {
 		if o.IsLeaf() {
 			out[o.Code] = o.Data
 		}
 		return true
 	})
-	t.setAccounting(true)
 	return out
 }
 
@@ -142,14 +140,12 @@ func TestPersistCommitsWorkingVersion(t *testing.T) {
 		}
 	}
 	// After persist the whole version is NVBM-closed.
-	tr.setAccounting(false)
 	tr.walk(tr.Root(), func(r Ref, o *Octant) bool {
 		if r.InDRAM() {
 			t.Fatalf("octant %v still in DRAM after persist", o.Code)
 		}
 		return true
 	})
-	tr.setAccounting(true)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +433,6 @@ func landedLiveWords(t *testing.T, dev *nvbm.Device) []uint64 {
 // straight from the arena. A slot the arena holds free is included but
 // not read: its record may lie past the landed high water.
 func reachableSlots(tr *Tree) []uint64 {
-	tr.setAccounting(false)
-	defer tr.setAccounting(true)
 	var out []uint64
 	var buf [RecordSize]byte
 	for _, v := range tr.liveVersions() {
@@ -458,7 +452,7 @@ func reachableSlots(tr *Tree) []uint64 {
 				continue
 			}
 			var o Octant
-			tr.nv.Read(r.Handle(), buf[:])
+			tr.nv.ReadWith(nvbm.Discard, r.Handle(), buf[:])
 			o.decode(buf[:])
 			stack = append(stack, o.Children[:]...)
 		}
@@ -656,9 +650,9 @@ func TestWriteMixIsWriteHeavy(t *testing.T) {
 	// 72%, 41% average in the paper's traces). Check refinement is
 	// write-heavy on our implementation too.
 	tr := Create(Config{DRAMBudgetOctants: 1}) // all NVBM
-	tr.NVBMDevice().ResetStats()
+	before := tr.NVBMDevice().Stats()
 	tr.RefineWhere(func(morton.Code) bool { return true }, 3)
-	frac := tr.NVBMDevice().Stats().WriteFraction()
+	frac := tr.NVBMDevice().Stats().Sub(before).WriteFraction()
 	if frac < 0.25 || frac > 0.95 {
 		t.Errorf("refinement write fraction = %v, expected write-heavy mix", frac)
 	}
@@ -883,15 +877,13 @@ func TestForEachLeafInRange(t *testing.T) {
 	}
 
 	// Pruning: a narrow range reads far fewer octants than a full walk.
-	tr.setAccounting(true)
-	tr.NVBMDevice().ResetStats()
-	tr.DRAMDevice().ResetStats()
+	reads := func() uint64 { return tr.NVBMDevice().Stats().Reads + tr.DRAMDevice().Stats().Reads }
+	before := reads()
 	tr.ForEachLeafInRange(mid, mid+1, func(morton.Code, [DataWords]float64) bool { return true })
-	narrow := tr.NVBMDevice().Stats().Reads + tr.DRAMDevice().Stats().Reads
-	tr.NVBMDevice().ResetStats()
-	tr.DRAMDevice().ResetStats()
+	narrow := reads() - before
+	before = reads()
 	tr.ForEachLeaf(func(morton.Code, [DataWords]float64) bool { return true })
-	full := tr.NVBMDevice().Stats().Reads + tr.DRAMDevice().Stats().Reads
+	full := reads() - before
 	if narrow*3 > full {
 		t.Errorf("narrow range read %d octants vs %d full; pruning ineffective", narrow, full)
 	}

@@ -233,7 +233,7 @@ func TestRetainVersionsKeepsRingRestorable(t *testing.T) {
 // reachability.
 func markedHandles(tr *Tree, root Ref) map[pmem.Handle]bool {
 	bits := make([]uint64, (int(tr.nv.HighWater())+63)/64)
-	tr.markFrom(root, bits, true, false, nil)
+	tr.markFrom(tr, root, bits, true, false, nil)
 	set := map[pmem.Handle]bool{}
 	for wi, w := range bits {
 		for b := 0; b < 64; b++ {

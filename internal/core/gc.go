@@ -107,7 +107,7 @@ func (t *Tree) fullReason(vs []VersionInfo) string {
 func (t *Tree) gcFull(vs []VersionInfo) int {
 	t.led.forgetUnknown()
 	marked := t.ensureMarkBits()
-	t.markVersions(vs, marked, &t.led)
+	t.markVersions(t, vs, marked, &t.led)
 	hw := t.nv.HighWater()
 	// The sweep's per-handle bitmap probes, accounted in bulk: one 1-byte
 	// read per handle in [1, HighWater].
@@ -140,26 +140,27 @@ func (t *Tree) ensureMarkBits() []uint64 {
 // and the live versions vs. The working and committed versions are marked
 // unguarded (they are intact by construction); the others are guarded,
 // tolerating stale ring entries whose subtree was already partly reclaimed.
-// With seed set, the mark also reseeds that ledger. The set of charged
-// reads is the union of the versions' slots, whatever the order.
-func (t *Tree) markVersions(vs []VersionInfo, marked []uint64, seed *ledger) {
-	t.markFrom(t.cur, marked, false, true, seed)
+// With seed set, the mark also reseeds that ledger. The marks read from
+// src, and the set of reads is the union of the versions' slots, whatever
+// the order.
+func (t *Tree) markVersions(src recordReader, vs []VersionInfo, marked []uint64, seed *ledger) {
+	t.markFrom(src, t.cur, marked, false, true, seed)
 	if t.committed != t.cur {
-		t.markFrom(t.committed, marked, false, false, seed)
+		t.markFrom(src, t.committed, marked, false, false, seed)
 	}
 	for _, v := range vs {
-		t.markFrom(v.Root, marked, true, false, seed)
+		t.markFrom(src, v.Root, marked, true, false, seed)
 	}
 }
 
 // markFrom walks the version rooted at r on an explicit stack, setting the
-// bit of every reachable NVBM handle; one charged read per newly marked
+// bit of every reachable NVBM handle; one read from src per newly marked
 // octant, and none of the tree's access state is touched. DRAM
 // octants are traversed (the working version's may reference NVBM
 // children) but are managed eagerly, not swept. A guarded mark skips DRAM
 // and freed slots instead of walking them; working says whether r is the
 // working version, for the reseed.
-func (t *Tree) markFrom(r Ref, marked []uint64, guarded, working bool, seed *ledger) {
+func (t *Tree) markFrom(src recordReader, r Ref, marked []uint64, guarded, working bool, seed *ledger) {
 	stack := append(t.markScratch[:0], r)
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
@@ -178,8 +179,7 @@ func (t *Tree) markFrom(r Ref, marked []uint64, guarded, working bool, seed *led
 			marked[idx/64] |= 1 << (idx % 64)
 		}
 		var o Octant
-		t.arenaFor(r).Read(r.Handle(), t.scratch[:])
-		o.decode(t.scratch[:])
+		src.readInto(r, t.scratch[:], &o)
 		if seed != nil && !r.InDRAM() {
 			seed.reseed(r.Handle(), o.Version, working)
 		}

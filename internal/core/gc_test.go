@@ -166,7 +166,7 @@ func gcConstructCodes(arg byte) []morton.Code {
 
 func pinLeafCount(p *VersionPin) int {
 	n := 0
-	p.ForEachNode(func(_ Ref, o *Octant) bool {
+	p.ForEachNode(nvbm.Discard, func(_ Ref, o *Octant) bool {
 		if o.IsLeaf() {
 			n++
 		}

@@ -241,7 +241,7 @@ var ledgerCheck struct {
 
 // SetLedgerCheck turns GC's ledger self-check on or off for every tree in
 // the process. With it on, each collection the ledger answers also runs
-// the mark-and-sweep oracle, with device accounting suspended, and records
+// the mark-and-sweep oracle, which charges no device, and records
 // the first difference between the two freed sets (LedgerCheckError). It
 // costs a whole-arena mark per collection; tests and soaks use it.
 func SetLedgerCheck(on bool) { ledgerCheck.on.Store(on) }
@@ -264,12 +264,10 @@ func recordLedgerMismatch(err error) {
 
 // checkLedger compares the ledger's freed set dead with the oracle's: the
 // live slots a full mark of the same versions leaves unmarked. The oracle
-// reads with accounting suspended and touches no tree state.
+// charges no device and touches no tree state.
 func (t *Tree) checkLedger(vs []VersionInfo, dead []uint64) {
-	t.setAccounting(false)
-	defer t.setAccounting(true)
 	marked := make([]uint64, len(dead))
-	t.markVersions(vs, marked, nil)
+	t.markVersions(quiet{t, false}, vs, marked, nil)
 	for wi, w := range t.nv.LiveWords() {
 		if wi >= len(dead) {
 			break

@@ -53,11 +53,11 @@ func (t *Tree) isCurrent(r Ref) bool {
 	return r.InDRAM() || t.readVersion(r) == t.step
 }
 
-// readVersion loads only the version word at r.
+// readVersion loads the version word at r.
 func (t *Tree) readVersion(r Ref) uint64 {
-	var buf [8]byte
-	t.arenaFor(r).ReadField(r.Handle(), offVersion, buf[:])
-	return binary.LittleEndian.Uint64(buf[:])
+	var buf [RecordSize]byte
+	t.arenaFor(r).Read(r.Handle(), buf[:])
+	return binary.LittleEndian.Uint64(buf[offVersion:])
 }
 
 // mergePair drives one tree through the span-directed merge and its twin

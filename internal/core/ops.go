@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pmoctree/internal/morton"
+	"pmoctree/internal/nvbm"
 )
 
 // Find returns the ref of the working-version octant with exactly the
@@ -41,17 +42,17 @@ func (t *Tree) FindLeaf(code morton.Code) (Ref, Octant) {
 // ForEachNode visits every working-version octant in Z-order pre-order.
 // Return false from fn to stop early.
 func (t *Tree) ForEachNode(fn func(r Ref, o *Octant) bool) {
-	t.walk(t.cur, fn)
+	walkRead(touching{t}, t.cur, fn)
 }
 
 // ForEachCommittedNode visits every octant of the committed version.
 //
 // The committed version is immutable and this walk is side-effect-free on
-// the tree — no access accounting, and a per-call read buffer instead of
+// the tree — no access recorded, and a per-call read buffer instead of
 // the shared t.scratch — so multiple goroutines may call it concurrently
-// (device charge counters are atomic). That is the ONLY concurrent entry
-// point: every other Tree method, including the
-// working-version walks and all mutations, shares t.scratch and the
+// (they charge the device's own meter, whose counters are atomic). That
+// is the ONLY concurrent entry point: every other Tree method, including
+// the working-version walks and all mutations, shares t.scratch and the
 // volatile access state and remains single-threaded by contract.
 func (t *Tree) ForEachCommittedNode(fn func(r Ref, o *Octant) bool) {
 	walkRead(t, t.committed, fn)
@@ -64,10 +65,11 @@ func (t *Tree) readInto(r Ref, buf []byte, o *Octant) {
 	o.decode(buf)
 }
 
-// walk visits the subtree at r in Z-order pre-order, recording each
-// access as readOct does.
+// walk is an instrumentation walk (VersionStats, Validate): it visits the
+// subtree at r in Z-order pre-order, recording each access as readOct
+// does, but charges no device.
 func (t *Tree) walk(r Ref, fn func(Ref, *Octant) bool) bool {
-	return walkRead(touching{t}, r, fn)
+	return walkRead(quiet{t, true}, r, fn)
 }
 
 // touching reads like its Tree and records each access, as readOct does.
@@ -78,34 +80,54 @@ func (a touching) readInto(r Ref, buf []byte, o *Octant) {
 	a.t.touch(o.Code)
 }
 
+// quiet reads through nvbm.Discard, recording each access as touching
+// does or none as its Tree does: the reader of instrumentation walks,
+// which replay the accesses of the walks they stand for but charge no
+// device, so observing the tree does not perturb its counts.
+type quiet struct {
+	t     *Tree
+	touch bool
+}
+
+func (q quiet) readInto(r Ref, buf []byte, o *Octant) {
+	q.t.arenaFor(r).ReadWith(nvbm.Discard, r.Handle(), buf)
+	o.decode(buf)
+	if q.touch {
+		q.t.touch(o.Code)
+	}
+}
+
 // recordReader is where a walker loads octants from: a Tree (no access
 // recorded, so concurrent walks of a closed version are safe), a Tree
-// recording accesses (touching), or a VersionPin.
+// recording accesses (touching), a quiet one, or a pinned version read
+// through one reader's meter (pinReader).
 type recordReader interface {
 	readInto(r Ref, buf []byte, o *Octant)
 }
 
-// walker makes one charged device read per visited octant, through its own
+// walker makes one device read per visited octant, through its own
 // record buffer, and decodes into a buffer indexed by depth — fn's *Octant
 // escapes, so a local per node would cost a heap allocation per visited
-// octant. fn must not retain the pointer past its call.
-type walker struct {
-	src recordReader
+// octant. fn must not retain the pointer past its call. The walker holds
+// its reader by value, so a two-word reader costs no allocation of its
+// own.
+type walker[R recordReader] struct {
+	src R
 	fn  func(Ref, *Octant) bool
 	rec [RecordSize]byte
 	buf [morton.MaxLevel + 1]Octant
 }
 
 // walkRead visits the subtree at r in Z-order pre-order, loading from src.
-func walkRead(src recordReader, r Ref, fn func(Ref, *Octant) bool) bool {
+func walkRead[R recordReader](src R, r Ref, fn func(Ref, *Octant) bool) bool {
 	if r.IsNil() {
 		return true
 	}
-	w := walker{src: src, fn: fn}
+	w := walker[R]{src: src, fn: fn}
 	return w.visit(r, 0)
 }
 
-func (w *walker) visit(r Ref, depth int) bool {
+func (w *walker[R]) visit(r Ref, depth int) bool {
 	o := &w.buf[depth]
 	w.src.readInto(r, w.rec[:], o)
 	if !w.fn(r, o) {

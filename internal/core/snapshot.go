@@ -25,7 +25,7 @@ import (
 // Release, Refs and all its read methods are safe from any goroutine, and
 // safe concurrently with the writer mutating the tree — reads go through
 // per-call buffers straight to the pinned arena, never through the shared
-// scratch or access accounting.
+// scratch or access accounting, and charge a meter the caller owns.
 
 // ErrPinned is returned (wrapped) by operations that would invalidate
 // outstanding snapshot pins, such as Compact.
@@ -39,7 +39,7 @@ var ErrPinned = fmt.Errorf("core: committed versions are pinned")
 type VersionPin struct {
 	t    *Tree
 	nv   *pmem.Arena  // the arena the version lives in, captured at pin time
-	dev  *nvbm.Device // its device, for modeled read charging
+	dev  *nvbm.Device // its device, whose meters readers charge
 	root Ref
 	step uint64
 	refs atomic.Int64
@@ -184,34 +184,44 @@ func (p *VersionPin) Step() uint64 { return p.step }
 // field words only — or nil when the pin carries none. Read-only.
 func (p *VersionPin) Leaves() *tile.Store { return p.leaves }
 
-// readInto performs a charged, read-only octant load from the pinned
-// arena into a caller-provided buffer. The read-only guard: a pinned
-// version is NVBM-closed by the region invariant, so any DRAM ref reached
-// from it means the handle escaped into mutable working-version state.
-func (p *VersionPin) readInto(r Ref, buf []byte, o *Octant) {
+// Meter takes a meter of the pinned version's device for one reader: its
+// reads through the pin charge it, and the reader releases it when done.
+func (p *VersionPin) Meter() *nvbm.Meter { return p.dev.Meter() }
+
+// pinReader loads a pinned version's octants charging one reader's meter.
+// The read-only guard: a pinned version is NVBM-closed by the region
+// invariant, so any DRAM ref reached from it means the handle escaped into
+// mutable working-version state.
+type pinReader struct {
+	p *VersionPin
+	m *nvbm.Meter
+}
+
+func (pr pinReader) readInto(r Ref, buf []byte, o *Octant) {
 	if r.InDRAM() {
-		panic(fmt.Sprintf("core: pinned version step %d reached DRAM ref %v; snapshots are read-only over NVBM", p.step, r))
+		panic(fmt.Sprintf("core: pinned version step %d reached DRAM ref %v; snapshots are read-only over NVBM", pr.p.step, r))
 	}
-	p.nv.Read(r.Handle(), buf)
+	pr.p.nv.ReadWith(pr.m, r.Handle(), buf)
 	o.decode(buf)
 }
 
 // ForEachNode visits every octant of the pinned version in Z-order
-// pre-order. Return false from fn to stop early. Safe from any goroutine;
-// the walk charges one device read per visited octant, exactly like the
-// single-threaded committed walk.
-func (p *VersionPin) ForEachNode(fn func(r Ref, o *Octant) bool) {
-	walkRead(p, p.root, fn)
+// pre-order, charging m one device read per visited octant, exactly like
+// the single-threaded committed walk. Return false from fn to stop early.
+// Safe from any goroutine.
+func (p *VersionPin) ForEachNode(m *nvbm.Meter, fn func(r Ref, o *Octant) bool) {
+	walkRead(pinReader{p, m}, p.root, fn)
 }
 
 // FindLeaf descends to the deepest pinned-version octant containing code,
-// charging one device read per octant on the path: level+1 for a leaf at
+// charging m one device read per octant on the path: level+1 for a leaf at
 // that level. Safe from any goroutine.
-func (p *VersionPin) FindLeaf(code morton.Code) (Ref, Octant) {
+func (p *VersionPin) FindLeaf(m *nvbm.Meter, code morton.Code) (Ref, Octant) {
 	var buf [RecordSize]byte
+	src := pinReader{p, m}
 	r := p.root
 	var o Octant
-	p.readInto(r, buf[:], &o)
+	src.readInto(r, buf[:], &o)
 	level := code.Level()
 	for d := uint8(1); d <= level; d++ {
 		next := o.Children[code.AncestorAt(d).ChildIndex()]
@@ -219,25 +229,7 @@ func (p *VersionPin) FindLeaf(code morton.Code) (Ref, Octant) {
 			return r, o
 		}
 		r = next
-		p.readInto(r, buf[:], &o)
+		src.readInto(r, buf[:], &o)
 	}
 	return r, o
-}
-
-// ChargeReadsModeled accounts n modeled device reads of sz bytes each
-// against the pinned device, for read paths that answer from host-side
-// indexes built over the version (the serving layer's Morton leaf index)
-// but semantically consult persistent octants. It returns the modeled
-// nanoseconds of device time the reads cost, so serving traces can
-// attribute device-read time to the request that incurred it.
-func (p *VersionPin) ChargeReadsModeled(n, sz int) uint64 {
-	p.dev.ChargeReadN(n, sz)
-	return p.dev.ModeledReadCost(n, sz)
-}
-
-// ReadsModeled returns the modeled nanoseconds n device reads of sz bytes
-// cost, without charging them: the attribution half of ChargeReadsModeled,
-// for reads a pin's own descent (FindLeaf) already charged.
-func (p *VersionPin) ReadsModeled(n, sz int) uint64 {
-	return p.dev.ModeledReadCost(n, sz)
 }

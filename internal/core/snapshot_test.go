@@ -15,7 +15,7 @@ import (
 // read-only walk.
 func pinLeafSet(p *VersionPin) map[morton.Code][DataWords]float64 {
 	set := map[morton.Code][DataWords]float64{}
-	p.ForEachNode(func(r Ref, o *Octant) bool {
+	p.ForEachNode(nvbm.Discard, func(r Ref, o *Octant) bool {
 		if o.IsLeaf() {
 			set[o.Code] = o.Data
 		}
@@ -95,7 +95,7 @@ func TestPinSurvivesGC(t *testing.T) {
 	}
 	got := pinLeafSet(pin)
 	sameLeaves(t, got, want, "pinned snapshot after churn")
-	if r, o := pin.FindLeaf(morton.Root); r != oldRoot || o.Code != morton.Root {
+	if r, o := pin.FindLeaf(nvbm.Discard, morton.Root); r != oldRoot || o.Code != morton.Root {
 		t.Fatalf("FindLeaf(root) = %v %v, want pin root", r, o.Code)
 	}
 
@@ -229,7 +229,7 @@ func pinnedIndexSoak(t *testing.T, depth, retain int) {
 			return
 		}
 		var walk []leafEntry
-		p.ForEachNode(func(_ Ref, o *Octant) bool {
+		p.ForEachNode(nvbm.Discard, func(_ Ref, o *Octant) bool {
 			if o.IsLeaf() {
 				if o.Filler() {
 					t.Fatalf("%s: pin of step %d carries an index of a version holding filler leaf %v", label, p.Step(), o.Code)
@@ -371,6 +371,8 @@ func TestReadOnlyWalksDoNotAllocatePerNode(t *testing.T) {
 	tr.Persist()
 	pin := tr.PinCommitted()
 	defer pin.Release()
+	m := pin.Meter()
+	defer m.Release()
 
 	nodes := 0
 	count := func(Ref, *Octant) bool { nodes++; return true }
@@ -379,7 +381,7 @@ func TestReadOnlyWalksDoNotAllocatePerNode(t *testing.T) {
 		walk func()
 	}{
 		{"ForEachCommittedNode", func() { tr.ForEachCommittedNode(count) }},
-		{"VersionPin.ForEachNode", func() { pin.ForEachNode(count) }},
+		{"VersionPin.ForEachNode", func() { pin.ForEachNode(m, count) }},
 	} {
 		nodes = 0
 		reads := dev.Stats().Reads

@@ -33,12 +33,9 @@ type VersionStats struct {
 }
 
 // VersionStats measures sharing between the working and committed
-// versions. Accounting is suspended during the walk: measuring an
-// experiment must not perturb it.
+// versions. Its walks charge no device: measuring an experiment must not
+// perturb it.
 func (t *Tree) VersionStats() VersionStats {
-	t.setAccounting(false)
-	defer t.setAccounting(true)
-
 	prev := map[pmem.Handle]bool{}
 	prevCount := 0
 	t.walk(t.committed, func(r Ref, _ *Octant) bool {
@@ -96,10 +93,8 @@ func (t *Tree) verrf(format string, args ...any) error {
 //   - every working-version octant's ref points at a live arena slot.
 //
 // It returns the first violation found (tagged with the working version
-// number), or nil. Accounting is suspended.
+// number), or nil. It charges no device.
 func (t *Tree) Validate() error {
-	t.setAccounting(false)
-	defer t.setAccounting(true)
 	// Committed version must be NVBM-closed and structurally sound.
 	var err error
 	t.walk(t.committed, func(r Ref, o *Octant) bool {
@@ -120,8 +115,7 @@ func (t *Tree) Validate() error {
 				return false
 			}
 			var co Octant
-			t.arenaFor(c).Read(c.Handle(), t.scratch[:])
-			co.decode(t.scratch[:])
+			quiet{t, false}.readInto(c, t.scratch[:], &co)
 			if co.Code != o.Code.Child(i) {
 				err = t.verrf("committed %v child %d has code %v", o.Code, i, co.Code)
 				return false
@@ -142,7 +136,8 @@ func (t *Tree) Validate() error {
 			if c.IsNil() {
 				continue
 			}
-			co := t.readOct(c)
+			var co Octant
+			quiet{t, true}.readInto(c, t.scratch[:], &co)
 			if co.Code != o.Code.Child(i) {
 				err = t.verrf("working %v child %d has code %v", o.Code, i, co.Code)
 				return false

@@ -260,9 +260,3 @@ func (t *Tree) selectOblivious(infos []subtreeInfo) map[morton.Code]bool {
 	}
 	return hot
 }
-
-// setAccounting toggles latency/statistics accounting on both devices.
-func (t *Tree) setAccounting(on bool) {
-	t.cfg.DRAMDevice.SetAccounting(on)
-	t.cfg.NVBMDevice.SetAccounting(on)
-}

@@ -18,15 +18,13 @@ import (
 
 // walkCollect is the tree-walk collectSubtrees that the key-space replay
 // replaced, kept as its oracle: every working-version octant in pre-order,
-// read from the device with accounting suspended, offered to its subtree's
+// read from the device charging nothing, offered to its subtree's
 // reservoir.
 func walkCollect(t *Tree) ([]subtreeInfo, uint8) {
-	t.setAccounting(false)
-	defer t.setAccounting(true)
 	byRoot := map[morton.Code]*subtreeInfo{}
 	var order []morton.Code
 	var depth uint8
-	t.ForEachNode(func(_ Ref, o *Octant) bool {
+	t.walk(t.cur, func(_ Ref, o *Octant) bool {
 		l := o.Code.Level()
 		if l > depth {
 			depth = l

@@ -66,7 +66,7 @@ func New(dev *nvbm.Device) *Tree {
 // the backing device: index pages live on the same slow medium.
 func (t *Tree) chargeIndexIO() {
 	dev := t.store.Device()
-	t.index.Touch = func() { dev.ChargeRead(pagefile.PageSize) }
+	t.index.Touch = func() { dev.ChargeReadN(1, pagefile.PageSize) }
 }
 
 // Open rebuilds a Tree from a device written by a previous Tree — the
@@ -75,24 +75,22 @@ func (t *Tree) chargeIndexIO() {
 // octant database"): both octant pages and index state live on the
 // device, and every index access is charged per operation via Touch. The
 // in-memory mirror rebuilt here is an artifact of the emulation, so the
-// scan runs unmetered; only one superblock page read is charged.
+// scan reads through nvbm.Discard and indexes before the index charges its
+// pages; only one superblock page read is charged.
 func Open(dev *nvbm.Device) (*Tree, error) {
 	t := &Tree{
 		store: pagefile.NewStore(dev),
 		index: btree.New(),
 		open:  -1,
 	}
-	t.chargeIndexIO()
-	dev.ChargeRead(pagefile.PageSize)
-	dev.SetAccounting(false)
-	defer dev.SetAccounting(true)
+	dev.ChargeReadN(1, pagefile.PageSize)
 	npages := dev.Size() / pagefile.PageSize
 	buf := make([]byte, pagefile.PageSize)
 	for pid := 0; pid < npages; pid++ {
 		if t.store.AllocPage() != pid {
 			return nil, fmt.Errorf("etree: page enumeration out of sync")
 		}
-		t.store.ReadPage(pid, buf)
+		dev.ReadWith(nvbm.Discard, pid*pagefile.PageSize, buf)
 		n := int(binary.LittleEndian.Uint32(buf))
 		if n > PageCapacity {
 			return nil, fmt.Errorf("etree: page %d claims %d records", pid, n)
@@ -109,6 +107,7 @@ func Open(dev *nvbm.Device) (*Tree, error) {
 	if t.index.Len() == 0 {
 		return nil, fmt.Errorf("etree: device holds no octants")
 	}
+	t.chargeIndexIO()
 	return t, nil
 }
 

@@ -137,12 +137,12 @@ func FormatStrong(points []ScalePoint) string {
 func FormatFig10(rows []Fig10Row, inCoreSecs, outOfCoreSecs float64) string {
 	return table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "Figure 10: impact of the DRAM size configured for the C0 tree")
-		fmt.Fprintln(w, "C0 budget (octants)\ttime (s)\tC0/C1 merges\telements")
+		fmt.Fprintln(w, "C0 budget (octants)\ttime (ms)\tC0/C1 merges\telements")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\n", r.BudgetOctants, secs(r.Seconds), r.Merges, r.Elements)
+			fmt.Fprintf(w, "%d\t%.3f\t%d\t%d\n", r.BudgetOctants, r.Seconds*1e3, r.Merges, r.Elements)
 		}
-		fmt.Fprintf(w, "in-core reference\t%s\t-\t-\n", secs(inCoreSecs))
-		fmt.Fprintf(w, "out-of-core reference\t%s\t-\t-\n", secs(outOfCoreSecs))
+		fmt.Fprintf(w, "in-core reference\t%.3f\t-\t-\n", inCoreSecs*1e3)
+		fmt.Fprintf(w, "out-of-core reference\t%.3f\t-\t-\n", outOfCoreSecs*1e3)
 	})
 }
 

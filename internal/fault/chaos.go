@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 
 	"pmoctree/internal/cluster"
@@ -41,6 +42,9 @@ type ChaosConfig struct {
 	// bit-reproducibility per seed is unaffected.
 	Recorder *telemetry.FlightRecorder
 }
+
+// step runs one droplet step of a soak; a test swaps it to plant a fault.
+var step = sim.Step
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Steps <= 0 {
@@ -227,9 +231,16 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 		in.ArmTornCut(nv)
 		crashed := false
 		pending := uint64(0)
+		var bug runtime.Error
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
+					if re, ok := r.(runtime.Error); ok {
+						// A runtime error is a fault of the program,
+						// not of the memory: it fails the soak.
+						bug = re
+						return
+					}
 					if r != nvbm.ErrPowerLost {
 						// Corruption-driven panics (walking a rotted
 						// pointer) and commits failed by a store a
@@ -243,7 +254,7 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 					crashed = true
 				}
 			}()
-			sim.Step(tree, d, s, cfg.MaxLevel)
+			step(tree, d, s, cfg.MaxLevel)
 			tree.SetFeatures(d.Feature(s + 1))
 			// The version about to be committed becomes legitimate the
 			// instant Persist's root store lands; record its digest
@@ -253,6 +264,10 @@ func Run(cfg ChaosConfig) (ChaosReport, error) {
 			cfg.Recorder.Record(telemetry.FlightEvent{Kind: "commit_attempt", Step: tree.Step(), Value: pending})
 			tree.Persist()
 		}()
+		if bug != nil {
+			finalize(&rep, in, link, mgr, nv, tree)
+			return rep, fmt.Errorf("step %d: %w", s, bug)
+		}
 		if crashed {
 			cfg.Recorder.Record(telemetry.FlightEvent{Kind: "crash", Step: uint64(s)})
 			if pending != 0 {

@@ -1,6 +1,13 @@
 package fault
 
-import "testing"
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"pmoctree/internal/sim"
+)
 
 // TestChaosSoak is the acceptance gate for the self-healing persistence
 // stack: over several seeds, the droplet workload runs under torn power
@@ -134,5 +141,27 @@ func TestChaosReproducible(t *testing.T) {
 	}
 	if a.Digest == 0 {
 		t.Error("history digest is zero; commit history was never hashed")
+	}
+}
+
+// TestChaosRuntimeErrorFails plants an index out of range in step 3: a
+// runtime error is a fault of the program, not of the memory, so the soak
+// must fail naming it rather than count a crash and restore.
+func TestChaosRuntimeErrorFails(t *testing.T) {
+	defer func(orig func(sim.Mesh, *sim.Droplet, int, uint8) sim.StepCounts) { step = orig }(step)
+	step = func(m sim.Mesh, d *sim.Droplet, s int, maxLevel uint8) sim.StepCounts {
+		if s == 3 {
+			var planted []int
+			planted[s]++
+		}
+		return sim.Step(m, d, s, maxLevel)
+	}
+	rep, err := Run(ChaosConfig{Seed: 1, Steps: 6})
+	var re runtime.Error
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "step 3") || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("Run = %v, want step 3's index out of range as a runtime.Error\n%s", err, rep)
+	}
+	if rep.Restores != 0 {
+		t.Errorf("restored %d times around a program fault", rep.Restores)
 	}
 }

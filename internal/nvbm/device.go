@@ -7,15 +7,16 @@
 // per access. Two modeling modes are available and may be combined:
 //
 //   - Accounting mode (always on): every access adds the modeled latency to
-//     a deterministic nanosecond counter. Experiments report this modeled
-//     time, which is reproducible on any host.
+//     a deterministic nanosecond counter of the Meter it is charged to.
+//     Experiments report this modeled time, which is reproducible on any
+//     host.
 //   - Delay-injection mode (optional): every access additionally spins the
 //     CPU for the modeled latency, as the paper's emulator did with the
 //     RDTSCP timestamp counter, so wall-clock benchmarks feel the latency.
 //
-// A Device also tracks read/write operation and byte counts, and per-line
-// wear counters for endurance analysis (Table 2: NVBM endures 1e6–1e8
-// writes per bit, versus >1e16 for DRAM).
+// A Device also tracks read/write operation and byte counts, summed over
+// its meters (Stats), and per-line wear counters for endurance analysis
+// (Table 2: NVBM endures 1e6–1e8 writes per bit, versus >1e16 for DRAM).
 //
 // Devices of kind NVBM survive Crash and can be persisted to and restored
 // from a file; devices of kind DRAM lose their contents on Crash.
@@ -61,31 +62,41 @@ const LineSize = 64
 //
 // Concurrency contract (the one parallel solver sweeps rely on): reads
 // and writes to DISJOINT byte ranges may proceed concurrently with each
-// other and with Grow — accounting and wear counters are atomic, and
-// growth is serialized against in-flight accesses, so no access ever
-// observes a half-swapped backing array and no wear increment is lost.
-// Reads may additionally OVERLAP other reads freely: a read mutates
-// nothing but atomic counters, so any number of goroutines may issue
-// charged reads (ReadAt, ChargeReadN) against the same committed lines —
-// the MVCC serving layer's snapshot readers do exactly that while the
-// simulation writer keeps writing other lines. Overlapping writes (or a
-// write overlapping a read) race exactly like raw memory: the data
-// outcome is undefined, though the device structure and its counters stay
-// consistent. Callers that share mutable ranges must synchronize, just as
-// they would for a []byte.
+// other and with Grow — wear counters are atomic, and growth is serialized
+// against in-flight accesses, so no access ever observes a half-swapped
+// backing array and no wear increment is lost. Reads may additionally
+// OVERLAP other reads freely: a read mutates nothing but its meter, so any
+// number of goroutines may issue charged reads against the same committed
+// lines — the MVCC serving layer's snapshot readers do exactly that, each
+// through its own Meter, while the simulation writer keeps writing other
+// lines through the device's. Overlapping writes (or a write overlapping a
+// read) race exactly like raw memory: the data outcome is undefined,
+// though the device structure and its counters stay consistent. Callers
+// that share mutable ranges must synchronize, just as they would for a
+// []byte.
 type Device struct {
 	kind Kind
 	lat  Latency
 
-	mu      sync.RWMutex // guards growth of data/wear/lineCRC, and spare
+	// mu guards growth of data/wear/lineCRC, spare and meters. It is one
+	// stripe of the device lock: accesses charged to a taken meter hold
+	// that meter's stripe instead, and lock takes them all.
+	mu      sync.RWMutex
 	data    []byte
 	wear    []uint32 // per-LineSize-line write counts (NVBM only)
 	lineCRC []uint32 // per-line CRC-32 shadow (media tracking; see faults.go)
 	spare   int      // spare lines available for remapping worn-out lines
 
-	inject    atomic.Bool // spin-delay injection enabled
-	unmetered atomic.Bool // accounting suspended (instrumentation walks)
-	track     atomic.Bool // media tracking (per-line CRC shadow) enabled
+	inject atomic.Bool // spin-delay injection enabled
+	track  atomic.Bool // media tracking (per-line CRC shadow) enabled
+
+	meters   []*Meter   // every meter of the device, summed by Stats
+	freeMu   sync.Mutex // guards released
+	released *Meter     // released meters awaiting reuse
+	own      *Meter     // the single-owner callers' meter
+	// charged is the meter ReadAt, WriteAt, ChargeReadN and ChargeWriteN
+	// charge: own, or Discard while SetAccounting(false).
+	charged atomic.Pointer[Meter]
 
 	// powerCut, when armed (>= 0), counts down on every write; once it
 	// reaches zero the device stops accepting writes, emulating power
@@ -99,12 +110,6 @@ type Device struct {
 	// wearLimit, when nonzero, is the per-line endurance threshold: lines
 	// at or beyond it silently drop stores until scrub remaps them.
 	wearLimit atomic.Uint32
-
-	reads      atomic.Uint64
-	writes     atomic.Uint64
-	readBytes  atomic.Uint64
-	writeBytes atomic.Uint64
-	modeledNs  atomic.Uint64
 
 	// Fault and self-healing counters (see faults.go).
 	tornWrites  atomic.Uint64
@@ -131,6 +136,8 @@ func New(kind Kind, size int) *Device {
 		d.wear = make([]uint32, (size+LineSize-1)/LineSize)
 	}
 	d.powerCut.Store(-1)
+	d.own = d.Meter()
+	d.charged.Store(d.own)
 	return d
 }
 
@@ -147,16 +154,17 @@ func (d *Device) Size() int {
 	return len(d.data)
 }
 
-// SetDelayInjection enables or disables CPU spin delays on every access, in
-// addition to the always-on deterministic latency accounting.
+// SetDelayInjection enables or disables CPU spin delays on every charged
+// access and synthetic charge, in addition to the always-on deterministic
+// latency accounting.
 func (d *Device) SetDelayInjection(on bool) { d.inject.Store(on) }
 
 // Grow extends the device so that it has capacity for at least size bytes.
 // Growing is an administrative operation (like plugging in a DIMM) and is
 // not charged memory latency.
 func (d *Device) Grow(size int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if size <= len(d.data) {
 		return
 	}
@@ -183,21 +191,25 @@ func (d *Device) Grow(size int) {
 	}
 }
 
-// ReadAt copies len(p) bytes starting at offset off into p, charging read
-// latency for one access of len(p) bytes. Panics with ErrPowerLost after
-// an expired power cut.
-func (d *Device) ReadAt(off int, p []byte) {
+// ReadAt copies len(p) bytes starting at offset off into p, charging the
+// device's own meter one read of len(p) bytes. Panics with ErrPowerLost
+// after an expired power cut.
+func (d *Device) ReadAt(off int, p []byte) { d.ReadWith(d.charged.Load(), off, p) }
+
+// ReadWith is ReadAt charging m, a meter of d or Discard.
+func (d *Device) ReadWith(m *Meter, off int, p []byte) {
 	if d.powerCut.Load() == 0 {
 		panic(ErrPowerLost)
 	}
-	d.mu.RLock()
+	l := d.stripe(m)
+	l.RLock()
 	if off < 0 || off+len(p) > len(d.data) {
-		d.mu.RUnlock()
+		l.RUnlock()
 		panic(fmt.Sprintf("nvbm: read [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
 	}
 	copy(p, d.data[off:])
-	d.mu.RUnlock()
-	d.chargeRead(len(p))
+	l.RUnlock()
+	m.charge(false, 1, len(p))
 }
 
 // ErrPowerLost is the panic value raised by any access to a device whose
@@ -232,14 +244,17 @@ func (d *Device) consumePowerCut(off int, p []byte) {
 	}
 }
 
-// WriteAt copies p into the device starting at offset off, charging write
-// latency for one access of len(p) bytes and bumping wear counters for
-// every touched line. With an armed power cut whose countdown has
+// WriteAt copies p into the device starting at offset off, charging the
+// device's own meter one write of len(p) bytes and bumping wear counters
+// for every touched line. With an armed power cut whose countdown has
 // expired, the access panics with ErrPowerLost.
-func (d *Device) WriteAt(off int, p []byte) { d.write(off, p, false) }
+func (d *Device) WriteAt(off int, p []byte) { d.write(d.charged.Load(), off, p, false) }
 
-// WriteAtExclusive is WriteAt under the device's exclusive lock. The
-// default WriteAt runs under the shared lock, which is correct when
+// WriteWith is WriteAt charging m, a meter of d or Discard.
+func (d *Device) WriteWith(m *Meter, off int, p []byte) { d.write(m, off, p, false) }
+
+// WriteAtExclusive is WriteAt holding every stripe of the device lock
+// exclusively. The default WriteAt holds one stripe shared, which is correct when
 // concurrent writers touch disjoint cache LINES; with media tracking on,
 // however, every store recomputes the whole per-line CRC shadow, so two
 // writers whose byte ranges are disjoint but SHARE a line can publish a
@@ -248,16 +263,17 @@ func (d *Device) WriteAt(off int, p []byte) { d.write(off, p, false) }
 // race a store to a line they share. Latency accounting
 // and any injected spin delay happen outside the lock, exactly like
 // WriteAt, so exclusivity costs only the data copy.
-func (d *Device) WriteAtExclusive(off int, p []byte) { d.write(off, p, true) }
+func (d *Device) WriteAtExclusive(off int, p []byte) { d.write(d.charged.Load(), off, p, true) }
 
-// write is the one store body of WriteAt and WriteAtExclusive, which
-// differ only in the lock the copy holds.
-func (d *Device) write(off int, p []byte, exclusive bool) {
+// write is the one store body of WriteAt, WriteWith and WriteAtExclusive,
+// which differ only in the meter charged and the lock the copy holds.
+func (d *Device) write(m *Meter, off int, p []byte, exclusive bool) {
 	d.consumePowerCut(off, p)
+	l := d.stripe(m)
 	if exclusive {
-		d.mu.Lock()
+		d.lock()
 	} else {
-		d.mu.RLock()
+		l.RLock()
 	}
 	inRange := off >= 0 && off+len(p) <= len(d.data)
 	switch {
@@ -276,14 +292,14 @@ func (d *Device) write(off int, p []byte, exclusive bool) {
 		}
 	}
 	if exclusive {
-		d.mu.Unlock()
+		d.unlock()
 	} else {
-		d.mu.RUnlock()
+		l.RUnlock()
 	}
 	if !inRange {
 		panic(fmt.Sprintf("nvbm: write [%d,%d) out of range (size %d)", off, off+len(p), d.Size()))
 	}
-	d.chargeWrite(len(p))
+	m.charge(true, 1, len(p))
 }
 
 // ReadU64 reads a little-endian uint64 at offset off.
@@ -321,8 +337,8 @@ func (d *Device) Crash() {
 	if d.kind != DRAM {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	for i := range d.data {
 		d.data[i] = 0
 	}
@@ -350,70 +366,24 @@ func (d *Device) RestorePower() {
 // PowerLost reports whether the device is currently dropping writes.
 func (d *Device) PowerLost() bool { return d.powerCut.Load() == 0 }
 
-// ChargeRead accounts a read of n bytes without moving data. Subsystems
-// use it to model I/O whose payload is tracked elsewhere (e.g. B-tree
-// index pages held in a volatile cache but homed on this device).
-func (d *Device) ChargeRead(n int) { d.chargeRead(n) }
+// ChargeReadN charges the device's own meter count independent reads of
+// bytesEach bytes (see Meter.ChargeReadN).
+func (d *Device) ChargeReadN(count, bytesEach int) { d.charged.Load().ChargeReadN(count, bytesEach) }
 
-// ChargeReadN accounts count independent reads of bytesEach bytes in one
-// call (bulk form of ChargeRead for modeling traversals).
-func (d *Device) ChargeReadN(count, bytesEach int) {
-	if count <= 0 || d.unmetered.Load() {
-		return
-	}
-	d.reads.Add(uint64(count))
-	d.readBytes.Add(uint64(count * bytesEach))
-	d.modeledNs.Add(uint64(count) * d.lat.ReadNanos(bytesEach))
-}
+// ChargeWriteN charges the device's own meter count independent writes of
+// bytesEach bytes.
+func (d *Device) ChargeWriteN(count, bytesEach int) { d.charged.Load().ChargeWriteN(count, bytesEach) }
 
-// ModeledReadCost returns the modeled nanoseconds count independent reads
-// of bytesEach bytes would cost, without charging them — the attribution
-// half of ChargeReadN, for callers that charge once but also want the cost
-// credited to a specific request trace.
-func (d *Device) ModeledReadCost(count, bytesEach int) uint64 {
-	if count <= 0 {
-		return 0
-	}
-	return uint64(count) * d.lat.ReadNanos(bytesEach)
-}
-
-// ChargeWriteN accounts count independent writes of bytesEach bytes.
-func (d *Device) ChargeWriteN(count, bytesEach int) {
-	if count <= 0 || d.unmetered.Load() {
-		return
-	}
-	d.writes.Add(uint64(count))
-	d.writeBytes.Add(uint64(count * bytesEach))
-	d.modeledNs.Add(uint64(count) * d.lat.WriteNanos(bytesEach))
-}
-
-// SetAccounting enables or disables latency and statistics accounting.
-// Instrumentation walks (overlap-ratio measurement, validation) disable it
-// so that observing an experiment does not perturb it.
-func (d *Device) SetAccounting(on bool) { d.unmetered.Store(!on) }
-
-func (d *Device) chargeRead(n int) {
-	if d.unmetered.Load() {
-		return
-	}
-	d.reads.Add(1)
-	d.readBytes.Add(uint64(n))
-	ns := d.lat.ReadNanos(n)
-	d.modeledNs.Add(ns)
-	if d.inject.Load() {
-		spin(ns)
-	}
-}
-
-func (d *Device) chargeWrite(n int) {
-	if d.unmetered.Load() {
-		return
-	}
-	d.writes.Add(1)
-	d.writeBytes.Add(uint64(n))
-	ns := d.lat.WriteNanos(n)
-	d.modeledNs.Add(ns)
-	if d.inject.Load() {
-		spin(ns)
+// SetAccounting points the device's own meter at Discard (off) or back at
+// the device's (on). Only the single-owner calls that charge the device's
+// own meter are affected; a meter taken with Meter charges as before.
+// Instrumentation inside this module reads through Discard instead
+// (ReadWith); the lifecycle benchmark calls this around opening a second
+// arena view of a device it measures.
+func (d *Device) SetAccounting(on bool) {
+	if on {
+		d.charged.Store(d.own)
+	} else {
+		d.charged.Store(Discard)
 	}
 }

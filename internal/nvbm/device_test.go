@@ -107,10 +107,11 @@ func TestStatsAccounting(t *testing.T) {
 	if wf := s.WriteFraction(); wf < 0.66 || wf > 0.67 {
 		t.Errorf("WriteFraction = %v", wf)
 	}
-	d.ResetStats()
-	if d.Stats().Accesses() != 0 {
-		t.Error("ResetStats did not zero counters")
+	m := d.Meter()
+	if m.Stats().Accesses() != 0 {
+		t.Error("a fresh meter starts with charges")
 	}
+	m.Release()
 }
 
 func TestStatsSubAdd(t *testing.T) {

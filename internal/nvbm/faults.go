@@ -41,8 +41,8 @@ func (d *Device) EnableMediaTracking() {
 	if d.kind != NVBM {
 		panic("nvbm: media tracking is NVBM-only")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	d.lineCRC = make([]uint32, len(d.wear))
 	for line := range d.lineCRC {
 		d.lineCRC[line] = d.lineChecksumLocked(line)
@@ -64,8 +64,8 @@ func (d *Device) WearLimit() uint32 { return d.wearLimit.Load() }
 // SetSpareLines sets the pool of spare lines available for remapping
 // worn-out lines during scrub.
 func (d *Device) SetSpareLines(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	d.spare = n
 }
 
@@ -140,8 +140,8 @@ func (d *Device) tearWrite(off int, p []byte) {
 // CRC shadow, modeling silent media corruption (bit-rot). Returns false if
 // off is out of range. Detection requires media tracking.
 func (d *Device) FlipBit(off int, bit uint8) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	if off < 0 || off >= len(d.data) {
 		return false
 	}
@@ -241,11 +241,10 @@ func (d *Device) Scrub(src func(off int, p []byte) bool) ScrubReport {
 	if !d.track.Load() {
 		return rep
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	limit := d.wearLimit.Load()
 	buf := make([]byte, LineSize)
-	ns0 := d.modeledNs.Load()
 	for line := range d.lineCRC {
 		rep.LinesScanned++
 		lo := line * LineSize
@@ -287,9 +286,8 @@ func (d *Device) Scrub(src func(off int, p []byte) bool) ScrubReport {
 			}
 		}
 	}
-	d.ChargeReadN(rep.LinesScanned, LineSize)
-	d.ChargeWriteN(rep.Repaired+rep.Remapped, LineSize)
-	rep.ModeledNs = d.modeledNs.Load() - ns0
+	m := d.charged.Load()
+	rep.ModeledNs = m.charge(false, rep.LinesScanned, LineSize) + m.charge(true, rep.Repaired+rep.Remapped, LineSize)
 	rep.SparesLeft = d.spare
 	d.scrubPasses++
 	d.scrubScanned += uint64(rep.LinesScanned)
@@ -311,8 +309,8 @@ func (d *Device) RemapWorn() int {
 	if limit == 0 {
 		return 0
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	n := 0
 	for line := range d.wear {
 		if d.spare == 0 {

@@ -94,8 +94,8 @@ func (d *Device) RestoreFrom(r io.Reader) error {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return fmt.Errorf("nvbm: trailing data after image checksum")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.lock()
+	defer d.unlock()
 	d.data = data
 	if d.kind == NVBM {
 		wear := make([]uint32, (len(data)+LineSize-1)/LineSize)

@@ -228,10 +228,11 @@ func TestConcurrentWritersPowerCut(t *testing.T) {
 // TestConcurrentCommittedReadersRacingWriter exercises the read side of
 // the contract that MVCC snapshot serving relies on: many goroutines
 // issue charged reads against the SAME committed (immutable) lines —
-// plus bulk ChargeReadN accounting — while a single writer keeps writing
-// OTHER lines and Grow extends the device. The committed data must read
-// back bit-identical every time and the read accounting must be exact.
-// Run with -race.
+// plus bulk ChargeReadN charges — each through its own meter, while a
+// single writer keeps writing OTHER lines through the device's meter and
+// Grow extends the device. The committed data must read back
+// bit-identical every time, every reader's meter must hold exactly its
+// own charges, and the device total must be their sum. Run with -race.
 func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	const (
 		readers     = 4
@@ -246,6 +247,7 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	base := d.Stats()
 
 	var wg sync.WaitGroup
+	charged := make([]Stats, readers)
 	wg.Add(readers + 1)
 	// Writer: mutates the second region and grows the device under the
 	// readers' feet.
@@ -262,26 +264,36 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 		}
 	}()
 	for w := 0; w < readers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			m := d.Meter()
+			defer m.Release()
 			got := make([]byte, region)
 			for k := 0; k < readsEach; k++ {
-				d.ReadAt(0, got)
+				d.ReadWith(m, 0, got)
 				if !bytes.Equal(got, committed) {
 					t.Error("committed lines changed under a reader")
 					return
 				}
 			}
 			for k := 0; k < chargesEach; k++ {
-				d.ChargeReadN(2, LineSize)
+				m.ChargeReadN(2, LineSize)
 			}
-		}()
+			charged[w] = m.Stats()
+		}(w)
 	}
 	wg.Wait()
 
+	var sum Stats
+	for w, c := range charged {
+		if want := uint64(readsEach + 2*chargesEach); c.Reads != want || c.Writes != 0 {
+			t.Errorf("reader %d meter: %d reads %d writes, want %d and 0", w, c.Reads, c.Writes, want)
+		}
+		sum = sum.Add(c)
+	}
 	st := d.Stats().Sub(base)
-	if want := uint64(readers * (readsEach + 2*chargesEach)); st.Reads != want {
-		t.Errorf("reads = %d, want %d", st.Reads, want)
+	if want := uint64(readers * (readsEach + 2*chargesEach)); st.Reads != want || sum.Reads != want {
+		t.Errorf("reads = %d, readers' meters %d, want %d", st.Reads, sum.Reads, want)
 	}
 	if want := uint64(readers * (readsEach*region + 2*chargesEach*LineSize)); st.ReadBytes != want {
 		t.Errorf("read bytes = %d, want %d", st.ReadBytes, want)
@@ -289,15 +301,17 @@ func TestConcurrentCommittedReadersRacingWriter(t *testing.T) {
 	if want := uint64(readsEach); st.Writes != want {
 		t.Errorf("writes = %d, want %d", st.Writes, want)
 	}
+	writer := uint64(readsEach) * d.Latency().WriteNanos(region)
+	if st.ModeledNs != sum.ModeledNs+writer {
+		t.Errorf("modeled ns = %d, want readers' %d + writer's %d", st.ModeledNs, sum.ModeledNs, writer)
+	}
 }
 
 // BenchmarkDeviceAccess makes the same 60 k octant-record read-write pairs
 // (88 bytes each, the core record size) from one goroutine and then split
 // over two on disjoint ranges, the pattern a parallel payload scatter
-// would make. Each access takes the shared lock and adds to the shared
-// access counters (and a written line's wear counter), so two goroutines
-// contend on those words: on a 2-core Xeon the split run is about three
-// times slower than the single one, not faster.
+// would make. Each goroutine charges its own meter, so the two share no
+// counter: only the device's shared lock and its read-mostly flags.
 func BenchmarkDeviceAccess(b *testing.B) {
 	const (
 		record = 88
@@ -313,15 +327,20 @@ func BenchmarkDeviceAccess(b *testing.B) {
 					wg.Add(1)
 					go func(first int) {
 						defer wg.Done()
+						m := d.Meter()
+						defer m.Release()
 						var buf [record]byte
 						for k := first; k < first+per; k++ {
-							d.ReadAt(k*record, buf[:])
+							d.ReadWith(m, k*record, buf[:])
 							buf[0]++
-							d.WriteAt(k*record, buf[:])
+							d.WriteWith(m, k*record, buf[:])
 						}
 					}(g * per)
 				}
 				wg.Wait()
+			}
+			if want := uint64(b.N * pairs); d.Stats().Reads != want {
+				b.Fatalf("reads = %d, want %d", d.Stats().Reads, want)
 			}
 		})
 	}

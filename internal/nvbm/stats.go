@@ -15,26 +15,16 @@ type Stats struct {
 	ModeledNs  uint64 // accumulated modeled latency
 }
 
-// Stats returns a snapshot of the device's counters.
+// Stats returns a snapshot of the device's counters: the sum of its
+// meters' cumulative counts, exact at every instant.
 func (d *Device) Stats() Stats {
-	return Stats{
-		Kind:       d.kind,
-		Reads:      d.reads.Load(),
-		Writes:     d.writes.Load(),
-		ReadBytes:  d.readBytes.Load(),
-		WriteBytes: d.writeBytes.Load(),
-		ModeledNs:  d.modeledNs.Load(),
+	s := Stats{Kind: d.kind}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	for _, m := range d.meters {
+		s = s.Add(m.counts())
 	}
-}
-
-// ResetStats zeroes all access counters. Wear counters are not reset:
-// endurance damage is permanent.
-func (d *Device) ResetStats() {
-	d.reads.Store(0)
-	d.writes.Store(0)
-	d.readBytes.Store(0)
-	d.writeBytes.Store(0)
-	d.modeledNs.Store(0)
+	return s
 }
 
 // Accesses returns the total number of read and write operations.
@@ -53,9 +43,9 @@ func (s Stats) WriteFraction() float64 {
 // Modeled returns the accumulated modeled latency as a time.Duration.
 func (s Stats) Modeled() time.Duration { return time.Duration(s.ModeledNs) }
 
-// satSub subtracts saturating at zero. A counter can read lower than an
-// earlier snapshot after ResetStats (or a snapshot taken on a different
-// device); a delta must then clamp rather than wrap to ~2^64.
+// satSub subtracts saturating at zero. A counter can read lower than a
+// snapshot taken on a different device; a delta must then clamp rather
+// than wrap to ~2^64.
 func satSub(a, b uint64) uint64 {
 	if a < b {
 		return 0
@@ -64,8 +54,8 @@ func satSub(a, b uint64) uint64 {
 }
 
 // Sub returns the counter deltas s - earlier, for interval measurements.
-// Deltas saturate at zero, so a snapshot pair straddling ResetStats
-// yields zeros instead of wrapped garbage.
+// Deltas saturate at zero, so a snapshot pair from two devices yields
+// zeros instead of wrapped garbage.
 func (s Stats) Sub(earlier Stats) Stats {
 	return Stats{
 		Kind:       s.Kind,

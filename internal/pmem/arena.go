@@ -107,7 +107,7 @@ func geometrySum(slotSize, stride, maxSlots int) uint64 {
 
 // Arena is a fixed-slot allocator over a Device. It is not safe for
 // general concurrent use; each simulation rank owns its arenas. One
-// exception is carved out, MVCC serving: Read/ReadField/Live/HighWater on
+// exception is carved out, MVCC serving: Read/ReadWith/Live/HighWater on
 // slots that are never freed or rewritten (committed, pinned octree
 // versions) may run concurrently with the single writer's AllocRaw/Write
 // on OTHER slots — the high-water mark is atomic and the device tolerates
@@ -507,23 +507,24 @@ func (a *Arena) Live(h Handle) bool {
 	return a.bit(idx)
 }
 
-// Read copies the slot payload into p (up to slotSize bytes).
-func (a *Arena) Read(h Handle, p []byte) {
-	idx := a.index(h)
-	if len(p) > a.slotSize {
-		p = p[:a.slotSize]
-	}
-	a.dev.ReadAt(a.slotOff(idx), p)
+// payload returns h's payload offset and p cut to the slot size.
+func (a *Arena) payload(h Handle, p []byte) (int, []byte) {
+	return a.slotOff(a.index(h)), p[:min(len(p), a.slotSize)]
+}
+
+// Read copies the slot payload into p (up to slotSize bytes), charging
+// the device's own meter.
+func (a *Arena) Read(h Handle, p []byte) { a.dev.ReadAt(a.payload(h, p)) }
+
+// ReadWith is Read charging m, a meter of the arena's device or
+// nvbm.Discard.
+func (a *Arena) ReadWith(m *nvbm.Meter, h Handle, p []byte) {
+	off, p := a.payload(h, p)
+	a.dev.ReadWith(m, off, p)
 }
 
 // Write copies p into the slot payload (up to slotSize bytes).
-func (a *Arena) Write(h Handle, p []byte) {
-	idx := a.index(h)
-	if len(p) > a.slotSize {
-		p = p[:a.slotSize]
-	}
-	a.dev.WriteAt(a.slotOff(idx), p)
-}
+func (a *Arena) Write(h Handle, p []byte) { a.dev.WriteAt(a.payload(h, p)) }
 
 // Stride returns the allocated bytes per slot: the payload size rounded
 // up to 8-byte alignment. Consecutive slot offsets differ by exactly
@@ -623,15 +624,6 @@ func (a *Arena) storeChecked(off int, p, back []byte) {
 	if !bytes.Equal(back, p) {
 		panic(ErrStoreLost)
 	}
-}
-
-// ReadField copies len(p) payload bytes starting at field offset off.
-func (a *Arena) ReadField(h Handle, off int, p []byte) {
-	idx := a.index(h)
-	if off < 0 || off+len(p) > a.slotSize {
-		panic(fmt.Sprintf("pmem: field [%d,%d) outside slot of %d bytes", off, off+len(p), a.slotSize))
-	}
-	a.dev.ReadAt(a.slotOff(idx)+off, p)
 }
 
 // WriteField writes p at field offset off within the slot payload.

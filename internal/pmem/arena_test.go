@@ -84,11 +84,6 @@ func TestFieldAccess(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 32)
 	h := alloc(a)
 	a.WriteField(h, 8, []byte{1, 2, 3, 4})
-	got := make([]byte, 4)
-	a.ReadField(h, 8, got)
-	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Errorf("field round trip: %v", got)
-	}
 	// Whole-slot read sees the field at its offset.
 	full := make([]byte, 32)
 	a.Read(h, full)
@@ -101,7 +96,7 @@ func TestFieldOutOfRangePanics(t *testing.T) {
 	a := newTestArena(t, nvbm.NVBM, 16)
 	h := alloc(a)
 	for _, fn := range []func(){
-		func() { a.ReadField(h, 12, make([]byte, 8)) },
+		func() { a.WriteField(h, 12, make([]byte, 8)) },
 		func() { a.WriteField(h, -1, make([]byte, 1)) },
 	} {
 		func() {
@@ -165,7 +160,7 @@ func TestArenaGrowth(t *testing.T) {
 	}
 	for i, h := range handles {
 		got := make([]byte, 2)
-		a.ReadField(h, 0, got)
+		a.Read(h, got)
 		if got[0] != byte(i) || got[1] != byte(i>>8) {
 			t.Fatalf("slot %d corrupted: %v", i, got)
 		}

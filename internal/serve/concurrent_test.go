@@ -288,3 +288,104 @@ func TestConcurrentServeSoak(t *testing.T) {
 	t.Logf("soak: %d queries over %d versions; published=%d evicted=%d",
 		queries.Load(), distinct, snap.Counters["serve.catalog.published"], snap.Counters["serve.catalog.evicted"])
 }
+
+// TestInstrumentationBesideReaders runs the writer's instrumentation walks
+// (Validate, VersionStats) and one charged walk of the committed version
+// while two readers query: points descend a version that has no index,
+// and points, regions and aggregates answer from one that does. The walks
+// charge no device and each reader charges its own meter, so the device's
+// read total is exactly the charged walk's reads plus the modeled reads
+// the readers' device_read spans carry. Run with -race.
+func TestInstrumentationBesideReaders(t *testing.T) {
+	dev := nvbm.New(nvbm.NVBM, 0)
+	d := sim.NewDroplet(sim.DropletConfig{Steps: 13})
+	tree := core.Create(core.Config{NVBMDevice: dev, DRAMDevice: nvbm.New(nvbm.DRAM, 0), RetainVersions: 2})
+	tree.SetFeatures(d.Feature(1))
+	for s := 1; s <= 3; s++ {
+		sim.Step(tree, d, s, testMaxLevel)
+		tree.SetFeatures(d.Feature(s + 1))
+		tree.Persist()
+	}
+	cat, indexed := publish(t, tree, Config{})
+	defer cat.Close()
+	defer indexed.Close()
+	old := tree.RetainedVersions()
+	if len(old) == 0 {
+		t.Fatal("no retained version to serve without an index")
+	}
+	bare, err := cat.PublishVersion(old[0].Root, old[0].Step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+
+	qs := soakQuerySet()
+	sink := telemetry.NewTraceSink(4096)
+	before := dev.Stats()
+	var (
+		readers sync.WaitGroup
+		stop    atomic.Bool
+		walked  uint64
+	)
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 150; i++ {
+				q := qs[(i+r)%len(qs)]
+				s, query := indexed, Query{Class: ClassPoint, Point: q.pt}
+				switch {
+				case q.kind == "point" && i%2 == 0:
+					s = bare
+				case q.kind == "region":
+					query = Query{Class: ClassRegion, Box: q.box, Span: FullKeyRange()}
+				case q.kind == "agg":
+					query = Query{Class: ClassAgg, Box: q.box, Field: q.field, Span: FullKeyRange()}
+				}
+				tc := sink.Start(q.kind)
+				if _, err := s.Query(tc, query); err != nil {
+					t.Errorf("reader %d query %d: %v", r, i, err)
+				}
+				tc.Finish()
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if err := tree.Validate(); err != nil {
+				t.Error(err)
+				return
+			}
+			tree.VersionStats()
+			tree.ForEachCommittedNode(func(core.Ref, *core.Octant) bool {
+				walked++
+				return true
+			})
+		}
+	}()
+	readers.Wait()
+	stop.Store(true)
+	<-done
+
+	per := dev.Latency().ReadNanos(core.RecordSize)
+	var readerNs uint64
+	traces := sink.Recent(4096)
+	for _, rt := range traces {
+		for _, sp := range rt.Spans {
+			if sp.Name == "device_read" {
+				readerNs += sp.ModeledNs
+			}
+		}
+	}
+	if len(traces) != 300 || readerNs == 0 || readerNs%per != 0 {
+		t.Fatalf("%d traces carry %d modeled ns of reads, want 300 traces of whole %d ns reads", len(traces), readerNs, per)
+	}
+	got := dev.Stats().Sub(before)
+	want := nvbm.Stats{Kind: nvbm.NVBM, Reads: walked + readerNs/per, ReadBytes: (walked + readerNs/per) * core.RecordSize,
+		ModeledNs: walked*per + readerNs}
+	if got != want {
+		t.Fatalf("device charged %+v, want the writer's %d walk reads plus the readers' %d: %+v", got, walked, readerNs/per, want)
+	}
+}

@@ -44,7 +44,7 @@ func unbuilt(t testing.TB, tree *core.Tree) *Snapshot {
 // points outside the domain.
 func descentPoints(s *Snapshot, rng *rand.Rand) [][3]float64 {
 	var pts [][3]float64
-	s.v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
+	s.v.pin.ForEachNode(nvbm.Discard, func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
 			x, y, z := o.Code.Center()
 			pts = append(pts, [3]float64{x, y, z})

@@ -10,6 +10,7 @@ import (
 
 	"pmoctree/internal/core"
 	"pmoctree/internal/morton"
+	"pmoctree/internal/nvbm"
 	"pmoctree/internal/telemetry"
 	"pmoctree/internal/tile"
 )
@@ -115,7 +116,9 @@ func (v *version) ensure() bool {
 	}
 	var leaves tile.Store
 	var fillers []int
-	v.pin.ForEachNode(func(_ core.Ref, o *core.Octant) bool {
+	m := v.pin.Meter()
+	defer m.Release()
+	v.pin.ForEachNode(m, func(_ core.Ref, o *core.Octant) bool {
 		if o.IsLeaf() {
 			if o.Filler() {
 				fillers = append(fillers, leaves.N())
@@ -300,9 +303,9 @@ type Result struct {
 // index_build when this call pays for the index, leaf_scan for the tree
 // descent, binary search or window scan, and device_read, which takes no
 // wall time and carries the modeled cost of the octant reads the answer
-// stands for, charged against the pinned device. A point on a version
-// without an index descends the pinned tree (descend) and builds nothing;
-// every other query builds the index first.
+// stands for: the charge of the query's own meter on the pinned device.
+// A point on a version without an index descends the pinned tree
+// (descend) and builds nothing; every other query builds the index first.
 func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	if err := q.Check(); err != nil {
 		return Result{}, err
@@ -316,13 +319,15 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	}
 	res := Result{Step: s.Step()}
 	tc.SetStep(res.Step)
+	m := s.v.pin.Meter()
+	defer m.Release()
 	if q.Class == ClassPoint && !s.v.built.Load() {
 		scan := tc.StartSpan("leaf_scan")
-		reads, ok, err := s.v.descend(cell, &res)
+		ok, err := s.v.descend(m, cell, &res)
 		scan.End()
 		if ok {
 			dr := tc.StartSpan("device_read")
-			dr.AddModeled(s.v.pin.ReadsModeled(reads, core.RecordSize))
+			dr.AddModeled(m.Stats().ModeledNs)
 			dr.End()
 			if err != nil {
 				return Result{}, err
@@ -339,8 +344,9 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 	if err != nil && !errors.Is(err, ErrNotHeld) {
 		return Result{}, err
 	}
+	m.ChargeReadN(charge, core.RecordSize)
 	dr := tc.StartSpan("device_read")
-	dr.AddModeled(s.v.pin.ChargeReadsModeled(charge, core.RecordSize))
+	dr.AddModeled(m.Stats().ModeledNs)
 	dr.End()
 	if err != nil {
 		return Result{}, err
@@ -349,21 +355,21 @@ func (s *Snapshot) Query(tc *telemetry.TraceContext, q Query) (Result, error) {
 }
 
 // descend answers a point by descending the pinned tree to the leaf
-// holding cell, which charges its level+1 octant reads to the device —
-// the count the index path charges for the same answer. It returns those
-// reads, and ok false when the descent ended on an interior octant
-// (nothing answered). A filler leaf is refused with ErrNotHeld after the
-// same reads, as by the index path.
-func (v *version) descend(cell morton.Code, res *Result) (reads int, ok bool, err error) {
-	_, o := v.pin.FindLeaf(cell)
+// holding cell, which charges its level+1 octant reads to m — the count
+// the index path charges for the same answer. It returns ok false when
+// the descent ended on an interior octant (nothing answered). A filler
+// leaf is refused with ErrNotHeld after the same reads, as by the index
+// path.
+func (v *version) descend(m *nvbm.Meter, cell morton.Code, res *Result) (ok bool, err error) {
+	_, o := v.pin.FindLeaf(m, cell)
 	if !o.IsLeaf() {
-		return 0, false, nil
+		return false, nil
 	}
 	if o.Filler() {
-		return int(o.Code.Level()) + 1, true, ErrNotHeld
+		return true, ErrNotHeld
 	}
 	res.Leaf = LeafHit{Code: o.Code, Data: o.Data}
-	return int(o.Code.Level()) + 1, true, nil
+	return true, nil
 }
 
 // scan answers q from the leaf index into res and returns the number of
